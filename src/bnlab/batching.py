@@ -1,6 +1,7 @@
 """Ways to carve samples into normalization batches: per-worker, ghost,
 simulated sync, virtual, shuffle, and domain-specific policies."""
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,8 @@ __all__ = [
     "NormBatch",
     "plan_normalization_batches",
     "cohort_indices",
+    "cohort_runs",
+    "even_sizes",
     "sync_moments",
     "DomainPolicy",
     "apply_domain_policy",
@@ -131,6 +134,25 @@ def cohort_indices(plan: NormBatchPlan, n: int, rng=None):
     if plan.strategy == "sync":
         cohorts = [np.concatenate(cohorts)]
     return cohorts
+
+
+def even_sizes(n: int, size: int) -> list:
+    """``size``-row chunks covering n rows, the last one ragged."""
+    return [size] * (n // size) + ([n % size] if n % size else [])
+
+
+def cohort_runs(sizes, max_rows=None) -> list:
+    """Split cohort sizes into runs of consecutive equal sizes, as (first
+    cohort, cohort count, size) triples.  With ``max_rows`` a run holds at
+    most max_rows // size cohorts, and at least one."""
+    runs = []
+    first = 0
+    for size, run in itertools.groupby(sizes):
+        end = first + len(list(run))
+        per = end - first if max_rows is None else max(1, max_rows // max(size, 1))
+        runs += [(k, min(per, end - k), size) for k in range(first, end, per)]
+        first = end
+    return runs
 
 
 def plan_normalization_batches(layout: WorkerLayout, plan: NormBatchPlan, rng=None):

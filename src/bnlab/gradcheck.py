@@ -8,6 +8,7 @@ from .layer import BnLayer, BnMode
 from .net import (
     Affine,
     Linear,
+    MeanPool,
     Network,
     Relu,
     softmax_cross_entropy,
@@ -60,45 +61,13 @@ def _check_layer_input(forward, backward, x, rng):
     return relative_error(analytic, numeric)
 
 
-def check_linear(rng):
-    layer = Linear.init(rng, 4, 5)
-    x = rng.standard_normal((6, 4, 1, 1))
-    errs = []
+def _check_param_layer(layer, x, rng):
+    """Input and parameter gradients of a Linear or Affine layer.
 
-    def fwd(xv):
-        y, _ = layer.forward(xv)
-        return y
-
-    def bwd(xv, w):
-        y, cache = layer.forward(xv)
-        dx, _ = layer.backward(cache, w)
-        return dx
-
-    errs.append(_check_layer_input(fwd, bwd, x, rng))
-
-    # parameter gradients
-    w = _loss_weights(rng, fwd(x).shape)
-    _, cache = layer.forward(x)
-    _, grads = layer.backward(cache, w)
-    for name in layer.param_names:
-        p = getattr(layer, name)
-
-        def f(pv, name=name):
-            old = getattr(layer, name)
-            setattr(layer, name, pv)
-            y, _ = layer.forward(x)
-            setattr(layer, name, old)
-            return float((y * w).sum())
-
-        errs.append(relative_error(grads[name], numerical_gradient(f, p.copy())))
-    return max(errs)
-
-
-def check_affine(rng):
-    layer = Affine(rng.standard_normal(3), rng.standard_normal(3))
-    x = rng.standard_normal((4, 3, 2, 2))
-    errs = []
-
+    For a (G, n, C, H, W) cohort stack the parameter gradients carry a
+    leading cohort axis; cohort g's slice is checked against finite
+    differences of the part of the loss on cohort g's outputs.
+    """
     def fwd(xv):
         y, _ = layer.forward(xv)
         return y
@@ -108,22 +77,53 @@ def check_affine(rng):
         dx, _ = layer.backward(cache, w)
         return dx
 
-    errs.append(_check_layer_input(fwd, bwd, x, rng))
-    w = _loss_weights(rng, x.shape)
+    errs = [_check_layer_input(fwd, bwd, x, rng)]
+    w = _loss_weights(rng, fwd(x).shape)
     _, cache = layer.forward(x)
     _, grads = layer.backward(cache, w)
+    cohorts = range(x.shape[0]) if x.ndim == 5 else [None]
     for name in layer.param_names:
         p = getattr(layer, name)
+        for g in cohorts:
+            w_g, analytic = w, grads[name]
+            if g is not None:
+                w_g = np.zeros_like(w)
+                w_g[g] = w[g]
+                analytic = analytic[g]
 
-        def f(pv, name=name):
-            old = getattr(layer, name)
-            setattr(layer, name, pv)
-            y, _ = layer.forward(x)
-            setattr(layer, name, old)
-            return float((y * w).sum())
+            def f(pv, name=name, w_g=w_g):
+                old = getattr(layer, name)
+                setattr(layer, name, pv)
+                y, _ = layer.forward(x)
+                setattr(layer, name, old)
+                return float((y * w_g).sum())
 
-        errs.append(relative_error(grads[name], numerical_gradient(f, p.copy())))
+            errs.append(relative_error(analytic, numerical_gradient(f, p.copy())))
     return max(errs)
+
+
+def check_linear(rng, shape=(6, 4, 1, 1)):
+    return _check_param_layer(Linear.init(rng, 4, 5), rng.standard_normal(shape),
+                              rng)
+
+
+def check_affine(rng, shape=(4, 3, 2, 2)):
+    layer = Affine(rng.standard_normal(3), rng.standard_normal(3))
+    return _check_param_layer(layer, rng.standard_normal(shape), rng)
+
+
+def check_meanpool(rng, shape=(4, 3, 2, 3)):
+    layer = MeanPool()
+
+    def fwd(xv):
+        y, _ = layer.forward(xv)
+        return y
+
+    def bwd(xv, w):
+        _, cache = layer.forward(xv)
+        return layer.backward(cache, w)[0]
+
+    return _check_layer_input(fwd, bwd, rng.standard_normal(shape), rng)
 
 
 def check_relu(rng):
@@ -143,9 +143,11 @@ def check_relu(rng):
     return _check_layer_input(fwd, bwd, x, rng)
 
 
-def check_bn_train(rng):
+def check_bn_train(rng, shape=(4, 3, 2, 2)):
+    """Batch-statistics backward; a (G, n, C, H, W) shape checks a cohort
+    stack, each cohort normalized by its own moments."""
     layer = BnLayer(3, eps=1e-5)
-    x = rng.standard_normal((4, 3, 2, 2))
+    x = rng.standard_normal(shape)
 
     def fwd(xv):
         y, _ = layer.forward(xv, mode=BnMode.TRAIN_MINIBATCH, update_stats=False)
@@ -259,4 +261,10 @@ def run_full_suite(seed=0):
         "bn_virtual": check_bn_virtual(rng),
         "network_train": check_network(rng, frozen=False),
         "network_frozen": check_network(rng, frozen=True),
+        # cohort stacks of G=3: per-cohort moments and parameter gradients
+        "bn_train_grouped": check_bn_train(rng, shape=(3, 4, 3, 2, 2)),
+        "linear_grouped": check_linear(rng, shape=(3, 2, 4, 2, 1)),
+        "affine_grouped": check_affine(rng, shape=(3, 2, 3, 2, 2)),
+        "meanpool": check_meanpool(rng),
+        "meanpool_grouped": check_meanpool(rng, shape=(3, 2, 3, 2, 3)),
     }

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyBatch, InvalidParams, MissingStats, ShapeMismatch, StaleCache
-from .stats import BatchMomentLog, EmaState, ema_update
-from .tensor import ChannelStats, as_tensor4, channel_moments, normalize
+from .stats import EmaState, ema_update
+from .tensor import SAMPLE_AXES, ChannelStats, as_batch, channel_moments, normalize
 
 __all__ = [
     "BnMode",
@@ -32,7 +32,7 @@ class BnCache:
     mode: BnMode
     x_hat: np.ndarray
     inv_std: np.ndarray
-    batch_stats: bool  # True when stats were computed from this batch
+    moments: ChannelStats | None  # the batch's own moments, in batch modes
     consumed: bool = False
 
     def take(self):
@@ -49,6 +49,10 @@ class BnLayer:
     ``update_stats`` is left on).  EVAL_POPULATION normalizes with explicit
     population stats when they were set (e.g. by a precise re-estimation
     pass), falling back to the EMA.  FROZEN requires a stats snapshot.
+
+    Input is an (N, C, H, W) batch or a (G, n, C, H, W) stack of G cohorts;
+    in the batch-statistics modes each cohort is normalized by its own
+    moments, exactly as if it were forwarded alone.
     """
 
     def __init__(self, channels, eps=1e-5, momentum=0.9):
@@ -60,8 +64,6 @@ class BnLayer:
         self.pop = None
         self.frozen = None
         self.mode = BnMode.TRAIN_MINIBATCH
-        self.collect_moments = False
-        self.moment_log = BatchMomentLog()
 
     def eval_stats(self) -> ChannelStats:
         if self.pop is not None:
@@ -87,29 +89,28 @@ class BnLayer:
     def forward(self, x, mode: BnMode | None = None, update_stats=True,
                 pop_override: ChannelStats | None = None):
         """Returns (y, cache).  Raises EmptyBatch on n == 0 before any
-        side effect, so the EMA is left bit-identical."""
-        x = as_tensor4(x)
+        side effect, so the EMA is left bit-identical.  A cohort stack
+        advances the EMA by one step per cohort, in order."""
+        x = as_batch(x)
         mode = self.mode if mode is None else mode
-        if x.shape[1] != self.channels:
-            raise ShapeMismatch(f"expected {self.channels} channels, got {x.shape[1]}")
-        if x.shape[0] == 0 and mode in (BnMode.TRAIN_MINIBATCH, BnMode.EVAL_MINIBATCH):
+        if x.shape[-3] != self.channels:
+            raise ShapeMismatch(f"expected {self.channels} channels, got {x.shape[-3]}")
+        batch_stats = mode in (BnMode.TRAIN_MINIBATCH, BnMode.EVAL_MINIBATCH)
+        if x.shape[-4] == 0 and batch_stats:
             raise EmptyBatch("BN forward on a batch with 0 samples")
         if pop_override is not None and mode is BnMode.EVAL_POPULATION:
             stats = pop_override
         else:
             stats = self._stats_for(x, mode)
-        if mode is BnMode.TRAIN_MINIBATCH:
-            if update_stats:
-                self.ema = ema_update(self.ema, stats)
-            if self.collect_moments:
-                self.moment_log.append(stats)
+        if mode is BnMode.TRAIN_MINIBATCH and update_stats:
+            self.ema = ema_update(self.ema, stats)
         inv_std = 1.0 / np.sqrt(stats.var + self.eps)
         y = normalize(x, stats, self.eps)
         cache = BnCache(
             mode=mode,
             x_hat=y,
             inv_std=inv_std,
-            batch_stats=mode in (BnMode.TRAIN_MINIBATCH, BnMode.EVAL_MINIBATCH),
+            moments=stats if batch_stats else None,
         )
         return y, cache
 
@@ -120,14 +121,14 @@ class BnLayer:
         functions of x; for population/frozen modes they are constants.
         """
         cache = cache.take()
-        dy = as_tensor4(dy)
-        inv = cache.inv_std[None, :, None, None]
-        if not cache.batch_stats:
+        dy = as_batch(dy)
+        inv = cache.inv_std[..., None, :, None, None]
+        if cache.moments is None:
             return dy * inv
         x_hat = cache.x_hat
-        m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-        sum_dy = dy.sum(axis=(0, 2, 3), keepdims=True)
-        sum_dy_xhat = (dy * x_hat).sum(axis=(0, 2, 3), keepdims=True)
+        m = dy.shape[-4] * dy.shape[-2] * dy.shape[-1]
+        sum_dy = dy.sum(axis=SAMPLE_AXES, keepdims=True)
+        sum_dy_xhat = (dy * x_hat).sum(axis=SAMPLE_AXES, keepdims=True)
         return (inv / m) * (m * dy - sum_dy - x_hat * sum_dy_xhat)
 
 

@@ -1,18 +1,23 @@
 """A small feedforward network (linear + BN + affine + relu, softmax
 cross-entropy) with exact manual backpropagation and momentum SGD.
 
-Activations are carried as (N, C, 1, 1) tensors so the normalization layer
-sees the same per-channel layout as the rest of the package.
+Activations are carried as (N, C, H, W) tensors so the normalization layer
+sees the same per-channel layout as the rest of the package.  A forward
+pass over G equal-size normalization cohorts carries them as one
+(G, n, C, H, W) stack: every layer computes each cohort exactly as a pass
+over that cohort alone would (one GEMM per cohort, per-cohort moments and
+parameter-gradient sums), so one grouped pass is bit-identical to G
+separate ones.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .batching import NormBatchPlan, cohort_indices
+from .batching import NormBatchPlan, cohort_indices, cohort_runs, even_sizes
 from .errors import InvalidParams, ShapeMismatch, StaleCache
 from .layer import BnLayer, BnMode
-from .tensor import as_tensor4
+from .tensor import SAMPLE_AXES, as_batch, as_tensor4
 
 __all__ = [
     "Linear",
@@ -24,18 +29,28 @@ __all__ = [
     "softmax_cross_entropy",
     "train",
     "classification_error",
+    "EVAL_CHUNK_ROWS",
 ]
+
+# rows per forward-only pass: population-mode chunks, and the cap on whole
+# mini-batches grouped into one pass
+EVAL_CHUNK_ROWS = 256
+
+# axis orders that move channels last (one row per spatial site) and back,
+# for an (N, C, H, W) batch and a (G, n, C, H, W) cohort stack
+_CHANNELS_LAST = {4: (0, 2, 3, 1), 5: (0, 1, 3, 4, 2)}
+_CHANNELS_BACK = {4: (0, 3, 1, 2), 5: (0, 1, 4, 2, 3)}
 
 
 def to4(x2: np.ndarray) -> np.ndarray:
-    return np.asarray(x2, dtype=np.float64)[:, :, None, None]
+    return np.asarray(x2, dtype=np.float64)[..., None, None]
 
 
 def to2(x4: np.ndarray) -> np.ndarray:
-    x4 = as_tensor4(x4)
-    if x4.shape[2:] != (1, 1):
+    x4 = as_batch(x4)
+    if x4.shape[-2:] != (1, 1):
         raise ShapeMismatch("dense layers expect h = w = 1 activations")
-    return x4[:, :, 0, 0]
+    return x4[..., 0, 0]
 
 
 class Linear:
@@ -54,20 +69,27 @@ class Linear:
                    rng.uniform(-a, a, size=fan_out))
 
     def forward(self, x):
-        # applied per spatial site (1x1-convolution semantics)
-        x = as_tensor4(x)
-        n, c, h, w = x.shape
-        x2 = x.transpose(0, 2, 3, 1).reshape(n * h * w, c)
+        # applied per spatial site (1x1-convolution semantics); a cohort
+        # stack runs one GEMM per cohort, whose rounding depends on its rows
+        x = as_batch(x)
+        *lead, c, h, w = x.shape
+        x2 = x.transpose(_CHANNELS_LAST[x.ndim]).reshape(*lead[:-1], -1, c)
         y2 = x2 @ self.weight.T + self.bias
-        y = y2.reshape(n, h, w, -1).transpose(0, 3, 1, 2)
-        return y, (x2, (n, c, h, w))
+        y = y2.reshape(*lead, h, w, -1).transpose(_CHANNELS_BACK[x.ndim])
+        return y, (x2, x.shape)
 
     def backward(self, cache, dy):
-        x2, (n, c, h, w) = cache
-        dy = as_tensor4(dy)
-        dy2 = dy.transpose(0, 2, 3, 1).reshape(n * h * w, -1)
-        grads = {"weight": dy2.T @ x2, "bias": dy2.sum(axis=0)}
-        dx = (dy2 @ self.weight).reshape(n, h, w, c).transpose(0, 3, 1, 2)
+        """Input gradient and parameter gradients; a cohort stack's
+        parameter gradients keep a leading cohort axis."""
+        x2, shape = cache
+        dy = as_batch(dy)
+        dy2 = dy.transpose(_CHANNELS_LAST[dy.ndim]).reshape(*shape[:-4], -1,
+                                                            dy.shape[-3])
+        # dy2^T @ x2 per cohort, the transpose a view as dy2.T was
+        weight = dy2.swapaxes(-1, -2) @ x2
+        grads = {"weight": weight, "bias": dy2.sum(axis=-2)}
+        dx = (dy2 @ self.weight).reshape(*shape[:-3], *shape[-2:], shape[-3]) \
+            .transpose(_CHANNELS_BACK[dy.ndim])
         return dx, grads
 
 
@@ -85,15 +107,16 @@ class Affine:
         return cls(np.ones(channels), np.zeros(channels))
 
     def forward(self, x):
-        x = as_tensor4(x)
+        x = as_batch(x)
         y = x * self.gamma[None, :, None, None] + self.beta[None, :, None, None]
         return y, x
 
     def backward(self, cache, dy):
+        # a cohort stack's parameter gradients keep a leading cohort axis
         x = cache
         grads = {
-            "gamma": (dy * x).sum(axis=(0, 2, 3)),
-            "beta": dy.sum(axis=(0, 2, 3)),
+            "gamma": (dy * x).sum(axis=SAMPLE_AXES),
+            "beta": dy.sum(axis=SAMPLE_AXES),
         }
         return dy * self.gamma[None, :, None, None], grads
 
@@ -115,12 +138,12 @@ class MeanPool:
     param_names = ()
 
     def forward(self, x):
-        x = as_tensor4(x)
-        return x.mean(axis=(2, 3), keepdims=True), x.shape
+        x = as_batch(x)
+        return x.mean(axis=(-2, -1), keepdims=True), x.shape
 
     def backward(self, cache, dy):
-        n, c, h, w = cache
-        return np.broadcast_to(dy / (h * w), (n, c, h, w)).copy(), None
+        h, w = cache[-2:]
+        return np.broadcast_to(dy / (h * w), cache).copy(), None
 
 
 class NetCaches:
@@ -161,9 +184,12 @@ class Network:
         mode), a BnMode applied to all, or a dict {layer index: BnMode}.
         ``pop_override`` maps layer index -> ChannelStats for population
         normalization without touching layer state; ``moment_sinks`` maps
-        layer index -> BatchMomentLog receiving this pass's batch moments.
+        layer index -> BatchMomentLog receiving this pass's batch moments,
+        one entry per cohort in order.  ``x`` is an (N, C, H, W) batch, giving
+        (N, K) logits, or a (G, n, C, H, W) stack of G normalization cohorts,
+        run as one pass and giving (G, n, K) logits.
         """
-        x = as_tensor4(x)
+        x = as_batch(x)
         caches = []
         for i, layer in enumerate(self.layers):
             if isinstance(layer, BnLayer):
@@ -176,11 +202,10 @@ class Network:
                     update_stats=update_stats,
                     pop_override=None if pop_override is None else pop_override.get(i),
                 )
-                eff_mode = mode if mode is not None else layer.mode
                 if moment_sinks is not None and i in moment_sinks \
-                        and eff_mode is BnMode.TRAIN_MINIBATCH:
-                    from .tensor import channel_moments
-                    moment_sinks[i].append(channel_moments(x))
+                        and cache.mode is BnMode.TRAIN_MINIBATCH:
+                    for stats in cache.moments.cohorts():
+                        moment_sinks[i].append(stats)
                 x = y
                 caches.append(cache)
             else:
@@ -190,36 +215,43 @@ class Network:
 
     def backward(self, caches, dlogits, *, stop_rows=None):
         """Exact gradients of the scalar loss the caller differentiated into
-        ``dlogits``.  Rows listed in ``stop_rows`` (virtual extra samples)
-        have their gradient zeroed after every BN backward, so they
-        contribute no gradient anywhere upstream.
+        ``dlogits``, which has the leading shape of the forward's logits.
+        Rows selected by ``stop_rows`` (virtual extra samples; row indices
+        or a boolean mask over the rows of each cohort) have their gradient
+        zeroed after every BN backward, so they contribute no gradient
+        anywhere upstream.  For a cohort stack the parameter gradients come
+        per cohort, stacked on a leading cohort axis.
         """
         per_layer = caches.take()
-        dy = to4(np.asarray(dlogits, dtype=np.float64))
+        dy = to4(dlogits)
         grads = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             if isinstance(layer, BnLayer):
                 dy = layer.backward(per_layer[i], dy)
                 if stop_rows is not None:
-                    dy[stop_rows] = 0.0
+                    dy[..., stop_rows, :, :, :] = 0.0
             else:
                 dy, grads[i] = layer.backward(per_layer[i], dy)
         return dy, grads
 
 
 def softmax_cross_entropy(logits, labels):
-    """Mean cross-entropy over the batch; returns (loss, dloss/dlogits)."""
+    """Mean cross-entropy over the batch; returns (loss, dloss/dlogits).
+
+    Stacked (G, n, K) logits with (G, n) labels give each cohort's mean
+    loss, shape (G,), and a gradient divided by the cohort size n.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    n = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    n = logits.shape[-2]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - logz
-    loss = -logp[np.arange(n), labels].mean()
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), labels] -= 1.0
-    return loss, dlogits / n
+    onehot = labels[..., None] == np.arange(logits.shape[-1])
+    # add.reduce and / n give mean's result without its wrapper calls
+    loss = -np.add.reduce(logp[onehot].reshape(labels.shape), axis=-1) / n
+    return loss, (np.exp(logp) - onehot) / n
 
 
 @dataclass
@@ -244,19 +276,23 @@ class SgdConfig:
 
 
 def _accumulate(total, grads):
+    """Add per-cohort gradients (leading cohort axis) to the running totals
+    one cohort at a time, in cohort order."""
     for i, g in enumerate(grads):
         if not g:
             continue
         if total[i] is None:
-            total[i] = {k: v.copy() for k, v in g.items()}
+            total[i] = {k: v.sum(axis=0) for k, v in g.items()}
         else:
-            for k, v in g.items():
-                total[i][k] += v
+            total[i] = {k: np.concatenate([total[i][k][None], v]).sum(axis=0)
+                        for k, v in g.items()}
 
 
 def sgd_step(net, x, labels, cfg, step, plan, rng, velocity):
     """One SGD update over a logical batch carved per the normalization plan.
 
+    Each run of consecutive equal-size cohorts is one grouped forward and
+    backward pass, bit-identical to passing its cohorts one by one.
     Returns the mean training loss of the step.  The loss is averaged over
     the logical batch, so the gradient scale is cohort-invariant.
     """
@@ -264,6 +300,7 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, velocity):
     cohorts = (
         cohort_indices(plan, n, rng) if plan is not None else [np.arange(n)]
     )
+    virtual = plan is not None and plan.strategy == "virtual"
     # frozen layers stay frozen during fine-tuning; the rest train on batch stats
     modes = {
         i: (BnMode.FROZEN if net.layers[i].frozen is not None
@@ -272,19 +309,21 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, velocity):
     }
     totals = [None] * len(net.layers)
     loss_sum = 0.0
-    for idx in cohorts:
+    for first, groups, size in cohort_runs(map(len, cohorts)):
+        idx = np.stack(cohorts[first : first + groups])
         xb = x[idx]
-        stop_rows = None
-        if plan is not None and plan.strategy == "virtual":
-            extra = as_tensor4(plan.extra_source(rng))
-            xb = np.concatenate([xb, extra], axis=0)
-            stop_rows = np.arange(len(idx), xb.shape[0])
+        if virtual:
+            # one draw per cohort, in cohort order, as the rng stream expects
+            extra = np.stack([as_tensor4(plan.extra_source(rng))
+                              for _ in range(groups)])
+            xb = np.concatenate([xb, extra], axis=1)
         logits, caches = net.forward(xb, modes=modes, update_stats=True)
-        real = logits[: len(idx)]
-        loss_c, dreal = softmax_cross_entropy(real, labels[idx])
-        loss_sum += loss_c * len(idx)
+        loss_c, dreal = softmax_cross_entropy(logits[:, :size], labels[idx])
+        # builtin sum adds the cohort losses one at a time, in order
+        loss_sum = sum(loss_c * size, loss_sum)
         dlogits = np.zeros_like(logits)
-        dlogits[: len(idx)] = dreal * (len(idx) / n)
+        dlogits[:, :size] = dreal * (size / n)
+        stop_rows = np.arange(xb.shape[1]) >= size if virtual else None
         _, grads = net.backward(caches, dlogits, stop_rows=stop_rows)
         _accumulate(totals, grads)
     lr = cfg.lr_at(step)
@@ -317,30 +356,32 @@ def train(net, batch_fn, cfg: SgdConfig, plan: NormBatchPlan | None = None,
 
 
 def classification_error(net, x, labels, *, mode=BnMode.EVAL_POPULATION,
-                         cohort_sizes=None, pop_override=None, batch=256):
+                         cohort_sizes=None, pop_override=None,
+                         batch=EVAL_CHUNK_ROWS):
     """Top-1 error of the network on (x, labels).
 
     Population / frozen modes chunk the data for memory only (per-sample
     semantics).  Mini-batch modes normalize each cohort independently;
     ``cohort_sizes`` partitions the data in order (default: one cohort per
-    ``batch`` chunk).
+    ``batch`` chunk).  Runs of equal-size cohorts go through the network
+    as grouped passes of at most ``batch`` rows (or one cohort).
     """
+    x = as_tensor4(x)
     n = x.shape[0]
-    if mode in (BnMode.EVAL_POPULATION, BnMode.FROZEN):
-        sizes = [batch] * (n // batch) + ([n % batch] if n % batch else [])
-    else:
-        sizes = cohort_sizes if cohort_sizes is not None else \
-            [batch] * (n // batch) + ([n % batch] if n % batch else [])
+    sizes = even_sizes(n, batch)
+    if mode not in (BnMode.EVAL_POPULATION, BnMode.FROZEN) \
+            and cohort_sizes is not None:
+        sizes = list(cohort_sizes)
         if sum(sizes) != n:
             raise InvalidParams("cohort sizes must partition the data")
+    offsets = np.cumsum([0, *sizes])
     wrong = 0
-    start = 0
-    for s in sizes:
-        xb = x[start : start + s]
-        yb = labels[start : start + s]
-        start += s
+    for first, groups, size in cohort_runs(sizes, max_rows=batch):
+        start = offsets[first]
+        stop = start + groups * size
         logits, _ = net.forward(
-            xb, modes=mode, update_stats=False, pop_override=pop_override
+            x[start:stop].reshape(groups, size, *x.shape[1:]), modes=mode,
+            update_stats=False, pop_override=pop_override,
         )
-        wrong += int((logits.argmax(axis=1) != yb).sum())
+        wrong += int((logits.argmax(axis=-1).ravel() != labels[start:stop]).sum())
     return wrong / n

@@ -1,19 +1,26 @@
 """Re-estimating population statistics on a fixed model: the split-and-
 aggregate pass and the exact layer-by-layer variant."""
 
-import numpy as np
-
+from .batching import cohort_runs, even_sizes
 from .errors import EmptyPopulation, InvalidParams
 from .layer import BnMode
+from .net import EVAL_CHUNK_ROWS
 from .stats import BatchMomentLog, aggregate_moment_matching, aggregate_naive
+from .tensor import as_tensor4
 
 __all__ = ["precise_bn", "precise_bn_layerwise", "set_population_stats"]
 
 
-def _batches(population, batch_size):
-    n = population.shape[0]
-    for start in range(0, n, batch_size):
-        yield population[start : start + batch_size]
+def _passes(population, batch_size):
+    """The (G, n, C, H, W) stack of each grouped pass: whole mini-batches
+    of ``batch_size`` in chunks of at most EVAL_CHUNK_ROWS rows, then the
+    ragged final batch on its own."""
+    start = 0
+    sizes = even_sizes(population.shape[0], batch_size)
+    for _, groups, size in cohort_runs(sizes, max_rows=EVAL_CHUNK_ROWS):
+        stop = start + groups * size
+        yield population[start:stop].reshape(groups, size, *population.shape[1:])
+        start = stop
 
 
 def precise_bn(net, population, batch_size, *, aggregator="moment_matching",
@@ -23,16 +30,17 @@ def precise_bn(net, population, batch_size, *, aggregator="moment_matching",
 
     The model is read-only during the pass: no parameter updates, no EMA
     updates.  A final ragged batch (N mod B != 0) is processed as its own
-    smaller batch with its true count.  Returns {bn layer index:
-    ChannelStats}.
+    smaller batch with its true count.  Mini-batches run as grouped
+    passes of at most EVAL_CHUNK_ROWS rows, each batch normalized by its
+    own moments.  Returns {bn layer index: ChannelStats}.
     """
-    population = np.asarray(population, dtype=np.float64)
+    population = as_tensor4(population)
     if population.shape[0] == 0:
         raise EmptyPopulation("population has no samples")
     if batch_size < 1:
         raise InvalidParams("batch_size must be >= 1")
     sinks = {i: BatchMomentLog() for i in net.bn_indices}
-    for xb in _batches(population, batch_size):
+    for xb in _passes(population, batch_size):
         net.forward(
             xb,
             modes=BnMode.TRAIN_MINIBATCH,
@@ -55,7 +63,7 @@ def precise_bn_layerwise(net, population, batch_size, *, bessel=False):
     collects batch moments, deeper layers run in batch mode.  The aggregated
     result is therefore independent of the batch size.
     """
-    population = np.asarray(population, dtype=np.float64)
+    population = as_tensor4(population)
     if population.shape[0] == 0:
         raise EmptyPopulation("population has no samples")
     if batch_size < 1:
@@ -68,7 +76,7 @@ def precise_bn_layerwise(net, population, batch_size, *, bessel=False):
             if i > j:
                 modes[i] = BnMode.TRAIN_MINIBATCH
         sink = {j: BatchMomentLog()}
-        for xb in _batches(population, batch_size):
+        for xb in _passes(population, batch_size):
             net.forward(
                 xb,
                 modes=modes,

@@ -53,17 +53,27 @@ class EmaState:
 
 
 def ema_update(state: EmaState, batch: ChannelStats) -> EmaState:
-    """One EMA step: new = momentum * old + (1 - momentum) * batch."""
+    """One EMA step per cohort: new = momentum * old + (1 - momentum) * batch.
+
+    (G, C) moments of a cohort stack fold in closed form as G sequential
+    steps in cohort order, lam^G * old + (1 - lam) * sum_g lam^(G-1-g) * s_g,
+    which equals the sequential steps to rounding.  A single cohort takes
+    exactly the one-step formula.
+    """
     if batch.channels != state.mean.shape[0]:
         raise ShapeMismatch(
             f"EMA has {state.mean.shape[0]} channels, batch has {batch.channels}"
         )
     lam = state.momentum
+    means = batch.mean.reshape(-1, batch.channels)
+    variances = batch.var.reshape(-1, batch.channels)
+    g = means.shape[0]
+    decay = lam ** np.arange(g - 1, -1, -1)[:, None]
     return replace(
         state,
-        mean=lam * state.mean + (1.0 - lam) * batch.mean,
-        var=lam * state.var + (1.0 - lam) * batch.var,
-        update_count=state.update_count + 1,
+        mean=lam**g * state.mean + (1.0 - lam) * (decay * means).sum(axis=0),
+        var=lam**g * state.var + (1.0 - lam) * (decay * variances).sum(axis=0),
+        update_count=state.update_count + g,
     )
 
 

@@ -1,8 +1,12 @@
 """Dense (N, C, H, W) float64 tensors and per-channel moment machinery.
 
 A "tensor" here is just a contiguous numpy array of shape (N, C, H, W) in
-float64.  All reductions use a fixed (n, h, w) order so repeated calls are
-bit-identical.
+float64.  A stack of G equal-size cohorts is a (G, n, C, H, W) view of the
+same rows; the moment and normalization functions reduce over its (n, H, W)
+axes, so every cohort gets its own statistics in one call.  All reductions
+use a fixed (n, h, w) order so repeated calls are bit-identical, and a
+cohort's row of a stacked result is bit-identical to the result on that
+cohort alone.
 """
 
 from dataclasses import dataclass
@@ -13,7 +17,9 @@ from .errors import EmptyBatch, ShapeMismatch, SizeMismatch
 
 __all__ = [
     "ChannelStats",
+    "SAMPLE_AXES",
     "as_tensor4",
+    "as_batch",
     "channel_moments",
     "normalize",
     "affine",
@@ -24,11 +30,17 @@ __all__ = [
 ]
 
 
+# the (n, H, W) axes of an (N, C, H, W) batch or a (G, n, C, H, W) stack
+SAMPLE_AXES = (-4, -2, -1)
+
+
 @dataclass(frozen=True)
 class ChannelStats:
     """Per-channel mean and biased variance, tagged with the element count.
 
     ``count`` is the number of elements reduced per channel (N * H * W).
+    Moments of a cohort stack are (G, C), one row per cohort, and ``count``
+    is per cohort.
     """
 
     mean: np.ndarray
@@ -45,7 +57,14 @@ class ChannelStats:
 
     @property
     def channels(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
+
+    def cohorts(self) -> list:
+        """One (C,) ChannelStats per cohort, in order."""
+        if self.mean.ndim == 1:
+            return [self]
+        return [ChannelStats(mean=m, var=v, count=self.count)
+                for m, v in zip(self.mean, self.var)]
 
 
 def as_tensor4(x) -> np.ndarray:
@@ -55,35 +74,51 @@ def as_tensor4(x) -> np.ndarray:
     return x
 
 
+def as_batch(x) -> np.ndarray:
+    """An (N, C, H, W) batch or a (G, n, C, H, W) stack of G cohorts."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (4, 5):
+        raise ShapeMismatch(
+            f"expected (N, C, H, W) or (G, n, C, H, W), got ndim={x.ndim}"
+        )
+    return x
+
+
 def channel_moments(x: np.ndarray) -> ChannelStats:
-    """Mean and biased variance over the (N, H, W) axes of each channel."""
-    x = as_tensor4(x)
-    n, c, h, w = x.shape
+    """Mean and biased variance over the (N, H, W) axes of each channel;
+    (G, C) moments, one row per cohort, for a (G, n, C, H, W) stack."""
+    x = as_batch(x)
+    n, c, h, w = x.shape[-4:]
     if n == 0:
         raise EmptyBatch("cannot compute channel moments of a batch with 0 samples")
     count = n * h * w
-    mean = x.mean(axis=(0, 2, 3))
-    var = np.square(x - mean[None, :, None, None]).mean(axis=(0, 2, 3))
+    mean = x.mean(axis=SAMPLE_AXES)
+    var = np.square(x - mean[..., None, :, None, None]).mean(axis=SAMPLE_AXES)
     return ChannelStats(mean=mean, var=var, count=count)
 
 
 def _check_channels(x: np.ndarray, stats: ChannelStats) -> None:
-    if stats.channels != x.shape[1]:
+    if stats.channels != x.shape[-3]:
         raise ShapeMismatch(
-            f"stats have {stats.channels} channels, tensor has {x.shape[1]}"
+            f"stats have {stats.channels} channels, tensor has {x.shape[-3]}"
+        )
+    if stats.mean.ndim == 2 and (x.ndim != 5 or stats.mean.shape[0] != x.shape[0]):
+        raise ShapeMismatch(
+            f"stats for {stats.mean.shape[0]} cohorts, tensor shape {x.shape}"
         )
 
 
 def normalize(x: np.ndarray, stats: ChannelStats, eps: float) -> np.ndarray:
-    """(x - mean) / sqrt(var + eps), broadcast per channel."""
-    x = as_tensor4(x)
+    """(x - mean) / sqrt(var + eps), broadcast per channel (and per cohort
+    when both are stacked)."""
+    x = as_batch(x)
     _check_channels(x, stats)
     if eps <= 0:
         # eps == 0 is allowed only when every channel variance is positive
         if eps < 0 or np.any(stats.var <= 0):
             raise ValueError("eps must be positive")
     inv = 1.0 / np.sqrt(stats.var + eps)
-    return (x - stats.mean[None, :, None, None]) * inv[None, :, None, None]
+    return (x - stats.mean[..., None, :, None, None]) * inv[..., None, :, None, None]
 
 
 def affine(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:

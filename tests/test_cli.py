@@ -141,7 +141,8 @@ def test_check_grad_reports_every_layer_type_once(capsys):
     names = [l.split()[0] for l in lines]
     assert sorted(names) == sorted([
         "linear", "affine", "relu", "bn_train", "bn_frozen", "bn_virtual",
-        "network_train", "network_frozen",
+        "network_train", "network_frozen", "bn_train_grouped",
+        "linear_grouped", "affine_grouped", "meanpool", "meanpool_grouped",
     ])
     assert all("ok" in l for l in lines)
 

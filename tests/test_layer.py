@@ -18,6 +18,8 @@ from bnlab.layer import (
     fuse_frozen,
     fusion_finetune_demo,
 )
+from bnlab.net import MeanPool, Network
+from bnlab.stats import BatchMomentLog
 from bnlab.tensor import ChannelStats, channel_moments
 
 
@@ -112,14 +114,15 @@ def test_frozen_backward_is_constant_scale():
     np.testing.assert_allclose(dx, dy * inv[None, :, None, None])
 
 
-def test_collect_moments_logs_batch_stats():
+def test_moment_sinks_log_batch_stats():
     rng = np.random.default_rng(7)
-    layer = BnLayer(3)
-    layer.collect_moments = True
+    net = Network([BnLayer(3), MeanPool()])
+    sinks = {0: BatchMomentLog()}
     x = _x(rng)
-    layer.forward(x, mode=BnMode.TRAIN_MINIBATCH, update_stats=False)
-    assert len(layer.moment_log) == 1
-    np.testing.assert_allclose(layer.moment_log.entries[0].mean,
+    net.forward(x, modes=BnMode.TRAIN_MINIBATCH, update_stats=False,
+                moment_sinks=sinks)
+    assert len(sinks[0]) == 1
+    np.testing.assert_allclose(sinks[0].entries[0].mean,
                                channel_moments(x).mean)
 
 

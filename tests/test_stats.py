@@ -38,6 +38,37 @@ def test_ema_update_closed_form():
     assert state.update_count == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    groups=st.integers(1, 40),
+    channels=st.integers(1, 4),
+    momentum=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10**6),
+)
+def test_ema_fold_of_cohort_stack_equals_sequential_updates(groups, channels,
+                                                            momentum, seed):
+    rng = np.random.default_rng(seed)
+    start = EmaState(rng.standard_normal(channels),
+                     rng.uniform(0.1, 3.0, channels), momentum, 5)
+    stacked = ChannelStats(rng.standard_normal((groups, channels)),
+                           rng.uniform(0.1, 3.0, (groups, channels)), 8)
+    folded = ema_update(start, stacked)
+    seq = start
+    for cohort in stacked.cohorts():
+        seq = ema_update(seq, cohort)
+    assert folded.update_count == seq.update_count == 5 + groups
+    np.testing.assert_allclose(folded.mean, seq.mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(folded.var, seq.var, rtol=1e-12, atol=1e-12)
+    if groups == 1:
+        lam = momentum
+        one = stacked.cohorts()[0]
+        # a single cohort takes exactly the one-step formula
+        assert folded.mean.tobytes() == (
+            lam * start.mean + (1.0 - lam) * one.mean).tobytes()
+        assert folded.var.tobytes() == (
+            lam * start.var + (1.0 - lam) * one.var).tobytes()
+
+
 def test_ema_momentum_validation_and_shape():
     with pytest.raises(InvalidParams):
         EmaState(np.zeros(1), np.ones(1), momentum=1.5)
