@@ -8,20 +8,17 @@ import numpy as np
 
 from .errors import (
     EmptyBatch,
-    EmptyLog,
     InvalidPlan,
     InvalidPolicy,
     MissingDomainId,
     ShapeMismatch,
 )
 from .tensor import (
-    ChannelStats,
     as_tensor4,
     channel_moments,
     concat_batch,
     flatten_spatial_concat,
     normalize,
-    pooled_moments,
 )
 
 __all__ = [
@@ -32,7 +29,6 @@ __all__ = [
     "cohort_indices",
     "cohort_runs",
     "even_sizes",
-    "sync_moments",
     "DomainPolicy",
     "apply_domain_policy",
 ]
@@ -185,13 +181,6 @@ def plan_normalization_batches(layout: WorkerLayout, plan: NormBatchPlan, rng=No
         else:
             out.append(NormBatch(data=data, indices=idx))
     return out
-
-
-def sync_moments(per_worker: list) -> ChannelStats:
-    """Pooled moments across workers via count-weighted E[x], E[x^2]."""
-    if not per_worker:
-        raise EmptyLog("sync_moments of zero workers")
-    return pooled_moments(per_worker)
 
 
 @dataclass(frozen=True)

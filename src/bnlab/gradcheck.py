@@ -1,9 +1,10 @@
 """Finite-difference verification of every layer backward and of the
-composed network, including the virtual (stop-gradient) normalization
-variant."""
+composed networks (``Network`` and shared_head's ``SharedHeadNet``),
+including the virtual (stop-gradient) normalization variant."""
 
 import numpy as np
 
+from .batching import PER_DOMAIN, SHARED, DomainPolicy
 from .layer import BnLayer, BnMode
 from .net import (
     Affine,
@@ -13,6 +14,7 @@ from .net import (
     Relu,
     softmax_cross_entropy,
 )
+from .scenarios import SharedHeadNet
 from .tensor import ChannelStats
 
 __all__ = ["numerical_gradient", "relative_error", "run_full_suite", "TOLERANCE"]
@@ -231,22 +233,51 @@ def check_network(rng, frozen=False):
     _, dlogits = softmax_cross_entropy(logits, labels)
     dx, grads = net.backward(caches, dlogits)
     errs = [relative_error(dx, numerical_gradient(loss_of, x.copy()))]
-    for i, g in enumerate(grads):
-        if not g:
-            continue
-        layer = net.layers[i]
+    errs += _param_errors(
+        [(net.layers[i], g) for i, g in enumerate(grads) if g], lambda: loss_of(x))
+    return max(errs)
+
+
+def _param_errors(layer_grads, loss_of):
+    """Relative error of every analytic parameter gradient in
+    ``layer_grads``, (layer, {name: gradient}) pairs, against central
+    differences of the scalar ``loss_of()``."""
+    errs = []
+    for layer, g in layer_grads:
         for name, analytic in g.items():
-            p = getattr(layer, name)
 
             def f(pv, layer=layer, name=name):
                 old = getattr(layer, name)
                 setattr(layer, name, pv)
-                out = loss_of(x)
+                out = loss_of()
                 setattr(layer, name, old)
                 return out
 
-            errs.append(relative_error(analytic, numerical_gradient(f, p.copy())))
-    return max(errs)
+            errs.append(relative_error(
+                analytic, numerical_gradient(f, getattr(layer, name).copy())))
+    return errs
+
+
+def check_shared_head(rng, sgd_stats, domains=3):
+    """Parameter gradients of SharedHeadNet.backward_train on a stack of
+    ``domains`` domain batches, with per-domain affine parameters and
+    shared or per-domain batch statistics."""
+    policy = DomainPolicy(sgd_stats=sgd_stats, pop_stats=SHARED,
+                          affine=PER_DOMAIN)
+    net = SharedHeadNet(rng, 4, 5, 3, domains, policy)
+    net.affine = Affine(rng.uniform(0.5, 1.5, (domains, 5)),
+                        rng.standard_normal((domains, 5)))
+    x = rng.standard_normal((domains, 4, 4, 1, 1))
+    w = _loss_weights(rng, (domains, 4, 3))
+
+    def loss_of():
+        logits, _ = net.forward_train(x)
+        return float((logits * w).sum())
+
+    _, caches = net.forward_train(x)
+    grads = net.backward_train(caches, w)
+    return max(_param_errors(
+        [(getattr(net, name), g) for name, g in grads.items()], loss_of))
 
 
 def run_full_suite(seed=0):
@@ -267,4 +298,7 @@ def run_full_suite(seed=0):
         "affine_grouped": check_affine(rng, shape=(3, 2, 3, 2, 2)),
         "meanpool": check_meanpool(rng),
         "meanpool_grouped": check_meanpool(rng, shape=(3, 2, 3, 2, 3)),
+        # shared_head's domain stack of D=3, with a per-domain affine
+        "shared_head_shared": check_shared_head(rng, SHARED),
+        "shared_head_per_domain": check_shared_head(rng, PER_DOMAIN),
     }

@@ -14,6 +14,7 @@ __all__ = [
     "BnMode",
     "BnLayer",
     "BnCache",
+    "batch_stats_backward",
     "AffineLayer",
     "fuse_frozen",
     "fusion_finetune_demo",
@@ -122,14 +123,23 @@ class BnLayer:
         """
         cache = cache.take()
         dy = as_batch(dy)
-        inv = cache.inv_std[..., None, :, None, None]
         if cache.moments is None:
-            return dy * inv
-        x_hat = cache.x_hat
-        m = dy.shape[-4] * dy.shape[-2] * dy.shape[-1]
-        sum_dy = dy.sum(axis=SAMPLE_AXES, keepdims=True)
-        sum_dy_xhat = (dy * x_hat).sum(axis=SAMPLE_AXES, keepdims=True)
-        return (inv / m) * (m * dy - sum_dy - x_hat * sum_dy_xhat)
+            return dy * cache.inv_std[..., None, :, None, None]
+        return batch_stats_backward(cache.x_hat, cache.inv_std, dy)
+
+
+def batch_stats_backward(x_hat, inv_std, dy):
+    """Input gradient of normalization by the batch's own moments, with the
+    mean and variance differentiated as functions of the input.
+
+    ``x_hat`` and ``dy`` are an (N, C, H, W) batch or a (G, n, C, H, W)
+    cohort stack; ``inv_std`` is 1/sqrt(var + eps), (C,) or (G, C).
+    """
+    inv = inv_std[..., None, :, None, None]
+    m = dy.shape[-4] * dy.shape[-2] * dy.shape[-1]
+    sum_dy = dy.sum(axis=SAMPLE_AXES, keepdims=True)
+    sum_dy_xhat = (dy * x_hat).sum(axis=SAMPLE_AXES, keepdims=True)
+    return (inv / m) * (m * dy - sum_dy - x_hat * sum_dy_xhat)
 
 
 @dataclass

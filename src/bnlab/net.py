@@ -94,7 +94,11 @@ class Linear:
 
 
 class Affine:
-    """Trainable channel-wise scale and shift (the layer after each BN)."""
+    """Trainable channel-wise scale and shift (the layer after each BN).
+
+    Parameters are (C,), or (G, C) to give each cohort of a (G, n, C, H, W)
+    stack its own scale and shift.
+    """
 
     def __init__(self, gamma, beta):
         self.gamma = np.asarray(gamma, dtype=np.float64)
@@ -108,7 +112,8 @@ class Affine:
 
     def forward(self, x):
         x = as_batch(x)
-        y = x * self.gamma[None, :, None, None] + self.beta[None, :, None, None]
+        y = (x * self.gamma[..., None, :, None, None]
+             + self.beta[..., None, :, None, None])
         return y, x
 
     def backward(self, cache, dy):
@@ -118,7 +123,7 @@ class Affine:
             "gamma": (dy * x).sum(axis=SAMPLE_AXES),
             "beta": dy.sum(axis=SAMPLE_AXES),
         }
-        return dy * self.gamma[None, :, None, None], grads
+        return dy * self.gamma[..., None, :, None, None], grads
 
 
 class Relu:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batching import PER_DOMAIN, SHARED, DomainPolicy, NormBatchPlan
-from .errors import InvalidPolicy
-from .layer import BnLayer, BnMode
+from .errors import InvalidParams, InvalidPolicy
+from .layer import BnLayer, BnMode, batch_stats_backward
 from .net import (
     Affine,
     Linear,
@@ -481,90 +481,81 @@ INCONSISTENT_ROW = 1
 class SharedHeadNet:
     """One hidden head applied to every domain, with policy-controlled
     normalization: shared statistics pool all domains' features, per-domain
-    statistics normalize each domain on its own."""
+    statistics normalize each domain on its own.
+
+    A training step carries the D domain batches as one (D, n, C, 1, 1)
+    stack, one cohort per domain, through a single forward and backward
+    pass.  Per-domain affine parameters are (D, C); shared ones are (C,).
+    """
 
     def __init__(self, rng, dim, hidden, classes, n_domains, policy, eps=1e-5):
+        if eps <= 0:
+            raise InvalidParams("eps must be positive")
         self.policy = policy
         self.eps = eps
-        self.n_domains = n_domains
         self.l1 = Linear.init(rng, dim, hidden)
         self.l2 = Linear.init(rng, hidden, classes)
-        n_aff = n_domains if policy.affine == PER_DOMAIN else 1
-        self.affines = [Affine.identity(hidden) for _ in range(n_aff)]
+        shape = (n_domains, hidden) if policy.affine == PER_DOMAIN else (hidden,)
+        self.affine = Affine(np.ones(shape), np.zeros(shape))
         self.relu = Relu()
-        self.scratch_bn = BnLayer(hidden, eps=eps)
+        self.velocity = {}  # (layer attribute, parameter) -> momentum buffer
         self.pop_stats = None  # ChannelStats or list per domain
 
     def _affine_for(self, d):
-        return self.affines[d if self.policy.affine == PER_DOMAIN else 0]
+        if self.policy.affine == PER_DOMAIN:
+            return Affine(self.affine.gamma[d], self.affine.beta[d])
+        return self.affine
 
-    def _forward_from_stats(self, hs, stats_per_domain):
-        outs, caches = [], []
-        for d, (h, stats) in enumerate(zip(hs, stats_per_domain)):
-            inv = 1.0 / np.sqrt(stats.var + self.eps)
-            xhat = normalize(h, stats, self.eps)
-            a, ca = self._affine_for(d).forward(xhat)
-            r, cr = self.relu.forward(a)
-            logits, cl = self.l2.forward(r)
-            outs.append(logits[:, :, 0, 0])
-            caches.append({"xhat": xhat, "inv": inv, "affine": ca, "relu": cr,
-                           "l2": cl})
-        return outs, caches
+    def forward_train(self, x):
+        """(D, n, K) logits of a (D, n, C, 1, 1) stack of domain batches,
+        normalized by the policy's batch statistics."""
+        h, c1 = self.l1.forward(x)
+        # shared statistics pool the stack's rows; per-domain ones are (D, C)
+        stats = channel_moments(h.reshape(-1, *h.shape[2:])
+                                if self.policy.sgd_stats == SHARED else h)
+        xhat = normalize(h, stats, self.eps)
+        a, ca = self.affine.forward(xhat)
+        r, cr = self.relu.forward(a)
+        logits, cl = self.l2.forward(r)
+        return logits[..., 0, 0], {
+            "l1": c1, "xhat": xhat, "inv": 1.0 / np.sqrt(stats.var + self.eps),
+            "affine": ca, "relu": cr, "l2": cl,
+        }
 
-    def forward_train(self, xs):
-        hs, l1_caches = [], []
-        for x in xs:
-            h, c = self.l1.forward(x)
-            hs.append(h)
-            l1_caches.append(c)
+    def backward_train(self, caches, dlogits):
+        """Parameter gradients, keyed by layer attribute, of the loss whose
+        (D, n, K) logits gradient is ``dlogits``; the domains' gradients
+        are summed in domain order, except a per-domain affine's."""
+        dr, gl2 = self.l2.backward(caches["l2"], dlogits[..., None, None])
+        da = self.relu.backward(caches["relu"], dr)[0]
+        dxhat, gaff = self.affine.backward(caches["affine"], da)
+        xhat, inv = caches["xhat"], caches["inv"]
         if self.policy.sgd_stats == SHARED:
-            concat = np.concatenate(hs, axis=0)
-            stats = channel_moments(concat)
-            stats_per_domain = [stats] * len(xs)
+            rows = (-1, *xhat.shape[2:])
+            dh = batch_stats_backward(xhat.reshape(rows), inv,
+                                      dxhat.reshape(rows)).reshape(xhat.shape)
         else:
-            stats_per_domain = [channel_moments(h) for h in hs]
-        outs, caches = self._forward_from_stats(hs, stats_per_domain)
-        return outs, {"l1": l1_caches, "per_domain": caches,
-                      "sizes": [x.shape[0] for x in xs],
-                      "shared_stats": self.policy.sgd_stats == SHARED}
+            dh = batch_stats_backward(xhat, inv, dxhat)
+        _, gl1 = self.l1.backward(caches["l1"], dh)
+        if self.policy.affine != PER_DOMAIN:
+            gaff = {k: v.sum(axis=0) for k, v in gaff.items()}
+        return {"l1": {k: v.sum(axis=0) for k, v in gl1.items()},
+                "l2": {k: v.sum(axis=0) for k, v in gl2.items()},
+                "affine": gaff}
 
-    def backward_train(self, caches, dlogits_list):
-        grads = {"l1": {k: np.zeros_like(getattr(self.l1, k))
-                        for k in self.l1.param_names},
-                 "l2": {k: np.zeros_like(getattr(self.l2, k))
-                        for k in self.l2.param_names},
-                 "affines": [
-                     {k: np.zeros_like(getattr(a, k)) for k in a.param_names}
-                     for a in self.affines
-                 ]}
-        dxhat_list = []
-        for d, (cache, dlog) in enumerate(zip(caches["per_domain"], dlogits_list)):
-            dr, gl2 = self.l2.backward(cache["l2"], dlog[:, :, None, None])
-            for k, v in gl2.items():
-                grads["l2"][k] += v
-            da = self.relu.backward(cache["relu"], dr)[0]
-            dxhat, gaff = self._affine_for(d).backward(cache["affine"], da)
-            a_idx = d if self.policy.affine == PER_DOMAIN else 0
-            for k, v in gaff.items():
-                grads["affines"][a_idx][k] += v
-            dxhat_list.append(dxhat)
-
-        if caches["shared_stats"]:
-            dxhat = np.concatenate(dxhat_list, axis=0)
-            xhat = np.concatenate([c["xhat"] for c in caches["per_domain"]], axis=0)
-            inv = caches["per_domain"][0]["inv"]
-            dh = _bn_backward(xhat, inv, dxhat)
-            dhs = np.split(dh, np.cumsum(caches["sizes"])[:-1], axis=0)
-        else:
-            dhs = [
-                _bn_backward(c["xhat"], c["inv"], dx)
-                for c, dx in zip(caches["per_domain"], dxhat_list)
-            ]
-        for c1, dh in zip(caches["l1"], dhs):
-            _, gl1 = self.l1.backward(c1, dh)
-            for k, v in gl1.items():
-                grads["l1"][k] += v
-        return grads
+    def train_step(self, x, y, lr, momentum):
+        """One momentum-SGD step on a (D, n, C, 1, 1) stack with (D, n)
+        labels; the loss is the mean cross-entropy over all D * n rows."""
+        logits, caches = self.forward_train(x)
+        _, dlogits = softmax_cross_entropy(logits, y)
+        grads = self.backward_train(caches, dlogits * y.shape[-1] / y.size)
+        for name, g in grads.items():
+            layer = getattr(self, name)
+            for k, gv in g.items():
+                v = self.velocity.get((name, k))
+                v = gv if v is None else momentum * v + gv
+                self.velocity[name, k] = v
+                setattr(layer, k, getattr(layer, k) - lr * v)
 
     def train_population_stats(self, xs_by_domain):
         hs = [self.l1.forward(x)[0] for x in xs_by_domain]
@@ -589,13 +580,6 @@ class SharedHeadNet:
             wrong += int((logits[:, :, 0, 0].argmax(axis=1) != y).sum())
             total += len(y)
         return wrong / total
-
-
-def _bn_backward(xhat, inv, dy):
-    m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-    sum_dy = dy.sum(axis=(0, 2, 3), keepdims=True)
-    sum_dy_xhat = (dy * xhat).sum(axis=(0, 2, 3), keepdims=True)
-    return (inv[None, :, None, None] / m) * (m * dy - sum_dy - xhat * sum_dy_xhat)
 
 
 def run_shared_head(cfg, seed):
@@ -630,31 +614,13 @@ def run_shared_head(cfg, seed):
                             cfg["dim"], cfg["hidden"], cfg["classes"],
                             d_count, policy, eps=cfg["eps"])
         rng = np.random.default_rng(_seed(seed, 10 + row))
-        momentum = cfg["sgd_momentum"]
-        velocity = {}
-        nb = cfg["domain_batch"]
         for _ in range(cfg["steps"]):
-            xs, ys = [], []
-            for d in range(d_count):
-                x, y = domains.sample_domain(rng, d, nb)
-                xs.append(x)
-                ys.append(y)
-            outs, caches = net.forward_train(xs)
-            total = sum(len(y) for y in ys)
-            dlogits = []
-            for logits, y in zip(outs, ys):
-                _, dl = softmax_cross_entropy(logits, y)
-                dlogits.append(dl * len(y) / total)
-            grads = net.backward_train(caches, dlogits)
-            for obj, g in [(net.l1, grads["l1"]), (net.l2, grads["l2"])] + [
-                (a, ga) for a, ga in zip(net.affines, grads["affines"])
-            ]:
-                for k, gv in g.items():
-                    key = (id(obj), k)
-                    v = velocity.get(key)
-                    v = gv if v is None else momentum * v + gv
-                    velocity[key] = v
-                    setattr(obj, k, getattr(obj, k) - cfg["lr"] * v)
+            # each domain's draw in domain order, as the rng stream expects
+            batches = [domains.sample_domain(rng, d, cfg["domain_batch"])
+                       for d in range(d_count)]
+            net.train_step(np.stack([x for x, _ in batches]),
+                           np.stack([y for _, y in batches]),
+                           cfg["lr"], cfg["sgd_momentum"])
         net.train_population_stats(pop_xs)
         err = net.eval_error(val_xs, val_ys)
         run_id = f"shared_head-row{row + 1}-s{seed}"

@@ -22,6 +22,7 @@ __all__ = [
     "as_batch",
     "channel_moments",
     "normalize",
+    "pooled_moments",
     "affine",
     "concat_batch",
     "split_batch",

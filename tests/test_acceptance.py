@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from bnlab.batching import WorkerLayout, sync_moments
+from bnlab.batching import WorkerLayout
 from bnlab.errors import EmptyBatch
 from bnlab.gradcheck import TOLERANCE, run_full_suite
 from bnlab.layer import BnLayer, BnMode, fusion_finetune_demo
@@ -26,7 +26,7 @@ from bnlab.scenarios import (
     run_shared_head,
 )
 from bnlab.stats import simulate_variance_estimates, var_of_var_oracle
-from bnlab.tensor import channel_moments, normalize, split_batch
+from bnlab.tensor import channel_moments, normalize, pooled_moments, split_batch
 
 SEEDS = (0, 1, 2)
 
@@ -127,7 +127,7 @@ def test_c07_sync_equals_concat():
         c, h, w = (int(rng.integers(1, 4)) for _ in range(3))
         parts = [rng.standard_normal((s, c, h, w)) for s in sizes]
         layout = WorkerLayout(parts)
-        pooled = sync_moments([channel_moments(p) for p in layout.worker_batches])
+        pooled = pooled_moments([channel_moments(p) for p in layout.worker_batches])
         synced = [normalize(p, pooled, 1e-5) for p in layout.worker_batches]
         concat = normalize(np.concatenate(parts, axis=0),
                            channel_moments(np.concatenate(parts, axis=0)), 1e-5)

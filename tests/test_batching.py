@@ -13,7 +13,6 @@ from bnlab.batching import (
     apply_domain_policy,
     cohort_indices,
     plan_normalization_batches,
-    sync_moments,
 )
 from bnlab.errors import (
     EmptyBatch,
@@ -22,7 +21,7 @@ from bnlab.errors import (
     MissingDomainId,
     ShapeMismatch,
 )
-from bnlab.tensor import channel_moments, normalize
+from bnlab.tensor import channel_moments, normalize, pooled_moments
 
 
 def test_plan_validation():
@@ -79,7 +78,7 @@ def test_worker_layout_validation():
 def test_sync_moments_equal_concat(sizes, seed):
     rng = np.random.default_rng(seed)
     parts = [rng.standard_normal((s, 2, 2, 1)) for s in sizes]
-    pooled = sync_moments([channel_moments(p) for p in parts])
+    pooled = pooled_moments([channel_moments(p) for p in parts])
     ref = channel_moments(np.concatenate(parts, axis=0))
     np.testing.assert_allclose(pooled.mean, ref.mean, atol=1e-12)
     np.testing.assert_allclose(pooled.var, ref.var, atol=1e-12)

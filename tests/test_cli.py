@@ -143,6 +143,7 @@ def test_check_grad_reports_every_layer_type_once(capsys):
         "linear", "affine", "relu", "bn_train", "bn_frozen", "bn_virtual",
         "network_train", "network_frozen", "bn_train_grouped",
         "linear_grouped", "affine_grouped", "meanpool", "meanpool_grouped",
+        "shared_head_shared", "shared_head_per_domain",
     ])
     assert all("ok" in l for l in lines)
 

@@ -1,0 +1,233 @@
+"""The domain-stacked SharedHeadNet against the per-domain loop it replaces.
+
+``ReferenceSharedHeadNet`` and ``_reference_step`` below run every layer
+once per domain and sum the domains' gradients one at a time, the way
+``shared_head`` trained before the domains were stacked.  Fed the same
+batches, the stacked network must end with bit-identical parameters,
+population statistics and validation error under every default policy.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from bnlab.batching import PER_DOMAIN, SHARED, DomainPolicy
+from bnlab.cli import main
+from bnlab.errors import InvalidParams
+from bnlab.net import Affine, Linear, Relu, softmax_cross_entropy
+from bnlab.scenarios import SHARED_HEAD_DEFAULTS, SharedHeadNet
+from bnlab.synthetic import (
+    Corruption,
+    GaussianClasses,
+    MixingCorruption,
+    MultiScaleDomains,
+)
+from bnlab.tensor import ChannelStats, channel_moments, normalize
+
+CFG = dict(SHARED_HEAD_DEFAULTS)
+STEPS = 200
+VAL_ROWS = 256
+
+
+def _domains(cfg, seed=0):
+    base = GaussianClasses(cfg["classes"], cfg["dim"], cfg["separation"],
+                           cfg["noise"], seed=seed)
+    transforms = []
+    for d, spec in enumerate(cfg["domains"]):
+        if spec["mix"]:
+            transforms.append(MixingCorruption.random_rotation(
+                cfg["dim"], np.random.default_rng(seed + 20 + d),
+                scale=spec["scale"], shift=spec["shift"], noise=spec["noise"]))
+        else:
+            transforms.append(
+                Corruption(spec["scale"], spec["shift"], spec["noise"]))
+    return MultiScaleDomains(base, transforms)
+
+
+# ---------------------------------------------------------------------------
+# reference per-domain network and step
+
+
+def _ref_bn_backward(xhat, inv, dy):
+    m = dy.shape[0] * dy.shape[2] * dy.shape[3]
+    sum_dy = dy.sum(axis=(0, 2, 3), keepdims=True)
+    sum_dy_xhat = (dy * xhat).sum(axis=(0, 2, 3), keepdims=True)
+    return (inv[None, :, None, None] / m) * (m * dy - sum_dy - xhat * sum_dy_xhat)
+
+
+class ReferenceSharedHeadNet:
+    def __init__(self, rng, dim, hidden, classes, n_domains, policy, eps=1e-5):
+        self.policy = policy
+        self.eps = eps
+        self.l1 = Linear.init(rng, dim, hidden)
+        self.l2 = Linear.init(rng, hidden, classes)
+        n_aff = n_domains if policy.affine == PER_DOMAIN else 1
+        self.affines = [Affine.identity(hidden) for _ in range(n_aff)]
+        self.relu = Relu()
+        self.pop_stats = None
+
+    def _affine_for(self, d):
+        return self.affines[d if self.policy.affine == PER_DOMAIN else 0]
+
+    def forward_train(self, xs):
+        hs, l1_caches = [], []
+        for x in xs:
+            h, c = self.l1.forward(x)
+            hs.append(h)
+            l1_caches.append(c)
+        if self.policy.sgd_stats == SHARED:
+            stats_per_domain = [channel_moments(np.concatenate(hs, axis=0))] * len(xs)
+        else:
+            stats_per_domain = [channel_moments(h) for h in hs]
+        outs, caches = [], []
+        for d, (h, stats) in enumerate(zip(hs, stats_per_domain)):
+            inv = 1.0 / np.sqrt(stats.var + self.eps)
+            xhat = normalize(h, stats, self.eps)
+            a, ca = self._affine_for(d).forward(xhat)
+            r, cr = self.relu.forward(a)
+            logits, cl = self.l2.forward(r)
+            outs.append(logits[:, :, 0, 0])
+            caches.append({"xhat": xhat, "inv": inv, "affine": ca, "relu": cr,
+                           "l2": cl})
+        return outs, {"l1": l1_caches, "per_domain": caches,
+                      "sizes": [x.shape[0] for x in xs]}
+
+    def backward_train(self, caches, dlogits_list):
+        grads = {"l1": {k: np.zeros_like(getattr(self.l1, k))
+                        for k in self.l1.param_names},
+                 "l2": {k: np.zeros_like(getattr(self.l2, k))
+                        for k in self.l2.param_names},
+                 "affines": [{k: np.zeros_like(getattr(a, k))
+                              for k in a.param_names} for a in self.affines]}
+        dxhat_list = []
+        for d, (cache, dlog) in enumerate(zip(caches["per_domain"], dlogits_list)):
+            dr, gl2 = self.l2.backward(cache["l2"], dlog[:, :, None, None])
+            for k, v in gl2.items():
+                grads["l2"][k] += v
+            da = self.relu.backward(cache["relu"], dr)[0]
+            dxhat, gaff = self._affine_for(d).backward(cache["affine"], da)
+            a_idx = d if self.policy.affine == PER_DOMAIN else 0
+            for k, v in gaff.items():
+                grads["affines"][a_idx][k] += v
+            dxhat_list.append(dxhat)
+        if self.policy.sgd_stats == SHARED:
+            dxhat = np.concatenate(dxhat_list, axis=0)
+            xhat = np.concatenate([c["xhat"] for c in caches["per_domain"]], axis=0)
+            dh = _ref_bn_backward(xhat, caches["per_domain"][0]["inv"], dxhat)
+            dhs = np.split(dh, np.cumsum(caches["sizes"])[:-1], axis=0)
+        else:
+            dhs = [_ref_bn_backward(c["xhat"], c["inv"], dx)
+                   for c, dx in zip(caches["per_domain"], dxhat_list)]
+        for c1, dh in zip(caches["l1"], dhs):
+            _, gl1 = self.l1.backward(c1, dh)
+            for k, v in gl1.items():
+                grads["l1"][k] += v
+        return grads
+
+    def train_population_stats(self, xs_by_domain):
+        hs = [self.l1.forward(x)[0] for x in xs_by_domain]
+        if self.policy.pop_stats == SHARED:
+            self.pop_stats = channel_moments(np.concatenate(hs, axis=0))
+        else:
+            self.pop_stats = [channel_moments(h) for h in hs]
+
+    def eval_error(self, xs, ys):
+        wrong = 0
+        total = 0
+        for d, (x, y) in enumerate(zip(xs, ys)):
+            h, _ = self.l1.forward(x)
+            stats = (self.pop_stats if isinstance(self.pop_stats, ChannelStats)
+                     else self.pop_stats[d])
+            a, _ = self._affine_for(d).forward(normalize(h, stats, self.eps))
+            r, _ = self.relu.forward(a)
+            logits, _ = self.l2.forward(r)
+            wrong += int((logits[:, :, 0, 0].argmax(axis=1) != y).sum())
+            total += len(y)
+        return wrong / total
+
+
+def _reference_step(net, xs, ys, lr, momentum, velocity):
+    outs, caches = net.forward_train(xs)
+    total = sum(len(y) for y in ys)
+    dlogits = []
+    for logits, y in zip(outs, ys):
+        _, dl = softmax_cross_entropy(logits, y)
+        dlogits.append(dl * len(y) / total)
+    grads = net.backward_train(caches, dlogits)
+    for obj, g in [(net.l1, grads["l1"]), (net.l2, grads["l2"])] + [
+        (a, ga) for a, ga in zip(net.affines, grads["affines"])
+    ]:
+        for k, gv in g.items():
+            key = (id(obj), k)
+            v = velocity.get(key)
+            v = gv if v is None else momentum * v + gv
+            velocity[key] = v
+            setattr(obj, k, getattr(obj, k) - lr * v)
+
+
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def domains():
+    return _domains(CFG)
+
+
+def _train_pair(domains, row):
+    policy = DomainPolicy(*CFG["policies"][row])
+    args = (CFG["dim"], CFG["hidden"], CFG["classes"], domains.n_domains, policy)
+    net = SharedHeadNet(np.random.default_rng(3), *args, eps=CFG["eps"])
+    ref = ReferenceSharedHeadNet(np.random.default_rng(3), *args, eps=CFG["eps"])
+    rng = np.random.default_rng(10 + row)
+    velocity = {}
+    for _ in range(STEPS):
+        xs, ys = zip(*(domains.sample_domain(rng, d, CFG["domain_batch"])
+                       for d in range(domains.n_domains)))
+        net.train_step(np.stack(xs), np.stack(ys), CFG["lr"], CFG["sgd_momentum"])
+        _reference_step(ref, xs, ys, CFG["lr"], CFG["sgd_momentum"], velocity)
+    return net, ref
+
+
+def _assert_stats_equal(a, b):
+    if isinstance(b, ChannelStats):
+        a, b = [a], [b]
+    assert len(a) == len(b)
+    for sa, sb in zip(a, b):
+        assert np.array_equal(sa.mean, sb.mean)
+        assert np.array_equal(sa.var, sb.var)
+        assert sa.count == sb.count
+
+
+@pytest.mark.parametrize("row", range(len(CFG["policies"])))
+def test_stacked_step_matches_per_domain_loop(domains, row):
+    net, ref = _train_pair(domains, row)
+    for layer, ref_layer in ((net.l1, ref.l1), (net.l2, ref.l2)):
+        for k in layer.param_names:
+            assert np.array_equal(getattr(layer, k), getattr(ref_layer, k)), k
+    for k in net.affine.param_names:
+        ref_param = [getattr(a, k) for a in ref.affines]
+        expected = (np.stack(ref_param) if net.policy.affine == PER_DOMAIN
+                    else ref_param[0])
+        assert np.array_equal(getattr(net.affine, k), expected), k
+    # the population pass and the evaluation still run one domain at a time
+    data_rng = np.random.default_rng(2)
+    val = [domains.sample_domain(data_rng, d, VAL_ROWS)
+           for d in range(domains.n_domains)]
+    pop = [domains.sample_domain(data_rng, d, VAL_ROWS)[0]
+           for d in range(domains.n_domains)]
+    net.train_population_stats(pop)
+    ref.train_population_stats(pop)
+    _assert_stats_equal(net.pop_stats, ref.pop_stats)
+    xs, ys = zip(*val)
+    assert net.eval_error(xs, ys) == ref.eval_error(xs, ys)
+
+
+def test_eps_must_be_positive(tmp_path):
+    policy = DomainPolicy(SHARED, SHARED, SHARED)
+    with pytest.raises(InvalidParams, match="eps must be positive"):
+        SharedHeadNet(np.random.default_rng(0), 4, 5, 3, 3, policy, eps=0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": 0, "steps": 1}))
+    assert main(["run", "shared_head", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 1
