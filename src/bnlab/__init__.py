@@ -8,7 +8,7 @@ network (:mod:`bnlab.net`), statistics re-estimation (:mod:`bnlab.precise`),
 and the experiment scenarios (:mod:`bnlab.scenarios`).
 """
 
-from .batching import DomainPolicy, NormBatchPlan, WorkerLayout
+from .batching import DomainPolicy, NormBatchPlan
 from .layer import BnLayer, BnMode
 from .net import Network, SgdConfig, train
 from .precise import precise_bn, precise_bn_layerwise
@@ -27,7 +27,6 @@ __all__ = [
     "Network",
     "NormBatchPlan",
     "SgdConfig",
-    "WorkerLayout",
     "channel_moments",
     "ema_update",
     "normalize",

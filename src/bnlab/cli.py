@@ -121,8 +121,13 @@ def cmd_estimate(args):
         return EXIT_RUNTIME
     payload = {"method": args.method, **note,
                "mean": list(stats.mean), "var": list(stats.var)}
-    json.dump(payload, sys.stdout, indent=2)
-    print()
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        # finite inputs whose pooled moments overflow
+        print("error: estimate is not finite", file=sys.stderr)
+        return EXIT_RUNTIME
+    print(text)
     return EXIT_OK
 
 

@@ -9,10 +9,6 @@ class ShapeMismatch(BnLabError):
     pass
 
 
-class SizeMismatch(BnLabError):
-    pass
-
-
 class EmptyBatch(BnLabError):
     pass
 
@@ -42,10 +38,6 @@ class StaleCache(BnLabError):
 
 
 class InvalidPlan(BnLabError):
-    pass
-
-
-class MissingDomainId(BnLabError):
     pass
 
 

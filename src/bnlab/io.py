@@ -20,7 +20,6 @@ __all__ = [
     "write_metrics_csv",
     "write_json",
     "read_metrics_csv",
-    "thread_budget",
     "METRICS_HEADER",
 ]
 
@@ -140,16 +139,3 @@ def write_json(path, payload):
 
     _atomic_write(path, writer)
 
-
-def thread_budget(environ=None):
-    """Worker cap from BNLAB_THREADS (default: logical cores).  Runs are
-    single-threaded, so this is a ceiling rather than a parallelism request."""
-    env = os.environ if environ is None else environ
-    raw = env.get("BNLAB_THREADS", str(os.cpu_count() or 1))
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"BNLAB_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError("BNLAB_THREADS must be >= 1")
-    return n

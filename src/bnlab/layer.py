@@ -2,7 +2,7 @@
 frozen-affine fusion utilities."""
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ __all__ = [
     "BnLayer",
     "BnCache",
     "batch_stats_backward",
-    "AffineLayer",
     "fuse_frozen",
     "fusion_finetune_demo",
 ]
@@ -142,36 +141,19 @@ def batch_stats_backward(x_hat, inv_std, dy):
     return (inv / m) * (m * dy - sum_dy - x_hat * sum_dy_xhat)
 
 
-@dataclass
-class AffineLayer:
-    """Channel-wise y = gamma * x + beta, kept separate from normalization."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=np.float64)
-        self.beta = np.asarray(self.beta, dtype=np.float64)
-        if self.gamma.shape != self.beta.shape:
-            raise ShapeMismatch("gamma and beta must have equal shape")
-
-    @classmethod
-    def identity(cls, channels: int) -> "AffineLayer":
-        return cls(np.ones(channels), np.zeros(channels))
-
-
-def fuse_frozen(stats: ChannelStats, affine: AffineLayer, weight, bias, eps=1e-5):
+def fuse_frozen(stats: ChannelStats, affine, weight, bias, eps=1e-5):
     """Fold frozen normalization + affine into the preceding linear layer.
 
     ``weight`` is (out, in) and ``bias`` is (out,); the normalization runs on
     the linear layer's outputs.  Returns (fused_weight, fused_bias) computing
-    the identical function: affine(normalize(W x + b)).
+    the identical function: affine(normalize(W x + b)).  ``affine`` is
+    anything with (C,) ``gamma`` and ``beta``, e.g. a ``net.Affine``.
     """
     weight = np.asarray(weight, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     if weight.shape[0] != stats.channels or bias.shape != (stats.channels,):
         raise ShapeMismatch("linear output dim must match stats channels")
-    if affine.gamma.shape != (stats.channels,):
+    if affine.gamma.shape != (stats.channels,) or affine.beta.shape != (stats.channels,):
         raise ShapeMismatch("affine width must match stats channels")
     scale = affine.gamma / np.sqrt(stats.var + eps)
     fused_w = weight * scale[:, None]

@@ -123,6 +123,11 @@ class BatchMomentLog:
                 count = int(line[4])
             except (ValueError, IndexError) as exc:
                 raise MalformedCsv(f"bad row {line!r}") from exc
+            if not (np.isfinite(mean) and np.isfinite(var)) or var < 0 or count < 1:
+                raise MalformedCsv(
+                    f"bad row {line!r}: mean and var must be finite, "
+                    "var >= 0 and count >= 1"
+                )
             rows.setdefault(idx, {})[chan] = (mean, var)
             counts[idx] = count
         log = cls()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatch, ShapeMismatch, SizeMismatch
+from .errors import EmptyBatch, ShapeMismatch
 
 __all__ = [
     "ChannelStats",
@@ -22,12 +22,6 @@ __all__ = [
     "as_batch",
     "channel_moments",
     "normalize",
-    "pooled_moments",
-    "affine",
-    "concat_batch",
-    "split_batch",
-    "flatten_spatial_concat",
-    "SpatialConcat",
 ]
 
 
@@ -121,99 +115,3 @@ def normalize(x: np.ndarray, stats: ChannelStats, eps: float) -> np.ndarray:
     inv = 1.0 / np.sqrt(stats.var + eps)
     return (x - stats.mean[..., None, :, None, None]) * inv[..., None, :, None, None]
 
-
-def affine(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Channel-wise y = gamma * x + beta."""
-    x = as_tensor4(x)
-    gamma = np.asarray(gamma, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
-        raise ShapeMismatch(
-            f"gamma/beta must have shape ({x.shape[1]},), got {gamma.shape}/{beta.shape}"
-        )
-    return x * gamma[None, :, None, None] + beta[None, :, None, None]
-
-
-def concat_batch(parts: list) -> np.ndarray:
-    """Concatenate tensors along the batch dimension."""
-    if not parts:
-        raise EmptyBatch("concat_batch of zero parts")
-    parts = [as_tensor4(p) for p in parts]
-    chw = parts[0].shape[1:]
-    for p in parts:
-        if p.shape[1:] != chw:
-            raise ShapeMismatch(f"parts disagree on (C, H, W): {p.shape[1:]} vs {chw}")
-    return np.concatenate(parts, axis=0)
-
-
-def split_batch(x: np.ndarray, sizes: list) -> list:
-    """Inverse of concat_batch for the given part sizes."""
-    x = as_tensor4(x)
-    if sum(sizes) != x.shape[0]:
-        raise SizeMismatch(f"sizes {sizes} do not sum to batch size {x.shape[0]}")
-    out = []
-    start = 0
-    for s in sizes:
-        out.append(x[start : start + s])
-        start += s
-    return out
-
-
-@dataclass(frozen=True)
-class SpatialConcat:
-    """Result of flattening several (n, c, h_i, w_i) tensors into one batch.
-
-    ``combined`` has shape (n, c, sum(h_i * w_i), 1), so its channel moments
-    are the element-weighted moments of the union of all parts.  ``split``
-    restores each part's original shape.
-    """
-
-    combined: np.ndarray
-    shapes: tuple
-
-    def split(self, y: np.ndarray) -> list:
-        y = as_tensor4(y)
-        if y.shape != self.combined.shape:
-            raise ShapeMismatch(
-                f"expected shape {self.combined.shape}, got {y.shape}"
-            )
-        parts = []
-        start = 0
-        for n, c, h, w in self.shapes:
-            size = h * w
-            parts.append(y[:, :, start : start + size, 0].reshape(n, c, h, w))
-            start += size
-        return parts
-
-
-def flatten_spatial_concat(parts: list) -> SpatialConcat:
-    """Combine tensors with equal (n, c) but arbitrary spatial size.
-
-    Each part is flattened to (n, c, h*w, 1) and the pieces are concatenated
-    along the flattened-spatial axis, so one set of channel moments covers
-    every element of every part.
-    """
-    if not parts:
-        raise EmptyBatch("flatten_spatial_concat of zero parts")
-    parts = [as_tensor4(p) for p in parts]
-    nc = parts[0].shape[:2]
-    for p in parts:
-        if p.shape[:2] != nc:
-            raise ShapeMismatch(f"parts disagree on (N, C): {p.shape[:2]} vs {nc}")
-    flat = [p.reshape(p.shape[0], p.shape[1], -1, 1) for p in parts]
-    combined = np.concatenate(flat, axis=2)
-    return SpatialConcat(combined=combined, shapes=tuple(p.shape for p in parts))
-
-
-def pooled_moments(stats: list) -> ChannelStats:
-    """Count-weighted pooling of per-part moments via E[x] and E[x^2]."""
-    if not stats:
-        raise EmptyBatch("pooled_moments of zero parts")
-    c = stats[0].channels
-    for s in stats:
-        if s.channels != c:
-            raise ShapeMismatch("pooled parts disagree on channel count")
-    total = sum(s.count for s in stats)
-    mean = sum(s.count * s.mean for s in stats) / total
-    second = sum(s.count * (s.var + s.mean**2) for s in stats) / total
-    return ChannelStats(mean=mean, var=second - mean**2, count=total)

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from bnlab.batching import WorkerLayout
 from bnlab.errors import EmptyBatch
 from bnlab.gradcheck import TOLERANCE, run_full_suite
 from bnlab.layer import BnLayer, BnMode, fusion_finetune_demo
@@ -25,8 +24,13 @@ from bnlab.scenarios import (
     run_nbs_sweep,
     run_shared_head,
 )
-from bnlab.stats import simulate_variance_estimates, var_of_var_oracle
-from bnlab.tensor import channel_moments, normalize, pooled_moments, split_batch
+from bnlab.stats import (
+    BatchMomentLog,
+    aggregate_moment_matching,
+    simulate_variance_estimates,
+    var_of_var_oracle,
+)
+from bnlab.tensor import channel_moments, normalize
 
 SEEDS = (0, 1, 2)
 
@@ -126,12 +130,12 @@ def test_c07_sync_equals_concat():
         sizes = [int(rng.integers(1, 9)) for _ in range(n_workers)]
         c, h, w = (int(rng.integers(1, 4)) for _ in range(3))
         parts = [rng.standard_normal((s, c, h, w)) for s in sizes]
-        layout = WorkerLayout(parts)
-        pooled = pooled_moments([channel_moments(p) for p in layout.worker_batches])
-        synced = [normalize(p, pooled, 1e-5) for p in layout.worker_batches]
+        pooled = aggregate_moment_matching(
+            BatchMomentLog([channel_moments(p) for p in parts]))
+        synced = [normalize(p, pooled, 1e-5) for p in parts]
         concat = normalize(np.concatenate(parts, axis=0),
                            channel_moments(np.concatenate(parts, axis=0)), 1e-5)
-        ref = split_batch(concat, sizes)
+        ref = np.split(concat, np.cumsum(sizes)[:-1])
         for a, b in zip(synced, ref):
             assert np.abs(a - b).max() <= 1e-12
 

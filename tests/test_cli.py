@@ -1,6 +1,7 @@
 """The command-line interface: run, estimate, check-grad."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,19 +10,15 @@ from bnlab import io
 from bnlab.cli import main
 from bnlab.layer import BnLayer
 from bnlab.stats import BatchMomentLog
-from bnlab.tensor import ChannelStats, channel_moments
+from bnlab.tensor import channel_moments
 
-TINY_DOMAIN_ADAPT = {
-    "train_size": 256, "val_size": 128, "adapt_size": 128,
-    "hidden": [16], "steps": 20, "precise_n": 128,
-}
+# the README's smoke-size example
+QUICK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "domain_adapt_quick.json"
 
 
 @pytest.fixture
-def tiny_config(tmp_path):
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(TINY_DOMAIN_ADAPT))
-    return str(p)
+def tiny_config():
+    return str(QUICK_CONFIG)
 
 
 def test_run_writes_artifacts(tmp_path, tiny_config, capsys):
@@ -132,6 +129,20 @@ def test_estimate_malformed_csv_is_config_error(tmp_path, capsys):
     assert main(["estimate", "--input", str(p), "--method", "naive"]) == 2
     assert main(["estimate", "--input", str(tmp_path / "missing.csv"),
                  "--method", "naive"]) == 2
+
+
+def test_estimate_rejects_non_finite_and_empty_rows(tmp_path, capsys):
+    p = tmp_path / "moments.csv"
+    for row in ("0,0,nan,1.0,4", "0,0,0.0,1.0,0"):
+        p.write_text(f"batch_index,channel,mean,var,count\n{row}\n")
+        assert main(["estimate", "--input", str(p), "--method", "precise"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "bad row" in err
+    # finite rows whose pooled second moment overflows: a runtime error
+    p.write_text("batch_index,channel,mean,var,count\n0,0,1e200,1.0,4\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["estimate", "--input", str(p), "--method", "precise"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_check_grad_reports_every_layer_type_once(capsys):

@@ -201,7 +201,7 @@ PLANS = {
     "shuffle": (32, NormBatchPlan(strategy="shuffle", worker_sizes=[16, 16])),
     "sync": (32, NormBatchPlan(strategy="sync", worker_sizes=[16, 16])),
     "virtual": (32, NormBatchPlan(strategy="virtual", worker_sizes=[16, 16],
-                                  extra_source=_extra_source, extra_count=4)),
+                                  extra_source=_extra_source)),
     "plain": (32, None),
 }
 

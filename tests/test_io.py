@@ -111,11 +111,3 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
     assert leftovers == []
 
-
-def test_thread_budget():
-    assert io.thread_budget({"BNLAB_THREADS": "4"}) == 4
-    assert io.thread_budget({}) >= 1  # defaults to logical cores
-    with pytest.raises(ConfigError):
-        io.thread_budget({"BNLAB_THREADS": "zero"})
-    with pytest.raises(ConfigError):
-        io.thread_budget({"BNLAB_THREADS": "0"})

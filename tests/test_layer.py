@@ -11,14 +11,8 @@ from bnlab.errors import (
     ShapeMismatch,
     StaleCache,
 )
-from bnlab.layer import (
-    AffineLayer,
-    BnLayer,
-    BnMode,
-    fuse_frozen,
-    fusion_finetune_demo,
-)
-from bnlab.net import MeanPool, Network
+from bnlab.layer import BnLayer, BnMode, fuse_frozen, fusion_finetune_demo
+from bnlab.net import Affine, MeanPool, Network
 from bnlab.stats import BatchMomentLog
 from bnlab.tensor import ChannelStats, channel_moments
 
@@ -143,7 +137,7 @@ def test_fuse_frozen_matches_unfused_pipeline():
     bias = rng.standard_normal(c_out)
     stats = ChannelStats(rng.standard_normal(c_out),
                          rng.uniform(0.5, 2.0, c_out), 64)
-    aff = AffineLayer(rng.uniform(0.5, 1.5, c_out), rng.standard_normal(c_out))
+    aff = Affine(rng.uniform(0.5, 1.5, c_out), rng.standard_normal(c_out))
     fw, fb = fuse_frozen(stats, aff, weight, bias, eps=1e-5)
     x = rng.standard_normal((10, c_in))
     pre = x @ weight.T + bias
@@ -154,11 +148,14 @@ def test_fuse_frozen_matches_unfused_pipeline():
 
 def test_fuse_frozen_shape_checks():
     stats = ChannelStats(np.zeros(3), np.ones(3), 8)
-    aff = AffineLayer.identity(3)
+    aff = Affine.identity(3)
     with pytest.raises(ShapeMismatch):
         fuse_frozen(stats, aff, np.zeros((4, 2)), np.zeros(4))
     with pytest.raises(ShapeMismatch):
-        fuse_frozen(stats, AffineLayer.identity(2), np.zeros((3, 2)), np.zeros(3))
+        fuse_frozen(stats, Affine.identity(2), np.zeros((3, 2)), np.zeros(3))
+    with pytest.raises(ShapeMismatch):  # beta must match gamma's width
+        fuse_frozen(stats, Affine(np.ones(3), np.zeros(2)), np.zeros((3, 2)),
+                    np.zeros(3))
 
 
 def test_fusion_demo_validation():

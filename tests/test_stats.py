@@ -105,6 +105,10 @@ def test_moment_log_csv_roundtrip():
     "batch_index,channel,mean,var,count\n",
     "batch_index,channel,mean,var,count\n0,0,notafloat,1.0,4\n",
     "batch_index,channel,mean,var,count\n0,1,0.0,1.0,4\n",  # missing channel 0
+    "batch_index,channel,mean,var,count\n0,0,nan,1.0,4\n",
+    "batch_index,channel,mean,var,count\n0,0,0.0,inf,4\n",
+    "batch_index,channel,mean,var,count\n0,0,0.0,-1.0,4\n",
+    "batch_index,channel,mean,var,count\n0,0,0.0,1.0,0\n",
 ])
 def test_moment_log_rejects_malformed_csv(text):
     with pytest.raises(MalformedCsv):
@@ -118,14 +122,16 @@ def test_moment_log_channel_consistency():
         log.append(_stats([0.0], [1.0], 4))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    counts=st.lists(st.integers(2, 9), min_size=1, max_size=5),
+    counts=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    c=st.integers(1, 3),
     seed=st.integers(0, 10**6),
 )
-def test_moment_matching_equals_concat_oracle(counts, seed):
+def test_moment_matching_equals_concat_oracle(counts, c, seed):
     rng = np.random.default_rng(seed)
-    parts = [1.0 + rng.standard_normal((n, 3, 1, 1)) for n in counts]
+    # two spatial rows per sample: at least 2 elements, so bessel applies
+    parts = [1.0 + rng.standard_normal((n, c, 2, 1)) for n in counts]
     log = BatchMomentLog()
     for p in parts:
         log.append(channel_moments(p))
@@ -133,8 +139,9 @@ def test_moment_matching_equals_concat_oracle(counts, seed):
     ref = channel_moments(np.concatenate(parts, axis=0))
     np.testing.assert_allclose(agg.mean, ref.mean, atol=1e-12)
     np.testing.assert_allclose(agg.var, ref.var, atol=1e-12)
+    assert agg.count == ref.count
     # bessel multiplies the pooled variance by N/(N-1)
-    n = sum(counts)
+    n = ref.count
     bes = aggregate_moment_matching(log, bessel=True)
     np.testing.assert_allclose(bes.var, agg.var * n / (n - 1), atol=1e-12)
 

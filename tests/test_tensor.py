@@ -1,22 +1,10 @@
-"""Per-channel moment machinery: moments, normalization, batch plumbing."""
+"""Per-channel moment machinery: moments and normalization."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from bnlab.errors import EmptyBatch, ShapeMismatch, SizeMismatch
-from bnlab.tensor import (
-    ChannelStats,
-    affine,
-    as_tensor4,
-    channel_moments,
-    concat_batch,
-    flatten_spatial_concat,
-    normalize,
-    pooled_moments,
-    split_batch,
-)
+from bnlab.errors import EmptyBatch, ShapeMismatch
+from bnlab.tensor import ChannelStats, as_tensor4, channel_moments, normalize
 
 
 def test_channel_moments_match_numpy():
@@ -59,61 +47,6 @@ def test_normalize_validates_eps_and_channels():
         normalize(x, stats, eps=-1.0)
     with pytest.raises(ShapeMismatch):
         normalize(x, ChannelStats(np.zeros(2), np.ones(2), 2), eps=1e-5)
-
-
-def test_affine_channelwise():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((3, 2, 2, 2))
-    y = affine(x, np.array([2.0, -1.0]), np.array([0.5, 3.0]))
-    np.testing.assert_allclose(y[:, 0], 2.0 * x[:, 0] + 0.5)
-    np.testing.assert_allclose(y[:, 1], -1.0 * x[:, 1] + 3.0)
-    with pytest.raises(ShapeMismatch):
-        affine(x, np.ones(3), np.zeros(3))
-
-
-def test_concat_split_roundtrip():
-    rng = np.random.default_rng(3)
-    parts = [rng.standard_normal((s, 3, 2, 2)) for s in (2, 5, 1)]
-    full = concat_batch(parts)
-    back = split_batch(full, [2, 5, 1])
-    for a, b in zip(parts, back):
-        np.testing.assert_array_equal(a, b)
-    with pytest.raises(SizeMismatch):
-        split_batch(full, [2, 5, 2])
-    with pytest.raises(EmptyBatch):
-        concat_batch([])
-    with pytest.raises(ShapeMismatch):
-        concat_batch([parts[0], rng.standard_normal((2, 4, 2, 2))])
-
-
-def test_flatten_spatial_concat_moments_and_split():
-    rng = np.random.default_rng(4)
-    parts = [rng.standard_normal((3, 2, h, w)) for h, w in ((2, 2), (1, 5))]
-    sc = flatten_spatial_concat(parts)
-    # moments of the combined tensor == element-weighted union moments
-    union = np.concatenate([p.reshape(3, 2, -1) for p in parts], axis=2)
-    s = channel_moments(sc.combined)
-    np.testing.assert_allclose(s.mean, union.mean(axis=(0, 2)), atol=1e-14)
-    np.testing.assert_allclose(s.var, union.var(axis=(0, 2)), atol=1e-14)
-    back = sc.split(sc.combined)
-    for a, b in zip(parts, back):
-        np.testing.assert_array_equal(a, b)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
-    c=st.integers(1, 3),
-    seed=st.integers(0, 10**6),
-)
-def test_pooled_moments_equal_concat_moments(sizes, c, seed):
-    rng = np.random.default_rng(seed)
-    parts = [1.0 + rng.standard_normal((s, c, 2, 1)) for s in sizes]
-    pooled = pooled_moments([channel_moments(p) for p in parts])
-    ref = channel_moments(np.concatenate(parts, axis=0))
-    np.testing.assert_allclose(pooled.mean, ref.mean, atol=1e-12)
-    np.testing.assert_allclose(pooled.var, ref.var, atol=1e-12)
-    assert pooled.count == ref.count
 
 
 def test_as_tensor4_casts_to_float64():
