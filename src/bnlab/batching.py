@@ -1,5 +1,5 @@
 """Ways to carve samples into normalization batches: per-worker, ghost,
-simulated sync, virtual, shuffle, and domain-specific policies."""
+simulated sync, shuffle, and domain-specific policies."""
 
 import itertools
 from dataclasses import dataclass
@@ -24,25 +24,22 @@ PER_DOMAIN = "per_domain"
 class NormBatchPlan:
     """How a logical SGD batch becomes normalization batches.
 
-    strategy: per_worker | ghost | sync | virtual | shuffle
+    strategy: per_worker | ghost | sync | shuffle
     worker_sizes carve the logical batch into workers (defaults to a single
-    worker).  ghost needs sub_batch; virtual needs an extra-sample source
-    (callable rng -> tensor); shuffle draws a fresh permutation per step.
+    worker).  ghost needs sub_batch; shuffle draws a fresh permutation per
+    step.
     """
 
     strategy: str = "sync"
     worker_sizes: list | None = None
     sub_batch: int | None = None
-    extra_source: object = None
 
     def __post_init__(self):
-        known = {"per_worker", "ghost", "sync", "virtual", "shuffle"}
+        known = {"per_worker", "ghost", "sync", "shuffle"}
         if self.strategy not in known:
             raise InvalidPlan(f"unknown strategy {self.strategy!r}; expected one of {sorted(known)}")
         if self.strategy == "ghost" and (self.sub_batch is None or self.sub_batch < 1):
             raise InvalidPlan("ghost needs a positive sub_batch")
-        if self.strategy == "virtual" and self.extra_source is None:
-            raise InvalidPlan("virtual needs an extra-sample source")
 
     def sizes_for(self, n: int):
         if self.worker_sizes is None:

@@ -1,6 +1,5 @@
 """Finite-difference verification of every layer backward and of the
-composed networks (``Network`` and shared_head's ``SharedHeadNet``),
-including the virtual (stop-gradient) normalization variant."""
+composed networks (``Network`` and shared_head's ``SharedHeadNet``)."""
 
 import numpy as np
 
@@ -178,30 +177,6 @@ def check_bn_frozen(rng):
     return _check_layer_input(fwd, bwd, x, rng)
 
 
-def check_bn_virtual(rng):
-    """Batch statistics over [main; extra], gradient w.r.t. main only, with
-    the extra samples held constant (and receiving exactly zero gradient)."""
-    layer = BnLayer(3, eps=1e-5)
-    main = rng.standard_normal((3, 3, 2, 2))
-    extra = rng.standard_normal((2, 3, 2, 2))
-    w = _loss_weights(rng, main.shape)
-
-    def f(mv):
-        full = np.concatenate([mv, extra], axis=0)
-        y, _ = layer.forward(full, mode=BnMode.TRAIN_MINIBATCH, update_stats=False)
-        return float((y[: mv.shape[0]] * w).sum())
-
-    full = np.concatenate([main, extra], axis=0)
-    _, cache = layer.forward(full, mode=BnMode.TRAIN_MINIBATCH, update_stats=False)
-    dy = np.concatenate([w, np.zeros_like(extra)], axis=0)
-    dx = layer.backward(cache, dy)
-    err = relative_error(dx[: main.shape[0]], numerical_gradient(f, main.copy()))
-    # the stop-gradient contract: extra rows get exactly zero
-    stopped = dx.copy()
-    stopped[main.shape[0] :] = 0.0
-    return max(err, float(np.abs(stopped[main.shape[0] :]).max()))
-
-
 def _toy_network(rng, frozen=False):
     net = Network([
         Linear.init(rng, 4, 5),
@@ -289,7 +264,6 @@ def run_full_suite(seed=0):
         "relu": check_relu(rng),
         "bn_train": check_bn_train(rng),
         "bn_frozen": check_bn_frozen(rng),
-        "bn_virtual": check_bn_virtual(rng),
         "network_train": check_network(rng, frozen=False),
         "network_frozen": check_network(rng, frozen=True),
         # cohort stacks of G=3: per-cohort moments and parameter gradients

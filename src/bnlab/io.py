@@ -19,7 +19,6 @@ __all__ = [
     "validate_config",
     "write_metrics_csv",
     "write_json",
-    "read_metrics_csv",
     "METRICS_HEADER",
 ]
 
@@ -103,18 +102,6 @@ def write_metrics_csv(path, rows):
             out.writerow([_fmt(v) for v in row])
 
     _atomic_write(path, writer)
-
-
-def read_metrics_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != METRICS_HEADER:
-            raise ConfigError(f"unexpected metrics header {header}")
-        return [
-            (r[0], r[1], int(r[2]), r[3], r[4], r[5], float(r[6]))
-            for r in reader
-        ]
 
 
 class _ReprFloat(float):

@@ -1,5 +1,5 @@
 """The BatchNorm layer with explicit statistics-mode selection, plus the
-frozen-affine fusion utilities."""
+frozen-affine fusion toy."""
 
 import enum
 from dataclasses import dataclass
@@ -15,7 +15,6 @@ __all__ = [
     "BnLayer",
     "BnCache",
     "batch_stats_backward",
-    "fuse_frozen",
     "fusion_finetune_demo",
 ]
 
@@ -139,26 +138,6 @@ def batch_stats_backward(x_hat, inv_std, dy):
     sum_dy = dy.sum(axis=SAMPLE_AXES, keepdims=True)
     sum_dy_xhat = (dy * x_hat).sum(axis=SAMPLE_AXES, keepdims=True)
     return (inv / m) * (m * dy - sum_dy - x_hat * sum_dy_xhat)
-
-
-def fuse_frozen(stats: ChannelStats, affine, weight, bias, eps=1e-5):
-    """Fold frozen normalization + affine into the preceding linear layer.
-
-    ``weight`` is (out, in) and ``bias`` is (out,); the normalization runs on
-    the linear layer's outputs.  Returns (fused_weight, fused_bias) computing
-    the identical function: affine(normalize(W x + b)).  ``affine`` is
-    anything with (C,) ``gamma`` and ``beta``, e.g. a ``net.Affine``.
-    """
-    weight = np.asarray(weight, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if weight.shape[0] != stats.channels or bias.shape != (stats.channels,):
-        raise ShapeMismatch("linear output dim must match stats channels")
-    if affine.gamma.shape != (stats.channels,) or affine.beta.shape != (stats.channels,):
-        raise ShapeMismatch("affine width must match stats channels")
-    scale = affine.gamma / np.sqrt(stats.var + eps)
-    fused_w = weight * scale[:, None]
-    fused_b = (bias - stats.mean) * scale + affine.beta
-    return fused_w, fused_b
 
 
 def fusion_finetune_demo(lambda_: float, x0: float, step: float, iters: int):

@@ -218,14 +218,11 @@ class Network:
                 caches.append(cache)
         return to2(x), NetCaches(caches)
 
-    def backward(self, caches, dlogits, *, stop_rows=None):
+    def backward(self, caches, dlogits):
         """Exact gradients of the scalar loss the caller differentiated into
         ``dlogits``, which has the leading shape of the forward's logits.
-        Rows selected by ``stop_rows`` (virtual extra samples; row indices
-        or a boolean mask over the rows of each cohort) have their gradient
-        zeroed after every BN backward, so they contribute no gradient
-        anywhere upstream.  For a cohort stack the parameter gradients come
-        per cohort, stacked on a leading cohort axis.
+        For a cohort stack the parameter gradients come per cohort, stacked
+        on a leading cohort axis.
         """
         per_layer = caches.take()
         dy = to4(dlogits)
@@ -234,8 +231,6 @@ class Network:
             layer = self.layers[i]
             if isinstance(layer, BnLayer):
                 dy = layer.backward(per_layer[i], dy)
-                if stop_rows is not None:
-                    dy[..., stop_rows, :, :, :] = 0.0
             else:
                 dy, grads[i] = layer.backward(per_layer[i], dy)
         return dy, grads
@@ -305,7 +300,6 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, velocity):
     cohorts = (
         cohort_indices(plan, n, rng) if plan is not None else [np.arange(n)]
     )
-    virtual = plan is not None and plan.strategy == "virtual"
     # frozen layers stay frozen during fine-tuning; the rest train on batch stats
     modes = {
         i: (BnMode.FROZEN if net.layers[i].frozen is not None
@@ -316,20 +310,11 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, velocity):
     loss_sum = 0.0
     for first, groups, size in cohort_runs(map(len, cohorts)):
         idx = np.stack(cohorts[first : first + groups])
-        xb = x[idx]
-        if virtual:
-            # one draw per cohort, in cohort order, as the rng stream expects
-            extra = np.stack([as_tensor4(plan.extra_source(rng))
-                              for _ in range(groups)])
-            xb = np.concatenate([xb, extra], axis=1)
-        logits, caches = net.forward(xb, modes=modes, update_stats=True)
-        loss_c, dreal = softmax_cross_entropy(logits[:, :size], labels[idx])
+        logits, caches = net.forward(x[idx], modes=modes, update_stats=True)
+        loss_c, dlogits = softmax_cross_entropy(logits, labels[idx])
         # builtin sum adds the cohort losses one at a time, in order
         loss_sum = sum(loss_c * size, loss_sum)
-        dlogits = np.zeros_like(logits)
-        dlogits[:, :size] = dreal * (size / n)
-        stop_rows = np.arange(xb.shape[1]) >= size if virtual else None
-        _, grads = net.backward(caches, dlogits, stop_rows=stop_rows)
+        _, grads = net.backward(caches, dlogits * (size / n))
         _accumulate(totals, grads)
     lr = cfg.lr_at(step)
     for i, g in enumerate(totals):

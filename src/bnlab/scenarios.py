@@ -1,6 +1,15 @@
 """Scenario runners reproducing the qualitative normalization phenomena at
 desk scale on synthetic data.
 
+Each experiment is a choice of three "batches": the batch that normalizes
+in training (the ``NormBatchPlan`` given to ``train``), the batch that gives
+the population statistics (``precise``, or each layer's EMA), and the batch
+that normalizes at test time (``evaluate``: population statistics, or each
+``nbs``-row mini-batch's own moments).  The runners share one helper per
+step: ``draw`` the data, train on ``uniform_batches`` with ``sgd_config``,
+measure with ``precise`` and ``evaluate``, and record with
+``ScenarioRun.log`` and ``ScenarioRun.checkpoint``.
+
 Every runner is deterministic under a fixed seed and returns a ScenarioRun
 holding the metric rows (run_id, scenario, step, split, stats_mode, metric,
 value), a summary dict, and checkpoint payloads.
@@ -37,7 +46,7 @@ from .synthetic import (
 )
 from .tensor import ChannelStats, channel_moments, normalize
 
-__all__ = ["ScenarioRun", "SCENARIOS", "run_scenario"]
+__all__ = ["ScenarioRun", "SCENARIOS"]
 
 
 @dataclass
@@ -48,10 +57,43 @@ class ScenarioRun:
     stats_checkpoint: dict = field(default_factory=dict)
     params_checkpoint: dict = field(default_factory=dict)
 
-    def log(self, run_id, step, split, stats_mode, metric, value):
+    def log(self, run_id, step, split, stats_mode, metric, value, key=()):
+        """Append one metric row; a non-empty ``key`` also stores ``value``
+        in the summary at that path of nested dicts."""
         self.rows.append(
             (run_id, self.scenario, int(step), split, stats_mode, metric, float(value))
         )
+        if key:
+            node = self.summary
+            for k in key[:-1]:
+                node = node.setdefault(k, {})
+            node[key[-1]] = value
+
+    def checkpoint(self, net, stats=None):
+        """Install ``stats`` (if given) as the net's population statistics,
+        then snapshot every BN layer's statistics and every parameter."""
+        if stats is not None:
+            set_population_stats(net, stats)
+        self.stats_checkpoint, self.params_checkpoint = {}, {}
+        for name, layer in zip(net.layer_names(), net.layers):
+            if isinstance(layer, BnLayer):
+                if layer.frozen is not None:
+                    src, s = "frozen", layer.frozen
+                elif layer.pop is not None:
+                    src, s = "precise", layer.pop
+                else:
+                    src, s = "ema", layer.ema.as_channel_stats()
+                self.stats_checkpoint[name] = {
+                    "mean": list(s.mean),
+                    "var": list(s.var),
+                    "count": int(s.count),
+                    "source": src,
+                }
+            elif isinstance(layer, (Linear, Affine)):
+                self.params_checkpoint[name] = {
+                    k: np.asarray(getattr(layer, k)).reshape(-1).tolist()
+                    for k in layer.param_names
+                }
 
 
 def build_net(rng, dims, eps=1e-5, ema_momentum=0.9, pool=False):
@@ -71,171 +113,14 @@ def build_net(rng, dims, eps=1e-5, ema_momentum=0.9, pool=False):
     return Network(layers)
 
 
-def checkpoints_from(net):
-    names = net.layer_names()
-    stats = {}
-    params = {}
-    for name, layer in zip(names, net.layers):
-        if isinstance(layer, BnLayer):
-            if layer.frozen is not None:
-                src, s = "frozen", layer.frozen
-            elif layer.pop is not None:
-                src, s = "precise", layer.pop
-            else:
-                src, s = "ema", layer.ema.as_channel_stats()
-            stats[name] = {
-                "mean": list(s.mean),
-                "var": list(s.var),
-                "count": int(s.count),
-                "source": src,
-            }
-        elif isinstance(layer, (Linear, Affine)):
-            params[name] = {
-                k: np.asarray(getattr(layer, k)).reshape(-1).tolist()
-                for k in layer.param_names
-            }
-    return stats, params
-
-
 def _seed(base, k):
     # independent deterministic streams per sub-run
     return int(np.random.SeedSequence([base, k]).generate_state(1)[0])
 
 
-def _pop_stats(net, x_pop, batch=32):
-    return precise_bn(net, x_pop, batch, aggregator="moment_matching")
-
-
-def _shuffled(rng, x, y):
-    order = rng.permutation(x.shape[0])
-    return x[order], y[order]
-
-
-# ---------------------------------------------------------------------------
-# EMA vs precise statistics
-# ---------------------------------------------------------------------------
-
-EMA_VS_PRECISE_DEFAULTS = {
-    "classes": 16,
-    "dim": 32,
-    "separation": 3.0,
-    "noise": 1.0,
-    "train_size": 4096,
-    "val_size": 1024,
-    "hidden": [64, 64],
-    "ema_momentum": 0.999,
-    "lr": 0.05,
-    "sgd_momentum": 0.9,
-    "steps": 300,
-    "batch_size": 32,
-    "eval_every": 50,
-    "precise_n": 1024,
-    "precise_b_sweep": [2, 8, 32, 1024],
-    "subset_sizes": [32, 256, 2048],
-}
-
-
-def run_ema_vs_precise(cfg, seed):
-    run = ScenarioRun("ema_vs_precise")
-    task = GaussianClasses(cfg["classes"], cfg["dim"], cfg["separation"],
+def _gaussian_task(cfg, seed):
+    return GaussianClasses(cfg["classes"], cfg["dim"], cfg["separation"],
                            cfg["noise"], seed=_seed(seed, 1))
-    data_rng = np.random.default_rng(_seed(seed, 2))
-    x_train, y_train = task.sample(data_rng, cfg["train_size"])
-    x_val, y_val = task.sample(data_rng, cfg["val_size"])
-    net = build_net(np.random.default_rng(_seed(seed, 3)),
-                    [cfg["dim"], *cfg["hidden"], cfg["classes"]],
-                    ema_momentum=cfg["ema_momentum"])
-    sgd = SgdConfig(lr=cfg["lr"], steps=cfg["steps"], batch_size=cfg["batch_size"],
-                    momentum=cfg["sgd_momentum"], seed=_seed(seed, 4))
-    run_id = f"ema_vs_precise-s{seed}"
-    n_pop = cfg["precise_n"]
-
-    def sample_batch(rng, size):
-        idx = rng.integers(0, x_train.shape[0], size=size)
-        return x_train[idx], y_train[idx]
-
-    def evaluate(step, net):
-        if (step + 1) % cfg["eval_every"] and step + 1 != cfg["steps"]:
-            return
-        err_ema = classification_error(net, x_val, y_val,
-                                       mode=BnMode.EVAL_POPULATION)
-        stats = _pop_stats(net, x_train[:n_pop])
-        err_precise = classification_error(net, x_val, y_val,
-                                           mode=BnMode.EVAL_POPULATION,
-                                           pop_override=stats)
-        run.log(run_id, step + 1, "val", "ema", "error", err_ema)
-        run.log(run_id, step + 1, "val", "precise", "error", err_precise)
-
-    train(net, sample_batch, sgd, plan=None, callback=evaluate)
-
-    # batch-size sweep of the precise pass (small B accumulates errors)
-    for b in cfg["precise_b_sweep"]:
-        b_eff = min(b, n_pop)
-        stats = _pop_stats(net, x_train[:n_pop], batch=b_eff)
-        err = classification_error(net, x_val, y_val,
-                                   mode=BnMode.EVAL_POPULATION,
-                                   pop_override=stats)
-        run.log(run_id, cfg["steps"], "val", f"precise_b{b_eff}", "error", err)
-        run.summary.setdefault("precise_b_sweep", {})[str(b_eff)] = err
-
-    # estimation variance between disjoint subsets shrinks with N
-    for n_sub in cfg["subset_sizes"]:
-        s1 = _pop_stats(net, x_train[:n_sub])
-        s2 = _pop_stats(net, x_train[n_sub : 2 * n_sub])
-        e1 = classification_error(net, x_val, y_val,
-                                  mode=BnMode.EVAL_POPULATION, pop_override=s1)
-        e2 = classification_error(net, x_val, y_val,
-                                  mode=BnMode.EVAL_POPULATION, pop_override=s2)
-        gap = abs(e1 - e2)
-        # relative distance between the two estimates themselves
-        dists = []
-        for i in s1:
-            a, b = s1[i], s2[i]
-            dists.append(np.mean(np.abs(a.var - b.var) / (a.var + b.var)))
-            dists.append(np.mean(np.abs(a.mean - b.mean)
-                                 / np.sqrt((a.var + b.var) / 2)))
-        stats_gap = float(np.mean(dists))
-        run.log(run_id, cfg["steps"], "val", f"precise_n{n_sub}",
-                "subset_error_gap", gap)
-        run.log(run_id, cfg["steps"], "val", f"precise_n{n_sub}",
-                "subset_stats_gap", stats_gap)
-        run.summary.setdefault("subset_error_gap", {})[str(n_sub)] = gap
-        run.summary.setdefault("subset_stats_gap", {})[str(n_sub)] = stats_gap
-
-    curves = {"ema": [], "precise": []}
-    for row in run.rows:
-        if row[5] == "error" and row[4] in curves:
-            curves[row[4]].append(row[6])
-    run.summary["ema_curve"] = curves["ema"]
-    run.summary["precise_curve"] = curves["precise"]
-    set_population_stats(net, _pop_stats(net, x_train[:n_pop]))
-    run.stats_checkpoint, run.params_checkpoint = checkpoints_from(net)
-    return run
-
-
-# ---------------------------------------------------------------------------
-# Normalization-batch-size sweep
-# ---------------------------------------------------------------------------
-
-NBS_SWEEP_DEFAULTS = {
-    "classes": 16,
-    "channels": 32,
-    "sites": 4,
-    "separation": 8.0,
-    "noise": 0.5,
-    "gain": 1.2,
-    "offset": 3.0,
-    "train_size": 4096,
-    "val_size": 1024,
-    "hidden": [64, 64],
-    "lr": 0.05,
-    "sgd_momentum": 0.9,
-    "steps": 800,
-    "batch_size": 32,
-    "nbs_list": [2, 8, 32],
-    "precise_n": 1024,
-    "train_eval_size": 1024,
-}
 
 
 def _spatial_task(cfg, seed):
@@ -245,54 +130,189 @@ def _spatial_task(cfg, seed):
     )
 
 
+def draw(task, seed, *sizes):
+    """An (x, labels) sample of each size in turn, all from the seed's data
+    stream."""
+    rng = np.random.default_rng(_seed(seed, 2))
+    return [task.sample(rng, n) for n in sizes]
+
+
+def sgd_config(cfg, seed, k, **overrides):
+    """Momentum SGD from the cfg's lr, steps, batch_size and sgd_momentum,
+    seeded by stream k; ``overrides`` replace any of them."""
+    fields = {"lr": cfg["lr"], "steps": cfg["steps"],
+              "batch_size": cfg.get("batch_size"), "momentum": cfg["sgd_momentum"]}
+    return SgdConfig(**{**fields, **overrides}, seed=_seed(seed, k))
+
+
+def uniform_batches(x, y):
+    """A ``train`` batch function drawing each batch's rows uniformly, with
+    replacement."""
+
+    def sample(rng, size):
+        idx = rng.integers(0, x.shape[0], size=size)
+        return x[idx], y[idx]
+
+    return sample
+
+
+def precise(net, x, batch=32):
+    """Population statistics of ``x`` pooled from its batch-``batch``
+    moments (precise BN): {BN layer index: ChannelStats}."""
+    return precise_bn(net, x, batch)
+
+
+def evaluate(net, x, y, stats=None, *, nbs=None, rng=None):
+    """Top-1 error on (x, y).  BN layers normalize with the population
+    ``stats`` (None: each layer's EMA or installed statistics), or, given
+    ``nbs``, each consecutive nbs-row mini-batch by its own moments, after
+    a shuffle drawn from ``rng`` if given."""
+    if nbs is None:
+        return classification_error(net, x, y, pop_override=stats)
+    if rng is not None:
+        order = rng.permutation(x.shape[0])
+        x, y = x[order], y[order]
+    return classification_error(net, x, y, mode=BnMode.EVAL_MINIBATCH,
+                                cohort_sizes=[nbs] * (x.shape[0] // nbs))
+
+
+# training defaults shared by the Gaussian-task and spatial-task scenarios
+_TRAINING = {
+    "train_size": 4096,
+    "val_size": 1024,
+    "hidden": [64, 64],
+    "lr": 0.05,
+    "sgd_momentum": 0.9,
+    "batch_size": 32,
+    "precise_n": 1024,
+}
+_GAUSSIAN_TASK = {
+    "classes": 16,
+    "dim": 32,
+    "separation": 3.0,
+    "noise": 1.0,
+    **_TRAINING,
+}
+_SPATIAL_TASK = {
+    "classes": 16,
+    "channels": 32,
+    "sites": 4,
+    "separation": 8.0,
+    "noise": 0.5,
+    "gain": 1.2,
+    "offset": 3.0,
+    **_TRAINING,
+    "steps": 800,
+}
+
+
+# ---------------------------------------------------------------------------
+# EMA vs precise statistics
+# ---------------------------------------------------------------------------
+
+EMA_VS_PRECISE_DEFAULTS = {
+    **_GAUSSIAN_TASK,
+    "ema_momentum": 0.999,
+    "steps": 300,
+    "eval_every": 50,
+    "precise_b_sweep": [2, 8, 32, 1024],
+    "subset_sizes": [32, 256, 2048],
+}
+
+
+def run_ema_vs_precise(cfg, seed):
+    run = ScenarioRun("ema_vs_precise")
+    run_id = f"ema_vs_precise-s{seed}"
+    (x_train, y_train), (x_val, y_val) = draw(
+        _gaussian_task(cfg, seed), seed, cfg["train_size"], cfg["val_size"])
+    n_pop = cfg["precise_n"]
+    net = build_net(np.random.default_rng(_seed(seed, 3)),
+                    [cfg["dim"], *cfg["hidden"], cfg["classes"]],
+                    ema_momentum=cfg["ema_momentum"])
+    run.summary = {"ema_curve": [], "precise_curve": []}
+
+    def eval_point(step, net):
+        if (step + 1) % cfg["eval_every"] and step + 1 != cfg["steps"]:
+            return
+        err_ema = evaluate(net, x_val, y_val)
+        err_precise = evaluate(net, x_val, y_val, precise(net, x_train[:n_pop]))
+        run.log(run_id, step + 1, "val", "ema", "error", err_ema)
+        run.log(run_id, step + 1, "val", "precise", "error", err_precise)
+        run.summary["ema_curve"].append(err_ema)
+        run.summary["precise_curve"].append(err_precise)
+
+    train(net, uniform_batches(x_train, y_train), sgd_config(cfg, seed, 4),
+          callback=eval_point)
+
+    # validation error with statistics from precise passes at batch size B.
+    # It stays flat in B at this scale, although deeper layers' estimates
+    # drift further from the exact statistics as B shrinks.
+    for b in cfg["precise_b_sweep"]:
+        b_eff = min(b, n_pop)
+        err = evaluate(net, x_val, y_val, precise(net, x_train[:n_pop], batch=b_eff))
+        run.log(run_id, cfg["steps"], "val", f"precise_b{b_eff}", "error", err,
+                key=("precise_b_sweep", str(b_eff)))
+
+    # estimation variance between disjoint subsets shrinks with N
+    for n_sub in cfg["subset_sizes"]:
+        s1 = precise(net, x_train[:n_sub])
+        s2 = precise(net, x_train[n_sub : 2 * n_sub])
+        gap = abs(evaluate(net, x_val, y_val, s1) - evaluate(net, x_val, y_val, s2))
+        # relative distance between the two estimates themselves
+        dists = []
+        for i in s1:
+            a, b = s1[i], s2[i]
+            dists.append(np.mean(np.abs(a.var - b.var) / (a.var + b.var)))
+            dists.append(np.mean(np.abs(a.mean - b.mean)
+                                 / np.sqrt((a.var + b.var) / 2)))
+        for metric, value in (("subset_error_gap", gap),
+                              ("subset_stats_gap", float(np.mean(dists)))):
+            run.log(run_id, cfg["steps"], "val", f"precise_n{n_sub}", metric,
+                    value, key=(metric, str(n_sub)))
+
+    run.checkpoint(net, precise(net, x_train[:n_pop]))
+    return run
+
+
+# ---------------------------------------------------------------------------
+# Normalization-batch-size sweep
+# ---------------------------------------------------------------------------
+
+NBS_SWEEP_DEFAULTS = {
+    **_SPATIAL_TASK,
+    "nbs_list": [2, 8, 32],
+    "train_eval_size": 1024,
+}
+
+
 def run_nbs_sweep(cfg, seed):
     run = ScenarioRun("nbs_sweep")
-    task = _spatial_task(cfg, seed)
-    data_rng = np.random.default_rng(_seed(seed, 2))
-    x_train, y_train = task.sample(data_rng, cfg["train_size"])
-    x_val, y_val = task.sample(data_rng, cfg["val_size"])
-
-    def sample_batch(rng, size):
-        idx = rng.integers(0, x_train.shape[0], size=size)
-        return x_train[idx], y_train[idx]
-
+    (x_train, y_train), (x_val, y_val) = draw(
+        _spatial_task(cfg, seed), seed, cfg["train_size"], cfg["val_size"])
+    batches = uniform_batches(x_train, y_train)
+    n_tr = cfg["train_eval_size"]
     for nbs in cfg["nbs_list"]:
         run_id = f"nbs_sweep-nbs{nbs}-s{seed}"
         net = build_net(np.random.default_rng(_seed(seed, 3)),
                         [cfg["channels"], *cfg["hidden"], cfg["classes"]],
                         pool=True)
-        plan = NormBatchPlan(strategy="ghost", sub_batch=nbs)
-        sgd = SgdConfig(lr=cfg["lr"], steps=cfg["steps"],
-                        batch_size=cfg["batch_size"],
-                        momentum=cfg["sgd_momentum"], seed=_seed(seed, 4))
-        train(net, sample_batch, sgd, plan=plan)
+        train(net, batches, sgd_config(cfg, seed, 4),
+              plan=NormBatchPlan(strategy="ghost", sub_batch=nbs))
 
         eval_rng = np.random.default_rng(_seed(seed, 5))
-        n_tr = cfg["train_eval_size"]
-        xt, yt = _shuffled(eval_rng, x_train[:n_tr], y_train[:n_tr])
-        sizes = [nbs] * (n_tr // nbs)
-        err_train = classification_error(net, xt, yt, mode=BnMode.EVAL_MINIBATCH,
-                                         cohort_sizes=sizes)
-        xv, yv = _shuffled(eval_rng, x_val, y_val)
-        sizes_v = [nbs] * (x_val.shape[0] // nbs)
-        err_val_mb = classification_error(net, xv, yv, mode=BnMode.EVAL_MINIBATCH,
-                                          cohort_sizes=sizes_v)
+        err_train = evaluate(net, x_train[:n_tr], y_train[:n_tr], nbs=nbs,
+                             rng=eval_rng)
+        err_val_mb = evaluate(net, x_val, y_val, nbs=nbs, rng=eval_rng)
         # population statistics estimated at the training cohort size, as an
         # EMA would be forced to; small cohorts distort deeper-layer stats
-        stats = _pop_stats(net, x_train[: cfg["precise_n"]], batch=nbs)
-        err_val_pop = classification_error(net, x_val, y_val,
-                                           mode=BnMode.EVAL_POPULATION,
-                                           pop_override=stats)
-        run.log(run_id, cfg["steps"], "train", "minibatch", "error", err_train)
-        run.log(run_id, cfg["steps"], "val", "minibatch", "error", err_val_mb)
-        run.log(run_id, cfg["steps"], "val", "population", "error", err_val_pop)
-        run.summary[str(nbs)] = {
-            "train_minibatch": err_train,
-            "val_minibatch": err_val_mb,
-            "val_population": err_val_pop,
-        }
-        set_population_stats(net, stats)
-        run.stats_checkpoint, run.params_checkpoint = checkpoints_from(net)
+        stats = precise(net, x_train[: cfg["precise_n"]], batch=nbs)
+        err_val_pop = evaluate(net, x_val, y_val, stats)
+        for split, mode, err in (("train", "minibatch", err_train),
+                                 ("val", "minibatch", err_val_mb),
+                                 ("val", "population", err_val_pop)):
+            run.log(run_id, cfg["steps"], split, mode, "error", err,
+                    key=(str(nbs), f"{split}_{mode}"))
+        run.checkpoint(net, stats)
     return run
 
 
@@ -301,75 +321,50 @@ def run_nbs_sweep(cfg, seed):
 # ---------------------------------------------------------------------------
 
 FROZEN_FINETUNE_DEFAULTS = {
-    "classes": 16,
-    "channels": 32,
-    "sites": 4,
-    "separation": 8.0,
-    "noise": 0.5,
-    "gain": 1.2,
-    "offset": 3.0,
-    "train_size": 4096,
-    "val_size": 1024,
-    "hidden": [64, 64],
-    "lr": 0.05,
-    "sgd_momentum": 0.9,
-    "steps": 800,
-    "batch_size": 32,
+    **_SPATIAL_TASK,
     "nbs": 2,
     "freeze_fraction": 0.8,
     "warmup_steps": 40,
-    "precise_n": 1024,
 }
 
 
 def run_frozen_finetune(cfg, seed):
     run = ScenarioRun("frozen_finetune")
-    task = _spatial_task(cfg, seed)
-    data_rng = np.random.default_rng(_seed(seed, 2))
-    x_train, y_train = task.sample(data_rng, cfg["train_size"])
-    x_val, y_val = task.sample(data_rng, cfg["val_size"])
-
-    def sample_batch(rng, size):
-        idx = rng.integers(0, x_train.shape[0], size=size)
-        return x_train[idx], y_train[idx]
-
+    run_id = f"frozen_finetune-s{seed}"
+    (x_train, y_train), (x_val, y_val) = draw(
+        _spatial_task(cfg, seed), seed, cfg["train_size"], cfg["val_size"])
+    batches = uniform_batches(x_train, y_train)
+    x_pop = x_train[: cfg["precise_n"]]
     plan = NormBatchPlan(strategy="ghost", sub_batch=cfg["nbs"])
     split_step = int(cfg["steps"] * cfg["freeze_fraction"])
     rest = cfg["steps"] - split_step
     net = build_net(np.random.default_rng(_seed(seed, 3)),
                     [cfg["channels"], *cfg["hidden"], cfg["classes"]],
                     pool=True)
-    sgd1 = SgdConfig(lr=cfg["lr"], steps=split_step, batch_size=cfg["batch_size"],
-                     momentum=cfg["sgd_momentum"], seed=_seed(seed, 4))
-    train(net, sample_batch, sgd1, plan=plan)
+    train(net, batches, sgd_config(cfg, seed, 4, steps=split_step), plan=plan)
 
     control = copy.deepcopy(net)
-    sgd2 = SgdConfig(lr=cfg["lr"], steps=rest, batch_size=cfg["batch_size"],
-                     momentum=cfg["sgd_momentum"], seed=_seed(seed, 5))
-    train(control, sample_batch, sgd2, plan=plan)
+    train(control, batches, sgd_config(cfg, seed, 5, steps=rest), plan=plan)
     # both arms estimate statistics at the training cohort size; the frozen
     # arm wins by adapting its weights to the frozen stats, not by getting a
     # better estimate
-    stats_c = _pop_stats(control, x_train[: cfg["precise_n"]], batch=cfg["nbs"])
-    err_control = classification_error(control, x_val, y_val,
-                                       mode=BnMode.EVAL_POPULATION,
-                                       pop_override=stats_c)
+    err_control = evaluate(control, x_val, y_val,
+                           precise(control, x_pop, batch=cfg["nbs"]))
 
-    snap = _pop_stats(net, x_train[: cfg["precise_n"]], batch=cfg["nbs"])
+    snap = precise(net, x_pop, batch=cfg["nbs"])
     for i in net.bn_indices:
         net.layers[i].freeze(snap[i])
-    sgd3 = SgdConfig(lr=cfg["lr"], steps=rest, batch_size=cfg["batch_size"],
-                     momentum=cfg["sgd_momentum"],
-                     warmup_steps=cfg["warmup_steps"], seed=_seed(seed, 5))
     # FROZEN is each layer's own mode now; the plan is irrelevant to stats
-    train(net, sample_batch, sgd3, plan=plan)
-    err_frozen = classification_error(net, x_val, y_val, mode=BnMode.FROZEN)
+    train(net, batches, sgd_config(cfg, seed, 5, steps=rest,
+                                   warmup_steps=cfg["warmup_steps"]), plan=plan)
+    # evaluated with the frozen statistics as its population statistics
+    err_frozen = evaluate(net, x_val, y_val, snap)
 
-    run_id = f"frozen_finetune-s{seed}"
-    run.log(run_id, cfg["steps"], "val", "frozen_finetune", "error", err_frozen)
-    run.log(run_id, cfg["steps"], "val", "population", "error", err_control)
-    run.summary = {"frozen_finetune": err_frozen, "unfrozen_population": err_control}
-    run.stats_checkpoint, run.params_checkpoint = checkpoints_from(net)
+    run.log(run_id, cfg["steps"], "val", "frozen_finetune", "error", err_frozen,
+            key=("frozen_finetune",))
+    run.log(run_id, cfg["steps"], "val", "population", "error", err_control,
+            key=("unfrozen_population",))
+    run.checkpoint(net)
     return run
 
 
@@ -378,19 +373,9 @@ def run_frozen_finetune(cfg, seed):
 # ---------------------------------------------------------------------------
 
 DOMAIN_ADAPT_DEFAULTS = {
-    "classes": 16,
-    "dim": 32,
-    "separation": 3.0,
-    "noise": 1.0,
-    "train_size": 4096,
-    "val_size": 1024,
+    **_GAUSSIAN_TASK,
     "adapt_size": 1024,
-    "hidden": [64, 64],
-    "lr": 0.05,
-    "sgd_momentum": 0.9,
     "steps": 400,
-    "batch_size": 32,
-    "precise_n": 1024,
     "corruptions": {
         "none": {"scale": 1.0, "shift": 0.0, "noise": 0.0},
         "strong": {"scale": 0.2, "shift": 3.0, "noise": 0.5},
@@ -400,45 +385,25 @@ DOMAIN_ADAPT_DEFAULTS = {
 
 def run_domain_adapt(cfg, seed):
     run = ScenarioRun("domain_adapt")
-    task = GaussianClasses(cfg["classes"], cfg["dim"], cfg["separation"],
-                           cfg["noise"], seed=_seed(seed, 1))
-    data_rng = np.random.default_rng(_seed(seed, 2))
-    x_train, y_train = task.sample(data_rng, cfg["train_size"])
-    x_val, y_val = task.sample(data_rng, cfg["val_size"])
-    x_adapt, _ = task.sample(data_rng, cfg["adapt_size"])
-
-    def sample_batch(rng, size):
-        idx = rng.integers(0, x_train.shape[0], size=size)
-        return x_train[idx], y_train[idx]
-
+    run_id = f"domain_adapt-s{seed}"
+    (x_train, y_train), (x_val, y_val), (x_adapt, _) = draw(
+        _gaussian_task(cfg, seed), seed, cfg["train_size"], cfg["val_size"],
+        cfg["adapt_size"])
     net = build_net(np.random.default_rng(_seed(seed, 3)),
                     [cfg["dim"], *cfg["hidden"], cfg["classes"]])
-    sgd = SgdConfig(lr=cfg["lr"], steps=cfg["steps"], batch_size=cfg["batch_size"],
-                    momentum=cfg["sgd_momentum"], seed=_seed(seed, 4))
-    train(net, sample_batch, sgd)
-    source_stats = _pop_stats(net, x_train[: cfg["precise_n"]])
+    train(net, uniform_batches(x_train, y_train), sgd_config(cfg, seed, 4))
+    source_stats = precise(net, x_train[: cfg["precise_n"]])
 
-    run_id = f"domain_adapt-s{seed}"
     corrupt_rng = np.random.default_rng(_seed(seed, 5))
     for name, spec in cfg["corruptions"].items():
         corr = Corruption(spec["scale"], spec["shift"], spec["noise"])
         xt_val = corr.apply(x_val, corrupt_rng)
         xt_adapt = corr.apply(x_adapt, corrupt_rng)
-        err_source = classification_error(net, xt_val, y_val,
-                                          mode=BnMode.EVAL_POPULATION,
-                                          pop_override=source_stats)
-        target_stats = _pop_stats(net, xt_adapt)
-        err_target = classification_error(net, xt_val, y_val,
-                                          mode=BnMode.EVAL_POPULATION,
-                                          pop_override=target_stats)
-        run.log(run_id, cfg["steps"], f"val_{name}", "source_stats", "error",
-                err_source)
-        run.log(run_id, cfg["steps"], f"val_{name}", "target_stats", "error",
-                err_target)
-        run.summary[name] = {"source_stats": err_source,
-                             "target_stats": err_target}
-    set_population_stats(net, source_stats)
-    run.stats_checkpoint, run.params_checkpoint = checkpoints_from(net)
+        for mode, stats in (("source_stats", source_stats),
+                            ("target_stats", precise(net, xt_adapt))):
+            run.log(run_id, cfg["steps"], f"val_{name}", mode, "error",
+                    evaluate(net, xt_val, y_val, stats), key=(name, mode))
+    run.checkpoint(net, source_stats)
     return run
 
 
@@ -473,9 +438,6 @@ SHARED_HEAD_DEFAULTS = {
         ["per_domain", "per_domain", "per_domain"],
     ],
 }
-
-CONSISTENT_ROWS = (0, 3, 5)
-INCONSISTENT_ROW = 1
 
 
 class SharedHeadNet:
@@ -584,8 +546,6 @@ class SharedHeadNet:
 
 def run_shared_head(cfg, seed):
     run = ScenarioRun("shared_head")
-    base = GaussianClasses(cfg["classes"], cfg["dim"], cfg["separation"],
-                           cfg["noise"], seed=_seed(seed, 1))
     transforms = []
     for d, spec in enumerate(cfg["domains"]):
         if spec.get("mix"):
@@ -597,7 +557,7 @@ def run_shared_head(cfg, seed):
             transforms.append(
                 Corruption(spec["scale"], spec["shift"], spec["noise"])
             )
-    domains = MultiScaleDomains(base, transforms)
+    domains = MultiScaleDomains(_gaussian_task(cfg, seed), transforms)
     d_count = domains.n_domains
     data_rng = np.random.default_rng(_seed(seed, 2))
     val_xs, val_ys = [], []
@@ -622,13 +582,10 @@ def run_shared_head(cfg, seed):
                            np.stack([y for _, y in batches]),
                            cfg["lr"], cfg["sgd_momentum"])
         net.train_population_stats(pop_xs)
-        err = net.eval_error(val_xs, val_ys)
-        run_id = f"shared_head-row{row + 1}-s{seed}"
-        run.log(run_id, cfg["steps"], "val", "population", "error", err)
-        run.summary[f"row{row + 1}"] = {
-            "policy": [sgd_s, pop_s, aff_s],
-            "error": err,
-        }
+        run.summary[f"row{row + 1}"] = {"policy": [sgd_s, pop_s, aff_s]}
+        run.log(f"shared_head-row{row + 1}-s{seed}", cfg["steps"], "val",
+                "population", "error", net.eval_error(val_xs, val_ys),
+                key=(f"row{row + 1}", "error"))
     return run
 
 
@@ -675,8 +632,7 @@ def run_leakage(cfg, seed):
     g, m = cfg["groups_per_batch"], cfg["copies_per_group"]
     sampler = GroupedBatchSampler(g, m)
     batch = sampler.batch_size
-    task = GaussianClasses(cfg["classes"], cfg["dim"], cfg["separation"],
-                           cfg["noise"], seed=_seed(seed, 1))
+    task = _gaussian_task(cfg, seed)
     data_rng = np.random.default_rng(_seed(seed, 2))
     data = make_clustered_data(task, data_rng, cfg["train_clusters"], m,
                                cfg["latent_scale"])
@@ -694,10 +650,6 @@ def run_leakage(cfg, seed):
             return data.x[idx], data.labels[idx]
         return fn
 
-    def control_batch(rng, size):
-        idx = rng.integers(0, control.x.shape[0], size=size)
-        return control.x[idx], control.labels[idx]
-
     variants = {
         "crafted": (crafted_batch(),
                     NormBatchPlan(strategy="ghost", sub_batch=m)),
@@ -707,17 +659,15 @@ def run_leakage(cfg, seed):
                         NormBatchPlan(strategy="shuffle",
                                       worker_sizes=[batch // 2, batch // 2])),
         "sync_fix": (crafted_batch(), NormBatchPlan(strategy="sync")),
-        "control": (control_batch, NormBatchPlan(strategy="sync")),
+        "control": (uniform_batches(control.x, control.labels),
+                    NormBatchPlan(strategy="sync")),
     }
 
     x_val, y_val = val.x, val.labels
-    pattern_sizes = [m] * (x_val.shape[0] // m)
     window = cfg["eval_window"]
     for name, (batch_fn, plan) in variants.items():
         net = _leakage_net(cfg, seed)
-        sgd = SgdConfig(lr=cfg["lr"], steps=cfg["steps"], batch_size=batch,
-                        momentum=cfg["sgd_momentum"], seed=_seed(seed, 4))
-        source = data if name != "control" else control
+        x_pop = (data if name != "control" else control).x[: cfg["precise_n"]]
         run_id = f"leakage-{name}-s{seed}"
         # final population error averaged over a few late snapshots to damp
         # plateau fluctuation of individual checkpoints
@@ -727,36 +677,23 @@ def run_leakage(cfg, seed):
             remaining = cfg["steps"] - 1 - step
             if remaining % window or remaining // window >= 3:
                 return
-            s = _pop_stats(net, source.x[: cfg["precise_n"]])
-            e = classification_error(net, x_val, y_val,
-                                     mode=BnMode.EVAL_POPULATION,
-                                     pop_override=s)
-            snaps.append((step + 1, e, s))
+            s = precise(net, x_pop)
+            snaps.append((step + 1, evaluate(net, x_val, y_val, s), s))
 
-        train(net, batch_fn, sgd, plan=plan, callback=snapshot)
+        train(net, batch_fn, sgd_config(cfg, seed, 4, batch_size=batch),
+              plan=plan, callback=snapshot)
         for step, e, _ in snaps:
             run.log(run_id, step, "val", "population", "error", e)
-        err_pop = float(np.mean([e for _, e, _ in snaps]))
-        stats = snaps[-1][2]
-        entry = {"population": err_pop}
+        run.summary[name] = {"population": float(np.mean([e for _, e, _ in snaps]))}
         if name == "crafted":
-            err_pat = classification_error(net, x_val, y_val,
-                                           mode=BnMode.EVAL_MINIBATCH,
-                                           cohort_sizes=pattern_sizes)
-            rng_e = np.random.default_rng(_seed(seed, 6))
-            xs, ys = _shuffled(rng_e, x_val, y_val)
-            err_rand = classification_error(net, xs, ys,
-                                            mode=BnMode.EVAL_MINIBATCH,
-                                            cohort_sizes=pattern_sizes)
-            run.log(run_id, cfg["steps"], "val", "minibatch_pattern", "error",
-                    err_pat)
-            run.log(run_id, cfg["steps"], "val", "minibatch_random", "error",
-                    err_rand)
-            entry["minibatch_pattern"] = err_pat
-            entry["minibatch_random"] = err_rand
-            set_population_stats(net, stats)
-            run.stats_checkpoint, run.params_checkpoint = checkpoints_from(net)
-        run.summary[name] = entry
+            # mini-batches of m: the crafted groups as drawn, then shuffled
+            shuffle_rng = np.random.default_rng(_seed(seed, 6))
+            for mode, rng in (("minibatch_pattern", None),
+                              ("minibatch_random", shuffle_rng)):
+                run.log(run_id, cfg["steps"], "val", mode, "error",
+                        evaluate(net, x_val, y_val, nbs=m, rng=rng),
+                        key=(name, mode))
+            run.checkpoint(net, snaps[-1][2])
     return run
 
 
@@ -770,8 +707,3 @@ SCENARIOS = {
     "shared_head": (run_shared_head, SHARED_HEAD_DEFAULTS),
     "leakage": (run_leakage, LEAKAGE_DEFAULTS),
 }
-
-
-def run_scenario(name, cfg, seed):
-    fn, _ = SCENARIOS[name]
-    return fn(cfg, seed)

@@ -128,8 +128,12 @@ class BatchMomentLog:
                     f"bad row {line!r}: mean and var must be finite, "
                     "var >= 0 and count >= 1"
                 )
-            rows.setdefault(idx, {})[chan] = (mean, var)
-            counts[idx] = count
+            chans = rows.setdefault(idx, {})
+            if chan in chans:
+                raise MalformedCsv(f"batch {idx} repeats channel {chan}")
+            if counts.setdefault(idx, count) != count:
+                raise MalformedCsv(f"batch {idx} has channels with different counts")
+            chans[chan] = (mean, var)
         log = cls()
         for idx in sorted(rows):
             chans = rows[idx]

@@ -39,6 +39,14 @@ def majority(results):
     return sum(bool(r) for r in results) >= (len(results) // 2 + 1)
 
 
+def report_margins(record_property, votes, margins):
+    """Attach each seed's margins ({seed: {name: value}}) to the test's
+    report; returns verdicts and margins as the assertion message."""
+    for seed, values in margins.items():
+        record_property(f"margins_seed{seed}", values)
+    return f"per-seed verdicts: {votes}; per-seed margins: {margins}"
+
+
 def _rand_net(rng, dims):
     """A 3-BN random network in a non-trivial (trained-looking) state."""
     from bnlab.net import Affine, Linear, Network, Relu
@@ -163,24 +171,26 @@ def test_c08_split_concat_moment_property():
     assert split_vs_concat(b1, b2_eq) <= 1e-12
 
 
-def test_c09_leakage_and_fixes():
-    votes = []
+def test_c09_leakage_and_fixes(record_property):
+    votes, margins = [], {}
     for seed in SEEDS:
         start = time.monotonic()
         run = run_leakage(dict(LEAKAGE_DEFAULTS), seed)
         elapsed = time.monotonic() - start
         s = run.summary
         gap = s["crafted"]["population"] - s["crafted"]["minibatch_pattern"]
-        fixes_ok = all(
-            abs(s[name]["population"] - s["control"]["population"]) <= 0.02
-            for name in ("shuffle_fix", "sync_fix", "ghost_fix")
-        )
+        fix_diffs = [abs(s[name]["population"] - s["control"]["population"])
+                     for name in ("shuffle_fix", "sync_fix", "ghost_fix")]
+        fixes_ok = all(d <= 0.02 for d in fix_diffs)
+        # gap >= 0.20, largest fix-vs-control difference <= 0.02
+        margins[seed] = {"gap": gap, "max_fix_vs_control": max(fix_diffs)}
         votes.append(gap >= 0.20 and fixes_ok and elapsed < 60.0)
-    assert majority(votes), f"per-seed verdicts: {votes}"
+    message = report_margins(record_property, votes, margins)
+    assert majority(votes), message
 
 
-def test_c10_shared_head_consistency():
-    votes = []
+def test_c10_shared_head_consistency(record_property):
+    votes, margins = [], {}
     for seed in SEEDS:
         run = run_shared_head(dict(SHARED_HEAD_DEFAULTS), seed)
         errs = [run.summary[f"row{r}"]["error"] for r in range(1, 7)]
@@ -188,32 +198,52 @@ def test_c10_shared_head_consistency():
         inconsistent = errs[1]
         degraded = all(inconsistent >= 2.0 * e for e in consistent)
         agree = max(consistent) - min(consistent) <= 0.03
+        # ratio >= 2, spread <= 0.03
+        margins[seed] = {
+            "ratio": (inconsistent / max(consistent) if max(consistent) > 0
+                      else float("inf")),
+            "spread": max(consistent) - min(consistent),
+        }
         votes.append(degraded and agree)
-    assert majority(votes), f"per-seed verdicts: {votes}"
+    message = report_margins(record_property, votes, margins)
+    assert majority(votes), message
 
 
-def test_c11_nbs_sweep_directions():
-    votes = []
+def test_c11_nbs_sweep_directions(record_property):
+    votes, margins = [], {}
     for seed in SEEDS:
         run = run_nbs_sweep(dict(NBS_SWEEP_DEFAULTS), seed)
         tr = [run.summary[str(b)]["train_minibatch"] for b in (2, 8, 32)]
         mono = tr[0] >= tr[1] >= tr[2]
         flip = (run.summary["2"]["val_population"]
                 > run.summary["2"]["val_minibatch"])
+        # train errors non-increasing in nbs, flip > 0
+        margins[seed] = {
+            "train_minibatch_nbs2_8_32": tr,
+            "flip": (run.summary["2"]["val_population"]
+                     - run.summary["2"]["val_minibatch"]),
+        }
         votes.append(mono and flip)
-    assert majority(votes), f"per-seed verdicts: {votes}"
+    message = report_margins(record_property, votes, margins)
+    assert majority(votes), message
 
 
-def test_c12_domain_adaptation_direction():
-    votes = []
+def test_c12_domain_adaptation_direction(record_property):
+    votes, margins = [], {}
     for seed in SEEDS:
         run = run_domain_adapt(dict(DOMAIN_ADAPT_DEFAULTS), seed)
         strong = run.summary["strong"]
         none = run.summary["none"]
         helps = strong["target_stats"] < strong["source_stats"]
         coincide = abs(none["target_stats"] - none["source_stats"]) <= 0.02
+        # helps > 0, coincide <= 0.02
+        margins[seed] = {
+            "helps": strong["source_stats"] - strong["target_stats"],
+            "coincide": abs(none["target_stats"] - none["source_stats"]),
+        }
         votes.append(helps and coincide)
-    assert majority(votes), f"per-seed verdicts: {votes}"
+    message = report_margins(record_property, votes, margins)
+    assert majority(votes), message
 
 
 def test_c13_metrics_byte_determinism(tmp_path):

@@ -14,7 +14,7 @@ def test_plan_validation():
     with pytest.raises(InvalidPlan):
         NormBatchPlan(strategy="ghost")  # needs sub_batch
     with pytest.raises(InvalidPlan):
-        NormBatchPlan(strategy="virtual")  # needs extra_source
+        NormBatchPlan(strategy="virtual")  # not a strategy (no extra rows)
     plan = NormBatchPlan(strategy="per_worker", worker_sizes=[3, 5])
     with pytest.raises(InvalidPlan):
         plan.sizes_for(9)

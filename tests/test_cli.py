@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bnlab import io
 from bnlab.cli import main
 from bnlab.layer import BnLayer
 from bnlab.stats import BatchMomentLog
@@ -21,14 +20,14 @@ def tiny_config():
     return str(QUICK_CONFIG)
 
 
-def test_run_writes_artifacts(tmp_path, tiny_config, capsys):
+def test_run_writes_artifacts(tmp_path, tiny_config, capsys, read_metrics):
     out = tmp_path / "out"
     code = main(["run", "domain_adapt", "--config", tiny_config,
                  "--seed", "1", "--out", str(out)])
     assert code == 0
     for name in ("metrics.csv", "summary.json", "stats.json", "params.json"):
         assert (out / name).exists(), name
-    rows = io.read_metrics_csv(str(out / "metrics.csv"))
+    rows = read_metrics(str(out / "metrics.csv"))
     assert rows and all(r[1] == "domain_adapt" for r in rows)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["scenario"] == "domain_adapt"
@@ -145,13 +144,25 @@ def test_estimate_rejects_non_finite_and_empty_rows(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_estimate_rejects_repeated_and_inconsistent_rows(tmp_path, capsys):
+    p = tmp_path / "moments.csv"
+    for rows, message in (("0,0,1.0,1.0,4\n0,1,2.0,1.0,4\n0,0,5.0,1.0,4",
+                           "repeats channel 0"),
+                          ("0,0,1.0,1.0,4\n0,1,2.0,1.0,8",
+                           "different counts")):
+        p.write_text(f"batch_index,channel,mean,var,count\n{rows}\n")
+        assert main(["estimate", "--input", str(p), "--method", "precise"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+
 def test_check_grad_reports_every_layer_type_once(capsys):
     assert main(["check-grad"]) == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l.strip()]
     names = [l.split()[0] for l in lines]
     assert sorted(names) == sorted([
-        "linear", "affine", "relu", "bn_train", "bn_frozen", "bn_virtual",
+        "linear", "affine", "relu", "bn_train", "bn_frozen",
         "network_train", "network_frozen", "bn_train_grouped",
         "linear_grouped", "affine_grouped", "meanpool", "meanpool_grouped",
         "shared_head_shared", "shared_head_per_domain",

@@ -25,7 +25,7 @@ from bnlab.net import (
 )
 from bnlab.precise import precise_bn, precise_bn_layerwise
 from bnlab.stats import BatchMomentLog, aggregate_moment_matching
-from bnlab.tensor import ChannelStats, as_tensor4
+from bnlab.tensor import ChannelStats
 
 CHANNELS, SITES, HIDDEN, CLASSES = 8, 4, 16, 5
 
@@ -90,19 +90,10 @@ def _ref_sgd_step(net, x, labels, cfg, step, plan, rng, velocity):
     totals = [None] * len(net.layers)
     loss_sum = 0.0
     for idx in cohorts:
-        xb = x[idx]
-        stop_rows = None
-        if plan is not None and plan.strategy == "virtual":
-            extra = as_tensor4(plan.extra_source(rng))
-            xb = np.concatenate([xb, extra], axis=0)
-            stop_rows = np.arange(len(idx), xb.shape[0])
-        logits, caches = net.forward(xb, modes=modes, update_stats=True)
-        real = logits[: len(idx)]
-        loss_c, dreal = softmax_cross_entropy(real, labels[idx])
+        logits, caches = net.forward(x[idx], modes=modes, update_stats=True)
+        loss_c, dlogits = softmax_cross_entropy(logits, labels[idx])
         loss_sum += loss_c * len(idx)
-        dlogits = np.zeros_like(logits)
-        dlogits[: len(idx)] = dreal * (len(idx) / n)
-        _, grads = net.backward(caches, dlogits, stop_rows=stop_rows)
+        _, grads = net.backward(caches, dlogits * (len(idx) / n))
         _ref_accumulate(totals, grads)
     lr = cfg.lr_at(step)
     for i, g in enumerate(totals):
@@ -184,10 +175,6 @@ def _assert_same_network(a, b):
                                        rtol=1e-12, atol=1e-12)
 
 
-def _extra_source(rng):
-    return rng.standard_normal((4, CHANNELS, SITES, 1))
-
-
 PLANS = {
     "ghost1": (32, NormBatchPlan(strategy="ghost", sub_batch=1)),
     "ghost2": (32, NormBatchPlan(strategy="ghost", sub_batch=2)),
@@ -200,8 +187,6 @@ PLANS = {
                                             worker_sizes=[3, 5])),
     "shuffle": (32, NormBatchPlan(strategy="shuffle", worker_sizes=[16, 16])),
     "sync": (32, NormBatchPlan(strategy="sync", worker_sizes=[16, 16])),
-    "virtual": (32, NormBatchPlan(strategy="virtual", worker_sizes=[16, 16],
-                                  extra_source=_extra_source)),
     "plain": (32, None),
 }
 
@@ -288,8 +273,6 @@ def test_cohort_stack_backward_keeps_the_stack_shape():
     stack = x.reshape(3, 4, *x.shape[1:])
     logits, caches = net.forward(stack, modes=BnMode.TRAIN_MINIBATCH)
     _, dlogits = softmax_cross_entropy(logits, labels.reshape(3, 4))
-    dx, grads = net.backward(caches, dlogits, stop_rows=[3])
+    dx, grads = net.backward(caches, dlogits)
     assert dx.shape == stack.shape
-    # the stopped row of every cohort gets exactly zero gradient
-    assert not dx[:, 3].any() and dx[:, :3].all()
     assert grads[0]["weight"].shape == (3, HIDDEN, CHANNELS)

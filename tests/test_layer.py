@@ -1,5 +1,5 @@
 """The normalization layer: mode selection, EMA side effects, freezing,
-cache discipline, and the frozen-affine fusion utilities."""
+cache discipline, and the frozen-affine fusion toy."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,8 @@ from bnlab.errors import (
     ShapeMismatch,
     StaleCache,
 )
-from bnlab.layer import BnLayer, BnMode, fuse_frozen, fusion_finetune_demo
-from bnlab.net import Affine, MeanPool, Network
+from bnlab.layer import BnLayer, BnMode, fusion_finetune_demo
+from bnlab.net import MeanPool, Network
 from bnlab.stats import BatchMomentLog
 from bnlab.tensor import ChannelStats, channel_moments
 
@@ -128,34 +128,6 @@ def test_layer_validation():
         layer.forward(np.zeros((2, 4, 1, 1)))
     with pytest.raises(EmptyBatch):
         layer.forward(np.zeros((0, 3, 1, 1)), mode=BnMode.EVAL_MINIBATCH)
-
-
-def test_fuse_frozen_matches_unfused_pipeline():
-    rng = np.random.default_rng(8)
-    c_in, c_out = 4, 3
-    weight = rng.standard_normal((c_out, c_in))
-    bias = rng.standard_normal(c_out)
-    stats = ChannelStats(rng.standard_normal(c_out),
-                         rng.uniform(0.5, 2.0, c_out), 64)
-    aff = Affine(rng.uniform(0.5, 1.5, c_out), rng.standard_normal(c_out))
-    fw, fb = fuse_frozen(stats, aff, weight, bias, eps=1e-5)
-    x = rng.standard_normal((10, c_in))
-    pre = x @ weight.T + bias
-    xhat = (pre - stats.mean) / np.sqrt(stats.var + 1e-5)
-    ref = xhat * aff.gamma + aff.beta
-    np.testing.assert_allclose(x @ fw.T + fb, ref, atol=1e-12)
-
-
-def test_fuse_frozen_shape_checks():
-    stats = ChannelStats(np.zeros(3), np.ones(3), 8)
-    aff = Affine.identity(3)
-    with pytest.raises(ShapeMismatch):
-        fuse_frozen(stats, aff, np.zeros((4, 2)), np.zeros(4))
-    with pytest.raises(ShapeMismatch):
-        fuse_frozen(stats, Affine.identity(2), np.zeros((3, 2)), np.zeros(3))
-    with pytest.raises(ShapeMismatch):  # beta must match gamma's width
-        fuse_frozen(stats, Affine(np.ones(3), np.zeros(2)), np.zeros((3, 2)),
-                    np.zeros(3))
 
 
 def test_fusion_demo_validation():

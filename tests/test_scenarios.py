@@ -5,7 +5,7 @@ exists for are asserted at full size in the acceptance gate."""
 import pytest
 
 from bnlab import io
-from bnlab.scenarios import SCENARIOS, ScenarioRun, run_scenario
+from bnlab.scenarios import SCENARIOS, ScenarioRun
 
 TINY = {
     "ema_vs_precise": {
@@ -42,7 +42,7 @@ def tiny_config(name):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_smoke_and_row_format(name):
-    run = run_scenario(name, tiny_config(name), seed=0)
+    run = SCENARIOS[name][0](tiny_config(name), seed=0)
     assert isinstance(run, ScenarioRun)
     assert run.scenario == name
     assert run.rows, "scenario produced no metric rows"
@@ -60,15 +60,15 @@ def test_scenario_smoke_and_row_format(name):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_rows_deterministic(name):
     cfg = tiny_config(name)
-    a = run_scenario(name, cfg, seed=1)
-    b = run_scenario(name, cfg, seed=1)
+    a = SCENARIOS[name][0](cfg, seed=1)
+    b = SCENARIOS[name][0](cfg, seed=1)
     assert a.rows == b.rows
     assert a.summary == b.summary
 
 
 def test_scenarios_with_checkpoints_fill_them():
     for name in ("ema_vs_precise", "domain_adapt"):
-        run = run_scenario(name, tiny_config(name), seed=0)
+        run = SCENARIOS[name][0](tiny_config(name), seed=0)
         assert run.stats_checkpoint, name
         assert run.params_checkpoint, name
         for entry in run.stats_checkpoint.values():
@@ -78,6 +78,6 @@ def test_scenarios_with_checkpoints_fill_them():
 
 def test_different_seeds_differ():
     cfg = tiny_config("domain_adapt")
-    a = run_scenario("domain_adapt", cfg, seed=0)
-    b = run_scenario("domain_adapt", cfg, seed=1)
+    a = SCENARIOS["domain_adapt"][0](cfg, seed=0)
+    b = SCENARIOS["domain_adapt"][0](cfg, seed=1)
     assert a.rows != b.rows

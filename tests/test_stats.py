@@ -109,6 +109,13 @@ def test_moment_log_csv_roundtrip():
     "batch_index,channel,mean,var,count\n0,0,0.0,inf,4\n",
     "batch_index,channel,mean,var,count\n0,0,0.0,-1.0,4\n",
     "batch_index,channel,mean,var,count\n0,0,0.0,1.0,0\n",
+    # a repeated (batch_index, channel) row
+    "batch_index,channel,mean,var,count\n0,0,1.0,1.0,4\n0,1,2.0,1.0,4\n"
+    "0,0,5.0,1.0,4\n",
+    # channels of one batch with different counts
+    "batch_index,channel,mean,var,count\n0,0,1.0,1.0,4\n0,1,2.0,1.0,8\n",
+    "batch_index,channel,mean,var,count\n0,0,1.0,1.0,4\n0,1,2.0,1.0,8\n"
+    "0,0,5.0,1.0,4\n",
 ])
 def test_moment_log_rejects_malformed_csv(text):
     with pytest.raises(MalformedCsv):
