@@ -8,6 +8,13 @@ pass over G equal-size normalization cohorts carries them as one
 over that cohort alone would (one GEMM per cohort, per-cohort moments and
 parameter-gradient sums), so one grouped pass is bit-identical to G
 separate ones.
+
+In memory the activations are channels-last, the layout Linear's GEMM
+writes, and every backward returns its input gradient in its forward
+input's layout (Linear's is channels-last even for a channels-first network
+input, whose gradient training never reads): an op over arrays of two
+layouts runs several times slower, and numpy's reduction order (hence the
+rounding) follows the layout.
 """
 
 from dataclasses import dataclass
@@ -144,11 +151,16 @@ class MeanPool:
 
     def forward(self, x):
         x = as_batch(x)
-        return x.mean(axis=(-2, -1), keepdims=True), x.shape
+        h, w = x.shape[-2:]
+        return np.add.reduce(x, axis=(-2, -1), keepdims=True) / (h * w), x
 
     def backward(self, cache, dy):
-        h, w = cache[-2:]
-        return np.broadcast_to(dy / (h * w), cache).copy(), None
+        # in the input's (channels-last) layout, so the backward passes of
+        # the layers before the pool combine arrays of one layout
+        h, w = cache.shape[-2:]
+        dx = np.empty_like(cache)
+        dx[...] = dy / (h * w)
+        return dx, None
 
 
 class NetCaches:

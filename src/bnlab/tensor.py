@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatch, ShapeMismatch
+from .errors import EmptyBatch, InvalidParams, ShapeMismatch
 
 __all__ = [
     "ChannelStats",
@@ -87,8 +87,10 @@ def channel_moments(x: np.ndarray) -> ChannelStats:
     if n == 0:
         raise EmptyBatch("cannot compute channel moments of a batch with 0 samples")
     count = n * h * w
-    mean = x.mean(axis=SAMPLE_AXES)
-    var = np.square(x - mean[..., None, :, None, None]).mean(axis=SAMPLE_AXES)
+    # add.reduce and / count give mean's result without its wrapper calls
+    mean = np.add.reduce(x, axis=SAMPLE_AXES) / count
+    var = np.add.reduce(np.square(x - mean[..., None, :, None, None]),
+                        axis=SAMPLE_AXES) / count
     return ChannelStats(mean=mean, var=var, count=count)
 
 
@@ -111,7 +113,7 @@ def normalize(x: np.ndarray, stats: ChannelStats, eps: float) -> np.ndarray:
     if eps <= 0:
         # eps == 0 is allowed only when every channel variance is positive
         if eps < 0 or np.any(stats.var <= 0):
-            raise ValueError("eps must be positive")
+            raise InvalidParams("eps must be positive")
     inv = 1.0 / np.sqrt(stats.var + eps)
     return (x - stats.mean[..., None, :, None, None]) * inv[..., None, :, None, None]
 

@@ -55,7 +55,40 @@ def test_meanpool_forward_backward():
     np.testing.assert_allclose(y[:, :, 0, 0], x.mean(axis=(2, 3)))
     dy = rng.standard_normal(y.shape)
     dx, _ = pool.backward(cache, dy)
-    np.testing.assert_allclose(dx, np.broadcast_to(dy / 4.0, x.shape))
+    np.testing.assert_array_equal(dx, np.broadcast_to(dy / 4.0, x.shape))
+
+
+def _stride_order(a):
+    # axes from outermost to innermost in memory; length-1 axes have no place
+    return sorted((i for i in range(a.ndim) if a.shape[i] > 1),
+                  key=lambda i: -a.strides[i])
+
+
+@pytest.mark.parametrize("mode", [BnMode.TRAIN_MINIBATCH, BnMode.EVAL_POPULATION])
+def test_backward_returns_gradients_in_the_forward_input_layout(mode):
+    rng = np.random.default_rng(11)
+    layers = [
+        BnLayer(6), Affine.identity(6), Relu(), Linear.init(rng, 6, 5),
+        BnLayer(5), Affine.identity(5), Relu(), MeanPool(), Linear.init(rng, 5, 3),
+    ]
+    # a (G, n, C, H, W) cohort stack as a Linear writes it: channels last
+    x, _ = Linear.init(rng, 4, 6).forward(rng.standard_normal((3, 2, 4, 2, 3)))
+    assert _stride_order(x) == [0, 1, 3, 4, 2]
+    inputs, caches = [], []
+    for layer in layers:
+        inputs.append(x)
+        if isinstance(layer, BnLayer):
+            x, cache = layer.forward(x, mode=mode)
+        else:
+            x, cache = layer.forward(x)
+        caches.append(cache)
+    dy = rng.standard_normal(x.shape)
+    for layer, x_in, cache in reversed(list(zip(layers, inputs, caches))):
+        dy = layer.backward(cache, dy)
+        if not isinstance(layer, BnLayer):
+            dy = dy[0]
+        assert dy.shape == x_in.shape
+        assert _stride_order(dy) == _stride_order(x_in), type(layer).__name__
 
 
 def test_softmax_cross_entropy_matches_manual():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bnlab.errors import EmptyBatch, ShapeMismatch
+from bnlab.errors import EmptyBatch, InvalidParams, ShapeMismatch
 from bnlab.tensor import ChannelStats, as_tensor4, channel_moments, normalize
 
 
@@ -41,9 +41,9 @@ def test_normalize_standardizes():
 def test_normalize_validates_eps_and_channels():
     x = np.ones((2, 3, 1, 1))
     stats = ChannelStats(np.zeros(3), np.zeros(3), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         normalize(x, stats, eps=0.0)  # zero variance needs positive eps
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         normalize(x, stats, eps=-1.0)
     with pytest.raises(ShapeMismatch):
         normalize(x, ChannelStats(np.zeros(2), np.ones(2), 2), eps=1e-5)
