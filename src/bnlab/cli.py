@@ -76,15 +76,22 @@ def cmd_run(args):
     fn, _ = SCENARIOS[args.scenario]
     try:
         result = fn(cfg, args.seed)
+        checkpoints = {
+            f"{args.out}/summary.json": {
+                "scenario": result.scenario,
+                "seed": args.seed,
+                "config": cfg,
+                "summary": result.summary,
+            },
+            f"{args.out}/stats.json": result.stats_checkpoint,
+            f"{args.out}/params.json": result.params_checkpoint,
+        }
+        # a diverged run writes none of its artifacts
+        for path, payload in checkpoints.items():
+            io.check_finite(path, payload)
         io.write_metrics_csv(f"{args.out}/metrics.csv", result.rows)
-        io.write_json(f"{args.out}/summary.json", {
-            "scenario": result.scenario,
-            "seed": args.seed,
-            "config": cfg,
-            "summary": result.summary,
-        })
-        io.write_json(f"{args.out}/stats.json", result.stats_checkpoint)
-        io.write_json(f"{args.out}/params.json", result.params_checkpoint)
+        for path, payload in checkpoints.items():
+            io.write_json(path, payload)
     except (BnLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         traceback.print_exc(limit=2, file=sys.stderr)
@@ -133,11 +140,12 @@ def cmd_estimate(args):
 
 def cmd_check_grad(args):
     report = run_full_suite(seed=args.seed)
+    width = max(map(len, report))
     ok = True
     for name, err in report.items():
         status = "ok" if err < TOLERANCE else "FAIL"
         ok = ok and err < TOLERANCE
-        print(f"{name:16s} max rel err {err:.3e}  {status}")
+        print(f"{name:{width}s} max rel err {err:.3e}  {status}")
     return EXIT_OK if ok else EXIT_RUNTIME
 
 

@@ -1,18 +1,16 @@
 """Finite-difference verification of every layer backward and of the
-composed networks (``Network`` and shared_head's ``SharedHeadNet``)."""
+composed networks (``Network`` and shared_head's ``SharedHeadNet``).
+
+Every layer has the same protocol, ``forward(x) -> (y, cache)`` and
+``backward(cache, dy) -> (dx, grads)``, so one ``check_layer`` covers each
+entry of the ``LAYER_CASES`` table.
+"""
 
 import numpy as np
 
 from .batching import PER_DOMAIN, SHARED, DomainPolicy
-from .layer import BnLayer, BnMode
-from .net import (
-    Affine,
-    Linear,
-    MeanPool,
-    Network,
-    Relu,
-    softmax_cross_entropy,
-)
+from .layer import BnLayer
+from .net import Affine, Linear, MeanPool, Network, Relu, softmax_cross_entropy
 from .scenarios import SharedHeadNet
 from .tensor import ChannelStats
 
@@ -46,165 +44,80 @@ def relative_error(a, b):
     return float(np.abs(a - b).max() / scale)
 
 
-def _loss_weights(rng, shape):
-    # fixed random linear functional so the scalar loss exercises all outputs
-    return rng.standard_normal(shape)
-
-
-def _check_layer_input(forward, backward, x, rng):
-    w = _loss_weights(rng, forward(x).shape)
-
-    def f(xv):
-        return float((forward(xv) * w).sum())
-
-    analytic = backward(x, w)
-    numeric = numerical_gradient(f, x.copy())
-    return relative_error(analytic, numeric)
-
-
-def _check_param_layer(layer, x, rng):
-    """Input and parameter gradients of a Linear or Affine layer.
+def check_layer(layer, x, rng):
+    """Max relative error of a layer's input gradient and of each parameter
+    gradient, under the loss sum(forward(x) * w) for a fixed random w.
 
     For a (G, n, C, H, W) cohort stack the parameter gradients carry a
     leading cohort axis; cohort g's slice is checked against finite
     differences of the part of the loss on cohort g's outputs.
     """
-    def fwd(xv):
-        y, _ = layer.forward(xv)
-        return y
+    def out(xv):
+        return layer.forward(xv)[0]
 
-    def bwd(xv, w):
-        _, cache = layer.forward(xv)
-        dx, _ = layer.backward(cache, w)
-        return dx
-
-    errs = [_check_layer_input(fwd, bwd, x, rng)]
-    w = _loss_weights(rng, fwd(x).shape)
-    _, cache = layer.forward(x)
-    _, grads = layer.backward(cache, w)
-    cohorts = range(x.shape[0]) if x.ndim == 5 else [None]
-    for name in layer.param_names:
-        p = getattr(layer, name)
-        for g in cohorts:
-            w_g, analytic = w, grads[name]
-            if g is not None:
-                w_g = np.zeros_like(w)
-                w_g[g] = w[g]
-                analytic = analytic[g]
-
-            def f(pv, name=name, w_g=w_g):
-                old = getattr(layer, name)
-                setattr(layer, name, pv)
-                y, _ = layer.forward(x)
-                setattr(layer, name, old)
-                return float((y * w_g).sum())
-
-            errs.append(relative_error(analytic, numerical_gradient(f, p.copy())))
+    w = rng.standard_normal(out(x).shape)
+    dx, grads = layer.backward(layer.forward(x)[1], w)
+    errs = [relative_error(dx, numerical_gradient(
+        lambda xv: float((out(xv) * w).sum()), x.copy()))]
+    for g in range(x.shape[0]) if x.ndim == 5 else [None]:
+        w_g, grads_g = w, grads or {}
+        if g is not None:
+            w_g = np.zeros_like(w)
+            w_g[g] = w[g]
+            grads_g = {k: v[g] for k, v in grads_g.items()}
+        errs += _param_errors([(layer, grads_g)],
+                              lambda: float((out(x) * w_g).sum()))
     return max(errs)
 
 
-def check_linear(rng, shape=(6, 4, 1, 1)):
-    return _check_param_layer(Linear.init(rng, 4, 5), rng.standard_normal(shape),
-                              rng)
+def _affine(rng):
+    return Affine(rng.standard_normal(3), rng.standard_normal(3))
 
 
-def check_affine(rng, shape=(4, 3, 2, 2)):
-    layer = Affine(rng.standard_normal(3), rng.standard_normal(3))
-    return _check_param_layer(layer, rng.standard_normal(shape), rng)
-
-
-def check_meanpool(rng, shape=(4, 3, 2, 3)):
-    layer = MeanPool()
-
-    def fwd(xv):
-        y, _ = layer.forward(xv)
-        return y
-
-    def bwd(xv, w):
-        _, cache = layer.forward(xv)
-        return layer.backward(cache, w)[0]
-
-    return _check_layer_input(fwd, bwd, rng.standard_normal(shape), rng)
-
-
-def check_relu(rng):
-    layer = Relu()
-    # keep inputs away from the kink so finite differences are valid
-    x = rng.standard_normal((5, 3, 2, 2))
-    x = np.where(np.abs(x) < 0.2, x + np.sign(x) * 0.3, x)
-
-    def fwd(xv):
-        y, _ = layer.forward(xv)
-        return y
-
-    def bwd(xv, w):
-        _, cache = layer.forward(xv)
-        return layer.backward(cache, w)[0]
-
-    return _check_layer_input(fwd, bwd, x, rng)
-
-
-def check_bn_train(rng, shape=(4, 3, 2, 2)):
-    """Batch-statistics backward; a (G, n, C, H, W) shape checks a cohort
-    stack, each cohort normalized by its own moments."""
-    layer = BnLayer(3, eps=1e-5)
-    x = rng.standard_normal(shape)
-
-    def fwd(xv):
-        y, _ = layer.forward(xv, mode=BnMode.TRAIN_MINIBATCH, update_stats=False)
-        return y
-
-    def bwd(xv, w):
-        _, cache = layer.forward(xv, mode=BnMode.TRAIN_MINIBATCH, update_stats=False)
-        return layer.backward(cache, w)
-
-    return _check_layer_input(fwd, bwd, x, rng)
-
-
-def check_bn_frozen(rng):
-    layer = BnLayer(3, eps=1e-5)
+def _frozen_bn(rng):
+    layer = BnLayer(3)
     layer.freeze(ChannelStats(rng.standard_normal(3), rng.uniform(0.5, 2.0, 3), 8))
-    x = rng.standard_normal((4, 3, 2, 2))
-
-    def fwd(xv):
-        y, _ = layer.forward(xv, mode=BnMode.FROZEN)
-        return y
-
-    def bwd(xv, w):
-        _, cache = layer.forward(xv, mode=BnMode.FROZEN)
-        return layer.backward(cache, w)
-
-    return _check_layer_input(fwd, bwd, x, rng)
+    return layer
 
 
-def _toy_network(rng, frozen=False):
+# component -> (layer factory, input shape); a 5-d shape is a cohort stack
+# of G=3, each cohort with its own moments and parameter gradients
+LAYER_CASES = {
+    "linear": (lambda rng: Linear.init(rng, 4, 5), (6, 4, 1, 1)),
+    "affine": (_affine, (4, 3, 2, 2)),
+    "relu": (lambda rng: Relu(), (5, 3, 2, 2)),
+    "bn_train": (lambda rng: BnLayer(3), (4, 3, 2, 2)),
+    "bn_frozen": (_frozen_bn, (4, 3, 2, 2)),
+    "bn_train_grouped": (lambda rng: BnLayer(3), (3, 4, 3, 2, 2)),
+    "linear_grouped": (lambda rng: Linear.init(rng, 4, 5), (3, 2, 4, 2, 1)),
+    "affine_grouped": (_affine, (3, 2, 3, 2, 2)),
+    "meanpool": (lambda rng: MeanPool(), (4, 3, 2, 3)),
+    "meanpool_grouped": (lambda rng: MeanPool(), (3, 2, 3, 2, 3)),
+}
+
+
+def check_network(rng, frozen=False):
+    """Input and parameter gradients of a small Network, each BN layer in
+    its own mode: TRAIN_MINIBATCH, or FROZEN once frozen."""
     net = Network([
         Linear.init(rng, 4, 5),
-        BnLayer(5, eps=1e-5),
+        BnLayer(5),
         Affine(rng.uniform(0.5, 1.5, 5), rng.standard_normal(5)),
         Relu(),
         Linear.init(rng, 5, 3),
     ])
     if frozen:
-        for i in net.bn_indices:
-            net.layers[i].freeze(
-                ChannelStats(rng.standard_normal(5), rng.uniform(0.5, 2.0, 5), 8)
-            )
-    return net
-
-
-def check_network(rng, frozen=False):
-    net = _toy_network(rng, frozen=frozen)
-    mode = BnMode.FROZEN if frozen else BnMode.TRAIN_MINIBATCH
+        net.layers[1].freeze(
+            ChannelStats(rng.standard_normal(5), rng.uniform(0.5, 2.0, 5), 8))
     x = rng.standard_normal((6, 4, 1, 1))
     labels = rng.integers(0, 3, size=6)
 
     def loss_of(xv):
-        logits, _ = net.forward(xv, modes=mode, update_stats=False)
+        logits, _ = net.forward(xv, update_stats=False)
         loss, _ = softmax_cross_entropy(logits, labels)
         return loss
 
-    logits, caches = net.forward(x, modes=mode, update_stats=False)
+    logits, caches = net.forward(x, update_stats=False)
     _, dlogits = softmax_cross_entropy(logits, labels)
     dx, grads = net.backward(caches, dlogits)
     errs = [relative_error(dx, numerical_gradient(loss_of, x.copy()))]
@@ -243,7 +156,7 @@ def check_shared_head(rng, sgd_stats, domains=3):
     net.affine = Affine(rng.uniform(0.5, 1.5, (domains, 5)),
                         rng.standard_normal((domains, 5)))
     x = rng.standard_normal((domains, 4, 4, 1, 1))
-    w = _loss_weights(rng, (domains, 4, 3))
+    w = rng.standard_normal((domains, 4, 3))
 
     def loss_of():
         logits, _ = net.forward_train(x)
@@ -258,21 +171,15 @@ def check_shared_head(rng, sgd_stats, domains=3):
 def run_full_suite(seed=0):
     """Max relative finite-difference error per checked component."""
     rng = np.random.default_rng(seed)
-    return {
-        "linear": check_linear(rng),
-        "affine": check_affine(rng),
-        "relu": check_relu(rng),
-        "bn_train": check_bn_train(rng),
-        "bn_frozen": check_bn_frozen(rng),
-        "network_train": check_network(rng, frozen=False),
-        "network_frozen": check_network(rng, frozen=True),
-        # cohort stacks of G=3: per-cohort moments and parameter gradients
-        "bn_train_grouped": check_bn_train(rng, shape=(3, 4, 3, 2, 2)),
-        "linear_grouped": check_linear(rng, shape=(3, 2, 4, 2, 1)),
-        "affine_grouped": check_affine(rng, shape=(3, 2, 3, 2, 2)),
-        "meanpool": check_meanpool(rng),
-        "meanpool_grouped": check_meanpool(rng, shape=(3, 2, 3, 2, 3)),
-        # shared_head's domain stack of D=3, with a per-domain affine
-        "shared_head_shared": check_shared_head(rng, SHARED),
-        "shared_head_per_domain": check_shared_head(rng, PER_DOMAIN),
-    }
+    report = {}
+    for name, (make_layer, shape) in LAYER_CASES.items():
+        x = rng.standard_normal(shape)
+        # keep inputs away from relu's kink so finite differences are valid
+        x = np.where(np.abs(x) < 0.2, x + np.sign(x) * 0.3, x)
+        report[name] = check_layer(make_layer(rng), x, rng)
+    report["network_train"] = check_network(rng, frozen=False)
+    report["network_frozen"] = check_network(rng, frozen=True)
+    # shared_head's domain stack of D=3, with a per-domain affine
+    report["shared_head_shared"] = check_shared_head(rng, SHARED)
+    report["shared_head_per_domain"] = check_shared_head(rng, PER_DOMAIN)
+    return report

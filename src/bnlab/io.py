@@ -5,19 +5,22 @@ format, one metric observation per row), ``summary.json``, and the
 ``stats.json`` / ``params.json`` checkpoints.  All writes are atomic
 (temp file + rename) and byte-deterministic for a fixed seed: floats are
 serialized with ``repr`` so the shortest round-trippable decimal is used.
+JSON has no NaN or infinity, so a payload holding one is refused.
 """
 
 import csv
 import json
+import math
 import os
 import tempfile
 
-from .errors import ConfigError
+from .errors import BnLabError, ConfigError
 
 __all__ = [
     "load_config",
     "validate_config",
     "write_metrics_csv",
+    "check_finite",
     "write_json",
     "METRICS_HEADER",
 ]
@@ -119,10 +122,32 @@ def _reprify(obj):
     return obj
 
 
-def write_json(path, payload):
-    def writer(fh):
-        json.dump(_reprify(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _nonfinite_key(obj, key=""):
+    """Key path of the first NaN or infinity in ``obj`` in file order."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else key
+    if isinstance(obj, dict):
+        items = ((f"{key}.{k}", v) for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_nonfinite_key(v, k) for k, v in items)), None)
 
-    _atomic_write(path, writer)
+
+def check_finite(path, payload):
+    """Raise BnLabError naming ``path`` and the key path of the first NaN or
+    infinity in ``payload``, the JSON to be written there."""
+    try:
+        json.dumps(payload, allow_nan=False)
+    except ValueError:
+        key = _nonfinite_key(payload).lstrip(".")
+        raise BnLabError(f"{path}: non-finite value at {key}; not written") from None
+
+
+def write_json(path, payload):
+    """Write ``payload`` atomically; a non-finite float creates no file."""
+    check_finite(path, payload)
+    text = json.dumps(_reprify(payload), indent=2, sort_keys=True) + "\n"
+    _atomic_write(path, lambda fh: fh.write(text))
 

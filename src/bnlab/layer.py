@@ -64,6 +64,8 @@ class BnLayer:
         self.frozen = None
         self.mode = BnMode.TRAIN_MINIBATCH
 
+    param_names = ()
+
     def eval_stats(self) -> ChannelStats:
         if self.pop is not None:
             return self.pop
@@ -114,7 +116,7 @@ class BnLayer:
         return y, cache
 
     def backward(self, cache: BnCache, dy):
-        """Gradient w.r.t. the input.
+        """(input gradient, None): the layer has no parameters.
 
         For batch-statistics modes the mean and variance are treated as
         functions of x; for population/frozen modes they are constants.
@@ -122,8 +124,8 @@ class BnLayer:
         cache = cache.take()
         dy = as_batch(dy)
         if cache.moments is None:
-            return dy * cache.inv_std[..., None, :, None, None]
-        return batch_stats_backward(cache.x_hat, cache.inv_std, dy)
+            return dy * cache.inv_std[..., None, :, None, None], None
+        return batch_stats_backward(cache.x_hat, cache.inv_std, dy), None
 
 
 def batch_stats_backward(x_hat, inv_std, dy):

@@ -213,7 +213,7 @@ class Network:
                 mode = modes
                 if isinstance(modes, dict):
                     mode = modes.get(i)
-                y, cache = layer.forward(
+                x, cache = layer.forward(
                     x,
                     mode=mode,
                     update_stats=update_stats,
@@ -223,11 +223,9 @@ class Network:
                         and cache.mode is BnMode.TRAIN_MINIBATCH:
                     for stats in cache.moments.cohorts():
                         moment_sinks[i].append(stats)
-                x = y
-                caches.append(cache)
             else:
                 x, cache = layer.forward(x)
-                caches.append(cache)
+            caches.append(cache)
         return to2(x), NetCaches(caches)
 
     def backward(self, caches, dlogits):
@@ -240,11 +238,7 @@ class Network:
         dy = to4(dlogits)
         grads = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
-            if isinstance(layer, BnLayer):
-                dy = layer.backward(per_layer[i], dy)
-            else:
-                dy, grads[i] = layer.backward(per_layer[i], dy)
+            dy, grads[i] = self.layers[i].backward(per_layer[i], dy)
         return dy, grads
 
 
@@ -312,17 +306,12 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, velocity):
     cohorts = (
         cohort_indices(plan, n, rng) if plan is not None else [np.arange(n)]
     )
-    # frozen layers stay frozen during fine-tuning; the rest train on batch stats
-    modes = {
-        i: (BnMode.FROZEN if net.layers[i].frozen is not None
-            else BnMode.TRAIN_MINIBATCH)
-        for i in net.bn_indices
-    }
     totals = [None] * len(net.layers)
     loss_sum = 0.0
     for first, groups, size in cohort_runs(map(len, cohorts)):
         idx = np.stack(cohorts[first : first + groups])
-        logits, caches = net.forward(x[idx], modes=modes, update_stats=True)
+        # each BN layer's own mode: FROZEN once frozen, else TRAIN_MINIBATCH
+        logits, caches = net.forward(x[idx], update_stats=True)
         loss_c, dlogits = softmax_cross_entropy(logits, labels[idx])
         # builtin sum adds the cohort losses one at a time, in order
         loss_sum = sum(loss_c * size, loss_sum)
@@ -358,19 +347,19 @@ def train(net, batch_fn, cfg: SgdConfig, plan: NormBatchPlan | None = None,
 
 
 def classification_error(net, x, labels, *, mode=BnMode.EVAL_POPULATION,
-                         cohort_sizes=None, pop_override=None,
-                         batch=EVAL_CHUNK_ROWS):
+                         cohort_sizes=None, pop_override=None):
     """Top-1 error of the network on (x, labels).
 
     Population / frozen modes chunk the data for memory only (per-sample
     semantics).  Mini-batch modes normalize each cohort independently;
     ``cohort_sizes`` partitions the data in order (default: one cohort per
-    ``batch`` chunk).  Runs of equal-size cohorts go through the network
-    as grouped passes of at most ``batch`` rows (or one cohort).
+    EVAL_CHUNK_ROWS chunk).  Runs of equal-size cohorts go through the
+    network as grouped passes of at most EVAL_CHUNK_ROWS rows (or one
+    cohort).
     """
     x = as_tensor4(x)
     n = x.shape[0]
-    sizes = even_sizes(n, batch)
+    sizes = even_sizes(n, EVAL_CHUNK_ROWS)
     if mode not in (BnMode.EVAL_POPULATION, BnMode.FROZEN) \
             and cohort_sizes is not None:
         sizes = list(cohort_sizes)
@@ -378,7 +367,7 @@ def classification_error(net, x, labels, *, mode=BnMode.EVAL_POPULATION,
             raise InvalidParams("cohort sizes must partition the data")
     offsets = np.cumsum([0, *sizes])
     wrong = 0
-    for first, groups, size in cohort_runs(sizes, max_rows=batch):
+    for first, groups, size in cohort_runs(sizes, max_rows=EVAL_CHUNK_ROWS):
         start = offsets[first]
         stop = start + groups * size
         logits, _ = net.forward(

@@ -5,7 +5,7 @@ from .batching import cohort_runs, even_sizes
 from .errors import EmptyPopulation, InvalidParams
 from .layer import BnMode
 from .net import EVAL_CHUNK_ROWS
-from .stats import BatchMomentLog, aggregate_moment_matching, aggregate_naive
+from .stats import BatchMomentLog, aggregate_moment_matching
 from .tensor import as_tensor4
 
 __all__ = ["precise_bn", "precise_bn_layerwise", "set_population_stats"]
@@ -23,10 +23,9 @@ def _passes(population, batch_size):
         start = stop
 
 
-def precise_bn(net, population, batch_size, *, aggregator="moment_matching",
-               bessel=False):
+def precise_bn(net, population, batch_size):
     """Forward the population in mini-batches with every BN layer computing
-    batch statistics, then aggregate each layer's moment log.
+    batch statistics, then pool each layer's moment log by moment matching.
 
     The model is read-only during the pass: no parameter updates, no EMA
     updates.  A final ragged batch (N mod B != 0) is processed as its own
@@ -47,15 +46,10 @@ def precise_bn(net, population, batch_size, *, aggregator="moment_matching",
             update_stats=False,
             moment_sinks=sinks,
         )
-    if aggregator == "moment_matching":
-        return {i: aggregate_moment_matching(log, bessel=bessel)
-                for i, log in sinks.items()}
-    if aggregator == "naive":
-        return {i: aggregate_naive(log) for i, log in sinks.items()}
-    raise InvalidParams(f"unknown aggregator {aggregator!r}")
+    return {i: aggregate_moment_matching(log) for i, log in sinks.items()}
 
 
-def precise_bn_layerwise(net, population, batch_size, *, bessel=False):
+def precise_bn_layerwise(net, population, batch_size):
     """Exact population statistics at any batch size, layer by layer.
 
     For the j-th BN layer: layers before j normalize with their already
@@ -70,11 +64,8 @@ def precise_bn_layerwise(net, population, batch_size, *, bessel=False):
         raise InvalidParams("batch_size must be >= 1")
     result = {}
     for j in net.bn_indices:
-        modes = {i: BnMode.EVAL_POPULATION for i in result}
-        modes[j] = BnMode.TRAIN_MINIBATCH
-        for i in net.bn_indices:
-            if i > j:
-                modes[i] = BnMode.TRAIN_MINIBATCH
+        modes = {i: BnMode.EVAL_POPULATION if i < j else BnMode.TRAIN_MINIBATCH
+                 for i in net.bn_indices}
         sink = {j: BatchMomentLog()}
         for xb in _passes(population, batch_size):
             net.forward(
@@ -84,7 +75,7 @@ def precise_bn_layerwise(net, population, batch_size, *, bessel=False):
                 pop_override=dict(result),
                 moment_sinks=sink,
             )
-        result[j] = aggregate_moment_matching(sink[j], bessel=bessel)
+        result[j] = aggregate_moment_matching(sink[j])
     return result
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from bnlab.cli import main
 from bnlab.layer import BnLayer
+from bnlab.net import Affine, Linear, MeanPool, Relu
 from bnlab.stats import BatchMomentLog
 from bnlab.tensor import channel_moments
 
@@ -69,6 +70,20 @@ def test_run_rejects_invalid_json(tmp_path, capsys):
     code = main(["run", "domain_adapt", "--config", str(cfg),
                  "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def test_run_diverged_is_runtime_error_and_writes_nothing(tmp_path, capsys):
+    # the loss and parameters stay finite, but the BN statistics overflow
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps({"lr": 1e6, "steps": 50}))
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "domain_adapt", "--config", str(cfg),
+                     "--seed", "0", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{out}/stats.json: non-finite value at bn" in err
+    assert not out.exists()
 
 
 def _write_moments_csv(path, batches):
@@ -170,12 +185,14 @@ def test_check_grad_reports_every_layer_type_once(capsys):
     assert all("ok" in l for l in lines)
 
 
-def test_check_grad_catches_sign_flip(monkeypatch, capsys):
-    orig = BnLayer.backward
+@pytest.mark.parametrize("layer_type", [Linear, Affine, Relu, MeanPool, BnLayer])
+def test_check_grad_catches_sign_flip(monkeypatch, capsys, layer_type):
+    orig = layer_type.backward
 
     def flipped(self, cache, dy):
-        return -orig(self, cache, dy)
+        dx, grads = orig(self, cache, dy)
+        return -dx, grads
 
-    monkeypatch.setattr(BnLayer, "backward", flipped)
+    monkeypatch.setattr(layer_type, "backward", flipped)
     assert main(["check-grad"]) == 1
     assert "FAIL" in capsys.readouterr().out

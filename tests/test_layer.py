@@ -103,7 +103,7 @@ def test_frozen_backward_is_constant_scale():
     x = _x(rng)
     _, cache = layer.forward(x)
     dy = rng.standard_normal(x.shape)
-    dx = layer.backward(cache, dy)
+    dx, _ = layer.backward(cache, dy)
     inv = 1.0 / np.sqrt(np.array([1.0, 4.0, 9.0]) + layer.eps)
     np.testing.assert_allclose(dx, dy * inv[None, :, None, None])
 

@@ -84,9 +84,9 @@ def test_backward_returns_gradients_in_the_forward_input_layout(mode):
         caches.append(cache)
     dy = rng.standard_normal(x.shape)
     for layer, x_in, cache in reversed(list(zip(layers, inputs, caches))):
-        dy = layer.backward(cache, dy)
-        if not isinstance(layer, BnLayer):
-            dy = dy[0]
+        dy, grads = layer.backward(cache, dy)
+        # None for a parameter-free layer, else keyed by its parameters
+        assert set(grads or ()) == set(layer.param_names)
         assert dy.shape == x_in.shape
         assert _stride_order(dy) == _stride_order(x_in), type(layer).__name__
 
