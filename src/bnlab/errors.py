@@ -29,10 +29,6 @@ class InvalidParams(BnLabError):
     pass
 
 
-class MissingStats(BnLabError):
-    pass
-
-
 class StaleCache(BnLabError):
     pass
 

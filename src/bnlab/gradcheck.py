@@ -98,7 +98,8 @@ LAYER_CASES = {
 
 def check_network(rng, frozen=False):
     """Input and parameter gradients of a small Network, each BN layer in
-    its own mode: TRAIN_MINIBATCH, or FROZEN once frozen."""
+    its own mode: TRAIN_MINIBATCH (batch moments, differentiated), or, once
+    ``freeze()`` installed fixed statistics, EVAL_POPULATION (constants)."""
     net = Network([
         Linear.init(rng, 4, 5),
         BnLayer(5),
@@ -113,11 +114,11 @@ def check_network(rng, frozen=False):
     labels = rng.integers(0, 3, size=6)
 
     def loss_of(xv):
-        logits, _ = net.forward(xv, update_stats=False)
+        logits, _ = net.forward(xv)
         loss, _ = softmax_cross_entropy(logits, labels)
         return loss
 
-    logits, caches = net.forward(x, update_stats=False)
+    logits, caches = net.forward(x)
     _, dlogits = softmax_cross_entropy(logits, labels)
     dx, grads = net.backward(caches, dlogits)
     errs = [relative_error(dx, numerical_gradient(loss_of, x.copy()))]

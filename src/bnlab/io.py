@@ -29,6 +29,21 @@ METRICS_HEADER = ["run_id", "scenario", "step", "split", "stats_mode",
                   "metric", "value"]
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_number(default, value, key):
+    """A number key takes a finite number (json.load accepts NaN and
+    Infinity), and an int default's key an int >= 0."""
+    if not _is_number(value):
+        raise ConfigError(f"{key} must be a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite")
+    if isinstance(default, int) and not (isinstance(value, int) and value >= 0):
+        raise ConfigError(f"{key} must be an integer >= 0")
+
+
 def _merge_validate(defaults, overrides, path=""):
     if not isinstance(overrides, dict):
         raise ConfigError(f"expected a mapping at {path or 'top level'}")
@@ -39,14 +54,18 @@ def _merge_validate(defaults, overrides, path=""):
             # "corruptions" maps user-chosen names to specs: free-form keys
             if isinstance(default, dict) and key != "corruptions":
                 value = _merge_validate(default, value, f"{path}{key}.")
-            elif isinstance(default, bool) is not isinstance(value, bool):
-                raise ConfigError(f"{path}{key} must be a boolean")
-            elif isinstance(default, (int, float)) and not isinstance(
-                value, (int, float)
-            ):
-                raise ConfigError(f"{path}{key} must be a number")
-            elif isinstance(default, list) and not isinstance(value, list):
-                raise ConfigError(f"{path}{key} must be a list")
+            elif isinstance(default, bool):
+                if not isinstance(value, bool):
+                    raise ConfigError(f"{path}{key} must be a boolean")
+            elif _is_number(default):
+                _check_number(default, value, f"{path}{key}")
+            elif isinstance(default, list):
+                if not isinstance(value, list):
+                    raise ConfigError(f"{path}{key} must be a list")
+                # elements follow the rule of the default's first element
+                if default and all(map(_is_number, default)):
+                    for i, v in enumerate(value):
+                        _check_number(default[0], v, f"{path}{key}[{i}]")
             merged[key] = value
         else:
             merged[key] = default

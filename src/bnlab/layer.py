@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatch, InvalidParams, MissingStats, ShapeMismatch, StaleCache
+from .errors import EmptyBatch, InvalidParams, ShapeMismatch, StaleCache
 from .stats import EmaState, ema_update
 from .tensor import SAMPLE_AXES, ChannelStats, as_batch, channel_moments, normalize
 
@@ -23,12 +23,10 @@ class BnMode(enum.Enum):
     TRAIN_MINIBATCH = "train_minibatch"
     EVAL_POPULATION = "eval_population"
     EVAL_MINIBATCH = "eval_minibatch"
-    FROZEN = "frozen"
 
 
 @dataclass
 class BnCache:
-    mode: BnMode
     x_hat: np.ndarray
     inv_std: np.ndarray
     moments: ChannelStats | None  # the batch's own moments, in batch modes
@@ -44,10 +42,12 @@ class BnCache:
 class BnLayer:
     """Normalization layer whose statistics source is chosen per forward.
 
-    The EMA is only mutated in TRAIN_MINIBATCH mode (and only when
-    ``update_stats`` is left on).  EVAL_POPULATION normalizes with explicit
-    population stats when they were set (e.g. by a precise re-estimation
-    pass), falling back to the EMA.  FROZEN requires a stats snapshot.
+    TRAIN_MINIBATCH normalizes by the batch's own moments and advances the
+    EMA; EVAL_MINIBATCH does the same without touching the EMA (a precise
+    re-estimation pass).  EVAL_POPULATION normalizes by fixed statistics:
+    the ``stats`` given to the forward, else the installed population
+    statistics ``pop``, else the EMA.  FrozenBN is EVAL_POPULATION as the
+    layer's own mode in training (see ``freeze``).
 
     Input is an (N, C, H, W) batch or a (G, n, C, H, W) stack of G cohorts;
     in the batch-statistics modes each cohort is normalized by its own
@@ -61,7 +61,6 @@ class BnLayer:
         self.eps = eps
         self.ema = EmaState.initial(channels, momentum)
         self.pop = None
-        self.frozen = None
         self.mode = BnMode.TRAIN_MINIBATCH
 
     param_names = ()
@@ -72,54 +71,44 @@ class BnLayer:
         return self.ema.as_channel_stats()
 
     def freeze(self, stats: ChannelStats | None = None) -> None:
-        """Snapshot stats (default: current eval stats) and switch to FROZEN."""
-        self.frozen = stats if stats is not None else self.eval_stats()
-        self.mode = BnMode.FROZEN
+        """Install ``stats`` (default: the current eval stats) as the
+        population statistics and normalize by them from now on, in
+        training too."""
+        self.pop = stats if stats is not None else self.eval_stats()
+        self.mode = BnMode.EVAL_POPULATION
 
-    def _stats_for(self, x, mode: BnMode) -> ChannelStats:
-        if mode in (BnMode.TRAIN_MINIBATCH, BnMode.EVAL_MINIBATCH):
-            return channel_moments(x)
-        if mode is BnMode.EVAL_POPULATION:
-            return self.eval_stats()
-        if mode is BnMode.FROZEN:
-            if self.frozen is None:
-                raise MissingStats("FROZEN mode requires a frozen stats snapshot")
-            return self.frozen
-        raise InvalidParams(f"unknown mode {mode}")
-
-    def forward(self, x, mode: BnMode | None = None, update_stats=True,
-                pop_override: ChannelStats | None = None):
-        """Returns (y, cache).  Raises EmptyBatch on n == 0 before any
-        side effect, so the EMA is left bit-identical.  A cohort stack
-        advances the EMA by one step per cohort, in order."""
+    def forward(self, x, mode: BnMode | None = None,
+                stats: ChannelStats | None = None):
+        """Returns (y, cache).  ``mode`` defaults to the layer's own mode;
+        ``stats`` are the fixed statistics of an EVAL_POPULATION forward.
+        Raises EmptyBatch on n == 0 before any side effect, so the EMA is
+        left bit-identical.  A cohort stack advances the EMA by one step
+        per cohort, in order."""
         x = as_batch(x)
         mode = self.mode if mode is None else mode
         if x.shape[-3] != self.channels:
             raise ShapeMismatch(f"expected {self.channels} channels, got {x.shape[-3]}")
-        batch_stats = mode in (BnMode.TRAIN_MINIBATCH, BnMode.EVAL_MINIBATCH)
-        if x.shape[-4] == 0 and batch_stats:
-            raise EmptyBatch("BN forward on a batch with 0 samples")
-        if pop_override is not None and mode is BnMode.EVAL_POPULATION:
-            stats = pop_override
+        if mode is BnMode.EVAL_POPULATION:
+            moments = None
+            if stats is None:
+                stats = self.eval_stats()
+        elif mode in (BnMode.TRAIN_MINIBATCH, BnMode.EVAL_MINIBATCH):
+            if x.shape[-4] == 0:
+                raise EmptyBatch("BN forward on a batch with 0 samples")
+            stats = moments = channel_moments(x)
+            if mode is BnMode.TRAIN_MINIBATCH:
+                self.ema = ema_update(self.ema, stats)
         else:
-            stats = self._stats_for(x, mode)
-        if mode is BnMode.TRAIN_MINIBATCH and update_stats:
-            self.ema = ema_update(self.ema, stats)
+            raise InvalidParams(f"unknown mode {mode}")
         inv_std = 1.0 / np.sqrt(stats.var + self.eps)
         y = normalize(x, stats, self.eps)
-        cache = BnCache(
-            mode=mode,
-            x_hat=y,
-            inv_std=inv_std,
-            moments=stats if batch_stats else None,
-        )
-        return y, cache
+        return y, BnCache(x_hat=y, inv_std=inv_std, moments=moments)
 
     def backward(self, cache: BnCache, dy):
         """(input gradient, None): the layer has no parameters.
 
         For batch-statistics modes the mean and variance are treated as
-        functions of x; for population/frozen modes they are constants.
+        functions of x; in EVAL_POPULATION they are constants.
         """
         cache = cache.take()
         dy = as_batch(dy)

@@ -36,6 +36,7 @@ __all__ = [
     "softmax_cross_entropy",
     "train",
     "classification_error",
+    "cohort_stacks",
     "EVAL_CHUNK_ROWS",
 ]
 
@@ -195,34 +196,28 @@ class Network:
             names.append(f"{kind}{k}")
         return names
 
-    def forward(self, x, *, modes=None, update_stats=False, pop_override=None,
-                moment_sinks=None):
-        """Run to the logits.  ``modes`` is None (use each BN layer's own
-        mode), a BnMode applied to all, or a dict {layer index: BnMode}.
-        ``pop_override`` maps layer index -> ChannelStats for population
-        normalization without touching layer state; ``moment_sinks`` maps
-        layer index -> BatchMomentLog receiving this pass's batch moments,
-        one entry per cohort in order.  ``x`` is an (N, C, H, W) batch, giving
-        (N, K) logits, or a (G, n, C, H, W) stack of G normalization cohorts,
-        run as one pass and giving (G, n, K) logits.
+    def forward(self, x, *, mode=None, stats=None, moment_sinks=None):
+        """Run to the logits.  Each BN layer runs in ``mode``, or in its own
+        mode when ``mode`` is None, except the layers in ``stats``, a dict
+        {layer index: ChannelStats}: those normalize by the given statistics
+        as EVAL_POPULATION, without touching layer state.  ``moment_sinks``
+        maps layer index -> BatchMomentLog receiving this pass's batch
+        moments, one entry per cohort in order.  ``x`` is an (N, C, H, W)
+        batch, giving (N, K) logits, or a (G, n, C, H, W) stack of G
+        normalization cohorts, run as one pass and giving (G, n, K) logits.
         """
         x = as_batch(x)
         caches = []
         for i, layer in enumerate(self.layers):
             if isinstance(layer, BnLayer):
-                mode = modes
-                if isinstance(modes, dict):
-                    mode = modes.get(i)
+                fixed = None if stats is None else stats.get(i)
                 x, cache = layer.forward(
-                    x,
-                    mode=mode,
-                    update_stats=update_stats,
-                    pop_override=None if pop_override is None else pop_override.get(i),
-                )
+                    x, mode=mode if fixed is None else BnMode.EVAL_POPULATION,
+                    stats=fixed)
                 if moment_sinks is not None and i in moment_sinks \
-                        and cache.mode is BnMode.TRAIN_MINIBATCH:
-                    for stats in cache.moments.cohorts():
-                        moment_sinks[i].append(stats)
+                        and cache.moments is not None:
+                    for moments in cache.moments.cohorts():
+                        moment_sinks[i].append(moments)
             else:
                 x, cache = layer.forward(x)
             caches.append(cache)
@@ -270,7 +265,7 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0 and self.lr != 0.0:
+        if not self.lr >= 0:
             raise InvalidParams("learning rate must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidParams("momentum must be in [0, 1)")
@@ -310,8 +305,8 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, velocity):
     loss_sum = 0.0
     for first, groups, size in cohort_runs(map(len, cohorts)):
         idx = np.stack(cohorts[first : first + groups])
-        # each BN layer's own mode: FROZEN once frozen, else TRAIN_MINIBATCH
-        logits, caches = net.forward(x[idx], update_stats=True)
+        # each BN layer's own mode: EVAL_POPULATION once frozen
+        logits, caches = net.forward(x[idx])
         loss_c, dlogits = softmax_cross_entropy(logits, labels[idx])
         # builtin sum adds the cohort losses one at a time, in order
         loss_sum = sum(loss_c * size, loss_sum)
@@ -346,33 +341,36 @@ def train(net, batch_fn, cfg: SgdConfig, plan: NormBatchPlan | None = None,
     return net
 
 
-def classification_error(net, x, labels, *, mode=BnMode.EVAL_POPULATION,
-                         cohort_sizes=None, pop_override=None):
+def cohort_stacks(x, sizes):
+    """Carve the rows of ``x`` into the given consecutive cohort sizes, as
+    (row slice, (G, n, C, H, W) stack) pairs: one stack per run of
+    equal-size cohorts, of at most EVAL_CHUNK_ROWS rows (or one cohort)."""
+    start = 0
+    for _, groups, size in cohort_runs(sizes, max_rows=EVAL_CHUNK_ROWS):
+        stop = start + groups * size
+        yield slice(start, stop), x[start:stop].reshape(groups, size, *x.shape[1:])
+        start = stop
+
+
+def classification_error(net, x, labels, *, cohort_sizes=None, stats=None):
     """Top-1 error of the network on (x, labels).
 
-    Population / frozen modes chunk the data for memory only (per-sample
-    semantics).  Mini-batch modes normalize each cohort independently;
-    ``cohort_sizes`` partitions the data in order (default: one cohort per
-    EVAL_CHUNK_ROWS chunk).  Runs of equal-size cohorts go through the
-    network as grouped passes of at most EVAL_CHUNK_ROWS rows (or one
-    cohort).
+    By default every BN layer normalizes by population statistics: ``stats``
+    ({layer index: ChannelStats}) where given, else its installed ones, and
+    the data is chunked for memory only (per-sample semantics).  Given
+    ``cohort_sizes``, which partition the data in order, each cohort is
+    normalized by its own moments (EVAL_MINIBATCH).
     """
     x = as_tensor4(x)
     n = x.shape[0]
-    sizes = even_sizes(n, EVAL_CHUNK_ROWS)
-    if mode not in (BnMode.EVAL_POPULATION, BnMode.FROZEN) \
-            and cohort_sizes is not None:
-        sizes = list(cohort_sizes)
+    if cohort_sizes is None:
+        mode, sizes = BnMode.EVAL_POPULATION, even_sizes(n, EVAL_CHUNK_ROWS)
+    else:
+        mode, sizes = BnMode.EVAL_MINIBATCH, list(cohort_sizes)
         if sum(sizes) != n:
             raise InvalidParams("cohort sizes must partition the data")
-    offsets = np.cumsum([0, *sizes])
     wrong = 0
-    for first, groups, size in cohort_runs(sizes, max_rows=EVAL_CHUNK_ROWS):
-        start = offsets[first]
-        stop = start + groups * size
-        logits, _ = net.forward(
-            x[start:stop].reshape(groups, size, *x.shape[1:]), modes=mode,
-            update_stats=False, pop_override=pop_override,
-        )
-        wrong += int((logits.argmax(axis=-1).ravel() != labels[start:stop]).sum())
+    for rows, stack in cohort_stacks(x, sizes):
+        logits, _ = net.forward(stack, mode=mode, stats=stats)
+        wrong += int((logits.argmax(axis=-1).ravel() != labels[rows]).sum())
     return wrong / n

@@ -1,52 +1,46 @@
 """Re-estimating population statistics on a fixed model: the split-and-
 aggregate pass and the exact layer-by-layer variant."""
 
-from .batching import cohort_runs, even_sizes
+from .batching import even_sizes
 from .errors import EmptyPopulation, InvalidParams
 from .layer import BnMode
-from .net import EVAL_CHUNK_ROWS
+from .net import cohort_stacks
 from .stats import BatchMomentLog, aggregate_moment_matching
 from .tensor import as_tensor4
 
 __all__ = ["precise_bn", "precise_bn_layerwise", "set_population_stats"]
 
 
-def _passes(population, batch_size):
-    """The (G, n, C, H, W) stack of each grouped pass: whole mini-batches
-    of ``batch_size`` in chunks of at most EVAL_CHUNK_ROWS rows, then the
-    ragged final batch on its own."""
-    start = 0
-    sizes = even_sizes(population.shape[0], batch_size)
-    for _, groups, size in cohort_runs(sizes, max_rows=EVAL_CHUNK_ROWS):
-        stop = start + groups * size
-        yield population[start:stop].reshape(groups, size, *population.shape[1:])
-        start = stop
+def _pooled_moments(net, population, batch_size, indices, stats=None):
+    """Forward the population in mini-batches of ``batch_size`` in
+    EVAL_MINIBATCH (no parameter or EMA update), the layers in ``stats``
+    normalizing by those statistics, and pool the batch moments of each BN
+    layer in ``indices`` by moment matching: {layer index: ChannelStats}.
 
-
-def precise_bn(net, population, batch_size):
-    """Forward the population in mini-batches with every BN layer computing
-    batch statistics, then pool each layer's moment log by moment matching.
-
-    The model is read-only during the pass: no parameter updates, no EMA
-    updates.  A final ragged batch (N mod B != 0) is processed as its own
-    smaller batch with its true count.  Mini-batches run as grouped
-    passes of at most EVAL_CHUNK_ROWS rows, each batch normalized by its
-    own moments.  Returns {bn layer index: ChannelStats}.
+    A final ragged batch (N mod B != 0) is processed as its own smaller
+    batch with its true count.  Mini-batches run as grouped passes of at
+    most EVAL_CHUNK_ROWS rows, each batch normalized by its own moments.
     """
     population = as_tensor4(population)
     if population.shape[0] == 0:
         raise EmptyPopulation("population has no samples")
     if batch_size < 1:
         raise InvalidParams("batch_size must be >= 1")
-    sinks = {i: BatchMomentLog() for i in net.bn_indices}
-    for xb in _passes(population, batch_size):
-        net.forward(
-            xb,
-            modes=BnMode.TRAIN_MINIBATCH,
-            update_stats=False,
-            moment_sinks=sinks,
-        )
+    sinks = {i: BatchMomentLog() for i in indices}
+    sizes = even_sizes(population.shape[0], batch_size)
+    for _, stack in cohort_stacks(population, sizes):
+        net.forward(stack, mode=BnMode.EVAL_MINIBATCH, stats=stats,
+                    moment_sinks=sinks)
     return {i: aggregate_moment_matching(log) for i, log in sinks.items()}
+
+
+def precise_bn(net, population, batch_size):
+    """Population statistics of every BN layer from one forward-only pass
+    over the population in mini-batches of ``batch_size``, each layer's
+    batch moments pooled by moment matching.  The model is read-only.
+    Returns {bn layer index: ChannelStats}.
+    """
+    return _pooled_moments(net, population, batch_size, net.bn_indices)
 
 
 def precise_bn_layerwise(net, population, batch_size):
@@ -57,25 +51,10 @@ def precise_bn_layerwise(net, population, batch_size):
     collects batch moments, deeper layers run in batch mode.  The aggregated
     result is therefore independent of the batch size.
     """
-    population = as_tensor4(population)
-    if population.shape[0] == 0:
-        raise EmptyPopulation("population has no samples")
-    if batch_size < 1:
-        raise InvalidParams("batch_size must be >= 1")
     result = {}
     for j in net.bn_indices:
-        modes = {i: BnMode.EVAL_POPULATION if i < j else BnMode.TRAIN_MINIBATCH
-                 for i in net.bn_indices}
-        sink = {j: BatchMomentLog()}
-        for xb in _passes(population, batch_size):
-            net.forward(
-                xb,
-                modes=modes,
-                update_stats=False,
-                pop_override=dict(result),
-                moment_sinks=sink,
-            )
-        result[j] = aggregate_moment_matching(sink[j])
+        result.update(_pooled_moments(net, population, batch_size, [j],
+                                      stats=result))
     return result
 
 

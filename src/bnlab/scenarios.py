@@ -44,7 +44,7 @@ from .synthetic import (
     SpatialGaussianClasses,
     make_clustered_data,
 )
-from .tensor import ChannelStats, channel_moments, normalize
+from .tensor import channel_moments, normalize
 
 __all__ = ["ScenarioRun", "SCENARIOS"]
 
@@ -77,12 +77,11 @@ class ScenarioRun:
         self.stats_checkpoint, self.params_checkpoint = {}, {}
         for name, layer in zip(net.layer_names(), net.layers):
             if isinstance(layer, BnLayer):
-                if layer.frozen is not None:
-                    src, s = "frozen", layer.frozen
-                elif layer.pop is not None:
-                    src, s = "precise", layer.pop
+                if layer.mode is BnMode.EVAL_POPULATION:
+                    src = "frozen"
                 else:
-                    src, s = "ema", layer.ema.as_channel_stats()
+                    src = "ema" if layer.pop is None else "precise"
+                s = layer.eval_stats()
                 self.stats_checkpoint[name] = {
                     "mean": list(s.mean),
                     "var": list(s.var),
@@ -168,11 +167,11 @@ def evaluate(net, x, y, stats=None, *, nbs=None, rng=None):
     ``nbs``, each consecutive nbs-row mini-batch by its own moments, after
     a shuffle drawn from ``rng`` if given."""
     if nbs is None:
-        return classification_error(net, x, y, pop_override=stats)
+        return classification_error(net, x, y, stats=stats)
     if rng is not None:
         order = rng.permutation(x.shape[0])
         x, y = x[order], y[order]
-    return classification_error(net, x, y, mode=BnMode.EVAL_MINIBATCH,
+    return classification_error(net, x, y,
                                 cohort_sizes=[nbs] * (x.shape[0] // nbs))
 
 
@@ -354,7 +353,8 @@ def run_frozen_finetune(cfg, seed):
     snap = precise(net, x_pop, batch=cfg["nbs"])
     for i in net.bn_indices:
         net.layers[i].freeze(snap[i])
-    # FROZEN is each layer's own mode now; the plan is irrelevant to stats
+    # each layer now normalizes by its frozen statistics in training too;
+    # the plan is irrelevant to stats
     train(net, batches, sgd_config(cfg, seed, 5, steps=rest,
                                    warmup_steps=cfg["warmup_steps"]), plan=plan)
     # evaluated with the frozen statistics as its population statistics
@@ -461,20 +461,17 @@ class SharedHeadNet:
         self.affine = Affine(np.ones(shape), np.zeros(shape))
         self.relu = Relu()
         self.velocity = {}  # (layer attribute, parameter) -> momentum buffer
-        self.pop_stats = None  # ChannelStats or list per domain
+        self.pop_stats = None  # ChannelStats, (C,) shared or (D, C) per domain
 
-    def _affine_for(self, d):
-        if self.policy.affine == PER_DOMAIN:
-            return Affine(self.affine.gamma[d], self.affine.beta[d])
-        return self.affine
-
-    def forward_train(self, x):
+    def forward_train(self, x, stats=None):
         """(D, n, K) logits of a (D, n, C, 1, 1) stack of domain batches,
-        normalized by the policy's batch statistics."""
+        normalized by the policy's batch statistics, or by fixed ``stats``
+        when given."""
         h, c1 = self.l1.forward(x)
-        # shared statistics pool the stack's rows; per-domain ones are (D, C)
-        stats = channel_moments(h.reshape(-1, *h.shape[2:])
-                                if self.policy.sgd_stats == SHARED else h)
+        if stats is None:
+            # shared statistics pool the stack's rows; per-domain ones are (D, C)
+            stats = channel_moments(h.reshape(-1, *h.shape[2:])
+                                    if self.policy.sgd_stats == SHARED else h)
         xhat = normalize(h, stats, self.eps)
         a, ca = self.affine.forward(xhat)
         r, cr = self.relu.forward(a)
@@ -519,29 +516,20 @@ class SharedHeadNet:
                 self.velocity[name, k] = v
                 setattr(layer, k, getattr(layer, k) - lr * v)
 
-    def train_population_stats(self, xs_by_domain):
-        hs = [self.l1.forward(x)[0] for x in xs_by_domain]
-        if self.policy.pop_stats == SHARED:
-            self.pop_stats = channel_moments(np.concatenate(hs, axis=0))
-        else:
-            self.pop_stats = [channel_moments(h) for h in hs]
+    def train_population_stats(self, x):
+        """Population statistics of a (D, n, C, 1, 1) stack of domain
+        samples, pooled or per domain as the policy says."""
+        h, _ = self.l1.forward(x)
+        self.pop_stats = channel_moments(h.reshape(-1, *h.shape[2:])
+                                         if self.policy.pop_stats == SHARED else h)
 
-    def eval_error(self, xs, ys):
+    def eval_error(self, x, y):
+        """Top-1 error on a (D, n, C, 1, 1) stack with (D, n) labels, every
+        domain normalized by the population statistics."""
         if self.pop_stats is None:
             raise InvalidPolicy("population statistics were never trained")
-        wrong = 0
-        total = 0
-        for d, (x, y) in enumerate(zip(xs, ys)):
-            h, _ = self.l1.forward(x)
-            stats = (self.pop_stats if isinstance(self.pop_stats, ChannelStats)
-                     else self.pop_stats[d])
-            xhat = normalize(h, stats, self.eps)
-            a, _ = self._affine_for(d).forward(xhat)
-            r, _ = self.relu.forward(a)
-            logits, _ = self.l2.forward(r)
-            wrong += int((logits[:, :, 0, 0].argmax(axis=1) != y).sum())
-            total += len(y)
-        return wrong / total
+        logits, _ = self.forward_train(x, stats=self.pop_stats)
+        return int((logits.argmax(axis=-1) != y).sum()) / y.size
 
 
 def run_shared_head(cfg, seed):
@@ -560,13 +548,12 @@ def run_shared_head(cfg, seed):
     domains = MultiScaleDomains(_gaussian_task(cfg, seed), transforms)
     d_count = domains.n_domains
     data_rng = np.random.default_rng(_seed(seed, 2))
-    val_xs, val_ys = [], []
-    pop_xs = []
+    val, pop = [], []
     for d in range(d_count):
-        x, y = domains.sample_domain(data_rng, d, cfg["val_per_domain"])
-        val_xs.append(x)
-        val_ys.append(y)
-        pop_xs.append(domains.sample_domain(data_rng, d, cfg["val_per_domain"])[0])
+        val.append(domains.sample_domain(data_rng, d, cfg["val_per_domain"]))
+        pop.append(domains.sample_domain(data_rng, d, cfg["val_per_domain"])[0])
+    val_x, val_y = np.stack([x for x, _ in val]), np.stack([y for _, y in val])
+    pop_x = np.stack(pop)
 
     for row, (sgd_s, pop_s, aff_s) in enumerate(cfg["policies"]):
         policy = DomainPolicy(sgd_stats=sgd_s, pop_stats=pop_s, affine=aff_s)
@@ -581,10 +568,10 @@ def run_shared_head(cfg, seed):
             net.train_step(np.stack([x for x, _ in batches]),
                            np.stack([y for _, y in batches]),
                            cfg["lr"], cfg["sgd_momentum"])
-        net.train_population_stats(pop_xs)
+        net.train_population_stats(pop_x)
         run.summary[f"row{row + 1}"] = {"policy": [sgd_s, pop_s, aff_s]}
         run.log(f"shared_head-row{row + 1}-s{seed}", cfg["steps"], "val",
-                "population", "error", net.eval_error(val_xs, val_ys),
+                "population", "error", net.eval_error(val_x, val_y),
                 key=(f"row{row + 1}", "error"))
     return run
 

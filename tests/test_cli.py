@@ -9,6 +9,7 @@ import pytest
 from bnlab.cli import main
 from bnlab.layer import BnLayer
 from bnlab.net import Affine, Linear, MeanPool, Relu
+from bnlab.scenarios import SCENARIOS
 from bnlab.stats import BatchMomentLog
 from bnlab.tensor import channel_moments
 
@@ -70,6 +71,30 @@ def test_run_rejects_invalid_json(tmp_path, capsys):
     code = main(["run", "domain_adapt", "--config", str(cfg),
                  "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"steps": -1}', "steps"),
+    ('{"steps": 2.5}', "steps"),
+    ('{"steps": true}', "steps"),
+    ('{"hidden": ["a"]}', "hidden[0]"),
+    ('{"lr": NaN}', "lr"),
+])
+def test_run_rejects_bad_numbers_before_any_work(tmp_path, capsys,
+                                                 monkeypatch, text, key):
+    def never(cfg, seed):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setitem(SCENARIOS, "domain_adapt",
+                        (never, SCENARIOS["domain_adapt"][1]))
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    code = main(["run", "domain_adapt", "--config", str(cfg),
+                 "--out", str(out)])
+    assert code == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_diverged_is_runtime_error_and_writes_nothing(tmp_path, capsys):

@@ -82,15 +82,10 @@ def _ref_sgd_step(net, x, labels, cfg, step, plan, rng, velocity):
     cohorts = (
         cohort_indices(plan, n, rng) if plan is not None else [np.arange(n)]
     )
-    modes = {
-        i: (BnMode.FROZEN if net.layers[i].frozen is not None
-            else BnMode.TRAIN_MINIBATCH)
-        for i in net.bn_indices
-    }
     totals = [None] * len(net.layers)
     loss_sum = 0.0
     for idx in cohorts:
-        logits, caches = net.forward(x[idx], modes=modes, update_stats=True)
+        logits, caches = net.forward(x[idx])
         loss_c, dlogits = softmax_cross_entropy(logits, labels[idx])
         loss_sum += loss_c * len(idx)
         _, grads = net.backward(caches, dlogits * (len(idx) / n))
@@ -122,22 +117,17 @@ def _ref_precise_bn(net, population, batch_size):
     sinks = {i: BatchMomentLog() for i in net.bn_indices}
     for start in range(0, population.shape[0], batch_size):
         net.forward(population[start : start + batch_size],
-                    modes=BnMode.TRAIN_MINIBATCH, update_stats=False,
-                    moment_sinks=sinks)
+                    mode=BnMode.EVAL_MINIBATCH, moment_sinks=sinks)
     return {i: aggregate_moment_matching(log) for i, log in sinks.items()}
 
 
 def _ref_precise_bn_layerwise(net, population, batch_size):
     result = {}
     for j in net.bn_indices:
-        modes = {i: BnMode.EVAL_POPULATION for i in result}
-        for i in net.bn_indices:
-            if i >= j:
-                modes[i] = BnMode.TRAIN_MINIBATCH
         sink = {j: BatchMomentLog()}
         for start in range(0, population.shape[0], batch_size):
-            net.forward(population[start : start + batch_size], modes=modes,
-                        update_stats=False, pop_override=dict(result),
+            net.forward(population[start : start + batch_size],
+                        mode=BnMode.EVAL_MINIBATCH, stats=dict(result),
                         moment_sinks=sink)
         result[j] = aggregate_moment_matching(sink[j])
     return result
@@ -148,7 +138,7 @@ def _ref_minibatch_logits(net, x, sizes):
     start = 0
     for s in sizes:
         logits, _ = net.forward(x[start : start + s],
-                                modes=BnMode.EVAL_MINIBATCH)
+                                mode=BnMode.EVAL_MINIBATCH)
         out.append(logits)
         start += s
     return np.concatenate(out)
@@ -252,8 +242,7 @@ def test_grouped_precise_bn_layerwise_matches_per_batch_loop(n, batch_size):
 def test_grouped_minibatch_eval_matches_per_cohort_loop(sizes):
     net = _trained_net()
     x, y = _data(sum(sizes), seed=8)
-    got = classification_error(net, x, y, mode=BnMode.EVAL_MINIBATCH,
-                               cohort_sizes=sizes)
+    got = classification_error(net, x, y, cohort_sizes=sizes)
     assert got == _ref_classification_error(net, x, y, sizes)
 
 
@@ -261,7 +250,7 @@ def test_grouped_forward_logits_match_per_cohort_forwards():
     net = _trained_net()
     x, _ = _data(12, seed=9)
     logits, _ = net.forward(x.reshape(3, 4, *x.shape[1:]),
-                            modes=BnMode.EVAL_MINIBATCH)
+                            mode=BnMode.EVAL_MINIBATCH)
     assert logits.shape == (3, 4, CLASSES)
     np.testing.assert_array_equal(
         logits.reshape(12, CLASSES), _ref_minibatch_logits(net, x, [4, 4, 4]))
@@ -271,7 +260,7 @@ def test_cohort_stack_backward_keeps_the_stack_shape():
     net = _trained_net()
     x, labels = _data(12, seed=10)
     stack = x.reshape(3, 4, *x.shape[1:])
-    logits, caches = net.forward(stack, modes=BnMode.TRAIN_MINIBATCH)
+    logits, caches = net.forward(stack, mode=BnMode.TRAIN_MINIBATCH)
     _, dlogits = softmax_cross_entropy(logits, labels.reshape(3, 4))
     dx, grads = net.backward(caches, dlogits)
     assert dx.shape == stack.shape

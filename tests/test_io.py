@@ -41,6 +41,25 @@ def test_validate_config_type_checks():
         io.validate_config(DEFAULTS, {"hidden": 64})
     with pytest.raises(ConfigError, match="mapping"):
         io.validate_config(DEFAULTS, {"sgd": 3})
+    # an int default takes an int >= 0; every number is finite (json.load
+    # reads NaN and Infinity); a number list's elements follow its rule
+    for overrides, match in (
+        ({"steps": True}, "steps must be a number"),
+        ({"steps": -1}, "steps must be an integer >= 0"),
+        ({"steps": 2.5}, "steps must be an integer >= 0"),
+        ({"lr": float("nan")}, "lr must be finite"),
+        ({"lr": float("inf")}, "lr must be finite"),
+        ({"lr": False}, "lr must be a number"),
+        ({"hidden": ["a"]}, r"hidden\[0\] must be a number"),
+        ({"hidden": [64, -2]}, r"hidden\[1\] must be an integer >= 0"),
+        ({"hidden": [64.0]}, r"hidden\[0\] must be an integer >= 0"),
+        ({"sgd": {"momentum": float("-inf")}}, "sgd.momentum must be finite"),
+        ({"sgd": {"batch_size": 1.5}}, "sgd.batch_size must be an integer"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            io.validate_config(DEFAULTS, overrides)
+    cfg = io.validate_config(DEFAULTS, {"steps": 0, "lr": 1, "hidden": []})
+    assert (cfg["steps"], cfg["lr"], cfg["hidden"]) == (0, 1, [])
 
 
 def test_validate_config_corruptions_are_free_form_maps():

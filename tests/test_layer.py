@@ -7,7 +7,6 @@ import pytest
 from bnlab.errors import (
     EmptyBatch,
     InvalidParams,
-    MissingStats,
     ShapeMismatch,
     StaleCache,
 )
@@ -35,11 +34,10 @@ def test_train_mode_standardizes_and_updates_ema():
     assert layer.ema.update_count == 1
 
 
-def test_update_stats_flag_and_eval_modes_leave_ema_alone():
+def test_eval_modes_leave_ema_alone():
     rng = np.random.default_rng(1)
     layer = BnLayer(3)
     before = layer.ema
-    layer.forward(_x(rng), mode=BnMode.TRAIN_MINIBATCH, update_stats=False)
     layer.forward(_x(rng), mode=BnMode.EVAL_MINIBATCH)
     layer.forward(_x(rng), mode=BnMode.EVAL_POPULATION)
     assert layer.ema is before
@@ -56,24 +54,23 @@ def test_eval_population_prefers_explicit_pop_stats():
     np.testing.assert_allclose(y_pop, (x - 5.0) / np.sqrt(4.0 + 1e-5))
 
 
-def test_pop_override_bypasses_layer_state():
+def test_given_stats_bypass_layer_state():
     rng = np.random.default_rng(3)
     layer = BnLayer(3, eps=1e-5)
     override = ChannelStats(np.ones(3), np.ones(3), 7)
     x = _x(rng)
-    y, _ = layer.forward(x, mode=BnMode.EVAL_POPULATION, pop_override=override)
+    y, _ = layer.forward(x, mode=BnMode.EVAL_POPULATION, stats=override)
     np.testing.assert_allclose(y, (x - 1.0) / np.sqrt(1.0 + 1e-5))
     assert layer.pop is None
 
 
-def test_frozen_requires_snapshot_then_uses_it():
+def test_frozen_uses_its_snapshot():
     rng = np.random.default_rng(4)
     layer = BnLayer(3)
-    with pytest.raises(MissingStats):
-        layer.forward(_x(rng), mode=BnMode.FROZEN)
     snap = ChannelStats(np.zeros(3), np.full(3, 2.0), 16)
     layer.freeze(snap)
-    assert layer.mode is BnMode.FROZEN
+    assert layer.mode is BnMode.EVAL_POPULATION
+    assert layer.pop is snap
     x = _x(rng)
     y, _ = layer.forward(x)
     np.testing.assert_allclose(y, x / np.sqrt(2.0 + layer.eps))
@@ -81,16 +78,17 @@ def test_frozen_requires_snapshot_then_uses_it():
 
 def test_freeze_defaults_to_current_eval_stats():
     layer = BnLayer(2)
-    layer.pop = ChannelStats(np.ones(2), np.full(2, 3.0), 8)
+    pop = layer.pop = ChannelStats(np.ones(2), np.full(2, 3.0), 8)
     layer.freeze()
-    assert layer.frozen is layer.pop
+    assert layer.mode is BnMode.EVAL_POPULATION
+    assert layer.pop is pop
 
 
 def test_cache_single_use():
     rng = np.random.default_rng(5)
     layer = BnLayer(3)
     x = _x(rng)
-    _, cache = layer.forward(x, mode=BnMode.TRAIN_MINIBATCH, update_stats=False)
+    _, cache = layer.forward(x, mode=BnMode.EVAL_MINIBATCH)
     layer.backward(cache, np.ones_like(x))
     with pytest.raises(StaleCache):
         layer.backward(cache, np.ones_like(x))
@@ -113,8 +111,7 @@ def test_moment_sinks_log_batch_stats():
     net = Network([BnLayer(3), MeanPool()])
     sinks = {0: BatchMomentLog()}
     x = _x(rng)
-    net.forward(x, modes=BnMode.TRAIN_MINIBATCH, update_stats=False,
-                moment_sinks=sinks)
+    net.forward(x, mode=BnMode.EVAL_MINIBATCH, moment_sinks=sinks)
     assert len(sinks[0]) == 1
     np.testing.assert_allclose(sinks[0].entries[0].mean,
                                channel_moments(x).mean)

@@ -108,8 +108,7 @@ def test_network_cache_single_use():
     rng = np.random.default_rng(3)
     net = _net(rng)
     x = rng.standard_normal((6, 4, 1, 1))
-    logits, caches = net.forward(x, modes=BnMode.TRAIN_MINIBATCH,
-                                 update_stats=False)
+    logits, caches = net.forward(x, mode=BnMode.EVAL_MINIBATCH)
     net.backward(caches, np.ones_like(logits))
     with pytest.raises(StaleCache):
         net.backward(caches, np.ones_like(logits))
@@ -124,6 +123,9 @@ def test_layer_names_are_stable_and_unique():
 def test_sgd_config_validation_and_warmup():
     with pytest.raises(InvalidParams):
         SgdConfig(lr=0.1, steps=1, batch_size=4, momentum=1.0)
+    for lr in (-0.1, float("nan")):
+        with pytest.raises(InvalidParams, match="learning rate"):
+            SgdConfig(lr=lr, steps=1, batch_size=4)
     cfg = SgdConfig(lr=0.1, steps=10, batch_size=4, warmup_steps=5)
     assert cfg.lr_at(0) == pytest.approx(0.02)
     assert cfg.lr_at(4) == pytest.approx(0.1)
@@ -164,7 +166,7 @@ def test_train_respects_frozen_layers():
 
     cfg = SgdConfig(lr=0.05, steps=5, batch_size=8, seed=1)
     train(net, batch_fn, cfg)
-    assert net.layers[1].frozen is snap
+    assert net.layers[1].pop is snap
     assert net.layers[1].ema.update_count == 0  # frozen mode never updates EMA
 
 
@@ -188,9 +190,7 @@ def test_classification_error_cohort_partition_check():
     net = _net(rng)
     x = rng.standard_normal((10, 4, 1, 1))
     y = rng.integers(0, 3, 10)
-    err = classification_error(net, x, y, mode=BnMode.EVAL_MINIBATCH,
-                               cohort_sizes=[5, 5])
+    err = classification_error(net, x, y, cohort_sizes=[5, 5])
     assert 0.0 <= err <= 1.0
     with pytest.raises(InvalidParams):
-        classification_error(net, x, y, mode=BnMode.EVAL_MINIBATCH,
-                             cohort_sizes=[5, 4])
+        classification_error(net, x, y, cohort_sizes=[5, 4])

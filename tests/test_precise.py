@@ -34,15 +34,19 @@ def test_precise_bn_full_batch_matches_direct_moments():
     np.testing.assert_allclose(stats[1].var, ref.var, atol=1e-12)
 
 
-def test_precise_bn_is_read_only():
+@pytest.mark.parametrize("estimate", [precise_bn, precise_bn_layerwise])
+def test_precise_bn_is_read_only(estimate):
     rng = np.random.default_rng(1)
     net = _net(rng)
-    before = [(net.layers[i].ema.mean.tobytes(), net.layers[i].ema.var.tobytes())
-              for i in net.bn_indices]
-    precise_bn(net, rng.standard_normal((16, 4, 1, 1)), 4)
-    after = [(net.layers[i].ema.mean.tobytes(), net.layers[i].ema.var.tobytes())
-             for i in net.bn_indices]
-    assert before == after
+
+    def state():
+        return [(layer.ema.mean.tobytes(), layer.ema.var.tobytes(),
+                 layer.ema.update_count, layer.pop, layer.mode)
+                for layer in (net.layers[i] for i in net.bn_indices)]
+
+    before = state()
+    estimate(net, rng.standard_normal((16, 4, 1, 1)), 4)
+    assert state() == before
 
 
 def test_precise_bn_handles_ragged_final_batch():

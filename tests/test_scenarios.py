@@ -67,13 +67,18 @@ def test_scenario_rows_deterministic(name):
 
 
 def test_scenarios_with_checkpoints_fill_them():
-    for name in ("ema_vs_precise", "domain_adapt"):
+    # each BN layer's statistics source: installed precise statistics, or,
+    # after freezing, the frozen statistics it normalized by in training
+    for name, source in (("ema_vs_precise", "precise"),
+                         ("domain_adapt", "precise"),
+                         ("frozen_finetune", "frozen")):
         run = SCENARIOS[name][0](tiny_config(name), seed=0)
         assert run.stats_checkpoint, name
         assert run.params_checkpoint, name
         for entry in run.stats_checkpoint.values():
             assert set(entry) == {"mean", "var", "count", "source"}
             assert len(entry["mean"]) == len(entry["var"])
+            assert entry["source"] == source, name
 
 
 def test_different_seeds_differ():

@@ -190,8 +190,11 @@ def _train_pair(domains, row):
 
 
 def _assert_stats_equal(a, b):
+    # the stacked net's (C,) or per-domain (D, C) statistics against the
+    # reference's one ChannelStats or list of them
+    a = a.cohorts()
     if isinstance(b, ChannelStats):
-        a, b = [a], [b]
+        b = [b]
     assert len(a) == len(b)
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.mean, sb.mean)
@@ -210,17 +213,18 @@ def test_stacked_step_matches_per_domain_loop(domains, row):
         expected = (np.stack(ref_param) if net.policy.affine == PER_DOMAIN
                     else ref_param[0])
         assert np.array_equal(getattr(net.affine, k), expected), k
-    # the population pass and the evaluation still run one domain at a time
+    # the reference's population pass and evaluation run one domain at a
+    # time; the stacked net's run on the (D, n, C, 1, 1) domain stack
     data_rng = np.random.default_rng(2)
     val = [domains.sample_domain(data_rng, d, VAL_ROWS)
            for d in range(domains.n_domains)]
     pop = [domains.sample_domain(data_rng, d, VAL_ROWS)[0]
            for d in range(domains.n_domains)]
-    net.train_population_stats(pop)
+    net.train_population_stats(np.stack(pop))
     ref.train_population_stats(pop)
     _assert_stats_equal(net.pop_stats, ref.pop_stats)
     xs, ys = zip(*val)
-    assert net.eval_error(xs, ys) == ref.eval_error(xs, ys)
+    assert net.eval_error(np.stack(xs), np.stack(ys)) == ref.eval_error(xs, ys)
 
 
 def test_eps_must_be_positive(tmp_path):
