@@ -9,7 +9,7 @@ import traceback
 from . import io
 from .errors import BnLabError, ConfigError, MalformedCsv, UnknownScenario
 from .gradcheck import TOLERANCE, run_full_suite
-from .scenarios import SCENARIOS
+from .scenarios import SCENARIOS, check_ranges
 from .stats import (
     BatchMomentLog,
     EmaState,
@@ -63,8 +63,11 @@ def _load_scenario_config(name, path):
         )
     _, defaults = SCENARIOS[name]
     if path is None:
-        return io.validate_config(defaults, {})
-    return io.load_config(path, defaults)
+        cfg = io.validate_config(defaults, {})
+    else:
+        cfg = io.load_config(path, defaults)
+    check_ranges(cfg)
+    return cfg
 
 
 def cmd_run(args):

@@ -33,6 +33,7 @@ __all__ = [
     "MeanPool",
     "Network",
     "SgdConfig",
+    "Momentum",
     "softmax_cross_entropy",
     "train",
     "classification_error",
@@ -276,24 +277,61 @@ class SgdConfig:
         return self.lr
 
 
-def _accumulate(total, grads):
-    """Add per-cohort gradients (leading cohort axis) to the running totals
-    one cohort at a time, in cohort order."""
-    for i, g in enumerate(grads):
-        if not g:
-            continue
-        if total[i] is None:
-            total[i] = {k: v.sum(axis=0) for k, v in g.items()}
+class Momentum:
+    """Momentum SGD over the parameters of ``layers`` in one flat buffer.
+
+    Creation copies every parameter into one contiguous float64 buffer and
+    rebinds its layer attribute to a view into it (an attribute rebound
+    later is no longer trained).  ``grads`` holds, per layer, a dict of
+    views into a gradient buffer of the same layout, which the caller fills
+    before each ``step``.
+    """
+
+    def __init__(self, layers):
+        size = sum(getattr(layer, k).size
+                   for layer in layers for k in layer.param_names)
+        self.params = np.empty(size)
+        self.grad = np.zeros(size)
+        self.velocity = None
+        self.grads = []
+        start = 0
+        for layer in layers:
+            views = {}
+            for k in layer.param_names:
+                value = getattr(layer, k)
+                stop = start + value.size
+                param = self.params[start:stop].reshape(value.shape)
+                param[...] = value
+                setattr(layer, k, param)
+                views[k] = self.grad[start:stop].reshape(value.shape)
+                start = stop
+            self.grads.append(views)
+
+    def step(self, lr, momentum):
+        """v = m * v + g (v = g at the first step), then p = p - lr * v,
+        each as whole-buffer operations."""
+        if self.velocity is None:
+            self.velocity = self.grad.copy()
         else:
-            total[i] = {k: np.concatenate([total[i][k][None], v]).sum(axis=0)
-                        for k, v in g.items()}
+            self.velocity *= momentum
+            self.velocity += self.grad
+        self.params -= lr * self.velocity
 
 
-def sgd_step(net, x, labels, cfg, step, plan, rng, velocity):
+def reduce_cohorts(g, out, first=True):
+    """Sum per-cohort gradients (leading cohort axis) into ``out`` in cohort
+    order; unless ``first``, after ``out``'s own value."""
+    if not first:
+        g = np.concatenate([out[None], g])
+    np.add.reduce(g, axis=0, out=out)
+
+
+def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer):
     """One SGD update over a logical batch carved per the normalization plan.
 
     Each run of consecutive equal-size cohorts is one grouped forward and
-    backward pass, bit-identical to passing its cohorts one by one.
+    backward pass, bit-identical to passing its cohorts one by one, whose
+    gradients are summed in cohort order into the ``Momentum`` optimizer.
     Returns the mean training loss of the step.  The loss is averaged over
     the logical batch, so the gradient scale is cohort-invariant.
     """
@@ -301,7 +339,6 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, velocity):
     cohorts = (
         cohort_indices(plan, n, rng) if plan is not None else [np.arange(n)]
     )
-    totals = [None] * len(net.layers)
     loss_sum = 0.0
     for first, groups, size in cohort_runs(map(len, cohorts)):
         idx = np.stack(cohorts[first : first + groups])
@@ -311,18 +348,10 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, velocity):
         # builtin sum adds the cohort losses one at a time, in order
         loss_sum = sum(loss_c * size, loss_sum)
         _, grads = net.backward(caches, dlogits * (size / n))
-        _accumulate(totals, grads)
-    lr = cfg.lr_at(step)
-    for i, g in enumerate(totals):
-        if not g:
-            continue
-        layer = net.layers[i]
-        for k, gv in g.items():
-            key = (i, k)
-            v = velocity.get(key)
-            v = gv if v is None else cfg.momentum * v + gv
-            velocity[key] = v
-            setattr(layer, k, getattr(layer, k) - lr * v)
+        for g, out in zip(grads, optimizer.grads):
+            for k, v in (g or {}).items():
+                reduce_cohorts(v, out[k], first == 0)
+    optimizer.step(cfg.lr_at(step), cfg.momentum)
     return loss_sum / n
 
 
@@ -330,12 +359,13 @@ def train(net, batch_fn, cfg: SgdConfig, plan: NormBatchPlan | None = None,
           callback=None):
     """Run momentum SGD.  ``batch_fn(rng, batch_size)`` yields each logical
     batch; ``callback(step, net)`` (if given) is invoked after every step.
+    The parameters are views into a new ``Momentum`` buffer from here on.
     Returns the trained network (mutated in place)."""
     rng = np.random.default_rng(cfg.seed)
-    velocity = {}
+    optimizer = Momentum(net.layers)
     for step in range(cfg.steps):
         x, labels = batch_fn(rng, cfg.batch_size)
-        sgd_step(net, x, labels, cfg, step, plan, rng, velocity)
+        sgd_step(net, x, labels, cfg, step, plan, rng, optimizer)
         if callback is not None:
             callback(step, net)
     return net

@@ -21,16 +21,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batching import PER_DOMAIN, SHARED, DomainPolicy, NormBatchPlan
-from .errors import InvalidParams, InvalidPolicy
+from .errors import ConfigError, InvalidParams, InvalidPolicy
 from .layer import BnLayer, BnMode, batch_stats_backward
 from .net import (
     Affine,
     Linear,
     MeanPool,
+    Momentum,
     Network,
     Relu,
     SgdConfig,
     classification_error,
+    reduce_cohorts,
     softmax_cross_entropy,
     train,
 )
@@ -46,7 +48,7 @@ from .synthetic import (
 )
 from .tensor import channel_moments, normalize
 
-__all__ = ["ScenarioRun", "SCENARIOS"]
+__all__ = ["ScenarioRun", "SCENARIOS", "check_ranges"]
 
 
 @dataclass
@@ -448,7 +450,12 @@ class SharedHeadNet:
     A training step carries the D domain batches as one (D, n, C, 1, 1)
     stack, one cohort per domain, through a single forward and backward
     pass.  Per-domain affine parameters are (D, C); shared ones are (C,).
+    The first ``train_step`` puts the parameters into one ``Momentum``
+    buffer.
     """
+
+    # the layer attributes holding parameters
+    param_layers = ("l1", "affine", "l2")
 
     def __init__(self, rng, dim, hidden, classes, n_domains, policy, eps=1e-5):
         if eps <= 0:
@@ -460,7 +467,7 @@ class SharedHeadNet:
         shape = (n_domains, hidden) if policy.affine == PER_DOMAIN else (hidden,)
         self.affine = Affine(np.ones(shape), np.zeros(shape))
         self.relu = Relu()
-        self.velocity = {}  # (layer attribute, parameter) -> momentum buffer
+        self.optimizer = None
         self.pop_stats = None  # ChannelStats, (C,) shared or (D, C) per domain
 
     def forward_train(self, x, stats=None):
@@ -481,10 +488,12 @@ class SharedHeadNet:
             "affine": ca, "relu": cr, "l2": cl,
         }
 
-    def backward_train(self, caches, dlogits):
+    def backward_train(self, caches, dlogits, out=None):
         """Parameter gradients, keyed by layer attribute, of the loss whose
         (D, n, K) logits gradient is ``dlogits``; the domains' gradients
-        are summed in domain order, except a per-domain affine's."""
+        are summed in domain order, except a per-domain affine's.  They are
+        written into ``out`` ({attribute: {parameter: array}}, such as an
+        optimizer's gradient views) when given."""
         dr, gl2 = self.l2.backward(caches["l2"], dlogits[..., None, None])
         da = self.relu.backward(caches["relu"], dr)[0]
         dxhat, gaff = self.affine.backward(caches["affine"], da)
@@ -496,25 +505,30 @@ class SharedHeadNet:
         else:
             dh = batch_stats_backward(xhat, inv, dxhat)
         _, gl1 = self.l1.backward(caches["l1"], dh)
-        if self.policy.affine != PER_DOMAIN:
-            gaff = {k: v.sum(axis=0) for k, v in gaff.items()}
-        return {"l1": {k: v.sum(axis=0) for k, v in gl1.items()},
-                "l2": {k: v.sum(axis=0) for k, v in gl2.items()},
-                "affine": gaff}
+        if self.policy.affine == PER_DOMAIN:
+            # the (D, C) gradient is the whole stack's: one "cohort"
+            gaff = {k: v[None] for k, v in gaff.items()}
+        grads = {"l1": gl1, "affine": gaff, "l2": gl2}
+        if out is None:
+            out = {name: {k: np.empty(v.shape[1:]) for k, v in g.items()}
+                   for name, g in grads.items()}
+        for name, g in grads.items():
+            for k, v in g.items():
+                reduce_cohorts(v, out[name][k])
+        return out
 
     def train_step(self, x, y, lr, momentum):
         """One momentum-SGD step on a (D, n, C, 1, 1) stack with (D, n)
         labels; the loss is the mean cross-entropy over all D * n rows."""
+        if self.optimizer is None:
+            self.optimizer = Momentum([getattr(self, name)
+                                       for name in self.param_layers])
         logits, caches = self.forward_train(x)
         _, dlogits = softmax_cross_entropy(logits, y)
-        grads = self.backward_train(caches, dlogits * y.shape[-1] / y.size)
-        for name, g in grads.items():
-            layer = getattr(self, name)
-            for k, gv in g.items():
-                v = self.velocity.get((name, k))
-                v = gv if v is None else momentum * v + gv
-                self.velocity[name, k] = v
-                setattr(layer, k, getattr(layer, k) - lr * v)
+        self.backward_train(caches, dlogits * y.shape[-1] / y.size,
+                            out=dict(zip(self.param_layers,
+                                         self.optimizer.grads)))
+        self.optimizer.step(lr, momentum)
 
     def train_population_stats(self, x):
         """Population statistics of a (D, n, C, 1, 1) stack of domain
@@ -561,13 +575,8 @@ def run_shared_head(cfg, seed):
                             cfg["dim"], cfg["hidden"], cfg["classes"],
                             d_count, policy, eps=cfg["eps"])
         rng = np.random.default_rng(_seed(seed, 10 + row))
-        for _ in range(cfg["steps"]):
-            # each domain's draw in domain order, as the rng stream expects
-            batches = [domains.sample_domain(rng, d, cfg["domain_batch"])
-                       for d in range(d_count)]
-            net.train_step(np.stack([x for x, _ in batches]),
-                           np.stack([y for _, y in batches]),
-                           cfg["lr"], cfg["sgd_momentum"])
+        for x, y in domains.batches(rng, cfg["steps"], cfg["domain_batch"]):
+            net.train_step(x, y, cfg["lr"], cfg["sgd_momentum"])
         net.train_population_stats(pop_x)
         run.summary[f"row{row + 1}"] = {"policy": [sgd_s, pop_s, aff_s]}
         run.log(f"shared_head-row{row + 1}-s{seed}", cfg["steps"], "val",
@@ -685,6 +694,21 @@ def run_leakage(cfg, seed):
 
 
 # ---------------------------------------------------------------------------
+
+def check_ranges(cfg):
+    """The value ranges a merged config needs beyond its types: raise
+    ConfigError naming the key path of the first value out of range."""
+    if cfg.get("batch_size", 1) < 1:
+        raise ConfigError("batch_size must be >= 1")
+    if cfg.get("eps", 1) <= 0:
+        raise ConfigError("eps must be > 0")
+    # nbs_sweep trains, and evaluates its train and val rows, in nbs cohorts
+    for i, nbs in enumerate(cfg.get("nbs_list", ())):
+        if nbs < 1 or any(cfg[k] % nbs for k in
+                          ("batch_size", "train_eval_size", "val_size")):
+            raise ConfigError(f"nbs_list[{i}] must be a divisor of batch_size, "
+                              "train_eval_size and val_size")
+
 
 SCENARIOS = {
     "ema_vs_precise": (run_ema_vs_precise, EMA_VS_PRECISE_DEFAULTS),

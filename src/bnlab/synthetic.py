@@ -91,9 +91,15 @@ class Corruption:
     noise: float = 0.0
 
     def apply(self, x, rng):
+        return self.transform(
+            x, rng.standard_normal(x.shape) if self.noise > 0 else None)
+
+    def transform(self, x, z):
+        """a*x + b, plus ``noise`` times the standard-normal draws ``z`` (of
+        x's shape, unused when noise is 0)."""
         y = self.scale * x + self.shift
         if self.noise > 0:
-            y = y + self.noise * rng.standard_normal(x.shape)
+            y = y + self.noise * z
         return y
 
 
@@ -117,11 +123,22 @@ class MixingCorruption:
         return cls(matrix=q, scale=scale, shift=shift, noise=noise)
 
     def apply(self, x, rng):
-        flat = x[:, :, 0, 0] @ self.matrix.T
-        y = self.scale * flat + self.shift
+        z = rng.standard_normal(x.shape[:2]) if self.noise > 0 else None
+        return self.transform(x[:, :, 0, 0], z)[:, :, None, None]
+
+    def transform(self, x, z):
+        """The shift of (..., dim) features ``x`` with the standard-normal
+        draws ``z`` (unused when noise is 0).  A stack of batches runs one
+        GEMM per batch, so each batch rounds as it would alone."""
+        y = self.scale * (x @ self.matrix.T) + self.shift
         if self.noise > 0:
-            y = y + self.noise * rng.standard_normal(flat.shape)
-        return y[:, :, None, None]
+            y = y + self.noise * z
+        return y
+
+
+# training steps drawn as one slab by MultiScaleDomains.batches (~1.2 MB of
+# inputs at shared_head's defaults)
+SLAB_STEPS = 100
 
 
 @dataclass
@@ -129,11 +146,43 @@ class MultiScaleDomains:
     """D domains sharing class structure but with distinct input scale/shift."""
 
     base: GaussianClasses
-    transforms: list  # of Corruption
+    transforms: list  # of Corruption / MixingCorruption
 
     def sample_domain(self, rng, d, n):
         x, y = self.base.sample(rng, n)
         return self.transforms[d].apply(x, rng), y
+
+    def batches(self, rng, steps, n):
+        """Yield ``steps`` training batches of n rows per domain, each a
+        (D, n, dim, 1, 1) stack with (D, n) labels, drawn SLAB_STEPS steps
+        at a time.  The draws are those of steps x D ``sample_domain``
+        calls in the same order, so the batches are bit-identical."""
+        for start in range(0, steps, SLAB_STEPS):
+            xs, ys = self._slab(rng, min(SLAB_STEPS, steps - start), n)
+            yield from zip(xs, ys)
+
+    def _slab(self, rng, steps, n):
+        """(steps, D, n, dim, 1, 1) inputs and (steps, D, n) labels.  Per
+        step, per domain: the labels, the features' normal draws, then the
+        domain's noise; the arithmetic then runs once on the whole slab,
+        with the same per-element operations as ``sample_domain``."""
+        base, d_count = self.base, self.n_domains
+        labels = np.empty((steps, d_count, n), dtype=np.int64)
+        x = np.empty((steps, d_count, n, base.dim))
+        noise = {d: np.empty((steps, n, base.dim))
+                 for d, t in enumerate(self.transforms) if t.noise > 0}
+        for s in range(steps):
+            for d in range(d_count):
+                labels[s, d] = rng.integers(0, base.classes, size=n)
+                rng.standard_normal(out=x[s, d])
+                if d in noise:
+                    rng.standard_normal(out=noise[d][s])
+        # in place, the bits of means[labels] + noise * z (+ commutes)
+        x *= base.noise
+        x += base.means[labels]
+        for d, t in enumerate(self.transforms):
+            x[:, d] = t.transform(x[:, d], noise.get(d))
+        return x[..., None, None], labels
 
     @property
     def n_domains(self):

@@ -73,25 +73,32 @@ def test_run_rejects_invalid_json(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("text,key", [
-    ('{"steps": -1}', "steps"),
-    ('{"steps": 2.5}', "steps"),
-    ('{"steps": true}', "steps"),
-    ('{"hidden": ["a"]}', "hidden[0]"),
-    ('{"lr": NaN}', "lr"),
-])
-def test_run_rejects_bad_numbers_before_any_work(tmp_path, capsys,
-                                                 monkeypatch, text, key):
+BAD_NUMBERS = [
+    ("domain_adapt", '{"steps": -1}', "steps"),
+    ("domain_adapt", '{"steps": 2.5}', "steps"),
+    ("domain_adapt", '{"steps": true}', "steps"),
+    ("domain_adapt", '{"hidden": ["a"]}', "hidden[0]"),
+    ("domain_adapt", '{"lr": NaN}', "lr"),
+    # well-typed values out of the scenario's range
+    ("domain_adapt", '{"batch_size": 0}', "batch_size"),
+    ("nbs_sweep", '{"nbs_list": [3]}', "nbs_list[0]"),
+    ("nbs_sweep", '{"nbs_list": [2, 0]}', "nbs_list[1]"),
+    ("shared_head", '{"eps": 0}', "eps"),
+]
+
+
+@pytest.mark.parametrize("scenario,text,key", BAD_NUMBERS,
+                         ids=[f"{text}-{key}" for _, text, key in BAD_NUMBERS])
+def test_run_rejects_bad_numbers_before_any_work(tmp_path, capsys, monkeypatch,
+                                                 scenario, text, key):
     def never(cfg, seed):
         raise AssertionError("the scenario ran")
 
-    monkeypatch.setitem(SCENARIOS, "domain_adapt",
-                        (never, SCENARIOS["domain_adapt"][1]))
+    monkeypatch.setitem(SCENARIOS, scenario, (never, SCENARIOS[scenario][1]))
     cfg = tmp_path / "bad.json"
     cfg.write_text(text)
     out = tmp_path / "o"
-    code = main(["run", "domain_adapt", "--config", str(cfg),
-                 "--out", str(out)])
+    code = main(["run", scenario, "--config", str(cfg), "--out", str(out)])
     assert code == 2
     assert f"error: {key} must be" in capsys.readouterr().err
     assert not out.exists()

@@ -7,6 +7,8 @@ bit-identical to them; only the EMA, folded in closed form, may differ by
 rounding.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,50 @@ def test_grouped_training_with_a_frozen_layer_matches_per_cohort_loop():
     _ref_train(nets[1], _batch_fn, cfg, plan)
     _assert_same_network(nets[0], nets[1])
     assert nets[0].layers[1].ema.update_count == 0
+
+
+# ---------------------------------------------------------------------------
+# parameters as views into the optimizer's flat buffer
+
+
+def _params(net):
+    return [getattr(layer, k) for layer in net.layers
+            for k in layer.param_names]
+
+
+def test_training_a_deep_copy_leaves_the_original_untouched():
+    # frozen_finetune's control arm trains a copy of the trained net
+    cfg = SgdConfig(lr=0.05, steps=20, batch_size=32, seed=6)
+    plan = NormBatchPlan(strategy="ghost", sub_batch=8)
+    net = train(_net(), _batch_fn, cfg, plan=plan)
+    before = [p.copy() for p in _params(net)]
+    control = train(copy.deepcopy(net), _batch_fn, cfg, plan=plan)
+    for p, b in zip(_params(net), before):
+        assert np.array_equal(p, b)
+    # the copy trained
+    assert not np.array_equal(control.layers[0].weight, before[0])
+
+
+def test_train_freeze_train_matches_per_cohort_loop():
+    # each train call starts a fresh velocity, in both loops
+    plan = NormBatchPlan(strategy="ghost", sub_batch=8)
+    nets = [_net(), _net()]
+    for run in (train, _ref_train):
+        net = nets[run is _ref_train]
+        run(net, _batch_fn, SgdConfig(lr=0.05, steps=20, batch_size=32,
+                                      seed=7), plan)
+        net.layers[1].freeze(ChannelStats(np.full(HIDDEN, 0.5),
+                                          np.full(HIDDEN, 2.0), 64))
+        run(net, _batch_fn, SgdConfig(lr=0.05, steps=20, batch_size=32,
+                                      seed=8, warmup_steps=5), plan)
+    _assert_same_network(nets[0], nets[1])
+
+
+def test_trained_parameters_share_one_buffer():
+    net = train(_net(), _batch_fn, SgdConfig(lr=0.05, steps=2, batch_size=32))
+    params = _params(net)
+    assert params[0].base is not None
+    assert all(p.base is params[0].base for p in params)
 
 
 def _trained_net():

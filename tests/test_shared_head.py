@@ -233,5 +233,6 @@ def test_eps_must_be_positive(tmp_path):
         SharedHeadNet(np.random.default_rng(0), 4, 5, 3, 3, policy, eps=0)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"eps": 0, "steps": 1}))
+    # the config's range check refuses it before any work
     assert main(["run", "shared_head", "--config", str(cfg),
-                 "--out", str(tmp_path / "o")]) == 1
+                 "--out", str(tmp_path / "o")]) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from bnlab.errors import InvalidParams
 from bnlab.synthetic import (
+    SLAB_STEPS,
     ClusteredData,
     Corruption,
     GaussianClasses,
@@ -72,6 +73,28 @@ def test_multi_scale_domains_dispatch():
     x0, _ = domains.sample_domain(rng, 0, 100)
     x1, _ = domains.sample_domain(rng, 1, 100)
     assert x1.std() > 5 * x0.std()
+
+
+def test_slab_batches_match_sequential_domain_draws():
+    # noisy channel-wise and mixing domains pin where each noise draw falls
+    base = GaussianClasses(5, 6, 3.0, 0.7, seed=11)
+    domains = MultiScaleDomains(base, [
+        Corruption(scale=2.0, shift=-1.0, noise=0.3),
+        MixingCorruption.random_rotation(6, np.random.default_rng(12),
+                                         scale=0.5, shift=1.0, noise=0.2),
+        Corruption(scale=0.5),
+    ])
+    steps, n = 2 * SLAB_STEPS + 7, 4  # a partial last slab
+    slab_rng, seq_rng = np.random.default_rng(13), np.random.default_rng(13)
+    batches = list(domains.batches(slab_rng, steps, n))
+    assert len(batches) == steps
+    for x, y in batches:
+        assert x.shape == (3, n, 6, 1, 1) and y.shape == (3, n)
+        for d in range(3):
+            xd, yd = domains.sample_domain(seq_rng, d, n)
+            assert np.array_equal(x[d], xd)
+            assert np.array_equal(y[d], yd)
+    assert slab_rng.bit_generator.state == seq_rng.bit_generator.state
 
 
 def test_make_clustered_data_shares_latent_within_cluster():
