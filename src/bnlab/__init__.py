@@ -6,7 +6,14 @@ explicit mode selection (:mod:`bnlab.layer`), normalization-batch
 construction (:mod:`bnlab.batching`), a small manually differentiated
 network (:mod:`bnlab.net`), statistics re-estimation (:mod:`bnlab.precise`),
 and the experiment scenarios (:mod:`bnlab.scenarios`).
+
+Importing the package caps the OpenBLAS that numpy loaded at one thread,
+unless ``OPENBLAS_NUM_THREADS`` is set: on GEMMs this small a second thread
+costs more CPU than it saves, and results are bit-identical either way.
 """
+
+import ctypes
+import os
 
 from .batching import DomainPolicy, NormBatchPlan
 from .layer import BnLayer, BnMode
@@ -14,6 +21,37 @@ from .net import Network, SgdConfig, train
 from .precise import precise_bn, precise_bn_layerwise
 from .stats import BatchMomentLog, EmaState, ema_update
 from .tensor import ChannelStats, channel_moments, normalize
+
+
+def _one_blas_thread():
+    """Set every loaded OpenBLAS to one thread, unless the user chose a
+    count; a library or setter that cannot be found is left alone."""
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {fields[5].strip() for fields in
+                     (line.split(maxsplit=5) for line in fh)
+                     if len(fields) == 6 and "openblas" in fields[5]}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a library file deleted since it was mapped
+            continue
+        for name in ("openblas_set_num_threads",
+                     "scipy_openblas_set_num_threads64_",
+                     "openblas_set_num_threads64_"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+# the imports above loaded numpy, and with it OpenBLAS
+_one_blas_thread()
 
 __version__ = "0.1.0"
 

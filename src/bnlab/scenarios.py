@@ -698,8 +698,9 @@ def run_leakage(cfg, seed):
 def check_ranges(cfg):
     """The value ranges a merged config needs beyond its types: raise
     ConfigError naming the key path of the first value out of range."""
-    if cfg.get("batch_size", 1) < 1:
-        raise ConfigError("batch_size must be >= 1")
+    for key in ("batch_size", "eval_every", "domain_batch"):
+        if cfg.get(key, 1) < 1:
+            raise ConfigError(f"{key} must be >= 1")
     if cfg.get("eps", 1) <= 0:
         raise ConfigError("eps must be > 0")
     # nbs_sweep trains, and evaluates its train and val rows, in nbs cohorts

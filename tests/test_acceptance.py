@@ -3,9 +3,13 @@ own pass/fail line by ``pytest -v``.
 
 The experiment-direction criteria (c09-c12) are evaluated as a majority vote
 over three seeds, since individual synthetic runs carry sampling noise.
+Their seeds run in a pool of two processes.
 """
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -45,6 +49,22 @@ def report_margins(record_property, votes, margins):
     for seed, values in margins.items():
         record_property(f"margins_seed{seed}", values)
     return f"per-seed verdicts: {votes}; per-seed margins: {margins}"
+
+
+def seed_summaries(runner, defaults):
+    """(summary, seconds) of ``runner`` at its defaults for each seed, each
+    timed inside its worker; the seeds run in two fresh processes (spawned,
+    since OpenBLAS's threads make forking this one unsafe)."""
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        return list(pool.map(_timed_summary, repeat(runner), repeat(defaults),
+                             SEEDS))
+
+
+def _timed_summary(runner, defaults, seed):
+    start = time.monotonic()
+    summary = runner(dict(defaults), seed).summary
+    return summary, time.monotonic() - start
 
 
 def _rand_net(rng, dims):
@@ -173,11 +193,8 @@ def test_c08_split_concat_moment_property():
 
 def test_c09_leakage_and_fixes(record_property):
     votes, margins = [], {}
-    for seed in SEEDS:
-        start = time.monotonic()
-        run = run_leakage(dict(LEAKAGE_DEFAULTS), seed)
-        elapsed = time.monotonic() - start
-        s = run.summary
+    runs = seed_summaries(run_leakage, LEAKAGE_DEFAULTS)
+    for seed, (s, elapsed) in zip(SEEDS, runs):
         gap = s["crafted"]["population"] - s["crafted"]["minibatch_pattern"]
         fix_diffs = [abs(s[name]["population"] - s["control"]["population"])
                      for name in ("shuffle_fix", "sync_fix", "ghost_fix")]
@@ -191,9 +208,9 @@ def test_c09_leakage_and_fixes(record_property):
 
 def test_c10_shared_head_consistency(record_property):
     votes, margins = [], {}
-    for seed in SEEDS:
-        run = run_shared_head(dict(SHARED_HEAD_DEFAULTS), seed)
-        errs = [run.summary[f"row{r}"]["error"] for r in range(1, 7)]
+    runs = seed_summaries(run_shared_head, SHARED_HEAD_DEFAULTS)
+    for seed, (summary, _) in zip(SEEDS, runs):
+        errs = [summary[f"row{r}"]["error"] for r in range(1, 7)]
         consistent = [errs[0], errs[3], errs[5]]
         inconsistent = errs[1]
         degraded = all(inconsistent >= 2.0 * e for e in consistent)
@@ -211,17 +228,17 @@ def test_c10_shared_head_consistency(record_property):
 
 def test_c11_nbs_sweep_directions(record_property):
     votes, margins = [], {}
-    for seed in SEEDS:
-        run = run_nbs_sweep(dict(NBS_SWEEP_DEFAULTS), seed)
-        tr = [run.summary[str(b)]["train_minibatch"] for b in (2, 8, 32)]
+    runs = seed_summaries(run_nbs_sweep, NBS_SWEEP_DEFAULTS)
+    for seed, (summary, _) in zip(SEEDS, runs):
+        tr = [summary[str(b)]["train_minibatch"] for b in (2, 8, 32)]
         mono = tr[0] >= tr[1] >= tr[2]
-        flip = (run.summary["2"]["val_population"]
-                > run.summary["2"]["val_minibatch"])
+        flip = (summary["2"]["val_population"]
+                > summary["2"]["val_minibatch"])
         # train errors non-increasing in nbs, flip > 0
         margins[seed] = {
             "train_minibatch_nbs2_8_32": tr,
-            "flip": (run.summary["2"]["val_population"]
-                     - run.summary["2"]["val_minibatch"]),
+            "flip": (summary["2"]["val_population"]
+                     - summary["2"]["val_minibatch"]),
         }
         votes.append(mono and flip)
     message = report_margins(record_property, votes, margins)

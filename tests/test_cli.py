@@ -81,6 +81,8 @@ BAD_NUMBERS = [
     ("domain_adapt", '{"lr": NaN}', "lr"),
     # well-typed values out of the scenario's range
     ("domain_adapt", '{"batch_size": 0}', "batch_size"),
+    ("ema_vs_precise", '{"eval_every": 0}', "eval_every"),
+    ("shared_head", '{"domain_batch": 0}', "domain_batch"),
     ("nbs_sweep", '{"nbs_list": [3]}', "nbs_list[0]"),
     ("nbs_sweep", '{"nbs_list": [2, 0]}', "nbs_list[1]"),
     ("shared_head", '{"eps": 0}', "eps"),
