@@ -89,12 +89,13 @@ def cmd_run(args):
             f"{args.out}/stats.json": result.stats_checkpoint,
             f"{args.out}/params.json": result.params_checkpoint,
         }
-        # a diverged run writes none of its artifacts
-        for path, payload in checkpoints.items():
-            io.check_finite(path, payload)
+        # every payload is encoded before any file is written, so a run
+        # whose JSON would hold NaN writes none of its artifacts
+        texts = {path: io.encode_json(path, payload)
+                 for path, payload in checkpoints.items()}
         io.write_metrics_csv(f"{args.out}/metrics.csv", result.rows)
-        for path, payload in checkpoints.items():
-            io.write_json(path, payload)
+        for path, text in texts.items():
+            io.write_json(path, text)
     except (BnLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         traceback.print_exc(limit=2, file=sys.stderr)

@@ -51,3 +51,7 @@ class UnknownScenario(BnLabError):
 
 class MalformedCsv(BnLabError):
     pass
+
+
+class Diverged(BnLabError):
+    pass

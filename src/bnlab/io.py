@@ -5,7 +5,8 @@ format, one metric observation per row), ``summary.json``, and the
 ``stats.json`` / ``params.json`` checkpoints.  All writes are atomic
 (temp file + rename) and byte-deterministic for a fixed seed: floats are
 serialized with ``repr`` so the shortest round-trippable decimal is used.
-JSON has no NaN or infinity, so a payload holding one is refused.
+Each JSON payload is encoded once, by ``encode_json``; JSON has no NaN or
+infinity, so a payload holding one is refused.
 """
 
 import csv
@@ -20,7 +21,7 @@ __all__ = [
     "load_config",
     "validate_config",
     "write_metrics_csv",
-    "check_finite",
+    "encode_json",
     "write_json",
     "METRICS_HEADER",
 ]
@@ -126,21 +127,6 @@ def write_metrics_csv(path, rows):
     _atomic_write(path, writer)
 
 
-class _ReprFloat(float):
-    def __repr__(self):
-        return repr(float(self))
-
-
-def _reprify(obj):
-    if isinstance(obj, float):
-        return _ReprFloat(obj)
-    if isinstance(obj, dict):
-        return {k: _reprify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_reprify(v) for v in obj]
-    return obj
-
-
 def _nonfinite_key(obj, key=""):
     """Key path of the first NaN or infinity in ``obj`` in file order."""
     if isinstance(obj, float):
@@ -154,19 +140,19 @@ def _nonfinite_key(obj, key=""):
     return next(filter(None, (_nonfinite_key(v, k) for k, v in items)), None)
 
 
-def check_finite(path, payload):
-    """Raise BnLabError naming ``path`` and the key path of the first NaN or
-    infinity in ``payload``, the JSON to be written there."""
+def encode_json(path, payload):
+    """The JSON text of ``payload`` for ``path``: sorted keys, two-space
+    indent, and every float (np.float64 too) as ``float.__repr__``.  Raises
+    BnLabError naming ``path`` and the key path of the first NaN or
+    infinity."""
     try:
-        json.dumps(payload, allow_nan=False)
+        return json.dumps(payload, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
     except ValueError:
         key = _nonfinite_key(payload).lstrip(".")
         raise BnLabError(f"{path}: non-finite value at {key}; not written") from None
 
 
-def write_json(path, payload):
-    """Write ``payload`` atomically; a non-finite float creates no file."""
-    check_finite(path, payload)
-    text = json.dumps(_reprify(payload), indent=2, sort_keys=True) + "\n"
+def write_json(path, text):
+    """Write ``text``, from ``encode_json``, to ``path`` atomically."""
     _atomic_write(path, lambda fh: fh.write(text))
-

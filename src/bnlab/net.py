@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batching import NormBatchPlan, cohort_indices, cohort_runs, even_sizes
-from .errors import InvalidParams, ShapeMismatch, StaleCache
+from .errors import Diverged, InvalidParams, ShapeMismatch, StaleCache
 from .layer import BnLayer, BnMode
 from .tensor import SAMPLE_AXES, as_batch, as_tensor4
 
@@ -39,11 +39,16 @@ __all__ = [
     "classification_error",
     "cohort_stacks",
     "EVAL_CHUNK_ROWS",
+    "LOSS_BOUND",
 ]
 
 # rows per forward-only pass: population-mode chunks, and the cap on whole
 # mini-batches grouped into one pass
 EVAL_CHUNK_ROWS = 256
+
+# a training loss (mean cross-entropy, in nats) above this, or NaN, stops
+# the run: chance level on K classes is ln K, 2.8 for the scenarios' 16
+LOSS_BOUND = 1e3
 
 # axis orders that move channels last (one row per spatial site) and back,
 # for an (N, C, H, W) batch and a (G, n, C, H, W) cohort stack
@@ -87,9 +92,11 @@ class Linear:
         y = y2.reshape(*lead, h, w, -1).transpose(_CHANNELS_BACK[x.ndim])
         return y, (x2, x.shape)
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, input_grad=True):
         """Input gradient and parameter gradients; a cohort stack's
-        parameter gradients keep a leading cohort axis."""
+        parameter gradients keep a leading cohort axis.  Without
+        ``input_grad`` the input gradient's GEMM is skipped and None is
+        returned in its place."""
         x2, shape = cache
         dy = as_batch(dy)
         dy2 = dy.transpose(_CHANNELS_LAST[dy.ndim]).reshape(*shape[:-4], -1,
@@ -97,6 +104,8 @@ class Linear:
         # dy2^T @ x2 per cohort, the transpose a view as dy2.T was
         weight = dy2.swapaxes(-1, -2) @ x2
         grads = {"weight": weight, "bias": dy2.sum(axis=-2)}
+        if not input_grad:
+            return None, grads
         dx = (dy2 @ self.weight).reshape(*shape[:-3], *shape[-2:], shape[-3]) \
             .transpose(_CHANNELS_BACK[dy.ndim])
         return dx, grads
@@ -203,9 +212,10 @@ class Network:
         {layer index: ChannelStats}: those normalize by the given statistics
         as EVAL_POPULATION, without touching layer state.  ``moment_sinks``
         maps layer index -> BatchMomentLog receiving this pass's batch
-        moments, one entry per cohort in order.  ``x`` is an (N, C, H, W)
-        batch, giving (N, K) logits, or a (G, n, C, H, W) stack of G
-        normalization cohorts, run as one pass and giving (G, n, K) logits.
+        moments as one entry, (G, C) for a cohort stack.  ``x`` is an
+        (N, C, H, W) batch, giving (N, K) logits, or a (G, n, C, H, W) stack
+        of G normalization cohorts, run as one pass and giving (G, n, K)
+        logits.
         """
         x = as_batch(x)
         caches = []
@@ -217,24 +227,30 @@ class Network:
                     stats=fixed)
                 if moment_sinks is not None and i in moment_sinks \
                         and cache.moments is not None:
-                    for moments in cache.moments.cohorts():
-                        moment_sinks[i].append(moments)
+                    moment_sinks[i].append(cache.moments)
             else:
                 x, cache = layer.forward(x)
             caches.append(cache)
         return to2(x), NetCaches(caches)
 
-    def backward(self, caches, dlogits):
+    def backward(self, caches, dlogits, input_grad=True):
         """Exact gradients of the scalar loss the caller differentiated into
-        ``dlogits``, which has the leading shape of the forward's logits.
-        For a cohort stack the parameter gradients come per cohort, stacked
-        on a leading cohort axis.
+        ``dlogits``, which has the leading shape of the forward's logits:
+        (input gradient, per-layer parameter gradients).  For a cohort
+        stack the parameter gradients come per cohort, stacked on a leading
+        cohort axis.  Without ``input_grad`` a first Linear layer skips the
+        input gradient, which comes back as None.
         """
         per_layer = caches.take()
         dy = to4(dlogits)
         grads = [None] * len(self.layers)
-        for i in range(len(self.layers) - 1, -1, -1):
+        for i in range(len(self.layers) - 1, 0, -1):
             dy, grads[i] = self.layers[i].backward(per_layer[i], dy)
+        first = self.layers[0]
+        if input_grad or not isinstance(first, Linear):
+            dy, grads[0] = first.backward(per_layer[0], dy)
+        else:
+            dy, grads[0] = first.backward(per_layer[0], dy, input_grad=False)
         return dy, grads
 
 
@@ -347,7 +363,7 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer):
         loss_c, dlogits = softmax_cross_entropy(logits, labels[idx])
         # builtin sum adds the cohort losses one at a time, in order
         loss_sum = sum(loss_c * size, loss_sum)
-        _, grads = net.backward(caches, dlogits * (size / n))
+        _, grads = net.backward(caches, dlogits * (size / n), input_grad=False)
         for g, out in zip(grads, optimizer.grads):
             for k, v in (g or {}).items():
                 reduce_cohorts(v, out[k], first == 0)
@@ -355,17 +371,27 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer):
     return loss_sum / n
 
 
+def diverged(step, loss):
+    """The error for a training loss that is NaN or above LOSS_BOUND after
+    the 0-based ``step``."""
+    return Diverged(f"training diverged at step {step + 1}: loss "
+                    f"{float(loss):.6g} is not <= {LOSS_BOUND:g}")
+
+
 def train(net, batch_fn, cfg: SgdConfig, plan: NormBatchPlan | None = None,
           callback=None):
     """Run momentum SGD.  ``batch_fn(rng, batch_size)`` yields each logical
     batch; ``callback(step, net)`` (if given) is invoked after every step.
     The parameters are views into a new ``Momentum`` buffer from here on.
-    Returns the trained network (mutated in place)."""
+    Returns the trained network (mutated in place).  Raises ``Diverged``
+    at the first step whose loss is NaN or above LOSS_BOUND."""
     rng = np.random.default_rng(cfg.seed)
     optimizer = Momentum(net.layers)
     for step in range(cfg.steps):
         x, labels = batch_fn(rng, cfg.batch_size)
-        sgd_step(net, x, labels, cfg, step, plan, rng, optimizer)
+        loss = sgd_step(net, x, labels, cfg, step, plan, rng, optimizer)
+        if not loss <= LOSS_BOUND:
+            raise diverged(step, loss)
         if callback is not None:
             callback(step, net)
     return net

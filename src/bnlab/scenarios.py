@@ -24,6 +24,7 @@ from .batching import PER_DOMAIN, SHARED, DomainPolicy, NormBatchPlan
 from .errors import ConfigError, InvalidParams, InvalidPolicy
 from .layer import BnLayer, BnMode, batch_stats_backward
 from .net import (
+    LOSS_BOUND,
     Affine,
     Linear,
     MeanPool,
@@ -32,6 +33,7 @@ from .net import (
     Relu,
     SgdConfig,
     classification_error,
+    diverged,
     reduce_cohorts,
     softmax_cross_entropy,
     train,
@@ -504,7 +506,7 @@ class SharedHeadNet:
                                       dxhat.reshape(rows)).reshape(xhat.shape)
         else:
             dh = batch_stats_backward(xhat, inv, dxhat)
-        _, gl1 = self.l1.backward(caches["l1"], dh)
+        _, gl1 = self.l1.backward(caches["l1"], dh, input_grad=False)
         if self.policy.affine == PER_DOMAIN:
             # the (D, C) gradient is the whole stack's: one "cohort"
             gaff = {k: v[None] for k, v in gaff.items()}
@@ -519,16 +521,19 @@ class SharedHeadNet:
 
     def train_step(self, x, y, lr, momentum):
         """One momentum-SGD step on a (D, n, C, 1, 1) stack with (D, n)
-        labels; the loss is the mean cross-entropy over all D * n rows."""
+        labels; the loss is the mean cross-entropy over all D * n rows.
+        Returns that loss, as it was before the step."""
         if self.optimizer is None:
             self.optimizer = Momentum([getattr(self, name)
                                        for name in self.param_layers])
         logits, caches = self.forward_train(x)
-        _, dlogits = softmax_cross_entropy(logits, y)
+        loss, dlogits = softmax_cross_entropy(logits, y)
         self.backward_train(caches, dlogits * y.shape[-1] / y.size,
                             out=dict(zip(self.param_layers,
                                          self.optimizer.grads)))
         self.optimizer.step(lr, momentum)
+        # the mean of the D per-domain means of n rows each
+        return np.add.reduce(loss) / loss.shape[0]
 
     def train_population_stats(self, x):
         """Population statistics of a (D, n, C, 1, 1) stack of domain
@@ -575,8 +580,11 @@ def run_shared_head(cfg, seed):
                             cfg["dim"], cfg["hidden"], cfg["classes"],
                             d_count, policy, eps=cfg["eps"])
         rng = np.random.default_rng(_seed(seed, 10 + row))
-        for x, y in domains.batches(rng, cfg["steps"], cfg["domain_batch"]):
-            net.train_step(x, y, cfg["lr"], cfg["sgd_momentum"])
+        batches = domains.batches(rng, cfg["steps"], cfg["domain_batch"])
+        for step, (x, y) in enumerate(batches):
+            loss = net.train_step(x, y, cfg["lr"], cfg["sgd_momentum"])
+            if not loss <= LOSS_BOUND:
+                raise diverged(step, loss)
         net.train_population_stats(pop_x)
         run.summary[f"row{row + 1}"] = {"policy": [sgd_s, pop_s, aff_s]}
         run.log(f"shared_head-row{row + 1}-s{seed}", cfg["steps"], "val",

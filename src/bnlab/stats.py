@@ -3,7 +3,7 @@ and a Monte Carlo oracle for the variance of the variance estimator."""
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,17 +69,23 @@ def ema_update(state: EmaState, batch: ChannelStats) -> EmaState:
     variances = batch.var.reshape(-1, batch.channels)
     g = means.shape[0]
     decay = lam ** np.arange(g - 1, -1, -1)[:, None]
-    return replace(
-        state,
-        mean=lam**g * state.mean + (1.0 - lam) * (decay * means).sum(axis=0),
-        var=lam**g * state.var + (1.0 - lam) * (decay * variances).sum(axis=0),
-        update_count=state.update_count + g,
+    return EmaState(
+        lam**g * state.mean + (1.0 - lam) * np.add.reduce(decay * means, axis=0),
+        lam**g * state.var + (1.0 - lam) * np.add.reduce(decay * variances, axis=0),
+        lam,
+        state.update_count + g,
     )
 
 
 @dataclass
 class BatchMomentLog:
-    """Ordered per-mini-batch channel statistics collected during a pass."""
+    """Ordered per-mini-batch channel statistics collected during a pass.
+
+    An entry is one mini-batch's (C,) moments, or the (G, C) moments of a
+    pass over a stack of G mini-batches, one row per cohort.  The log
+    counts mini-batches, not entries: ``len``, ``stacked`` and the CSV
+    have one row per mini-batch, in order.
+    """
 
     entries: list = field(default_factory=list)
 
@@ -89,7 +95,16 @@ class BatchMomentLog:
         self.entries.append(stats)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(e.mean.size // e.channels for e in self.entries)
+
+    def stacked(self):
+        """(K, C) means, (K, C) variances and (K,) element counts of the
+        log's K mini-batches, in order; the log must not be empty."""
+        c = self.entries[0].channels
+        return (np.concatenate([e.mean.reshape(-1, c) for e in self.entries]),
+                np.concatenate([e.var.reshape(-1, c) for e in self.entries]),
+                np.repeat([e.count for e in self.entries],
+                          [e.mean.size // c for e in self.entries]))
 
     CSV_HEADER = ["batch_index", "channel", "mean", "var", "count"]
 
@@ -97,10 +112,11 @@ class BatchMomentLog:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.CSV_HEADER)
-        for i, entry in enumerate(self.entries):
-            for c in range(entry.channels):
-                writer.writerow([i, c, repr(float(entry.mean[c])),
-                                 repr(float(entry.var[c])), entry.count])
+        rows = zip(*self.stacked()) if self.entries else ()
+        for i, (mean, var, count) in enumerate(rows):
+            for c in range(mean.shape[0]):
+                writer.writerow([i, c, repr(float(mean[c])), repr(float(var[c])),
+                                 int(count)])
         return buf.getvalue()
 
     @classmethod
@@ -150,16 +166,19 @@ class BatchMomentLog:
 def aggregate_moment_matching(log: BatchMomentLog, bessel: bool = False) -> ChannelStats:
     """Pool a moment log through per-batch E[mu], E[mu^2 + var].
 
-    Entries with unequal element counts are weighted by count, which makes
-    the result identical (to rounding) to the moments of the concatenated
-    population.  With ``bessel`` the pooled variance is rescaled by
-    N / (N - 1) where N is the total element count.
+    Mini-batches with unequal element counts are weighted by count, which
+    makes the result identical (to rounding) to the moments of the
+    concatenated population.  With ``bessel`` the pooled variance is
+    rescaled by N / (N - 1) where N is the total element count.  The log is
+    pooled as (K, C) arrays; the sums over axis 0 add the K rows in order.
     """
     if not log.entries:
         raise EmptyLog("cannot aggregate an empty moment log")
-    total = sum(e.count for e in log.entries)
-    mean = sum(e.count * e.mean for e in log.entries) / total
-    second = sum(e.count * (e.mean**2 + e.var) for e in log.entries) / total
+    means, variances, counts = log.stacked()
+    total = int(np.add.reduce(counts))
+    weights = counts[:, None]
+    mean = np.add.reduce(weights * means, axis=0) / total
+    second = np.add.reduce(weights * (means**2 + variances), axis=0) / total
     var = second - mean**2
     if bessel:
         if total < 2:
@@ -171,7 +190,7 @@ def aggregate_moment_matching(log: BatchMomentLog, bessel: bool = False) -> Chan
 def aggregate_naive(log: BatchMomentLog) -> ChannelStats:
     """The original aggregation: mean of means, B/(B-1) * mean of variances.
 
-    Requires every entry to carry the same per-batch element count B >= 2.
+    Requires every mini-batch to carry the same element count B >= 2.
     """
     if not log.entries:
         raise EmptyLog("cannot aggregate an empty moment log")
@@ -181,9 +200,10 @@ def aggregate_naive(log: BatchMomentLog) -> ChannelStats:
     b = counts.pop()
     if b < 2:
         raise DegenerateBatch(f"naive aggregation needs batch count >= 2, got {b}")
-    k = len(log.entries)
-    mean = sum(e.mean for e in log.entries) / k
-    var = (b / (b - 1)) * sum(e.var for e in log.entries) / k
+    means, variances, _ = log.stacked()
+    k = len(means)
+    mean = np.add.reduce(means, axis=0) / k
+    var = (b / (b - 1)) * np.add.reduce(variances, axis=0) / k
     return ChannelStats(mean=mean, var=var, count=b * k)
 
 

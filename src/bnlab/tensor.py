@@ -54,13 +54,6 @@ class ChannelStats:
     def channels(self) -> int:
         return self.mean.shape[-1]
 
-    def cohorts(self) -> list:
-        """One (C,) ChannelStats per cohort, in order."""
-        if self.mean.ndim == 1:
-            return [self]
-        return [ChannelStats(mean=m, var=v, count=self.count)
-                for m, v in zip(self.mean, self.var)]
-
 
 def as_tensor4(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)

@@ -9,7 +9,7 @@ import pytest
 from bnlab.cli import main
 from bnlab.layer import BnLayer
 from bnlab.net import Affine, Linear, MeanPool, Relu
-from bnlab.scenarios import SCENARIOS
+from bnlab.scenarios import SCENARIOS, ScenarioRun
 from bnlab.stats import BatchMomentLog
 from bnlab.tensor import channel_moments
 
@@ -107,7 +107,7 @@ def test_run_rejects_bad_numbers_before_any_work(tmp_path, capsys, monkeypatch,
 
 
 def test_run_diverged_is_runtime_error_and_writes_nothing(tmp_path, capsys):
-    # the loss and parameters stay finite, but the BN statistics overflow
+    # the loss stays finite, but would overflow the BN statistics by step 50
     cfg = tmp_path / "diverge.json"
     cfg.write_text(json.dumps({"lr": 1e6, "steps": 50}))
     out = tmp_path / "o"
@@ -116,7 +116,45 @@ def test_run_diverged_is_runtime_error_and_writes_nothing(tmp_path, capsys):
                      "--seed", "0", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"{out}/stats.json: non-finite value at bn" in err
+    assert "training diverged at step 2: loss" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, overrides", [
+    # finite throughout: parameters near 2e66 and chance-level error by
+    # step 50 when the run went on
+    ("domain_adapt", {"lr": 1e3, "steps": 50}),
+    # SharedHeadNet's own training loop
+    ("shared_head", {"lr": 1e3, "steps": 20,
+                     "policies": [["shared", "shared", "shared"]]}),
+])
+def test_run_finite_divergence_exits_1_naming_the_step(tmp_path, capsys,
+                                                       scenario, overrides):
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps(overrides))
+    out = tmp_path / "o"
+    code = main(["run", scenario, "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: training diverged at step 2: loss " in err
+    assert "is not <= 1000" in err
+    assert not out.exists()
+
+
+def test_run_with_non_finite_json_writes_nothing(monkeypatch, tmp_path, capsys):
+    # a finite run whose statistics checkpoint holds NaN
+    def nan_stats(cfg, seed):
+        run = ScenarioRun("domain_adapt", rows=[("r", "domain_adapt", 1, "val",
+                                                 "ema", "error", 0.5)])
+        run.stats_checkpoint = {"bn0": {"count": 8, "mean": [0.0, np.nan]}}
+        return run
+
+    monkeypatch.setitem(SCENARIOS, "domain_adapt",
+                        (nan_stats, SCENARIOS["domain_adapt"][1]))
+    out = tmp_path / "o"
+    assert main(["run", "domain_adapt", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{out}/stats.json: non-finite value at bn0.mean[1]; not written" in err
     assert not out.exists()
 
 
@@ -223,9 +261,10 @@ def test_check_grad_reports_every_layer_type_once(capsys):
 def test_check_grad_catches_sign_flip(monkeypatch, capsys, layer_type):
     orig = layer_type.backward
 
-    def flipped(self, cache, dy):
-        dx, grads = orig(self, cache, dy)
-        return -dx, grads
+    def flipped(self, cache, dy, **kwargs):
+        # a first Linear in training may skip its input gradient (None)
+        dx, grads = orig(self, cache, dy, **kwargs)
+        return None if dx is None else -dx, grads
 
     monkeypatch.setattr(layer_type, "backward", flipped)
     assert main(["check-grad"]) == 1

@@ -3,10 +3,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from bnlab import io
-from bnlab.errors import ConfigError
+from bnlab.errors import BnLabError, ConfigError
 
 DEFAULTS = {
     "steps": 100,
@@ -108,13 +109,71 @@ def test_metrics_csv_write_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _write_json(path, payload):
+    io.write_json(str(path), io.encode_json(str(path), payload))
+
+
 def test_write_json_full_precision_and_sorted(tmp_path):
     p = tmp_path / "out.json"
-    io.write_json(str(p), {"b": 0.1 + 0.2, "a": [1 / 3]})
+    _write_json(p, {"b": 0.1 + 0.2, "a": [1 / 3]})
     text = p.read_text()
     assert "0.30000000000000004" in text
     assert text.index('"a"') < text.index('"b"')
     assert json.loads(text) == {"a": [1 / 3], "b": 0.1 + 0.2}
+
+
+# the text the writer gave when it wrapped every float in a float subclass
+# whose repr is float.__repr__ before encoding
+GOLDEN_JSON = """\
+{
+  "layers": [
+    {
+      "count": 8,
+      "mean": [
+        -0.0,
+        2.5e+17
+      ]
+    },
+    {
+      "count": 2,
+      "mean": [
+        1e-07,
+        -1.5
+      ]
+    }
+  ],
+  "seed": 0,
+  "summary": {
+    "curve": [
+      0.30000000000000004,
+      0.3333333333333333
+    ],
+    "steps": 300,
+    "tiny": 5e-324
+  }
+}
+"""
+
+
+def test_write_json_bytes_of_numpy_floats_and_ints(tmp_path):
+    payload = {
+        "summary": {"curve": [np.float64(0.1) + np.float64(0.2),
+                              np.float64(1 / 3)],
+                    "steps": 300, "tiny": np.float64(5e-324)},
+        "layers": [{"mean": [np.float64(-0.0), np.float64(2.5e17)], "count": 8},
+                   {"mean": [1.0e-7, -1.5], "count": 2}],
+        "seed": 0,
+    }
+    p = tmp_path / "out.json"
+    _write_json(p, payload)
+    assert p.read_bytes() == GOLDEN_JSON.encode()
+
+
+def test_encode_json_names_the_first_non_finite_key():
+    payload = {"b": [1.0, np.float64("inf")], "a": {"x": float("nan")}}
+    with pytest.raises(BnLabError, match=r"^out/s.json: non-finite value at "
+                                         r"a\.x; not written$"):
+        io.encode_json("out/s.json", payload)
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

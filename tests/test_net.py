@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from bnlab.batching import NormBatchPlan
-from bnlab.errors import InvalidParams, ShapeMismatch, StaleCache
+from bnlab.errors import Diverged, InvalidParams, ShapeMismatch, StaleCache
 from bnlab.layer import BnLayer, BnMode
 from bnlab.net import (
+    LOSS_BOUND,
     Affine,
     Linear,
     MeanPool,
@@ -112,6 +113,48 @@ def test_network_cache_single_use():
     net.backward(caches, np.ones_like(logits))
     with pytest.raises(StaleCache):
         net.backward(caches, np.ones_like(logits))
+
+
+@pytest.mark.parametrize("shape", [(6, 4, 1, 1), (3, 2, 4, 1, 1)])
+def test_backward_without_input_grad_keeps_parameter_gradient_bits(shape):
+    rng = np.random.default_rng(11)
+    net = _net(rng)
+    x = rng.standard_normal(shape)
+    results = []
+    for input_grad in (True, False):
+        logits, caches = net.forward(x, mode=BnMode.EVAL_MINIBATCH)
+        dlogits = np.random.default_rng(12).standard_normal(logits.shape)
+        results.append(net.backward(caches, dlogits, input_grad=input_grad))
+    (dx, grads), (skipped, grads_skipped) = results
+    assert dx.shape == x.shape and skipped is None
+    for g, g_skipped in zip(grads, grads_skipped):
+        assert (g is None) == (g_skipped is None)
+        for k in g or {}:
+            assert g[k].tobytes() == g_skipped[k].tobytes(), k
+
+
+def test_train_stops_at_the_first_nan_or_out_of_bound_loss():
+    steps_drawn = []
+
+    def batch_fn(r, size):
+        steps_drawn.append(len(steps_drawn))
+        x = r.standard_normal((size, 4, 1, 1))
+        if len(steps_drawn) == 3:
+            x[0, 0] = np.nan
+        return x, r.integers(0, 3, size)
+
+    cfg = SgdConfig(lr=0.05, steps=5, batch_size=8, seed=1)
+    with pytest.raises(Diverged, match=r"^training diverged at step 3: "
+                                       r"loss nan is not <= 1000$"):
+        train(_net(np.random.default_rng(13)), batch_fn, cfg)
+    assert len(steps_drawn) == 3
+    # a finite loss above the bound: logits scaled far past any trained run
+    net = _net(np.random.default_rng(13))
+    net.layers[-1].weight *= 1e6
+    with pytest.raises(Diverged, match="at step 1: loss"):
+        train(net, lambda r, size: (r.standard_normal((size, 4, 1, 1)),
+                                    r.integers(0, 3, size)), cfg)
+    assert LOSS_BOUND == 1e3
 
 
 def test_layer_names_are_stable_and_unique():

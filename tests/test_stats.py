@@ -53,20 +53,35 @@ def test_ema_fold_of_cohort_stack_equals_sequential_updates(groups, channels,
     stacked = ChannelStats(rng.standard_normal((groups, channels)),
                            rng.uniform(0.1, 3.0, (groups, channels)), 8)
     folded = ema_update(start, stacked)
+    cohorts = [ChannelStats(m, v, stacked.count)
+               for m, v in zip(stacked.mean, stacked.var)]
     seq = start
-    for cohort in stacked.cohorts():
+    for cohort in cohorts:
         seq = ema_update(seq, cohort)
     assert folded.update_count == seq.update_count == 5 + groups
     np.testing.assert_allclose(folded.mean, seq.mean, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(folded.var, seq.var, rtol=1e-12, atol=1e-12)
     if groups == 1:
         lam = momentum
-        one = stacked.cohorts()[0]
+        one = cohorts[0]
         # a single cohort takes exactly the one-step formula
         assert folded.mean.tobytes() == (
             lam * start.mean + (1.0 - lam) * one.mean).tobytes()
         assert folded.var.tobytes() == (
             lam * start.var + (1.0 - lam) * one.var).tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.9, 0.999, 1.0])
+def test_ema_single_cohort_is_the_one_step_formula_bit_for_bit(lam):
+    rng = np.random.default_rng(11)
+    old = EmaState(rng.standard_normal(5), rng.uniform(0.1, 3.0, 5), lam, 2)
+    m = _stats(rng.standard_normal(5), rng.uniform(0.1, 3.0, 5), 8)
+    new = ema_update(old, m)
+    np.testing.assert_array_equal(new.mean, lam * old.mean + (1 - lam) * m.mean)
+    np.testing.assert_array_equal(new.var, lam * old.var + (1 - lam) * m.var)
+    assert (new.momentum, new.update_count) == (lam, 3)
+    # the old state is left as it was
+    assert old.update_count == 2
 
 
 def test_ema_momentum_validation_and_shape():
@@ -97,6 +112,59 @@ def test_moment_log_csv_roundtrip():
         np.testing.assert_array_equal(a.mean, b.mean)  # repr() round-trips
         np.testing.assert_array_equal(a.var, b.var)
         assert a.count == b.count
+
+
+def _mixed_log(rng, channels=3):
+    """A log of (C,) entries and (G, C) cohort stacks: mini-batches of 4,
+    3 x 4 (one stack), 2, 2 x 4 (one stack) and a ragged 1 rows, each row
+    two elements per channel."""
+    log = BatchMomentLog()
+    for shape in ((4,), (3, 4), (2,), (2, 4), (1,)):
+        n = shape[-1]
+        x = 5.0 + rng.standard_normal((*shape[:-1], n, channels, 2, 1))
+        log.append(channel_moments(x))
+    return log
+
+
+def test_moment_log_counts_mini_batches_not_entries():
+    log = _mixed_log(np.random.default_rng(5))
+    assert len(log.entries) == 5
+    assert len(log) == 1 + 3 + 1 + 2 + 1
+    lines = log.to_csv().splitlines()
+    assert len(lines) == 1 + len(log) * 3
+    assert [line.split(",")[0] for line in lines[1::3]] == \
+        [str(i) for i in range(len(log))]
+    assert [int(line.split(",")[4]) for line in lines[1::3]] == \
+        [8, 8, 8, 8, 4, 8, 8, 2]
+    back = BatchMomentLog.from_csv(log.to_csv())
+    assert len(back) == len(log) == len(back.entries)
+    means, variances, counts = log.stacked()
+    for i, entry in enumerate(back.entries):
+        np.testing.assert_array_equal(entry.mean, means[i])
+        np.testing.assert_array_equal(entry.var, variances[i])
+        assert entry.count == counts[i]
+
+
+def test_moment_matching_of_stacks_has_the_sequential_sums_bits():
+    log = _mixed_log(np.random.default_rng(6))
+    agg = aggregate_moment_matching(log)
+    # the formula as a sum over one (C,) mini-batch at a time, in order
+    batches = [(m, v, e.count) for e in log.entries
+               for m, v in zip(e.mean.reshape(-1, 3), e.var.reshape(-1, 3))]
+    total = sum(count for _, _, count in batches)
+    mean = sum(count * m for m, _, count in batches) / total
+    second = sum(count * (m**2 + v) for m, v, count in batches) / total
+    np.testing.assert_array_equal(agg.mean, mean)
+    np.testing.assert_array_equal(agg.var, np.maximum(second - mean**2, 0.0))
+    assert agg.count == total == 2 * (4 + 12 + 2 + 8 + 1)
+    # naive pooling counts mini-batches too
+    equal = BatchMomentLog()
+    equal.append(_stats([[1.0], [3.0]], [[2.0], [6.0]], 4))
+    equal.append(_stats([5.0], [4.0], 4))
+    naive = aggregate_naive(equal)
+    np.testing.assert_array_equal(naive.mean, [(1.0 + 3.0 + 5.0) / 3])
+    np.testing.assert_array_equal(naive.var, [(4 / 3) * (2.0 + 6.0 + 4.0) / 3])
+    assert naive.count == 12
 
 
 @pytest.mark.parametrize("text", [
