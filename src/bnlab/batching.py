@@ -1,5 +1,5 @@
-"""Ways to carve samples into normalization batches: per-worker, ghost,
-simulated sync, shuffle, and domain-specific policies."""
+"""Ways to carve samples into normalization batches: ghost and shuffled
+cohorts, and domain-specific policies."""
 
 import itertools
 from dataclasses import dataclass
@@ -18,62 +18,35 @@ __all__ = [
 
 SHARED = "shared"
 PER_DOMAIN = "per_domain"
+STRATEGIES = ("ghost", "shuffle")
 
 
 @dataclass
 class NormBatchPlan:
-    """How a logical SGD batch becomes normalization batches.
+    """How a logical SGD batch becomes normalization cohorts of ``sub_batch``
+    rows, the last one ragged: ghost takes the rows in batch order, shuffle
+    in a fresh permutation drawn each step.  No plan (``train(plan=None)``)
+    normalizes the whole batch as one cohort, as SyncBN does."""
 
-    strategy: per_worker | ghost | sync | shuffle
-    worker_sizes carve the logical batch into workers (defaults to a single
-    worker).  ghost needs sub_batch; shuffle draws a fresh permutation per
-    step.
-    """
-
-    strategy: str = "sync"
-    worker_sizes: list | None = None
-    sub_batch: int | None = None
+    strategy: str
+    sub_batch: int
 
     def __post_init__(self):
-        known = {"per_worker", "ghost", "sync", "shuffle"}
-        if self.strategy not in known:
-            raise InvalidPlan(f"unknown strategy {self.strategy!r}; expected one of {sorted(known)}")
-        if self.strategy == "ghost" and (self.sub_batch is None or self.sub_batch < 1):
-            raise InvalidPlan("ghost needs a positive sub_batch")
-
-    def sizes_for(self, n: int):
-        if self.worker_sizes is None:
-            return [n]
-        if sum(self.worker_sizes) != n:
-            raise InvalidPlan(
-                f"worker sizes {self.worker_sizes} do not sum to batch size {n}"
-            )
-        return list(self.worker_sizes)
+        if self.strategy not in STRATEGIES:
+            raise InvalidPlan(f"unknown strategy {self.strategy!r}; "
+                              f"expected one of {list(STRATEGIES)}")
+        if self.sub_batch is None or self.sub_batch < 1:
+            raise InvalidPlan(f"{self.strategy} needs a positive sub_batch")
 
 
 def cohort_indices(plan: NormBatchPlan, n: int, rng=None):
     """Index arrays (into the logical batch) for each normalization cohort."""
     if n < 1:
         raise EmptyBatch("cannot plan cohorts for an empty batch")
-    sizes = plan.sizes_for(n)
-    order = np.arange(n)
-    if plan.strategy == "shuffle":
-        if rng is None:
-            raise InvalidPlan("shuffle needs an rng for the per-step permutation")
-        order = rng.permutation(n)
-    cohorts = []
-    start = 0
-    for s in sizes:
-        worker = order[start : start + s]
-        start += s
-        if plan.strategy == "ghost":
-            for i in range(0, s, plan.sub_batch):
-                cohorts.append(worker[i : i + plan.sub_batch])
-        else:
-            cohorts.append(worker)
-    if plan.strategy == "sync":
-        cohorts = [np.concatenate(cohorts)]
-    return cohorts
+    if plan.strategy == "shuffle" and rng is None:
+        raise InvalidPlan("shuffle needs an rng for the per-step permutation")
+    order = rng.permutation(n) if plan.strategy == "shuffle" else np.arange(n)
+    return [order[i : i + plan.sub_batch] for i in range(0, n, plan.sub_batch)]
 
 
 def even_sizes(n: int, size: int) -> list:

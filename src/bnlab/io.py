@@ -12,6 +12,7 @@ infinity, so a payload holding one is refused.
 import csv
 import json
 import math
+import operator
 import os
 import tempfile
 
@@ -20,6 +21,7 @@ from .errors import BnLabError, ConfigError
 __all__ = [
     "load_config",
     "validate_config",
+    "Range",
     "write_metrics_csv",
     "encode_json",
     "write_json",
@@ -43,6 +45,28 @@ def _check_number(default, value, key):
         raise ConfigError(f"{key} must be finite")
     if isinstance(default, int) and not (isinstance(value, int) and value >= 0):
         raise ConfigError(f"{key} must be an integer >= 0")
+
+
+class Range:
+    """A config key's values: a number, or each number of a list, meets
+    every bound (``">= 1"``, ``"< 1"``), and a list or mapping holds at least
+    ``min_len`` entries; ``check(key, value)`` raises ConfigError if not."""
+
+    OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+    def __init__(self, *bounds, min_len=0):
+        self.bounds, self.min_len = bounds, min_len
+
+    def check(self, key, value):
+        if isinstance(value, (list, dict)):
+            if len(value) < self.min_len:
+                raise ConfigError(f"{key} must be of length >= {self.min_len}")
+            for i, v in enumerate(value):
+                self.check(f"{key}[{i}]", v)
+        elif _is_number(value) and not all(
+                self.OPS[op](value, float(bound))
+                for op, bound in map(str.split, self.bounds)):
+            raise ConfigError(f"{key} must be {' and '.join(self.bounds)}")
 
 
 def _merge_validate(defaults, overrides, path=""):

@@ -352,9 +352,7 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer):
     the logical batch, so the gradient scale is cohort-invariant.
     """
     n = x.shape[0]
-    cohorts = (
-        cohort_indices(plan, n, rng) if plan is not None else [np.arange(n)]
-    )
+    cohorts = [np.arange(n)] if plan is None else cohort_indices(plan, n, rng)
     loss_sum = 0.0
     for first, groups, size in cohort_runs(map(len, cohorts)):
         idx = np.stack(cohorts[first : first + groups])

@@ -22,6 +22,7 @@ import numpy as np
 
 from .batching import PER_DOMAIN, SHARED, DomainPolicy, NormBatchPlan
 from .errors import ConfigError, InvalidParams, InvalidPolicy
+from .io import Range
 from .layer import BnLayer, BnMode, batch_stats_backward
 from .net import (
     LOSS_BOUND,
@@ -50,7 +51,7 @@ from .synthetic import (
 )
 from .tensor import channel_moments, normalize
 
-__all__ = ["ScenarioRun", "SCENARIOS", "check_ranges"]
+__all__ = ["ScenarioRun", "SCENARIOS", "RANGES", "check_ranges"]
 
 
 @dataclass
@@ -99,16 +100,16 @@ class ScenarioRun:
                 }
 
 
-def build_net(rng, dims, eps=1e-5, ema_momentum=0.9, pool=False):
-    """Linear -> BN -> Affine -> Relu blocks with a final Linear classifier;
-    ``pool`` inserts a global spatial average before the classifier (for
-    inputs with spatial extent)."""
+def build_net(rng, dims, ema_momentum=0.9, pool=False, bn_blocks=None):
+    """Linear -> BN -> Affine -> Relu blocks, past the first ``bn_blocks``
+    (None: all) Linear -> Relu, and a final Linear classifier; ``pool``
+    inserts a global spatial average before the classifier."""
     layers = []
     for i in range(len(dims) - 2):
         layers.append(Linear.init(rng, dims[i], dims[i + 1]))
-        bn = BnLayer(dims[i + 1], eps=eps, momentum=ema_momentum)
-        layers.append(bn)
-        layers.append(Affine.identity(dims[i + 1]))
+        if bn_blocks is None or i < bn_blocks:
+            layers.append(BnLayer(dims[i + 1], momentum=ema_momentum))
+            layers.append(Affine.identity(dims[i + 1]))
         layers.append(Relu())
     if pool:
         layers.append(MeanPool())
@@ -179,6 +180,10 @@ def evaluate(net, x, y, stats=None, *, nbs=None, rng=None):
                                 cohort_sizes=[nbs] * (x.shape[0] // nbs))
 
 
+# each config key's Range, declared beside the defaults that introduce it
+_COUNT, _SCALE, _LIST = Range(">= 1"), Range(">= 0"), Range(">= 1", min_len=1)
+_POSITIVE, _MOMENTUM = Range("> 0"), Range(">= 0", "< 1")
+
 # training defaults shared by the Gaussian-task and spatial-task scenarios
 _TRAINING = {
     "train_size": 4096,
@@ -189,6 +194,8 @@ _TRAINING = {
     "batch_size": 32,
     "precise_n": 1024,
 }
+RANGES = dict(train_size=_COUNT, val_size=_COUNT, hidden=_LIST, lr=_POSITIVE,
+              sgd_momentum=_MOMENTUM, batch_size=_COUNT, precise_n=_COUNT)
 _GAUSSIAN_TASK = {
     "classes": 16,
     "dim": 32,
@@ -196,6 +203,7 @@ _GAUSSIAN_TASK = {
     "noise": 1.0,
     **_TRAINING,
 }
+RANGES.update(classes=_COUNT, dim=_COUNT, separation=_SCALE, noise=_SCALE)
 _SPATIAL_TASK = {
     "classes": 16,
     "channels": 32,
@@ -207,6 +215,7 @@ _SPATIAL_TASK = {
     **_TRAINING,
     "steps": 800,
 }
+RANGES.update(channels=_COUNT, sites=_COUNT, gain=_SCALE, offset=_SCALE, steps=_COUNT)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +230,8 @@ EMA_VS_PRECISE_DEFAULTS = {
     "precise_b_sweep": [2, 8, 32, 1024],
     "subset_sizes": [32, 256, 2048],
 }
+RANGES.update(ema_momentum=_MOMENTUM, eval_every=_COUNT,
+              precise_b_sweep=_LIST, subset_sizes=_LIST)
 
 
 def run_ema_vs_precise(cfg, seed):
@@ -286,6 +297,7 @@ NBS_SWEEP_DEFAULTS = {
     "nbs_list": [2, 8, 32],
     "train_eval_size": 1024,
 }
+RANGES.update(nbs_list=_LIST, train_eval_size=_COUNT)
 
 
 def run_nbs_sweep(cfg, seed):
@@ -329,6 +341,7 @@ FROZEN_FINETUNE_DEFAULTS = {
     "freeze_fraction": 0.8,
     "warmup_steps": 40,
 }
+RANGES.update(nbs=_COUNT, freeze_fraction=Range(">= 0", "<= 1"), warmup_steps=_SCALE)
 
 
 def run_frozen_finetune(cfg, seed):
@@ -385,6 +398,7 @@ DOMAIN_ADAPT_DEFAULTS = {
         "strong": {"scale": 0.2, "shift": 3.0, "noise": 0.5},
     },
 }
+RANGES.update(adapt_size=_COUNT, corruptions=_LIST)
 
 
 def run_domain_adapt(cfg, seed):
@@ -442,6 +456,8 @@ SHARED_HEAD_DEFAULTS = {
         ["per_domain", "per_domain", "per_domain"],
     ],
 }
+RANGES.update(domains=_LIST, domain_batch=_COUNT, val_per_domain=_COUNT,
+              pop_batches=_COUNT, eps=_POSITIVE, policies=_LIST)
 
 
 class SharedHeadNet:
@@ -614,21 +630,9 @@ LEAKAGE_DEFAULTS = {
     "eval_window": 50,
     "precise_n": 1024,
 }
-
-
-def _leakage_net(cfg, seed):
-    rng = np.random.default_rng(_seed(seed, 3))
-    dims = [cfg["dim"], cfg["hidden"][0]]
-    layers = [
-        Linear.init(rng, dims[0], dims[1]),
-        BnLayer(dims[1]),
-        Affine.identity(dims[1]),
-        Relu(),
-        Linear.init(rng, cfg["hidden"][0], cfg["hidden"][1]),
-        Relu(),
-        Linear.init(rng, cfg["hidden"][1], cfg["classes"]),
-    ]
-    return Network(layers)
+# shuffle_fix normalizes each half of a crafted batch: two rows at least
+RANGES.update(latent_scale=_SCALE, groups_per_batch=Range(">= 2"), eval_window=_COUNT,
+              copies_per_group=_COUNT, train_clusters=_COUNT, val_clusters=_COUNT)
 
 
 def run_leakage(cfg, seed):
@@ -660,17 +664,18 @@ def run_leakage(cfg, seed):
         "ghost_fix": (crafted_batch(sampler.one_per_group_order()),
                       NormBatchPlan(strategy="ghost", sub_batch=g)),
         "shuffle_fix": (crafted_batch(),
-                        NormBatchPlan(strategy="shuffle",
-                                      worker_sizes=[batch // 2, batch // 2])),
-        "sync_fix": (crafted_batch(), NormBatchPlan(strategy="sync")),
-        "control": (uniform_batches(control.x, control.labels),
-                    NormBatchPlan(strategy="sync")),
+                        NormBatchPlan(strategy="shuffle", sub_batch=batch // 2)),
+        # no plan: the whole batch is one cohort, as in SyncBN
+        "sync_fix": (crafted_batch(), None),
+        "control": (uniform_batches(control.x, control.labels), None),
     }
 
     x_val, y_val = val.x, val.labels
     window = cfg["eval_window"]
     for name, (batch_fn, plan) in variants.items():
-        net = _leakage_net(cfg, seed)
+        net = build_net(np.random.default_rng(_seed(seed, 3)),
+                        [cfg["dim"], *cfg["hidden"], cfg["classes"]],
+                        bn_blocks=1)
         x_pop = (data if name != "control" else control).x[: cfg["precise_n"]]
         run_id = f"leakage-{name}-s{seed}"
         # final population error averaged over a few late snapshots to damp
@@ -704,17 +709,16 @@ def run_leakage(cfg, seed):
 # ---------------------------------------------------------------------------
 
 def check_ranges(cfg):
-    """The value ranges a merged config needs beyond its types: raise
-    ConfigError naming the key path of the first value out of range."""
-    for key in ("batch_size", "eval_every", "domain_batch"):
-        if cfg.get(key, 1) < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    if cfg.get("eps", 1) <= 0:
-        raise ConfigError("eps must be > 0")
+    """Raise ConfigError naming the first config value out of range."""
+    for key, value in cfg.items():
+        RANGES[key].check(key, value)
+    for i, policy in enumerate(cfg.get("policies", ())):
+        if not isinstance(policy, list) or len(policy) != 3 or not all(
+                p in (SHARED, PER_DOMAIN) for p in policy):
+            raise ConfigError(f"policies[{i}] must be three of 'shared', 'per_domain'")
     # nbs_sweep trains, and evaluates its train and val rows, in nbs cohorts
     for i, nbs in enumerate(cfg.get("nbs_list", ())):
-        if nbs < 1 or any(cfg[k] % nbs for k in
-                          ("batch_size", "train_eval_size", "val_size")):
+        if any(cfg[k] % nbs for k in ("batch_size", "train_eval_size", "val_size")):
             raise ConfigError(f"nbs_list[{i}] must be a divisor of batch_size, "
                               "train_eval_size and val_size")
 

@@ -86,6 +86,41 @@ BAD_NUMBERS = [
     ("nbs_sweep", '{"nbs_list": [3]}', "nbs_list[0]"),
     ("nbs_sweep", '{"nbs_list": [2, 0]}', "nbs_list[1]"),
     ("shared_head", '{"eps": 0}', "eps"),
+    # one declared range per key (scenarios.RANGES): values that crashed,
+    # failed mid-run or measured nothing
+    ("ema_vs_precise", '{"val_size": 0}', "val_size"),
+    ("ema_vs_precise", '{"train_size": 0}', "train_size"),
+    ("ema_vs_precise", '{"classes": 0}', "classes"),
+    ("ema_vs_precise", '{"dim": 0}', "dim"),
+    ("nbs_sweep", '{"sites": 0}', "sites"),
+    ("nbs_sweep", '{"channels": 0}', "channels"),
+    ("nbs_sweep", '{"train_eval_size": 0}', "train_eval_size"),
+    ("shared_head", '{"val_per_domain": 0}', "val_per_domain"),
+    ("shared_head", '{"classes": 0}', "classes"),
+    ("shared_head", '{"hidden": 0}', "hidden"),
+    ("shared_head", '{"domains": []}', "domains"),
+    ("leakage", '{"eval_window": 0}', "eval_window"),
+    ("leakage", '{"train_clusters": 0}', "train_clusters"),
+    ("leakage", '{"val_clusters": 0}', "val_clusters"),
+    ("ema_vs_precise", '{"precise_n": 0}', "precise_n"),
+    ("ema_vs_precise", '{"subset_sizes": [0]}', "subset_sizes[0]"),
+    ("ema_vs_precise", '{"precise_b_sweep": [0]}', "precise_b_sweep[0]"),
+    ("domain_adapt", '{"adapt_size": 0}', "adapt_size"),
+    ("ema_vs_precise", '{"ema_momentum": 1.5}', "ema_momentum"),
+    ("domain_adapt", '{"sgd_momentum": 1.0}', "sgd_momentum"),
+    ("domain_adapt", '{"lr": -1}', "lr"),
+    ("ema_vs_precise", '{"hidden": []}', "hidden"),
+    ("frozen_finetune", '{"nbs": 0}', "nbs"),
+    ("leakage", '{"copies_per_group": 0}', "copies_per_group"),
+    ("leakage", '{"groups_per_batch": 0}', "groups_per_batch"),
+    ("shared_head", '{"policies": [["shared", "bogus", "shared"]]}',
+     "policies[0]"),
+    ("shared_head", '{"policies": [["shared", "shared"]]}', "policies[0]"),
+    ("frozen_finetune", '{"freeze_fraction": 2.0}', "freeze_fraction"),
+    ("frozen_finetune", '{"freeze_fraction": -0.5}', "freeze_fraction"),
+    ("nbs_sweep", '{"nbs_list": []}', "nbs_list"),
+    ("shared_head", '{"policies": []}', "policies"),
+    ("domain_adapt", '{"corruptions": {}}', "corruptions"),
 ]
 
 

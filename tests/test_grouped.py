@@ -172,13 +172,12 @@ PLANS = {
     "ghost2": (32, NormBatchPlan(strategy="ghost", sub_batch=2)),
     "ghost8": (32, NormBatchPlan(strategy="ghost", sub_batch=8)),
     "ghost32": (32, NormBatchPlan(strategy="ghost", sub_batch=32)),
-    # ragged ghost cohorts 4, 4, 2, 4, 4, 2: several runs per step
-    "ghost_ragged": (20, NormBatchPlan(strategy="ghost", sub_batch=4,
-                                       worker_sizes=[10, 10])),
-    "per_worker_unequal": (8, NormBatchPlan(strategy="per_worker",
-                                            worker_sizes=[3, 5])),
-    "shuffle": (32, NormBatchPlan(strategy="shuffle", worker_sizes=[16, 16])),
-    "sync": (32, NormBatchPlan(strategy="sync", worker_sizes=[16, 16])),
+    # ragged ghost cohorts 6, 6, 6, 2: two runs per step
+    "ghost_ragged": (20, NormBatchPlan(strategy="ghost", sub_batch=6)),
+    # unequal cohorts 3, 3, 2, as per-worker sizes [3, 5] gave unequal ones
+    "ghost_unequal": (8, NormBatchPlan(strategy="ghost", sub_batch=3)),
+    "shuffle": (32, NormBatchPlan(strategy="shuffle", sub_batch=16)),
+    # the whole batch as one cohort
     "plain": (32, None),
 }
 

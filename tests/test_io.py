@@ -69,6 +69,29 @@ def test_validate_config_corruptions_are_free_form_maps():
     assert cfg["corruptions"] == {"fog": {"scale": 0.2, "shift": 1.0}}
 
 
+def test_range_bounds_ends_and_lengths():
+    momentum = io.Range(">= 0", "< 1")
+    for value in (0, 0.5, 0.999):
+        momentum.check("m", value)
+    for value in (-0.1, 1, 1.5):
+        with pytest.raises(ConfigError, match="^m must be >= 0 and < 1$"):
+            momentum.check("m", value)
+    with pytest.raises(ConfigError, match="^eps must be > 0$"):
+        io.Range("> 0").check("eps", 0.0)
+    io.Range("> 0").check("eps", 1e-300)
+    # a list's numbers each meet the bounds; lists and mappings their length
+    hidden = io.Range(">= 1", min_len=1)
+    hidden.check("hidden", [1, 64])
+    hidden.check("hidden", 128)
+    with pytest.raises(ConfigError, match=r"^hidden\[1\] must be >= 1$"):
+        hidden.check("hidden", [64, 0])
+    for empty in ([], {}):
+        with pytest.raises(ConfigError, match="^hidden must be of length >= 1$"):
+            hidden.check("hidden", empty)
+    # non-numbers (names, nested specs) are not range-checked
+    hidden.check("hidden", [{"scale": -1.0}, ["shared"]])
+
+
 def test_config_round_trip_fixed_point(tmp_path):
     cfg = io.validate_config(DEFAULTS, {"steps": 7})
     p = tmp_path / "cfg.json"

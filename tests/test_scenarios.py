@@ -2,10 +2,13 @@
 format, and per-seed determinism.  The qualitative directions each scenario
 exists for are asserted at full size in the acceptance gate."""
 
+import numpy as np
 import pytest
 
-from bnlab import io
-from bnlab.scenarios import SCENARIOS, ScenarioRun
+from bnlab import io, scenarios
+from bnlab.layer import BnLayer
+from bnlab.net import Affine, Linear, Network, Relu
+from bnlab.scenarios import RANGES, SCENARIOS, ScenarioRun, build_net, check_ranges
 
 TINY = {
     "ema_vs_precise": {
@@ -86,3 +89,49 @@ def test_different_seeds_differ():
     a = SCENARIOS["domain_adapt"][0](cfg, seed=0)
     b = SCENARIOS["domain_adapt"][0](cfg, seed=1)
     assert a.rows != b.rows
+
+
+def test_every_config_key_has_a_range_that_its_default_meets():
+    defaults = {name: value for name, value in vars(scenarios).items()
+                if name.endswith("_DEFAULTS")}
+    assert len(defaults) == len(SCENARIOS)
+    declared = set()
+    for name, cfg in defaults.items():
+        for key, default in cfg.items():
+            if isinstance(default, (int, float, list, dict)) \
+                    and not isinstance(default, bool):
+                assert key in RANGES, f"{name}: {key} has no declared range"
+                RANGES[key].check(key, default)
+                declared.add(key)
+        check_ranges(cfg)
+    assert set(RANGES) == declared, "ranges of keys no defaults dict has"
+
+
+def _old_leakage_net(cfg, seed):
+    # the leakage net as it was written out: BN on the first block only
+    rng = np.random.default_rng(seed)
+    dims = [cfg["dim"], cfg["hidden"][0]]
+    return Network([
+        Linear.init(rng, dims[0], dims[1]),
+        BnLayer(dims[1]),
+        Affine.identity(dims[1]),
+        Relu(),
+        Linear.init(rng, cfg["hidden"][0], cfg["hidden"][1]),
+        Relu(),
+        Linear.init(rng, cfg["hidden"][1], cfg["classes"]),
+    ])
+
+
+def test_build_net_with_one_bn_block_is_the_leakage_net():
+    cfg = SCENARIOS["leakage"][1]
+    old = _old_leakage_net(cfg, 7)
+    new = build_net(np.random.default_rng(7),
+                    [cfg["dim"], *cfg["hidden"], cfg["classes"]], bn_blocks=1)
+    assert [type(l) for l in new.layers] == [type(l) for l in old.layers]
+    assert new.layer_names() == old.layer_names()
+    for a, b in zip(new.layers, old.layers):
+        assert a.param_names == b.param_names
+        for k in a.param_names:
+            np.testing.assert_array_equal(getattr(a, k), getattr(b, k))
+        if isinstance(a, BnLayer):
+            assert (a.eps, a.ema.momentum) == (b.eps, b.ema.momentum)
