@@ -69,6 +69,35 @@ class Range:
             raise ConfigError(f"{key} must be {' and '.join(self.bounds)}")
 
 
+def _holds_specs(default):
+    """Whether ``default`` is a list of specs (mappings) or a mapping of
+    user-chosen names to specs, as ``domains`` and ``corruptions`` are."""
+    entries = default.values() if isinstance(default, dict) else default
+    return isinstance(default, (dict, list)) and bool(default) and all(
+        isinstance(entry, dict) for entry in entries)
+
+
+def _check_specs(default, value, key):
+    """Each spec of ``value`` gives every key of the default's first spec,
+    each of that spec's type (``corruptions.x.shift must be a number``).
+    Like a spec's name, any further key is the user's own."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be a mapping")
+        template = next(iter(default.values()))
+        specs = ((f"{key}.{name}", spec) for name, spec in value.items())
+    else:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list")
+        template = default[0]
+        specs = ((f"{key}[{i}]", spec) for i, spec in enumerate(value))
+    for where, spec in specs:
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{where} must be a mapping")
+        # a key the spec leaves out is checked as None, so it is refused
+        _merge_validate(template, {k: spec.get(k) for k in template}, f"{where}.")
+
+
 def _merge_validate(defaults, overrides, path=""):
     if not isinstance(overrides, dict):
         raise ConfigError(f"expected a mapping at {path or 'top level'}")
@@ -76,8 +105,9 @@ def _merge_validate(defaults, overrides, path=""):
     for key, default in defaults.items():
         if key in overrides:
             value = overrides[key]
-            # "corruptions" maps user-chosen names to specs: free-form keys
-            if isinstance(default, dict) and key != "corruptions":
+            if _holds_specs(default):
+                _check_specs(default, value, f"{path}{key}")
+            elif isinstance(default, dict):
                 value = _merge_validate(default, value, f"{path}{key}.")
             elif isinstance(default, bool):
                 if not isinstance(value, bool):

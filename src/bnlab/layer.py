@@ -8,12 +8,13 @@ import numpy as np
 
 from .errors import EmptyBatch, InvalidParams, ShapeMismatch, StaleCache
 from .stats import EmaState, ema_update
-from .tensor import SAMPLE_AXES, ChannelStats, as_batch, channel_moments, normalize
+from .tensor import SAMPLE_AXES, ChannelStats, channel_moments, normalize
 
 __all__ = [
     "BnMode",
     "BnLayer",
     "BnCache",
+    "batch_stats_forward",
     "batch_stats_backward",
     "fusion_finetune_demo",
 ]
@@ -81,10 +82,10 @@ class BnLayer:
                 stats: ChannelStats | None = None):
         """Returns (y, cache).  ``mode`` defaults to the layer's own mode;
         ``stats`` are the fixed statistics of an EVAL_POPULATION forward.
+        ``x`` is an array of float64, as ``Network.forward`` passes it.
         Raises EmptyBatch on n == 0 before any side effect, so the EMA is
         left bit-identical.  A cohort stack advances the EMA by one step
         per cohort, in order."""
-        x = as_batch(x)
         mode = self.mode if mode is None else mode
         if x.shape[-3] != self.channels:
             raise ShapeMismatch(f"expected {self.channels} channels, got {x.shape[-3]}")
@@ -92,16 +93,16 @@ class BnLayer:
             moments = None
             if stats is None:
                 stats = self.eval_stats()
+            inv_std = 1.0 / np.sqrt(stats.var + self.eps)
+            y = normalize(x, stats, self.eps)
         elif mode in (BnMode.TRAIN_MINIBATCH, BnMode.EVAL_MINIBATCH):
             if x.shape[-4] == 0:
                 raise EmptyBatch("BN forward on a batch with 0 samples")
-            stats = moments = channel_moments(x)
+            y, moments, inv_std = batch_stats_forward(x, self.eps)
             if mode is BnMode.TRAIN_MINIBATCH:
-                self.ema = ema_update(self.ema, stats)
+                self.ema = ema_update(self.ema, moments)
         else:
             raise InvalidParams(f"unknown mode {mode}")
-        inv_std = 1.0 / np.sqrt(stats.var + self.eps)
-        y = normalize(x, stats, self.eps)
         return y, BnCache(x_hat=y, inv_std=inv_std, moments=moments)
 
     def backward(self, cache: BnCache, dy):
@@ -111,10 +112,25 @@ class BnLayer:
         functions of x; in EVAL_POPULATION they are constants.
         """
         cache = cache.take()
-        dy = as_batch(dy)
         if cache.moments is None:
             return dy * cache.inv_std[..., None, :, None, None], None
         return batch_stats_backward(cache.x_hat, cache.inv_std, dy), None
+
+
+def batch_stats_forward(x, eps):
+    """Normalization of ``x`` by its own moments: (x_hat, moments, inv_std)
+    with inv_std = 1/sqrt(var + eps), bit-identical to
+    ``normalize(x, channel_moments(x), eps)``.  The batch is centred once,
+    into the array that becomes x_hat, and inv_std is computed once.
+
+    ``x`` is an (N, C, H, W) batch or a (G, n, C, H, W) cohort stack of
+    float64 with n > 0; moments and inv_std are (C,) or (G, C).
+    """
+    x_hat = np.empty_like(x)
+    moments = channel_moments(x, out=x_hat)
+    inv_std = 1.0 / np.sqrt(moments.var + eps)
+    x_hat *= inv_std[..., None, :, None, None]
+    return x_hat, moments, inv_std
 
 
 def batch_stats_backward(x_hat, inv_std, dy):
@@ -122,13 +138,19 @@ def batch_stats_backward(x_hat, inv_std, dy):
     mean and variance differentiated as functions of the input.
 
     ``x_hat`` and ``dy`` are an (N, C, H, W) batch or a (G, n, C, H, W)
-    cohort stack; ``inv_std`` is 1/sqrt(var + eps), (C,) or (G, C).
+    cohort stack; ``inv_std`` is 1/sqrt(var + eps), (C,) or (G, C).  The
+    result is (inv_std / m) * (m * dy - sum(dy) - x_hat * sum(dy * x_hat)),
+    built in place in that order.
     """
     inv = inv_std[..., None, :, None, None]
     m = dy.shape[-4] * dy.shape[-2] * dy.shape[-1]
-    sum_dy = dy.sum(axis=SAMPLE_AXES, keepdims=True)
-    sum_dy_xhat = (dy * x_hat).sum(axis=SAMPLE_AXES, keepdims=True)
-    return (inv / m) * (m * dy - sum_dy - x_hat * sum_dy_xhat)
+    sum_dy = np.add.reduce(dy, axis=SAMPLE_AXES, keepdims=True)
+    sum_dy_xhat = np.add.reduce(dy * x_hat, axis=SAMPLE_AXES, keepdims=True)
+    dx = m * dy
+    dx -= sum_dy
+    dx -= x_hat * sum_dy_xhat
+    dx *= inv / m
+    return dx
 
 
 def fusion_finetune_demo(lambda_: float, x0: float, step: float, iters: int):

@@ -15,6 +15,9 @@ input's layout (Linear's is channels-last even for a channels-first network
 input, whose gradient training never reads): an op over arrays of two
 layouts runs several times slower, and numpy's reduction order (hence the
 rounding) follows the layout.
+
+``Network.forward`` and ``Network.backward`` check their inputs once; the
+layers take the float64 arrays those pass along and check them no further.
 """
 
 from dataclasses import dataclass
@@ -57,11 +60,10 @@ _CHANNELS_BACK = {4: (0, 3, 1, 2), 5: (0, 1, 4, 2, 3)}
 
 
 def to4(x2: np.ndarray) -> np.ndarray:
-    return np.asarray(x2, dtype=np.float64)[..., None, None]
+    return as_batch(np.asarray(x2)[..., None, None])
 
 
 def to2(x4: np.ndarray) -> np.ndarray:
-    x4 = as_batch(x4)
     if x4.shape[-2:] != (1, 1):
         raise ShapeMismatch("dense layers expect h = w = 1 activations")
     return x4[..., 0, 0]
@@ -85,7 +87,6 @@ class Linear:
     def forward(self, x):
         # applied per spatial site (1x1-convolution semantics); a cohort
         # stack runs one GEMM per cohort, whose rounding depends on its rows
-        x = as_batch(x)
         *lead, c, h, w = x.shape
         x2 = x.transpose(_CHANNELS_LAST[x.ndim]).reshape(*lead[:-1], -1, c)
         y2 = x2 @ self.weight.T + self.bias
@@ -98,12 +99,11 @@ class Linear:
         ``input_grad`` the input gradient's GEMM is skipped and None is
         returned in its place."""
         x2, shape = cache
-        dy = as_batch(dy)
         dy2 = dy.transpose(_CHANNELS_LAST[dy.ndim]).reshape(*shape[:-4], -1,
                                                             dy.shape[-3])
         # dy2^T @ x2 per cohort, the transpose a view as dy2.T was
         weight = dy2.swapaxes(-1, -2) @ x2
-        grads = {"weight": weight, "bias": dy2.sum(axis=-2)}
+        grads = {"weight": weight, "bias": np.add.reduce(dy2, axis=-2)}
         if not input_grad:
             return None, grads
         dx = (dy2 @ self.weight).reshape(*shape[:-3], *shape[-2:], shape[-3]) \
@@ -129,7 +129,6 @@ class Affine:
         return cls(np.ones(channels), np.zeros(channels))
 
     def forward(self, x):
-        x = as_batch(x)
         y = (x * self.gamma[..., None, :, None, None]
              + self.beta[..., None, :, None, None])
         return y, x
@@ -138,8 +137,8 @@ class Affine:
         # a cohort stack's parameter gradients keep a leading cohort axis
         x = cache
         grads = {
-            "gamma": (dy * x).sum(axis=SAMPLE_AXES),
-            "beta": dy.sum(axis=SAMPLE_AXES),
+            "gamma": np.add.reduce(dy * x, axis=SAMPLE_AXES),
+            "beta": np.add.reduce(dy, axis=SAMPLE_AXES),
         }
         return dy * self.gamma[..., None, :, None, None], grads
 
@@ -161,7 +160,6 @@ class MeanPool:
     param_names = ()
 
     def forward(self, x):
-        x = as_batch(x)
         h, w = x.shape[-2:]
         return np.add.reduce(x, axis=(-2, -1), keepdims=True) / (h * w), x
 
@@ -263,8 +261,9 @@ def softmax_cross_entropy(logits, labels):
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     n = logits.shape[-2]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # ufunc reduces give max's and sum's results without their wrapper calls
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    logz = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
     logp = shifted - logz
     onehot = labels[..., None] == np.arange(logits.shape[-1])
     # add.reduce and / n give mean's result without its wrapper calls
@@ -355,7 +354,9 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer):
     cohorts = [np.arange(n)] if plan is None else cohort_indices(plan, n, rng)
     loss_sum = 0.0
     for first, groups, size in cohort_runs(map(len, cohorts)):
-        idx = np.stack(cohorts[first : first + groups])
+        # one (groups, size) index array; np.array builds what np.stack
+        # would, in one call
+        idx = np.array(cohorts[first : first + groups])
         # each BN layer's own mode: EVAL_POPULATION once frozen
         logits, caches = net.forward(x[idx])
         loss_c, dlogits = softmax_cross_entropy(logits, labels[idx])

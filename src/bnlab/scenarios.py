@@ -23,7 +23,7 @@ import numpy as np
 from .batching import PER_DOMAIN, SHARED, DomainPolicy, NormBatchPlan
 from .errors import ConfigError, InvalidParams, InvalidPolicy
 from .io import Range
-from .layer import BnLayer, BnMode, batch_stats_backward
+from .layer import BnLayer, BnMode, batch_stats_backward, batch_stats_forward
 from .net import (
     LOSS_BOUND,
     Affine,
@@ -489,20 +489,26 @@ class SharedHeadNet:
         self.pop_stats = None  # ChannelStats, (C,) shared or (D, C) per domain
 
     def forward_train(self, x, stats=None):
-        """(D, n, K) logits of a (D, n, C, 1, 1) stack of domain batches,
-        normalized by the policy's batch statistics, or by fixed ``stats``
-        when given."""
+        """(D, n, K) logits of a (D, n, C, 1, 1) float64 stack of domain
+        batches, normalized by the policy's batch statistics, or by fixed
+        ``stats`` when given; the caches serve ``backward_train`` after a
+        forward by batch statistics."""
         h, c1 = self.l1.forward(x)
-        if stats is None:
-            # shared statistics pool the stack's rows; per-domain ones are (D, C)
-            stats = channel_moments(h.reshape(-1, *h.shape[2:])
-                                    if self.policy.sgd_stats == SHARED else h)
-        xhat = normalize(h, stats, self.eps)
+        if stats is not None:
+            xhat, inv = normalize(h, stats, self.eps), None
+        elif self.policy.sgd_stats == SHARED:
+            # shared statistics pool the stack's rows (a view of them)
+            xhat, _, inv = batch_stats_forward(h.reshape(-1, *h.shape[2:]),
+                                               self.eps)
+            xhat = xhat.reshape(h.shape)
+        else:
+            # per-domain ones are (D, C)
+            xhat, _, inv = batch_stats_forward(h, self.eps)
         a, ca = self.affine.forward(xhat)
         r, cr = self.relu.forward(a)
         logits, cl = self.l2.forward(r)
         return logits[..., 0, 0], {
-            "l1": c1, "xhat": xhat, "inv": 1.0 / np.sqrt(stats.var + self.eps),
+            "l1": c1, "xhat": xhat, "inv": inv,
             "affine": ca, "relu": cr, "l2": cl,
         }
 
@@ -571,7 +577,7 @@ def run_shared_head(cfg, seed):
     run = ScenarioRun("shared_head")
     transforms = []
     for d, spec in enumerate(cfg["domains"]):
-        if spec.get("mix"):
+        if spec["mix"]:
             transforms.append(MixingCorruption.random_rotation(
                 cfg["dim"], np.random.default_rng(_seed(seed, 20 + d)),
                 scale=spec["scale"], shift=spec["shift"], noise=spec["noise"],
@@ -721,6 +727,25 @@ def check_ranges(cfg):
         if any(cfg[k] % nbs for k in ("batch_size", "train_eval_size", "val_size")):
             raise ConfigError(f"nbs_list[{i}] must be a divisor of batch_size, "
                               "train_eval_size and val_size")
+    # every cut of the training rows must fit in them: train_eval_size and
+    # precise_n rows from the front, and two disjoint subsets of each
+    # subset_sizes entry; leakage's rows are its clusters' copies, and it
+    # draws groups_per_batch distinct clusters per batch
+    limits = []
+    if "train_clusters" in cfg:
+        limits.append(("groups_per_batch", cfg["groups_per_batch"],
+                       cfg["train_clusters"], "train_clusters"))
+        rows = cfg["train_clusters"] * cfg["copies_per_group"]
+        of = "train_clusters * copies_per_group"
+    else:
+        rows, of = cfg.get("train_size"), "train_size"
+    limits += [(key, cfg[key], rows, of)
+               for key in ("train_eval_size", "precise_n") if key in cfg]
+    limits += [(f"subset_sizes[{i}]", n, rows // 2, f"{of} / 2")
+               for i, n in enumerate(cfg.get("subset_sizes", ()))]
+    for key, value, bound, bound_name in limits:
+        if value > bound:
+            raise ConfigError(f"{key} must be <= {bound_name} ({bound}), got {value}")
 
 
 SCENARIOS = {

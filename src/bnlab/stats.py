@@ -2,6 +2,7 @@
 and a Monte Carlo oracle for the variance of the variance estimator."""
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 
@@ -52,6 +53,16 @@ class EmaState:
         return ChannelStats(mean=self.mean.copy(), var=self.var.copy(), count=count)
 
 
+@functools.lru_cache(maxsize=64)
+def _decay(lam: float, g: int) -> np.ndarray:
+    """The (g, 1) column lam^(g-1), ..., lam, 1 that weighs g cohorts' moments
+    in one EMA step.  Built once per (momentum, cohort count) and shared by
+    every caller, so it is read-only."""
+    decay = lam ** np.arange(g - 1, -1, -1)[:, None]
+    decay.flags.writeable = False
+    return decay
+
+
 def ema_update(state: EmaState, batch: ChannelStats) -> EmaState:
     """One EMA step per cohort: new = momentum * old + (1 - momentum) * batch.
 
@@ -68,7 +79,7 @@ def ema_update(state: EmaState, batch: ChannelStats) -> EmaState:
     means = batch.mean.reshape(-1, batch.channels)
     variances = batch.var.reshape(-1, batch.channels)
     g = means.shape[0]
-    decay = lam ** np.arange(g - 1, -1, -1)[:, None]
+    decay = _decay(lam, g)
     return EmaState(
         lam**g * state.mean + (1.0 - lam) * np.add.reduce(decay * means, axis=0),
         lam**g * state.var + (1.0 - lam) * np.add.reduce(decay * variances, axis=0),

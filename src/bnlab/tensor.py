@@ -72,9 +72,13 @@ def as_batch(x) -> np.ndarray:
     return x
 
 
-def channel_moments(x: np.ndarray) -> ChannelStats:
+def channel_moments(x: np.ndarray, out: np.ndarray | None = None) -> ChannelStats:
     """Mean and biased variance over the (N, H, W) axes of each channel;
-    (G, C) moments, one row per cohort, for a (G, n, C, H, W) stack."""
+    (G, C) moments, one row per cohort, for a (G, n, C, H, W) stack.
+
+    ``out``, an array of x's shape and layout (``np.empty_like(x)``), if
+    given receives the centred batch x - mean that the variance is taken of.
+    """
     x = as_batch(x)
     n, c, h, w = x.shape[-4:]
     if n == 0:
@@ -82,8 +86,8 @@ def channel_moments(x: np.ndarray) -> ChannelStats:
     count = n * h * w
     # add.reduce and / count give mean's result without its wrapper calls
     mean = np.add.reduce(x, axis=SAMPLE_AXES) / count
-    var = np.add.reduce(np.square(x - mean[..., None, :, None, None]),
-                        axis=SAMPLE_AXES) / count
+    centred = np.subtract(x, mean[..., None, :, None, None], out=out)
+    var = np.add.reduce(np.square(centred), axis=SAMPLE_AXES) / count
     return ChannelStats(mean=mean, var=var, count=count)
 
 

@@ -121,6 +121,29 @@ BAD_NUMBERS = [
     ("nbs_sweep", '{"nbs_list": []}', "nbs_list"),
     ("shared_head", '{"policies": []}', "policies"),
     ("domain_adapt", '{"corruptions": {}}', "corruptions"),
+    # cross-key sizes: each cut of the training rows fits in them.  These
+    # trained, then failed (or, for precise_n, echoed rows never used)
+    ("nbs_sweep", '{"train_size": 1000}', "train_eval_size"),
+    ("ema_vs_precise", '{"train_size": 512}', "precise_n"),
+    ("ema_vs_precise", '{"train_size": 2048}', "subset_sizes[2]"),
+    ("nbs_sweep", '{"precise_n": 99999}', "precise_n"),
+    ("leakage", '{"precise_n": 99999}', "precise_n"),
+    ("leakage", '{"train_clusters": 8}', "groups_per_batch"),
+    # every corruption and domain spec gives scale, shift and noise as
+    # numbers, and a domain mix as a boolean
+    ("domain_adapt", '{"corruptions": {"x": {"scale": 1.0}}}',
+     "corruptions.x.shift"),
+    ("domain_adapt",
+     '{"corruptions": {"x": {"scale": 1.0, "shift": "up", "noise": 0}}}',
+     "corruptions.x.shift"),
+    ("domain_adapt", '{"corruptions": {"x": 3}}', "corruptions.x"),
+    ("shared_head", '{"domains": [{"scale": 1.0}]}', "domains[0].shift"),
+    ("shared_head",
+     '{"domains": [{"scale": 1.0, "shift": 0, "noise": 0, "mix": 1}]}',
+     "domains[0].mix"),
+    ("shared_head",
+     '{"domains": [{"scale": 1.0, "shift": 0, "noise": NaN, "mix": true}]}',
+     "domains[0].noise"),
 ]
 
 

@@ -69,6 +69,34 @@ def test_validate_config_corruptions_are_free_form_maps():
     assert cfg["corruptions"] == {"fog": {"scale": 0.2, "shift": 1.0}}
 
 
+def test_validate_config_specs_give_every_key_of_the_first_default():
+    defaults = {
+        "corruptions": {"none": {"scale": 1.0, "shift": 0.0}},
+        "domains": [{"scale": 1.0, "mix": False}, {"scale": 2.0, "mix": True}],
+    }
+    spec = {"shift": -1, "scale": 0.5}
+    cfg = io.validate_config(defaults, {"corruptions": {"fog": spec},
+                                        "domains": [{"mix": True, "scale": 3}]})
+    assert cfg["corruptions"] == {"fog": spec}
+    assert cfg["domains"] == [{"mix": True, "scale": 3}]
+    for overrides, match in (
+        ({"corruptions": {"fog": {"scale": 0.5}}},
+         "corruptions.fog.shift must be a number"),
+        ({"corruptions": {"fog": {"scale": True, "shift": 0}}},
+         "corruptions.fog.scale must be a number"),
+        ({"corruptions": {"fog": 1.0}}, "corruptions.fog must be a mapping"),
+        ({"corruptions": [spec]}, "corruptions must be a mapping"),
+        ({"domains": [{"scale": 1.0}]}, r"domains\[0\].mix must be a boolean"),
+        ({"domains": [{"scale": 1.0, "mix": True}, {"mix": True}]},
+         r"domains\[1\].scale must be a number"),
+        ({"domains": [{"scale": float("inf"), "mix": True}]},
+         r"domains\[0\].scale must be finite"),
+        ({"domains": {"a": {"scale": 1.0, "mix": True}}}, "domains must be a list"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            io.validate_config(defaults, overrides)
+
+
 def test_range_bounds_ends_and_lengths():
     momentum = io.Range(">= 0", "< 1")
     for value in (0, 0.5, 0.999):

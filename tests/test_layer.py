@@ -10,10 +10,16 @@ from bnlab.errors import (
     ShapeMismatch,
     StaleCache,
 )
-from bnlab.layer import BnLayer, BnMode, fusion_finetune_demo
+from bnlab.layer import (
+    BnLayer,
+    BnMode,
+    batch_stats_backward,
+    batch_stats_forward,
+    fusion_finetune_demo,
+)
 from bnlab.net import MeanPool, Network
 from bnlab.stats import BatchMomentLog
-from bnlab.tensor import ChannelStats, channel_moments
+from bnlab.tensor import SAMPLE_AXES, ChannelStats, channel_moments, normalize
 
 
 def _x(rng, n=8, c=3, h=2, w=2):
@@ -115,6 +121,55 @@ def test_moment_sinks_log_batch_stats():
     assert len(sinks[0]) == 1
     np.testing.assert_allclose(sinks[0].entries[0].mean,
                                channel_moments(x).mean)
+
+
+def _in_layout(x, layout):
+    """``x`` in C order, or channels-last as Linear's GEMM writes it."""
+    if layout == "c_order":
+        return x
+    last, back = {4: ((0, 2, 3, 1), (0, 3, 1, 2)),
+                  5: ((0, 1, 3, 4, 2), (0, 1, 4, 2, 3))}[x.ndim]
+    return np.ascontiguousarray(x.transpose(last)).transpose(back)
+
+
+SHAPES = {"batch": (8, 3, 2, 2), "stack": (4, 5, 3, 2, 2)}
+
+
+@pytest.mark.parametrize("mode", [BnMode.TRAIN_MINIBATCH, BnMode.EVAL_MINIBATCH])
+@pytest.mark.parametrize("layout", ["c_order", "channels_last"])
+@pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
+def test_batch_forward_has_the_bits_of_normalize_by_channel_moments(mode, layout,
+                                                                    shape):
+    rng = np.random.default_rng(12)
+    x = _in_layout(1.0 + 3.0 * rng.standard_normal(shape), layout)
+    layer = BnLayer(3)
+    y, cache = layer.forward(x, mode=mode)
+    moments = channel_moments(x)
+    ref = normalize(x, moments, layer.eps)
+    np.testing.assert_array_equal(y, ref)
+    # the layout too: every reduction downstream follows it
+    assert y.strides == ref.strides
+    np.testing.assert_array_equal(cache.inv_std, 1.0 / np.sqrt(moments.var + layer.eps))
+    np.testing.assert_array_equal(cache.moments.mean, moments.mean)
+    np.testing.assert_array_equal(cache.moments.var, moments.var)
+
+
+@pytest.mark.parametrize("layout", ["c_order", "channels_last"])
+@pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
+def test_batch_stats_backward_has_the_bits_of_its_one_expression(layout, shape):
+    rng = np.random.default_rng(13)
+    x_hat, _, inv_std = batch_stats_forward(
+        _in_layout(rng.standard_normal(shape), layout), 1e-5)
+    dy = _in_layout(rng.standard_normal(shape), layout)
+    # the expression the in-place version replaced
+    inv = inv_std[..., None, :, None, None]
+    m = dy.shape[-4] * dy.shape[-2] * dy.shape[-1]
+    sum_dy = dy.sum(axis=SAMPLE_AXES, keepdims=True)
+    sum_dy_xhat = (dy * x_hat).sum(axis=SAMPLE_AXES, keepdims=True)
+    ref = (inv / m) * (m * dy - sum_dy - x_hat * sum_dy_xhat)
+    dx = batch_stats_backward(x_hat, inv_std, dy)
+    np.testing.assert_array_equal(dx, ref)
+    assert dx.strides == ref.strides
 
 
 def test_layer_validation():

@@ -14,6 +14,7 @@ from bnlab.errors import (
 )
 from bnlab.stats import (
     BatchMomentLog,
+    _decay,
     EmaState,
     aggregate_moment_matching,
     aggregate_naive,
@@ -82,6 +83,31 @@ def test_ema_single_cohort_is_the_one_step_formula_bit_for_bit(lam):
     assert (new.momentum, new.update_count) == (lam, 3)
     # the old state is left as it was
     assert old.update_count == 2
+
+
+@pytest.mark.parametrize("lam", [0.9, 0.999])
+@pytest.mark.parametrize("groups", [1, 2, 16])
+def test_ema_update_has_the_bits_of_the_closed_form(groups, lam):
+    rng = np.random.default_rng(groups)
+    old = EmaState(rng.standard_normal(5), rng.uniform(0.1, 3.0, 5), lam, 4)
+    m = _stats(rng.standard_normal((groups, 5)),
+               rng.uniform(0.1, 3.0, (groups, 5)), 8)
+    # the closed form with its decay column built afresh, as every update
+    # once did; the cached column must give the same bits on every call
+    decay = lam ** np.arange(groups - 1, -1, -1)[:, None]
+    mean = lam**groups * old.mean + (1.0 - lam) * np.add.reduce(decay * m.mean, axis=0)
+    var = lam**groups * old.var + (1.0 - lam) * np.add.reduce(decay * m.var, axis=0)
+    for _ in range(2):
+        new = ema_update(old, m)
+        np.testing.assert_array_equal(new.mean, mean)
+        np.testing.assert_array_equal(new.var, var)
+        assert new.update_count == 4 + groups
+    if groups == 1:
+        np.testing.assert_array_equal(new.mean, lam * old.mean + (1 - lam) * m.mean[0])
+        np.testing.assert_array_equal(new.var, lam * old.var + (1 - lam) * m.var[0])
+    # the column is built once per (momentum, cohort count) and shared
+    assert _decay(lam, groups) is _decay(lam, groups)
+    assert not _decay(lam, groups).flags.writeable
 
 
 def test_ema_momentum_validation_and_shape():
