@@ -105,6 +105,11 @@ def cmd_run(args):
 
 
 def cmd_estimate(args):
+    if args.method == "ema" and not 0.0 <= args.momentum <= 1.0:
+        # a bad flag is a config error, found before the CSV is read
+        print(f"error: momentum must be in [0, 1], got {args.momentum}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         with open(args.input) as fh:
             log = BatchMomentLog.from_csv(fh.read())

@@ -28,9 +28,12 @@ class BnMode(enum.Enum):
 
 @dataclass
 class BnCache:
-    x_hat: np.ndarray
-    inv_std: np.ndarray
-    moments: ChannelStats | None  # the batch's own moments, in batch modes
+    # in the batch modes: the normalized batch, 1/sqrt(var + eps) and the
+    # batch's own moments; in EVAL_POPULATION: the fixed statistics
+    x_hat: np.ndarray | None
+    inv_std: np.ndarray | None
+    moments: ChannelStats | None
+    stats: ChannelStats | None = None
     consumed: bool = False
 
     def take(self):
@@ -90,19 +93,18 @@ class BnLayer:
         if x.shape[-3] != self.channels:
             raise ShapeMismatch(f"expected {self.channels} channels, got {x.shape[-3]}")
         if mode is BnMode.EVAL_POPULATION:
-            moments = None
             if stats is None:
                 stats = self.eval_stats()
-            inv_std = 1.0 / np.sqrt(stats.var + self.eps)
-            y = normalize(x, stats, self.eps)
-        elif mode in (BnMode.TRAIN_MINIBATCH, BnMode.EVAL_MINIBATCH):
-            if x.shape[-4] == 0:
-                raise EmptyBatch("BN forward on a batch with 0 samples")
-            y, moments, inv_std = batch_stats_forward(x, self.eps)
-            if mode is BnMode.TRAIN_MINIBATCH:
-                self.ema = ema_update(self.ema, moments)
-        else:
+            # a backward derives the inverse std from the stats
+            return normalize(x, stats, self.eps), BnCache(
+                x_hat=None, inv_std=None, moments=None, stats=stats)
+        if mode not in (BnMode.TRAIN_MINIBATCH, BnMode.EVAL_MINIBATCH):
             raise InvalidParams(f"unknown mode {mode}")
+        if x.shape[-4] == 0:
+            raise EmptyBatch("BN forward on a batch with 0 samples")
+        y, moments, inv_std = batch_stats_forward(x, self.eps)
+        if mode is BnMode.TRAIN_MINIBATCH:
+            self.ema = ema_update(self.ema, moments)
         return y, BnCache(x_hat=y, inv_std=inv_std, moments=moments)
 
     def backward(self, cache: BnCache, dy):
@@ -113,7 +115,8 @@ class BnLayer:
         """
         cache = cache.take()
         if cache.moments is None:
-            return dy * cache.inv_std[..., None, :, None, None], None
+            inv_std = 1.0 / np.sqrt(cache.stats.var + self.eps)
+            return dy * inv_std[..., None, :, None, None], None
         return batch_stats_backward(cache.x_hat, cache.inv_std, dy), None
 
 

@@ -60,6 +60,10 @@ _CHANNELS_BACK = {4: (0, 3, 1, 2), 5: (0, 1, 4, 2, 3)}
 
 
 def to4(x2: np.ndarray) -> np.ndarray:
+    # float64 logits gradients, as softmax_cross_entropy gives, pass as
+    # they are; the type and dtype tests make no Python call
+    if type(x2) is np.ndarray and x2.dtype == np.float64 and x2.ndim in (2, 3):
+        return x2[..., None, None]
     return as_batch(np.asarray(x2)[..., None, None])
 
 
@@ -215,7 +219,9 @@ class Network:
         of G normalization cohorts, run as one pass and giving (G, n, K)
         logits.
         """
-        x = as_batch(x)
+        if not (type(x) is np.ndarray and x.dtype == np.float64
+                and x.ndim in (4, 5)):
+            x = as_batch(x)
         caches = []
         for i, layer in enumerate(self.layers):
             if isinstance(layer, BnLayer):
@@ -333,39 +339,49 @@ class Momentum:
         self.params -= lr * self.velocity
 
 
-def reduce_cohorts(g, out, first=True):
-    """Sum per-cohort gradients (leading cohort axis) into ``out`` in cohort
-    order; unless ``first``, after ``out``'s own value."""
-    if not first:
-        g = np.concatenate([out[None], g])
-    np.add.reduce(g, axis=0, out=out)
-
-
 def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer):
     """One SGD update over a logical batch carved per the normalization plan.
 
-    Each run of consecutive equal-size cohorts is one grouped forward and
-    backward pass, bit-identical to passing its cohorts one by one, whose
-    gradients are summed in cohort order into the ``Momentum`` optimizer.
+    A batch that is one cohort (no plan, or one cohort of the plan) runs as
+    the plain (N, C, H, W) batch, ``x`` itself unless a shuffle permuted its
+    rows, and its gradients are copied into the ``Momentum`` optimizer.
+    Otherwise each run of consecutive equal-size cohorts is one grouped
+    forward and backward pass, bit-identical to passing its cohorts one by
+    one, whose gradients are summed into the optimizer in cohort order.
     Returns the mean training loss of the step.  The loss is averaged over
     the logical batch, so the gradient scale is cohort-invariant.
     """
     n = x.shape[0]
-    cohorts = [np.arange(n)] if plan is None else cohort_indices(plan, n, rng)
+    cohorts = None if plan is None else cohort_indices(plan, n, rng)
+    runs = [(0, 1, n)] if cohorts is None or len(cohorts) == 1 \
+        else cohort_runs(map(len, cohorts))
     loss_sum = 0.0
-    for first, groups, size in cohort_runs(map(len, cohorts)):
-        # one (groups, size) index array; np.array builds what np.stack
-        # would, in one call
-        idx = np.array(cohorts[first : first + groups])
+    for first, groups, size in runs:
+        if size < n:
+            # one (groups, size) index array; np.array builds what np.stack
+            # would, in one call
+            rows = np.array(cohorts[first : first + groups])
+        elif cohorts is None or plan.strategy == "ghost":
+            rows = None  # the batch in order: x itself, no gather
+        else:
+            rows = cohorts[0]  # one shuffled cohort
+        xs, ys = (x, labels) if rows is None else (x[rows], labels[rows])
         # each BN layer's own mode: EVAL_POPULATION once frozen
-        logits, caches = net.forward(x[idx])
-        loss_c, dlogits = softmax_cross_entropy(logits, labels[idx])
-        # builtin sum adds the cohort losses one at a time, in order
-        loss_sum = sum(loss_c * size, loss_sum)
+        logits, caches = net.forward(xs)
+        loss_c, dlogits = softmax_cross_entropy(logits, ys)
+        # builtin sum adds a stack's cohort losses one at a time, in order
+        loss_sum = loss_c * n if size == n else sum(loss_c * size, loss_sum)
         _, grads = net.backward(caches, dlogits * (size / n), input_grad=False)
         for g, out in zip(grads, optimizer.grads):
-            for k, v in (g or {}).items():
-                reduce_cohorts(v, out[k], first == 0)
+            for k in out:
+                if size == n:
+                    out[k][...] = g[k]
+                elif first == 0:
+                    np.add.reduce(g[k], axis=0, out=out[k])
+                else:
+                    # after the earlier runs' sum, in cohort order
+                    np.add.reduce(np.concatenate([out[k][None], g[k]]),
+                                  axis=0, out=out[k])
     optimizer.step(cfg.lr_at(step), cfg.momentum)
     return loss_sum / n
 

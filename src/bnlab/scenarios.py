@@ -35,7 +35,6 @@ from .net import (
     SgdConfig,
     classification_error,
     diverged,
-    reduce_cohorts,
     softmax_cross_entropy,
     train,
 )
@@ -486,6 +485,7 @@ class SharedHeadNet:
         self.affine = Affine(np.ones(shape), np.zeros(shape))
         self.relu = Relu()
         self.optimizer = None
+        self.grad_views = None  # the optimizer's, by layer attribute
         self.pop_stats = None  # ChannelStats, (C,) shared or (D, C) per domain
 
     def forward_train(self, x, stats=None):
@@ -536,9 +536,9 @@ class SharedHeadNet:
         if out is None:
             out = {name: {k: np.empty(v.shape[1:]) for k, v in g.items()}
                    for name, g in grads.items()}
-        for name, g in grads.items():
-            for k, v in g.items():
-                reduce_cohorts(v, out[name][k])
+        for name, views in out.items():
+            for k, view in views.items():
+                np.add.reduce(grads[name][k], axis=0, out=view)
         return out
 
     def train_step(self, x, y, lr, momentum):
@@ -548,11 +548,12 @@ class SharedHeadNet:
         if self.optimizer is None:
             self.optimizer = Momentum([getattr(self, name)
                                        for name in self.param_layers])
+            self.grad_views = dict(zip(self.param_layers,
+                                       self.optimizer.grads))
         logits, caches = self.forward_train(x)
         loss, dlogits = softmax_cross_entropy(logits, y)
         self.backward_train(caches, dlogits * y.shape[-1] / y.size,
-                            out=dict(zip(self.param_layers,
-                                         self.optimizer.grads)))
+                            out=self.grad_views)
         self.optimizer.step(lr, momentum)
         # the mean of the D per-domain means of n rows each
         return np.add.reduce(loss) / loss.shape[0]

@@ -41,8 +41,11 @@ class EmaState:
     def __post_init__(self):
         if not 0.0 <= self.momentum <= 1.0:
             raise InvalidParams(f"momentum must be in [0, 1], got {self.momentum}")
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "var", np.asarray(self.var, dtype=np.float64))
+        # ema_update passes float64 arrays already
+        if type(self.mean) is not np.ndarray or self.mean.dtype != np.float64:
+            object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
+        if type(self.var) is not np.ndarray or self.var.dtype != np.float64:
+            object.__setattr__(self, "var", np.asarray(self.var, dtype=np.float64))
 
     @classmethod
     def initial(cls, channels: int, momentum: float) -> "EmaState":
@@ -71,13 +74,16 @@ def ema_update(state: EmaState, batch: ChannelStats) -> EmaState:
     which equals the sequential steps to rounding.  A single cohort takes
     exactly the one-step formula.
     """
-    if batch.channels != state.mean.shape[0]:
-        raise ShapeMismatch(
-            f"EMA has {state.mean.shape[0]} channels, batch has {batch.channels}"
-        )
+    c = batch.mean.shape[-1]
+    if c != state.mean.shape[0]:
+        raise ShapeMismatch(f"EMA has {state.mean.shape[0]} channels, batch has {c}")
     lam = state.momentum
-    means = batch.mean.reshape(-1, batch.channels)
-    variances = batch.var.reshape(-1, batch.channels)
+    if batch.mean.ndim == 1:
+        return EmaState(lam * state.mean + (1.0 - lam) * batch.mean,
+                        lam * state.var + (1.0 - lam) * batch.var,
+                        lam, state.update_count + 1)
+    means = batch.mean.reshape(-1, c)
+    variances = batch.var.reshape(-1, c)
     g = means.shape[0]
     decay = _decay(lam, g)
     return EmaState(

@@ -43,8 +43,11 @@ class ChannelStats:
     count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "var", np.asarray(self.var, dtype=np.float64))
+        # the BN forward and the estimators pass float64 arrays already
+        if type(self.mean) is not np.ndarray or self.mean.dtype != np.float64:
+            object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
+        if type(self.var) is not np.ndarray or self.var.dtype != np.float64:
+            object.__setattr__(self, "var", np.asarray(self.var, dtype=np.float64))
         if self.mean.shape != self.var.shape:
             raise ShapeMismatch(
                 f"mean shape {self.mean.shape} != var shape {self.var.shape}"
@@ -79,7 +82,8 @@ def channel_moments(x: np.ndarray, out: np.ndarray | None = None) -> ChannelStat
     ``out``, an array of x's shape and layout (``np.empty_like(x)``), if
     given receives the centred batch x - mean that the variance is taken of.
     """
-    x = as_batch(x)
+    if not (type(x) is np.ndarray and x.dtype == np.float64 and x.ndim in (4, 5)):
+        x = as_batch(x)
     n, c, h, w = x.shape[-4:]
     if n == 0:
         raise EmptyBatch("cannot compute channel moments of a batch with 0 samples")

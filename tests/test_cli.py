@@ -267,6 +267,18 @@ def test_estimate_ema_folds_entries(tmp_path, capsys):
     assert len(log.entries) == 2
 
 
+@pytest.mark.parametrize("momentum", ["2", "-0.1", "nan"])
+def test_estimate_ema_momentum_outside_unit_interval_is_config_error(
+        tmp_path, capsys, momentum):
+    # the input does not exist: the flag is rejected before it is read
+    code = main(["estimate", "--input", str(tmp_path / "missing.csv"),
+                 "--method", "ema", "--momentum", momentum])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: momentum must be in [0, 1], got {float(momentum)}" in err
+
+
 def test_estimate_malformed_csv_is_config_error(tmp_path, capsys):
     p = tmp_path / "moments.csv"
     p.write_text("not,the,right,header\n")

@@ -18,10 +18,12 @@ from bnlab.net import (
     Affine,
     Linear,
     MeanPool,
+    Momentum,
     Network,
     Relu,
     SgdConfig,
     classification_error,
+    sgd_step,
     softmax_cross_entropy,
     train,
 )
@@ -154,12 +156,16 @@ def _ref_classification_error(net, x, labels, sizes):
 # ---------------------------------------------------------------------------
 
 
-def _assert_same_network(a, b):
+def _assert_same_network(a, b, exact_ema=False):
     for la, lb in zip(a.layers, b.layers):
         for name in getattr(la, "param_names", ()):
             np.testing.assert_array_equal(getattr(la, name), getattr(lb, name))
         if isinstance(la, BnLayer):
             assert la.ema.update_count == lb.ema.update_count
+            if exact_ema:
+                np.testing.assert_array_equal(la.ema.mean, lb.ema.mean)
+                np.testing.assert_array_equal(la.ema.var, lb.ema.var)
+                continue
             # the EMA folds cohorts in closed form: equal to rounding only
             np.testing.assert_allclose(la.ema.mean, lb.ema.mean,
                                        rtol=1e-12, atol=1e-12)
@@ -180,6 +186,8 @@ PLANS = {
     # the whole batch as one cohort
     "plain": (32, None),
 }
+# one cohort per step: the EMA takes the one-step formula, exactly
+ONE_COHORT_PLANS = ("ghost32", "plain")
 
 
 @pytest.mark.parametrize("name", sorted(PLANS))
@@ -188,7 +196,7 @@ def test_grouped_training_matches_per_cohort_loop(name):
     cfg = SgdConfig(lr=0.05, steps=60, batch_size=batch_size, seed=3)
     grouped = train(_net(), _batch_fn, cfg, plan=plan)
     ref = _ref_train(_net(), _batch_fn, cfg, plan)
-    _assert_same_network(grouped, ref)
+    _assert_same_network(grouped, ref, exact_ema=name in ONE_COHORT_PLANS)
     # training moved the parameters, so the comparison is not vacuous
     assert not np.array_equal(grouped.layers[0].weight, _net().layers[0].weight)
 
@@ -206,6 +214,63 @@ def test_grouped_training_with_a_frozen_layer_matches_per_cohort_loop():
     _ref_train(nets[1], _batch_fn, cfg, plan)
     _assert_same_network(nets[0], nets[1])
     assert nets[0].layers[1].ema.update_count == 0
+
+
+def _stack_sgd_step(net, x, labels, cfg, step, plan, rng, optimizer):
+    """``sgd_step`` as it ran a one-cohort batch before the plain-batch
+    path: the cohort gathered into a (1, N, C, H, W) stack, its gradients
+    reduced over the cohort axis into the optimizer."""
+    n = x.shape[0]
+    cohorts = [np.arange(n)] if plan is None else cohort_indices(plan, n, rng)
+    assert len(cohorts) == 1
+    idx = np.array(cohorts)
+    logits, caches = net.forward(x[idx])
+    loss_c, dlogits = softmax_cross_entropy(logits, labels[idx])
+    loss_sum = sum(loss_c * n, 0.0)
+    _, grads = net.backward(caches, dlogits * (n / n), input_grad=False)
+    for g, out in zip(grads, optimizer.grads):
+        for k, v in (g or {}).items():
+            np.add.reduce(v, axis=0, out=out[k])
+    optimizer.step(cfg.lr_at(step), cfg.momentum)
+    return loss_sum / n
+
+
+def _dense_net(seed=0):
+    rng = np.random.default_rng(seed)
+    return Network([
+        Linear.init(rng, CHANNELS, HIDDEN),
+        BnLayer(HIDDEN),
+        Affine.identity(HIDDEN),
+        Relu(),
+        Linear.init(rng, HIDDEN, CLASSES),
+    ])
+
+
+@pytest.mark.parametrize("plan", [None, NormBatchPlan("ghost", 32),
+                                  NormBatchPlan("shuffle", 32)],
+                         ids=["plain", "ghost32", "shuffle32"])
+@pytest.mark.parametrize("make_net", [_net, _dense_net], ids=["pool", "dense"])
+def test_one_cohort_step_matches_the_stack_path(make_net, plan):
+    cfg = SgdConfig(lr=0.05, steps=40, batch_size=32, warmup_steps=5)
+    nets = [make_net(), make_net()]
+    optimizers = [Momentum(net.layers) for net in nets]
+    plan_rngs = [np.random.default_rng(2), np.random.default_rng(2)]
+    data_rng = np.random.default_rng(3)
+    for step in range(cfg.steps):
+        x, labels = _batch_fn(data_rng, cfg.batch_size)
+        if make_net is _dense_net:
+            # one spatial site, a strided view of the batch
+            x = x[:, :, :1]
+        before = x.copy()
+        losses = [run(net, x, labels, cfg, step, plan, rng, opt)
+                  for run, net, rng, opt in zip((sgd_step, _stack_sgd_step),
+                                                nets, plan_rngs, optimizers)]
+        assert losses[0] == losses[1]
+        np.testing.assert_array_equal(x, before)
+    _assert_same_network(nets[0], nets[1], exact_ema=True)
+    assert nets[0].layers[1].ema.update_count == cfg.steps
+    assert not np.array_equal(nets[0].layers[0].weight,
+                              make_net().layers[0].weight)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,25 @@ def test_frozen_backward_is_constant_scale():
     np.testing.assert_allclose(dx, dy * inv[None, :, None, None])
 
 
+@pytest.mark.parametrize("layout", ["c_order", "channels_last"])
+@pytest.mark.parametrize("shape", [(8, 3, 2, 2), (4, 5, 3, 2, 2)],
+                         ids=["batch", "stack"])
+def test_population_forward_and_frozen_backward_have_the_bits_of_their_expressions(
+        layout, shape):
+    rng = np.random.default_rng(14)
+    stats = ChannelStats(rng.standard_normal(3), 0.5 + rng.random(3), 8)
+    layer = BnLayer(3)
+    layer.freeze(stats)
+    x = _in_layout(1.0 + 3.0 * rng.standard_normal(shape), layout)
+    dy = _in_layout(rng.standard_normal(shape), layout)
+    y, cache = layer.forward(x)
+    dx, _ = layer.backward(cache, dy)
+    # the expressions the inverse std is computed by, once in each pass
+    inv = (1.0 / np.sqrt(stats.var + layer.eps))[:, None, None]
+    np.testing.assert_array_equal(y, (x - stats.mean[:, None, None]) * inv)
+    np.testing.assert_array_equal(dx, dy * inv)
+
+
 def test_moment_sinks_log_batch_stats():
     rng = np.random.default_rng(7)
     net = Network([BnLayer(3), MeanPool()])

@@ -1,15 +1,23 @@
-"""A guard on the Python calls one SGD step makes: the training loop's cost
-is interpreter dispatch, so a change that adds calls per step shows here
-before any timing does."""
+"""A guard on the Python calls one training step makes: the training
+loop's cost is interpreter dispatch, so a change that adds calls per step
+shows here before any timing does.  Every training path a benchmark
+workload runs has a case: ``sgd_step`` with no plan, with many cohorts and
+with one cohort of a plan, and ``SharedHeadNet.train_step``."""
 
 import cProfile
 
 import numpy as np
 import pytest
 
-from bnlab.batching import NormBatchPlan
+from bnlab.batching import PER_DOMAIN, SHARED, DomainPolicy, NormBatchPlan
 from bnlab.net import Momentum, SgdConfig, sgd_step
-from bnlab.scenarios import EMA_VS_PRECISE_DEFAULTS, NBS_SWEEP_DEFAULTS, build_net
+from bnlab.scenarios import (
+    EMA_VS_PRECISE_DEFAULTS,
+    NBS_SWEEP_DEFAULTS,
+    SHARED_HEAD_DEFAULTS,
+    SharedHeadNet,
+    build_net,
+)
 
 STEPS = 20
 
@@ -17,40 +25,90 @@ STEPS = 20
 # py_calls, measured with Python 3.11.7 and numpy 2.4.6 (other versions run
 # other numbers of numpy's own Python frames); the bound is 10% above them.
 # At b3edb90, before the BN forward centred each batch once and the layers
-# stopped re-checking their inputs, this test read 253 and 279.
-CALLS_PER_STEP = {"ema_vs_precise": 185, "nbs_sweep_ghost2": 194}
+# stopped re-checking their inputs, the first two cases read 253 and 279.
+# At 5a50eed, before a one-cohort step ran the plain batch and gradients
+# went into the optimizer buffer without a helper frame, the cases read
+# 185, 194, 194 (ghost 32), 76 (shared head, shared) and 73 (per domain).
+CALLS_PER_STEP = {
+    "ema_vs_precise": 118,
+    "nbs_sweep_ghost2": 152,
+    "nbs_sweep_ghost32": 128,
+    "shared_head_shared": 66,
+    "shared_head_per_domain": 63,
+}
+
+
+def _sgd(net, shape, classes, plan):
+    """sgd_step and its arguments on a fixed random batch of ``shape``."""
+    rng = np.random.default_rng(1)
+    x, labels = rng.standard_normal(shape), rng.integers(0, classes, shape[0])
+    cfg = SgdConfig(lr=0.05, steps=STEPS + 1, batch_size=shape[0])
+    # no warmup: the step index does not change the step
+    return sgd_step, (net, x, labels, cfg, 1, plan, np.random.default_rng(0),
+                      Momentum(net.layers))
 
 
 def _ema_vs_precise():
     d = EMA_VS_PRECISE_DEFAULTS
     net = build_net(np.random.default_rng(3), [d["dim"], *d["hidden"], d["classes"]],
                     ema_momentum=d["ema_momentum"])
-    return net, (32, d["dim"], 1, 1), d["classes"], None
+    return _sgd(net, (32, d["dim"], 1, 1), d["classes"], None)
 
 
-def _nbs_sweep_ghost2():
+def _nbs_sweep(sub_batch):
     d = NBS_SWEEP_DEFAULTS
     net = build_net(np.random.default_rng(3),
                     [d["channels"], *d["hidden"], d["classes"]], pool=True)
-    return net, (32, d["channels"], 2, 2), d["classes"], NormBatchPlan("ghost", 2)
+    return _sgd(net, (32, d["channels"], 2, 2), d["classes"],
+                NormBatchPlan("ghost", sub_batch))
 
 
-@pytest.mark.parametrize("name, setup", [("ema_vs_precise", _ema_vs_precise),
-                                         ("nbs_sweep_ghost2", _nbs_sweep_ghost2)])
-def test_python_calls_per_sgd_step(name, setup):
-    net, shape, classes, plan = setup()
+def _nbs_sweep_ghost2():
+    return _nbs_sweep(2)
+
+
+def _nbs_sweep_ghost32():
+    # one cohort: the plain-batch path
+    return _nbs_sweep(32)
+
+
+def _shared_head(policy):
+    d = SHARED_HEAD_DEFAULTS
+    domains = len(d["domains"])
+    net = SharedHeadNet(np.random.default_rng(3), d["dim"], d["hidden"],
+                        d["classes"], domains, DomainPolicy(*[policy] * 3),
+                        eps=d["eps"])
     rng = np.random.default_rng(1)
-    x, labels = rng.standard_normal(shape), rng.integers(0, classes, shape[0])
-    cfg = SgdConfig(lr=0.05, steps=STEPS + 1, batch_size=shape[0])
-    optimizer = Momentum(net.layers)
-    plan_rng = np.random.default_rng(0)
-    # the first step allocates the velocity and builds the EMA decay column
-    sgd_step(net, x, labels, cfg, 0, plan, plan_rng, optimizer)
+    shape = (domains, d["domain_batch"])
+    x = rng.standard_normal((*shape, d["dim"], 1, 1))
+    y = rng.integers(0, d["classes"], shape)
+    return net.train_step, (x, y, d["lr"], d["sgd_momentum"])
+
+
+def _shared_head_shared():
+    return _shared_head(SHARED)
+
+
+def _shared_head_per_domain():
+    return _shared_head(PER_DOMAIN)
+
+
+@pytest.mark.parametrize("name, setup", [
+    ("ema_vs_precise", _ema_vs_precise),
+    ("nbs_sweep_ghost2", _nbs_sweep_ghost2),
+    ("nbs_sweep_ghost32", _nbs_sweep_ghost32),
+    ("shared_head_shared", _shared_head_shared),
+    ("shared_head_per_domain", _shared_head_per_domain),
+])
+def test_python_calls_per_sgd_step(name, setup):
+    step, args = setup()
+    # the first step builds the optimizer state and the EMA decay column
+    step(*args)
     profile = cProfile.Profile()
     profile.enable()
-    for step in range(1, STEPS + 1):
-        sgd_step(net, x, labels, cfg, step, plan, plan_rng, optimizer)
+    for _ in range(STEPS):
+        step(*args)
     profile.disable()
     per_step = sum(entry.callcount for entry in profile.getstats()) / STEPS
     assert per_step <= 1.1 * CALLS_PER_STEP[name], \
-        f"{name}: {per_step} Python calls per sgd_step"
+        f"{name}: {per_step} Python calls per training step"
