@@ -189,14 +189,19 @@ class NetCaches:
 
 
 class Network:
-    """An ordered stack of Linear / BnLayer / Affine / Relu layers."""
+    """An ordered stack of Linear / BnLayer / Affine / Relu layers.
+
+    Each layer's role is fixed when the network is built: ``bn_indices``
+    lists the BN layers' positions, and the passes read these roles instead
+    of testing each layer's type.
+    """
 
     def __init__(self, layers):
         self.layers = list(layers)
-
-    @property
-    def bn_indices(self):
-        return [i for i, l in enumerate(self.layers) if isinstance(l, BnLayer)]
+        self.bn_indices = [i for i, l in enumerate(self.layers)
+                           if isinstance(l, BnLayer)]
+        self._first_linear = bool(self.layers) and isinstance(self.layers[0],
+                                                               Linear)
 
     def layer_names(self):
         names = []
@@ -223,8 +228,9 @@ class Network:
                 and x.ndim in (4, 5)):
             x = as_batch(x)
         caches = []
+        bn = self.bn_indices
         for i, layer in enumerate(self.layers):
-            if isinstance(layer, BnLayer):
+            if i in bn:
                 fixed = None if stats is None else stats.get(i)
                 x, cache = layer.forward(
                     x, mode=mode if fixed is None else BnMode.EVAL_POPULATION,
@@ -251,7 +257,7 @@ class Network:
         for i in range(len(self.layers) - 1, 0, -1):
             dy, grads[i] = self.layers[i].backward(per_layer[i], dy)
         first = self.layers[0]
-        if input_grad or not isinstance(first, Linear):
+        if input_grad or not self._first_linear:
             dy, grads[0] = first.backward(per_layer[0], dy)
         else:
             dy, grads[0] = first.backward(per_layer[0], dy, input_grad=False)
@@ -386,11 +392,13 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer):
     return loss_sum / n
 
 
-def diverged(step, loss):
+def diverged(step, loss, what=None):
     """The error for a training loss that is NaN or above LOSS_BOUND after
-    the 0-based ``step``."""
+    the 0-based ``step``; ``what`` names the model, where a loop trains
+    several."""
+    where = "" if what is None else f" ({what})"
     return Diverged(f"training diverged at step {step + 1}: loss "
-                    f"{float(loss):.6g} is not <= {LOSS_BOUND:g}")
+                    f"{float(loss):.6g} is not <= {LOSS_BOUND:g}{where}")
 
 
 def train(net, batch_fn, cfg: SgdConfig, plan: NormBatchPlan | None = None,

@@ -558,12 +558,16 @@ class SharedHeadNet:
         # the mean of the D per-domain means of n rows each
         return np.add.reduce(loss) / loss.shape[0]
 
-    def train_population_stats(self, x):
+    def train_population_stats(self, x, pop_stats=None):
         """Population statistics of a (D, n, C, 1, 1) stack of domain
-        samples, pooled or per domain as the policy says."""
+        samples, pooled (``pop_stats`` SHARED) or per domain (PER_DOMAIN);
+        the policy's choice when ``pop_stats`` is None.  Training never
+        reads this choice, so one trained net serves both."""
+        if pop_stats is None:
+            pop_stats = self.policy.pop_stats
         h, _ = self.l1.forward(x)
         self.pop_stats = channel_moments(h.reshape(-1, *h.shape[2:])
-                                         if self.policy.pop_stats == SHARED else h)
+                                         if pop_stats == SHARED else h)
 
     def eval_error(self, x, y):
         """Top-1 error on a (D, n, C, 1, 1) stack with (D, n) labels, every
@@ -574,8 +578,9 @@ class SharedHeadNet:
         return int((logits.argmax(axis=-1) != y).sum()) / y.size
 
 
-def run_shared_head(cfg, seed):
-    run = ScenarioRun("shared_head")
+def shared_head_data(cfg, seed):
+    """The seed's domains and its validation and population stacks:
+    (domains, val_x, val_y, pop_x), each stack (D, val_per_domain, ...)."""
     transforms = []
     for d, spec in enumerate(cfg["domains"]):
         if spec["mix"]:
@@ -588,28 +593,43 @@ def run_shared_head(cfg, seed):
                 Corruption(spec["scale"], spec["shift"], spec["noise"])
             )
     domains = MultiScaleDomains(_gaussian_task(cfg, seed), transforms)
-    d_count = domains.n_domains
     data_rng = np.random.default_rng(_seed(seed, 2))
     val, pop = [], []
-    for d in range(d_count):
+    for d in range(domains.n_domains):
         val.append(domains.sample_domain(data_rng, d, cfg["val_per_domain"]))
         pop.append(domains.sample_domain(data_rng, d, cfg["val_per_domain"])[0])
     val_x, val_y = np.stack([x for x, _ in val]), np.stack([y for _, y in val])
-    pop_x = np.stack(pop)
+    return domains, val_x, val_y, np.stack(pop)
 
-    for row, (sgd_s, pop_s, aff_s) in enumerate(cfg["policies"]):
-        policy = DomainPolicy(sgd_stats=sgd_s, pop_stats=pop_s, affine=aff_s)
-        net = SharedHeadNet(np.random.default_rng(_seed(seed, 3)),
-                            cfg["dim"], cfg["hidden"], cfg["classes"],
-                            d_count, policy, eps=cfg["eps"])
-        rng = np.random.default_rng(_seed(seed, 10 + row))
-        batches = domains.batches(rng, cfg["steps"], cfg["domain_batch"])
-        for step, (x, y) in enumerate(batches):
+
+def run_shared_head(cfg, seed):
+    run = ScenarioRun("shared_head")
+    domains, val_x, val_y, pop_x = shared_head_data(cfg, seed)
+    # one net per distinct (sgd_stats, affine) pair, in first-appearance
+    # order: the rows of a pair differ only in their population statistics,
+    # which training never reads.  Every net steps on each batch of one
+    # stream (row 1's), so all train on the same data.
+    policies = [DomainPolicy(*p) for p in cfg["policies"]]
+    nets = {}
+    for policy in policies:
+        pair = (policy.sgd_stats, policy.affine)
+        if pair not in nets:
+            nets[pair] = SharedHeadNet(np.random.default_rng(_seed(seed, 3)),
+                                       cfg["dim"], cfg["hidden"], cfg["classes"],
+                                       domains.n_domains, policy,
+                                       eps=cfg["eps"])
+    rng = np.random.default_rng(_seed(seed, 10))
+    for step, (x, y) in enumerate(domains.batches(rng, cfg["steps"],
+                                                  cfg["domain_batch"])):
+        for (sgd_s, aff_s), net in nets.items():
             loss = net.train_step(x, y, cfg["lr"], cfg["sgd_momentum"])
             if not loss <= LOSS_BOUND:
-                raise diverged(step, loss)
-        net.train_population_stats(pop_x)
-        run.summary[f"row{row + 1}"] = {"policy": [sgd_s, pop_s, aff_s]}
+                raise diverged(step, loss, f"sgd_stats={sgd_s}, affine={aff_s}")
+    for row, policy in enumerate(policies):
+        net = nets[policy.sgd_stats, policy.affine]
+        net.train_population_stats(pop_x, policy.pop_stats)
+        run.summary[f"row{row + 1}"] = {
+            "policy": [policy.sgd_stats, policy.pop_stats, policy.affine]}
         run.log(f"shared_head-row{row + 1}-s{seed}", cfg["steps"], "val",
                 "population", "error", net.eval_error(val_x, val_y),
                 key=(f"row{row + 1}", "error"))
@@ -723,6 +743,10 @@ def check_ranges(cfg):
         if not isinstance(policy, list) or len(policy) != 3 or not all(
                 p in (SHARED, PER_DOMAIN) for p in policy):
             raise ConfigError(f"policies[{i}] must be three of 'shared', 'per_domain'")
+    # frozen_finetune trains in ghost cohorts of nbs rows, all of one size
+    if "nbs" in cfg and cfg["batch_size"] % cfg["nbs"]:
+        raise ConfigError(f"nbs must be a divisor of batch_size "
+                          f"({cfg['batch_size']}), got {cfg['nbs']}")
     # nbs_sweep trains, and evaluates its train and val rows, in nbs cohorts
     for i, nbs in enumerate(cfg.get("nbs_list", ())):
         if any(cfg[k] % nbs for k in ("batch_size", "train_eval_size", "val_size")):

@@ -111,6 +111,10 @@ BAD_NUMBERS = [
     ("domain_adapt", '{"lr": -1}', "lr"),
     ("ema_vs_precise", '{"hidden": []}', "hidden"),
     ("frozen_finetune", '{"nbs": 0}', "nbs"),
+    # frozen_finetune's ghost cohorts: nbs divides batch_size (32); 64 ran
+    # one 32-row cohort and estimated the statistics at B = 64
+    ("frozen_finetune", '{"nbs": 64}', "nbs"),
+    ("frozen_finetune", '{"nbs": 5}', "nbs"),
     ("leakage", '{"copies_per_group": 0}', "copies_per_group"),
     ("leakage", '{"groups_per_batch": 0}', "groups_per_batch"),
     ("shared_head", '{"policies": [["shared", "bogus", "shared"]]}',

@@ -1,10 +1,15 @@
-"""The domain-stacked SharedHeadNet against the per-domain loop it replaces.
+"""The domain-stacked SharedHeadNet against the per-domain loop it replaces,
+and ``run_shared_head`` against one training per policy row.
 
 ``ReferenceSharedHeadNet`` and ``_reference_step`` below run every layer
 once per domain and sum the domains' gradients one at a time, the way
 ``shared_head`` trained before the domains were stacked.  Fed the same
 batches, the stacked network must end with bit-identical parameters,
 population statistics and validation error under every default policy.
+
+The runner trains one net per distinct (sgd_stats, affine) pair on one
+data stream; its rows must equal those of a loop that trains every row's
+net on its own copy of that stream.
 """
 
 import json
@@ -14,9 +19,15 @@ import pytest
 
 from bnlab.batching import PER_DOMAIN, SHARED, DomainPolicy
 from bnlab.cli import main
-from bnlab.errors import InvalidParams
+from bnlab.errors import Diverged, InvalidParams
 from bnlab.net import Affine, Linear, Relu, softmax_cross_entropy
-from bnlab.scenarios import SHARED_HEAD_DEFAULTS, SharedHeadNet
+from bnlab.scenarios import (
+    SHARED_HEAD_DEFAULTS,
+    SharedHeadNet,
+    _seed,
+    run_shared_head,
+    shared_head_data,
+)
 from bnlab.synthetic import (
     Corruption,
     GaussianClasses,
@@ -24,6 +35,7 @@ from bnlab.synthetic import (
     MultiScaleDomains,
 )
 from bnlab.tensor import ChannelStats, channel_moments, normalize
+from test_scenarios import tiny_config
 
 CFG = dict(SHARED_HEAD_DEFAULTS)
 STEPS = 200
@@ -236,3 +248,59 @@ def test_eps_must_be_positive(tmp_path):
     # the config's range check refuses it before any work
     assert main(["run", "shared_head", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# one training per (sgd_stats, affine) pair
+
+
+def _row_by_row(cfg, seed):
+    """Each policy row's validation error, its own net trained on a fresh
+    copy of the row-1 stream, as the runner's rows must read."""
+    domains, val_x, val_y, pop_x = shared_head_data(cfg, seed)
+    errors = []
+    for policy in cfg["policies"]:
+        net = SharedHeadNet(np.random.default_rng(_seed(seed, 3)), cfg["dim"],
+                            cfg["hidden"], cfg["classes"], domains.n_domains,
+                            DomainPolicy(*policy), eps=cfg["eps"])
+        rng = np.random.default_rng(_seed(seed, 10))
+        for x, y in domains.batches(rng, cfg["steps"], cfg["domain_batch"]):
+            net.train_step(x, y, cfg["lr"], cfg["sgd_momentum"])
+        net.train_population_stats(pop_x)
+        errors.append(net.eval_error(val_x, val_y))
+    return errors
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_runner_rows_equal_one_training_per_row(seed):
+    cfg = tiny_config("shared_head")
+    run = run_shared_head(cfg, seed)
+    assert [row[-1] for row in run.rows] == _row_by_row(cfg, seed)
+    assert [run.summary[f"row{r + 1}"]["policy"]
+            for r in range(len(cfg["policies"]))] == cfg["policies"]
+
+
+def test_runner_trains_once_per_sgd_side_pair(monkeypatch):
+    cfg = tiny_config("shared_head")
+    # the six default rows hold three (sgd_stats, affine) pairs
+    assert len({(p[0], p[2]) for p in cfg["policies"]}) == 3
+    calls = []
+    step = SharedHeadNet.train_step
+
+    def spy(self, *args):
+        calls.append(self)
+        return step(self, *args)
+
+    monkeypatch.setattr(SharedHeadNet, "train_step", spy)
+    run_shared_head(cfg, 0)
+    assert len(calls) == cfg["steps"] * 3
+    assert len(set(map(id, calls))) == 3
+
+
+def test_divergence_names_the_pair():
+    cfg = tiny_config("shared_head")
+    cfg.update(lr=1e3, policies=[["per_domain", "shared", "per_domain"]])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(Diverged, match=r"training diverged at step \d+: "
+                          r".*\(sgd_stats=per_domain, affine=per_domain\)$"):
+        run_shared_head(cfg, 0)
