@@ -1,7 +1,6 @@
 """Ways to carve samples into normalization batches: ghost and shuffled
 cohorts, and domain-specific policies."""
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,8 +10,6 @@ from .errors import EmptyBatch, InvalidPlan, InvalidPolicy
 __all__ = [
     "NormBatchPlan",
     "cohort_indices",
-    "cohort_runs",
-    "even_sizes",
     "DomainPolicy",
 ]
 
@@ -23,10 +20,10 @@ STRATEGIES = ("ghost", "shuffle")
 
 @dataclass
 class NormBatchPlan:
-    """How a logical SGD batch becomes normalization cohorts of ``sub_batch``
-    rows, the last one ragged: ghost takes the rows in batch order, shuffle
-    in a fresh permutation drawn each step.  No plan (``train(plan=None)``)
-    normalizes the whole batch as one cohort, as SyncBN does."""
+    """Which rows share statistics: cohorts of ``sub_batch`` rows, the last
+    one ragged, in order (ghost) or from a permutation drawn per call
+    (shuffle).  Training (``train(plan=)``; no plan is the whole batch, as
+    SyncBN), mini-batch evaluation and precise BN all say it this way."""
 
     strategy: str
     sub_batch: int
@@ -40,32 +37,14 @@ class NormBatchPlan:
 
 
 def cohort_indices(plan: NormBatchPlan, n: int, rng=None):
-    """Index arrays (into the logical batch) for each normalization cohort."""
+    """Index arrays into ``n`` rows, one per cohort of the plan (a shuffle
+    draws one ``rng.permutation(n)``): the one map from rows to cohorts."""
     if n < 1:
         raise EmptyBatch("cannot plan cohorts for an empty batch")
     if plan.strategy == "shuffle" and rng is None:
         raise InvalidPlan("shuffle needs an rng for the per-step permutation")
     order = rng.permutation(n) if plan.strategy == "shuffle" else np.arange(n)
     return [order[i : i + plan.sub_batch] for i in range(0, n, plan.sub_batch)]
-
-
-def even_sizes(n: int, size: int) -> list:
-    """``size``-row chunks covering n rows, the last one ragged."""
-    return [size] * (n // size) + ([n % size] if n % size else [])
-
-
-def cohort_runs(sizes, max_rows=None) -> list:
-    """Split cohort sizes into runs of consecutive equal sizes, as (first
-    cohort, cohort count, size) triples.  With ``max_rows`` a run holds at
-    most max_rows // size cohorts, and at least one."""
-    runs = []
-    first = 0
-    for size, run in itertools.groupby(sizes):
-        end = first + len(list(run))
-        per = end - first if max_rows is None else max(1, max_rows // max(size, 1))
-        runs += [(k, min(per, end - k), size) for k in range(first, end, per)]
-        first = end
-    return runs
 
 
 @dataclass(frozen=True)

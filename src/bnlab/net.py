@@ -20,11 +20,12 @@ rounding) follows the layout.
 layers take the float64 arrays those pass along and check them no further.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .batching import NormBatchPlan, cohort_indices, cohort_runs, even_sizes
+from .batching import NormBatchPlan, cohort_indices
 from .errors import Diverged, InvalidParams, ShapeMismatch, StaleCache
 from .layer import BnLayer, BnMode
 from .tensor import SAMPLE_AXES, as_batch, as_tensor4
@@ -45,9 +46,10 @@ __all__ = [
     "LOSS_BOUND",
 ]
 
-# rows per forward-only pass: population-mode chunks, and the cap on whole
-# mini-batches grouped into one pass
+# rows per forward-only pass: population-mode chunks (_EVAL_CHUNKS, for
+# memory only), and the cap on whole mini-batches grouped into one pass
 EVAL_CHUNK_ROWS = 256
+_EVAL_CHUNKS = NormBatchPlan("ghost", EVAL_CHUNK_ROWS)
 
 # a training loss (mean cross-entropy, in nats) above this, or NaN, stops
 # the run: chance level on K classes is ln K, 2.8 for the scenarios' 16
@@ -349,29 +351,25 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer):
     """One SGD update over a logical batch carved per the normalization plan.
 
     A batch that is one cohort (no plan, or one cohort of the plan) runs as
-    the plain (N, C, H, W) batch, ``x`` itself unless a shuffle permuted its
+    the plain (N, C, H, W) batch, in order unless a shuffle permuted its
     rows, and its gradients are copied into the ``Momentum`` optimizer.
-    Otherwise each run of consecutive equal-size cohorts is one grouped
-    forward and backward pass, bit-identical to passing its cohorts one by
-    one, whose gradients are summed into the optimizer in cohort order.
-    Returns the mean training loss of the step.  The loss is averaged over
-    the logical batch, so the gradient scale is cohort-invariant.
+    Otherwise each of ``cohort_stacks``' runs is one grouped forward and
+    backward pass, bit-identical to passing its cohorts one by one, whose
+    gradients are summed into the optimizer in cohort order.  Returns the
+    mean training loss of the step.  The loss is averaged over the logical
+    batch, so the gradient scale is cohort-invariant.
     """
     n = x.shape[0]
     cohorts = None if plan is None else cohort_indices(plan, n, rng)
-    runs = [(0, 1, n)] if cohorts is None or len(cohorts) == 1 \
-        else cohort_runs(map(len, cohorts))
+    if cohorts is None or len(cohorts) == 1:
+        rows = cohorts[0] if cohorts and plan.strategy == "shuffle" else slice(None)
+        runs = [(rows, x[rows])]
+    else:
+        runs = cohort_stacks(x, plan, cohorts)
     loss_sum = 0.0
-    for first, groups, size in runs:
-        if size < n:
-            # one (groups, size) index array; np.array builds what np.stack
-            # would, in one call
-            rows = np.array(cohorts[first : first + groups])
-        elif cohorts is None or plan.strategy == "ghost":
-            rows = None  # the batch in order: x itself, no gather
-        else:
-            rows = cohorts[0]  # one shuffled cohort
-        xs, ys = (x, labels) if rows is None else (x[rows], labels[rows])
+    for j, (rows, xs) in enumerate(runs):
+        size = xs.shape[-4]  # rows per cohort: n for the plain batch
+        ys = labels[rows] if size == n else labels[rows].reshape(xs.shape[:2])
         # each BN layer's own mode: EVAL_POPULATION once frozen
         logits, caches = net.forward(xs)
         loss_c, dlogits = softmax_cross_entropy(logits, ys)
@@ -382,7 +380,7 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer):
             for k in out:
                 if size == n:
                     out[k][...] = g[k]
-                elif first == 0:
+                elif j == 0:
                     np.add.reduce(g[k], axis=0, out=out[k])
                 else:
                     # after the earlier runs' sum, in cohort order
@@ -420,36 +418,45 @@ def train(net, batch_fn, cfg: SgdConfig, plan: NormBatchPlan | None = None,
     return net
 
 
-def cohort_stacks(x, sizes):
-    """Carve the rows of ``x`` into the given consecutive cohort sizes, as
-    (row slice, (G, n, C, H, W) stack) pairs: one stack per run of
-    equal-size cohorts, of at most EVAL_CHUNK_ROWS rows (or one cohort)."""
-    start = 0
-    for _, groups, size in cohort_runs(sizes, max_rows=EVAL_CHUNK_ROWS):
-        stop = start + groups * size
-        yield slice(start, stop), x[start:stop].reshape(groups, size, *x.shape[1:])
-        start = stop
+def cohort_stacks(x, plan, cohorts, max_rows=None):
+    """The rows of ``x`` in ``cohort_indices``' cohorts for ``plan``, as
+    (rows, (G, n, C, H, W) stack) pairs in order, one per run of equal-size
+    cohorts: a view for a ghost run (``rows`` a slice), one gather for a
+    shuffle run (``rows`` the (G, n) index array).  A stack's labels are
+    ``labels[rows].reshape(G, n)``.  ``max_rows`` splits a run into stacks
+    of at most that many rows, or of one cohort."""
+    stacks, first = [], 0
+    for size, run in itertools.groupby(map(len, cohorts)):
+        end = first + len(list(run))
+        per = end - first if max_rows is None else max(1, max_rows // size)
+        for k in range(first, end, per):
+            g = per if k + per <= end else end - k
+            if plan.strategy == "ghost":  # cohort k starts at k * sub_batch
+                rows = slice(k * plan.sub_batch, k * plan.sub_batch + g * size)
+                stacks.append((rows, x[rows].reshape(g, size, *x.shape[1:])))
+            else:  # np.array builds what np.stack would, in one call
+                rows = np.array(cohorts[k : k + g])
+                stacks.append((rows, x[rows]))
+        first = end
+    return stacks
 
 
-def classification_error(net, x, labels, *, cohort_sizes=None, stats=None):
+def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
     """Top-1 error of the network on (x, labels).
 
-    By default every BN layer normalizes by population statistics: ``stats``
-    ({layer index: ChannelStats}) where given, else its installed ones, and
-    the data is chunked for memory only (per-sample semantics).  Given
-    ``cohort_sizes``, which partition the data in order, each cohort is
-    normalized by its own moments (EVAL_MINIBATCH).
+    With no ``plan`` every BN layer normalizes by population statistics,
+    ``stats`` ({layer index: ChannelStats}) where given, else its installed
+    ones.  With a plan each cohort (a shuffle's drawn from ``rng``)
+    normalizes by its own moments (EVAL_MINIBATCH).
     """
     x = as_tensor4(x)
     n = x.shape[0]
-    if cohort_sizes is None:
-        mode, sizes = BnMode.EVAL_POPULATION, even_sizes(n, EVAL_CHUNK_ROWS)
-    else:
-        mode, sizes = BnMode.EVAL_MINIBATCH, list(cohort_sizes)
-        if sum(sizes) != n:
-            raise InvalidParams("cohort sizes must partition the data")
+    mode = BnMode.EVAL_POPULATION if plan is None else BnMode.EVAL_MINIBATCH
+    plan = _EVAL_CHUNKS if plan is None else plan
     wrong = 0
-    for rows, stack in cohort_stacks(x, sizes):
+    for rows, stack in cohort_stacks(x, plan, cohort_indices(plan, n, rng),
+                                     max_rows=EVAL_CHUNK_ROWS):
         logits, _ = net.forward(stack, mode=mode, stats=stats)
-        wrong += int((logits.argmax(axis=-1).ravel() != labels[rows]).sum())
+        wrong += int((logits.argmax(axis=-1)
+                      != labels[rows].reshape(stack.shape[:2])).sum())
     return wrong / n

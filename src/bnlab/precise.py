@@ -1,10 +1,10 @@
 """Re-estimating population statistics on a fixed model: the split-and-
 aggregate pass and the exact layer-by-layer variant."""
 
-from .batching import even_sizes
+from .batching import NormBatchPlan, cohort_indices
 from .errors import EmptyPopulation, InvalidParams
 from .layer import BnMode
-from .net import cohort_stacks
+from .net import EVAL_CHUNK_ROWS, cohort_stacks
 from .stats import BatchMomentLog, aggregate_moment_matching
 from .tensor import as_tensor4
 
@@ -12,23 +12,20 @@ __all__ = ["precise_bn", "precise_bn_layerwise", "set_population_stats"]
 
 
 def _pooled_moments(net, population, batch_size, indices, stats=None):
-    """Forward the population in mini-batches of ``batch_size`` in
-    EVAL_MINIBATCH (no parameter or EMA update), the layers in ``stats``
-    normalizing by those statistics, and pool the batch moments of each BN
-    layer in ``indices`` by moment matching: {layer index: ChannelStats}.
-
-    A final ragged batch (N mod B != 0) is processed as its own smaller
-    batch with its true count.  Mini-batches run as grouped passes of at
-    most EVAL_CHUNK_ROWS rows, each batch normalized by its own moments.
-    """
+    """Forward the population in ghost mini-batches of ``batch_size`` (a
+    ragged last one counts with its own size) in EVAL_MINIBATCH (no
+    parameter or EMA update), the layers in ``stats`` normalizing by those
+    statistics, and pool the batch moments of each BN layer in ``indices``
+    by moment matching: {layer index: ChannelStats}."""
     population = as_tensor4(population)
     if population.shape[0] == 0:
         raise EmptyPopulation("population has no samples")
     if batch_size < 1:
         raise InvalidParams("batch_size must be >= 1")
     sinks = {i: BatchMomentLog() for i in indices}
-    sizes = even_sizes(population.shape[0], batch_size)
-    for _, stack in cohort_stacks(population, sizes):
+    plan = NormBatchPlan("ghost", batch_size)
+    cohorts = cohort_indices(plan, population.shape[0])
+    for _, stack in cohort_stacks(population, plan, cohorts, EVAL_CHUNK_ROWS):
         net.forward(stack, mode=BnMode.EVAL_MINIBATCH, stats=stats,
                     moment_sinks=sinks)
     return {i: aggregate_moment_matching(log) for i, log in sinks.items()}

@@ -3,12 +3,12 @@ desk scale on synthetic data.
 
 Each experiment is a choice of three "batches": the batch that normalizes
 in training (the ``NormBatchPlan`` given to ``train``), the batch that gives
-the population statistics (``precise``, or each layer's EMA), and the batch
-that normalizes at test time (``evaluate``: population statistics, or each
-``nbs``-row mini-batch's own moments).  The runners share one helper per
-step: ``draw`` the data, train on ``uniform_batches`` with ``sgd_config``,
-measure with ``precise`` and ``evaluate``, and record with
-``ScenarioRun.log`` and ``ScenarioRun.checkpoint``.
+the population statistics (``precise_bn``'s mini-batches, or each layer's
+EMA), and the batch that normalizes at test time (``classification_error``
+by population statistics, or by each cohort of a plan).  The runners share
+one helper per step: ``draw`` the data, train on ``uniform_batches`` with
+``sgd_config``, measure with ``precise_bn`` and ``classification_error``,
+and record with ``ScenarioRun.log`` and ``ScenarioRun.checkpoint``.
 
 Every runner is deterministic under a fixed seed and returns a ScenarioRun
 holding the metric rows (run_id, scenario, step, split, stats_mode, metric,
@@ -148,6 +148,10 @@ def sgd_config(cfg, seed, k, **overrides):
     return SgdConfig(**{**fields, **overrides}, seed=_seed(seed, k))
 
 
+# a precise-BN pass's mini-batch rows, where a runner names no size
+PRECISE_BATCH = 32
+
+
 def uniform_batches(x, y):
     """A ``train`` batch function drawing each batch's rows uniformly, with
     replacement."""
@@ -157,26 +161,6 @@ def uniform_batches(x, y):
         return x[idx], y[idx]
 
     return sample
-
-
-def precise(net, x, batch=32):
-    """Population statistics of ``x`` pooled from its batch-``batch``
-    moments (precise BN): {BN layer index: ChannelStats}."""
-    return precise_bn(net, x, batch)
-
-
-def evaluate(net, x, y, stats=None, *, nbs=None, rng=None):
-    """Top-1 error on (x, y).  BN layers normalize with the population
-    ``stats`` (None: each layer's EMA or installed statistics), or, given
-    ``nbs``, each consecutive nbs-row mini-batch by its own moments, after
-    a shuffle drawn from ``rng`` if given."""
-    if nbs is None:
-        return classification_error(net, x, y, stats=stats)
-    if rng is not None:
-        order = rng.permutation(x.shape[0])
-        x, y = x[order], y[order]
-    return classification_error(net, x, y,
-                                cohort_sizes=[nbs] * (x.shape[0] // nbs))
 
 
 # each config key's Range, declared beside the defaults that introduce it
@@ -247,8 +231,9 @@ def run_ema_vs_precise(cfg, seed):
     def eval_point(step, net):
         if (step + 1) % cfg["eval_every"] and step + 1 != cfg["steps"]:
             return
-        err_ema = evaluate(net, x_val, y_val)
-        err_precise = evaluate(net, x_val, y_val, precise(net, x_train[:n_pop]))
+        err_ema = classification_error(net, x_val, y_val)
+        stats = precise_bn(net, x_train[:n_pop], PRECISE_BATCH)
+        err_precise = classification_error(net, x_val, y_val, stats=stats)
         run.log(run_id, step + 1, "val", "ema", "error", err_ema)
         run.log(run_id, step + 1, "val", "precise", "error", err_precise)
         run.summary["ema_curve"].append(err_ema)
@@ -262,15 +247,17 @@ def run_ema_vs_precise(cfg, seed):
     # drift further from the exact statistics as B shrinks.
     for b in cfg["precise_b_sweep"]:
         b_eff = min(b, n_pop)
-        err = evaluate(net, x_val, y_val, precise(net, x_train[:n_pop], batch=b_eff))
+        stats = precise_bn(net, x_train[:n_pop], b_eff)
+        err = classification_error(net, x_val, y_val, stats=stats)
         run.log(run_id, cfg["steps"], "val", f"precise_b{b_eff}", "error", err,
                 key=("precise_b_sweep", str(b_eff)))
 
     # estimation variance between disjoint subsets shrinks with N
     for n_sub in cfg["subset_sizes"]:
-        s1 = precise(net, x_train[:n_sub])
-        s2 = precise(net, x_train[n_sub : 2 * n_sub])
-        gap = abs(evaluate(net, x_val, y_val, s1) - evaluate(net, x_val, y_val, s2))
+        s1 = precise_bn(net, x_train[:n_sub], PRECISE_BATCH)
+        s2 = precise_bn(net, x_train[n_sub : 2 * n_sub], PRECISE_BATCH)
+        gap = abs(classification_error(net, x_val, y_val, stats=s1)
+                  - classification_error(net, x_val, y_val, stats=s2))
         # relative distance between the two estimates themselves
         dists = []
         for i in s1:
@@ -283,7 +270,7 @@ def run_ema_vs_precise(cfg, seed):
             run.log(run_id, cfg["steps"], "val", f"precise_n{n_sub}", metric,
                     value, key=(metric, str(n_sub)))
 
-    run.checkpoint(net, precise(net, x_train[:n_pop]))
+    run.checkpoint(net, precise_bn(net, x_train[:n_pop], PRECISE_BATCH))
     return run
 
 
@@ -313,14 +300,17 @@ def run_nbs_sweep(cfg, seed):
         train(net, batches, sgd_config(cfg, seed, 4),
               plan=NormBatchPlan(strategy="ghost", sub_batch=nbs))
 
+        # each split normalized in shuffled mini-batches of nbs rows
+        eval_plan = NormBatchPlan("shuffle", nbs)
         eval_rng = np.random.default_rng(_seed(seed, 5))
-        err_train = evaluate(net, x_train[:n_tr], y_train[:n_tr], nbs=nbs,
-                             rng=eval_rng)
-        err_val_mb = evaluate(net, x_val, y_val, nbs=nbs, rng=eval_rng)
+        err_train = classification_error(net, x_train[:n_tr], y_train[:n_tr],
+                                         plan=eval_plan, rng=eval_rng)
+        err_val_mb = classification_error(net, x_val, y_val, plan=eval_plan,
+                                          rng=eval_rng)
         # population statistics estimated at the training cohort size, as an
         # EMA would be forced to; small cohorts distort deeper-layer stats
-        stats = precise(net, x_train[: cfg["precise_n"]], batch=nbs)
-        err_val_pop = evaluate(net, x_val, y_val, stats)
+        stats = precise_bn(net, x_train[: cfg["precise_n"]], nbs)
+        err_val_pop = classification_error(net, x_val, y_val, stats=stats)
         for split, mode, err in (("train", "minibatch", err_train),
                                  ("val", "minibatch", err_val_mb),
                                  ("val", "population", err_val_pop)):
@@ -363,10 +353,10 @@ def run_frozen_finetune(cfg, seed):
     # both arms estimate statistics at the training cohort size; the frozen
     # arm wins by adapting its weights to the frozen stats, not by getting a
     # better estimate
-    err_control = evaluate(control, x_val, y_val,
-                           precise(control, x_pop, batch=cfg["nbs"]))
+    err_control = classification_error(
+        control, x_val, y_val, stats=precise_bn(control, x_pop, cfg["nbs"]))
 
-    snap = precise(net, x_pop, batch=cfg["nbs"])
+    snap = precise_bn(net, x_pop, cfg["nbs"])
     for i in net.bn_indices:
         net.layers[i].freeze(snap[i])
     # each layer now normalizes by its frozen statistics in training too;
@@ -374,7 +364,7 @@ def run_frozen_finetune(cfg, seed):
     train(net, batches, sgd_config(cfg, seed, 5, steps=rest,
                                    warmup_steps=cfg["warmup_steps"]), plan=plan)
     # evaluated with the frozen statistics as its population statistics
-    err_frozen = evaluate(net, x_val, y_val, snap)
+    err_frozen = classification_error(net, x_val, y_val, stats=snap)
 
     run.log(run_id, cfg["steps"], "val", "frozen_finetune", "error", err_frozen,
             key=("frozen_finetune",))
@@ -409,7 +399,7 @@ def run_domain_adapt(cfg, seed):
     net = build_net(np.random.default_rng(_seed(seed, 3)),
                     [cfg["dim"], *cfg["hidden"], cfg["classes"]])
     train(net, uniform_batches(x_train, y_train), sgd_config(cfg, seed, 4))
-    source_stats = precise(net, x_train[: cfg["precise_n"]])
+    source_stats = precise_bn(net, x_train[: cfg["precise_n"]], PRECISE_BATCH)
 
     corrupt_rng = np.random.default_rng(_seed(seed, 5))
     for name, spec in cfg["corruptions"].items():
@@ -417,9 +407,10 @@ def run_domain_adapt(cfg, seed):
         xt_val = corr.apply(x_val, corrupt_rng)
         xt_adapt = corr.apply(x_adapt, corrupt_rng)
         for mode, stats in (("source_stats", source_stats),
-                            ("target_stats", precise(net, xt_adapt))):
-            run.log(run_id, cfg["steps"], f"val_{name}", mode, "error",
-                    evaluate(net, xt_val, y_val, stats), key=(name, mode))
+                            ("target_stats", precise_bn(net, xt_adapt, PRECISE_BATCH))):
+            err = classification_error(net, xt_val, y_val, stats=stats)
+            run.log(run_id, cfg["steps"], f"val_{name}", mode, "error", err,
+                    key=(name, mode))
     run.checkpoint(net, source_stats)
     return run
 
@@ -713,8 +704,9 @@ def run_leakage(cfg, seed):
             remaining = cfg["steps"] - 1 - step
             if remaining % window or remaining // window >= 3:
                 return
-            s = precise(net, x_pop)
-            snaps.append((step + 1, evaluate(net, x_val, y_val, s), s))
+            s = precise_bn(net, x_pop, PRECISE_BATCH)
+            e = classification_error(net, x_val, y_val, stats=s)
+            snaps.append((step + 1, e, s))
 
         train(net, batch_fn, sgd_config(cfg, seed, 4, batch_size=batch),
               plan=plan, callback=snapshot)
@@ -724,10 +716,11 @@ def run_leakage(cfg, seed):
         if name == "crafted":
             # mini-batches of m: the crafted groups as drawn, then shuffled
             shuffle_rng = np.random.default_rng(_seed(seed, 6))
-            for mode, rng in (("minibatch_pattern", None),
-                              ("minibatch_random", shuffle_rng)):
-                run.log(run_id, cfg["steps"], "val", mode, "error",
-                        evaluate(net, x_val, y_val, nbs=m, rng=rng),
+            for mode, strategy, rng in (("minibatch_pattern", "ghost", None),
+                                        ("minibatch_random", "shuffle", shuffle_rng)):
+                err = classification_error(net, x_val, y_val, rng=rng,
+                                           plan=NormBatchPlan(strategy, m))
+                run.log(run_id, cfg["steps"], "val", mode, "error", err,
                         key=(name, mode))
             run.checkpoint(net, snaps[-1][2])
     return run

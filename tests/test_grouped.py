@@ -347,13 +347,28 @@ def test_grouped_precise_bn_layerwise_matches_per_batch_loop(n, batch_size):
         np.testing.assert_array_equal(got[i].var, ref[i].var)
 
 
-@pytest.mark.parametrize("sizes", [[5, 5], [4, 4, 2], [2] * 300,
-                                   [3, 3, 7, 7, 7, 1]])
-def test_grouped_minibatch_eval_matches_per_cohort_loop(sizes):
+# (plan, the cohort sizes it gives); a shuffle's cohorts are consecutive
+# rows of one permutation
+EVAL_PLANS = {
+    "ghost5": (NormBatchPlan("ghost", 5), [5, 5]),
+    "ghost4_ragged": (NormBatchPlan("ghost", 4), [4, 4, 2]),
+    "ghost2": (NormBatchPlan("ghost", 2), [2] * 300),
+    # several stacks of 36 cohorts, and a ragged tail
+    "shuffle7": (NormBatchPlan("shuffle", 7), [7] * 85 + [5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_PLANS))
+def test_grouped_minibatch_eval_matches_per_cohort_loop(name):
+    plan, sizes = EVAL_PLANS[name]
     net = _trained_net()
-    x, y = _data(sum(sizes), seed=8)
-    got = classification_error(net, x, y, cohort_sizes=sizes)
-    assert got == _ref_classification_error(net, x, y, sizes)
+    n = sum(sizes)
+    x, y = _data(n, seed=8)
+    got = classification_error(net, x, y, plan=plan,
+                               rng=np.random.default_rng(4))
+    perm = (np.random.default_rng(4).permutation(n)
+            if plan.strategy == "shuffle" else np.arange(n))
+    assert got == _ref_classification_error(net, x[perm], y[perm], sizes)
 
 
 def test_grouped_forward_logits_match_per_cohort_forwards():

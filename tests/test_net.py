@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bnlab.batching import NormBatchPlan
-from bnlab.errors import Diverged, InvalidParams, ShapeMismatch, StaleCache
+from bnlab.errors import (Diverged, InvalidParams, InvalidPlan, ShapeMismatch,
+                          StaleCache)
 from bnlab.layer import BnLayer, BnMode
 from bnlab.net import (
     LOSS_BOUND,
@@ -228,12 +229,20 @@ def test_train_with_ghost_plan_matches_cohort_semantics():
                                nets[1].layers[0].weight, atol=1e-12)
 
 
-def test_classification_error_cohort_partition_check():
+def test_classification_error_plan_counts_its_ragged_tail():
+    # a plan always partitions its rows: ghost cohorts of 4 over 10 rows
+    # leave a last cohort of 2, normalized by its own moments and counted
     rng = np.random.default_rng(10)
     net = _net(rng)
     x = rng.standard_normal((10, 4, 1, 1))
     y = rng.integers(0, 3, 10)
-    err = classification_error(net, x, y, cohort_sizes=[5, 5])
+    err = classification_error(net, x, y, plan=NormBatchPlan("ghost", 5))
     assert 0.0 <= err <= 1.0
-    with pytest.raises(InvalidParams):
-        classification_error(net, x, y, cohort_sizes=[5, 4])
+    wrong = 0
+    for start in (0, 4, 8):
+        logits, _ = net.forward(x[start : start + 4], mode=BnMode.EVAL_MINIBATCH)
+        wrong += int((logits.argmax(axis=1) != y[start : start + 4]).sum())
+    assert classification_error(net, x, y,
+                                plan=NormBatchPlan("ghost", 4)) == wrong / 10
+    with pytest.raises(InvalidPlan):
+        classification_error(net, x, y, plan=NormBatchPlan("shuffle", 4))

@@ -27,7 +27,9 @@ MEASURED_ON = "Python 3.11.7, numpy 2.4.6"
 
 # Calls per step, summed from cProfile's getstats() as perfbench sums
 # py_calls, measured on MEASURED_ON (other versions run other numbers of
-# numpy's own Python frames); the bound is 10% above them.
+# numpy's own Python frames); the bound is SLACK calls above them.  Until
+# 53dd830 the bound was 10% above them, wide enough that reverting the
+# layer-role change (118 calls against a bound of 118.8) still passed.
 # At b3edb90, before the BN forward centred each batch once and the layers
 # stopped re-checking their inputs, the first two cases read 253 and 279.
 # At 5a50eed, before a one-cohort step ran the plain batch and gradients
@@ -42,6 +44,7 @@ CALLS_PER_STEP = {
     "shared_head_shared": 66,
     "shared_head_per_domain": 63,
 }
+SLACK = 2
 
 
 def _sgd(net, shape, classes, plan):
@@ -118,9 +121,10 @@ def test_python_calls_per_sgd_step(name, setup):
     per_step = sum(entry.callcount for entry in profile.getstats()) / STEPS
     stack = (f"Python {platform.python_version()}, "
              f"numpy {np.__version__}")
-    assert per_step <= 1.1 * CALLS_PER_STEP[name], (
+    bound = CALLS_PER_STEP[name] + SLACK
+    assert per_step <= bound, (
         f"{name}: {per_step} Python calls per training step, bound "
-        f"{1.1 * CALLS_PER_STEP[name]:g}; pinned on {MEASURED_ON}, run on "
+        f"{bound}; pinned on {MEASURED_ON}, run on "
         f"{stack}" + ("" if stack == MEASURED_ON else
                       ": a different stack, so the count may differ "
                       "without a regression"))
