@@ -19,7 +19,7 @@ from .batching import DomainPolicy, NormBatchPlan
 from .layer import BnLayer, BnMode
 from .net import Network, SgdConfig, train
 from .precise import precise_bn, precise_bn_layerwise
-from .stats import BatchMomentLog, EmaState, ema_update
+from .stats import EmaState, ema_update
 from .tensor import ChannelStats, channel_moments, normalize
 
 
@@ -56,7 +56,6 @@ _one_blas_thread()
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchMomentLog",
     "BnLayer",
     "BnMode",
     "ChannelStats",

@@ -11,11 +11,11 @@ from .errors import BnLabError, ConfigError, MalformedCsv, UnknownScenario
 from .gradcheck import TOLERANCE, run_full_suite
 from .scenarios import SCENARIOS, check_ranges
 from .stats import (
-    BatchMomentLog,
     EmaState,
     aggregate_moment_matching,
     aggregate_naive,
     ema_update,
+    read_moments_csv,
 )
 
 __all__ = ["main", "build_parser"]
@@ -112,7 +112,7 @@ def cmd_estimate(args):
         return EXIT_CONFIG
     try:
         with open(args.input) as fh:
-            log = BatchMomentLog.from_csv(fh.read())
+            entries = read_moments_csv(fh.read())
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -121,16 +121,16 @@ def cmd_estimate(args):
         return EXIT_CONFIG
     try:
         if args.method == "ema":
-            state = EmaState.initial(log.entries[0].channels, args.momentum)
-            for entry in log.entries:
+            state = EmaState.initial(entries[0].channels, args.momentum)
+            for entry in entries:
                 state = ema_update(state, entry)
             stats = state.as_channel_stats()
             note = {"momentum": args.momentum}
         elif args.method == "precise":
-            stats = aggregate_moment_matching(log, bessel=args.bessel)
+            stats = aggregate_moment_matching(entries, bessel=args.bessel)
             note = {"bessel": args.bessel}
         else:
-            stats = aggregate_naive(log)
+            stats = aggregate_naive(entries)
             note = {}
     except BnLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

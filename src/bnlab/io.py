@@ -61,8 +61,9 @@ class Range:
         if isinstance(value, (list, dict)):
             if len(value) < self.min_len:
                 raise ConfigError(f"{key} must be of length >= {self.min_len}")
-            for i, v in enumerate(value):
-                self.check(f"{key}[{i}]", v)
+            if isinstance(value, list):  # a mapping's keys are names
+                for i, v in enumerate(value):
+                    self.check(f"{key}[{i}]", v)
         elif _is_number(value) and not all(
                 self.OPS[op](value, float(bound))
                 for op, bound in map(str.split, self.bounds)):

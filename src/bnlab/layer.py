@@ -49,8 +49,8 @@ class BnLayer:
     TRAIN_MINIBATCH normalizes by the batch's own moments and advances the
     EMA; EVAL_MINIBATCH does the same without touching the EMA (a precise
     re-estimation pass).  EVAL_POPULATION normalizes by fixed statistics:
-    the ``stats`` given to the forward, else the installed population
-    statistics ``pop``, else the EMA.  FrozenBN is EVAL_POPULATION as the
+    the ``stats`` given to the forward, else the statistics ``freeze``
+    installed (``pop``), else the EMA.  FrozenBN is EVAL_POPULATION as the
     layer's own mode in training (see ``freeze``).
 
     Input is an (N, C, H, W) batch or a (G, n, C, H, W) stack of G cohorts;

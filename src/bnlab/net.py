@@ -220,11 +220,11 @@ class Network:
         mode when ``mode`` is None, except the layers in ``stats``, a dict
         {layer index: ChannelStats}: those normalize by the given statistics
         as EVAL_POPULATION, without touching layer state.  ``moment_sinks``
-        maps layer index -> BatchMomentLog receiving this pass's batch
-        moments as one entry, (G, C) for a cohort stack.  ``x`` is an
-        (N, C, H, W) batch, giving (N, K) logits, or a (G, n, C, H, W) stack
-        of G normalization cohorts, run as one pass and giving (G, n, K)
-        logits.
+        maps layer index -> a list; the pass appends the layer's batch
+        moments to it as one ChannelStats, (G, C) for a cohort stack.  ``x``
+        is an (N, C, H, W) batch, giving (N, K) logits, or a (G, n, C, H, W)
+        stack of G normalization cohorts, run as one pass and giving
+        (G, n, K) logits.
         """
         if not (type(x) is np.ndarray and x.dtype == np.float64
                 and x.ndim in (4, 5)):

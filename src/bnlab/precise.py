@@ -1,14 +1,16 @@
 """Re-estimating population statistics on a fixed model: the split-and-
-aggregate pass and the exact layer-by-layer variant."""
+aggregate pass and the exact layer-by-layer variant.  Both return the
+statistics as {bn layer index: ChannelStats} and leave the model as it
+was; a caller passes them on (``stats=``), nothing installs them."""
 
 from .batching import NormBatchPlan, cohort_indices
 from .errors import EmptyPopulation, InvalidParams
 from .layer import BnMode
 from .net import EVAL_CHUNK_ROWS, cohort_stacks
-from .stats import BatchMomentLog, aggregate_moment_matching
+from .stats import aggregate_moment_matching
 from .tensor import as_tensor4
 
-__all__ = ["precise_bn", "precise_bn_layerwise", "set_population_stats"]
+__all__ = ["precise_bn", "precise_bn_layerwise"]
 
 
 def _pooled_moments(net, population, batch_size, indices, stats=None):
@@ -22,13 +24,13 @@ def _pooled_moments(net, population, batch_size, indices, stats=None):
         raise EmptyPopulation("population has no samples")
     if batch_size < 1:
         raise InvalidParams("batch_size must be >= 1")
-    sinks = {i: BatchMomentLog() for i in indices}
+    sinks = {i: [] for i in indices}
     plan = NormBatchPlan("ghost", batch_size)
     cohorts = cohort_indices(plan, population.shape[0])
     for _, stack in cohort_stacks(population, plan, cohorts, EVAL_CHUNK_ROWS):
         net.forward(stack, mode=BnMode.EVAL_MINIBATCH, stats=stats,
                     moment_sinks=sinks)
-    return {i: aggregate_moment_matching(log) for i, log in sinks.items()}
+    return {i: aggregate_moment_matching(entries) for i, entries in sinks.items()}
 
 
 def precise_bn(net, population, batch_size):
@@ -54,8 +56,3 @@ def precise_bn_layerwise(net, population, batch_size):
                                       stats=result))
     return result
 
-
-def set_population_stats(net, stats_by_index):
-    """Install precise statistics on the network's BN layers."""
-    for i, stats in stats_by_index.items():
-        net.layers[i].pop = stats

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batching import PER_DOMAIN, SHARED, DomainPolicy, NormBatchPlan
-from .errors import ConfigError, InvalidParams, InvalidPolicy
+from .errors import ConfigError, InvalidParams
 from .io import Range
 from .layer import BnLayer, BnMode, batch_stats_backward, batch_stats_forward
 from .net import (
@@ -38,7 +38,7 @@ from .net import (
     softmax_cross_entropy,
     train,
 )
-from .precise import precise_bn, set_population_stats
+from .precise import precise_bn
 from .synthetic import (
     Corruption,
     GaussianClasses,
@@ -74,18 +74,18 @@ class ScenarioRun:
             node[key[-1]] = value
 
     def checkpoint(self, net, stats=None):
-        """Install ``stats`` (if given) as the net's population statistics,
-        then snapshot every BN layer's statistics and every parameter."""
-        if stats is not None:
-            set_population_stats(net, stats)
+        """Snapshot every parameter and every BN layer's statistics: a
+        frozen layer's own, else the precise ``stats[i]`` given for layer
+        ``i``, else its EMA.  The net is left as it was."""
         self.stats_checkpoint, self.params_checkpoint = {}, {}
-        for name, layer in zip(net.layer_names(), net.layers):
+        for i, (name, layer) in enumerate(zip(net.layer_names(), net.layers)):
             if isinstance(layer, BnLayer):
                 if layer.mode is BnMode.EVAL_POPULATION:
-                    src = "frozen"
+                    src, s = "frozen", layer.eval_stats()
+                elif i in (stats or {}):
+                    src, s = "precise", stats[i]
                 else:
-                    src = "ema" if layer.pop is None else "precise"
-                s = layer.eval_stats()
+                    src, s = "ema", layer.ema.as_channel_stats()
                 self.stats_checkpoint[name] = {
                     "mean": list(s.mean),
                     "var": list(s.var),
@@ -477,7 +477,6 @@ class SharedHeadNet:
         self.relu = Relu()
         self.optimizer = None
         self.grad_views = None  # the optimizer's, by layer attribute
-        self.pop_stats = None  # ChannelStats, (C,) shared or (D, C) per domain
 
     def forward_train(self, x, stats=None):
         """(D, n, K) logits of a (D, n, C, 1, 1) float64 stack of domain
@@ -549,23 +548,20 @@ class SharedHeadNet:
         # the mean of the D per-domain means of n rows each
         return np.add.reduce(loss) / loss.shape[0]
 
-    def train_population_stats(self, x, pop_stats=None):
-        """Population statistics of a (D, n, C, 1, 1) stack of domain
-        samples, pooled (``pop_stats`` SHARED) or per domain (PER_DOMAIN);
-        the policy's choice when ``pop_stats`` is None.  Training never
-        reads this choice, so one trained net serves both."""
-        if pop_stats is None:
-            pop_stats = self.policy.pop_stats
+    def train_population_stats(self, x, pop_stats):
+        """The population statistics of a (D, n, C, 1, 1) stack of domain
+        samples: (C,) pooled over the domains (``pop_stats`` SHARED) or
+        (D, C) per domain (PER_DOMAIN).  Training never reads this choice,
+        so one trained net serves both."""
         h, _ = self.l1.forward(x)
-        self.pop_stats = channel_moments(h.reshape(-1, *h.shape[2:])
-                                         if pop_stats == SHARED else h)
+        return channel_moments(h.reshape(-1, *h.shape[2:])
+                               if pop_stats == SHARED else h)
 
-    def eval_error(self, x, y):
+    def eval_error(self, x, y, stats):
         """Top-1 error on a (D, n, C, 1, 1) stack with (D, n) labels, every
-        domain normalized by the population statistics."""
-        if self.pop_stats is None:
-            raise InvalidPolicy("population statistics were never trained")
-        logits, _ = self.forward_train(x, stats=self.pop_stats)
+        domain normalized by ``stats``, as ``train_population_stats``
+        returns them."""
+        logits, _ = self.forward_train(x, stats=stats)
         return int((logits.argmax(axis=-1) != y).sum()) / y.size
 
 
@@ -618,11 +614,11 @@ def run_shared_head(cfg, seed):
                 raise diverged(step, loss, f"sgd_stats={sgd_s}, affine={aff_s}")
     for row, policy in enumerate(policies):
         net = nets[policy.sgd_stats, policy.affine]
-        net.train_population_stats(pop_x, policy.pop_stats)
+        stats = net.train_population_stats(pop_x, policy.pop_stats)
         run.summary[f"row{row + 1}"] = {
             "policy": [policy.sgd_stats, policy.pop_stats, policy.affine]}
         run.log(f"shared_head-row{row + 1}-s{seed}", cfg["steps"], "val",
-                "population", "error", net.eval_error(val_x, val_y),
+                "population", "error", net.eval_error(val_x, val_y, stats),
                 key=(f"row{row + 1}", "error"))
     return run
 
@@ -736,6 +732,11 @@ def check_ranges(cfg):
         if not isinstance(policy, list) or len(policy) != 3 or not all(
                 p in (SHARED, PER_DOMAIN) for p in policy):
             raise ConfigError(f"policies[{i}] must be three of 'shared', 'per_domain'")
+    # a spec's noise is a standard deviation, as the top-level noise is
+    specs = [(f"corruptions.{k}", s) for k, s in cfg.get("corruptions", {}).items()]
+    specs += [(f"domains[{i}]", s) for i, s in enumerate(cfg.get("domains", ()))]
+    for where, spec in specs:
+        _SCALE.check(f"{where}.noise", spec["noise"])
     # frozen_finetune trains in ghost cohorts of nbs rows, all of one size
     if "nbs" in cfg and cfg["batch_size"] % cfg["nbs"]:
         raise ConfigError(f"nbs must be a divisor of batch_size "

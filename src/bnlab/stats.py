@@ -1,10 +1,12 @@
 """Population-statistics estimators: EMA, the two batch-moment aggregators,
-and a Monte Carlo oracle for the variance of the variance estimator."""
+and a Monte Carlo oracle for the variance of the variance estimator.  Batch
+moments are a plain list of ChannelStats, as a pass or a moments CSV
+(``read_moments_csv``) gives them; ``stack_moments`` stacks the list."""
 
 import csv
 import functools
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +22,8 @@ from .tensor import ChannelStats
 __all__ = [
     "EmaState",
     "ema_update",
-    "BatchMomentLog",
+    "stack_moments",
+    "read_moments_csv",
     "aggregate_moment_matching",
     "aggregate_naive",
     "VarVarOracleReport",
@@ -94,104 +97,81 @@ def ema_update(state: EmaState, batch: ChannelStats) -> EmaState:
     )
 
 
-@dataclass
-class BatchMomentLog:
-    """Ordered per-mini-batch channel statistics collected during a pass.
+def stack_moments(entries):
+    """(K, C) means, (K, C) variances and (K,) element counts of a list of
+    batch moments, one row per mini-batch in order; an entry is (C,) moments
+    or the (G, C) moments of a pass over a stack of G mini-batches."""
+    if not entries:
+        raise EmptyLog("no batch moments to stack")
+    c = entries[0].channels
+    if len({e.channels for e in entries}) != 1:
+        raise ShapeMismatch("batch moments disagree on channel count")
+    return (np.concatenate([e.mean.reshape(-1, c) for e in entries]),
+            np.concatenate([e.var.reshape(-1, c) for e in entries]),
+            np.repeat([e.count for e in entries],
+                      [e.mean.size // c for e in entries]))
 
-    An entry is one mini-batch's (C,) moments, or the (G, C) moments of a
-    pass over a stack of G mini-batches, one row per cohort.  The log
-    counts mini-batches, not entries: ``len``, ``stacked`` and the CSV
-    have one row per mini-batch, in order.
-    """
 
-    entries: list = field(default_factory=list)
+_CSV_HEADER = ["batch_index", "channel", "mean", "var", "count"]
 
-    def append(self, stats: ChannelStats) -> None:
-        if self.entries and stats.channels != self.entries[0].channels:
-            raise ShapeMismatch("log entries disagree on channel count")
-        self.entries.append(stats)
 
-    def __len__(self) -> int:
-        return sum(e.mean.size // e.channels for e in self.entries)
-
-    def stacked(self):
-        """(K, C) means, (K, C) variances and (K,) element counts of the
-        log's K mini-batches, in order; the log must not be empty."""
-        c = self.entries[0].channels
-        return (np.concatenate([e.mean.reshape(-1, c) for e in self.entries]),
-                np.concatenate([e.var.reshape(-1, c) for e in self.entries]),
-                np.repeat([e.count for e in self.entries],
-                          [e.mean.size // c for e in self.entries]))
-
-    CSV_HEADER = ["batch_index", "channel", "mean", "var", "count"]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_HEADER)
-        rows = zip(*self.stacked()) if self.entries else ()
-        for i, (mean, var, count) in enumerate(rows):
-            for c in range(mean.shape[0]):
-                writer.writerow([i, c, repr(float(mean[c])), repr(float(var[c])),
-                                 int(count)])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "BatchMomentLog":
-        reader = csv.reader(io.StringIO(text))
+def read_moments_csv(text):
+    """The (C,) ChannelStats of each ``batch_index`` of a moments CSV (README,
+    ``bnlab estimate``), in ascending order.  Raises MalformedCsv on a bad
+    header or row, a batch with a missing or repeated channel or with
+    channels of different counts, and batches of different channel counts."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MalformedCsv("empty moments file") from None
+    if header != _CSV_HEADER:
+        raise MalformedCsv(f"expected header {_CSV_HEADER}, got {header}")
+    batches = {}  # batch index -> (count, {channel: (mean, var)})
+    for line in reader:
+        if not line:
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsv("empty moments file") from None
-        if header != cls.CSV_HEADER:
-            raise MalformedCsv(f"expected header {cls.CSV_HEADER}, got {header}")
-        rows = {}
-        counts = {}
-        for line in reader:
-            if not line:
-                continue
-            try:
-                idx, chan = int(line[0]), int(line[1])
-                mean, var = float(line[2]), float(line[3])
-                count = int(line[4])
-            except (ValueError, IndexError) as exc:
-                raise MalformedCsv(f"bad row {line!r}") from exc
-            if not (np.isfinite(mean) and np.isfinite(var)) or var < 0 or count < 1:
-                raise MalformedCsv(
-                    f"bad row {line!r}: mean and var must be finite, "
-                    "var >= 0 and count >= 1"
-                )
-            chans = rows.setdefault(idx, {})
-            if chan in chans:
-                raise MalformedCsv(f"batch {idx} repeats channel {chan}")
-            if counts.setdefault(idx, count) != count:
-                raise MalformedCsv(f"batch {idx} has channels with different counts")
-            chans[chan] = (mean, var)
-        log = cls()
-        for idx in sorted(rows):
-            chans = rows[idx]
-            if sorted(chans) != list(range(len(chans))):
-                raise MalformedCsv(f"batch {idx} has missing channels")
-            mean = np.array([chans[c][0] for c in sorted(chans)])
-            var = np.array([chans[c][1] for c in sorted(chans)])
-            log.append(ChannelStats(mean=mean, var=var, count=counts[idx]))
-        if not log.entries:
-            raise MalformedCsv("moments file contains no data rows")
-        return log
+            idx, chan, count = int(line[0]), int(line[1]), int(line[4])
+            mean, var = float(line[2]), float(line[3])
+        except (ValueError, IndexError) as exc:
+            raise MalformedCsv(f"bad row {line!r}") from exc
+        if not (np.isfinite(mean) and np.isfinite(var)) or var < 0 or count < 1:
+            raise MalformedCsv(f"bad row {line!r}: mean and var must be finite, "
+                               "var >= 0 and count >= 1")
+        first_count, chans = batches.setdefault(idx, (count, {}))
+        if chan in chans:
+            raise MalformedCsv(f"batch {idx} repeats channel {chan}")
+        if count != first_count:
+            raise MalformedCsv(f"batch {idx} has channels with different counts")
+        chans[chan] = (mean, var)
+    if not batches:
+        raise MalformedCsv("moments file contains no data rows")
+    entries = []
+    for idx in sorted(batches):
+        count, chans = batches[idx]
+        c = len(chans)
+        if sorted(chans) != list(range(c)):
+            raise MalformedCsv(f"batch {idx} has missing channels")
+        if entries and c != entries[0].channels:
+            raise MalformedCsv(f"batch {idx} has {c} channels, not "
+                               f"{entries[0].channels} as the first batch")
+        mean, var = np.array([chans[j] for j in range(c)]).T
+        entries.append(ChannelStats(mean=mean, var=var, count=count))
+    return entries
 
 
-def aggregate_moment_matching(log: BatchMomentLog, bessel: bool = False) -> ChannelStats:
-    """Pool a moment log through per-batch E[mu], E[mu^2 + var].
+def aggregate_moment_matching(entries, bessel: bool = False) -> ChannelStats:
+    """Pool a list of batch moments through per-batch E[mu], E[mu^2 + var].
 
     Mini-batches with unequal element counts are weighted by count, which
     makes the result identical (to rounding) to the moments of the
     concatenated population.  With ``bessel`` the pooled variance is
-    rescaled by N / (N - 1) where N is the total element count.  The log is
-    pooled as (K, C) arrays; the sums over axis 0 add the K rows in order.
+    rescaled by N / (N - 1) where N is the total element count.  The
+    moments are pooled as ``stack_moments``' (K, C) arrays; the sums over
+    axis 0 add the K rows in order.
     """
-    if not log.entries:
-        raise EmptyLog("cannot aggregate an empty moment log")
-    means, variances, counts = log.stacked()
+    means, variances, counts = stack_moments(entries)
     total = int(np.add.reduce(counts))
     weights = counts[:, None]
     mean = np.add.reduce(weights * means, axis=0) / total
@@ -204,20 +184,17 @@ def aggregate_moment_matching(log: BatchMomentLog, bessel: bool = False) -> Chan
     return ChannelStats(mean=mean, var=np.maximum(var, 0.0), count=total)
 
 
-def aggregate_naive(log: BatchMomentLog) -> ChannelStats:
+def aggregate_naive(entries) -> ChannelStats:
     """The original aggregation: mean of means, B/(B-1) * mean of variances.
 
     Requires every mini-batch to carry the same element count B >= 2.
     """
-    if not log.entries:
-        raise EmptyLog("cannot aggregate an empty moment log")
-    counts = {e.count for e in log.entries}
-    if len(counts) != 1:
-        raise DegenerateBatch(f"naive aggregation needs equal batch counts, got {counts}")
-    b = counts.pop()
+    means, variances, counts = stack_moments(entries)
+    b = int(counts[0])
+    if (counts != b).any():
+        raise DegenerateBatch(f"naive aggregation needs equal batch counts: {counts}")
     if b < 2:
         raise DegenerateBatch(f"naive aggregation needs batch count >= 2, got {b}")
-    means, variances, _ = log.stacked()
     k = len(means)
     mean = np.add.reduce(means, axis=0) / k
     var = (b / (b - 1)) * np.add.reduce(variances, axis=0) / k
@@ -265,14 +242,14 @@ def simulate_variance_estimates(
         raise InvalidParams("need batch_size >= 2, k >= 1, trials >= 1")
     rng = np.random.default_rng(seed)
     x = _draw_samples(rng, sigma, kurtosis, (trials, k, batch_size))
-    mu = x.mean(axis=2)
-    var = x.var(axis=2)  # biased per-batch variance
+    # the biased moments of batch j are channel t of its ChannelStats, for
+    # each trial t: the estimators pool all trials at once
+    mu, var = x.mean(axis=2), x.var(axis=2)
+    batches = [ChannelStats(mu[:, j], var[:, j], batch_size) for j in range(k)]
     if estimator == "naive":
-        return (batch_size / (batch_size - 1)) * var.mean(axis=1)
+        return aggregate_naive(batches).var
     if estimator == "moment_matching":
-        n = k * batch_size
-        pooled = (mu**2 + var).mean(axis=1) - mu.mean(axis=1) ** 2
-        return (n / (n - 1)) * pooled
+        return aggregate_moment_matching(batches, bessel=True).var
     raise InvalidParams(f"unknown estimator {estimator!r}")
 
 

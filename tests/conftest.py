@@ -20,3 +20,24 @@ def read_metrics():
                     for r in reader]
 
     return read
+
+
+@pytest.fixture
+def moments_csv():
+    """A writer of the moments CSV that ``bnlab estimate`` reads, in the
+    format README documents: for a list of ChannelStats, each one
+    mini-batch's (C,) moments or a (G, C) stack of G, one row per
+    mini-batch and channel, numbered in order, floats as ``repr``."""
+
+    def write(entries):
+        lines = ["batch_index,channel,mean,var,count"]
+        k = 0
+        for e in entries:
+            for means, variances in zip(e.mean.reshape(-1, e.channels),
+                                        e.var.reshape(-1, e.channels)):
+                lines += [f"{k},{c},{float(m)!r},{float(v)!r},{e.count}"
+                          for c, (m, v) in enumerate(zip(means, variances))]
+                k += 1
+        return "\n".join(lines) + "\n"
+
+    return write

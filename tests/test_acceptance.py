@@ -29,7 +29,6 @@ from bnlab.scenarios import (
     run_shared_head,
 )
 from bnlab.stats import (
-    BatchMomentLog,
     aggregate_moment_matching,
     simulate_variance_estimates,
     var_of_var_oracle,
@@ -158,8 +157,7 @@ def test_c07_sync_equals_concat():
         sizes = [int(rng.integers(1, 9)) for _ in range(n_workers)]
         c, h, w = (int(rng.integers(1, 4)) for _ in range(3))
         parts = [rng.standard_normal((s, c, h, w)) for s in sizes]
-        pooled = aggregate_moment_matching(
-            BatchMomentLog([channel_moments(p) for p in parts]))
+        pooled = aggregate_moment_matching([channel_moments(p) for p in parts])
         synced = [normalize(p, pooled, 1e-5) for p in parts]
         concat = normalize(np.concatenate(parts, axis=0),
                            channel_moments(np.concatenate(parts, axis=0)), 1e-5)

@@ -10,7 +10,6 @@ from bnlab.cli import main
 from bnlab.layer import BnLayer
 from bnlab.net import Affine, Linear, MeanPool, Relu
 from bnlab.scenarios import SCENARIOS, ScenarioRun
-from bnlab.stats import BatchMomentLog
 from bnlab.tensor import channel_moments
 
 # the README's smoke-size example
@@ -148,6 +147,14 @@ BAD_NUMBERS = [
     ("shared_head",
      '{"domains": [{"scale": 1.0, "shift": 0, "noise": NaN, "mix": true}]}',
      "domains[0].noise"),
+    # a spec's noise is a standard deviation, as the top-level noise is; a
+    # negative one ran as no noise
+    ("domain_adapt",
+     '{"corruptions": {"neg": {"scale": 1.0, "shift": 0.0, "noise": -0.5}}}',
+     "corruptions.neg.noise"),
+    ("shared_head",
+     '{"domains": [{"scale": 1.0, "shift": 0, "noise": -1.0, "mix": true}]}',
+     "domains[0].noise"),
 ]
 
 
@@ -220,21 +227,19 @@ def test_run_with_non_finite_json_writes_nothing(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
-def _write_moments_csv(path, batches):
-    log = BatchMomentLog()
-    for b in batches:
-        log.append(channel_moments(b))
-    path.write_text(log.to_csv())
+def _write_moments_csv(path, batches, moments_csv):
+    log = [channel_moments(b) for b in batches]
+    path.write_text(moments_csv(log))
     return log
 
 
-def test_estimate_precise_matches_concat_oracle(tmp_path, capsys):
+def test_estimate_precise_matches_concat_oracle(tmp_path, capsys, moments_csv):
     # 64 standard-normal scalars as k=16 batches of B=4, seed 11
     rng = np.random.default_rng(11)
     x = rng.standard_normal(64)
     batches = [x[i : i + 4].reshape(4, 1, 1, 1) for i in range(0, 64, 4)]
     p = tmp_path / "moments.csv"
-    _write_moments_csv(p, batches)
+    _write_moments_csv(p, batches, moments_csv)
     code = main(["estimate", "--input", str(p), "--method", "precise"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
@@ -244,10 +249,10 @@ def test_estimate_precise_matches_concat_oracle(tmp_path, capsys):
     assert payload["bessel"] is False
 
 
-def test_estimate_naive_vs_precise_bessel_factor(tmp_path, capsys):
+def test_estimate_naive_vs_precise_bessel_factor(tmp_path, capsys, moments_csv):
     rng = np.random.default_rng(0)
     p = tmp_path / "moments.csv"
-    _write_moments_csv(p, [rng.standard_normal((2, 1, 1, 1))])
+    _write_moments_csv(p, [rng.standard_normal((2, 1, 1, 1))], moments_csv)
     results = {}
     for method in ("precise", "naive"):
         assert main(["estimate", "--input", str(p), "--method", method]) == 0
@@ -257,10 +262,10 @@ def test_estimate_naive_vs_precise_bessel_factor(tmp_path, capsys):
         2.0 * results["precise"]["var"][0])
 
 
-def test_estimate_ema_folds_entries(tmp_path, capsys):
+def test_estimate_ema_folds_entries(tmp_path, capsys, moments_csv):
     p = tmp_path / "moments.csv"
     log = _write_moments_csv(
-        p, [np.full((4, 1, 1, 1), 2.0), np.full((4, 1, 1, 1), 4.0)])
+        p, [np.full((4, 1, 1, 1), 2.0), np.full((4, 1, 1, 1), 4.0)], moments_csv)
     assert main(["estimate", "--input", str(p), "--method", "ema",
                  "--momentum", "0.5"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -268,7 +273,7 @@ def test_estimate_ema_folds_entries(tmp_path, capsys):
     assert payload["mean"][0] == pytest.approx(2.5)
     assert payload["var"][0] == pytest.approx(0.25)
     assert payload["momentum"] == 0.5
-    assert len(log.entries) == 2
+    assert len(log) == 2
 
 
 @pytest.mark.parametrize("momentum", ["2", "-0.1", "nan"])
@@ -310,11 +315,14 @@ def test_estimate_rejects_repeated_and_inconsistent_rows(tmp_path, capsys):
     for rows, message in (("0,0,1.0,1.0,4\n0,1,2.0,1.0,4\n0,0,5.0,1.0,4",
                            "repeats channel 0"),
                           ("0,0,1.0,1.0,4\n0,1,2.0,1.0,8",
-                           "different counts")):
+                           "different counts"),
+                          # batches that disagree on the channel count
+                          ("0,0,1.0,1.0,4\n0,1,2.0,1.0,4\n1,0,5.0,1.0,4",
+                           "batch 1 has 1 channels, not 2 as the first batch")):
         p.write_text(f"batch_index,channel,mean,var,count\n{rows}\n")
         assert main(["estimate", "--input", str(p), "--method", "precise"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and message in err
+        assert out == "" and message in err and "Traceback" not in err
 
 
 def test_check_grad_reports_every_layer_type_once(capsys):

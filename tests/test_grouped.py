@@ -28,7 +28,7 @@ from bnlab.net import (
     train,
 )
 from bnlab.precise import precise_bn, precise_bn_layerwise
-from bnlab.stats import BatchMomentLog, aggregate_moment_matching
+from bnlab.stats import aggregate_moment_matching
 from bnlab.tensor import ChannelStats
 
 CHANNELS, SITES, HIDDEN, CLASSES = 8, 4, 16, 5
@@ -118,17 +118,17 @@ def _ref_train(net, batch_fn, cfg, plan):
 
 
 def _ref_precise_bn(net, population, batch_size):
-    sinks = {i: BatchMomentLog() for i in net.bn_indices}
+    sinks = {i: [] for i in net.bn_indices}
     for start in range(0, population.shape[0], batch_size):
         net.forward(population[start : start + batch_size],
                     mode=BnMode.EVAL_MINIBATCH, moment_sinks=sinks)
-    return {i: aggregate_moment_matching(log) for i, log in sinks.items()}
+    return {i: aggregate_moment_matching(entries) for i, entries in sinks.items()}
 
 
 def _ref_precise_bn_layerwise(net, population, batch_size):
     result = {}
     for j in net.bn_indices:
-        sink = {j: BatchMomentLog()}
+        sink = {j: []}
         for start in range(0, population.shape[0], batch_size):
             net.forward(population[start : start + batch_size],
                         mode=BnMode.EVAL_MINIBATCH, stats=dict(result),

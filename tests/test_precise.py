@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bnlab.errors import EmptyPopulation, InvalidParams
-from bnlab.layer import BnLayer, BnMode
+from bnlab.layer import BnLayer
 from bnlab.net import Affine, Linear, Network, Relu
-from bnlab.precise import precise_bn, precise_bn_layerwise, set_population_stats
+from bnlab.precise import precise_bn, precise_bn_layerwise
 from bnlab.tensor import channel_moments
 
 
@@ -95,15 +95,3 @@ def test_precise_bn_validation():
         precise_bn_layerwise(net, np.zeros((0, 4, 1, 1)), 4)
     with pytest.raises(InvalidParams):
         precise_bn(net, pop, 0)
-
-
-def test_set_population_stats_installs_on_layers():
-    rng = np.random.default_rng(6)
-    net = _net(rng, n_bn=2)
-    stats = precise_bn(net, rng.standard_normal((16, 4, 1, 1)), 8)
-    set_population_stats(net, stats)
-    for i in net.bn_indices:
-        assert net.layers[i].pop is stats[i]
-        got, _ = net.layers[i].forward(
-            rng.standard_normal((4, 6, 1, 1)), mode=BnMode.EVAL_POPULATION)
-        assert got.shape == (4, 6, 1, 1)

@@ -8,6 +8,7 @@ import pytest
 from bnlab import io, scenarios
 from bnlab.layer import BnLayer
 from bnlab.net import Affine, Linear, Network, Relu
+from bnlab.precise import precise_bn
 from bnlab.scenarios import RANGES, SCENARIOS, ScenarioRun, build_net, check_ranges
 
 TINY = {
@@ -70,8 +71,9 @@ def test_scenario_rows_deterministic(name):
 
 
 def test_scenarios_with_checkpoints_fill_them():
-    # each BN layer's statistics source: installed precise statistics, or,
-    # after freezing, the frozen statistics it normalized by in training
+    # each BN layer's statistics source: the precise statistics passed to
+    # checkpoint, or, after freezing, the frozen statistics it normalized by
+    # in training
     for name, source in (("ema_vs_precise", "precise"),
                          ("domain_adapt", "precise"),
                          ("frozen_finetune", "frozen")):
@@ -82,6 +84,29 @@ def test_scenarios_with_checkpoints_fill_them():
             assert set(entry) == {"mean", "var", "count", "source"}
             assert len(entry["mean"]) == len(entry["var"])
             assert entry["source"] == source, name
+
+
+def test_checkpoint_snapshots_statistics_without_installing_them():
+    # a frozen layer's own statistics, else the given precise ones, else
+    # the EMA; every BN layer's pop, mode and EMA are left as they were
+    rng = np.random.default_rng(3)
+    net = build_net(rng, [4, 6, 6, 6, 3])
+    net.forward(rng.standard_normal((16, 4, 1, 1)))  # moves the EMAs
+    bn = net.bn_indices
+    net.layers[bn[0]].freeze()
+    stats = precise_bn(net, rng.standard_normal((32, 4, 1, 1)), 8)
+    layers = [net.layers[i] for i in bn]
+    before = [(layer.pop, layer.mode, layer.ema) for layer in layers]
+    run = ScenarioRun("checkpoint")
+    run.checkpoint(net, {i: stats[i] for i in bn[:2]})
+    for layer, (pop, mode, ema) in zip(layers, before):
+        assert layer.pop is pop and layer.mode is mode and layer.ema is ema
+    entries = list(run.stats_checkpoint.values())
+    assert [e["source"] for e in entries] == ["frozen", "precise", "ema"]
+    for entry, expected in zip(entries, (before[0][0], stats[bn[1]],
+                                         before[2][2])):
+        assert entry["mean"] == list(expected.mean)
+        assert entry["var"] == list(expected.var)
 
 
 def test_different_seeds_differ():

@@ -232,11 +232,12 @@ def test_stacked_step_matches_per_domain_loop(domains, row):
            for d in range(domains.n_domains)]
     pop = [domains.sample_domain(data_rng, d, VAL_ROWS)[0]
            for d in range(domains.n_domains)]
-    net.train_population_stats(np.stack(pop))
+    stats = net.train_population_stats(np.stack(pop), net.policy.pop_stats)
     ref.train_population_stats(pop)
-    _assert_stats_equal(net.pop_stats, ref.pop_stats)
+    _assert_stats_equal(stats, ref.pop_stats)
     xs, ys = zip(*val)
-    assert net.eval_error(np.stack(xs), np.stack(ys)) == ref.eval_error(xs, ys)
+    assert net.eval_error(np.stack(xs), np.stack(ys), stats) == \
+        ref.eval_error(xs, ys)
 
 
 def test_eps_must_be_positive(tmp_path):
@@ -266,8 +267,8 @@ def _row_by_row(cfg, seed):
         rng = np.random.default_rng(_seed(seed, 10))
         for x, y in domains.batches(rng, cfg["steps"], cfg["domain_batch"]):
             net.train_step(x, y, cfg["lr"], cfg["sgd_momentum"])
-        net.train_population_stats(pop_x)
-        errors.append(net.eval_error(val_x, val_y))
+        stats = net.train_population_stats(pop_x, net.policy.pop_stats)
+        errors.append(net.eval_error(val_x, val_y, stats))
     return errors
 
 

@@ -13,13 +13,14 @@ from bnlab.errors import (
     ShapeMismatch,
 )
 from bnlab.stats import (
-    BatchMomentLog,
     _decay,
     EmaState,
     aggregate_moment_matching,
     aggregate_naive,
     ema_update,
+    read_moments_csv,
     simulate_variance_estimates,
+    stack_moments,
     var_of_var_oracle,
 )
 from bnlab.tensor import ChannelStats, channel_moments
@@ -127,14 +128,12 @@ def test_ema_converges_to_stationary_batch():
     np.testing.assert_allclose(state.var, [7.0], atol=1e-12)
 
 
-def test_moment_log_csv_roundtrip():
+def test_moment_log_csv_roundtrip(moments_csv):
     rng = np.random.default_rng(0)
-    log = BatchMomentLog()
-    for _ in range(3):
-        log.append(channel_moments(rng.standard_normal((4, 2, 1, 1))))
-    back = BatchMomentLog.from_csv(log.to_csv())
+    log = [channel_moments(rng.standard_normal((4, 2, 1, 1))) for _ in range(3)]
+    back = read_moments_csv(moments_csv(log))
     assert len(back) == 3
-    for a, b in zip(log.entries, back.entries):
+    for a, b in zip(log, back):
         np.testing.assert_array_equal(a.mean, b.mean)  # repr() round-trips
         np.testing.assert_array_equal(a.var, b.var)
         assert a.count == b.count
@@ -144,7 +143,7 @@ def _mixed_log(rng, channels=3):
     """A log of (C,) entries and (G, C) cohort stacks: mini-batches of 4,
     3 x 4 (one stack), 2, 2 x 4 (one stack) and a ragged 1 rows, each row
     two elements per channel."""
-    log = BatchMomentLog()
+    log = []
     for shape in ((4,), (3, 4), (2,), (2, 4), (1,)):
         n = shape[-1]
         x = 5.0 + rng.standard_normal((*shape[:-1], n, channels, 2, 1))
@@ -152,20 +151,21 @@ def _mixed_log(rng, channels=3):
     return log
 
 
-def test_moment_log_counts_mini_batches_not_entries():
+def test_moment_log_counts_mini_batches_not_entries(moments_csv):
     log = _mixed_log(np.random.default_rng(5))
-    assert len(log.entries) == 5
-    assert len(log) == 1 + 3 + 1 + 2 + 1
-    lines = log.to_csv().splitlines()
-    assert len(lines) == 1 + len(log) * 3
+    means, variances, counts = stack_moments(log)
+    k = len(counts)
+    assert len(log) == 5
+    assert k == len(means) == len(variances) == 1 + 3 + 1 + 2 + 1
+    lines = moments_csv(log).splitlines()
+    assert len(lines) == 1 + k * 3
     assert [line.split(",")[0] for line in lines[1::3]] == \
-        [str(i) for i in range(len(log))]
+        [str(i) for i in range(k)]
     assert [int(line.split(",")[4]) for line in lines[1::3]] == \
         [8, 8, 8, 8, 4, 8, 8, 2]
-    back = BatchMomentLog.from_csv(log.to_csv())
-    assert len(back) == len(log) == len(back.entries)
-    means, variances, counts = log.stacked()
-    for i, entry in enumerate(back.entries):
+    back = read_moments_csv(moments_csv(log))
+    assert len(back) == k == len(stack_moments(back)[2])
+    for i, entry in enumerate(back):
         np.testing.assert_array_equal(entry.mean, means[i])
         np.testing.assert_array_equal(entry.var, variances[i])
         assert entry.count == counts[i]
@@ -175,7 +175,7 @@ def test_moment_matching_of_stacks_has_the_sequential_sums_bits():
     log = _mixed_log(np.random.default_rng(6))
     agg = aggregate_moment_matching(log)
     # the formula as a sum over one (C,) mini-batch at a time, in order
-    batches = [(m, v, e.count) for e in log.entries
+    batches = [(m, v, e.count) for e in log
                for m, v in zip(e.mean.reshape(-1, 3), e.var.reshape(-1, 3))]
     total = sum(count for _, _, count in batches)
     mean = sum(count * m for m, _, count in batches) / total
@@ -184,9 +184,7 @@ def test_moment_matching_of_stacks_has_the_sequential_sums_bits():
     np.testing.assert_array_equal(agg.var, np.maximum(second - mean**2, 0.0))
     assert agg.count == total == 2 * (4 + 12 + 2 + 8 + 1)
     # naive pooling counts mini-batches too
-    equal = BatchMomentLog()
-    equal.append(_stats([[1.0], [3.0]], [[2.0], [6.0]], 4))
-    equal.append(_stats([5.0], [4.0], 4))
+    equal = [_stats([[1.0], [3.0]], [[2.0], [6.0]], 4), _stats([5.0], [4.0], 4)]
     naive = aggregate_naive(equal)
     np.testing.assert_array_equal(naive.mean, [(1.0 + 3.0 + 5.0) / 3])
     np.testing.assert_array_equal(naive.var, [(4 / 3) * (2.0 + 6.0 + 4.0) / 3])
@@ -210,17 +208,21 @@ def test_moment_matching_of_stacks_has_the_sequential_sums_bits():
     "batch_index,channel,mean,var,count\n0,0,1.0,1.0,4\n0,1,2.0,1.0,8\n",
     "batch_index,channel,mean,var,count\n0,0,1.0,1.0,4\n0,1,2.0,1.0,8\n"
     "0,0,5.0,1.0,4\n",
+    # batches that disagree on the channel count
+    "batch_index,channel,mean,var,count\n0,0,1.0,1.0,4\n0,1,2.0,1.0,4\n"
+    "1,0,5.0,1.0,4\n",
 ])
 def test_moment_log_rejects_malformed_csv(text):
     with pytest.raises(MalformedCsv):
-        BatchMomentLog.from_csv(text)
+        read_moments_csv(text)
 
 
 def test_moment_log_channel_consistency():
-    log = BatchMomentLog()
-    log.append(_stats([0.0, 0.0], [1.0, 1.0], 4))
+    log = [_stats([0.0, 0.0], [1.0, 1.0], 4), _stats([0.0], [1.0], 4)]
     with pytest.raises(ShapeMismatch):
-        log.append(_stats([0.0], [1.0], 4))
+        stack_moments(log)
+    with pytest.raises(ShapeMismatch):
+        aggregate_moment_matching(log)
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,9 +235,7 @@ def test_moment_matching_equals_concat_oracle(counts, c, seed):
     rng = np.random.default_rng(seed)
     # two spatial rows per sample: at least 2 elements, so bessel applies
     parts = [1.0 + rng.standard_normal((n, c, 2, 1)) for n in counts]
-    log = BatchMomentLog()
-    for p in parts:
-        log.append(channel_moments(p))
+    log = [channel_moments(p) for p in parts]
     agg = aggregate_moment_matching(log)
     ref = channel_moments(np.concatenate(parts, axis=0))
     np.testing.assert_allclose(agg.mean, ref.mean, atol=1e-12)
@@ -248,9 +248,7 @@ def test_moment_matching_equals_concat_oracle(counts, c, seed):
 
 
 def test_naive_aggregation_closed_form():
-    log = BatchMomentLog()
-    log.append(_stats([1.0], [2.0], 4))
-    log.append(_stats([3.0], [6.0], 4))
+    log = [_stats([1.0], [2.0], 4), _stats([3.0], [6.0], 4)]
     agg = aggregate_naive(log)
     np.testing.assert_allclose(agg.mean, [2.0])
     np.testing.assert_allclose(agg.var, [(4 / 3) * 4.0])
@@ -258,16 +256,15 @@ def test_naive_aggregation_closed_form():
 
 def test_naive_aggregation_validation():
     with pytest.raises(EmptyLog):
-        aggregate_naive(BatchMomentLog())
+        aggregate_naive([])
     with pytest.raises(EmptyLog):
-        aggregate_moment_matching(BatchMomentLog())
-    mixed = BatchMomentLog()
-    mixed.append(_stats([0.0], [1.0], 4))
-    mixed.append(_stats([0.0], [1.0], 8))
+        aggregate_moment_matching([])
+    with pytest.raises(EmptyLog):
+        stack_moments([])
+    mixed = [_stats([0.0], [1.0], 4), _stats([0.0], [1.0], 8)]
     with pytest.raises(DegenerateBatch):
         aggregate_naive(mixed)
-    tiny = BatchMomentLog()
-    tiny.append(_stats([0.0], [1.0], 1))
+    tiny = [_stats([0.0], [1.0], 1)]
     with pytest.raises(DegenerateBatch):
         aggregate_naive(tiny)
     with pytest.raises(DegenerateBatch):
