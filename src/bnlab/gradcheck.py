@@ -44,19 +44,20 @@ def relative_error(a, b):
     return float(np.abs(a - b).max() / scale)
 
 
-def check_layer(layer, x, rng):
+def check_layer(layer, x, rng, **forward_kw):
     """Max relative error of a layer's input gradient and of each parameter
-    gradient, under the loss sum(forward(x) * w) for a fixed random w.
+    gradient, under the loss sum(forward(x, **forward_kw) * w) for a fixed
+    random w.
 
     For a (G, n, C, H, W) cohort stack the parameter gradients carry a
     leading cohort axis; cohort g's slice is checked against finite
     differences of the part of the loss on cohort g's outputs.
     """
     def out(xv):
-        return layer.forward(xv)[0]
+        return layer.forward(xv, **forward_kw)[0]
 
     w = rng.standard_normal(out(x).shape)
-    dx, grads = layer.backward(layer.forward(x)[1], w)
+    dx, grads = layer.backward(layer.forward(x, **forward_kw)[1], w)
     errs = [relative_error(dx, numerical_gradient(
         lambda xv: float((out(xv) * w).sum()), x.copy()))]
     for g in range(x.shape[0]) if x.ndim == 5 else [None]:
@@ -80,15 +81,16 @@ def _frozen_bn(rng):
     return layer
 
 
-# component -> (layer factory, input shape); a 5-d shape is a cohort stack
-# of G=3, each cohort with its own moments and parameter gradients
+# component -> (layer factory, input shape[, forward keywords]); a 5-d shape
+# is a (shared_head) stack of G=3 cohorts with their own parameter gradients
 LAYER_CASES = {
     "linear": (lambda rng: Linear.init(rng, 4, 5), (6, 4, 1, 1)),
     "affine": (_affine, (4, 3, 2, 2)),
     "relu": (lambda rng: Relu(), (5, 3, 2, 2)),
     "bn_train": (lambda rng: BnLayer(3), (4, 3, 2, 2)),
     "bn_frozen": (_frozen_bn, (4, 3, 2, 2)),
-    "bn_train_grouped": (lambda rng: BnLayer(3), (3, 4, 3, 2, 2)),
+    # BN's view of cohorts of 4 rows, the last one ragged
+    "bn_train_grouped": (lambda rng: BnLayer(3), (10, 3, 2, 2), {"cohort": 4}),
     "linear_grouped": (lambda rng: Linear.init(rng, 4, 5), (3, 2, 4, 2, 1)),
     "affine_grouped": (_affine, (3, 2, 3, 2, 2)),
     "meanpool": (lambda rng: MeanPool(), (4, 3, 2, 3)),
@@ -96,29 +98,32 @@ LAYER_CASES = {
 }
 
 
-def check_network(rng, frozen=False):
-    """Input and parameter gradients of a small Network, each BN layer in
-    its own mode: TRAIN_MINIBATCH (batch moments, differentiated), or, once
-    ``freeze()`` installed fixed statistics, EVAL_POPULATION (constants)."""
+def check_network(rng, frozen=False, n=6, cohort=None, affine_rows=None):
+    """Input and parameter gradients of a small Network on ``n`` rows, each
+    BN layer in its own mode: TRAIN_MINIBATCH (the moments of each
+    ``cohort`` rows, differentiated), or, once ``freeze()`` installed fixed
+    statistics, EVAL_POPULATION (constants); the affine has (C,) or
+    (affine_rows, C) parameters."""
+    shape = (5,) if affine_rows is None else (affine_rows, 5)
     net = Network([
         Linear.init(rng, 4, 5),
         BnLayer(5),
-        Affine(rng.uniform(0.5, 1.5, 5), rng.standard_normal(5)),
+        Affine(rng.uniform(0.5, 1.5, shape), rng.standard_normal(shape)),
         Relu(),
         Linear.init(rng, 5, 3),
     ])
     if frozen:
         net.layers[1].freeze(
             ChannelStats(rng.standard_normal(5), rng.uniform(0.5, 2.0, 5), 8))
-    x = rng.standard_normal((6, 4, 1, 1))
-    labels = rng.integers(0, 3, size=6)
+    x = rng.standard_normal((n, 4, 1, 1))
+    labels = rng.integers(0, 3, size=n)
 
     def loss_of(xv):
-        logits, _ = net.forward(xv)
+        logits, _ = net.forward(xv, cohort=cohort)
         loss, _ = softmax_cross_entropy(logits, labels)
         return loss
 
-    logits, caches = net.forward(x)
+    logits, caches = net.forward(x, cohort=cohort)
     _, dlogits = softmax_cross_entropy(logits, labels)
     dx, grads = net.backward(caches, dlogits)
     errs = [relative_error(dx, numerical_gradient(loss_of, x.copy()))]
@@ -173,13 +178,17 @@ def run_full_suite(seed=0):
     """Max relative finite-difference error per checked component."""
     rng = np.random.default_rng(seed)
     report = {}
-    for name, (make_layer, shape) in LAYER_CASES.items():
+    for name, (make_layer, shape, *forward_kw) in LAYER_CASES.items():
         x = rng.standard_normal(shape)
         # keep inputs away from relu's kink so finite differences are valid
         x = np.where(np.abs(x) < 0.2, x + np.sign(x) * 0.3, x)
-        report[name] = check_layer(make_layer(rng), x, rng)
+        report[name] = check_layer(make_layer(rng), x, rng, **dict(*forward_kw))
     report["network_train"] = check_network(rng, frozen=False)
     report["network_frozen"] = check_network(rng, frozen=True)
+    # ghost cohorts of 4 over 10 rows, the last one ragged
+    report["network_ghost"] = check_network(rng, n=10, cohort=4)
+    report["network_ghost_affine_rows"] = check_network(rng, n=10, cohort=4,
+                                                        affine_rows=2)
     # shared_head's domain stack of D=3, with a per-domain affine
     report["shared_head_shared"] = check_shared_head(rng, SHARED)
     report["shared_head_per_domain"] = check_shared_head(rng, PER_DOMAIN)

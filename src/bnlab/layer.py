@@ -29,11 +29,14 @@ class BnMode(enum.Enum):
 @dataclass
 class BnCache:
     # in the batch modes: the normalized batch, 1/sqrt(var + eps) and the
-    # batch's own moments; in EVAL_POPULATION: the fixed statistics
+    # batch's own moments, for a cohort view (G, n, C, H, W) and (G, C) over
+    # the whole cohorts, ``tail`` a ragged last one's cache; in
+    # EVAL_POPULATION: the fixed statistics
     x_hat: np.ndarray | None
     inv_std: np.ndarray | None
     moments: ChannelStats | None
     stats: ChannelStats | None = None
+    tail: "BnCache | None" = None
     consumed: bool = False
 
     def take(self):
@@ -53,9 +56,11 @@ class BnLayer:
     installed (``pop``), else the EMA.  FrozenBN is EVAL_POPULATION as the
     layer's own mode in training (see ``freeze``).
 
-    Input is an (N, C, H, W) batch or a (G, n, C, H, W) stack of G cohorts;
-    in the batch-statistics modes each cohort is normalized by its own
-    moments, exactly as if it were forwarded alone.
+    A normalization cohort is a view that only this layer takes: the batch
+    modes view the whole cohorts of an (N, C, H, W) batch as
+    (N // cohort, cohort, C, H, W) and a ragged last cohort on its own, so
+    each cohort is normalized by its own moments exactly as if it were
+    forwarded alone.
     """
 
     def __init__(self, channels, eps=1e-5, momentum=0.9):
@@ -82,13 +87,13 @@ class BnLayer:
         self.mode = BnMode.EVAL_POPULATION
 
     def forward(self, x, mode: BnMode | None = None,
-                stats: ChannelStats | None = None):
+                stats: ChannelStats | None = None, cohort: int | None = None):
         """Returns (y, cache).  ``mode`` defaults to the layer's own mode;
-        ``stats`` are the fixed statistics of an EVAL_POPULATION forward.
-        ``x`` is an array of float64, as ``Network.forward`` passes it.
-        Raises EmptyBatch on n == 0 before any side effect, so the EMA is
-        left bit-identical.  A cohort stack advances the EMA by one step
-        per cohort, in order."""
+        ``stats`` are the fixed statistics of an EVAL_POPULATION forward,
+        which ignores ``cohort``.  ``x`` is an array of float64, as
+        ``Network.forward`` passes it.  Raises EmptyBatch on n == 0 before
+        any side effect, so the EMA is left bit-identical.  The EMA steps
+        once per cohort, in order."""
         mode = self.mode if mode is None else mode
         if x.shape[-3] != self.channels:
             raise ShapeMismatch(f"expected {self.channels} channels, got {x.shape[-3]}")
@@ -100,24 +105,44 @@ class BnLayer:
                 x_hat=None, inv_std=None, moments=None, stats=stats)
         if mode not in (BnMode.TRAIN_MINIBATCH, BnMode.EVAL_MINIBATCH):
             raise InvalidParams(f"unknown mode {mode}")
-        if x.shape[-4] == 0:
+        n = x.shape[-4]
+        if n == 0:
             raise EmptyBatch("BN forward on a batch with 0 samples")
-        y, moments, inv_std = batch_stats_forward(x, self.eps)
+        whole, view = n, x
+        if cohort is not None and cohort < n:
+            # the whole cohorts as a (G, cohort, C, H, W) view of their rows
+            whole = n - n % cohort
+            view = x[:whole].reshape(whole // cohort, cohort, *x.shape[1:])
+        x_hat, moments, inv_std = batch_stats_forward(view, self.eps)
+        y = x_hat if view is x else x_hat.reshape(whole, *x.shape[1:])
         if mode is BnMode.TRAIN_MINIBATCH:
             self.ema = ema_update(self.ema, moments)
-        return y, BnCache(x_hat=y, inv_std=inv_std, moments=moments)
+        cache = BnCache(x_hat=x_hat, inv_std=inv_std, moments=moments)
+        if whole < n:  # a ragged last cohort, after the rest
+            y_tail, cache.tail = self.forward(x[whole:], mode)
+            y = np.concatenate([y, y_tail])  # in x's layout
+        return y, cache
 
     def backward(self, cache: BnCache, dy):
         """(input gradient, None): the layer has no parameters.
 
         For batch-statistics modes the mean and variance are treated as
-        functions of x; in EVAL_POPULATION they are constants.
+        functions of x, per cohort of the forward's view; in
+        EVAL_POPULATION they are constants.
         """
         cache = cache.take()
         if cache.moments is None:
             inv_std = 1.0 / np.sqrt(cache.stats.var + self.eps)
             return dy * inv_std[..., None, :, None, None], None
-        return batch_stats_backward(cache.x_hat, cache.inv_std, dy), None
+        x_hat = cache.x_hat
+        if x_hat.ndim == dy.ndim:
+            return batch_stats_backward(x_hat, cache.inv_std, dy), None
+        whole = x_hat.shape[0] * x_hat.shape[1]
+        dx = batch_stats_backward(x_hat, cache.inv_std, dy[:whole].reshape(
+            x_hat.shape)).reshape(whole, *dy.shape[1:])
+        if cache.tail is not None:
+            dx = np.concatenate([dx, self.backward(cache.tail, dy[whole:])[0]])
+        return dx, None
 
 
 def batch_stats_forward(x, eps):

@@ -2,12 +2,12 @@
 cross-entropy) with exact manual backpropagation and momentum SGD.
 
 Activations are carried as (N, C, H, W) tensors so the normalization layer
-sees the same per-channel layout as the rest of the package.  A forward
-pass over G equal-size normalization cohorts carries them as one
-(G, n, C, H, W) stack: every layer computes each cohort exactly as a pass
-over that cohort alone would (one GEMM per cohort, per-cohort moments and
-parameter-gradient sums), so one grouped pass is bit-identical to G
-separate ones.
+sees the same per-channel layout as the rest of the package.  A pass whose
+rows share statistics in cohorts still runs the whole batch through every
+layer: only ``BnLayer`` views it per cohort, so each cohort is normalized
+as if forwarded alone while every GEMM and parameter-gradient sum runs
+over all N rows at once.  The other layers also take the (G, n, C, H, W)
+stacks of shared_head's ``SharedHeadNet``.
 
 In memory the activations are channels-last, the layout Linear's GEMM
 writes, and every backward returns its input gradient in its forward
@@ -20,15 +20,14 @@ rounding) follows the layout.
 layers take the float64 arrays those pass along and check them no further.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .batching import NormBatchPlan, cohort_indices
-from .errors import Diverged, InvalidParams, ShapeMismatch, StaleCache
+from .errors import Diverged, EmptyBatch, InvalidParams, ShapeMismatch, StaleCache
 from .layer import BnLayer, BnMode
-from .tensor import SAMPLE_AXES, as_batch, as_tensor4
+from .tensor import SAMPLE_AXES, as_tensor4
 
 __all__ = [
     "Linear",
@@ -41,15 +40,14 @@ __all__ = [
     "softmax_cross_entropy",
     "train",
     "classification_error",
-    "cohort_stacks",
+    "chunk_rows",
     "EVAL_CHUNK_ROWS",
     "LOSS_BOUND",
 ]
 
-# rows per forward-only pass: population-mode chunks (_EVAL_CHUNKS, for
-# memory only), and the cap on whole mini-batches grouped into one pass
+# rows per forward-only pass, for memory only: whole cohorts up to this
+# many, or one cohort
 EVAL_CHUNK_ROWS = 256
-_EVAL_CHUNKS = NormBatchPlan("ghost", EVAL_CHUNK_ROWS)
 
 # a training loss (mean cross-entropy, in nats) above this, or NaN, stops
 # the run: chance level on K classes is ln K, 2.8 for the scenarios' 16
@@ -64,9 +62,9 @@ _CHANNELS_BACK = {4: (0, 3, 1, 2), 5: (0, 1, 4, 2, 3)}
 def to4(x2: np.ndarray) -> np.ndarray:
     # float64 logits gradients, as softmax_cross_entropy gives, pass as
     # they are; the type and dtype tests make no Python call
-    if type(x2) is np.ndarray and x2.dtype == np.float64 and x2.ndim in (2, 3):
+    if type(x2) is np.ndarray and x2.dtype == np.float64 and x2.ndim == 2:
         return x2[..., None, None]
-    return as_batch(np.asarray(x2)[..., None, None])
+    return as_tensor4(np.asarray(x2)[..., None, None])
 
 
 def to2(x4: np.ndarray) -> np.ndarray:
@@ -120,8 +118,10 @@ class Linear:
 class Affine:
     """Trainable channel-wise scale and shift (the layer after each BN).
 
-    Parameters are (C,), or (G, C) to give each cohort of a (G, n, C, H, W)
-    stack its own scale and shift.
+    Parameters are (C,), or (G, C) to give each of G row blocks its own
+    scale and shift: the G cohorts of a (G, n, C, H, W) stack, or the G
+    equal, consecutive row blocks of an (N, C, H, W) batch, which is viewed
+    as (G, N // G, C, H, W).  Their gradients have the parameters' shape.
     """
 
     def __init__(self, gamma, beta):
@@ -135,18 +135,27 @@ class Affine:
         return cls(np.ones(channels), np.zeros(channels))
 
     def forward(self, x):
-        y = (x * self.gamma[..., None, :, None, None]
+        xs = x
+        if self.gamma.ndim == 2 and x.ndim == 4:  # the batch's row blocks
+            blocks = self.gamma.shape[0]
+            if x.shape[0] % blocks:
+                raise ShapeMismatch(f"{x.shape[0]} rows do not split into {blocks} "
+                                    f"equal blocks for a {self.gamma.shape} Affine")
+            xs = x.reshape(blocks, -1, *x.shape[1:])
+        y = (xs * self.gamma[..., None, :, None, None]
              + self.beta[..., None, :, None, None])
-        return y, x
+        return (y if xs is x else y.reshape(x.shape)), xs
 
     def backward(self, cache, dy):
         # a cohort stack's parameter gradients keep a leading cohort axis
         x = cache
+        dys = dy if x.ndim == dy.ndim else dy.reshape(x.shape)
         grads = {
-            "gamma": np.add.reduce(dy * x, axis=SAMPLE_AXES),
-            "beta": np.add.reduce(dy, axis=SAMPLE_AXES),
+            "gamma": np.add.reduce(dys * x, axis=SAMPLE_AXES),
+            "beta": np.add.reduce(dys, axis=SAMPLE_AXES),
         }
-        return dy * self.gamma[..., None, :, None, None], grads
+        dx = dys * self.gamma[..., None, :, None, None]
+        return (dx if dys is dy else dx.reshape(dy.shape)), grads
 
 
 class Relu:
@@ -215,20 +224,21 @@ class Network:
             names.append(f"{kind}{k}")
         return names
 
-    def forward(self, x, *, mode=None, stats=None, moment_sinks=None):
-        """Run to the logits.  Each BN layer runs in ``mode``, or in its own
-        mode when ``mode`` is None, except the layers in ``stats``, a dict
-        {layer index: ChannelStats}: those normalize by the given statistics
-        as EVAL_POPULATION, without touching layer state.  ``moment_sinks``
-        maps layer index -> a list; the pass appends the layer's batch
-        moments to it as one ChannelStats, (G, C) for a cohort stack.  ``x``
-        is an (N, C, H, W) batch, giving (N, K) logits, or a (G, n, C, H, W)
-        stack of G normalization cohorts, run as one pass and giving
-        (G, n, K) logits.
+    def forward(self, x, *, mode=None, stats=None, moment_sinks=None,
+                cohort=None):
+        """Run an (N, C, H, W) batch to its (N, K) logits.  Each BN layer
+        runs in ``mode``, or in its own mode when ``mode`` is None, except
+        the layers in ``stats``, a dict {layer index: ChannelStats}: those
+        normalize by the given statistics as EVAL_POPULATION, without
+        touching layer state.  In the batch-statistics modes each
+        ``cohort`` rows (the last cohort ragged) share their moments, in
+        the BN layers' view.  ``moment_sinks`` maps layer index -> a list;
+        the pass appends the layer's batch moments to it, (G, C) for the
+        whole cohorts and then (C,) for a ragged last one.
         """
         if not (type(x) is np.ndarray and x.dtype == np.float64
-                and x.ndim in (4, 5)):
-            x = as_batch(x)
+                and x.ndim == 4):
+            x = as_tensor4(x)
         caches = []
         bn = self.bn_indices
         for i, layer in enumerate(self.layers):
@@ -236,10 +246,12 @@ class Network:
                 fixed = None if stats is None else stats.get(i)
                 x, cache = layer.forward(
                     x, mode=mode if fixed is None else BnMode.EVAL_POPULATION,
-                    stats=fixed)
+                    stats=fixed, cohort=cohort)
                 if moment_sinks is not None and i in moment_sinks \
                         and cache.moments is not None:
                     moment_sinks[i].append(cache.moments)
+                    if cache.tail is not None:
+                        moment_sinks[i].append(cache.tail.moments)
             else:
                 x, cache = layer.forward(x)
             caches.append(cache)
@@ -247,10 +259,9 @@ class Network:
 
     def backward(self, caches, dlogits, input_grad=True):
         """Exact gradients of the scalar loss the caller differentiated into
-        ``dlogits``, which has the leading shape of the forward's logits:
-        (input gradient, per-layer parameter gradients).  For a cohort
-        stack the parameter gradients come per cohort, stacked on a leading
-        cohort axis.  Without ``input_grad`` a first Linear layer skips the
+        ``dlogits``, (N, K) as the forward's logits: (input gradient,
+        per-layer parameter gradients, each of its parameter's shape).
+        Without ``input_grad`` a first Linear layer skips the
         input gradient, which comes back as None.
         """
         per_layer = caches.take()
@@ -269,8 +280,9 @@ class Network:
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy over the batch; returns (loss, dloss/dlogits).
 
-    Stacked (G, n, K) logits with (G, n) labels give each cohort's mean
-    loss, shape (G,), and a gradient divided by the cohort size n.
+    Stacked (G, n, K) logits with (G, n) labels (shared_head's domain
+    stacks) give each cohort's mean loss, shape (G,), and a gradient
+    divided by the cohort size n.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
@@ -348,46 +360,27 @@ class Momentum:
 
 
 def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer):
-    """One SGD update over a logical batch carved per the normalization plan.
-
-    A batch that is one cohort (no plan, or one cohort of the plan) runs as
-    the plain (N, C, H, W) batch, in order unless a shuffle permuted its
-    rows, and its gradients are copied into the ``Momentum`` optimizer.
-    Otherwise each of ``cohort_stacks``' runs is one grouped forward and
-    backward pass, bit-identical to passing its cohorts one by one, whose
-    gradients are summed into the optimizer in cohort order.  Returns the
-    mean training loss of the step.  The loss is averaged over the logical
-    batch, so the gradient scale is cohort-invariant.
+    """One SGD update: one forward and backward pass of the whole batch,
+    in which each ``plan.sub_batch`` rows share BN statistics, in batch
+    order (ghost) or in the order of ``cohort_indices``' fresh permutation
+    (shuffle, gathered once); its gradients are copied into the
+    ``Momentum`` optimizer.  Returns the mean training loss of the batch.
     """
-    n = x.shape[0]
-    cohorts = None if plan is None else cohort_indices(plan, n, rng)
-    if cohorts is None or len(cohorts) == 1:
-        rows = cohorts[0] if cohorts and plan.strategy == "shuffle" else slice(None)
-        runs = [(rows, x[rows])]
-    else:
-        runs = cohort_stacks(x, plan, cohorts)
-    loss_sum = 0.0
-    for j, (rows, xs) in enumerate(runs):
-        size = xs.shape[-4]  # rows per cohort: n for the plain batch
-        ys = labels[rows] if size == n else labels[rows].reshape(xs.shape[:2])
-        # each BN layer's own mode: EVAL_POPULATION once frozen
-        logits, caches = net.forward(xs)
-        loss_c, dlogits = softmax_cross_entropy(logits, ys)
-        # builtin sum adds a stack's cohort losses one at a time, in order
-        loss_sum = loss_c * n if size == n else sum(loss_c * size, loss_sum)
-        _, grads = net.backward(caches, dlogits * (size / n), input_grad=False)
-        for g, out in zip(grads, optimizer.grads):
-            for k in out:
-                if size == n:
-                    out[k][...] = g[k]
-                elif j == 0:
-                    np.add.reduce(g[k], axis=0, out=out[k])
-                else:
-                    # after the earlier runs' sum, in cohort order
-                    np.add.reduce(np.concatenate([out[k][None], g[k]]),
-                                  axis=0, out=out[k])
+    cohort = None
+    if plan is not None:
+        cohort = plan.sub_batch
+        if plan.strategy == "shuffle":
+            rows = np.concatenate(cohort_indices(plan, x.shape[0], rng))
+            x, labels = x[rows], labels[rows]
+    # each BN layer's own mode: EVAL_POPULATION once frozen
+    logits, caches = net.forward(x, cohort=cohort)
+    loss, dlogits = softmax_cross_entropy(logits, labels)
+    _, grads = net.backward(caches, dlogits, input_grad=False)
+    for g, out in zip(grads, optimizer.grads):
+        for k in out:
+            out[k][...] = g[k]
     optimizer.step(cfg.lr_at(step), cfg.momentum)
-    return loss_sum / n
+    return loss
 
 
 def diverged(step, loss, what=None):
@@ -418,27 +411,11 @@ def train(net, batch_fn, cfg: SgdConfig, plan: NormBatchPlan | None = None,
     return net
 
 
-def cohort_stacks(x, plan, cohorts, max_rows=None):
-    """The rows of ``x`` in ``cohort_indices``' cohorts for ``plan``, as
-    (rows, (G, n, C, H, W) stack) pairs in order, one per run of equal-size
-    cohorts: a view for a ghost run (``rows`` a slice), one gather for a
-    shuffle run (``rows`` the (G, n) index array).  A stack's labels are
-    ``labels[rows].reshape(G, n)``.  ``max_rows`` splits a run into stacks
-    of at most that many rows, or of one cohort."""
-    stacks, first = [], 0
-    for size, run in itertools.groupby(map(len, cohorts)):
-        end = first + len(list(run))
-        per = end - first if max_rows is None else max(1, max_rows // size)
-        for k in range(first, end, per):
-            g = per if k + per <= end else end - k
-            if plan.strategy == "ghost":  # cohort k starts at k * sub_batch
-                rows = slice(k * plan.sub_batch, k * plan.sub_batch + g * size)
-                stacks.append((rows, x[rows].reshape(g, size, *x.shape[1:])))
-            else:  # np.array builds what np.stack would, in one call
-                rows = np.array(cohorts[k : k + g])
-                stacks.append((rows, x[rows]))
-        first = end
-    return stacks
+def chunk_rows(cohort=None):
+    """Rows per forward-only pass: whole cohorts of ``cohort`` rows (by
+    default EVAL_CHUNK_ROWS) up to EVAL_CHUNK_ROWS, or one cohort."""
+    cohort = cohort or EVAL_CHUNK_ROWS
+    return max(1, EVAL_CHUNK_ROWS // cohort) * cohort
 
 
 def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
@@ -447,16 +424,24 @@ def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
     With no ``plan`` every BN layer normalizes by population statistics,
     ``stats`` ({layer index: ChannelStats}) where given, else its installed
     ones.  With a plan each cohort (a shuffle's drawn from ``rng``)
-    normalizes by its own moments (EVAL_MINIBATCH).
+    normalizes by its own moments (EVAL_MINIBATCH).  The rows run in
+    ``chunk_rows`` chunks of whole cohorts.
     """
     x = as_tensor4(x)
     n = x.shape[0]
-    mode = BnMode.EVAL_POPULATION if plan is None else BnMode.EVAL_MINIBATCH
-    plan = _EVAL_CHUNKS if plan is None else plan
+    if n == 0:
+        raise EmptyBatch("cannot measure the error of an empty batch")
+    mode, cohort = BnMode.EVAL_POPULATION, None
+    if plan is not None:
+        mode, cohort = BnMode.EVAL_MINIBATCH, plan.sub_batch
+        if plan.strategy == "shuffle":
+            rows = np.concatenate(cohort_indices(plan, n, rng))
+            x, labels = x[rows], labels[rows]
+    step = chunk_rows(cohort)
     wrong = 0
-    for rows, stack in cohort_stacks(x, plan, cohort_indices(plan, n, rng),
-                                     max_rows=EVAL_CHUNK_ROWS):
-        logits, _ = net.forward(stack, mode=mode, stats=stats)
+    for start in range(0, n, step):
+        logits, _ = net.forward(x[start : start + step], mode=mode,
+                                stats=stats, cohort=cohort)
         wrong += int((logits.argmax(axis=-1)
-                      != labels[rows].reshape(stack.shape[:2])).sum())
+                      != labels[start : start + step]).sum())
     return wrong / n

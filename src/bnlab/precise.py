@@ -3,10 +3,9 @@ aggregate pass and the exact layer-by-layer variant.  Both return the
 statistics as {bn layer index: ChannelStats} and leave the model as it
 was; a caller passes them on (``stats=``), nothing installs them."""
 
-from .batching import NormBatchPlan, cohort_indices
 from .errors import EmptyPopulation, InvalidParams
 from .layer import BnMode
-from .net import EVAL_CHUNK_ROWS, cohort_stacks
+from .net import chunk_rows
 from .stats import aggregate_moment_matching
 from .tensor import as_tensor4
 
@@ -18,18 +17,19 @@ def _pooled_moments(net, population, batch_size, indices, stats=None):
     ragged last one counts with its own size) in EVAL_MINIBATCH (no
     parameter or EMA update), the layers in ``stats`` normalizing by those
     statistics, and pool the batch moments of each BN layer in ``indices``
-    by moment matching: {layer index: ChannelStats}."""
+    by moment matching: {layer index: ChannelStats}.  The population runs
+    in ``chunk_rows`` chunks of whole mini-batches."""
     population = as_tensor4(population)
     if population.shape[0] == 0:
         raise EmptyPopulation("population has no samples")
     if batch_size < 1:
         raise InvalidParams("batch_size must be >= 1")
     sinks = {i: [] for i in indices}
-    plan = NormBatchPlan("ghost", batch_size)
-    cohorts = cohort_indices(plan, population.shape[0])
-    for _, stack in cohort_stacks(population, plan, cohorts, EVAL_CHUNK_ROWS):
-        net.forward(stack, mode=BnMode.EVAL_MINIBATCH, stats=stats,
-                    moment_sinks=sinks)
+    step = chunk_rows(batch_size)
+    for start in range(0, population.shape[0], step):
+        net.forward(population[start : start + step],
+                    mode=BnMode.EVAL_MINIBATCH, stats=stats,
+                    moment_sinks=sinks, cohort=batch_size)
     return {i: aggregate_moment_matching(entries) for i, entries in sinks.items()}
 
 

@@ -227,13 +227,20 @@ def run_ema_vs_precise(cfg, seed):
                     [cfg["dim"], *cfg["hidden"], cfg["classes"]],
                     ema_momentum=cfg["ema_momentum"])
     run.summary = {"ema_curve": [], "precise_curve": []}
+    # {batch size: (statistics, error)} of the latest precise pass; the last
+    # eval point's serve the sweep and the checkpoint on the trained net
+    precise = {}
+
+    def precise_error(b):
+        stats = precise_bn(net, x_train[:n_pop], b)
+        precise[b] = stats, classification_error(net, x_val, y_val, stats=stats)
+        return precise[b]
 
     def eval_point(step, net):
         if (step + 1) % cfg["eval_every"] and step + 1 != cfg["steps"]:
             return
         err_ema = classification_error(net, x_val, y_val)
-        stats = precise_bn(net, x_train[:n_pop], PRECISE_BATCH)
-        err_precise = classification_error(net, x_val, y_val, stats=stats)
+        _, err_precise = precise_error(PRECISE_BATCH)
         run.log(run_id, step + 1, "val", "ema", "error", err_ema)
         run.log(run_id, step + 1, "val", "precise", "error", err_precise)
         run.summary["ema_curve"].append(err_ema)
@@ -247,8 +254,7 @@ def run_ema_vs_precise(cfg, seed):
     # drift further from the exact statistics as B shrinks.
     for b in cfg["precise_b_sweep"]:
         b_eff = min(b, n_pop)
-        stats = precise_bn(net, x_train[:n_pop], b_eff)
-        err = classification_error(net, x_val, y_val, stats=stats)
+        _, err = precise[b_eff] if b_eff in precise else precise_error(b_eff)
         run.log(run_id, cfg["steps"], "val", f"precise_b{b_eff}", "error", err,
                 key=("precise_b_sweep", str(b_eff)))
 
@@ -270,7 +276,7 @@ def run_ema_vs_precise(cfg, seed):
             run.log(run_id, cfg["steps"], "val", f"precise_n{n_sub}", metric,
                     value, key=(metric, str(n_sub)))
 
-    run.checkpoint(net, precise_bn(net, x_train[:n_pop], PRECISE_BATCH))
+    run.checkpoint(net, precise[PRECISE_BATCH][0])
     return run
 
 

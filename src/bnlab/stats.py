@@ -85,13 +85,11 @@ def ema_update(state: EmaState, batch: ChannelStats) -> EmaState:
         return EmaState(lam * state.mean + (1.0 - lam) * batch.mean,
                         lam * state.var + (1.0 - lam) * batch.var,
                         lam, state.update_count + 1)
-    means = batch.mean.reshape(-1, c)
-    variances = batch.var.reshape(-1, c)
-    g = means.shape[0]
+    g = batch.mean.shape[0]
     decay = _decay(lam, g)
     return EmaState(
-        lam**g * state.mean + (1.0 - lam) * np.add.reduce(decay * means, axis=0),
-        lam**g * state.var + (1.0 - lam) * np.add.reduce(decay * variances, axis=0),
+        lam**g * state.mean + (1.0 - lam) * np.add.reduce(decay * batch.mean, axis=0),
+        lam**g * state.var + (1.0 - lam) * np.add.reduce(decay * batch.var, axis=0),
         lam,
         state.update_count + g,
     )

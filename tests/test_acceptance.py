@@ -3,10 +3,14 @@ own pass/fail line by ``pytest -v``.
 
 The experiment-direction criteria (c09-c12) are evaluated as a majority vote
 over three seeds, since individual synthetic runs carry sampling noise.
-Their seeds run in a pool of two processes.
+Their seeds run in a pool of two processes.  Each seed's margins and
+verdict come from ``tools/margins.py``, which reports the same criteria on
+any directory of run artifacts.
 """
 
+import importlib.util
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
@@ -36,6 +40,12 @@ from bnlab.stats import (
 from bnlab.tensor import channel_moments, normalize
 
 SEEDS = (0, 1, 2)
+
+_spec = importlib.util.spec_from_file_location(
+    "margins_tool", os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                 os.pardir, "tools", "margins.py"))
+margins_tool = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(margins_tool)
 
 
 def majority(results):
@@ -192,14 +202,10 @@ def test_c08_split_concat_moment_property():
 def test_c09_leakage_and_fixes(record_property):
     votes, margins = [], {}
     runs = seed_summaries(run_leakage, LEAKAGE_DEFAULTS)
-    for seed, (s, elapsed) in zip(SEEDS, runs):
-        gap = s["crafted"]["population"] - s["crafted"]["minibatch_pattern"]
-        fix_diffs = [abs(s[name]["population"] - s["control"]["population"])
-                     for name in ("shuffle_fix", "sync_fix", "ghost_fix")]
-        fixes_ok = all(d <= 0.02 for d in fix_diffs)
+    for seed, (summary, elapsed) in zip(SEEDS, runs):
         # gap >= 0.20, largest fix-vs-control difference <= 0.02
-        margins[seed] = {"gap": gap, "max_fix_vs_control": max(fix_diffs)}
-        votes.append(gap >= 0.20 and fixes_ok and elapsed < 60.0)
+        margins[seed], ok = margins_tool.c09_leakage(summary)
+        votes.append(ok and elapsed < 60.0)
     message = report_margins(record_property, votes, margins)
     assert majority(votes), message
 
@@ -208,18 +214,9 @@ def test_c10_shared_head_consistency(record_property):
     votes, margins = [], {}
     runs = seed_summaries(run_shared_head, SHARED_HEAD_DEFAULTS)
     for seed, (summary, _) in zip(SEEDS, runs):
-        errs = [summary[f"row{r}"]["error"] for r in range(1, 7)]
-        consistent = [errs[0], errs[3], errs[5]]
-        inconsistent = errs[1]
-        degraded = all(inconsistent >= 2.0 * e for e in consistent)
-        agree = max(consistent) - min(consistent) <= 0.03
         # ratio >= 2, spread <= 0.03
-        margins[seed] = {
-            "ratio": (inconsistent / max(consistent) if max(consistent) > 0
-                      else float("inf")),
-            "spread": max(consistent) - min(consistent),
-        }
-        votes.append(degraded and agree)
+        margins[seed], ok = margins_tool.c10_shared_head(summary)
+        votes.append(ok)
     message = report_margins(record_property, votes, margins)
     assert majority(votes), message
 
@@ -228,17 +225,9 @@ def test_c11_nbs_sweep_directions(record_property):
     votes, margins = [], {}
     runs = seed_summaries(run_nbs_sweep, NBS_SWEEP_DEFAULTS)
     for seed, (summary, _) in zip(SEEDS, runs):
-        tr = [summary[str(b)]["train_minibatch"] for b in (2, 8, 32)]
-        mono = tr[0] >= tr[1] >= tr[2]
-        flip = (summary["2"]["val_population"]
-                > summary["2"]["val_minibatch"])
         # train errors non-increasing in nbs, flip > 0
-        margins[seed] = {
-            "train_minibatch_nbs2_8_32": tr,
-            "flip": (summary["2"]["val_population"]
-                     - summary["2"]["val_minibatch"]),
-        }
-        votes.append(mono and flip)
+        margins[seed], ok = margins_tool.c11_nbs_sweep(summary)
+        votes.append(ok)
     message = report_margins(record_property, votes, margins)
     assert majority(votes), message
 
@@ -247,16 +236,9 @@ def test_c12_domain_adaptation_direction(record_property):
     votes, margins = [], {}
     for seed in SEEDS:
         run = run_domain_adapt(dict(DOMAIN_ADAPT_DEFAULTS), seed)
-        strong = run.summary["strong"]
-        none = run.summary["none"]
-        helps = strong["target_stats"] < strong["source_stats"]
-        coincide = abs(none["target_stats"] - none["source_stats"]) <= 0.02
         # helps > 0, coincide <= 0.02
-        margins[seed] = {
-            "helps": strong["source_stats"] - strong["target_stats"],
-            "coincide": abs(none["target_stats"] - none["source_stats"]),
-        }
-        votes.append(helps and coincide)
+        margins[seed], ok = margins_tool.c12_domain_adapt(run.summary)
+        votes.append(ok)
     message = report_margins(record_property, votes, margins)
     assert majority(votes), message
 

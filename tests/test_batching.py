@@ -1,5 +1,5 @@
-"""Normalization-batch construction: cohort planning, cohort stacking and
-domain sharing policies."""
+"""Normalization-batch construction: cohort planning, the BN layer's cohort
+view and domain sharing policies."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bnlab.batching import STRATEGIES, DomainPolicy, NormBatchPlan, cohort_indices
 from bnlab.errors import EmptyBatch, InvalidPlan, InvalidPolicy
-from bnlab.net import cohort_stacks
+from bnlab.layer import BnLayer, BnMode
 
 
 def test_plan_validation():
@@ -91,26 +91,26 @@ def test_cohort_indices_partitions_the_rows_into_sub_batches(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(plans, st.one_of(st.none(), st.integers(1, 100)))
-def test_cohort_stacks_hold_each_cohort_in_order(case, max_rows):
+@given(plans)
+def test_bn_cohort_view_normalizes_each_cohort_alone(case):
+    # the rows in cohort_indices' order, as a step or an evaluation gathers
+    # them, viewed per cohort by BN: each cohort's rows, moments and EMA
+    # step are those of a forward over that cohort alone
     strategy, n, sub_batch, seed = case
-    plan = NormBatchPlan(strategy, sub_batch)
-    x = np.arange(n * 6, dtype=np.float64).reshape(n, 3, 2, 1)
-    labels = np.arange(n) * 7
-    cohorts = cohort_indices(plan, n, np.random.default_rng(seed))
-    stacks = cohort_stacks(x, plan, cohorts, max_rows=max_rows)
-    got_x, got_labels = [], []
-    for rows, stack in stacks:
-        g, size = stack.shape[:2]
-        assert stack.shape[2:] == x.shape[1:]
-        # at most max_rows rows, or one cohort
-        assert max_rows is None or g * size <= max_rows or g == 1
-        got_x += list(stack)
-        got_labels += list(labels[rows].reshape(g, size))
-    assert len(got_x) == len(got_labels) == len(cohorts)
-    for cohort, xs, ys in zip(cohorts, got_x, got_labels):
-        np.testing.assert_array_equal(xs, x[cohort])
-        np.testing.assert_array_equal(ys, labels[cohort])
-    if max_rows is None:
-        # one stack per run of equal-size cohorts
-        assert len(stacks) == len(set(map(len, cohorts)))
+    x = np.random.default_rng(seed).standard_normal((n, 3, 2, 1))
+    cohorts = cohort_indices(NormBatchPlan(strategy, sub_batch), n,
+                             np.random.default_rng(seed))
+    rows = np.concatenate(cohorts)
+    layer, alone = BnLayer(3), BnLayer(3)
+    y, cache = layer.forward(x[rows], mode=BnMode.EVAL_MINIBATCH,
+                             cohort=sub_batch)
+    moments = [cache.moments] + ([] if cache.tail is None
+                                 else [cache.tail.moments])
+    means = np.concatenate([m.mean.reshape(-1, 3) for m in moments])
+    assert len(means) == len(cohorts)
+    start = 0
+    for k, cohort in enumerate(cohorts):
+        y_alone, c_alone = alone.forward(x[cohort], mode=BnMode.EVAL_MINIBATCH)
+        np.testing.assert_array_equal(y[start : start + len(cohort)], y_alone)
+        np.testing.assert_array_equal(means[k], c_alone.moments.mean)
+        start += len(cohort)

@@ -332,7 +332,8 @@ def test_check_grad_reports_every_layer_type_once(capsys):
     names = [l.split()[0] for l in lines]
     assert sorted(names) == sorted([
         "linear", "affine", "relu", "bn_train", "bn_frozen",
-        "network_train", "network_frozen", "bn_train_grouped",
+        "network_train", "network_frozen", "network_ghost",
+        "network_ghost_affine_rows", "bn_train_grouped",
         "linear_grouped", "affine_grouped", "meanpool", "meanpool_grouped",
         "shared_head_shared", "shared_head_per_domain",
     ])

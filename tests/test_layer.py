@@ -190,6 +190,21 @@ def test_batch_stats_backward_has_the_bits_of_its_one_expression(layout, shape):
     assert dx.strides == ref.strides
 
 
+@pytest.mark.parametrize("n, cohort", [(12, 4), (10, 4), (10, 10), (10, 20)])
+@pytest.mark.parametrize("layout", ["c_order", "channels_last"])
+def test_cohort_view_keeps_the_input_layout(n, cohort, layout):
+    # whole cohorts, a ragged last one, and a cohort that covers the batch
+    rng = np.random.default_rng(15)
+    x = _in_layout(rng.standard_normal((n, 3, 2, 2)), layout)
+    dy = _in_layout(rng.standard_normal((n, 3, 2, 2)), layout)
+    layer = BnLayer(3)
+    y, cache = layer.forward(x, mode=BnMode.TRAIN_MINIBATCH, cohort=cohort)
+    dx, _ = layer.backward(cache, dy)
+    assert y.shape == dx.shape == x.shape
+    assert y.strides == x.strides and dx.strides == dy.strides
+    assert layer.ema.update_count == -(-n // min(cohort, n))
+
+
 def test_layer_validation():
     with pytest.raises(InvalidParams):
         BnLayer(3, eps=0.0)

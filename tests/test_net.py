@@ -6,16 +6,19 @@ import pytest
 from bnlab.batching import NormBatchPlan
 from bnlab.errors import (Diverged, InvalidParams, InvalidPlan, ShapeMismatch,
                           StaleCache)
+from bnlab.gradcheck import numerical_gradient, relative_error
 from bnlab.layer import BnLayer, BnMode
 from bnlab.net import (
     LOSS_BOUND,
     Affine,
     Linear,
     MeanPool,
+    Momentum,
     Network,
     Relu,
     SgdConfig,
     classification_error,
+    sgd_step,
     softmax_cross_entropy,
     train,
 )
@@ -116,14 +119,15 @@ def test_network_cache_single_use():
         net.backward(caches, np.ones_like(logits))
 
 
-@pytest.mark.parametrize("shape", [(6, 4, 1, 1), (3, 2, 4, 1, 1)])
-def test_backward_without_input_grad_keeps_parameter_gradient_bits(shape):
+@pytest.mark.parametrize("n, cohort", [(6, None), (6, 2), (7, 3)])
+def test_backward_without_input_grad_keeps_parameter_gradient_bits(n, cohort):
     rng = np.random.default_rng(11)
     net = _net(rng)
-    x = rng.standard_normal(shape)
+    x = rng.standard_normal((n, 4, 1, 1))
     results = []
     for input_grad in (True, False):
-        logits, caches = net.forward(x, mode=BnMode.EVAL_MINIBATCH)
+        logits, caches = net.forward(x, mode=BnMode.EVAL_MINIBATCH,
+                                     cohort=cohort)
         dlogits = np.random.default_rng(12).standard_normal(logits.shape)
         results.append(net.backward(caches, dlogits, input_grad=input_grad))
     (dx, grads), (skipped, grads_skipped) = results
@@ -246,3 +250,58 @@ def test_classification_error_plan_counts_its_ragged_tail():
                                 plan=NormBatchPlan("ghost", 4)) == wrong / 10
     with pytest.raises(InvalidPlan):
         classification_error(net, x, y, plan=NormBatchPlan("shuffle", 4))
+
+
+@pytest.mark.parametrize("plan", [None, NormBatchPlan("ghost", 4)],
+                         ids=["plain", "ghost4"])
+def test_a_row_block_affine_trains_with_exact_gradients(plan):
+    # a (3, 6) Affine scales a 12-row batch's three blocks of 4 rows
+    rng = np.random.default_rng(21)
+    shape = (3, 6)
+    net = Network([Linear.init(rng, 4, 6), BnLayer(6),
+                   Affine(rng.uniform(0.5, 1.5, shape),
+                          rng.standard_normal(shape)),
+                   Relu(), Linear.init(rng, 6, 3)])
+    affine = net.layers[2]
+    x, y = rng.standard_normal((12, 4, 1, 1)), rng.integers(0, 3, 12)
+    cohort = None if plan is None else plan.sub_batch
+
+    def loss_of():
+        return softmax_cross_entropy(net.forward(x, cohort=cohort)[0], y)[0]
+
+    logits, caches = net.forward(x, cohort=cohort)
+    dx, grads = net.backward(caches, softmax_cross_entropy(logits, y)[1])
+    numeric = numerical_gradient(
+        lambda xv: softmax_cross_entropy(net.forward(xv, cohort=cohort)[0], y)[0],
+        x.copy())
+    assert relative_error(dx, numeric) < 1e-7
+    for name in affine.param_names:
+        def f(value, name=name):
+            old = getattr(affine, name)
+            setattr(affine, name, value)
+            out = loss_of()
+            setattr(affine, name, old)
+            return out
+        assert grads[2][name].shape == shape
+        numeric = numerical_gradient(f, getattr(affine, name).copy())
+        assert relative_error(grads[2][name], numeric) < 1e-7, name
+    before = affine.gamma.copy()
+    loss = sgd_step(net, x, y, SgdConfig(lr=0.05, steps=1, batch_size=12), 0,
+                    plan, None, Momentum(net.layers))
+    assert np.isfinite(loss)
+    assert affine.gamma.shape == shape
+    assert not np.array_equal(affine.gamma, before)
+
+
+def test_a_row_block_affine_scales_consecutive_row_blocks():
+    rng = np.random.default_rng(22)
+    gamma, beta = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+    affine = Affine(gamma, beta)
+    x = rng.standard_normal((12, 2, 1, 1))
+    y, _ = affine.forward(x)
+    # rows 0-3 take parameter row 0, rows 4-7 row 1, rows 8-11 row 2
+    rows = np.repeat(np.arange(3), 4)
+    np.testing.assert_array_equal(
+        y, x * gamma[rows, :, None, None] + beta[rows, :, None, None])
+    with pytest.raises(ShapeMismatch, match=r"10 rows .* 3 equal blocks"):
+        affine.forward(np.zeros((10, 2, 1, 1)))

@@ -1,8 +1,9 @@
 """A guard on the Python calls one training step makes: the training
 loop's cost is interpreter dispatch, so a change that adds calls per step
 shows here before any timing does.  Every training path a benchmark
-workload runs has a case: ``sgd_step`` with no plan, with many cohorts and
-with one cohort of a plan, and ``SharedHeadNet.train_step``."""
+workload runs has a case: ``sgd_step`` with no plan, with many ghost
+cohorts, with one cohort of a plan and with shuffled cohorts, and
+``SharedHeadNet.train_step``."""
 
 import cProfile
 import platform
@@ -37,10 +38,15 @@ MEASURED_ON = "Python 3.11.7, numpy 2.4.6"
 # 185, 194, 194 (ghost 32), 76 (shared head, shared) and 73 (per domain).
 # At 050dc11, before Network fixed its layer roles at build instead of
 # testing each layer's type per pass, the first three read 118, 152, 128.
+# At 77ee4a3, before a cohort became a view inside BnLayer and ghost and
+# shuffle steps ran the flat batch, ghost 2, ghost 8, ghost 32 and shuffle
+# 16 read 141, 141, 117 and 142.
 CALLS_PER_STEP = {
     "ema_vs_precise": 108,
-    "nbs_sweep_ghost2": 141,
-    "nbs_sweep_ghost32": 117,
+    "nbs_sweep_ghost2": 125,
+    "nbs_sweep_ghost8": 125,
+    "nbs_sweep_ghost32": 113,
+    "nbs_sweep_shuffle16": 130,
     "shared_head_shared": 66,
     "shared_head_per_domain": 63,
 }
@@ -64,21 +70,30 @@ def _ema_vs_precise():
     return _sgd(net, (32, d["dim"], 1, 1), d["classes"], None)
 
 
-def _nbs_sweep(sub_batch):
+def _nbs_sweep(sub_batch, strategy="ghost"):
     d = NBS_SWEEP_DEFAULTS
     net = build_net(np.random.default_rng(3),
                     [d["channels"], *d["hidden"], d["classes"]], pool=True)
     return _sgd(net, (32, d["channels"], 2, 2), d["classes"],
-                NormBatchPlan("ghost", sub_batch))
+                NormBatchPlan(strategy, sub_batch))
 
 
 def _nbs_sweep_ghost2():
     return _nbs_sweep(2)
 
 
+def _nbs_sweep_ghost8():
+    return _nbs_sweep(8)
+
+
 def _nbs_sweep_ghost32():
-    # one cohort: the plain-batch path
+    # one cohort: the plain batch
     return _nbs_sweep(32)
+
+
+def _nbs_sweep_shuffle16():
+    # leakage's shuffle_fix path: two shuffled halves of the batch
+    return _nbs_sweep(16, "shuffle")
 
 
 def _shared_head(policy):
@@ -105,7 +120,9 @@ def _shared_head_per_domain():
 @pytest.mark.parametrize("name, setup", [
     ("ema_vs_precise", _ema_vs_precise),
     ("nbs_sweep_ghost2", _nbs_sweep_ghost2),
+    ("nbs_sweep_ghost8", _nbs_sweep_ghost8),
     ("nbs_sweep_ghost32", _nbs_sweep_ghost32),
+    ("nbs_sweep_shuffle16", _nbs_sweep_shuffle16),
     ("shared_head_shared", _shared_head_shared),
     ("shared_head_per_domain", _shared_head_per_domain),
 ])
