@@ -155,6 +155,9 @@ def _atomic_write(path, writer):
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
+        umask = os.umask(0o077)  # reading it sets it: set it back
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # as a plain open, not mkstemp's 0600
         with os.fdopen(fd, "w", newline="") as fh:
             writer(fh)
         os.replace(tmp, path)

@@ -16,12 +16,13 @@ value), a summary dict, and checkpoint payloads.
 """
 
 import copy
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .batching import PER_DOMAIN, SHARED, DomainPolicy, NormBatchPlan
-from .errors import ConfigError, InvalidParams
+from .errors import BnLabError, ConfigError, InvalidParams
 from .io import Range
 from .layer import BnLayer, BnMode, batch_stats_backward, batch_stats_forward
 from .net import (
@@ -97,6 +98,74 @@ class ScenarioRun:
                     k: np.asarray(getattr(layer, k)).reshape(-1).tolist()
                     for k in layer.param_names
                 }
+
+    def merge(self, arms):
+        """Append each arm's rows and summary entries in turn; the last arm
+        that took a checkpoint gives this run's.  Returns the run."""
+        for arm in arms:
+            self.rows += arm.rows
+            self.summary.update(arm.summary)
+            if arm.params_checkpoint:
+                self.stats_checkpoint = arm.stats_checkpoint
+                self.params_checkpoint = arm.params_checkpoint
+        return self
+
+
+def fan_out(fn, items):
+    """``[fn(item) for item in items]`` over k = min(len(items), usable
+    cores / BLAS threads) processes: this one runs ``items[0::k]`` and a
+    forked worker each ``items[j::k]``; only results are pickled.  The first
+    failing item's exception is raised, as serially; a worker that ends
+    without a result is a BnLabError naming its first item.  Serial where
+    k < 2."""
+    items, workers = list(items), []
+    try:
+        # BLAS runs one thread, unless the user set OpenBLAS's count
+        threads = int(os.environ.get("OPENBLAS_NUM_THREADS") or 1)
+        k = max(1, min(len(items), len(os.sched_getaffinity(0)) // max(threads, 1)))
+        import multiprocessing  # not at bnlab import, where it costs ~17 ms
+        context = multiprocessing.get_context("fork")
+    except (AttributeError, ValueError):  # no affinity call or fork; a bad count
+        k = 1
+
+    def share(j):  # (result, None) per item, up to the first that raises
+        out = []
+        for item in items[j::k]:
+            try:
+                out.append((fn(item), None))
+            except Exception as exc:
+                return out + [(None, exc)]
+        return out
+
+    try:
+        for j in range(1, k):
+            receive, send = context.Pipe(duplex=False)
+            worker = context.Process(target=lambda j=j, send=send: send.send(share(j)))
+            worker.start()
+            workers.append((worker, receive))
+            send.close()
+        shares = [share(0)]
+        for j, (worker, receive) in enumerate(workers, 1):
+            try:
+                shares.append(receive.recv())
+            except EOFError:
+                worker.join()
+                shares.append([(None, BnLabError(
+                    f"fan_out item {j} ({items[j]!r}) ended without a result: "
+                    f"its worker exited with code {worker.exitcode}"))])
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:  # every worker has ended before this returns or raises
+        for worker, _ in workers:
+            worker.join()
+    # in item order, a share's failure comes before the items it left out
+    for i in range(len(items)):
+        items[i], error = shares[i % k][i // k]
+        if error is not None:
+            raise error
+    return items
 
 
 def build_net(rng, dims, ema_momentum=0.9, pool=False, bn_blocks=None):
@@ -293,12 +362,13 @@ RANGES.update(nbs_list=_LIST, train_eval_size=_COUNT)
 
 
 def run_nbs_sweep(cfg, seed):
-    run = ScenarioRun("nbs_sweep")
     (x_train, y_train), (x_val, y_val) = draw(
         _spatial_task(cfg, seed), seed, cfg["train_size"], cfg["val_size"])
     batches = uniform_batches(x_train, y_train)
     n_tr = cfg["train_eval_size"]
-    for nbs in cfg["nbs_list"]:
+
+    def arm(nbs):  # one training; the arms share only the data drawn above
+        run = ScenarioRun("nbs_sweep")
         run_id = f"nbs_sweep-nbs{nbs}-s{seed}"
         net = build_net(np.random.default_rng(_seed(seed, 3)),
                         [cfg["channels"], *cfg["hidden"], cfg["classes"]],
@@ -322,8 +392,10 @@ def run_nbs_sweep(cfg, seed):
                                  ("val", "population", err_val_pop)):
             run.log(run_id, cfg["steps"], split, mode, "error", err,
                     key=(str(nbs), f"{split}_{mode}"))
-        run.checkpoint(net, stats)
-    return run
+        run.checkpoint(net, stats)  # the last nbs's is the run's
+        return run
+
+    return ScenarioRun("nbs_sweep").merge(fan_out(arm, cfg["nbs_list"]))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +728,6 @@ RANGES.update(latent_scale=_SCALE, groups_per_batch=Range(">= 2"), eval_window=_
 
 
 def run_leakage(cfg, seed):
-    run = ScenarioRun("leakage")
     g, m = cfg["groups_per_batch"], cfg["copies_per_group"]
     sampler = GroupedBatchSampler(g, m)
     batch = sampler.batch_size
@@ -692,7 +763,10 @@ def run_leakage(cfg, seed):
 
     x_val, y_val = val.x, val.labels
     window = cfg["eval_window"]
-    for name, (batch_fn, plan) in variants.items():
+
+    def arm(name):  # one training; the arms share only the data drawn above
+        run = ScenarioRun("leakage")
+        batch_fn, plan = variants[name]
         net = build_net(np.random.default_rng(_seed(seed, 3)),
                         [cfg["dim"], *cfg["hidden"], cfg["classes"]],
                         bn_blocks=1)
@@ -725,7 +799,9 @@ def run_leakage(cfg, seed):
                 run.log(run_id, cfg["steps"], "val", mode, "error", err,
                         key=(name, mode))
             run.checkpoint(net, snaps[-1][2])
-    return run
+        return run
+
+    return ScenarioRun("leakage").merge(fan_out(arm, variants))
 
 
 # ---------------------------------------------------------------------------

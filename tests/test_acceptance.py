@@ -3,17 +3,14 @@ own pass/fail line by ``pytest -v``.
 
 The experiment-direction criteria (c09-c12) are evaluated as a majority vote
 over three seeds, since individual synthetic runs carry sampling noise.
-Their seeds run in a pool of two processes.  Each seed's margins and
-verdict come from ``tools/margins.py``, which reports the same criteria on
-any directory of run artifacts.
+``scenarios.fan_out`` deals their seeds over the usable cores.  Each seed's
+margins and verdict come from ``tools/margins.py``, which reports the same
+criteria on any directory of run artifacts.
 """
 
 import importlib.util
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -27,6 +24,7 @@ from bnlab.scenarios import (
     LEAKAGE_DEFAULTS,
     NBS_SWEEP_DEFAULTS,
     SHARED_HEAD_DEFAULTS,
+    fan_out,
     run_domain_adapt,
     run_leakage,
     run_nbs_sweep,
@@ -62,18 +60,17 @@ def report_margins(record_property, votes, margins):
 
 def seed_summaries(runner, defaults):
     """(summary, seconds) of ``runner`` at its defaults for each seed, each
-    timed inside its worker; the seeds run in two fresh processes (spawned,
-    since OpenBLAS's threads make forking this one unsafe)."""
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
-        return list(pool.map(_timed_summary, repeat(runner), repeat(defaults),
-                             SEEDS))
+    timed in the process that ran it; ``fan_out`` deals the seeds over this
+    process and forked workers.  Forking this process is safe: importing
+    bnlab capped OpenBLAS at one thread, so BLAS runs in the calling thread,
+    and OpenBLAS shuts its idle thread pool down before a fork."""
 
+    def timed_summary(seed):
+        start = time.monotonic()
+        summary = runner(dict(defaults), seed).summary
+        return summary, time.monotonic() - start
 
-def _timed_summary(runner, defaults, seed):
-    start = time.monotonic()
-    summary = runner(dict(defaults), seed).summary
-    return summary, time.monotonic() - start
+    return fan_out(timed_summary, SEEDS)
 
 
 def _rand_net(rng, dims):

@@ -1,6 +1,8 @@
 """The command-line interface: run, estimate, check-grad."""
 
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -196,18 +198,43 @@ def test_run_diverged_is_runtime_error_and_writes_nothing(tmp_path, capsys):
     # SharedHeadNet's own training loop
     ("shared_head", {"lr": 1e3, "steps": 20,
                      "policies": [["shared", "shared", "shared"]]}),
+    # arms fanned out over two cores: nbs 8's runs in the worker
+    ("nbs_sweep", {"lr": 1e3, "steps": 20, "nbs_list": [2, 8]}),
+    ("leakage", {"lr": 1e3, "steps": 20}),
 ])
 def test_run_finite_divergence_exits_1_naming_the_step(tmp_path, capsys,
-                                                       scenario, overrides):
+                                                       monkeypatch, scenario,
+                                                       overrides):
     cfg = tmp_path / "diverge.json"
     cfg.write_text(json.dumps(overrides))
-    out = tmp_path / "o"
-    code = main(["run", scenario, "--config", str(cfg), "--out", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "error: training diverged at step 2: loss " in err
-    assert "is not <= 1000" in err
-    assert not out.exists()
+    lines = []
+    # the error line is the same whether fan_out forks or runs serially
+    for cores in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        out = tmp_path / f"o{len(cores)}"
+        code = main(["run", scenario, "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: training diverged at step 2: loss " in err
+        assert "is not <= 1000" in err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+        lines.append(err.splitlines()[0])
+    assert lines[0] == lines[1]
+
+
+def test_run_artifacts_take_the_mode_of_the_umask(tmp_path, tiny_config):
+    # as a plain open would give them; mkstemp's files are 0600
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        old = os.umask(umask)
+        try:
+            out = tmp_path / f"u{umask:o}"
+            assert main(["run", "domain_adapt", "--config", tiny_config,
+                         "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        for name in ("metrics.csv", "summary.json", "stats.json", "params.json"):
+            assert (out / name).stat().st_mode & 0o777 == mode, name
 
 
 def test_run_with_non_finite_json_writes_nothing(monkeypatch, tmp_path, capsys):

@@ -1,0 +1,165 @@
+"""``scenarios.fan_out``: the items' results in item order, on forked
+workers or serially, with the serial loop's first exception; and the two
+runners that use it write the same bytes either way."""
+
+import json
+import multiprocessing
+import os
+import signal
+import time
+
+import pytest
+
+from bnlab import io, scenarios
+from bnlab.cli import main
+from bnlab.errors import BnLabError, Diverged
+from bnlab.scenarios import fan_out
+
+from test_scenarios import TINY
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set the usable cores fan_out sees (forking works on one real core),
+    with BLAS at bnlab's one thread."""
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+
+    return use
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("k", [2, 3])
+def test_results_come_back_in_item_order(cores, n, k):
+    cores(k)
+    assert fan_out(lambda i: (i, i * i), range(n)) == [(i, i * i) for i in range(n)]
+
+
+def test_items_run_in_workers(cores):
+    cores(2)
+    pids = fan_out(lambda _: os.getpid(), range(4))
+    assert pids[0::2] == [os.getpid()] * 2
+    assert pids[1] == pids[3] != os.getpid()
+
+
+def test_one_core_runs_serially(cores):
+    cores(1)
+    assert fan_out(lambda _: os.getpid(), range(3)) == [os.getpid()] * 3
+
+
+def test_no_affinity_call_runs_serially(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert fan_out(lambda _: os.getpid(), range(3)) == [os.getpid()] * 3
+
+
+@pytest.mark.parametrize("threads, n_cores, processes", [
+    ("1", 2, 2), ("2", 2, 1), ("2", 4, 2), ("3", 8, 2), ("", 2, 2), ("many", 2, 1)])
+def test_blas_threads_share_the_cores(cores, monkeypatch, threads, n_cores,
+                                      processes):
+    # a user-set OpenBLAS count takes that many cores per process
+    cores(n_cores)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    assert len(set(fan_out(lambda _: os.getpid(), range(4)))) == processes
+
+
+def test_closure_and_unpicklable_state(cores):
+    cores(2)
+    scale = {"by": 3, "lock": (lambda: None)}  # a lambda does not pickle
+    assert fan_out(lambda i: i * scale["by"], [1, 2, 3]) == [3, 6, 9]
+
+
+@pytest.mark.parametrize("failing", [{1}, {2}, {1, 2}, {3, 4}, {0, 1}])
+def test_first_failing_item_raises_as_serially(cores, failing):
+    def fn(i):
+        if i in failing:
+            raise Diverged(f"item {i} failed")
+        return i
+
+    cores(1)
+    with pytest.raises(Diverged) as serial:
+        fan_out(fn, range(5))
+    cores(2)
+    with pytest.raises(Diverged) as fanned:
+        fan_out(fn, range(5))
+    assert str(fanned.value) == str(serial.value) == f"item {min(failing)} failed"
+
+
+def test_a_worker_killed_mid_item_is_a_bnlab_error(cores):
+    parent = os.getpid()
+
+    def fn(i):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    cores(2)
+    with pytest.raises(BnLabError, match=r"^fan_out item 1 \('b'\) ended without "
+                                         r"a result: its worker exited with "
+                                         r"code -9$"):
+        fan_out(fn, ["a", "b", "c"])
+
+
+def test_an_earlier_failure_wins_over_a_killed_worker(cores):
+    parent = os.getpid()
+
+    def fn(i):
+        if os.getpid() == parent:
+            raise ValueError(f"item {i}")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    cores(2)
+    with pytest.raises(ValueError, match="^item 0$"):
+        fan_out(fn, range(4))
+
+
+def test_an_interrupted_parent_terminates_its_workers(cores):
+    parent = os.getpid()
+
+    def fn(i):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)  # the worker is still busy when the parent fails
+
+    cores(2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        fan_out(fn, range(2))
+    assert time.monotonic() - start < 10
+
+
+@pytest.mark.parametrize("scenario", ["nbs_sweep", "leakage"])
+def test_runners_write_the_same_bytes_serially_and_fanned_out(
+        cores, tmp_path, scenario):
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(TINY[scenario]))
+    outs = []
+    for n in (1, 2):
+        cores(n)
+        outs.append(tmp_path / f"cores{n}")
+        assert main(["run", scenario, "--config", str(config),
+                     "--out", str(outs[-1])]) == 0
+    for name in ("metrics.csv", "summary.json", "stats.json", "params.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("scenario, arms", [
+    ("nbs_sweep", [2, 8]),
+    ("leakage", ["crafted", "ghost_fix", "shuffle_fix", "sync_fix", "control"]),
+])
+def test_runners_fan_out_one_arm_each(cores, monkeypatch, scenario, arms):
+    seen = []
+    real = scenarios.fan_out
+    monkeypatch.setattr(scenarios, "fan_out",
+                        lambda fn, items: seen.append(list(items)) or real(fn, items))
+    cores(2)
+    runner, defaults = scenarios.SCENARIOS[scenario]
+    runner(io.validate_config(defaults, TINY[scenario]), 0)
+    assert seen == [arms]

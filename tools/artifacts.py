@@ -7,6 +7,8 @@ runs each of the six scenarios at its default config and each seed of
 ``--seeds`` (a range ``A-B`` or a comma-separated list, default 0-2)
 through ``bnlab run`` into ``OUT_DIR/<scenario>-s<seed>/`` (``metrics.csv``,
 ``summary.json``, ``stats.json``, ``params.json``: 72 files for seeds 0-2).
+``bnlab.scenarios.fan_out`` deals the runs over the usable cores
+(``taskset -c 0`` runs them one after another, with the same results).
 The package sets OpenBLAS's thread count itself (one thread, unless
 ``OPENBLAS_NUM_THREADS`` is set); results do not depend on it.  Two
 checkouts give the same results when
@@ -38,7 +40,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
 from bnlab.cli import main  # noqa: E402  (after the path setting)
-from bnlab.scenarios import SCENARIOS  # noqa: E402
+from bnlab.scenarios import SCENARIOS, fan_out  # noqa: E402
 import numpy as np  # noqa: E402  (after bnlab set OpenBLAS's threads)
 
 
@@ -59,14 +61,16 @@ def parse_seeds(text):
 
 
 def write_all(out_dir, seeds=(0, 1, 2)):
-    """Run every scenario at every seed; the number of failed runs."""
-    failed = 0
-    for scenario in sorted(SCENARIOS):
-        for seed in seeds:
-            out = os.path.join(out_dir, f"{scenario}-s{seed}")
-            failed += main(["run", scenario, "--seed", str(seed),
-                            "--out", out]) != 0
-    return failed
+    """Run every scenario at every seed, the runs dealt over the usable
+    cores by ``fan_out``; the number of failed runs."""
+
+    def failed(job):
+        scenario, seed = job
+        out = os.path.join(out_dir, f"{scenario}-s{seed}")
+        return main(["run", scenario, "--seed", str(seed), "--out", out]) != 0
+
+    return sum(fan_out(failed, [(scenario, seed) for scenario in sorted(SCENARIOS)
+                                for seed in seeds]))
 
 
 def stack():
