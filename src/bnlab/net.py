@@ -2,12 +2,13 @@
 cross-entropy) with exact manual backpropagation and momentum SGD.
 
 Activations are carried as (N, C, H, W) tensors so the normalization layer
-sees the same per-channel layout as the rest of the package.  A pass whose
-rows share statistics in cohorts still runs the whole batch through every
-layer: only ``BnLayer`` views it per cohort, so each cohort is normalized
-as if forwarded alone while every GEMM and parameter-gradient sum runs
-over all N rows at once.  The other layers also take the (G, n, C, H, W)
-stacks of shared_head's ``SharedHeadNet``.
+sees the same per-channel layout as the rest of the package, and every
+layer takes only that shape.  A pass whose rows share statistics in
+cohorts still runs the whole batch through every layer: only the
+normalization views it per cohort (``BnLayer``, and shared_head's
+``SharedHeadNet`` per domain row block), so each cohort is normalized as
+if forwarded alone while every GEMM and parameter-gradient sum runs over
+all N rows at once.
 
 In memory the activations are channels-last, the layout Linear's GEMM
 writes, and every backward returns its input gradient in its forward
@@ -53,10 +54,10 @@ EVAL_CHUNK_ROWS = 256
 # the run: chance level on K classes is ln K, 2.8 for the scenarios' 16
 LOSS_BOUND = 1e3
 
-# axis orders that move channels last (one row per spatial site) and back,
-# for an (N, C, H, W) batch and a (G, n, C, H, W) cohort stack
-_CHANNELS_LAST = {4: (0, 2, 3, 1), 5: (0, 1, 3, 4, 2)}
-_CHANNELS_BACK = {4: (0, 3, 1, 2), 5: (0, 1, 4, 2, 3)}
+# axis orders that move an (N, C, H, W) batch's channels last (one row per
+# spatial site) and back
+_CHANNELS_LAST = (0, 2, 3, 1)
+_CHANNELS_BACK = (0, 3, 1, 2)
 
 
 def to4(x2: np.ndarray) -> np.ndarray:
@@ -89,39 +90,32 @@ class Linear:
                    rng.uniform(-a, a, size=fan_out))
 
     def forward(self, x):
-        # applied per spatial site (1x1-convolution semantics); a cohort
-        # stack runs one GEMM per cohort, whose rounding depends on its rows
-        *lead, c, h, w = x.shape
-        x2 = x.transpose(_CHANNELS_LAST[x.ndim]).reshape(*lead[:-1], -1, c)
+        # applied per spatial site (1x1-convolution semantics)
+        n, c, h, w = x.shape
+        x2 = x.transpose(_CHANNELS_LAST).reshape(-1, c)
         y2 = x2 @ self.weight.T + self.bias
-        y = y2.reshape(*lead, h, w, -1).transpose(_CHANNELS_BACK[x.ndim])
-        return y, (x2, x.shape)
+        return y2.reshape(n, h, w, -1).transpose(_CHANNELS_BACK), (x2, x.shape)
 
     def backward(self, cache, dy, input_grad=True):
-        """Input gradient and parameter gradients; a cohort stack's
-        parameter gradients keep a leading cohort axis.  Without
-        ``input_grad`` the input gradient's GEMM is skipped and None is
-        returned in its place."""
-        x2, shape = cache
-        dy2 = dy.transpose(_CHANNELS_LAST[dy.ndim]).reshape(*shape[:-4], -1,
-                                                            dy.shape[-3])
-        # dy2^T @ x2 per cohort, the transpose a view as dy2.T was
-        weight = dy2.swapaxes(-1, -2) @ x2
-        grads = {"weight": weight, "bias": np.add.reduce(dy2, axis=-2)}
+        """Input gradient and parameter gradients.  Without ``input_grad``
+        the input gradient's GEMM is skipped and None is returned in its
+        place."""
+        x2, (n, c, h, w) = cache
+        dy2 = dy.transpose(_CHANNELS_LAST).reshape(-1, dy.shape[1])
+        grads = {"weight": dy2.T @ x2, "bias": np.add.reduce(dy2, axis=0)}
         if not input_grad:
             return None, grads
-        dx = (dy2 @ self.weight).reshape(*shape[:-3], *shape[-2:], shape[-3]) \
-            .transpose(_CHANNELS_BACK[dy.ndim])
+        dx = (dy2 @ self.weight).reshape(n, h, w, c).transpose(_CHANNELS_BACK)
         return dx, grads
 
 
 class Affine:
     """Trainable channel-wise scale and shift (the layer after each BN).
 
-    Parameters are (C,), or (G, C) to give each of G row blocks its own
-    scale and shift: the G cohorts of a (G, n, C, H, W) stack, or the G
-    equal, consecutive row blocks of an (N, C, H, W) batch, which is viewed
-    as (G, N // G, C, H, W).  Their gradients have the parameters' shape.
+    Parameters are (C,), or (G, C) to give each of the G equal, consecutive
+    row blocks of an (N, C, H, W) batch, which is viewed as
+    (G, N // G, C, H, W), its own scale and shift.  Their gradients have the
+    parameters' shape.
     """
 
     def __init__(self, gamma, beta):
@@ -136,7 +130,7 @@ class Affine:
 
     def forward(self, x):
         xs = x
-        if self.gamma.ndim == 2 and x.ndim == 4:  # the batch's row blocks
+        if self.gamma.ndim == 2:  # the batch's row blocks
             blocks = self.gamma.shape[0]
             if x.shape[0] % blocks:
                 raise ShapeMismatch(f"{x.shape[0]} rows do not split into {blocks} "
@@ -147,7 +141,6 @@ class Affine:
         return (y if xs is x else y.reshape(x.shape)), xs
 
     def backward(self, cache, dy):
-        # a cohort stack's parameter gradients keep a leading cohort axis
         x = cache
         dys = dy if x.ndim == dy.ndim else dy.reshape(x.shape)
         grads = {
@@ -278,22 +271,18 @@ class Network:
 
 
 def softmax_cross_entropy(logits, labels):
-    """Mean cross-entropy over the batch; returns (loss, dloss/dlogits).
-
-    Stacked (G, n, K) logits with (G, n) labels (shared_head's domain
-    stacks) give each cohort's mean loss, shape (G,), and a gradient
-    divided by the cohort size n.
-    """
+    """Mean cross-entropy over the (N, K) logits' rows, with (N,) labels;
+    returns (loss, dloss/dlogits)."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    n = logits.shape[-2]
+    n = logits.shape[0]
     # ufunc reduces give max's and sum's results without their wrapper calls
-    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    logz = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    logz = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
     logp = shifted - logz
-    onehot = labels[..., None] == np.arange(logits.shape[-1])
+    onehot = labels[:, None] == np.arange(logits.shape[1])
     # add.reduce and / n give mean's result without its wrapper calls
-    loss = -np.add.reduce(logp[onehot].reshape(labels.shape), axis=-1) / n
+    loss = -np.add.reduce(logp[onehot]) / n
     return loss, (np.exp(logp) - onehot) / n
 
 
@@ -324,8 +313,7 @@ class Momentum:
     Creation copies every parameter into one contiguous float64 buffer and
     rebinds its layer attribute to a view into it (an attribute rebound
     later is no longer trained).  ``grads`` holds, per layer, a dict of
-    views into a gradient buffer of the same layout, which the caller fills
-    before each ``step``.
+    views into a gradient buffer of the same layout, which ``step`` fills.
     """
 
     def __init__(self, layers):
@@ -348,9 +336,15 @@ class Momentum:
                 start = stop
             self.grads.append(views)
 
-    def step(self, lr, momentum):
-        """v = m * v + g (v = g at the first step), then p = p - lr * v,
-        each as whole-buffer operations."""
+    def step(self, grads, lr, momentum):
+        """Copy ``grads`` into the gradient buffer, then v = m * v + g
+        (v = g at the first step) and p = p - lr * v, each as whole-buffer
+        operations.  ``grads`` holds per layer, in the order of the
+        ``layers`` given at creation, a dict of its parameters' gradients
+        (anything, such as None, for a layer without parameters)."""
+        for g, out in zip(grads, self.grads):
+            for k in out:
+                out[k][...] = g[k]
         if self.velocity is None:
             self.velocity = self.grad.copy()
         else:
@@ -363,8 +357,8 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer):
     """One SGD update: one forward and backward pass of the whole batch,
     in which each ``plan.sub_batch`` rows share BN statistics, in batch
     order (ghost) or in the order of ``cohort_indices``' fresh permutation
-    (shuffle, gathered once); its gradients are copied into the
-    ``Momentum`` optimizer.  Returns the mean training loss of the batch.
+    (shuffle, gathered once); its gradients step the ``Momentum``
+    optimizer.  Returns the mean training loss of the batch.
     """
     cohort = None
     if plan is not None:
@@ -376,10 +370,7 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer):
     logits, caches = net.forward(x, cohort=cohort)
     loss, dlogits = softmax_cross_entropy(logits, labels)
     _, grads = net.backward(caches, dlogits, input_grad=False)
-    for g, out in zip(grads, optimizer.grads):
-        for k in out:
-            out[k][...] = g[k]
-    optimizer.step(cfg.lr_at(step), cfg.momentum)
+    optimizer.step(grads, cfg.lr_at(step), cfg.momentum)
     return loss
 
 

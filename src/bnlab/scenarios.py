@@ -513,7 +513,6 @@ SHARED_HEAD_DEFAULTS = {
     "steps": 1200,
     "domain_batch": 16,
     "val_per_domain": 512,
-    "pop_batches": 32,
     "eps": 1e-5,
     "policies": [
         ["shared", "shared", "shared"],
@@ -525,7 +524,7 @@ SHARED_HEAD_DEFAULTS = {
     ],
 }
 RANGES.update(domains=_LIST, domain_batch=_COUNT, val_per_domain=_COUNT,
-              pop_batches=_COUNT, eps=_POSITIVE, policies=_LIST)
+              eps=_POSITIVE, policies=_LIST)
 
 
 class SharedHeadNet:
@@ -533,9 +532,11 @@ class SharedHeadNet:
     normalization: shared statistics pool all domains' features, per-domain
     statistics normalize each domain on its own.
 
-    A training step carries the D domain batches as one (D, n, C, 1, 1)
-    stack, one cohort per domain, through a single forward and backward
-    pass.  Per-domain affine parameters are (D, C); shared ones are (C,).
+    Every pass takes an (N, C, 1, 1) batch whose D domains are equal,
+    consecutive row blocks, and runs it through each layer at once.  Only
+    the normalization views the batch as (D, N // D, C, 1, 1), one cohort
+    per domain, for per-domain moments and (D, C) statistics.  Per-domain
+    affine parameters are (D, C), one row per block; shared ones are (C,).
     The first ``train_step`` puts the parameters into one ``Momentum``
     buffer.
     """
@@ -548,104 +549,86 @@ class SharedHeadNet:
             raise InvalidParams("eps must be positive")
         self.policy = policy
         self.eps = eps
+        self.n_domains = n_domains
         self.l1 = Linear.init(rng, dim, hidden)
         self.l2 = Linear.init(rng, hidden, classes)
         shape = (n_domains, hidden) if policy.affine == PER_DOMAIN else (hidden,)
         self.affine = Affine(np.ones(shape), np.zeros(shape))
         self.relu = Relu()
         self.optimizer = None
-        self.grad_views = None  # the optimizer's, by layer attribute
+
+    def _norm_view(self, h, per_domain):
+        # the batch as the normalization sees it: whole, or its domain blocks
+        return h.reshape(self.n_domains, -1, *h.shape[1:]) if per_domain else h
 
     def forward_train(self, x, stats=None):
-        """(D, n, K) logits of a (D, n, C, 1, 1) float64 stack of domain
-        batches, normalized by the policy's batch statistics, or by fixed
-        ``stats`` when given; the caches serve ``backward_train`` after a
-        forward by batch statistics."""
+        """(N, K) logits of an (N, C, 1, 1) float64 batch of domain row
+        blocks, normalized by the policy's batch statistics, or by fixed
+        ``stats`` ((C,) or per-domain (D, C)) when given; the caches serve
+        ``backward_train`` after a forward by batch statistics."""
         h, c1 = self.l1.forward(x)
         if stats is not None:
-            xhat, inv = normalize(h, stats, self.eps), None
-        elif self.policy.sgd_stats == SHARED:
-            # shared statistics pool the stack's rows (a view of them)
-            xhat, _, inv = batch_stats_forward(h.reshape(-1, *h.shape[2:]),
-                                               self.eps)
-            xhat = xhat.reshape(h.shape)
+            view = self._norm_view(h, stats.mean.ndim == 2)
+            xhat, inv = normalize(view, stats, self.eps), None
         else:
-            # per-domain ones are (D, C)
-            xhat, _, inv = batch_stats_forward(h, self.eps)
-        a, ca = self.affine.forward(xhat)
+            view = self._norm_view(h, self.policy.sgd_stats == PER_DOMAIN)
+            xhat, _, inv = batch_stats_forward(view, self.eps)
+        a, ca = self.affine.forward(xhat if view is h else xhat.reshape(h.shape))
         r, cr = self.relu.forward(a)
         logits, cl = self.l2.forward(r)
-        return logits[..., 0, 0], {
+        return logits[:, :, 0, 0], {
             "l1": c1, "xhat": xhat, "inv": inv,
             "affine": ca, "relu": cr, "l2": cl,
         }
 
-    def backward_train(self, caches, dlogits, out=None):
-        """Parameter gradients, keyed by layer attribute, of the loss whose
-        (D, n, K) logits gradient is ``dlogits``; the domains' gradients
-        are summed in domain order, except a per-domain affine's.  They are
-        written into ``out`` ({attribute: {parameter: array}}, such as an
-        optimizer's gradient views) when given."""
-        dr, gl2 = self.l2.backward(caches["l2"], dlogits[..., None, None])
+    def backward_train(self, caches, dlogits):
+        """Parameter gradients, keyed by layer attribute in ``param_layers``
+        order, of the loss whose (N, K) logits gradient is ``dlogits``."""
+        dr, gl2 = self.l2.backward(caches["l2"], dlogits[:, :, None, None])
         da = self.relu.backward(caches["relu"], dr)[0]
         dxhat, gaff = self.affine.backward(caches["affine"], da)
-        xhat, inv = caches["xhat"], caches["inv"]
-        if self.policy.sgd_stats == SHARED:
-            rows = (-1, *xhat.shape[2:])
-            dh = batch_stats_backward(xhat.reshape(rows), inv,
-                                      dxhat.reshape(rows)).reshape(xhat.shape)
-        else:
-            dh = batch_stats_backward(xhat, inv, dxhat)
+        xhat = caches["xhat"]
+        if xhat.ndim == dxhat.ndim:
+            dh = batch_stats_backward(xhat, caches["inv"], dxhat)
+        else:  # per domain, in the forward's view
+            dh = batch_stats_backward(xhat, caches["inv"], dxhat.reshape(
+                xhat.shape)).reshape(dxhat.shape)
         _, gl1 = self.l1.backward(caches["l1"], dh, input_grad=False)
-        if self.policy.affine == PER_DOMAIN:
-            # the (D, C) gradient is the whole stack's: one "cohort"
-            gaff = {k: v[None] for k, v in gaff.items()}
-        grads = {"l1": gl1, "affine": gaff, "l2": gl2}
-        if out is None:
-            out = {name: {k: np.empty(v.shape[1:]) for k, v in g.items()}
-                   for name, g in grads.items()}
-        for name, views in out.items():
-            for k, view in views.items():
-                np.add.reduce(grads[name][k], axis=0, out=view)
-        return out
+        return {"l1": gl1, "affine": gaff, "l2": gl2}
 
     def train_step(self, x, y, lr, momentum):
-        """One momentum-SGD step on a (D, n, C, 1, 1) stack with (D, n)
-        labels; the loss is the mean cross-entropy over all D * n rows.
-        Returns that loss, as it was before the step."""
+        """One momentum-SGD step on an (N, C, 1, 1) batch of domain row
+        blocks with (N,) labels; the loss is the mean cross-entropy over
+        its N rows.  Returns that loss, as it was before the step."""
         if self.optimizer is None:
             self.optimizer = Momentum([getattr(self, name)
                                        for name in self.param_layers])
-            self.grad_views = dict(zip(self.param_layers,
-                                       self.optimizer.grads))
         logits, caches = self.forward_train(x)
         loss, dlogits = softmax_cross_entropy(logits, y)
-        self.backward_train(caches, dlogits * y.shape[-1] / y.size,
-                            out=self.grad_views)
-        self.optimizer.step(lr, momentum)
-        # the mean of the D per-domain means of n rows each
-        return np.add.reduce(loss) / loss.shape[0]
+        self.optimizer.step(self.backward_train(caches, dlogits).values(),
+                            lr, momentum)
+        return loss
 
     def train_population_stats(self, x, pop_stats):
-        """The population statistics of a (D, n, C, 1, 1) stack of domain
-        samples: (C,) pooled over the domains (``pop_stats`` SHARED) or
+        """The population statistics of an (N, C, 1, 1) batch of domain row
+        blocks: (C,) pooled over the domains (``pop_stats`` SHARED) or
         (D, C) per domain (PER_DOMAIN).  Training never reads this choice,
         so one trained net serves both."""
         h, _ = self.l1.forward(x)
-        return channel_moments(h.reshape(-1, *h.shape[2:])
-                               if pop_stats == SHARED else h)
+        return channel_moments(self._norm_view(h, pop_stats == PER_DOMAIN))
 
     def eval_error(self, x, y, stats):
-        """Top-1 error on a (D, n, C, 1, 1) stack with (D, n) labels, every
-        domain normalized by ``stats``, as ``train_population_stats``
-        returns them."""
+        """Top-1 error on an (N, C, 1, 1) batch of domain row blocks with
+        (N,) labels, every domain normalized by ``stats``, as
+        ``train_population_stats`` returns them."""
         logits, _ = self.forward_train(x, stats=stats)
         return int((logits.argmax(axis=-1) != y).sum()) / y.size
 
 
 def shared_head_data(cfg, seed):
-    """The seed's domains and its validation and population stacks:
-    (domains, val_x, val_y, pop_x), each stack (D, val_per_domain, ...)."""
+    """The seed's domains and its validation and population batches:
+    (domains, val_x, val_y, pop_x), each batch D row blocks of
+    val_per_domain rows, in domain order."""
     transforms = []
     for d, spec in enumerate(cfg["domains"]):
         if spec["mix"]:
@@ -663,8 +646,8 @@ def shared_head_data(cfg, seed):
     for d in range(domains.n_domains):
         val.append(domains.sample_domain(data_rng, d, cfg["val_per_domain"]))
         pop.append(domains.sample_domain(data_rng, d, cfg["val_per_domain"])[0])
-    val_x, val_y = np.stack([x for x, _ in val]), np.stack([y for _, y in val])
-    return domains, val_x, val_y, np.stack(pop)
+    val_x, val_y = (np.concatenate(a) for a in zip(*val))
+    return domains, val_x, val_y, np.concatenate(pop)
 
 
 def run_shared_head(cfg, seed):

@@ -154,12 +154,14 @@ class MultiScaleDomains:
 
     def batches(self, rng, steps, n):
         """Yield ``steps`` training batches of n rows per domain, each a
-        (D, n, dim, 1, 1) stack with (D, n) labels, drawn SLAB_STEPS steps
-        at a time.  The draws are those of steps x D ``sample_domain``
-        calls in the same order, so the batches are bit-identical."""
+        (D * n, dim, 1, 1) batch of D consecutive domain row blocks with
+        (D * n,) labels, drawn SLAB_STEPS steps at a time.  The draws are
+        those of steps x D ``sample_domain`` calls in the same order, so
+        each block is bit-identical to its call's rows."""
         for start in range(0, steps, SLAB_STEPS):
-            xs, ys = self._slab(rng, min(SLAB_STEPS, steps - start), n)
-            yield from zip(xs, ys)
+            k = min(SLAB_STEPS, steps - start)
+            xs, ys = self._slab(rng, k, n)
+            yield from zip(xs.reshape(k, -1, *xs.shape[3:]), ys.reshape(k, -1))
 
     def _slab(self, rng, steps, n):
         """(steps, D, n, dim, 1, 1) inputs and (steps, D, n) labels.  Per

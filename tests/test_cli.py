@@ -66,6 +66,18 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
     assert "stepz" in capsys.readouterr().err
 
 
+def test_shared_head_rejects_the_removed_pop_batches_key(tmp_path, capsys):
+    # no pass ever read it: shared_head's population statistics are the
+    # moments of all val_per_domain population rows of each domain
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"pop_batches": 32}))
+    code = main(["run", "shared_head", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "pop_batches" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_rejects_invalid_json(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{oops")
@@ -360,8 +372,7 @@ def test_check_grad_reports_every_layer_type_once(capsys):
     assert sorted(names) == sorted([
         "linear", "affine", "relu", "bn_train", "bn_frozen",
         "network_train", "network_frozen", "network_ghost",
-        "network_ghost_affine_rows", "bn_train_grouped",
-        "linear_grouped", "affine_grouped", "meanpool", "meanpool_grouped",
+        "network_ghost_affine_rows", "bn_train_grouped", "meanpool",
         "shared_head_shared", "shared_head_per_domain",
     ])
     assert all("ok" in l for l in lines)

@@ -76,9 +76,9 @@ def test_backward_returns_gradients_in_the_forward_input_layout(mode):
         BnLayer(6), Affine.identity(6), Relu(), Linear.init(rng, 6, 5),
         BnLayer(5), Affine.identity(5), Relu(), MeanPool(), Linear.init(rng, 5, 3),
     ]
-    # a (G, n, C, H, W) cohort stack as a Linear writes it: channels last
-    x, _ = Linear.init(rng, 4, 6).forward(rng.standard_normal((3, 2, 4, 2, 3)))
-    assert _stride_order(x) == [0, 1, 3, 4, 2]
+    # an (N, C, H, W) batch as a Linear writes it: channels last
+    x, _ = Linear.init(rng, 4, 6).forward(rng.standard_normal((6, 4, 2, 3)))
+    assert _stride_order(x) == [0, 2, 3, 1]
     inputs, caches = [], []
     for layer in layers:
         inputs.append(x)

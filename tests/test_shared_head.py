@@ -1,11 +1,13 @@
-"""The domain-stacked SharedHeadNet against the per-domain loop it replaces,
-and ``run_shared_head`` against one training per policy row.
+"""The flat SharedHeadNet against a per-domain loop, and ``run_shared_head``
+against one training per policy row.
 
-``ReferenceSharedHeadNet`` and ``_reference_step`` below run every layer
-once per domain and sum the domains' gradients one at a time, the way
-``shared_head`` trained before the domains were stacked.  Fed the same
-batches, the stacked network must end with bit-identical parameters,
-population statistics and validation error under every default policy.
+``ReferenceSharedHeadNet`` and ``_reference_step`` below normalize each
+domain's rows, and apply a per-domain affine to them, as separate arrays,
+one domain at a time; the linear layers, relu and loss run on the
+concatenated rows, as in the flat net.  Fed the same batches, the flat
+network, which takes the domains as row blocks of one batch, must end with
+bit-identical parameters, population statistics and validation error under
+every default policy.
 
 The runner trains one net per distinct (sgd_stats, affine) pair on one
 data stream; its rows must equal those of a loop that trains every row's
@@ -69,6 +71,10 @@ def _ref_bn_backward(xhat, inv, dy):
 
 
 class ReferenceSharedHeadNet:
+    """The linear layers, relu and loss run on the concatenated rows, as
+    the flat net's do; the normalization and a per-domain affine run one
+    domain at a time, each domain's rows a separate array."""
+
     def __init__(self, rng, dim, hidden, classes, n_domains, policy, eps=1e-5):
         self.policy = policy
         self.eps = eps
@@ -82,90 +88,88 @@ class ReferenceSharedHeadNet:
     def _affine_for(self, d):
         return self.affines[d if self.policy.affine == PER_DOMAIN else 0]
 
-    def forward_train(self, xs):
-        hs, l1_caches = [], []
-        for x in xs:
-            h, c = self.l1.forward(x)
-            hs.append(h)
-            l1_caches.append(c)
-        if self.policy.sgd_stats == SHARED:
-            stats_per_domain = [channel_moments(np.concatenate(hs, axis=0))] * len(xs)
-        else:
-            stats_per_domain = [channel_moments(h) for h in hs]
-        outs, caches = [], []
-        for d, (h, stats) in enumerate(zip(hs, stats_per_domain)):
-            inv = 1.0 / np.sqrt(stats.var + self.eps)
-            xhat = normalize(h, stats, self.eps)
-            a, ca = self._affine_for(d).forward(xhat)
-            r, cr = self.relu.forward(a)
-            logits, cl = self.l2.forward(r)
-            outs.append(logits[:, :, 0, 0])
-            caches.append({"xhat": xhat, "inv": inv, "affine": ca, "relu": cr,
-                           "l2": cl})
-        return outs, {"l1": l1_caches, "per_domain": caches,
-                      "sizes": [x.shape[0] for x in xs]}
+    def _split(self, h, sizes):
+        return np.split(h, np.cumsum(sizes)[:-1], axis=0)
 
-    def backward_train(self, caches, dlogits_list):
-        grads = {"l1": {k: np.zeros_like(getattr(self.l1, k))
-                        for k in self.l1.param_names},
-                 "l2": {k: np.zeros_like(getattr(self.l2, k))
-                        for k in self.l2.param_names},
-                 "affines": [{k: np.zeros_like(getattr(a, k))
-                              for k in a.param_names} for a in self.affines]}
-        dxhat_list = []
-        for d, (cache, dlog) in enumerate(zip(caches["per_domain"], dlogits_list)):
-            dr, gl2 = self.l2.backward(cache["l2"], dlog[:, :, None, None])
-            for k, v in gl2.items():
-                grads["l2"][k] += v
-            da = self.relu.backward(cache["relu"], dr)[0]
-            dxhat, gaff = self._affine_for(d).backward(cache["affine"], da)
-            a_idx = d if self.policy.affine == PER_DOMAIN else 0
-            for k, v in gaff.items():
-                grads["affines"][a_idx][k] += v
-            dxhat_list.append(dxhat)
+    def _normalized(self, hs, stats_per_domain):
+        """Each domain's normalized rows, concatenated, through the affine:
+        (affine output, per-domain (xhat, inv, affine cache))."""
+        outs, caches = [], []
+        for h, stats in zip(hs, stats_per_domain):
+            caches.append((normalize(h, stats, self.eps),
+                           1.0 / np.sqrt(stats.var + self.eps)))
+        if self.policy.affine == PER_DOMAIN:
+            for d, (xhat, _) in enumerate(caches):
+                a, ca = self._affine_for(d).forward(xhat)
+                outs.append(a)
+                caches[d] += (ca,)
+            return np.concatenate(outs), caches, None
+        a, ca = self.affines[0].forward(np.concatenate([c[0] for c in caches]))
+        return a, caches, ca
+
+    def forward_train(self, xs):
+        sizes = [len(x) for x in xs]
+        h, c1 = self.l1.forward(np.concatenate(xs))
+        hs = self._split(h, sizes)
         if self.policy.sgd_stats == SHARED:
-            dxhat = np.concatenate(dxhat_list, axis=0)
-            xhat = np.concatenate([c["xhat"] for c in caches["per_domain"]], axis=0)
-            dh = _ref_bn_backward(xhat, caches["per_domain"][0]["inv"], dxhat)
-            dhs = np.split(dh, np.cumsum(caches["sizes"])[:-1], axis=0)
+            stats_per_domain = [channel_moments(h)] * len(xs)
         else:
-            dhs = [_ref_bn_backward(c["xhat"], c["inv"], dx)
-                   for c, dx in zip(caches["per_domain"], dxhat_list)]
-        for c1, dh in zip(caches["l1"], dhs):
-            _, gl1 = self.l1.backward(c1, dh)
-            for k, v in gl1.items():
-                grads["l1"][k] += v
-        return grads
+            stats_per_domain = [channel_moments(hd) for hd in hs]
+        a, per_domain, ca = self._normalized(hs, stats_per_domain)
+        r, cr = self.relu.forward(a)
+        logits, cl = self.l2.forward(r)
+        return logits[:, :, 0, 0], {"l1": c1, "per_domain": per_domain,
+                                    "affine": ca, "relu": cr, "l2": cl,
+                                    "sizes": sizes}
+
+    def backward_train(self, caches, dlogits):
+        dr, gl2 = self.l2.backward(caches["l2"], dlogits[:, :, None, None])
+        da = self.relu.backward(caches["relu"], dr)[0]
+        per_domain, sizes = caches["per_domain"], caches["sizes"]
+        gaffs = []
+        if self.policy.affine == PER_DOMAIN:
+            dxhats = []
+            for d, (c, dad) in enumerate(zip(per_domain, self._split(da, sizes))):
+                dxhat, gaff = self._affine_for(d).backward(c[2], dad)
+                dxhats.append(dxhat)
+                gaffs.append(gaff)
+            dxhat = np.concatenate(dxhats)
+        else:
+            dxhat, gaff = self.affines[0].backward(caches["affine"], da)
+            gaffs.append(gaff)
+        if self.policy.sgd_stats == SHARED:
+            xhat = np.concatenate([c[0] for c in per_domain])
+            dh = _ref_bn_backward(xhat, per_domain[0][1], dxhat)
+        else:
+            dh = np.concatenate([
+                _ref_bn_backward(c[0], c[1], dx)
+                for c, dx in zip(per_domain, self._split(dxhat, sizes))])
+        _, gl1 = self.l1.backward(caches["l1"], dh)
+        return {"l1": gl1, "l2": gl2, "affines": gaffs}
 
     def train_population_stats(self, xs_by_domain):
-        hs = [self.l1.forward(x)[0] for x in xs_by_domain]
+        sizes = [len(x) for x in xs_by_domain]
+        h, _ = self.l1.forward(np.concatenate(xs_by_domain))
         if self.policy.pop_stats == SHARED:
-            self.pop_stats = channel_moments(np.concatenate(hs, axis=0))
+            self.pop_stats = channel_moments(h)
         else:
-            self.pop_stats = [channel_moments(h) for h in hs]
+            self.pop_stats = [channel_moments(hd) for hd in self._split(h, sizes)]
 
     def eval_error(self, xs, ys):
-        wrong = 0
-        total = 0
-        for d, (x, y) in enumerate(zip(xs, ys)):
-            h, _ = self.l1.forward(x)
-            stats = (self.pop_stats if isinstance(self.pop_stats, ChannelStats)
-                     else self.pop_stats[d])
-            a, _ = self._affine_for(d).forward(normalize(h, stats, self.eps))
-            r, _ = self.relu.forward(a)
-            logits, _ = self.l2.forward(r)
-            wrong += int((logits[:, :, 0, 0].argmax(axis=1) != y).sum())
-            total += len(y)
-        return wrong / total
+        sizes = [len(x) for x in xs]
+        h, _ = self.l1.forward(np.concatenate(xs))
+        stats = (self.pop_stats if isinstance(self.pop_stats, list)
+                 else [self.pop_stats] * len(xs))
+        a, _, _ = self._normalized(self._split(h, sizes), stats)
+        r, _ = self.relu.forward(a)
+        logits, _ = self.l2.forward(r)
+        y = np.concatenate(ys)
+        return int((logits[:, :, 0, 0].argmax(axis=1) != y).sum()) / len(y)
 
 
 def _reference_step(net, xs, ys, lr, momentum, velocity):
-    outs, caches = net.forward_train(xs)
-    total = sum(len(y) for y in ys)
-    dlogits = []
-    for logits, y in zip(outs, ys):
-        _, dl = softmax_cross_entropy(logits, y)
-        dlogits.append(dl * len(y) / total)
+    logits, caches = net.forward_train(xs)
+    _, dlogits = softmax_cross_entropy(logits, np.concatenate(ys))
     grads = net.backward_train(caches, dlogits)
     for obj, g in [(net.l1, grads["l1"]), (net.l2, grads["l2"])] + [
         (a, ga) for a, ga in zip(net.affines, grads["affines"])
@@ -196,13 +200,14 @@ def _train_pair(domains, row):
     for _ in range(STEPS):
         xs, ys = zip(*(domains.sample_domain(rng, d, CFG["domain_batch"])
                        for d in range(domains.n_domains)))
-        net.train_step(np.stack(xs), np.stack(ys), CFG["lr"], CFG["sgd_momentum"])
+        net.train_step(np.concatenate(xs), np.concatenate(ys), CFG["lr"],
+                       CFG["sgd_momentum"])
         _reference_step(ref, xs, ys, CFG["lr"], CFG["sgd_momentum"], velocity)
     return net, ref
 
 
 def _assert_stats_equal(a, b):
-    # the stacked net's (C,) or per-domain (D, C) statistics against the
+    # the flat net's (C,) or per-domain (D, C) statistics against the
     # reference's one ChannelStats or list of them
     if isinstance(b, ChannelStats):
         b = [b]
@@ -216,6 +221,7 @@ def _assert_stats_equal(a, b):
 
 @pytest.mark.parametrize("row", range(len(CFG["policies"])))
 def test_stacked_step_matches_per_domain_loop(domains, row):
+    # the domains stacked as row blocks of one batch, against the loop
     net, ref = _train_pair(domains, row)
     for layer, ref_layer in ((net.l1, ref.l1), (net.l2, ref.l2)):
         for k in layer.param_names:
@@ -225,18 +231,18 @@ def test_stacked_step_matches_per_domain_loop(domains, row):
         expected = (np.stack(ref_param) if net.policy.affine == PER_DOMAIN
                     else ref_param[0])
         assert np.array_equal(getattr(net.affine, k), expected), k
-    # the reference's population pass and evaluation run one domain at a
-    # time; the stacked net's run on the (D, n, C, 1, 1) domain stack
+    # the reference's population pass and evaluation normalize one domain
+    # at a time; the flat net views its batch's domain row blocks
     data_rng = np.random.default_rng(2)
     val = [domains.sample_domain(data_rng, d, VAL_ROWS)
            for d in range(domains.n_domains)]
     pop = [domains.sample_domain(data_rng, d, VAL_ROWS)[0]
            for d in range(domains.n_domains)]
-    stats = net.train_population_stats(np.stack(pop), net.policy.pop_stats)
+    stats = net.train_population_stats(np.concatenate(pop), net.policy.pop_stats)
     ref.train_population_stats(pop)
     _assert_stats_equal(stats, ref.pop_stats)
     xs, ys = zip(*val)
-    assert net.eval_error(np.stack(xs), np.stack(ys), stats) == \
+    assert net.eval_error(np.concatenate(xs), np.concatenate(ys), stats) == \
         ref.eval_error(xs, ys)
 
 

@@ -40,15 +40,18 @@ MEASURED_ON = "Python 3.11.7, numpy 2.4.6"
 # testing each layer's type per pass, the first three read 118, 152, 128.
 # At 77ee4a3, before a cohort became a view inside BnLayer and ghost and
 # shuffle steps ran the flat batch, ghost 2, ghost 8, ghost 32 and shuffle
-# 16 read 141, 141, 117 and 142.
+# 16 read 141, 141, 117 and 142.  At 801565d, before shared_head ran its
+# domains as row blocks of a flat batch and the layers and the loss lost
+# their stacked-input branches, the cases read 108, 125, 125, 113, 130, 66
+# (shared head, shared) and 63 (per domain).
 CALLS_PER_STEP = {
-    "ema_vs_precise": 108,
-    "nbs_sweep_ghost2": 125,
-    "nbs_sweep_ghost8": 125,
-    "nbs_sweep_ghost32": 113,
-    "nbs_sweep_shuffle16": 130,
-    "shared_head_shared": 66,
-    "shared_head_per_domain": 63,
+    "ema_vs_precise": 104,
+    "nbs_sweep_ghost2": 121,
+    "nbs_sweep_ghost8": 121,
+    "nbs_sweep_ghost32": 109,
+    "nbs_sweep_shuffle16": 126,
+    "shared_head_shared": 49,
+    "shared_head_per_domain": 57,
 }
 SLACK = 2
 
@@ -103,9 +106,9 @@ def _shared_head(policy):
                         d["classes"], domains, DomainPolicy(*[policy] * 3),
                         eps=d["eps"])
     rng = np.random.default_rng(1)
-    shape = (domains, d["domain_batch"])
-    x = rng.standard_normal((*shape, d["dim"], 1, 1))
-    y = rng.integers(0, d["classes"], shape)
+    rows = domains * d["domain_batch"]  # the domains' row blocks
+    x = rng.standard_normal((rows, d["dim"], 1, 1))
+    y = rng.integers(0, d["classes"], rows)
     return net.train_step, (x, y, d["lr"], d["sgd_momentum"])
 
 

@@ -89,11 +89,12 @@ def test_slab_batches_match_sequential_domain_draws():
     batches = list(domains.batches(slab_rng, steps, n))
     assert len(batches) == steps
     for x, y in batches:
-        assert x.shape == (3, n, 6, 1, 1) and y.shape == (3, n)
+        # the domains are consecutive row blocks of one batch
+        assert x.shape == (3 * n, 6, 1, 1) and y.shape == (3 * n,)
         for d in range(3):
             xd, yd = domains.sample_domain(seq_rng, d, n)
-            assert np.array_equal(x[d], xd)
-            assert np.array_equal(y[d], yd)
+            assert np.array_equal(x[d * n : (d + 1) * n], xd)
+            assert np.array_equal(y[d * n : (d + 1) * n], yd)
     assert slab_rng.bit_generator.state == seq_rng.bit_generator.state
 
 
