@@ -159,7 +159,11 @@ def cmd_check_grad(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command != "estimate" and args.seed < 0:
+        # numpy's generators take only seeds >= 0
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     if args.command == "run":
         return cmd_run(args)
     if args.command == "estimate":

@@ -9,7 +9,7 @@ entry of the ``LAYER_CASES`` table.
 import numpy as np
 
 from .batching import PER_DOMAIN, SHARED, DomainPolicy
-from .layer import BnLayer
+from .layer import BnLayer, BnMode
 from .net import Affine, Linear, MeanPool, Network, Relu, softmax_cross_entropy
 from .scenarios import SharedHeadNet
 from .tensor import ChannelStats
@@ -64,19 +64,16 @@ def _affine(rng):
     return Affine(rng.standard_normal(3), rng.standard_normal(3))
 
 
-def _frozen_bn(rng):
-    layer = BnLayer(3)
-    layer.freeze(ChannelStats(rng.standard_normal(3), rng.uniform(0.5, 2.0, 3), 8))
-    return layer
-
-
 # component -> (layer factory, input shape[, forward keywords])
 LAYER_CASES = {
     "linear": (lambda rng: Linear.init(rng, 4, 5), (6, 4, 1, 1)),
     "affine": (_affine, (4, 3, 2, 2)),
     "relu": (lambda rng: Relu(), (5, 3, 2, 2)),
     "bn_train": (lambda rng: BnLayer(3), (4, 3, 2, 2)),
-    "bn_frozen": (_frozen_bn, (4, 3, 2, 2)),
+    # FrozenBN: normalization by fixed statistics, constants to the backward
+    "bn_frozen": (lambda rng: BnLayer(3), (4, 3, 2, 2), {
+        "mode": BnMode.EVAL_POPULATION,
+        "stats": ChannelStats([0.3, -1.2, 0.8], [0.7, 1.9, 1.3], 8)}),
     # BN's view of cohorts of 4 rows, the last one ragged
     "bn_train_grouped": (lambda rng: BnLayer(3), (10, 3, 2, 2), {"cohort": 4}),
     "meanpool": (lambda rng: MeanPool(), (4, 3, 2, 3)),
@@ -84,11 +81,11 @@ LAYER_CASES = {
 
 
 def check_network(rng, frozen=False, n=6, cohort=None, affine_rows=None):
-    """Input and parameter gradients of a small Network on ``n`` rows, each
-    BN layer in its own mode: TRAIN_MINIBATCH (the moments of each
-    ``cohort`` rows, differentiated), or, once ``freeze()`` installed fixed
-    statistics, EVAL_POPULATION (constants); the affine has (C,) or
-    (affine_rows, C) parameters."""
+    """Input and parameter gradients of a small Network on ``n`` rows, its
+    BN layer normalizing by the moments of each ``cohort`` rows
+    (differentiated), or, if ``frozen``, by fixed statistics passed to
+    each forward (constants); the affine has (C,) or (affine_rows, C)
+    parameters."""
     shape = (5,) if affine_rows is None else (affine_rows, 5)
     net = Network([
         Linear.init(rng, 4, 5),
@@ -97,18 +94,17 @@ def check_network(rng, frozen=False, n=6, cohort=None, affine_rows=None):
         Relu(),
         Linear.init(rng, 5, 3),
     ])
-    if frozen:
-        net.layers[1].freeze(
-            ChannelStats(rng.standard_normal(5), rng.uniform(0.5, 2.0, 5), 8))
+    stats = ({1: ChannelStats(rng.standard_normal(5), rng.uniform(0.5, 2.0, 5), 8)}
+             if frozen else None)
     x = rng.standard_normal((n, 4, 1, 1))
     labels = rng.integers(0, 3, size=n)
 
     def loss_of(xv):
-        logits, _ = net.forward(xv, cohort=cohort)
+        logits, _ = net.forward(xv, stats=stats, cohort=cohort)
         loss, _ = softmax_cross_entropy(logits, labels)
         return loss
 
-    logits, caches = net.forward(x, cohort=cohort)
+    logits, caches = net.forward(x, stats=stats, cohort=cohort)
     _, dlogits = softmax_cross_entropy(logits, labels)
     dx, grads = net.backward(caches, dlogits)
     errs = [relative_error(dx, numerical_gradient(loss_of, x.copy()))]

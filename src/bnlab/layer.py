@@ -52,9 +52,9 @@ class BnLayer:
     TRAIN_MINIBATCH normalizes by the batch's own moments and advances the
     EMA; EVAL_MINIBATCH does the same without touching the EMA (a precise
     re-estimation pass).  EVAL_POPULATION normalizes by fixed statistics:
-    the ``stats`` given to the forward, else the statistics ``freeze``
-    installed (``pop``), else the EMA.  FrozenBN is EVAL_POPULATION as the
-    layer's own mode in training (see ``freeze``).
+    the ``stats`` given to the forward, else the EMA.  The layer holds only
+    its shape, ``eps`` and EMA: FrozenBN is EVAL_POPULATION by statistics
+    the caller passes in training too (``train(..., stats=)``).
 
     A normalization cohort is a view that only this layer takes: the batch
     modes view the whole cohorts of an (N, C, H, W) batch as
@@ -69,37 +69,21 @@ class BnLayer:
         self.channels = channels
         self.eps = eps
         self.ema = EmaState.initial(channels, momentum)
-        self.pop = None
-        self.mode = BnMode.TRAIN_MINIBATCH
 
     param_names = ()
 
-    def eval_stats(self) -> ChannelStats:
-        if self.pop is not None:
-            return self.pop
-        return self.ema.as_channel_stats()
-
-    def freeze(self, stats: ChannelStats | None = None) -> None:
-        """Install ``stats`` (default: the current eval stats) as the
-        population statistics and normalize by them from now on, in
-        training too."""
-        self.pop = stats if stats is not None else self.eval_stats()
-        self.mode = BnMode.EVAL_POPULATION
-
-    def forward(self, x, mode: BnMode | None = None,
+    def forward(self, x, mode: BnMode = BnMode.TRAIN_MINIBATCH,
                 stats: ChannelStats | None = None, cohort: int | None = None):
-        """Returns (y, cache).  ``mode`` defaults to the layer's own mode;
-        ``stats`` are the fixed statistics of an EVAL_POPULATION forward,
-        which ignores ``cohort``.  ``x`` is an array of float64, as
-        ``Network.forward`` passes it.  Raises EmptyBatch on n == 0 before
-        any side effect, so the EMA is left bit-identical.  The EMA steps
-        once per cohort, in order."""
-        mode = self.mode if mode is None else mode
+        """Returns (y, cache).  ``stats`` are the fixed statistics of an
+        EVAL_POPULATION forward (default: the EMA's), which ignores
+        ``cohort``.  ``x`` is an array of float64, as ``Network.forward``
+        passes it.  Raises EmptyBatch on n == 0 before any side effect, so
+        the EMA is left bit-identical.  The EMA steps once per cohort, in
+        order."""
         if x.shape[-3] != self.channels:
             raise ShapeMismatch(f"expected {self.channels} channels, got {x.shape[-3]}")
         if mode is BnMode.EVAL_POPULATION:
-            if stats is None:
-                stats = self.eval_stats()
+            stats = self.ema.as_channel_stats() if stats is None else stats
             # a backward derives the inverse std from the stats
             return normalize(x, stats, self.eps), BnCache(
                 x_hat=None, inv_std=None, moments=None, stats=stats)

@@ -217,17 +217,17 @@ class Network:
             names.append(f"{kind}{k}")
         return names
 
-    def forward(self, x, *, mode=None, stats=None, moment_sinks=None,
-                cohort=None):
+    def forward(self, x, *, mode=BnMode.TRAIN_MINIBATCH, stats=None,
+                moment_sinks=None, cohort=None):
         """Run an (N, C, H, W) batch to its (N, K) logits.  Each BN layer
-        runs in ``mode``, or in its own mode when ``mode`` is None, except
-        the layers in ``stats``, a dict {layer index: ChannelStats}: those
-        normalize by the given statistics as EVAL_POPULATION, without
-        touching layer state.  In the batch-statistics modes each
-        ``cohort`` rows (the last cohort ragged) share their moments, in
-        the BN layers' view.  ``moment_sinks`` maps layer index -> a list;
-        the pass appends the layer's batch moments to it, (G, C) for the
-        whole cohorts and then (C,) for a ragged last one.
+        runs in ``mode``, except the layers in ``stats``, a dict
+        {layer index: ChannelStats}: those normalize by the given
+        statistics as EVAL_POPULATION, without touching layer state.  In
+        the batch-statistics modes each ``cohort`` rows (the last cohort
+        ragged) share their moments, in the BN layers' view.
+        ``moment_sinks`` maps layer index -> a list; the pass appends the
+        layer's batch moments to it, (G, C) for the whole cohorts and then
+        (C,) for a ragged last one.
         """
         if not (type(x) is np.ndarray and x.dtype == np.float64
                 and x.ndim == 4):
@@ -353,11 +353,12 @@ class Momentum:
         self.params -= lr * self.velocity
 
 
-def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer):
+def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer, stats=None):
     """One SGD update: one forward and backward pass of the whole batch,
     in which each ``plan.sub_batch`` rows share BN statistics, in batch
     order (ghost) or in the order of ``cohort_indices``' fresh permutation
-    (shuffle, gathered once); its gradients step the ``Momentum``
+    (shuffle, gathered once), except the BN layers in ``stats``, frozen to
+    those constants (FrozenBN); its gradients step the ``Momentum``
     optimizer.  Returns the mean training loss of the batch.
     """
     cohort = None
@@ -366,8 +367,7 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer):
         if plan.strategy == "shuffle":
             rows = np.concatenate(cohort_indices(plan, x.shape[0], rng))
             x, labels = x[rows], labels[rows]
-    # each BN layer's own mode: EVAL_POPULATION once frozen
-    logits, caches = net.forward(x, cohort=cohort)
+    logits, caches = net.forward(x, stats=stats, cohort=cohort)
     loss, dlogits = softmax_cross_entropy(logits, labels)
     _, grads = net.backward(caches, dlogits, input_grad=False)
     optimizer.step(grads, cfg.lr_at(step), cfg.momentum)
@@ -384,9 +384,10 @@ def diverged(step, loss, what=None):
 
 
 def train(net, batch_fn, cfg: SgdConfig, plan: NormBatchPlan | None = None,
-          callback=None):
+          callback=None, stats=None):
     """Run momentum SGD.  ``batch_fn(rng, batch_size)`` yields each logical
     batch; ``callback(step, net)`` (if given) is invoked after every step.
+    The BN layers in ``stats`` are frozen in every step (see ``sgd_step``).
     The parameters are views into a new ``Momentum`` buffer from here on.
     Returns the trained network (mutated in place).  Raises ``Diverged``
     at the first step whose loss is NaN or above LOSS_BOUND."""
@@ -394,7 +395,7 @@ def train(net, batch_fn, cfg: SgdConfig, plan: NormBatchPlan | None = None,
     optimizer = Momentum(net.layers)
     for step in range(cfg.steps):
         x, labels = batch_fn(rng, cfg.batch_size)
-        loss = sgd_step(net, x, labels, cfg, step, plan, rng, optimizer)
+        loss = sgd_step(net, x, labels, cfg, step, plan, rng, optimizer, stats)
         if not loss <= LOSS_BOUND:
             raise diverged(step, loss)
         if callback is not None:
@@ -413,9 +414,9 @@ def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
     """Top-1 error of the network on (x, labels).
 
     With no ``plan`` every BN layer normalizes by population statistics,
-    ``stats`` ({layer index: ChannelStats}) where given, else its installed
-    ones.  With a plan each cohort (a shuffle's drawn from ``rng``)
-    normalizes by its own moments (EVAL_MINIBATCH).  The rows run in
+    ``stats`` ({layer index: ChannelStats}) where given, else its EMA's.
+    With a plan each cohort (a shuffle's drawn from ``rng``) normalizes by
+    its own moments (EVAL_MINIBATCH).  The rows run in
     ``chunk_rows`` chunks of whole cohorts.
     """
     x = as_tensor4(x)

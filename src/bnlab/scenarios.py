@@ -24,7 +24,7 @@ import numpy as np
 from .batching import PER_DOMAIN, SHARED, DomainPolicy, NormBatchPlan
 from .errors import BnLabError, ConfigError, InvalidParams
 from .io import Range
-from .layer import BnLayer, BnMode, batch_stats_backward, batch_stats_forward
+from .layer import BnLayer, batch_stats_backward, batch_stats_forward
 from .net import (
     LOSS_BOUND,
     Affine,
@@ -74,19 +74,15 @@ class ScenarioRun:
                 node = node.setdefault(k, {})
             node[key[-1]] = value
 
-    def checkpoint(self, net, stats=None):
-        """Snapshot every parameter and every BN layer's statistics: a
-        frozen layer's own, else the precise ``stats[i]`` given for layer
-        ``i``, else its EMA.  The net is left as it was."""
+    def checkpoint(self, net, stats=None, source="precise"):
+        """Snapshot every parameter and every BN layer's statistics: the
+        ``stats[i]`` given for layer ``i``, labelled ``source``, else its
+        EMA.  The net is left as it was."""
         self.stats_checkpoint, self.params_checkpoint = {}, {}
         for i, (name, layer) in enumerate(zip(net.layer_names(), net.layers)):
             if isinstance(layer, BnLayer):
-                if layer.mode is BnMode.EVAL_POPULATION:
-                    src, s = "frozen", layer.eval_stats()
-                elif i in (stats or {}):
-                    src, s = "precise", stats[i]
-                else:
-                    src, s = "ema", layer.ema.as_channel_stats()
+                src, s = ((source, stats[i]) if i in (stats or {})
+                          else ("ema", layer.ema.as_channel_stats()))
                 self.stats_checkpoint[name] = {
                     "mean": list(s.mean),
                     "var": list(s.var),
@@ -434,13 +430,12 @@ def run_frozen_finetune(cfg, seed):
     err_control = classification_error(
         control, x_val, y_val, stats=precise_bn(control, x_pop, cfg["nbs"]))
 
-    snap = precise_bn(net, x_pop, cfg["nbs"])
-    for i in net.bn_indices:
-        net.layers[i].freeze(snap[i])
-    # each layer now normalizes by its frozen statistics in training too;
+    # every BN layer normalizes by these frozen statistics in training too;
     # the plan is irrelevant to stats
+    snap = precise_bn(net, x_pop, cfg["nbs"])
     train(net, batches, sgd_config(cfg, seed, 5, steps=rest,
-                                   warmup_steps=cfg["warmup_steps"]), plan=plan)
+                                   warmup_steps=cfg["warmup_steps"]),
+          plan=plan, stats=snap)
     # evaluated with the frozen statistics as its population statistics
     err_frozen = classification_error(net, x_val, y_val, stats=snap)
 
@@ -448,7 +443,7 @@ def run_frozen_finetune(cfg, seed):
             key=("frozen_finetune",))
     run.log(run_id, cfg["steps"], "val", "population", "error", err_control,
             key=("unfrozen_population",))
-    run.checkpoint(net)
+    run.checkpoint(net, snap, source="frozen")
     return run
 
 
@@ -811,6 +806,16 @@ def check_ranges(cfg):
         if any(cfg[k] % nbs for k in ("batch_size", "train_eval_size", "val_size")):
             raise ConfigError(f"nbs_list[{i}] must be a divisor of batch_size, "
                               "train_eval_size and val_size")
+    # a repeated sweep entry reruns an arm and repeats its metrics.csv keys;
+    # ema_vs_precise runs each precise_b_sweep entry capped at precise_n
+    for key in ("nbs_list", "subset_sizes", "precise_b_sweep"):
+        runs = cfg[key] if key in cfg else ()
+        if runs and key == "precise_b_sweep":
+            runs = [min(b, cfg["precise_n"]) for b in runs]
+        for i, v in enumerate(runs):
+            if v in runs[:i]:
+                raise ConfigError(f"{key}[{i}] must be distinct from {key}"
+                                  f"[{runs.index(v)}] (both run as {v})")
     # every cut of the training rows must fit in them: train_eval_size and
     # precise_n rows from the front, and two disjoint subsets of each
     # subset_sizes entry; leakage's rows are its clusters' copies, and it

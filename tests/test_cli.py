@@ -169,6 +169,15 @@ BAD_NUMBERS = [
     ("shared_head",
      '{"domains": [{"scale": 1.0, "shift": 0, "noise": -1.0, "mix": true}]}',
      "domains[0].noise"),
+    # a repeated sweep entry trained or measured its arm twice and wrote
+    # its metrics.csv keys twice; precise_b_sweep entries run capped at
+    # precise_n (1024), so 1024 and 4096 are one entry
+    ("nbs_sweep", '{"nbs_list": [2, 2]}', "nbs_list[1]"),
+    ("nbs_sweep", '{"nbs_list": [2, 8, 2]}', "nbs_list[2]"),
+    ("ema_vs_precise", '{"subset_sizes": [32, 32]}', "subset_sizes[1]"),
+    ("ema_vs_precise", '{"precise_b_sweep": [8, 8]}', "precise_b_sweep[1]"),
+    ("ema_vs_precise", '{"precise_b_sweep": [1024, 4096]}',
+     "precise_b_sweep[1]"),
 ]
 
 
@@ -187,6 +196,22 @@ def test_run_rejects_bad_numbers_before_any_work(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert f"error: {key} must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "nbs_sweep"], ["check-grad"]],
+                         ids=["run", "check-grad"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # numpy's generators take only seeds >= 0; a negative one crashed in
+    # the first draw with a traceback and exit 1
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert [l for l in err.splitlines() if "error" in l] == [
+        "bnlab: error: argument --seed: must be >= 0, got -1"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_diverged_is_runtime_error_and_writes_nothing(tmp_path, capsys):

@@ -83,9 +83,8 @@ class _LoopBn(BnLayer):
     per cohort, each stepping the EMA once: the reference for BnLayer's
     (G, n) view of the batch."""
 
-    def forward(self, x, mode=None, stats=None, cohort=None):
-        if (cohort is None or stats is not None
-                or (mode or self.mode) is BnMode.EVAL_POPULATION):
+    def forward(self, x, mode=BnMode.TRAIN_MINIBATCH, stats=None, cohort=None):
+        if cohort is None or mode is BnMode.EVAL_POPULATION:
             return super().forward(x, mode, stats)
         y = np.empty_like(x)
         caches = []
@@ -119,7 +118,7 @@ def _ref_accumulate(total, grads):
                 total[i][k] += v
 
 
-def _ref_sgd_step(net, x, labels, cfg, step, plan, rng, velocity):
+def _ref_sgd_step(net, x, labels, cfg, step, plan, rng, velocity, stats=None):
     n = x.shape[0]
     cohorts = (
         cohort_indices(plan, n, rng) if plan is not None else [np.arange(n)]
@@ -127,7 +126,7 @@ def _ref_sgd_step(net, x, labels, cfg, step, plan, rng, velocity):
     totals = [None] * len(net.layers)
     loss_sum = 0.0
     for idx in cohorts:
-        logits, caches = net.forward(x[idx])
+        logits, caches = net.forward(x[idx], stats=stats)
         loss_c, dlogits = softmax_cross_entropy(logits, labels[idx])
         loss_sum += loss_c * len(idx)
         _, grads = net.backward(caches, dlogits * (len(idx) / n))
@@ -146,12 +145,12 @@ def _ref_sgd_step(net, x, labels, cfg, step, plan, rng, velocity):
     return loss_sum / n
 
 
-def _ref_train(net, batch_fn, cfg, plan):
+def _ref_train(net, batch_fn, cfg, plan, stats=None):
     rng = np.random.default_rng(cfg.seed)
     velocity = {}
     for step in range(cfg.steps):
         x, labels = batch_fn(rng, cfg.batch_size)
-        _ref_sgd_step(net, x, labels, cfg, step, plan, rng, velocity)
+        _ref_sgd_step(net, x, labels, cfg, step, plan, rng, velocity, stats)
     return net
 
 
@@ -255,19 +254,17 @@ def test_grouped_training_matches_per_cohort_loop(name):
     assert not np.array_equal(grouped.layers[0].weight, _net().layers[0].weight)
 
 
-def _frozen(net):
-    net.layers[1].freeze(ChannelStats(np.full(HIDDEN, 0.5),
-                                      np.full(HIDDEN, 2.0), 64))
-    return net
+# the first BN layer frozen (FrozenBN), the second normalizing by cohorts
+FROZEN = {1: ChannelStats(np.full(HIDDEN, 0.5), np.full(HIDDEN, 2.0), 64)}
 
 
 def test_grouped_training_with_a_frozen_layer_matches_per_cohort_loop():
     cfg = SgdConfig(lr=0.05, steps=60, batch_size=32, seed=4)
     plan = NormBatchPlan(strategy="ghost", sub_batch=8)
-    net = train(_frozen(_net()), _batch_fn, cfg, plan=plan)
-    _assert_same_network(net, train(_frozen(_loop_net()), _batch_fn, cfg,
-                                    plan=plan))
-    _assert_same_network(net, _ref_train(_frozen(_net()), _batch_fn, cfg, plan),
+    net = train(_net(), _batch_fn, cfg, plan=plan, stats=FROZEN)
+    _assert_same_network(net, train(_loop_net(), _batch_fn, cfg, plan=plan,
+                                    stats=FROZEN))
+    _assert_same_network(net, _ref_train(_net(), _batch_fn, cfg, plan, FROZEN),
                          rtol=1e-12)
     assert net.layers[1].ema.update_count == 0
 
@@ -278,12 +275,11 @@ def test_a_frozen_net_trains_alike_under_any_plan():
     nets = []
     for plan in (NormBatchPlan(strategy="ghost", sub_batch=8), None):
         net = _net()
-        for i, s in zip(net.bn_indices, (0.5, 0.25)):
-            net.layers[i].freeze(ChannelStats(np.full(HIDDEN, s),
-                                              np.full(HIDDEN, 2.0), 64))
+        stats = {i: ChannelStats(np.full(HIDDEN, s), np.full(HIDDEN, 2.0), 64)
+                 for i, s in zip(net.bn_indices, (0.5, 0.25))}
         nets.append(train(net, _batch_fn, SgdConfig(lr=0.05, steps=60,
                                                     batch_size=32, seed=4),
-                          plan=plan))
+                          plan=plan, stats=stats))
     _assert_same_network(*nets, exact_ema=True)
     assert not np.array_equal(nets[0].layers[0].weight, _net().layers[0].weight)
 
@@ -358,9 +354,9 @@ def test_train_freeze_train_matches_per_cohort_loop():
     for net, run in zip(nets, (train, train, _ref_train)):
         run(net, _batch_fn, SgdConfig(lr=0.05, steps=20, batch_size=32,
                                       seed=7), plan)
-        _frozen(net)
         run(net, _batch_fn, SgdConfig(lr=0.05, steps=20, batch_size=32,
-                                      seed=8, warmup_steps=5), plan)
+                                      seed=8, warmup_steps=5), plan,
+            stats=FROZEN)
     _assert_same_network(nets[0], nets[1])
     _assert_same_network(nets[0], nets[2], rtol=1e-12)
 

@@ -1,5 +1,5 @@
-"""The normalization layer: mode selection, EMA side effects, freezing,
-cache discipline, and the frozen-affine fusion toy."""
+"""The normalization layer: mode selection, EMA side effects, fixed
+(frozen) statistics, cache discipline, and the frozen-affine fusion toy."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from bnlab.layer import (
     batch_stats_forward,
     fusion_finetune_demo,
 )
-from bnlab.net import MeanPool, Network
+from bnlab.net import Linear, MeanPool, Network, SgdConfig, train
 from bnlab.tensor import SAMPLE_AXES, ChannelStats, channel_moments, normalize
 
 
@@ -48,45 +48,56 @@ def test_eval_modes_leave_ema_alone():
     assert layer.ema is before
 
 
-def test_eval_population_prefers_explicit_pop_stats():
-    rng = np.random.default_rng(2)
-    layer = BnLayer(3, eps=1e-5)
-    x = _x(rng)
-    y_ema, _ = layer.forward(x, mode=BnMode.EVAL_POPULATION)
-    layer.pop = ChannelStats(np.full(3, 5.0), np.full(3, 4.0), 99)
-    y_pop, _ = layer.forward(x, mode=BnMode.EVAL_POPULATION)
-    assert np.abs(y_ema - y_pop).max() > 0.1
-    np.testing.assert_allclose(y_pop, (x - 5.0) / np.sqrt(4.0 + 1e-5))
-
-
 def test_given_stats_bypass_layer_state():
     rng = np.random.default_rng(3)
     layer = BnLayer(3, eps=1e-5)
+    before = dict(vars(layer))
     override = ChannelStats(np.ones(3), np.ones(3), 7)
     x = _x(rng)
     y, _ = layer.forward(x, mode=BnMode.EVAL_POPULATION, stats=override)
     np.testing.assert_allclose(y, (x - 1.0) / np.sqrt(1.0 + 1e-5))
-    assert layer.pop is None
+    assert vars(layer).keys() == before.keys()
+    assert all(vars(layer)[k] is v for k, v in before.items())
 
 
 def test_frozen_uses_its_snapshot():
+    # FrozenBN is a population forward by statistics the caller passes
     rng = np.random.default_rng(4)
     layer = BnLayer(3)
     snap = ChannelStats(np.zeros(3), np.full(3, 2.0), 16)
-    layer.freeze(snap)
-    assert layer.mode is BnMode.EVAL_POPULATION
-    assert layer.pop is snap
     x = _x(rng)
-    y, _ = layer.forward(x)
+    y, cache = layer.forward(x, mode=BnMode.EVAL_POPULATION, stats=snap)
+    assert cache.stats is snap
     np.testing.assert_allclose(y, x / np.sqrt(2.0 + layer.eps))
 
 
-def test_freeze_defaults_to_current_eval_stats():
-    layer = BnLayer(2)
-    pop = layer.pop = ChannelStats(np.ones(2), np.full(2, 3.0), 8)
-    layer.freeze()
-    assert layer.mode is BnMode.EVAL_POPULATION
-    assert layer.pop is pop
+def test_population_forward_defaults_to_the_ema():
+    rng = np.random.default_rng(2)
+    layer = BnLayer(3, momentum=0.5)
+    layer.forward(_x(rng))  # moves the EMA off its initial state
+    x = _x(rng)
+    y, _ = layer.forward(x, mode=BnMode.EVAL_POPULATION)
+    ema = layer.ema.as_channel_stats()
+    np.testing.assert_array_equal(y, normalize(x, ema, layer.eps))
+
+
+def test_the_layer_holds_only_its_shape_eps_and_ema():
+    # no policy: a frozen layer is one whose statistics training is given
+    rng = np.random.default_rng(16)
+    keys = {"channels", "eps", "ema"}
+    layer = BnLayer(3)
+    assert vars(layer).keys() == keys
+    snap = ChannelStats(np.zeros(3), np.full(3, 2.0), 16)
+    layer.forward(_x(rng), mode=BnMode.EVAL_POPULATION, stats=snap)
+    assert vars(layer).keys() == keys
+    net = Network([Linear.init(rng, 2, 3), layer, MeanPool(), Linear.init(rng, 3, 2)])
+
+    def batch_fn(r, size):
+        return r.standard_normal((size, 2, 2, 2)), r.integers(0, 2, size)
+
+    train(net, batch_fn, SgdConfig(lr=0.05, steps=3, batch_size=8), stats={1: snap})
+    assert vars(layer).keys() == keys
+    assert layer.ema.update_count == 0
 
 
 def test_cache_single_use():
@@ -102,9 +113,9 @@ def test_cache_single_use():
 def test_frozen_backward_is_constant_scale():
     rng = np.random.default_rng(6)
     layer = BnLayer(3)
-    layer.freeze(ChannelStats(np.zeros(3), np.array([1.0, 4.0, 9.0]), 8))
     x = _x(rng)
-    _, cache = layer.forward(x)
+    _, cache = layer.forward(x, mode=BnMode.EVAL_POPULATION, stats=ChannelStats(
+        np.zeros(3), np.array([1.0, 4.0, 9.0]), 8))
     dy = rng.standard_normal(x.shape)
     dx, _ = layer.backward(cache, dy)
     inv = 1.0 / np.sqrt(np.array([1.0, 4.0, 9.0]) + layer.eps)
@@ -119,10 +130,9 @@ def test_population_forward_and_frozen_backward_have_the_bits_of_their_expressio
     rng = np.random.default_rng(14)
     stats = ChannelStats(rng.standard_normal(3), 0.5 + rng.random(3), 8)
     layer = BnLayer(3)
-    layer.freeze(stats)
     x = _in_layout(1.0 + 3.0 * rng.standard_normal(shape), layout)
     dy = _in_layout(rng.standard_normal(shape), layout)
-    y, cache = layer.forward(x)
+    y, cache = layer.forward(x, mode=BnMode.EVAL_POPULATION, stats=stats)
     dx, _ = layer.backward(cache, dy)
     # the expressions the inverse std is computed by, once in each pass
     inv = (1.0 / np.sqrt(stats.var + layer.eps))[:, None, None]

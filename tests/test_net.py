@@ -207,14 +207,14 @@ def test_train_respects_frozen_layers():
     rng = np.random.default_rng(8)
     net = _net(rng)
     snap = ChannelStats(np.zeros(6), np.ones(6), 16)
-    net.layers[1].freeze(snap)
+    ema = net.layers[1].ema
 
     def batch_fn(r, size):
         return r.standard_normal((size, 4, 1, 1)), r.integers(0, 3, size)
 
     cfg = SgdConfig(lr=0.05, steps=5, batch_size=8, seed=1)
-    train(net, batch_fn, cfg)
-    assert net.layers[1].pop is snap
+    train(net, batch_fn, cfg, stats={1: snap})
+    assert net.layers[1].ema is ema
     assert net.layers[1].ema.update_count == 0  # frozen mode never updates EMA
 
 

