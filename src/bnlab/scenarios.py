@@ -648,34 +648,33 @@ def shared_head_data(cfg, seed):
 def run_shared_head(cfg, seed):
     run = ScenarioRun("shared_head")
     domains, val_x, val_y, pop_x = shared_head_data(cfg, seed)
-    # one net per distinct (sgd_stats, affine) pair, in first-appearance
+    # one arm per distinct (sgd_stats, affine) pair, in first-appearance
     # order: the rows of a pair differ only in their population statistics,
-    # which training never reads.  Every net steps on each batch of one
-    # stream (row 1's), so all train on the same data.
+    # which training never reads
     policies = [DomainPolicy(*p) for p in cfg["policies"]]
-    nets = {}
-    for policy in policies:
-        pair = (policy.sgd_stats, policy.affine)
-        if pair not in nets:
-            nets[pair] = SharedHeadNet(np.random.default_rng(_seed(seed, 3)),
-                                       cfg["dim"], cfg["hidden"], cfg["classes"],
-                                       domains.n_domains, policy,
-                                       eps=cfg["eps"])
-    rng = np.random.default_rng(_seed(seed, 10))
-    for step, (x, y) in enumerate(domains.batches(rng, cfg["steps"],
-                                                  cfg["domain_batch"])):
-        for (sgd_s, aff_s), net in nets.items():
+
+    def arm(pair):  # one training; only its rows' errors go back
+        rows = [r for r, p in enumerate(policies) if (p.sgd_stats, p.affine) == pair]
+        net = SharedHeadNet(np.random.default_rng(_seed(seed, 3)), cfg["dim"],
+                            cfg["hidden"], cfg["classes"], domains.n_domains,
+                            policies[rows[0]], eps=cfg["eps"])
+        # each arm draws row 1's stream itself, so all train on the same data
+        rng = np.random.default_rng(_seed(seed, 10))
+        for step, (x, y) in enumerate(domains.batches(rng, cfg["steps"],
+                                                      cfg["domain_batch"])):
             loss = net.train_step(x, y, cfg["lr"], cfg["sgd_momentum"])
             if not loss <= LOSS_BOUND:
-                raise diverged(step, loss, f"sgd_stats={sgd_s}, affine={aff_s}")
-    for row, policy in enumerate(policies):
-        net = nets[policy.sgd_stats, policy.affine]
-        stats = net.train_population_stats(pop_x, policy.pop_stats)
+                raise diverged(step, loss, "sgd_stats={}, affine={}".format(*pair))
+        return {r: net.eval_error(val_x, val_y, net.train_population_stats(
+            pop_x, policies[r].pop_stats)) for r in rows}
+
+    pairs = dict.fromkeys((p.sgd_stats, p.affine) for p in policies)
+    errors = {r: e for arm_errors in fan_out(arm, pairs) for r, e in arm_errors.items()}
+    for row, policy in enumerate(policies):  # in row order, not arm order
         run.summary[f"row{row + 1}"] = {
             "policy": [policy.sgd_stats, policy.pop_stats, policy.affine]}
         run.log(f"shared_head-row{row + 1}-s{seed}", cfg["steps"], "val",
-                "population", "error", net.eval_error(val_x, val_y, stats),
-                key=(f"row{row + 1}", "error"))
+                "population", "error", errors[row], key=(f"row{row + 1}", "error"))
     return run
 
 

@@ -1,5 +1,5 @@
 """``scenarios.fan_out``: the items' results in item order, on forked
-workers or serially, with the serial loop's first exception; and the two
+workers or serially, with the serial loop's first exception; and the three
 runners that use it write the same bytes either way."""
 
 import json
@@ -15,7 +15,8 @@ from bnlab.cli import main
 from bnlab.errors import BnLabError, Diverged
 from bnlab.scenarios import fan_out
 
-from test_scenarios import TINY
+from test_scenarios import TINY, tiny_config
+from test_shared_head import _row_by_row
 
 
 @pytest.fixture
@@ -135,7 +136,7 @@ def test_an_interrupted_parent_terminates_its_workers(cores):
     assert time.monotonic() - start < 10
 
 
-@pytest.mark.parametrize("scenario", ["nbs_sweep", "leakage"])
+@pytest.mark.parametrize("scenario", ["nbs_sweep", "leakage", "shared_head"])
 def test_runners_write_the_same_bytes_serially_and_fanned_out(
         cores, tmp_path, scenario):
     config = tmp_path / "tiny.json"
@@ -153,6 +154,8 @@ def test_runners_write_the_same_bytes_serially_and_fanned_out(
 @pytest.mark.parametrize("scenario, arms", [
     ("nbs_sweep", [2, 8]),
     ("leakage", ["crafted", "ghost_fix", "shuffle_fix", "sync_fix", "control"]),
+    ("shared_head", [("shared", "shared"), ("per_domain", "shared"),
+                     ("per_domain", "per_domain")]),
 ])
 def test_runners_fan_out_one_arm_each(cores, monkeypatch, scenario, arms):
     seen = []
@@ -163,3 +166,18 @@ def test_runners_fan_out_one_arm_each(cores, monkeypatch, scenario, arms):
     runner, defaults = scenarios.SCENARIOS[scenario]
     runner(io.validate_config(defaults, TINY[scenario]), 0)
     assert seen == [arms]
+
+
+def test_shared_head_logs_rows_in_row_order(cores):
+    # the pairs are not contiguous: rows 1 and 3 train in the first arm,
+    # (per_domain, per_domain), and rows 2 and 4 in the worker's,
+    # (shared, shared)
+    cfg = tiny_config("shared_head")
+    cfg["policies"] = [["per_domain", "shared", "per_domain"],
+                       ["shared", "shared", "shared"],
+                       ["per_domain", "per_domain", "per_domain"],
+                       ["shared", "per_domain", "shared"]]
+    cores(2)
+    run = scenarios.run_shared_head(cfg, 0)
+    assert [row[0] for row in run.rows] == [f"shared_head-row{r}-s0" for r in (1, 2, 3, 4)]
+    assert [row[-1] for row in run.rows] == _row_by_row(cfg, 0)

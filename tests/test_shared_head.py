@@ -9,12 +9,14 @@ network, which takes the domains as row blocks of one batch, must end with
 bit-identical parameters, population statistics and validation error under
 every default policy.
 
-The runner trains one net per distinct (sgd_stats, affine) pair on one
-data stream; its rows must equal those of a loop that trains every row's
-net on its own copy of that stream.
+The runner trains one net per distinct (sgd_stats, affine) pair, each arm
+on its own draw of row 1's stream; its rows must equal those of a loop that
+trains every row's net on its own copy of that stream.
 """
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -288,6 +290,8 @@ def test_runner_rows_equal_one_training_per_row(seed):
 
 
 def test_runner_trains_once_per_sgd_side_pair(monkeypatch):
+    # on one core every arm trains in this process, where the spy sees it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     cfg = tiny_config("shared_head")
     # the six default rows hold three (sgd_stats, affine) pairs
     assert len({(p[0], p[2]) for p in cfg["policies"]}) == 3
@@ -304,10 +308,20 @@ def test_runner_trains_once_per_sgd_side_pair(monkeypatch):
     assert len(set(map(id, calls))) == 3
 
 
-def test_divergence_names_the_pair():
+@pytest.mark.parametrize("lr, policies, named", [
+    (1e3, [["per_domain", "shared", "per_domain"]],
+     r"\d+: .*\(sgd_stats=per_domain, affine=per_domain\)"),
+    # alone, the first pair diverges at step 12 and the second at step 8:
+    # the first pair's divergence is reported, at its own step
+    (30, [["per_domain", "shared", "shared"], ["per_domain", "shared", "per_domain"]],
+     r"12: .*\(sgd_stats=per_domain, affine=shared\)"),
+])
+@pytest.mark.parametrize("cores", [{0}, {0, 1}])
+def test_divergence_names_the_pair(monkeypatch, lr, policies, named, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
     cfg = tiny_config("shared_head")
-    cfg.update(lr=1e3, policies=[["per_domain", "shared", "per_domain"]])
+    cfg.update(lr=lr, policies=policies)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(Diverged, match=r"training diverged at step \d+: "
-                          r".*\(sgd_stats=per_domain, affine=per_domain\)$"):
+            pytest.raises(Diverged, match=rf"training diverged at step {named}$"):
         run_shared_head(cfg, 0)
+    assert multiprocessing.active_children() == []
