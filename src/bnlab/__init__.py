@@ -8,8 +8,9 @@ network (:mod:`bnlab.net`), statistics re-estimation (:mod:`bnlab.precise`),
 and the experiment scenarios (:mod:`bnlab.scenarios`).
 
 Importing the package caps the OpenBLAS that numpy loaded at one thread,
-unless ``OPENBLAS_NUM_THREADS`` is set: on GEMMs this small a second thread
-costs more CPU than it saves, and results are bit-identical either way.
+unless ``OPENBLAS_NUM_THREADS`` asks for more (see ``blas_threads``): on
+GEMMs this small a second thread costs more CPU than it saves, and results
+are bit-identical either way.
 """
 
 import ctypes
@@ -23,10 +24,20 @@ from .stats import EmaState, ema_update
 from .tensor import ChannelStats, channel_moments, normalize
 
 
+def blas_threads():
+    """The OpenBLAS threads each bnlab process runs: ``OPENBLAS_NUM_THREADS``
+    where it is an integer >= 1, else one (unset, ``""``, ``"0"`` or
+    ``"many"``, which OpenBLAS itself reads as its default)."""
+    try:
+        return max(1, int(os.environ.get("OPENBLAS_NUM_THREADS", "1")))
+    except ValueError:
+        return 1
+
+
 def _one_blas_thread():
-    """Set every loaded OpenBLAS to one thread, unless the user chose a
-    count; a library or setter that cannot be found is left alone."""
-    if "OPENBLAS_NUM_THREADS" in os.environ:
+    """Set every loaded OpenBLAS to one thread, unless ``blas_threads``
+    reads more; a library or setter that cannot be found is left alone."""
+    if blas_threads() > 1:
         return
     try:
         with open("/proc/self/maps") as fh:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas_threads
 from .batching import PER_DOMAIN, SHARED, DomainPolicy, NormBatchPlan
 from .errors import BnLabError, ConfigError, InvalidParams
 from .io import Range
@@ -107,21 +108,29 @@ class ScenarioRun:
         return self
 
 
+_in_fan_out = False  # set while this process, or the one it forked from, runs items
+
+
 def fan_out(fn, items):
-    """``[fn(item) for item in items]`` over k = min(len(items), usable
-    cores / BLAS threads) processes: this one runs ``items[0::k]`` and a
-    forked worker each ``items[j::k]``; only results are pickled.  The first
-    failing item's exception is raised, as serially; a worker that ends
-    without a result is a BnLabError naming its first item.  Serial where
-    k < 2."""
+    """``[fn(item) for item in items]`` over k processes: this one runs
+    ``items[0::k]`` and a forked worker each ``items[j::k]``; only results
+    are pickled.  At one BLAS thread per process (``blas_threads``) and two
+    or more usable cores, k = min(len(items), 4 x cores): one process per
+    item, time-sliced by the kernel, so n equal items end after about
+    n / cores item times; at t >= 2 threads, k = min(len(items), cores // t).
+    A call made inside an item, here or in a worker, runs serially, as does
+    k < 2.  The first failing item's exception is raised, as serially; a
+    worker that ends without a result is a BnLabError naming its first
+    item."""
+    global _in_fan_out
     items, workers = list(items), []
     try:
-        # BLAS runs one thread, unless the user set OpenBLAS's count
-        threads = int(os.environ.get("OPENBLAS_NUM_THREADS") or 1)
-        k = max(1, min(len(items), len(os.sched_getaffinity(0)) // max(threads, 1)))
+        cores, threads = len(os.sched_getaffinity(0)), blas_threads()
+        k = 4 * cores if threads == 1 and cores >= 2 else cores // threads
+        k = 1 if _in_fan_out else max(1, min(len(items), k))
         import multiprocessing  # not at bnlab import, where it costs ~17 ms
         context = multiprocessing.get_context("fork")
-    except (AttributeError, ValueError):  # no affinity call or fork; a bad count
+    except (AttributeError, ValueError):  # no affinity call or no fork
         k = 1
 
     def share(j):  # (result, None) per item, up to the first that raises
@@ -133,6 +142,7 @@ def fan_out(fn, items):
                 return out + [(None, exc)]
         return out
 
+    nested, _in_fan_out = _in_fan_out, True  # a worker inherits the flag
     try:
         for j in range(1, k):
             receive, send = context.Pipe(duplex=False)
@@ -154,6 +164,7 @@ def fan_out(fn, items):
             worker.terminate()
         raise
     finally:  # every worker has ended before this returns or raises
+        _in_fan_out = nested
         for worker, _ in workers:
             worker.join()
     # in item order, a share's failure comes before the items it left out

@@ -3,7 +3,8 @@ own pass/fail line by ``pytest -v``.
 
 The experiment-direction criteria (c09-c12) are evaluated as a majority vote
 over three seeds, since individual synthetic runs carry sampling noise.
-``scenarios.fan_out`` deals their seeds over the usable cores.  Each seed's
+``scenarios.fan_out`` runs each seed in its own process, where the runner's
+arms run serially.  Each seed's
 margins and verdict come from ``tools/margins.py``, which reports the same
 criteria on any directory of run artifacts.
 """
@@ -60,10 +61,11 @@ def report_margins(record_property, votes, margins):
 
 def seed_summaries(runner, defaults):
     """(summary, seconds) of ``runner`` at its defaults for each seed, each
-    timed in the process that ran it; ``fan_out`` deals the seeds over this
-    process and forked workers.  Forking this process is safe: importing
-    bnlab capped OpenBLAS at one thread, so BLAS runs in the calling thread,
-    and OpenBLAS shuts its idle thread pool down before a fork."""
+    timed in the process that ran it; ``fan_out`` runs the first seed in
+    this process and each other in a forked worker.  Forking this process
+    is safe: importing bnlab capped OpenBLAS at one thread, so BLAS runs in
+    the calling thread, and OpenBLAS shuts its idle thread pool down before
+    a fork."""
 
     def timed_summary(seed):
         start = time.monotonic()

@@ -233,9 +233,9 @@ def test_run_diverged_is_runtime_error_and_writes_nothing(tmp_path, capsys):
     # step 50 when the run went on
     ("domain_adapt", {"lr": 1e3, "steps": 50}),
     # SharedHeadNet's own training loop at the six default policies: the
-    # (per_domain, shared) pair diverges in the worker
+    # (per_domain, shared) pair diverges in a worker
     ("shared_head", {"lr": 1e3, "steps": 20}),
-    # arms fanned out over two cores: nbs 8's runs in the worker
+    # one process per arm on two cores: nbs 8's runs in a worker
     ("nbs_sweep", {"lr": 1e3, "steps": 20, "nbs_list": [2, 8]}),
     ("leakage", {"lr": 1e3, "steps": 20}),
 ])

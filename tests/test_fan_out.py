@@ -45,10 +45,32 @@ def test_results_come_back_in_item_order(cores, n, k):
 
 
 def test_items_run_in_workers(cores):
+    # one process per item: this one runs item 0, a worker each other item
     cores(2)
     pids = fan_out(lambda _: os.getpid(), range(4))
-    assert pids[0::2] == [os.getpid()] * 2
-    assert pids[1] == pids[3] != os.getpid()
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == 4
+
+
+def test_processes_are_capped_at_four_per_core(cores):
+    cores(2)
+    out = fan_out(lambda i: (i, os.getpid()), range(20))
+    assert [i for i, _ in out] == list(range(20))
+    pids = [pid for _, pid in out]
+    assert len(set(pids)) == 8
+    assert pids[0::8] == [os.getpid()] * 3
+
+
+def test_a_call_inside_an_item_runs_serially(cores):
+    cores(2)
+    out = fan_out(lambda _: (os.getpid(), fan_out(lambda _: os.getpid(), range(3))),
+                  range(2))
+    assert out[0][0] == os.getpid() != out[1][0]
+    assert [inner for _, inner in out] == [[pid] * 3 for pid, _ in out]
+    # the calls after it fork again, also after an item failed
+    with pytest.raises(ValueError):
+        fan_out(lambda _: int("x"), range(2))
+    assert len(set(fan_out(lambda _: os.getpid(), range(2)))) == 2
 
 
 def test_one_core_runs_serially(cores):
@@ -62,10 +84,12 @@ def test_no_affinity_call_runs_serially(monkeypatch):
 
 
 @pytest.mark.parametrize("threads, n_cores, processes", [
-    ("1", 2, 2), ("2", 2, 1), ("2", 4, 2), ("3", 8, 2), ("", 2, 2), ("many", 2, 1)])
+    ("1", 2, 4), ("2", 2, 1), ("2", 4, 2), ("3", 8, 2),
+    ("", 2, 4), ("0", 2, 4), ("many", 2, 4)])
 def test_blas_threads_share_the_cores(cores, monkeypatch, threads, n_cores,
                                       processes):
-    # a user-set OpenBLAS count takes that many cores per process
+    # a count of two or more takes that many cores per process; one that
+    # is not an integer >= 1 is bnlab's one thread, one process per item
     cores(n_cores)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
     assert len(set(fan_out(lambda _: os.getpid(), range(4)))) == processes
@@ -87,7 +111,8 @@ def test_first_failing_item_raises_as_serially(cores, failing):
     cores(1)
     with pytest.raises(Diverged) as serial:
         fan_out(fn, range(5))
-    cores(2)
+    cores(2)  # five items, five processes
+    assert len(set(fan_out(lambda _: os.getpid(), range(5)))) == 5
     with pytest.raises(Diverged) as fanned:
         fan_out(fn, range(5))
     assert str(fanned.value) == str(serial.value) == f"item {min(failing)} failed"

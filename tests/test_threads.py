@@ -1,5 +1,6 @@
-"""Importing bnlab caps OpenBLAS at one thread, read back through the
-library's own getter in a fresh interpreter."""
+"""Importing bnlab caps OpenBLAS at one thread, unless
+``OPENBLAS_NUM_THREADS`` asks for more, read back through the library's own
+getter in a fresh interpreter."""
 
 import os
 import subprocess
@@ -63,6 +64,12 @@ def blas_threads(snippet, threads=None):
                          ids=["numpy-first", "bnlab-alone"])
 def test_import_caps_openblas_at_one_thread(snippet):
     assert blas_threads(snippet) == 1
+
+
+@pytest.mark.parametrize("threads", ["", "0", "many"])
+def test_a_count_below_one_or_not_a_number_is_capped(threads):
+    # OpenBLAS reads these as its default; bnlab, as fan_out, as one
+    assert blas_threads("import numpy\nimport bnlab", threads) == 1
 
 
 def test_explicit_thread_count_wins():

@@ -7,8 +7,9 @@ runs each of the six scenarios at its default config and each seed of
 ``--seeds`` (a range ``A-B`` or a comma-separated list, default 0-2)
 through ``bnlab run`` into ``OUT_DIR/<scenario>-s<seed>/`` (``metrics.csv``,
 ``summary.json``, ``stats.json``, ``params.json``: 72 files for seeds 0-2).
-``bnlab.scenarios.fan_out`` deals the runs over the usable cores
-(``taskset -c 0`` runs them one after another, with the same results).
+``bnlab.scenarios.fan_out`` runs them in up to four processes per usable
+core, each run's own arms serially in its process (``taskset -c 0`` runs
+them one after another, with the same results).
 The package sets OpenBLAS's thread count itself (one thread, unless
 ``OPENBLAS_NUM_THREADS`` is set); results do not depend on it.  Two
 checkouts give the same results when
@@ -61,8 +62,8 @@ def parse_seeds(text):
 
 
 def write_all(out_dir, seeds=(0, 1, 2)):
-    """Run every scenario at every seed, the runs dealt over the usable
-    cores by ``fan_out``; the number of failed runs."""
+    """Run every scenario at every seed, the runs spread over processes by
+    ``fan_out``; the number of failed runs."""
 
     def failed(job):
         scenario, seed = job
