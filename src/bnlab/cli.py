@@ -6,6 +6,8 @@ import json
 import sys
 import traceback
 
+import numpy as np
+
 from . import io
 from .errors import BnLabError, ConfigError, MalformedCsv, UnknownScenario
 from .gradcheck import TOLERANCE, run_full_suite
@@ -111,27 +113,30 @@ def cmd_estimate(args):
               file=sys.stderr)
         return EXIT_CONFIG
     try:
-        with open(args.input) as fh:
+        with open(args.input, encoding="utf-8") as fh:
             entries = read_moments_csv(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MalformedCsv as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.method == "ema":
-            state = EmaState.initial(entries[0].channels, args.momentum)
-            for entry in entries:
-                state = ema_update(state, entry)
-            stats = state.as_channel_stats()
-            note = {"momentum": args.momentum}
-        elif args.method == "precise":
-            stats = aggregate_moment_matching(entries, bessel=args.bessel)
-            note = {"bessel": args.bessel}
-        else:
-            stats = aggregate_naive(entries)
-            note = {}
+        # finite rows whose pooled moments overflow give inf or NaN, which
+        # the encoder below refuses; numpy's warnings about it stay unprinted
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.method == "ema":
+                state = EmaState.initial(entries[0].channels, args.momentum)
+                for entry in entries:
+                    state = ema_update(state, entry)
+                stats = state.as_channel_stats()
+                note = {"momentum": args.momentum}
+            elif args.method == "precise":
+                stats = aggregate_moment_matching(entries, bessel=args.bessel)
+                note = {"bessel": args.bessel}
+            else:
+                stats = aggregate_naive(entries)
+                note = {}
     except BnLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

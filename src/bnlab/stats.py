@@ -190,7 +190,9 @@ def aggregate_naive(entries) -> ChannelStats:
     means, variances, counts = stack_moments(entries)
     b = int(counts[0])
     if (counts != b).any():
-        raise DegenerateBatch(f"naive aggregation needs equal batch counts: {counts}")
+        # two of the counts, not numpy's line-wrapped print of them all
+        raise DegenerateBatch("naive aggregation needs equal batch counts, got "
+                              f"{b} and {counts[counts != b][0]}")
     if b < 2:
         raise DegenerateBatch(f"naive aggregation needs batch count >= 2, got {b}")
     k = len(means)

@@ -1,12 +1,18 @@
 """The command-line interface: run, estimate, check-grad."""
 
+import contextlib
+import io
 import json
 import multiprocessing
 import os
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnlab.cli import main
 from bnlab.layer import BnLayer
@@ -358,6 +364,13 @@ def test_estimate_malformed_csv_is_config_error(tmp_path, capsys):
     assert main(["estimate", "--input", str(p), "--method", "naive"]) == 2
     assert main(["estimate", "--input", str(tmp_path / "missing.csv"),
                  "--method", "naive"]) == 2
+    capsys.readouterr()
+    # a file that is not UTF-8 text
+    p.write_bytes(b"\xff\xfe")
+    assert main(["estimate", "--input", str(p), "--method", "precise"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot read {p}: ")
+    assert "Traceback" not in err
 
 
 def test_estimate_rejects_non_finite_and_empty_rows(tmp_path, capsys):
@@ -369,9 +382,10 @@ def test_estimate_rejects_non_finite_and_empty_rows(tmp_path, capsys):
         assert out == "" and "bad row" in err
     # finite rows whose pooled second moment overflows: a runtime error
     p.write_text("batch_index,channel,mean,var,count\n0,0,1e200,1.0,4\n")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings too
         assert main(["estimate", "--input", str(p), "--method", "precise"]) == 1
-    assert capsys.readouterr().out == ""
+    assert capsys.readouterr() == ("", "error: estimate is not finite\n")
 
 
 def test_estimate_rejects_repeated_and_inconsistent_rows(tmp_path, capsys):
@@ -387,6 +401,68 @@ def test_estimate_rejects_repeated_and_inconsistent_rows(tmp_path, capsys):
         assert main(["estimate", "--input", str(p), "--method", "precise"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and message in err and "Traceback" not in err
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    # moments whose squares or sums overflow
+    st.sampled_from([1e200, -1e200, 1.7976931348623157e308, 5e-324, -0.0]),
+)
+_JUNK = st.sampled_from(["", "x", "1e", "nan", "-inf", "-1", "0", "1.5",
+                         '"1"', " 1", str(10**30)])
+
+
+@st.composite
+def _moment_files(draw):
+    """A moments CSV of 1-8 batches of 1-3 channels, some of its fields
+    replaced by junk and some rows dropped or repeated; or random bytes."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=64))
+    channels = draw(st.integers(1, 3))
+    rows = []
+    for b in range(draw(st.integers(1, 8))):
+        count = draw(st.sampled_from([1, 2, 4, 7, 2**40]))
+        rows += [[b, c, repr(draw(_FLOATS)), repr(abs(draw(_FLOATS))), count]
+                 for c in range(channels)]
+    for _ in range(draw(st.integers(0, min(2, len(rows))))):
+        row = draw(st.sampled_from(rows))
+        damage = draw(st.sampled_from(["junk", "drop", "repeat", "short"]))
+        if damage == "junk":
+            row[draw(st.integers(0, 4))] = draw(_JUNK)
+        elif damage == "drop":
+            rows.remove(row)
+        elif damage == "repeat":
+            rows.append(list(row))
+        else:
+            row.pop()
+    header = draw(st.sampled_from(["batch_index,channel,mean,var,count"] * 3
+                                  + ["batch_index,channel,mean,var"]))
+    return "\n".join([header, *(",".join(map(str, r)) for r in rows)]).encode()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_moment_files(), st.sampled_from(["ema", "precise", "naive"]))
+def test_estimate_fuzzed_input_exits_0_or_reports_one_error(data, method):
+    # every outcome: 0 with finite JSON; 2 for a malformed file; 1 for an
+    # estimate that overflows or that naive aggregation cannot make
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "moments.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error")
+            code = main(["estimate", "--input", path, "--method", method])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        payload = json.loads(out, parse_constant=pytest.fail)
+        assert len(payload["mean"]) == len(payload["var"]) >= 1
+        return
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert code == 2 or err == "error: estimate is not finite\n" or (
+        method == "naive" and err.startswith("error: naive aggregation needs "))
 
 
 def test_check_grad_reports_every_layer_type_once(capsys):

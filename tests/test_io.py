@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bnlab import io
 from bnlab.errors import BnLabError, ConfigError
@@ -220,11 +222,61 @@ def test_write_json_bytes_of_numpy_floats_and_ints(tmp_path):
     assert p.read_bytes() == GOLDEN_JSON.encode()
 
 
+def _reference_json(payload):
+    """The oracle: encode_json's bytes are these."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# text a list of numbers' C encoding must not be split on
+_TRICKY = st.lists(st.sampled_from([", ", '"', "[", "{", "\\", "\n", "a", "é",
+                                    "λ", "\u2028", "\U0001f600", "\x00"]),
+                   max_size=5).map("".join)
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([-0.0, 5e-324, np.float64(-0.0), np.float64(5e-324)]),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.booleans(),
+    st.none(),
+)
+_PAYLOADS = st.recursive(
+    st.one_of(_NUMBERS, _TRICKY),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(_NUMBERS, max_size=6),  # many lists are numbers only
+        st.lists(st.one_of(_NUMBERS, _TRICKY), max_size=6),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_TRICKY, children, max_size=4),
+        # json.dumps sorts and writes keys that are not str its own way
+        st.dictionaries(st.integers(-20, 20), children, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_PAYLOADS)
+@example({"z": [1.0, "x, y"], "a": (2, [0.5, -0.0], {}), "m": {"k": [[]]}})
+def test_encode_json_bytes_are_json_dumps(payload):
+    assert io.encode_json("out.json", payload) == _reference_json(payload)
+
+
 def test_encode_json_names_the_first_non_finite_key():
-    payload = {"b": [1.0, np.float64("inf")], "a": {"x": float("nan")}}
-    with pytest.raises(BnLabError, match=r"^out/s.json: non-finite value at "
-                                         r"a\.x; not written$"):
-        io.encode_json("out/s.json", payload)
+    for payload, key in (
+        ({"b": [1.0, np.float64("inf")], "a": {"x": float("nan")}}, r"a\.x"),
+        # among the floats of a list of numbers, one C call encodes
+        ({"bn0": {"mean": [0.5, np.float64("inf"), 1.0], "count": 4}},
+         r"bn0\.mean\[1\]"),
+        # inside a list of dicts, which is walked
+        ({"layers": [{"mean": [0.0]}, {"mean": [1.0, float("-inf")], "s": "a"}]},
+         r"layers\[1\]\.mean\[1\]"),
+        ({"curve": (np.float64(2.0), np.float64("nan"))}, r"curve\[1\]"),
+    ):
+        with pytest.raises(ValueError):
+            _reference_json(payload)
+        with pytest.raises(BnLabError, match=rf"^out/s.json: non-finite value "
+                                             rf"at {key}; not written$"):
+            io.encode_json("out/s.json", payload)
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

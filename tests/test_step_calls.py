@@ -3,7 +3,8 @@ loop's cost is interpreter dispatch, so a change that adds calls per step
 shows here before any timing does.  Every training path a benchmark
 workload runs has a case: ``sgd_step`` with no plan, with many ghost
 cohorts, with one cohort of a plan, with shuffled cohorts and with every BN
-layer frozen, and ``SharedHeadNet.train_step``."""
+layer frozen, and ``SharedHeadNet.train_step``.  A last case guards the
+calls of encoding a run's parameter checkpoint."""
 
 import cProfile
 import platform
@@ -11,6 +12,7 @@ import platform
 import numpy as np
 import pytest
 
+from bnlab import io
 from bnlab.batching import PER_DOMAIN, SHARED, DomainPolicy, NormBatchPlan
 from bnlab.net import Momentum, SgdConfig, sgd_step
 from bnlab.precise import precise_bn
@@ -18,6 +20,7 @@ from bnlab.scenarios import (
     EMA_VS_PRECISE_DEFAULTS,
     NBS_SWEEP_DEFAULTS,
     SHARED_HEAD_DEFAULTS,
+    ScenarioRun,
     SharedHeadNet,
     build_net,
 )
@@ -150,13 +153,43 @@ def test_python_calls_per_sgd_step(name, setup):
     for _ in range(STEPS):
         step(*args)
     profile.disable()
-    per_step = sum(entry.callcount for entry in profile.getstats()) / STEPS
+    per_step = _calls(profile) / STEPS
+    _check(f"{name}: Python calls per training step", per_step,
+           CALLS_PER_STEP[name] + SLACK)
+
+
+def _calls(profile):
+    """Python calls as perfbench sums py_calls."""
+    return sum(entry.callcount for entry in profile.getstats())
+
+
+def _check(what, count, bound):
     stack = (f"Python {platform.python_version()}, "
              f"numpy {np.__version__}")
-    bound = CALLS_PER_STEP[name] + SLACK
-    assert per_step <= bound, (
-        f"{name}: {per_step} Python calls per training step, bound "
+    assert count <= bound, (
+        f"{what}: {count}, bound "
         f"{bound}; pinned on {MEASURED_ON}, run on "
         f"{stack}" + ("" if stack == MEASURED_ON else
                       ": a different stack, so the count may differ "
                       "without a regression"))
+
+
+# Calls to encode ema_vs_precise's params.json payload (7,568 floats): 183
+# on MEASURED_ON.  Until the encoder ran each list of numbers as one C call
+# it made 60,951, a Python call per number and more.
+PARAMS_ENCODE_CALLS = 300
+
+
+def test_python_calls_to_encode_a_params_checkpoint():
+    _, (net, *_) = _ema_vs_precise()
+    run = ScenarioRun("ema_vs_precise")
+    run.checkpoint(net)
+    payload = run.params_checkpoint
+    assert sum(map(len, (v for p in payload.values() for v in p.values()))) >= 7000
+    io.encode_json("params.json", payload)
+    profile = cProfile.Profile()
+    profile.enable()
+    io.encode_json("params.json", payload)
+    profile.disable()
+    _check("params.json: Python calls to encode it", _calls(profile),
+           PARAMS_ENCODE_CALLS)
