@@ -16,7 +16,7 @@ are bit-identical either way.
 import ctypes
 import os
 
-from .batching import DomainPolicy, NormBatchPlan
+from .batching import NormBatchPlan
 from .layer import BnLayer, BnMode
 from .net import Network, SgdConfig, train
 from .precise import precise_bn, precise_bn_layerwise
@@ -70,7 +70,6 @@ __all__ = [
     "BnLayer",
     "BnMode",
     "ChannelStats",
-    "DomainPolicy",
     "EmaState",
     "Network",
     "NormBatchPlan",

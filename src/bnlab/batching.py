@@ -1,20 +1,14 @@
 """Ways to carve samples into normalization batches: ghost and shuffled
-cohorts, and domain-specific policies."""
+cohorts."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatch, InvalidPlan, InvalidPolicy
+from .errors import EmptyBatch, InvalidPlan
 
-__all__ = [
-    "NormBatchPlan",
-    "cohort_indices",
-    "DomainPolicy",
-]
+__all__ = ["NormBatchPlan", "cohort_indices"]
 
-SHARED = "shared"
-PER_DOMAIN = "per_domain"
 STRATEGIES = ("ghost", "shuffle")
 
 
@@ -45,18 +39,4 @@ def cohort_indices(plan: NormBatchPlan, n: int, rng=None):
         raise InvalidPlan("shuffle needs an rng for the per-step permutation")
     order = rng.permutation(n) if plan.strategy == "shuffle" else np.arange(n)
     return [order[i : i + plan.sub_batch] for i in range(0, n, plan.sub_batch)]
-
-
-@dataclass(frozen=True)
-class DomainPolicy:
-    """Shared vs per-domain choices for the three BN knobs."""
-
-    sgd_stats: str = SHARED
-    pop_stats: str = SHARED
-    affine: str = SHARED
-
-    def __post_init__(self):
-        for name in ("sgd_stats", "pop_stats", "affine"):
-            if getattr(self, name) not in (SHARED, PER_DOMAIN):
-                raise InvalidPolicy(f"{name} must be 'shared' or 'per_domain'")
 

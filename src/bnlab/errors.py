@@ -37,10 +37,6 @@ class InvalidPlan(BnLabError):
     pass
 
 
-class InvalidPolicy(BnLabError):
-    pass
-
-
 class ConfigError(BnLabError):
     pass
 

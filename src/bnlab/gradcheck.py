@@ -8,7 +8,6 @@ entry of the ``LAYER_CASES`` table.
 
 import numpy as np
 
-from .batching import PER_DOMAIN, SHARED, DomainPolicy
 from .layer import BnLayer, BnMode
 from .net import Affine, Linear, MeanPool, Network, Relu, softmax_cross_entropy
 from .scenarios import SharedHeadNet
@@ -133,13 +132,11 @@ def _param_errors(layer_grads, loss_of):
     return errs
 
 
-def check_shared_head(rng, sgd_stats, domains=3):
+def check_shared_head(rng, cohort, domains=3):
     """Parameter gradients of SharedHeadNet.backward_train on a batch of
-    ``domains`` row blocks, with per-domain affine parameters and shared or
-    per-domain batch statistics."""
-    policy = DomainPolicy(sgd_stats=sgd_stats, pop_stats=SHARED,
-                          affine=PER_DOMAIN)
-    net = SharedHeadNet(rng, 4, 5, 3, domains, policy)
+    ``domains`` row blocks of 4 rows, with per-domain affine parameters,
+    the batch statistics shared by each ``cohort`` rows (None: all)."""
+    net = SharedHeadNet(rng, 4, 5, 3, cohort=cohort, affine_blocks=domains)
     net.affine = Affine(rng.uniform(0.5, 1.5, (domains, 5)),
                         rng.standard_normal((domains, 5)))
     x = rng.standard_normal((domains * 4, 4, 1, 1))
@@ -171,6 +168,6 @@ def run_full_suite(seed=0):
     report["network_ghost_affine_rows"] = check_network(rng, n=10, cohort=4,
                                                         affine_rows=2)
     # shared_head's batch of D=3 domain row blocks, with a per-domain affine
-    report["shared_head_shared"] = check_shared_head(rng, SHARED)
-    report["shared_head_per_domain"] = check_shared_head(rng, PER_DOMAIN)
+    report["shared_head_shared"] = check_shared_head(rng, None)
+    report["shared_head_per_domain"] = check_shared_head(rng, 4)
     return report

@@ -1,5 +1,6 @@
-"""The BatchNorm layer with explicit statistics-mode selection, plus the
-frozen-affine fusion toy."""
+"""The BatchNorm layer with explicit statistics-mode selection.  The
+frozen-affine fusion toy, which only the tests use, lives in
+``tests/oracles.py``."""
 
 import enum
 from dataclasses import dataclass
@@ -16,7 +17,6 @@ __all__ = [
     "BnCache",
     "batch_stats_forward",
     "batch_stats_backward",
-    "fusion_finetune_demo",
 ]
 
 
@@ -163,28 +163,3 @@ def batch_stats_backward(x_hat, inv_std, dy):
     dx -= x_hat * sum_dy_xhat
     dx *= inv / m
     return dx
-
-
-def fusion_finetune_demo(lambda_: float, x0: float, step: float, iters: int):
-    """Gradient descent on J = (lambda * x)^2, unfused vs fused.
-
-    The unfused run keeps lambda as a frozen constant and descends on x.
-    The fused run absorbs lambda into the optimized variable, so the task
-    becomes minimizing J = x^2 from the same starting value.  Returns the
-    two trajectories (including the start point).
-    """
-    if x0 == 0:
-        raise InvalidParams("x0 must be nonzero")
-    if iters < 0:
-        raise InvalidParams("iters must be >= 0")
-    unfused = [x0]
-    x = x0
-    for _ in range(iters):
-        x = x - step * 2.0 * lambda_**2 * x
-        unfused.append(x)
-    fused = [x0]
-    z = x0
-    for _ in range(iters):
-        z = z - step * 2.0 * z
-        fused.append(z)
-    return unfused, fused

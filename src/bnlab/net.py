@@ -6,9 +6,9 @@ sees the same per-channel layout as the rest of the package, and every
 layer takes only that shape.  A pass whose rows share statistics in
 cohorts still runs the whole batch through every layer: only the
 normalization views it per cohort (``BnLayer``, and shared_head's
-``SharedHeadNet`` per domain row block), so each cohort is normalized as
-if forwarded alone while every GEMM and parameter-gradient sum runs over
-all N rows at once.
+``SharedHeadNet``, whose per-domain cohorts are its domain row blocks), so
+each cohort is normalized as if forwarded alone while every GEMM and
+parameter-gradient sum runs over all N rows at once.
 
 In memory the activations are channels-last, the layout Linear's GEMM
 writes, and every backward returns its input gradient in its forward

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blas_threads
-from .batching import PER_DOMAIN, SHARED, DomainPolicy, NormBatchPlan
+from .batching import NormBatchPlan
 from .errors import BnLabError, ConfigError, InvalidParams
 from .io import Range
 from .layer import BnLayer, batch_stats_backward, batch_stats_forward
@@ -289,8 +289,9 @@ EMA_VS_PRECISE_DEFAULTS = {
     "precise_b_sweep": [2, 8, 32, 1024],
     "subset_sizes": [32, 256, 2048],
 }
-RANGES.update(ema_momentum=_MOMENTUM, eval_every=_COUNT,
-              precise_b_sweep=_LIST, subset_sizes=_LIST)
+# a one-row subset has zero variance: the stats gap of two would be 0/0
+RANGES.update(ema_momentum=_MOMENTUM, eval_every=_COUNT, precise_b_sweep=_LIST,
+              subset_sizes=Range(">= 2", min_len=1))
 
 
 def run_ema_vs_precise(cfg, seed):
@@ -531,53 +532,53 @@ SHARED_HEAD_DEFAULTS = {
 }
 RANGES.update(domains=_LIST, domain_batch=_COUNT, val_per_domain=_COUNT,
               eps=_POSITIVE, policies=_LIST)
+SHARED, PER_DOMAIN = "shared", "per_domain"  # a policy row's choices
+
+
+def _cohorts(h, cohort):
+    # the normalization's view: the whole batch, or its cohorts of rows
+    return h if cohort is None else h.reshape(-1, cohort, *h.shape[1:])
 
 
 class SharedHeadNet:
-    """One hidden head applied to every domain, with policy-controlled
-    normalization: shared statistics pool all domains' features, per-domain
-    statistics normalize each domain on its own.
-
-    Every pass takes an (N, C, 1, 1) batch whose D domains are equal,
-    consecutive row blocks, and runs it through each layer at once.  Only
-    the normalization views the batch as (D, N // D, C, 1, 1), one cohort
-    per domain, for per-domain moments and (D, C) statistics.  Per-domain
-    affine parameters are (D, C), one row per block; shared ones are (C,).
-    The first ``train_step`` puts the parameters into one ``Momentum``
-    buffer.
+    """One hidden head applied to every domain.  Every pass takes an
+    (N, C, 1, 1) batch whose domains are equal, consecutive row blocks, and
+    runs it through each layer at once.  As in ``Network``, each ``cohort``
+    rows (None: all N) share SGD statistics, in a (G, cohort, C, 1, 1) view
+    that only the normalization takes, with (G, C) moments.  An affine of
+    ``affine_blocks`` has (blocks, C) parameters, one row per row block;
+    else (C,).  The first ``train_step`` puts the parameters into one
+    ``Momentum`` buffer.
     """
 
     # the layer attributes holding parameters
     param_layers = ("l1", "affine", "l2")
 
-    def __init__(self, rng, dim, hidden, classes, n_domains, policy, eps=1e-5):
+    def __init__(self, rng, dim, hidden, classes, cohort=None,
+                 affine_blocks=None, eps=1e-5):
         if eps <= 0:
             raise InvalidParams("eps must be positive")
-        self.policy = policy
+        self.cohort = cohort
         self.eps = eps
-        self.n_domains = n_domains
         self.l1 = Linear.init(rng, dim, hidden)
         self.l2 = Linear.init(rng, hidden, classes)
-        shape = (n_domains, hidden) if policy.affine == PER_DOMAIN else (hidden,)
+        shape = (hidden,) if affine_blocks is None else (affine_blocks, hidden)
         self.affine = Affine(np.ones(shape), np.zeros(shape))
         self.relu = Relu()
         self.optimizer = None
 
-    def _norm_view(self, h, per_domain):
-        # the batch as the normalization sees it: whole, or its domain blocks
-        return h.reshape(self.n_domains, -1, *h.shape[1:]) if per_domain else h
-
     def forward_train(self, x, stats=None):
-        """(N, K) logits of an (N, C, 1, 1) float64 batch of domain row
-        blocks, normalized by the policy's batch statistics, or by fixed
-        ``stats`` ((C,) or per-domain (D, C)) when given; the caches serve
-        ``backward_train`` after a forward by batch statistics."""
+        """(N, K) logits of an (N, C, 1, 1) float64 batch, normalized by the
+        moments of each ``cohort`` rows, or by fixed (C,) or (G, C) ``stats``
+        for G row blocks; the caches serve ``backward_train`` after a
+        forward by batch statistics."""
         h, c1 = self.l1.forward(x)
         if stats is not None:
-            view = self._norm_view(h, stats.mean.ndim == 2)
+            view = _cohorts(h, None if stats.mean.ndim == 1
+                            else h.shape[0] // stats.mean.shape[0])
             xhat, inv = normalize(view, stats, self.eps), None
         else:
-            view = self._norm_view(h, self.policy.sgd_stats == PER_DOMAIN)
+            view = _cohorts(h, self.cohort)
             xhat, _, inv = batch_stats_forward(view, self.eps)
         a, ca = self.affine.forward(xhat if view is h else xhat.reshape(h.shape))
         r, cr = self.relu.forward(a)
@@ -596,7 +597,7 @@ class SharedHeadNet:
         xhat = caches["xhat"]
         if xhat.ndim == dxhat.ndim:
             dh = batch_stats_backward(xhat, caches["inv"], dxhat)
-        else:  # per domain, in the forward's view
+        else:  # per cohort, in the forward's view
             dh = batch_stats_backward(xhat, caches["inv"], dxhat.reshape(
                 xhat.shape)).reshape(dxhat.shape)
         _, gl1 = self.l1.backward(caches["l1"], dh, input_grad=False)
@@ -615,18 +616,18 @@ class SharedHeadNet:
                             lr, momentum)
         return loss
 
-    def train_population_stats(self, x, pop_stats):
+    def train_population_stats(self, x, cohort=None):
         """The population statistics of an (N, C, 1, 1) batch of domain row
-        blocks: (C,) pooled over the domains (``pop_stats`` SHARED) or
-        (D, C) per domain (PER_DOMAIN).  Training never reads this choice,
-        so one trained net serves both."""
+        blocks: (C,) over all N rows, or (G, C) with one row per ``cohort``
+        rows.  Training never reads this choice, so one trained net serves
+        both."""
         h, _ = self.l1.forward(x)
-        return channel_moments(self._norm_view(h, pop_stats == PER_DOMAIN))
+        return channel_moments(_cohorts(h, cohort))
 
     def eval_error(self, x, y, stats):
         """Top-1 error on an (N, C, 1, 1) batch of domain row blocks with
-        (N,) labels, every domain normalized by ``stats``, as
-        ``train_population_stats`` returns them."""
+        (N,) labels, normalized by ``stats`` as ``train_population_stats``
+        returns them: the number of blocks is read from their shape."""
         logits, _ = self.forward_train(x, stats=stats)
         return int((logits.argmax(axis=-1) != y).sum()) / y.size
 
@@ -659,16 +660,23 @@ def shared_head_data(cfg, seed):
 def run_shared_head(cfg, seed):
     run = ScenarioRun("shared_head")
     domains, val_x, val_y, pop_x = shared_head_data(cfg, seed)
+    policies = cfg["policies"]  # (sgd_stats, pop_stats, affine) rows
+
+    # a per_domain choice is a cohort of domain_batch SGD rows, a cohort of
+    # val_per_domain population rows or a block per domain; shared is None
+    def per_domain(choice, rows):
+        return rows if choice == PER_DOMAIN else None
+
     # one arm per distinct (sgd_stats, affine) pair, in first-appearance
     # order: the rows of a pair differ only in their population statistics,
     # which training never reads
-    policies = [DomainPolicy(*p) for p in cfg["policies"]]
-
     def arm(pair):  # one training; only its rows' errors go back
-        rows = [r for r, p in enumerate(policies) if (p.sgd_stats, p.affine) == pair]
+        rows = [r for r, (sgd, _, aff) in enumerate(policies) if (sgd, aff) == pair]
         net = SharedHeadNet(np.random.default_rng(_seed(seed, 3)), cfg["dim"],
-                            cfg["hidden"], cfg["classes"], domains.n_domains,
-                            policies[rows[0]], eps=cfg["eps"])
+                            cfg["hidden"], cfg["classes"],
+                            cohort=per_domain(pair[0], cfg["domain_batch"]),
+                            affine_blocks=per_domain(pair[1], domains.n_domains),
+                            eps=cfg["eps"])
         # each arm draws row 1's stream itself, so all train on the same data
         rng = np.random.default_rng(_seed(seed, 10))
         for step, (x, y) in enumerate(domains.batches(rng, cfg["steps"],
@@ -677,13 +685,12 @@ def run_shared_head(cfg, seed):
             if not loss <= LOSS_BOUND:
                 raise diverged(step, loss, "sgd_stats={}, affine={}".format(*pair))
         return {r: net.eval_error(val_x, val_y, net.train_population_stats(
-            pop_x, policies[r].pop_stats)) for r in rows}
+            pop_x, per_domain(policies[r][1], cfg["val_per_domain"]))) for r in rows}
 
-    pairs = dict.fromkeys((p.sgd_stats, p.affine) for p in policies)
+    pairs = dict.fromkeys((sgd, aff) for sgd, _, aff in policies)
     errors = {r: e for arm_errors in fan_out(arm, pairs) for r, e in arm_errors.items()}
     for row, policy in enumerate(policies):  # in row order, not arm order
-        run.summary[f"row{row + 1}"] = {
-            "policy": [policy.sgd_stats, policy.pop_stats, policy.affine]}
+        run.summary[f"row{row + 1}"] = {"policy": list(policy)}
         run.log(f"shared_head-row{row + 1}-s{seed}", cfg["steps"], "val",
                 "population", "error", errors[row], key=(f"row{row + 1}", "error"))
     return run

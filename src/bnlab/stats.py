@@ -1,7 +1,9 @@
-"""Population-statistics estimators: EMA, the two batch-moment aggregators,
-and a Monte Carlo oracle for the variance of the variance estimator.  Batch
-moments are a plain list of ChannelStats, as a pass or a moments CSV
-(``read_moments_csv``) gives them; ``stack_moments`` stacks the list."""
+"""Population-statistics estimators: EMA and the two batch-moment
+aggregators, as runs and ``bnlab estimate`` use them.  Batch moments are a
+plain list of ChannelStats, as a pass or a moments CSV
+(``read_moments_csv``) gives them; ``stack_moments`` stacks the list.  The
+Monte Carlo oracle for the variance of the variance estimator, which only
+the tests use, lives in ``tests/oracles.py``."""
 
 import csv
 import functools
@@ -26,9 +28,6 @@ __all__ = [
     "read_moments_csv",
     "aggregate_moment_matching",
     "aggregate_naive",
-    "VarVarOracleReport",
-    "var_of_var_oracle",
-    "simulate_variance_estimates",
 ]
 
 
@@ -117,7 +116,8 @@ def read_moments_csv(text):
     """The (C,) ChannelStats of each ``batch_index`` of a moments CSV (README,
     ``bnlab estimate``), in ascending order.  Raises MalformedCsv on a bad
     header or row, a batch with a missing or repeated channel or with
-    channels of different counts, and batches of different channel counts."""
+    channels of different counts, batches of different channel counts, and
+    counts that sum above 2**53."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -145,9 +145,13 @@ def read_moments_csv(text):
         chans[chan] = (mean, var)
     if not batches:
         raise MalformedCsv("moments file contains no data rows")
-    entries = []
+    entries, total = [], 0
     for idx in sorted(batches):
         count, chans = batches[idx]
+        # int64 sums and float64 weights pool counts exactly up to 2**53
+        total += count
+        if total > 2**53:
+            raise MalformedCsv(f"batch {idx} takes the count total above 2**53")
         c = len(chans)
         if sorted(chans) != list(range(c)):
             raise MalformedCsv(f"batch {idx} has missing channels")
@@ -199,87 +203,3 @@ def aggregate_naive(entries) -> ChannelStats:
     mean = np.add.reduce(means, axis=0) / k
     var = (b / (b - 1)) * np.add.reduce(variances, axis=0) / k
     return ChannelStats(mean=mean, var=var, count=b * k)
-
-
-@dataclass(frozen=True)
-class VarVarOracleReport:
-    analytic_var: float
-    empirical_var: float
-    sigma: float
-    kurtosis: float
-    trials: int
-
-
-def _draw_samples(rng, sigma, kurtosis, shape):
-    """Samples with the requested sd and kurtosis.
-
-    kurtosis == 3 uses Gaussians.  Other kurtosis values use a scaled
-    Bernoulli mixture: 0 with probability 1 - p, +-sigma*sqrt(kappa) with
-    probability p/2 each, where p = 1/kappa.  This has E[x^2] = sigma^2 and
-    normalized fourth moment kappa, and requires kappa >= 1.
-    """
-    if kurtosis == 3.0:
-        return sigma * rng.standard_normal(shape)
-    if kurtosis < 1.0:
-        raise InvalidParams(f"mixture construction needs kurtosis >= 1, got {kurtosis}")
-    p = 1.0 / kurtosis
-    hit = rng.random(shape) < p
-    signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    return sigma * np.sqrt(kurtosis) * hit * signs
-
-
-def simulate_variance_estimates(
-    sigma: float,
-    kurtosis: float,
-    k: int,
-    batch_size: int,
-    trials: int,
-    seed: int,
-    estimator: str = "naive",
-) -> np.ndarray:
-    """Variance estimates from `trials` independent draws of k batches of B."""
-    if batch_size < 2 or k < 1 or trials < 1:
-        raise InvalidParams("need batch_size >= 2, k >= 1, trials >= 1")
-    rng = np.random.default_rng(seed)
-    x = _draw_samples(rng, sigma, kurtosis, (trials, k, batch_size))
-    # the biased moments of batch j are channel t of its ChannelStats, for
-    # each trial t: the estimators pool all trials at once
-    mu, var = x.mean(axis=2), x.var(axis=2)
-    batches = [ChannelStats(mu[:, j], var[:, j], batch_size) for j in range(k)]
-    if estimator == "naive":
-        return aggregate_naive(batches).var
-    if estimator == "moment_matching":
-        return aggregate_moment_matching(batches, bessel=True).var
-    raise InvalidParams(f"unknown estimator {estimator!r}")
-
-
-def var_of_var_oracle(
-    sigma: float,
-    kurtosis: float,
-    n_total: int,
-    batch_size: int,
-    trials: int,
-    seed: int,
-) -> VarVarOracleReport:
-    """Compare the analytic Var[naive estimate] against Monte Carlo.
-
-    analytic = sigma^4 / N * (kappa - 1 + 2 / (B - 1)), the variance of the
-    B/(B-1)-corrected mean-of-batch-variances estimator.
-    """
-    if batch_size < 2 or n_total % batch_size != 0:
-        raise InvalidParams("need B >= 2 and N divisible by B")
-    if trials < 1000:
-        raise InvalidParams("need at least 10^3 trials")
-    k = n_total // batch_size
-    analytic = sigma**4 / n_total * (kurtosis - 1.0 + 2.0 / (batch_size - 1))
-    estimates = simulate_variance_estimates(
-        sigma, kurtosis, k, batch_size, trials, seed, estimator="naive"
-    )
-    empirical = float(estimates.var(ddof=1))
-    return VarVarOracleReport(
-        analytic_var=float(analytic),
-        empirical_var=empirical,
-        sigma=sigma,
-        kurtosis=kurtosis,
-        trials=trials,
-    )

@@ -18,7 +18,7 @@ import pytest
 
 from bnlab.errors import EmptyBatch
 from bnlab.gradcheck import TOLERANCE, run_full_suite
-from bnlab.layer import BnLayer, BnMode, fusion_finetune_demo
+from bnlab.layer import BnLayer, BnMode
 from bnlab.precise import precise_bn, precise_bn_layerwise
 from bnlab.scenarios import (
     DOMAIN_ADAPT_DEFAULTS,
@@ -31,12 +31,9 @@ from bnlab.scenarios import (
     run_nbs_sweep,
     run_shared_head,
 )
-from bnlab.stats import (
-    aggregate_moment_matching,
-    simulate_variance_estimates,
-    var_of_var_oracle,
-)
+from bnlab.stats import aggregate_moment_matching
 from bnlab.tensor import channel_moments, normalize
+from oracles import fusion_finetune_demo, simulate_variance_estimates, var_of_var_oracle
 
 SEEDS = (0, 1, 2)
 

@@ -1,13 +1,13 @@
-"""Normalization-batch construction: cohort planning, the BN layer's cohort
-view and domain sharing policies."""
+"""Normalization-batch construction: cohort planning and the BN layer's
+cohort view."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnlab.batching import STRATEGIES, DomainPolicy, NormBatchPlan, cohort_indices
-from bnlab.errors import EmptyBatch, InvalidPlan, InvalidPolicy
+from bnlab.batching import STRATEGIES, NormBatchPlan, cohort_indices
+from bnlab.errors import EmptyBatch, InvalidPlan
 from bnlab.layer import BnLayer, BnMode
 
 
@@ -55,13 +55,6 @@ def test_shuffle_cohorts_are_sub_batch_slices_of_one_permutation():
     for got, want in zip(cohorts, expected):
         np.testing.assert_array_equal(got, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def test_domain_policy_validation():
-    with pytest.raises(InvalidPolicy):
-        DomainPolicy(sgd_stats="global")
-    policy = DomainPolicy()
-    assert policy.sgd_stats == "shared"
 
 
 

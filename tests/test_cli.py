@@ -1,17 +1,19 @@
 """The command-line interface: run, estimate, check-grad."""
 
 import contextlib
+import csv
 import io
 import json
 import multiprocessing
 import os
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bnlab.cli import main
@@ -84,12 +86,20 @@ def test_shared_head_rejects_the_removed_pop_batches_key(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_run_rejects_invalid_json(tmp_path, capsys):
+@pytest.mark.parametrize("data, message", [
+    (b"{oops", "is not valid JSON"),
+    # not UTF-8 text
+    (b"\xff\xfe", "cannot read config"),
+])
+def test_run_rejects_unreadable_config(tmp_path, capsys, data, message):
     cfg = tmp_path / "bad.json"
-    cfg.write_text("{oops")
+    cfg.write_bytes(data)
     code = main(["run", "domain_adapt", "--config", str(cfg),
                  "--out", str(tmp_path / "o")])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 BAD_NUMBERS = [
@@ -123,6 +133,8 @@ BAD_NUMBERS = [
     ("leakage", '{"val_clusters": 0}', "val_clusters"),
     ("ema_vs_precise", '{"precise_n": 0}', "precise_n"),
     ("ema_vs_precise", '{"subset_sizes": [0]}', "subset_sizes[0]"),
+    # two one-row subsets: the stats gap was 0/0, found after training
+    ("ema_vs_precise", '{"steps": 3, "subset_sizes": [1]}', "subset_sizes[0]"),
     ("ema_vs_precise", '{"precise_b_sweep": [0]}', "precise_b_sweep[0]"),
     ("domain_adapt", '{"adapt_size": 0}', "adapt_size"),
     ("ema_vs_precise", '{"ema_momentum": 1.5}', "ema_momentum"),
@@ -408,6 +420,13 @@ _FLOATS = st.one_of(
     # moments whose squares or sums overflow
     st.sampled_from([1e200, -1e200, 1.7976931348623157e308, 5e-324, -0.0]),
 )
+# per file: moments of any size, or of one whose pooled sums stay finite
+_MOMENTS = st.sampled_from([_FLOATS, st.floats(-1e6, 1e6)])
+# per file: small counts or 2**40 (naive aggregation's unequal counts),
+# counts whose sum passes 2**53, 2**63 or 2**64, or any count up to 2**64
+_COUNTS = st.sampled_from([st.sampled_from([1, 2, 4, 7, 2**40]),
+                           st.sampled_from([2**52, 2**53, 2**62, 2**63, 2**64]),
+                           st.integers(1, 2**64)])
 _JUNK = st.sampled_from(["", "x", "1e", "nan", "-inf", "-1", "0", "1.5",
                          '"1"', " 1", str(10**30)])
 
@@ -418,13 +437,13 @@ def _moment_files(draw):
     replaced by junk and some rows dropped or repeated; or random bytes."""
     if draw(st.integers(0, 3)) == 0:
         return draw(st.binary(max_size=64))
-    channels = draw(st.integers(1, 3))
+    channels, floats, counts = draw(st.integers(1, 3)), draw(_MOMENTS), draw(_COUNTS)
     rows = []
     for b in range(draw(st.integers(1, 8))):
-        count = draw(st.sampled_from([1, 2, 4, 7, 2**40]))
-        rows += [[b, c, repr(draw(_FLOATS)), repr(abs(draw(_FLOATS))), count]
+        count = draw(counts)
+        rows += [[b, c, repr(draw(floats)), repr(abs(draw(floats))), count]
                  for c in range(channels)]
-    for _ in range(draw(st.integers(0, min(2, len(rows))))):
+    for _ in range(min(len(rows), draw(st.sampled_from([0, 0, 0, 1, 2])))):
         row = draw(st.sampled_from(rows))
         damage = draw(st.sampled_from(["junk", "drop", "repeat", "short"]))
         if damage == "junk":
@@ -435,14 +454,39 @@ def _moment_files(draw):
             rows.append(list(row))
         else:
             row.pop()
-    header = draw(st.sampled_from(["batch_index,channel,mean,var,count"] * 3
+    header = draw(st.sampled_from(["batch_index,channel,mean,var,count"] * 7
                                   + ["batch_index,channel,mean,var"]))
     return "\n".join([header, *(",".join(map(str, r)) for r in rows)]).encode()
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(_moment_files(), st.sampled_from(["ema", "precise", "naive"]))
-def test_estimate_fuzzed_input_exits_0_or_reports_one_error(data, method):
+def _assert_pooled_means(data, means):
+    """``means`` are the count-weighted means of the moments file ``data``,
+    pooled exactly, to a relative error of 1e-9 of the pooled magnitude
+    sum(count * |mean|) / sum(count), or to 1e-300 where that underflows."""
+    sums, magnitudes, total = {}, {}, {}
+    for row in list(csv.reader(io.StringIO(data.decode())))[1:]:
+        if not row:
+            continue
+        channel, count = int(row[1]), int(row[4])
+        mean = Fraction(float(row[2]))
+        sums[channel] = sums.get(channel, 0) + count * mean
+        magnitudes[channel] = magnitudes.get(channel, 0) + count * abs(mean)
+        total[channel] = total.get(channel, 0) + count
+    assert len(means) == len(sums)
+    for c, got in enumerate(means):
+        exact, scale = sums[c] / total[c], magnitudes[c] / total[c]
+        close = abs(Fraction(got) - exact) <= scale / 10**9 + Fraction(1e-300)
+        assert close, f"channel {c}: mean {got}, exact {float(exact)}"
+
+
+# each method fuzzed on its own, so that each sees the whole range of files
+@pytest.mark.parametrize("method", ["ema", "precise", "naive"])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=_moment_files())
+# two counts of 2**62, whose int64 sum wrapped: precise printed mean -1.5
+@example(data=b"batch_index,channel,mean,var,count\n0,0,1.0,0.5,4611686018427387904\n"
+              b"1,0,2.0,0.5,4611686018427387904")
+def test_estimate_fuzzed_input_exits_0_or_reports_one_error(method, data):
     # every outcome: 0 with finite JSON; 2 for a malformed file; 1 for an
     # estimate that overflows or that naive aggregation cannot make
     with tempfile.TemporaryDirectory() as tmp:
@@ -459,6 +503,8 @@ def test_estimate_fuzzed_input_exits_0_or_reports_one_error(data, method):
         assert err == ""
         payload = json.loads(out, parse_constant=pytest.fail)
         assert len(payload["mean"]) == len(payload["var"]) >= 1
+        if method == "precise":
+            _assert_pooled_means(data, payload["mean"])
         return
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert code == 2 or err == "error: estimate is not finite\n" or (

@@ -1,5 +1,6 @@
 """The normalization layer: mode selection, EMA side effects, fixed
-(frozen) statistics, cache discipline, and the frozen-affine fusion toy."""
+(frozen) statistics, cache discipline, and the frozen-affine fusion toy of
+``tests/oracles.py``."""
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from bnlab.layer import (
     BnMode,
     batch_stats_backward,
     batch_stats_forward,
-    fusion_finetune_demo,
 )
 from bnlab.net import Linear, MeanPool, Network, SgdConfig, train
 from bnlab.tensor import SAMPLE_AXES, ChannelStats, channel_moments, normalize
+from oracles import fusion_finetune_demo
 
 
 def _x(rng, n=8, c=3, h=2, w=2):

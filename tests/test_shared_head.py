@@ -17,15 +17,17 @@ trains every row's net on its own copy of that stream.
 import json
 import multiprocessing
 import os
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from bnlab.batching import PER_DOMAIN, SHARED, DomainPolicy
 from bnlab.cli import main
 from bnlab.errors import Diverged, InvalidParams
 from bnlab.net import Affine, Linear, Relu, softmax_cross_entropy
 from bnlab.scenarios import (
+    PER_DOMAIN,
+    SHARED,
     SHARED_HEAD_DEFAULTS,
     SharedHeadNet,
     _seed,
@@ -44,6 +46,20 @@ from test_scenarios import tiny_config
 CFG = dict(SHARED_HEAD_DEFAULTS)
 STEPS = 200
 VAL_ROWS = 256
+
+# a config's policy row, by name
+Policy = namedtuple("Policy", "sgd_stats pop_stats affine")
+
+
+def _flat_net(rng, cfg, policy, n_domains):
+    """The SharedHeadNet of a policy row: per-domain SGD statistics are
+    cohorts of domain_batch rows, a per-domain affine one block per
+    domain."""
+    return SharedHeadNet(
+        rng, cfg["dim"], cfg["hidden"], cfg["classes"],
+        cohort=cfg["domain_batch"] if policy.sgd_stats == PER_DOMAIN else None,
+        affine_blocks=n_domains if policy.affine == PER_DOMAIN else None,
+        eps=cfg["eps"])
 
 
 def _domains(cfg, seed=0):
@@ -193,10 +209,11 @@ def domains():
 
 
 def _train_pair(domains, row):
-    policy = DomainPolicy(*CFG["policies"][row])
-    args = (CFG["dim"], CFG["hidden"], CFG["classes"], domains.n_domains, policy)
-    net = SharedHeadNet(np.random.default_rng(3), *args, eps=CFG["eps"])
-    ref = ReferenceSharedHeadNet(np.random.default_rng(3), *args, eps=CFG["eps"])
+    policy = Policy(*CFG["policies"][row])
+    net = _flat_net(np.random.default_rng(3), CFG, policy, domains.n_domains)
+    ref = ReferenceSharedHeadNet(np.random.default_rng(3), CFG["dim"], CFG["hidden"],
+                                 CFG["classes"], domains.n_domains, policy,
+                                 eps=CFG["eps"])
     rng = np.random.default_rng(10 + row)
     velocity = {}
     for _ in range(STEPS):
@@ -205,7 +222,7 @@ def _train_pair(domains, row):
         net.train_step(np.concatenate(xs), np.concatenate(ys), CFG["lr"],
                        CFG["sgd_momentum"])
         _reference_step(ref, xs, ys, CFG["lr"], CFG["sgd_momentum"], velocity)
-    return net, ref
+    return net, ref, policy
 
 
 def _assert_stats_equal(a, b):
@@ -224,13 +241,13 @@ def _assert_stats_equal(a, b):
 @pytest.mark.parametrize("row", range(len(CFG["policies"])))
 def test_stacked_step_matches_per_domain_loop(domains, row):
     # the domains stacked as row blocks of one batch, against the loop
-    net, ref = _train_pair(domains, row)
+    net, ref, policy = _train_pair(domains, row)
     for layer, ref_layer in ((net.l1, ref.l1), (net.l2, ref.l2)):
         for k in layer.param_names:
             assert np.array_equal(getattr(layer, k), getattr(ref_layer, k)), k
     for k in net.affine.param_names:
         ref_param = [getattr(a, k) for a in ref.affines]
-        expected = (np.stack(ref_param) if net.policy.affine == PER_DOMAIN
+        expected = (np.stack(ref_param) if policy.affine == PER_DOMAIN
                     else ref_param[0])
         assert np.array_equal(getattr(net.affine, k), expected), k
     # the reference's population pass and evaluation normalize one domain
@@ -240,7 +257,9 @@ def test_stacked_step_matches_per_domain_loop(domains, row):
            for d in range(domains.n_domains)]
     pop = [domains.sample_domain(data_rng, d, VAL_ROWS)[0]
            for d in range(domains.n_domains)]
-    stats = net.train_population_stats(np.concatenate(pop), net.policy.pop_stats)
+    # per domain: a cohort of each domain's VAL_ROWS rows
+    stats = net.train_population_stats(
+        np.concatenate(pop), VAL_ROWS if policy.pop_stats == PER_DOMAIN else None)
     ref.train_population_stats(pop)
     _assert_stats_equal(stats, ref.pop_stats)
     xs, ys = zip(*val)
@@ -249,9 +268,8 @@ def test_stacked_step_matches_per_domain_loop(domains, row):
 
 
 def test_eps_must_be_positive(tmp_path):
-    policy = DomainPolicy(SHARED, SHARED, SHARED)
     with pytest.raises(InvalidParams, match="eps must be positive"):
-        SharedHeadNet(np.random.default_rng(0), 4, 5, 3, 3, policy, eps=0)
+        SharedHeadNet(np.random.default_rng(0), 4, 5, 3, eps=0)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"eps": 0, "steps": 1}))
     # the config's range check refuses it before any work
@@ -268,14 +286,14 @@ def _row_by_row(cfg, seed):
     copy of the row-1 stream, as the runner's rows must read."""
     domains, val_x, val_y, pop_x = shared_head_data(cfg, seed)
     errors = []
-    for policy in cfg["policies"]:
-        net = SharedHeadNet(np.random.default_rng(_seed(seed, 3)), cfg["dim"],
-                            cfg["hidden"], cfg["classes"], domains.n_domains,
-                            DomainPolicy(*policy), eps=cfg["eps"])
+    for policy in map(Policy._make, cfg["policies"]):
+        net = _flat_net(np.random.default_rng(_seed(seed, 3)), cfg, policy,
+                        domains.n_domains)
         rng = np.random.default_rng(_seed(seed, 10))
         for x, y in domains.batches(rng, cfg["steps"], cfg["domain_batch"]):
             net.train_step(x, y, cfg["lr"], cfg["sgd_momentum"])
-        stats = net.train_population_stats(pop_x, net.policy.pop_stats)
+        stats = net.train_population_stats(pop_x, cfg["val_per_domain"] if
+                                           policy.pop_stats == PER_DOMAIN else None)
         errors.append(net.eval_error(val_x, val_y, stats))
     return errors
 

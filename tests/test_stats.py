@@ -1,4 +1,5 @@
-"""Population-statistics estimators: EMA, aggregators, Monte Carlo oracles."""
+"""Population-statistics estimators: EMA and aggregators, and the Monte
+Carlo oracles of ``tests/oracles.py``."""
 
 import numpy as np
 import pytest
@@ -19,11 +20,10 @@ from bnlab.stats import (
     aggregate_naive,
     ema_update,
     read_moments_csv,
-    simulate_variance_estimates,
     stack_moments,
-    var_of_var_oracle,
 )
 from bnlab.tensor import ChannelStats, channel_moments
+from oracles import simulate_variance_estimates, var_of_var_oracle
 
 
 def _stats(mean, var, count):

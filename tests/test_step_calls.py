@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bnlab import io
-from bnlab.batching import PER_DOMAIN, SHARED, DomainPolicy, NormBatchPlan
+from bnlab.batching import NormBatchPlan
 from bnlab.net import Momentum, SgdConfig, sgd_step
 from bnlab.precise import precise_bn
 from bnlab.scenarios import (
@@ -113,11 +113,14 @@ def _nbs_sweep_frozen_ghost2():
     return step, (*args, precise_bn(net, x, 2))
 
 
-def _shared_head(policy):
+def _shared_head(per_domain):
     d = SHARED_HEAD_DEFAULTS
     domains = len(d["domains"])
+    # per domain: each domain's rows a cohort, and an affine block per domain
     net = SharedHeadNet(np.random.default_rng(3), d["dim"], d["hidden"],
-                        d["classes"], domains, DomainPolicy(*[policy] * 3),
+                        d["classes"],
+                        cohort=d["domain_batch"] if per_domain else None,
+                        affine_blocks=domains if per_domain else None,
                         eps=d["eps"])
     rng = np.random.default_rng(1)
     rows = domains * d["domain_batch"]  # the domains' row blocks
@@ -127,11 +130,11 @@ def _shared_head(policy):
 
 
 def _shared_head_shared():
-    return _shared_head(SHARED)
+    return _shared_head(False)
 
 
 def _shared_head_per_domain():
-    return _shared_head(PER_DOMAIN)
+    return _shared_head(True)
 
 
 @pytest.mark.parametrize("name, setup", [
