@@ -39,12 +39,6 @@ class BnCache:
     tail: "BnCache | None" = None
     consumed: bool = False
 
-    def take(self):
-        if self.consumed:
-            raise StaleCache("backward already consumed this cache")
-        self.consumed = True
-        return self
-
 
 class BnLayer:
     """Normalization layer whose statistics source is chosen per forward.
@@ -114,7 +108,9 @@ class BnLayer:
         functions of x, per cohort of the forward's view; in
         EVAL_POPULATION they are constants.
         """
-        cache = cache.take()
+        if cache.consumed:
+            raise StaleCache("backward already consumed this cache")
+        cache.consumed = True
         if cache.moments is None:
             inv_std = 1.0 / np.sqrt(cache.stats.var + self.eps)
             return dy * inv_std[..., None, :, None, None], None

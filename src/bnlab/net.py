@@ -46,8 +46,8 @@ __all__ = [
     "LOSS_BOUND",
 ]
 
-# rows per forward-only pass, for memory only: whole cohorts up to this
-# many, or one cohort
+# activation rows (samples times H * W sites) per forward-only pass, for
+# memory only: whole cohorts up to this many, or one cohort
 EVAL_CHUNK_ROWS = 256
 
 # a training loss (mean cross-entropy, in nats) above this, or NaN, stops
@@ -58,20 +58,6 @@ LOSS_BOUND = 1e3
 # spatial site) and back
 _CHANNELS_LAST = (0, 2, 3, 1)
 _CHANNELS_BACK = (0, 3, 1, 2)
-
-
-def to4(x2: np.ndarray) -> np.ndarray:
-    # float64 logits gradients, as softmax_cross_entropy gives, pass as
-    # they are; the type and dtype tests make no Python call
-    if type(x2) is np.ndarray and x2.dtype == np.float64 and x2.ndim == 2:
-        return x2[..., None, None]
-    return as_tensor4(np.asarray(x2)[..., None, None])
-
-
-def to2(x4: np.ndarray) -> np.ndarray:
-    if x4.shape[-2:] != (1, 1):
-        raise ShapeMismatch("dense layers expect h = w = 1 activations")
-    return x4[..., 0, 0]
 
 
 class Linear:
@@ -180,16 +166,11 @@ class MeanPool:
         return dx, None
 
 
-class NetCaches:
-    def __init__(self, per_layer):
-        self.per_layer = per_layer
-        self.consumed = False
+class NetCaches(list):
+    """One forward's caches, one per layer in order; a backward consumes
+    them once."""
 
-    def take(self):
-        if self.consumed:
-            raise StaleCache("network caches already consumed by backward")
-        self.consumed = True
-        return self.per_layer
+    consumed = False
 
 
 class Network:
@@ -206,6 +187,8 @@ class Network:
                            if isinstance(l, BnLayer)]
         self._first_linear = bool(self.layers) and isinstance(self.layers[0],
                                                                Linear)
+        # sizes each pass's cache list, so a pass makes no append
+        self._depth = len(self.layers)
 
     def layer_names(self):
         names = []
@@ -232,7 +215,7 @@ class Network:
         if not (type(x) is np.ndarray and x.dtype == np.float64
                 and x.ndim == 4):
             x = as_tensor4(x)
-        caches = []
+        caches = NetCaches((None,) * self._depth)
         bn = self.bn_indices
         for i, layer in enumerate(self.layers):
             if i in bn:
@@ -247,8 +230,10 @@ class Network:
                         moment_sinks[i].append(cache.tail.moments)
             else:
                 x, cache = layer.forward(x)
-            caches.append(cache)
-        return to2(x), NetCaches(caches)
+            caches[i] = cache
+        if x.shape[2] != 1 or x.shape[3] != 1:
+            raise ShapeMismatch("dense layers expect h = w = 1 activations")
+        return x[:, :, 0, 0], caches
 
     def backward(self, caches, dlogits, input_grad=True):
         """Exact gradients of the scalar loss the caller differentiated into
@@ -257,24 +242,35 @@ class Network:
         Without ``input_grad`` a first Linear layer skips the
         input gradient, which comes back as None.
         """
-        per_layer = caches.take()
-        dy = to4(dlogits)
-        grads = [None] * len(self.layers)
-        for i in range(len(self.layers) - 1, 0, -1):
-            dy, grads[i] = self.layers[i].backward(per_layer[i], dy)
+        if caches.consumed:
+            raise StaleCache("network caches already consumed by backward")
+        caches.consumed = True
+        # float64 logits gradients, as softmax_cross_entropy gives, pass as
+        # they are; the type and dtype tests make no Python call
+        if type(dlogits) is np.ndarray and dlogits.dtype == np.float64 \
+                and dlogits.ndim == 2:
+            dy = dlogits[:, :, None, None]
+        else:
+            dy = as_tensor4(np.asarray(dlogits)[..., None, None])
+        grads = [None] * self._depth
+        for i in range(self._depth - 1, 0, -1):
+            dy, grads[i] = self.layers[i].backward(caches[i], dy)
         first = self.layers[0]
         if input_grad or not self._first_linear:
-            dy, grads[0] = first.backward(per_layer[0], dy)
+            dy, grads[0] = first.backward(caches[0], dy)
         else:
-            dy, grads[0] = first.backward(per_layer[0], dy, input_grad=False)
+            dy, grads[0] = first.backward(caches[0], dy, input_grad=False)
         return dy, grads
 
 
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy over the (N, K) logits' rows, with (N,) labels;
     returns (loss, dloss/dlogits)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
+    # a float64 array, as Network.forward gives, is not wrapped again
+    if not (type(logits) is np.ndarray and logits.dtype == np.float64):
+        logits = np.asarray(logits, dtype=np.float64)
+    if type(labels) is not np.ndarray:
+        labels = np.asarray(labels)
     n = logits.shape[0]
     # ufunc reduces give max's and sum's results without their wrapper calls
     shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
@@ -403,11 +399,12 @@ def train(net, batch_fn, cfg: SgdConfig, plan: NormBatchPlan | None = None,
     return net
 
 
-def chunk_rows(cohort=None):
-    """Rows per forward-only pass: whole cohorts of ``cohort`` rows (by
-    default EVAL_CHUNK_ROWS) up to EVAL_CHUNK_ROWS, or one cohort."""
-    cohort = cohort or EVAL_CHUNK_ROWS
-    return max(1, EVAL_CHUNK_ROWS // cohort) * cohort
+def chunk_rows(cohort=None, sites=1):
+    """Samples per forward-only pass: whole cohorts of ``cohort`` samples
+    (by default one) of ``sites`` activation rows each (H * W), up to
+    EVAL_CHUNK_ROWS activation rows, or one cohort."""
+    cohort = cohort or 1
+    return max(1, EVAL_CHUNK_ROWS // (cohort * sites)) * cohort
 
 
 def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
@@ -429,7 +426,7 @@ def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
         if plan.strategy == "shuffle":
             rows = np.concatenate(cohort_indices(plan, n, rng))
             x, labels = x[rows], labels[rows]
-    step = chunk_rows(cohort)
+    step = chunk_rows(cohort, x.shape[2] * x.shape[3])
     wrong = 0
     for start in range(0, n, step):
         logits, _ = net.forward(x[start : start + step], mode=mode,

@@ -25,7 +25,7 @@ def _pooled_moments(net, population, batch_size, indices, stats=None):
     if batch_size < 1:
         raise InvalidParams("batch_size must be >= 1")
     sinks = {i: [] for i in indices}
-    step = chunk_rows(batch_size)
+    step = chunk_rows(batch_size, population.shape[2] * population.shape[3])
     for start in range(0, population.shape[0], step):
         net.forward(population[start : start + step],
                     mode=BnMode.EVAL_MINIBATCH, stats=stats,

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EmaState:
     """Exponentially averaged channel statistics with momentum in [0, 1]."""
 
@@ -40,14 +40,19 @@ class EmaState:
     momentum: float
     update_count: int = 0
 
-    def __post_init__(self):
-        if not 0.0 <= self.momentum <= 1.0:
-            raise InvalidParams(f"momentum must be in [0, 1], got {self.momentum}")
+    def __init__(self, mean, var, momentum, update_count=0):
+        # one frame per object, as ChannelStats
+        if not 0.0 <= momentum <= 1.0:
+            raise InvalidParams(f"momentum must be in [0, 1], got {momentum}")
         # ema_update passes float64 arrays already
-        if type(self.mean) is not np.ndarray or self.mean.dtype != np.float64:
-            object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        if type(self.var) is not np.ndarray or self.var.dtype != np.float64:
-            object.__setattr__(self, "var", np.asarray(self.var, dtype=np.float64))
+        if type(mean) is not np.ndarray or mean.dtype != np.float64:
+            mean = np.asarray(mean, dtype=np.float64)
+        if type(var) is not np.ndarray or var.dtype != np.float64:
+            var = np.asarray(var, dtype=np.float64)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "momentum", momentum)
+        object.__setattr__(self, "update_count", update_count)
 
     @classmethod
     def initial(cls, channels: int, momentum: float) -> "EmaState":

@@ -29,7 +29,7 @@ __all__ = [
 SAMPLE_AXES = (-4, -2, -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChannelStats:
     """Per-channel mean and biased variance, tagged with the element count.
 
@@ -42,16 +42,19 @@ class ChannelStats:
     var: np.ndarray
     count: int
 
-    def __post_init__(self):
-        # the BN forward and the estimators pass float64 arrays already
-        if type(self.mean) is not np.ndarray or self.mean.dtype != np.float64:
-            object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        if type(self.var) is not np.ndarray or self.var.dtype != np.float64:
-            object.__setattr__(self, "var", np.asarray(self.var, dtype=np.float64))
-        if self.mean.shape != self.var.shape:
-            raise ShapeMismatch(
-                f"mean shape {self.mean.shape} != var shape {self.var.shape}"
-            )
+    def __init__(self, mean, var, count):
+        # an explicit __init__ builds the object in one Python frame (a
+        # generated one and __post_init__ take two); the BN forward and
+        # the estimators pass float64 arrays already
+        if type(mean) is not np.ndarray or mean.dtype != np.float64:
+            mean = np.asarray(mean, dtype=np.float64)
+        if type(var) is not np.ndarray or var.dtype != np.float64:
+            var = np.asarray(var, dtype=np.float64)
+        if mean.shape != var.shape:
+            raise ShapeMismatch(f"mean shape {mean.shape} != var shape {var.shape}")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "count", count)
 
     @property
     def channels(self) -> int:
@@ -95,26 +98,24 @@ def channel_moments(x: np.ndarray, out: np.ndarray | None = None) -> ChannelStat
     return ChannelStats(mean=mean, var=var, count=count)
 
 
-def _check_channels(x: np.ndarray, stats: ChannelStats) -> None:
-    if stats.channels != x.shape[-3]:
-        raise ShapeMismatch(
-            f"stats have {stats.channels} channels, tensor has {x.shape[-3]}"
-        )
-    if stats.mean.ndim == 2 and (x.ndim != 5 or stats.mean.shape[0] != x.shape[0]):
-        raise ShapeMismatch(
-            f"stats for {stats.mean.shape[0]} cohorts, tensor shape {x.shape}"
-        )
-
-
 def normalize(x: np.ndarray, stats: ChannelStats, eps: float) -> np.ndarray:
     """(x - mean) / sqrt(var + eps), broadcast per channel (and per cohort
     when both are stacked)."""
-    x = as_batch(x)
-    _check_channels(x, stats)
+    if not (type(x) is np.ndarray and x.dtype == np.float64 and x.ndim in (4, 5)):
+        x = as_batch(x)
+    mean = stats.mean
+    if mean.shape[-1] != x.shape[-3]:
+        raise ShapeMismatch(
+            f"stats have {mean.shape[-1]} channels, tensor has {x.shape[-3]}"
+        )
+    if mean.ndim == 2 and (x.ndim != 5 or mean.shape[0] != x.shape[0]):
+        raise ShapeMismatch(
+            f"stats for {mean.shape[0]} cohorts, tensor shape {x.shape}"
+        )
     if eps <= 0:
         # eps == 0 is allowed only when every channel variance is positive
         if eps < 0 or np.any(stats.var <= 0):
             raise InvalidParams("eps must be positive")
     inv = 1.0 / np.sqrt(stats.var + eps)
-    return (x - stats.mean[..., None, :, None, None]) * inv[..., None, :, None, None]
+    return (x - mean[..., None, :, None, None]) * inv[..., None, :, None, None]
 

@@ -19,6 +19,7 @@ import copy
 import numpy as np
 import pytest
 
+from bnlab import net as net_module
 from bnlab.batching import NormBatchPlan, cohort_indices
 from bnlab.errors import ShapeMismatch
 from bnlab.layer import BnLayer, BnMode
@@ -36,6 +37,7 @@ from bnlab.net import (
     train,
 )
 from bnlab.precise import precise_bn, precise_bn_layerwise
+from bnlab.scenarios import EMA_VS_PRECISE_DEFAULTS, NBS_SWEEP_DEFAULTS, build_net
 from bnlab.stats import aggregate_moment_matching
 from bnlab.tensor import ChannelStats
 
@@ -442,3 +444,94 @@ def test_cohort_view_backward_keeps_the_batch_shape():
     # a cohort is a view inside BN, never a stack the network takes
     with pytest.raises(ShapeMismatch):
         net.forward(x.reshape(3, 4, *x.shape[1:]))
+
+
+def test_chunks_hold_whole_cohorts_of_at_most_256_activation_rows():
+    assert net_module.EVAL_CHUNK_ROWS == 256
+    assert net_module.chunk_rows() == 256
+    assert net_module.chunk_rows(None, 4) == 64  # the nbs_sweep net's H x W
+    assert net_module.chunk_rows(8, 4) == 64
+    assert net_module.chunk_rows(6, 4) == 60  # whole cohorts only
+    assert net_module.chunk_rows(100, 4) == 100  # one cohort, however large
+
+
+def _scenario_net(name):
+    """A scenario's network at its defaults, its EMA stepped by a few
+    ghost-cohort training steps, and a population of 203 samples for it (a
+    cohort of 8 leaves a ragged last one of 3)."""
+    if name == "ema_vs_precise":
+        d = EMA_VS_PRECISE_DEFAULTS
+        dims, shape, pool = [d["dim"], *d["hidden"], d["classes"]], (d["dim"], 1, 1), False
+    else:
+        d = NBS_SWEEP_DEFAULTS
+        dims, shape, pool = ([d["channels"], *d["hidden"], d["classes"]],
+                             (d["channels"], 2, 2), True)
+    net = build_net(np.random.default_rng(0), dims, pool=pool)
+    rng = np.random.default_rng(1)
+
+    def batch_fn(rng, size):
+        return rng.standard_normal((size, *shape)), rng.integers(0, dims[-1], size)
+
+    train(net, batch_fn, SgdConfig(lr=0.05, steps=3, batch_size=32),
+          plan=NormBatchPlan("ghost", 8))
+    return net, *batch_fn(rng, 203)
+
+
+def _chunked(net, run):
+    """``run()``'s result, and the logits of every forward it made,
+    concatenated in order."""
+    logits, forward = [], net.forward
+
+    def spy(x, **kwargs):
+        out = forward(x, **kwargs)
+        logits.append(out[0])
+        return out
+
+    net.forward = spy
+    try:
+        result = run()
+    finally:
+        del net.forward
+    return result, np.concatenate(logits)
+
+
+@pytest.mark.parametrize("name", ["ema_vs_precise", "nbs_sweep"])
+def test_evaluation_chunks_change_results_by_rounding_only(name, monkeypatch):
+    # Chunks exist for memory only: every cohort (or sample) in its own
+    # chunk and every row in one chunk normalize each cohort alike.  Not
+    # bit for bit at these layer widths: numpy and OpenBLAS choose the
+    # matrix-product kernel by the row count, so a row's logits can move in
+    # their last bits with its chunk's size.
+    net, x, y = _scenario_net(name)
+    given = precise_bn(net, x, 16)
+    passes = {
+        "population_ema": lambda: classification_error(net, x, y),
+        "population_given": lambda: classification_error(net, x, y, stats=given),
+        "ghost8_ragged": lambda: classification_error(
+            net, x, y, plan=NormBatchPlan("ghost", 8)),
+        "shuffle8_ragged": lambda: classification_error(
+            net, x, y, plan=NormBatchPlan("shuffle", 8),
+            rng=np.random.default_rng(2)),
+        "precise8_ragged": lambda: precise_bn(net, x, 8),
+        "precise32": lambda: precise_bn(net, x, 32),
+    }
+    runs = []
+    for chunk in (1, x.shape[0] * x.shape[2] * x.shape[3]):
+        monkeypatch.setattr(net_module, "EVAL_CHUNK_ROWS", chunk)
+        runs.append({k: _chunked(net, run) for k, run in passes.items()})
+    one, whole = runs
+    for k in passes:
+        (got, got_logits), (ref, ref_logits) = one[k], whole[k]
+        np.testing.assert_allclose(got_logits, ref_logits, rtol=0, atol=1e-13,
+                                   err_msg=k)
+        if isinstance(got, dict):
+            assert got.keys() == ref.keys() == set(net.bn_indices)
+            for i in got:
+                np.testing.assert_allclose(got[i].mean, ref[i].mean, rtol=1e-12,
+                                           atol=1e-15, err_msg=f"{k} {i}")
+                np.testing.assert_allclose(got[i].var, ref[i].var, rtol=1e-12,
+                                           err_msg=f"{k} {i}")
+                assert got[i].count == ref[i].count, (k, i)
+        else:
+            # no row's top class is within rounding of another here
+            assert got == ref, k

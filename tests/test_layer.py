@@ -101,14 +101,23 @@ def test_the_layer_holds_only_its_shape_eps_and_ema():
     assert layer.ema.update_count == 0
 
 
-def test_cache_single_use():
+@pytest.mark.parametrize("mode, cohort", [
+    (BnMode.EVAL_MINIBATCH, None),
+    (BnMode.TRAIN_MINIBATCH, 3),  # two whole cohorts and a ragged tail of 2
+    (BnMode.EVAL_POPULATION, None),
+], ids=["batch", "ragged_tail", "population"])
+def test_cache_single_use(mode, cohort):
     rng = np.random.default_rng(5)
     layer = BnLayer(3)
     x = _x(rng)
-    _, cache = layer.forward(x, mode=BnMode.EVAL_MINIBATCH)
+    _, cache = layer.forward(x, mode=mode, cohort=cohort)
     layer.backward(cache, np.ones_like(x))
-    with pytest.raises(StaleCache):
+    with pytest.raises(StaleCache, match="^backward already consumed this cache$"):
         layer.backward(cache, np.ones_like(x))
+    if cohort is not None:
+        # the ragged tail's own cache was consumed with its batch's
+        with pytest.raises(StaleCache, match="^backward already consumed this cache$"):
+            layer.backward(cache.tail, np.ones_like(x[6:]))
 
 
 def test_frozen_backward_is_constant_scale():

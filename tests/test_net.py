@@ -109,14 +109,44 @@ def test_softmax_cross_entropy_matches_manual():
     np.testing.assert_allclose(dlogits, (p - onehot) / 5, atol=1e-12)
 
 
-def test_network_cache_single_use():
+@pytest.mark.parametrize("mode, cohort", [
+    (BnMode.EVAL_MINIBATCH, None),
+    (BnMode.TRAIN_MINIBATCH, 4),  # a whole cohort and a ragged tail of 2
+    (BnMode.EVAL_POPULATION, None),
+], ids=["batch", "ragged_tail", "population"])
+def test_network_cache_single_use(mode, cohort):
     rng = np.random.default_rng(3)
     net = _net(rng)
     x = rng.standard_normal((6, 4, 1, 1))
-    logits, caches = net.forward(x, mode=BnMode.EVAL_MINIBATCH)
+    logits, caches = net.forward(x, mode=mode, cohort=cohort)
     net.backward(caches, np.ones_like(logits))
-    with pytest.raises(StaleCache):
+    with pytest.raises(StaleCache,
+                       match="^network caches already consumed by backward$"):
         net.backward(caches, np.ones_like(logits))
+    # each of its BN layers' caches is spent too, a ragged tail's with it
+    bn = net.bn_indices[0]
+    with pytest.raises(StaleCache, match="^backward already consumed this cache$"):
+        net.layers[bn].backward(caches[bn], np.ones((6, 6, 1, 1)))
+
+
+def test_forward_needs_h_w_1_logits_and_backward_takes_any_logits_gradient():
+    rng = np.random.default_rng(4)
+    net = _net(rng)
+    with pytest.raises(ShapeMismatch,
+                       match="^dense layers expect h = w = 1 activations$"):
+        net.forward(rng.standard_normal((6, 4, 2, 2)))
+    x = rng.standard_normal((6, 4, 1, 1))
+    dlogits = rng.standard_normal((6, 3))
+    results = []
+    for given in (dlogits, dlogits.tolist(), dlogits.astype(np.float32)):
+        _, caches = net.forward(x, mode=BnMode.EVAL_MINIBATCH)
+        results.append(net.backward(caches, given))
+    # a list converts to the same float64 gradient; float32 rounds it
+    assert results[0][0].tobytes() == results[1][0].tobytes()
+    np.testing.assert_allclose(results[2][0], results[0][0], rtol=1e-6)
+    _, caches = net.forward(x, mode=BnMode.EVAL_MINIBATCH)
+    with pytest.raises(ShapeMismatch):
+        net.backward(caches, dlogits[None])
 
 
 @pytest.mark.parametrize("n, cohort", [(6, None), (6, 2), (7, 3)])

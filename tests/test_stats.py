@@ -1,6 +1,8 @@
 """Population-statistics estimators: EMA and aggregators, and the Monte
 Carlo oracles of ``tests/oracles.py``."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,8 +114,13 @@ def test_ema_update_has_the_bits_of_the_closed_form(groups, lam):
 
 
 def test_ema_momentum_validation_and_shape():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"^momentum must be in \[0, 1\], got 1.5$"):
         EmaState(np.zeros(1), np.ones(1), momentum=1.5)
+    state = EmaState([0], [1], 0.9)
+    assert state.mean.dtype == state.var.dtype == np.float64
+    assert state.update_count == 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.mean = np.ones(1)
     state = EmaState.initial(2, 0.9)
     with pytest.raises(ShapeMismatch):
         ema_update(state, _stats([0.0], [1.0], 4))

@@ -3,10 +3,14 @@ loop's cost is interpreter dispatch, so a change that adds calls per step
 shows here before any timing does.  Every training path a benchmark
 workload runs has a case: ``sgd_step`` with no plan, with many ghost
 cohorts, with one cohort of a plan, with shuffled cohorts and with every BN
-layer frozen, and ``SharedHeadNet.train_step``.  A last case guards the
+layer frozen, and ``SharedHeadNet.train_step``; and ``sgd_step`` on the
+``Network`` that is to replace ``SharedHeadNet``, in each of its arms.
+Forward-only passes have their own cases: population-mode
+``classification_error`` and ``precise_bn``.  A last case guards the
 calls of encoding a run's parameter checkpoint."""
 
 import cProfile
+import functools
 import platform
 
 import numpy as np
@@ -14,7 +18,7 @@ import pytest
 
 from bnlab import io
 from bnlab.batching import NormBatchPlan
-from bnlab.net import Momentum, SgdConfig, sgd_step
+from bnlab.net import Affine, Momentum, SgdConfig, classification_error, sgd_step
 from bnlab.precise import precise_bn
 from bnlab.scenarios import (
     EMA_VS_PRECISE_DEFAULTS,
@@ -48,16 +52,24 @@ MEASURED_ON = "Python 3.11.7, numpy 2.4.6"
 # domains as row blocks of a flat batch and the layers and the loss lost
 # their stacked-input branches, the cases read 108, 125, 125, 113, 130, 66
 # (shared head, shared) and 63 (per domain).  The frozen case read 95 at
-# a1b56d5 too, where freeze() installed the statistics in each layer.
+# a1b56d5 too, where freeze() installed the statistics in each layer.  At
+# 94f9be7, before a Network pass filled a preallocated cache list, checked
+# its caches' single use inline and stopped re-wrapping float64 arrays,
+# and ChannelStats and EmaState were built in one frame, the cases read
+# 104, 121, 121, 109, 126, 95, 49 and 57, and the three Network arms 66,
+# 72 and 76.
 CALLS_PER_STEP = {
-    "ema_vs_precise": 104,
-    "nbs_sweep_ghost2": 121,
-    "nbs_sweep_ghost8": 121,
-    "nbs_sweep_ghost32": 109,
-    "nbs_sweep_shuffle16": 126,
-    "nbs_sweep_frozen_ghost2": 95,
-    "shared_head_shared": 49,
-    "shared_head_per_domain": 57,
+    "ema_vs_precise": 81,
+    "nbs_sweep_ghost2": 97,
+    "nbs_sweep_ghost8": 97,
+    "nbs_sweep_ghost32": 85,
+    "nbs_sweep_shuffle16": 102,
+    "nbs_sweep_frozen_ghost2": 67,
+    "shared_head_shared": 46,
+    "shared_head_per_domain": 54,
+    "shared_head_network_shared": 50,
+    "shared_head_network_domain_stats": 56,
+    "shared_head_network_domain_stats_affine": 60,
 }
 SLACK = 2
 
@@ -137,6 +149,34 @@ def _shared_head_per_domain():
     return _shared_head(True)
 
 
+def _shared_head_network(sgd_stats, affine):
+    # shared_head's net as a Network: per-domain SGD statistics are a ghost
+    # plan of one domain's rows, a per-domain affine a (domains, hidden) one
+    d = SHARED_HEAD_DEFAULTS
+    domains, hidden = len(d["domains"]), d["hidden"]
+    net = build_net(np.random.default_rng(3), [d["dim"], hidden, d["classes"]],
+                    bn_blocks=1)
+    if affine == "per_domain":
+        net.layers[2] = Affine(np.ones((domains, hidden)),
+                               np.zeros((domains, hidden)))
+    plan = (NormBatchPlan("ghost", d["domain_batch"])
+            if sgd_stats == "per_domain" else None)
+    return _sgd(net, (domains * d["domain_batch"], d["dim"], 1, 1),
+                d["classes"], plan)
+
+
+def _shared_head_network_shared():
+    return _shared_head_network("shared", "shared")
+
+
+def _shared_head_network_domain_stats():
+    return _shared_head_network("per_domain", "shared")
+
+
+def _shared_head_network_domain_stats_affine():
+    return _shared_head_network("per_domain", "per_domain")
+
+
 @pytest.mark.parametrize("name, setup", [
     ("ema_vs_precise", _ema_vs_precise),
     ("nbs_sweep_ghost2", _nbs_sweep_ghost2),
@@ -146,19 +186,56 @@ def _shared_head_per_domain():
     ("nbs_sweep_frozen_ghost2", _nbs_sweep_frozen_ghost2),
     ("shared_head_shared", _shared_head_shared),
     ("shared_head_per_domain", _shared_head_per_domain),
+    ("shared_head_network_shared", _shared_head_network_shared),
+    ("shared_head_network_domain_stats", _shared_head_network_domain_stats),
+    ("shared_head_network_domain_stats_affine",
+     _shared_head_network_domain_stats_affine),
 ])
 def test_python_calls_per_sgd_step(name, setup):
     step, args = setup()
-    # the first step builds the optimizer state and the EMA decay column
-    step(*args)
+    _check(f"{name}: Python calls per training step",
+           _calls_per_call(step, args), CALLS_PER_STEP[name] + SLACK)
+
+
+# Calls per forward-only pass of the ema_vs_precise net over 1,024 rows
+# (four chunks), on MEASURED_ON.  At 94f9be7 they read 241, 209 and 303.
+CALLS_PER_PASS = {
+    "error_by_ema": 157,
+    "error_given_stats": 133,
+    "precise_bn32": 249,
+}
+
+
+def _ema_vs_precise_pass(name):
+    d = EMA_VS_PRECISE_DEFAULTS
+    net = build_net(np.random.default_rng(3), [d["dim"], *d["hidden"], d["classes"]],
+                    ema_momentum=d["ema_momentum"])
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((1024, d["dim"], 1, 1))
+    labels = rng.integers(0, d["classes"], 1024)
+    if name == "precise_bn32":
+        return precise_bn, (net, x, 32)
+    stats = precise_bn(net, x, 32) if name == "error_given_stats" else None
+    return functools.partial(classification_error, stats=stats), (net, x, labels)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS_PER_PASS))
+def test_python_calls_per_forward_only_pass(name):
+    run, args = _ema_vs_precise_pass(name)
+    _check(f"{name}: Python calls per pass", _calls_per_call(run, args),
+           CALLS_PER_PASS[name] + SLACK)
+
+
+def _calls_per_call(fn, args):
+    """Python calls per ``fn(*args)`` over STEPS calls, after a first that
+    builds the optimizer state and the EMA decay column."""
+    fn(*args)
     profile = cProfile.Profile()
     profile.enable()
     for _ in range(STEPS):
-        step(*args)
+        fn(*args)
     profile.disable()
-    per_step = _calls(profile) / STEPS
-    _check(f"{name}: Python calls per training step", per_step,
-           CALLS_PER_STEP[name] + SLACK)
+    return _calls(profile) / STEPS
 
 
 def _calls(profile):

@@ -1,5 +1,7 @@
 """Per-channel moment machinery: moments and normalization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,18 @@ def test_channel_moments_rejects_empty_and_bad_rank():
 
 
 def test_channel_stats_shape_check():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match=r"^mean shape \(3,\) != var shape \(4,\)$"):
         ChannelStats(mean=np.zeros(3), var=np.zeros(4), count=1)
+
+
+def test_channel_stats_is_frozen_and_holds_float64_arrays():
+    stats = ChannelStats([1, 2], np.array([3, 4], dtype=np.float32), 5)
+    assert stats.mean.dtype == stats.var.dtype == np.float64
+    assert stats.mean.tolist() == [1.0, 2.0] and stats.var.tolist() == [3.0, 4.0]
+    assert stats == ChannelStats(mean=stats.mean, var=stats.var, count=5)
+    assert repr(stats).startswith("ChannelStats(mean=array([1., 2.]), var=")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats.count = 6
 
 
 def test_normalize_standardizes():
