@@ -1,10 +1,17 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules, and the hypothesis profile they
+all run under."""
 
 import csv
 
 import pytest
+from hypothesis import settings
 
 from bnlab import io
+
+# every drawn test sees the same examples on every run and writes no
+# example database; each test sets its own max_examples
+settings.register_profile("bnlab", derandomize=True, database=None, deadline=None)
+settings.load_profile("bnlab")
 
 
 @pytest.fixture

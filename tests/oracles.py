@@ -1,9 +1,11 @@
 """Oracles that only the tests use: the Monte Carlo variance-of-variance
-oracle behind c01-c03 and the frozen-affine fusion toy behind c05.
+oracle behind c01-c03, the frozen-affine fusion toy behind c05, and
+``LoopNet``, the reference network that every cohort-equivalence test
+compares against.
 
 They exercise the package's estimators (``aggregate_naive``,
-``aggregate_moment_matching``) but are no part of a run, so they live
-beside the tests that call them rather than in ``bnlab``.
+``aggregate_moment_matching``) and layers but are no part of a run, so they
+live beside the tests that call them rather than in ``bnlab``.
 """
 
 from dataclasses import dataclass
@@ -11,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from bnlab.errors import InvalidParams
+from bnlab.layer import BnLayer
+from bnlab.net import Affine, Linear, softmax_cross_entropy
 from bnlab.stats import aggregate_moment_matching, aggregate_naive
 from bnlab.tensor import ChannelStats
 
@@ -122,3 +126,191 @@ def fusion_finetune_demo(lambda_: float, x0: float, step: float, iters: int):
         z = z - step * 2.0 * z
         fused.append(z)
     return unfused, fused
+
+
+def _rows(n, size):
+    """Consecutive slices of ``size`` rows (None: all n), the last ragged."""
+    size = size or n
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+
+class LoopNet:
+    """The reference for every pass whose rows share statistics in cohorts.
+
+    It copies a list of layers, as a ``Network`` or a ``SharedHeadNet``
+    holds them, and runs the library's math in plain loops.  ``Linear``,
+    ``Relu``, ``MeanPool`` and the loss are the library's, run on the whole
+    batch as the library runs them, so their bits agree.  What the cohorts
+    decide is written here, one cohort or row block at a time, with no
+    cohort view, flat buffer or chunk: BN's forward and backward by each
+    cohort's own moments (the last cohort ragged) or by fixed statistics
+    per row block, the EMA step per cohort, the (C,) or (G, C) row-block
+    affine, momentum SGD per parameter with a velocity dict that each
+    ``train`` call starts afresh, and precise BN's count-weighted pooling.
+
+    Parameters are ``params[layer index, name]``; BN layer i's EMA is
+    ``ema[i]``, a (mean, var, update count) tuple.
+    """
+
+    def __init__(self, layers):
+        self.layers, self.params, self.ema, self.spec = list(layers), {}, {}, {}
+        for i, layer in enumerate(self.layers):
+            for k in layer.param_names:
+                self.params[i, k] = getattr(layer, k).copy()
+            if isinstance(layer, BnLayer):
+                self.spec[i] = (layer.eps, layer.ema.momentum)
+                self.ema[i] = (layer.ema.mean.copy(), layer.ema.var.copy(),
+                               layer.ema.update_count)
+
+    def forward(self, x, cohort=None, fixed=None, train=False, sinks=None):
+        """(N, K) logits and the caches of a backward.  BN layer i
+        normalizes by ``fixed[i]``, a list of (mean, var), one per equal row
+        block, if given; else by the moments of each ``cohort`` rows (None:
+        all), stepping its EMA per cohort in ``train`` and appending
+        (mean, var, count) per cohort to ``sinks[i]`` if given."""
+        caches = []
+        for i, layer in enumerate(self.layers):
+            if isinstance(layer, Linear):
+                layer = Linear(self.params[i, "weight"], self.params[i, "bias"])
+                x, cache = layer.forward(x)
+                cache = (layer, cache)
+            elif isinstance(layer, BnLayer):
+                x, cache = self._bn(i, x, cohort, (fixed or {}).get(i), train,
+                                    (sinks or {}).get(i))
+            elif isinstance(layer, Affine):
+                gamma, beta = (self.params[i, k].reshape(-1, x.shape[1])
+                               for k in layer.param_names)
+                y = np.empty_like(x)
+                for rows, g, b in zip(_rows(len(x), len(x) // len(gamma)), gamma, beta):
+                    y[rows] = x[rows] * g[:, None, None] + b[:, None, None]
+                x, cache = y, x
+            else:
+                x, cache = layer.forward(x)
+            caches.append(cache)
+        return x[:, :, 0, 0], caches
+
+    def _bn(self, i, x, cohort, fixed, train, sink):
+        eps, lam = self.spec[i]
+        y, cache = np.empty_like(x), []
+        if fixed is not None:
+            for rows, (mean, var) in zip(_rows(len(x), len(x) // len(fixed)), fixed):
+                inv = 1.0 / np.sqrt(var + eps)
+                y[rows] = (x[rows] - mean[:, None, None]) * inv[:, None, None]
+                cache.append((rows, None, inv))
+            return y, cache
+        for rows in _rows(len(x), cohort):
+            xc = x[rows]
+            count = xc.shape[0] * xc.shape[2] * xc.shape[3]
+            mean = np.add.reduce(xc, axis=(0, 2, 3)) / count
+            centred = xc - mean[:, None, None]
+            var = np.add.reduce(np.square(centred), axis=(0, 2, 3)) / count
+            inv = 1.0 / np.sqrt(var + eps)
+            y[rows] = centred * inv[:, None, None]
+            cache.append((rows, y[rows], inv))
+            if train:
+                ema_mean, ema_var, steps = self.ema[i]
+                self.ema[i] = (lam * ema_mean + (1.0 - lam) * mean,
+                               lam * ema_var + (1.0 - lam) * var, steps + 1)
+            if sink is not None:
+                sink.append((mean, var, count))
+        return y, cache
+
+    def backward(self, caches, dlogits):
+        """{(layer index, name): gradient} of the loss whose logits
+        gradient is ``dlogits``."""
+        dy, grads = dlogits[:, :, None, None], {}
+        for i in range(len(self.layers) - 1, -1, -1):
+            layer, cache = self.layers[i], caches[i]
+            if isinstance(layer, Linear):
+                layer, cache = cache
+                dy, g = layer.backward(cache, dy)
+                grads[i, "weight"], grads[i, "bias"] = g["weight"], g["bias"]
+                continue
+            if not isinstance(layer, (BnLayer, Affine)):
+                dy, _ = layer.backward(cache, dy)
+                continue
+            dx = np.empty_like(dy)
+            if isinstance(layer, BnLayer):
+                for rows, x_hat, inv in cache:
+                    d = dy[rows]
+                    if x_hat is None:  # fixed statistics are constants
+                        dx[rows] = d * inv[:, None, None]
+                        continue
+                    m = d.shape[0] * d.shape[2] * d.shape[3]
+                    sum_dy = np.add.reduce(d, axis=(0, 2, 3), keepdims=True)
+                    sum_dy_xhat = np.add.reduce(d * x_hat, axis=(0, 2, 3),
+                                                keepdims=True)
+                    dx[rows] = (inv[:, None, None] / m) * (
+                        m * d - sum_dy - x_hat * sum_dy_xhat)
+            else:
+                shape = self.params[i, "gamma"].shape
+                gamma = self.params[i, "gamma"].reshape(-1, shape[-1])
+                dgamma, dbeta = np.empty_like(gamma), np.empty_like(gamma)
+                for b, rows in enumerate(_rows(len(dy), len(dy) // len(gamma))):
+                    dgamma[b] = np.add.reduce(dy[rows] * cache[rows], axis=(0, 2, 3))
+                    dbeta[b] = np.add.reduce(dy[rows], axis=(0, 2, 3))
+                    dx[rows] = dy[rows] * gamma[b][:, None, None]
+                grads[i, "gamma"], grads[i, "beta"] = (dgamma.reshape(shape),
+                                                       dbeta.reshape(shape))
+            dy = dx
+        return grads
+
+    def step(self, x, labels, lr, momentum, velocity, cohort=None, fixed=None):
+        """One momentum-SGD step: v = g at a parameter's first step, else
+        v = momentum * v + g, then p = p - lr * v.  Returns the loss."""
+        logits, caches = self.forward(x, cohort, fixed, train=True)
+        loss, dlogits = softmax_cross_entropy(logits, labels)
+        for key, g in self.backward(caches, dlogits).items():
+            v = velocity.get(key)
+            velocity[key] = v = g if v is None else momentum * v + g
+            self.params[key] = self.params[key] - lr * v
+        return loss
+
+    def train(self, batch_fn, cfg, plan=None, stats=None):
+        """``bnlab.net.train``'s steps, from one rng seeded by ``cfg.seed``:
+        ``batch_fn(rng, batch_size)``, then a shuffle's ``rng.permutation``
+        of the rows; cohorts of ``plan.sub_batch`` consecutive rows, the
+        layers in ``stats`` frozen.  Returns the step losses."""
+        rng, velocity, losses = np.random.default_rng(cfg.seed), {}, []
+        fixed = {i: [(s.mean, s.var)] for i, s in (stats or {}).items()}
+        for step in range(cfg.steps):
+            x, labels = batch_fn(rng, cfg.batch_size)
+            cohort = None if plan is None else plan.sub_batch
+            if plan is not None and plan.strategy == "shuffle":
+                order = rng.permutation(len(x))
+                x, labels = x[order], labels[order]
+            lr = (cfg.lr * (step + 1) / cfg.warmup_steps
+                  if step < cfg.warmup_steps else cfg.lr)
+            losses.append(self.step(x, labels, lr, cfg.momentum, velocity,
+                                    cohort, fixed))
+        return losses
+
+    def moments(self, x, cohort=None, fixed=None, layers=None):
+        """{BN layer index (``layers``, default all): [(mean, var, count)
+        of each cohort of ``cohort`` rows]}."""
+        sinks = {i: [] for i in (self.spec if layers is None else layers)}
+        self.forward(x, cohort, fixed, sinks=sinks)
+        return sinks
+
+    def precise_bn(self, x, batch_size, layerwise=False):
+        """{BN layer index: (mean, var, count)} pooled over mini-batches of
+        ``batch_size`` rows; ``layerwise``, each layer with the layers
+        before it normalizing by their pooled statistics."""
+        if not layerwise:
+            return {i: _pool(m) for i, m in self.moments(x, batch_size).items()}
+        result = {}
+        for j in self.spec:
+            fixed = {i: [s[:2]] for i, s in result.items()}
+            result[j] = _pool(self.moments(x, batch_size, fixed, [j])[j])
+        return result
+
+
+def _pool(moments):
+    """Moment matching: the count-weighted means of the batch means and of
+    mean^2 + var, in batch order."""
+    counts = np.array([c for _, _, c in moments])[:, None]
+    total = int(counts.sum())
+    mean = np.add.reduce(counts * np.stack([m for m, _, _ in moments]), axis=0) / total
+    second = np.stack([m**2 + v for m, v, _ in moments])
+    var = np.add.reduce(counts * second, axis=0) / total - mean**2
+    return mean, np.maximum(var, 0.0), total

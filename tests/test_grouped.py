@@ -1,23 +1,29 @@
-"""Cohort passes against the per-cohort loops they replace.
+"""Cohort passes against ``LoopNet``, the loop reference in ``oracles.py``.
 
 A pass whose rows share statistics in cohorts runs the whole batch through
-every layer; only ``BnLayer`` views it per cohort.  The invariant is that
-this view equals normalizing each cohort alone, bit for bit:
+every layer; only ``BnLayer`` views it per cohort (and ``SharedHeadNet``'s
+normalization, whose per-domain cohorts are its domain row blocks).  The
+invariant is that this view equals normalizing each cohort alone.  One
+drawn test checks it for every pass: training (``train``, ``sgd_step``),
+``classification_error``, ``precise_bn``, ``precise_bn_layerwise`` and
+``SharedHeadNet``.  Parameters, losses, logits, precise statistics and
+error rates must be equal bit for bit; only the EMA, which the view folds
+in closed form when a step holds several cohorts, may differ by rounding.
+Named cases then run the same comparison at the kept tests' sizes: 60-step
+trainings under each plan, frozen layers, and populations of several
+evaluation chunks.
 
-- Training is checked against the same step with ``_LoopBn``, a BN layer
-  that forwards and backpropagates each cohort on its own, exactly; and
-  against one whole-network pass per cohort (the way training ran before
-  the view), whose GEMMs and gradient sums run per cohort, to 1e-12.
-- Precise BN and mini-batch evaluation, which only forward, are checked
-  exactly against one network pass per mini-batch or cohort.
-
-Only the EMA, which the view folds in closed form, may differ by rounding.
+The other tests pin what no loop states: one cohort of a plan is the plain
+step, the optimizer's flat buffer, and evaluation chunks.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnlab import net as net_module
 from bnlab.batching import NormBatchPlan, cohort_indices
@@ -25,11 +31,7 @@ from bnlab.errors import ShapeMismatch
 from bnlab.layer import BnLayer, BnMode
 from bnlab.net import (
     Affine,
-    Linear,
-    MeanPool,
     Momentum,
-    Network,
-    Relu,
     SgdConfig,
     classification_error,
     sgd_step,
@@ -37,27 +39,27 @@ from bnlab.net import (
     train,
 )
 from bnlab.precise import precise_bn, precise_bn_layerwise
-from bnlab.scenarios import EMA_VS_PRECISE_DEFAULTS, NBS_SWEEP_DEFAULTS, build_net
-from bnlab.stats import aggregate_moment_matching
+from bnlab.scenarios import (
+    EMA_VS_PRECISE_DEFAULTS,
+    NBS_SWEEP_DEFAULTS,
+    SHARED_HEAD_DEFAULTS,
+    SharedHeadNet,
+    build_net,
+    shared_head_data,
+)
 from bnlab.tensor import ChannelStats
+from oracles import LoopNet
 
 CHANNELS, SITES, HIDDEN, CLASSES = 8, 4, 16, 5
 
 
-def _net(seed=0, bn=BnLayer):
-    rng = np.random.default_rng(seed)
-    return Network([
-        Linear.init(rng, CHANNELS, HIDDEN),
-        bn(HIDDEN),
-        Affine.identity(HIDDEN),
-        Relu(),
-        Linear.init(rng, HIDDEN, HIDDEN),
-        bn(HIDDEN),
-        Affine.identity(HIDDEN),
-        Relu(),
-        MeanPool(),
-        Linear.init(rng, HIDDEN, CLASSES),
-    ])
+def _net(seed=0):
+    return build_net(np.random.default_rng(seed), [CHANNELS, HIDDEN, HIDDEN, CLASSES],
+                     pool=True)
+
+
+def _dense_net(seed=0):
+    return build_net(np.random.default_rng(seed), [CHANNELS, HIDDEN, CLASSES])
 
 
 def _data(n, seed=1):
@@ -77,146 +79,194 @@ def _batch_fn(rng, size):
 
 
 # ---------------------------------------------------------------------------
-# reference per-cohort loops
+# every cohort pass against the loop reference
+
+# evaluation rows at most: with H x W <= 4, every evaluation pass below then
+# runs as one chunk, whose GEMMs have the reference's row count
+EVAL_ROWS = 24
 
 
-class _LoopBn(BnLayer):
-    """A BN layer that takes a cohort view as one forward and one backward
-    per cohort, each stepping the EMA once: the reference for BnLayer's
-    (G, n) view of the batch."""
-
-    def forward(self, x, mode=BnMode.TRAIN_MINIBATCH, stats=None, cohort=None):
-        if cohort is None or mode is BnMode.EVAL_POPULATION:
-            return super().forward(x, mode, stats)
-        y = np.empty_like(x)
-        caches = []
-        for start in range(0, x.shape[0], cohort):
-            rows = slice(start, start + cohort)
-            y[rows], cache = super().forward(x[rows], mode)
-            caches.append((rows, cache))
-        return y, caches
-
-    def backward(self, cache, dy):
-        if not isinstance(cache, list):
-            return super().backward(cache, dy)
-        dx = np.empty_like(dy)
-        for rows, c in cache:
-            dx[rows], _ = super().backward(c, dy[rows])
-        return dx, None
+def _cohort(draw, n):
+    """A cohort size for n rows: several cohorts, even or with a ragged last
+    one, one whole cohort and a ragged one, one of n rows, or more."""
+    return draw(st.sampled_from(sorted({1, 2, 3, max(1, n // 2), max(1, n - 1),
+                                        n, n + 1})))
 
 
-def _loop_net(seed=0):
-    return _net(seed, bn=_LoopBn)
+def _plan(draw, n, plain=True):
+    """Ghost or shuffle cohorts of n rows, or no plan (if ``plain``)."""
+    strategy = draw(st.sampled_from(["ghost", "shuffle", None][: 2 + plain]))
+    return None if strategy is None else NormBatchPlan(strategy, _cohort(draw, n))
 
 
-def _ref_accumulate(total, grads):
-    for i, g in enumerate(grads):
-        if not g:
-            continue
-        if total[i] is None:
-            total[i] = {k: v.copy() for k, v in g.items()}
-        else:
-            for k, v in g.items():
-                total[i][k] += v
+def _losses(run):
+    """``run()``'s training losses, as each ``sgd_step`` returned them."""
+    losses, step = [], net_module.sgd_step
+    net_module.sgd_step = lambda *a, **k: losses.append(step(*a, **k)) or losses[-1]
+    try:
+        run()
+    finally:
+        net_module.sgd_step = step
+    return losses
 
 
-def _ref_sgd_step(net, x, labels, cfg, step, plan, rng, velocity, stats=None):
-    n = x.shape[0]
-    cohorts = (
-        cohort_indices(plan, n, rng) if plan is not None else [np.arange(n)]
-    )
-    totals = [None] * len(net.layers)
-    loss_sum = 0.0
-    for idx in cohorts:
-        logits, caches = net.forward(x[idx], stats=stats)
-        loss_c, dlogits = softmax_cross_entropy(logits, labels[idx])
-        loss_sum += loss_c * len(idx)
-        _, grads = net.backward(caches, dlogits * (len(idx) / n))
-        _ref_accumulate(totals, grads)
-    lr = cfg.lr_at(step)
-    for i, g in enumerate(totals):
-        if not g:
-            continue
-        layer = net.layers[i]
-        for k, gv in g.items():
-            key = (i, k)
-            v = velocity.get(key)
-            v = gv if v is None else cfg.momentum * v + gv
-            velocity[key] = v
-            setattr(layer, k, getattr(layer, k) - lr * v)
-    return loss_sum / n
+def _error(logits, labels):
+    return int((logits.argmax(axis=1) != labels).sum()) / len(labels)
 
 
-def _ref_train(net, batch_fn, cfg, plan, stats=None):
-    rng = np.random.default_rng(cfg.seed)
-    velocity = {}
-    for step in range(cfg.steps):
-        x, labels = batch_fn(rng, cfg.batch_size)
-        _ref_sgd_step(net, x, labels, cfg, step, plan, rng, velocity, stats)
-    return net
+def _fixed(stats):
+    return {i: [(s.mean, s.var)] for i, s in stats.items()}
 
 
-def _ref_precise_bn(net, population, batch_size):
-    sinks = {i: [] for i in net.bn_indices}
-    for start in range(0, population.shape[0], batch_size):
-        net.forward(population[start : start + batch_size],
-                    mode=BnMode.EVAL_MINIBATCH, moment_sinks=sinks)
-    return {i: aggregate_moment_matching(entries) for i, entries in sinks.items()}
+def _assert_params(layers, ref):
+    for (i, k), p in ref.params.items():
+        np.testing.assert_array_equal(getattr(layers[i], k), p, err_msg=f"{i} {k}")
 
 
-def _ref_precise_bn_layerwise(net, population, batch_size):
-    result = {}
-    for j in net.bn_indices:
-        sink = {j: []}
-        for start in range(0, population.shape[0], batch_size):
-            net.forward(population[start : start + batch_size],
-                        mode=BnMode.EVAL_MINIBATCH, stats=dict(result),
-                        moment_sinks=sink)
-        result[j] = aggregate_moment_matching(sink[j])
-    return result
+def _assert_stats(got, want):
+    # a pass's ChannelStats, (C,) or (G, C), against the reference's list of
+    # (mean, var, count), one per cohort
+    means, variances, counts = zip(*want)
+    shape = (-1, got.channels)
+    np.testing.assert_array_equal(got.mean.reshape(shape), np.stack(means))
+    np.testing.assert_array_equal(got.var.reshape(shape), np.stack(variances))
+    assert {got.count} == set(counts)
 
 
-def _ref_minibatch_logits(net, x, sizes):
-    out = []
-    start = 0
-    for s in sizes:
-        logits, _ = net.forward(x[start : start + s],
-                                mode=BnMode.EVAL_MINIBATCH)
-        out.append(logits)
-        start += s
-    return np.concatenate(out)
+def _assert_trains_as_the_loop(net, batch_fn, plan, runs):
+    """``train`` called once per (cfg, frozen stats) in ``runs`` against
+    ``LoopNet``: losses and parameters bit for bit, the EMA exactly when
+    each step normalizes one cohort.  Returns the reference."""
+    ref = LoopNet(net.layers)
+    for cfg, stats in runs:
+        assert _losses(lambda: train(net, batch_fn, cfg, plan, stats=stats)) == \
+            ref.train(batch_fn, cfg, plan, stats)
+    _assert_params(net.layers, ref)
+    # a step of one cohort takes the EMA's one-step formula; several fold
+    # in closed form, equal to the loop's steps to rounding
+    one_cohort = plan is None or runs[0][0].batch_size < 2 * plan.sub_batch
+    for i, (mean, var, count) in ref.ema.items():
+        ema = net.layers[i].ema
+        assert ema.update_count == count
+        tol = 0.0 if one_cohort else 1e-12
+        np.testing.assert_allclose(ema.mean, mean, rtol=tol, atol=tol)
+        np.testing.assert_allclose(ema.var, var, rtol=tol, atol=tol)
+    return ref
 
 
-def _ref_classification_error(net, x, labels, sizes):
-    logits = _ref_minibatch_logits(net, x, sizes)
-    return int((logits.argmax(axis=1) != labels).sum()) / x.shape[0]
+def _draw_net(draw, rng, batch):
+    """A ``build_net`` net of drawn widths for (C, H, W) inputs, and its
+    inputs' (C, H, W); each affine (G, C) over G row blocks, for G a
+    divisor of ``batch``, or (C,), its parameters drawn."""
+    hw = draw(st.sampled_from([(1, 1), (2, 1), (2, 2)]))
+    dims = [draw(st.integers(1, 6)) for _ in range(draw(st.integers(2, 3)))]
+    net = build_net(rng, [*dims, draw(st.integers(2, 4))],
+                    pool=hw != (1, 1) or draw(st.booleans()))
+    for i in net.bn_indices:
+        g = draw(st.sampled_from([None] + [d for d in range(1, batch + 1)
+                                            if batch % d == 0]))
+        c = net.layers[i].channels
+        shape = (c,) if g is None else (g, c)
+        net.layers[i + 1] = Affine(rng.uniform(0.5, 1.5, shape),
+                                   rng.normal(0, 0.5, shape))
+    return net, (dims[0], *hw)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_every_cohort_pass_matches_the_loop_reference(data):
+    draw = data.draw
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    batch = draw(st.integers(1, 12))
+    plan = _plan(draw, batch)
+    net, shape = _draw_net(draw, rng, batch)
+
+    def batch_fn(r, size):
+        return 1.0 + 2.0 * r.standard_normal((size, *shape)), r.integers(
+            0, net.layers[-1].weight.shape[0], size)
+
+    # two train calls, as frozen_finetune makes, each with its own frozen
+    # layers: every call starts a fresh velocity
+    runs = []
+    for k in range(2):
+        stats = {i: ChannelStats(rng.normal(0, 1, c), rng.uniform(0.5, 2, c), 64)
+                 for i in net.bn_indices if draw(st.booleans())
+                 for c in [net.layers[i].channels]}
+        runs.append((SgdConfig(lr=0.05, steps=draw(st.integers(1, 3)),
+                               batch_size=batch, warmup_steps=draw(st.integers(0, 2)),
+                               seed=seed + k), stats))
+    ref = _assert_trains_as_the_loop(net, batch_fn, plan, runs)
+
+    # evaluation: rows that divide into every affine's blocks
+    unit = math.lcm(*(len(net.layers[i + 1].gamma.reshape(-1, net.layers[i].channels))
+                      for i in net.bn_indices))
+    n = unit * draw(st.integers(1, EVAL_ROWS // unit))
+    x, y = batch_fn(rng, n)
+    size = _cohort(draw, n)
+    for estimate, layerwise in ((precise_bn_layerwise, True), (precise_bn, False)):
+        precise, want = estimate(net, x, size), ref.precise_bn(x, size, layerwise)
+        assert precise.keys() == want.keys()
+        for i in want:
+            _assert_stats(precise[i], [want[i]])
+    ema = {i: net.layers[i].ema.as_channel_stats() for i in net.bn_indices}
+    plan = _plan(draw, n, plain=False)
+    rows = (np.random.default_rng(seed).permutation(n) if plan.strategy == "shuffle"
+            else np.arange(n))
+    for logits, ref_logits, kwargs in (
+        (net.forward(x, mode=BnMode.EVAL_POPULATION)[0],
+         ref.forward(x, fixed=_fixed(ema))[0], {}),
+        (net.forward(x, mode=BnMode.EVAL_POPULATION, stats=precise)[0],
+         ref.forward(x, fixed=_fixed(precise))[0], {"stats": precise}),
+        (net.forward(x[rows], mode=BnMode.EVAL_MINIBATCH, cohort=plan.sub_batch)[0],
+         ref.forward(x[rows], plan.sub_batch)[0],
+         {"plan": plan, "rng": np.random.default_rng(seed)}),
+    ):
+        np.testing.assert_array_equal(logits, ref_logits)
+        labels = y[rows] if "plan" in kwargs else y
+        assert classification_error(net, x, y, **kwargs) == _error(ref_logits, labels)
+
+    # shared_head's net: a per-domain choice is a cohort of domain_batch SGD
+    # rows, an affine block per domain, or a cohort of each domain's
+    # val_per_domain population rows
+    spec = {**SHARED_HEAD_DEFAULTS, "dim": draw(st.integers(1, 6)),
+            "classes": draw(st.integers(2, 4)), "domain_batch": draw(st.integers(1, 4)),
+            "val_per_domain": draw(st.integers(1, 6))}
+    data = shared_head_data(spec, seed)
+    sgd, affine, population = (draw(st.booleans()) for _ in range(3))
+    head = SharedHeadNet(rng, spec["dim"], draw(st.integers(1, 6)), spec["classes"],
+                         cohort=spec["domain_batch"] if sgd else None,
+                         affine_blocks=data[0].n_domains if affine else None)
+    batches = data[0].batches(np.random.default_rng(seed), draw(st.integers(1, 3)),
+                              spec["domain_batch"])
+    assert_shared_head_as_the_loop(head, spec, data, batches, population)
+
+
+def assert_shared_head_as_the_loop(head, spec, data, batches, population):
+    """``head``'s steps over ``batches``, its population statistics (by
+    domain if ``population``) and its error on ``data``, what
+    ``shared_head_data(spec, seed)`` returns, against ``LoopNet``, bit for
+    bit."""
+    domains, val_x, val_y, pop_x = data
+    layers = [head.l1, BnLayer(head.l1.weight.shape[0], eps=head.eps), head.affine,
+              head.relu, head.l2]
+    ref, velocity = LoopNet(layers), {}
+    lr, momentum = spec["lr"], spec["sgd_momentum"]
+    for xb, yb in batches:
+        assert head.train_step(xb, yb, lr, momentum) == \
+            ref.step(xb, yb, lr, momentum, velocity, head.cohort)
+    _assert_params(layers, ref)
+    cohort = spec["val_per_domain"] if population else None
+    stats, want = head.train_population_stats(pop_x, cohort), ref.moments(pop_x, cohort)
+    _assert_stats(stats, want[1])
+    ref_logits, _ = ref.forward(val_x, fixed={1: [w[:2] for w in want[1]]})
+    assert head.eval_error(val_x, val_y, stats) == _error(ref_logits, val_y)
 
 
 # ---------------------------------------------------------------------------
-
-
-def _assert_same_network(a, b, exact_ema=False, rtol=0.0):
-    """Equal parameters, or with ``rtol`` each parameter array equal to
-    ``rtol`` times its largest magnitude; EMA to 1e-12 or exactly."""
-    for la, lb in zip(a.layers, b.layers):
-        for name in getattr(la, "param_names", ()):
-            pa, pb = getattr(la, name), getattr(lb, name)
-            if rtol:
-                assert np.abs(pa - pb).max() <= rtol * np.abs(pb).max(), name
-            else:
-                np.testing.assert_array_equal(pa, pb)
-        if isinstance(la, BnLayer):
-            assert la.ema.update_count == lb.ema.update_count
-            if exact_ema:
-                np.testing.assert_array_equal(la.ema.mean, lb.ema.mean)
-                np.testing.assert_array_equal(la.ema.var, lb.ema.var)
-                continue
-            # the EMA folds cohorts in closed form: equal to rounding only
-            np.testing.assert_allclose(la.ema.mean, lb.ema.mean,
-                                       rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(la.ema.var, lb.ema.var,
-                                       rtol=1e-12, atol=1e-12)
-
+# named cases at the size of the kept tests' nets (16 channels, 4 sites,
+# 32-row steps, populations of several evaluation chunks), against the same
+# reference
 
 PLANS = {
     "ghost1": (32, NormBatchPlan(strategy="ghost", sub_batch=1)),
@@ -231,29 +281,16 @@ PLANS = {
     # the whole batch as one cohort
     "plain": (32, None),
 }
-# one cohort per step: the EMA takes the one-step formula, exactly
-ONE_COHORT_PLANS = ("ghost32", "plain")
 
 
 @pytest.mark.parametrize("name", sorted(PLANS))
 def test_grouped_training_matches_per_cohort_loop(name):
     batch_size, plan = PLANS[name]
-    cfg = SgdConfig(lr=0.05, steps=60, batch_size=batch_size, seed=3)
-    grouped = train(_net(), _batch_fn, cfg, plan=plan)
-    one_cohort = name in ONE_COHORT_PLANS
-    _assert_same_network(grouped, train(_loop_net(), _batch_fn, cfg, plan=plan),
-                         exact_ema=one_cohort)
-    # Whole-network passes per cohort round the loss gradient and sum the
-    # parameter gradients in another order.  Training grows those rounding
-    # differences: after 20 steps every plan is within 1e-12 of each
-    # parameter array's scale, but by step 60 BN over ghost cohorts of 1
-    # or 2 rows has amplified them to about 2e-11.
-    short = SgdConfig(lr=0.05, steps=20, batch_size=batch_size, seed=3)
-    _assert_same_network(train(_net(), _batch_fn, short, plan=plan),
-                         _ref_train(_net(), _batch_fn, short, plan),
-                         exact_ema=one_cohort, rtol=1e-12)
+    net = _net()
+    _assert_trains_as_the_loop(net, _batch_fn, plan, [
+        (SgdConfig(lr=0.05, steps=60, batch_size=batch_size, seed=3), None)])
     # training moved the parameters, so the comparison is not vacuous
-    assert not np.array_equal(grouped.layers[0].weight, _net().layers[0].weight)
+    assert not np.array_equal(net.layers[0].weight, _net().layers[0].weight)
 
 
 # the first BN layer frozen (FrozenBN), the second normalizing by cohorts
@@ -261,40 +298,87 @@ FROZEN = {1: ChannelStats(np.full(HIDDEN, 0.5), np.full(HIDDEN, 2.0), 64)}
 
 
 def test_grouped_training_with_a_frozen_layer_matches_per_cohort_loop():
-    cfg = SgdConfig(lr=0.05, steps=60, batch_size=32, seed=4)
-    plan = NormBatchPlan(strategy="ghost", sub_batch=8)
-    net = train(_net(), _batch_fn, cfg, plan=plan, stats=FROZEN)
-    _assert_same_network(net, train(_loop_net(), _batch_fn, cfg, plan=plan,
-                                    stats=FROZEN))
-    _assert_same_network(net, _ref_train(_net(), _batch_fn, cfg, plan, FROZEN),
-                         rtol=1e-12)
+    net = _net()
+    _assert_trains_as_the_loop(net, _batch_fn, NormBatchPlan("ghost", 8), [
+        (SgdConfig(lr=0.05, steps=60, batch_size=32, seed=4), FROZEN)])
     assert net.layers[1].ema.update_count == 0
 
 
-def test_a_frozen_net_trains_alike_under_any_plan():
-    # every BN layer frozen: no rows share statistics, so a ghost plan
-    # changes nothing
-    nets = []
-    for plan in (NormBatchPlan(strategy="ghost", sub_batch=8), None):
-        net = _net()
-        stats = {i: ChannelStats(np.full(HIDDEN, s), np.full(HIDDEN, 2.0), 64)
-                 for i, s in zip(net.bn_indices, (0.5, 0.25))}
-        nets.append(train(net, _batch_fn, SgdConfig(lr=0.05, steps=60,
-                                                    batch_size=32, seed=4),
-                          plan=plan, stats=stats))
-    _assert_same_network(*nets, exact_ema=True)
-    assert not np.array_equal(nets[0].layers[0].weight, _net().layers[0].weight)
+def test_train_freeze_train_matches_per_cohort_loop():
+    # each train call starts a fresh velocity, in the loop too
+    _assert_trains_as_the_loop(_net(), _batch_fn, NormBatchPlan("ghost", 8), [
+        (SgdConfig(lr=0.05, steps=20, batch_size=32, seed=7), None),
+        (SgdConfig(lr=0.05, steps=20, batch_size=32, seed=8, warmup_steps=5), FROZEN)])
 
 
-def _dense_net(seed=0):
-    rng = np.random.default_rng(seed)
-    return Network([
-        Linear.init(rng, CHANNELS, HIDDEN),
-        BnLayer(HIDDEN),
-        Affine.identity(HIDDEN),
-        Relu(),
-        Linear.init(rng, HIDDEN, CLASSES),
-    ])
+@pytest.mark.parametrize("n,batch_size", [(10, 4), (600, 2), (601, 8),
+                                          (300, 300)])
+def test_grouped_precise_bn_matches_per_batch_loop(n, batch_size):
+    net = _trained_net()
+    pop, _ = _data(n, seed=6)
+    got, want = precise_bn(net, pop, batch_size), LoopNet(net.layers).precise_bn(
+        pop, batch_size)
+    for i in want:
+        _assert_stats(got[i], [want[i]])
+        assert got[i].count == n * SITES
+
+
+@pytest.mark.parametrize("n,batch_size", [(10, 4), (601, 8)])
+def test_grouped_precise_bn_layerwise_matches_per_batch_loop(n, batch_size):
+    net = _trained_net()
+    pop, _ = _data(n, seed=7)
+    got = precise_bn_layerwise(net, pop, batch_size)
+    want = LoopNet(net.layers).precise_bn(pop, batch_size, layerwise=True)
+    for i in want:
+        _assert_stats(got[i], [want[i]])
+
+
+# (plan, rows); a shuffle's cohorts are consecutive rows of one permutation
+EVAL_PLANS = {
+    "ghost5": (NormBatchPlan("ghost", 5), 10),
+    "ghost4_ragged": (NormBatchPlan("ghost", 4), 10),
+    "ghost2": (NormBatchPlan("ghost", 2), 600),
+    # several stacks of 36 cohorts, and a ragged tail
+    "shuffle7": (NormBatchPlan("shuffle", 7), 600),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_PLANS))
+def test_grouped_minibatch_eval_matches_per_cohort_loop(name):
+    plan, n = EVAL_PLANS[name]
+    net = _trained_net()
+    x, y = _data(n, seed=8)
+    rows = (np.random.default_rng(4).permutation(n) if plan.strategy == "shuffle"
+            else np.arange(n))
+    logits, _ = LoopNet(net.layers).forward(x[rows], plan.sub_batch)
+    assert classification_error(net, x, y, plan=plan, rng=np.random.default_rng(4)) \
+        == _error(logits, y[rows])
+
+
+@pytest.mark.parametrize("cohort, sizes", [(4, [4, 4, 4]), (5, [5, 5, 2])])
+def test_grouped_forward_logits_match_per_cohort_forwards(cohort, sizes):
+    net = _trained_net()
+    ref = LoopNet(net.layers)
+    x, _ = _data(12, seed=9)
+    logits, _ = net.forward(x, mode=BnMode.EVAL_MINIBATCH, cohort=cohort)
+    assert logits.shape == (12, CLASSES)
+    np.testing.assert_array_equal(logits, ref.forward(x, cohort)[0])
+    assert [c for _, _, c in ref.moments(x, cohort)[1]] == [s * SITES for s in sizes]
+
+
+# ---------------------------------------------------------------------------
+# what no loop states
+
+
+def _assert_same_network(a, b):
+    """Equal parameters and EMA, bit for bit."""
+    for la, lb in zip(a.layers, b.layers):
+        for name in la.param_names:
+            np.testing.assert_array_equal(getattr(la, name), getattr(lb, name))
+        if isinstance(la, BnLayer):
+            assert la.ema.update_count == lb.ema.update_count
+            np.testing.assert_array_equal(la.ema.mean, lb.ema.mean)
+            np.testing.assert_array_equal(la.ema.var, lb.ema.var)
 
 
 @pytest.mark.parametrize("plan", [NormBatchPlan("ghost", 32),
@@ -321,10 +405,25 @@ def test_one_cohort_step_is_the_plain_step(make_net, plan):
                            None, optimizers[1])]
         assert losses[0] == losses[1]
         np.testing.assert_array_equal(x, before)
-    _assert_same_network(nets[0], nets[1], exact_ema=True)
+    _assert_same_network(nets[0], nets[1])
     assert nets[0].layers[1].ema.update_count == cfg.steps
     assert not np.array_equal(nets[0].layers[0].weight,
                               make_net().layers[0].weight)
+
+
+def test_a_frozen_net_trains_alike_under_any_plan():
+    # every BN layer frozen: no rows share statistics, so a ghost plan
+    # changes nothing
+    nets = []
+    for plan in (NormBatchPlan(strategy="ghost", sub_batch=8), None):
+        net = _net()
+        stats = {i: ChannelStats(np.full(HIDDEN, s), np.full(HIDDEN, 2.0), 64)
+                 for i, s in zip(net.bn_indices, (0.5, 0.25))}
+        nets.append(train(net, _batch_fn, SgdConfig(lr=0.05, steps=60,
+                                                    batch_size=32, seed=4),
+                          plan=plan, stats=stats))
+    _assert_same_network(*nets)
+    assert not np.array_equal(nets[0].layers[0].weight, _net().layers[0].weight)
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +448,6 @@ def test_training_a_deep_copy_leaves_the_original_untouched():
     assert not np.array_equal(control.layers[0].weight, before[0])
 
 
-def test_train_freeze_train_matches_per_cohort_loop():
-    # each train call starts a fresh velocity, in every loop
-    plan = NormBatchPlan(strategy="ghost", sub_batch=8)
-    nets = [_net(), _loop_net(), _net()]
-    for net, run in zip(nets, (train, train, _ref_train)):
-        run(net, _batch_fn, SgdConfig(lr=0.05, steps=20, batch_size=32,
-                                      seed=7), plan)
-        run(net, _batch_fn, SgdConfig(lr=0.05, steps=20, batch_size=32,
-                                      seed=8, warmup_steps=5), plan,
-            stats=FROZEN)
-    _assert_same_network(nets[0], nets[1])
-    _assert_same_network(nets[0], nets[2], rtol=1e-12)
-
-
 def test_trained_parameters_share_one_buffer():
     net = train(_net(), _batch_fn, SgdConfig(lr=0.05, steps=2, batch_size=32))
     params = _params(net)
@@ -374,63 +459,6 @@ def _trained_net():
     cfg = SgdConfig(lr=0.05, steps=30, batch_size=32, seed=5)
     return train(_net(), _batch_fn, cfg,
                  plan=NormBatchPlan(strategy="ghost", sub_batch=8))
-
-
-@pytest.mark.parametrize("n,batch_size", [(10, 4), (600, 2), (601, 8),
-                                          (300, 300)])
-def test_grouped_precise_bn_matches_per_batch_loop(n, batch_size):
-    net = _trained_net()
-    pop, _ = _data(n, seed=6)
-    got = precise_bn(net, pop, batch_size)
-    ref = _ref_precise_bn(net, pop, batch_size)
-    for i in ref:
-        np.testing.assert_array_equal(got[i].mean, ref[i].mean)
-        np.testing.assert_array_equal(got[i].var, ref[i].var)
-        assert got[i].count == ref[i].count == n * SITES
-
-
-@pytest.mark.parametrize("n,batch_size", [(10, 4), (601, 8)])
-def test_grouped_precise_bn_layerwise_matches_per_batch_loop(n, batch_size):
-    net = _trained_net()
-    pop, _ = _data(n, seed=7)
-    got = precise_bn_layerwise(net, pop, batch_size)
-    ref = _ref_precise_bn_layerwise(net, pop, batch_size)
-    for i in ref:
-        np.testing.assert_array_equal(got[i].mean, ref[i].mean)
-        np.testing.assert_array_equal(got[i].var, ref[i].var)
-
-
-# (plan, the cohort sizes it gives); a shuffle's cohorts are consecutive
-# rows of one permutation
-EVAL_PLANS = {
-    "ghost5": (NormBatchPlan("ghost", 5), [5, 5]),
-    "ghost4_ragged": (NormBatchPlan("ghost", 4), [4, 4, 2]),
-    "ghost2": (NormBatchPlan("ghost", 2), [2] * 300),
-    # several stacks of 36 cohorts, and a ragged tail
-    "shuffle7": (NormBatchPlan("shuffle", 7), [7] * 85 + [5]),
-}
-
-
-@pytest.mark.parametrize("name", sorted(EVAL_PLANS))
-def test_grouped_minibatch_eval_matches_per_cohort_loop(name):
-    plan, sizes = EVAL_PLANS[name]
-    net = _trained_net()
-    n = sum(sizes)
-    x, y = _data(n, seed=8)
-    got = classification_error(net, x, y, plan=plan,
-                               rng=np.random.default_rng(4))
-    perm = (np.random.default_rng(4).permutation(n)
-            if plan.strategy == "shuffle" else np.arange(n))
-    assert got == _ref_classification_error(net, x[perm], y[perm], sizes)
-
-
-@pytest.mark.parametrize("cohort, sizes", [(4, [4, 4, 4]), (5, [5, 5, 2])])
-def test_grouped_forward_logits_match_per_cohort_forwards(cohort, sizes):
-    net = _trained_net()
-    x, _ = _data(12, seed=9)
-    logits, _ = net.forward(x, mode=BnMode.EVAL_MINIBATCH, cohort=cohort)
-    assert logits.shape == (12, CLASSES)
-    np.testing.assert_array_equal(logits, _ref_minibatch_logits(net, x, sizes))
 
 
 def test_cohort_view_backward_keeps_the_batch_shape():

@@ -254,7 +254,7 @@ _PAYLOADS = st.recursive(
 )
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(_PAYLOADS)
 @example({"z": [1.0, "x, y"], "a": (2, [0.5, -0.0], {}), "m": {"k": [[]]}})
 def test_encode_json_bytes_are_json_dumps(payload):

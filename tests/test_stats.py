@@ -42,7 +42,7 @@ def test_ema_update_closed_form():
     assert state.update_count == 1
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     groups=st.integers(1, 40),
     channels=st.integers(1, 4),
@@ -232,7 +232,7 @@ def test_moment_log_channel_consistency():
         aggregate_moment_matching(log)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     counts=st.lists(st.integers(1, 9), min_size=1, max_size=5),
     c=st.integers(1, 3),
