@@ -408,7 +408,8 @@ def chunk_rows(cohort=None, sites=1):
 
 
 def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
-    """Top-1 error of the network on (x, labels).
+    """Top-1 error of the network on (x, labels), one label per row of x
+    (any other shape of labels raises ShapeMismatch).
 
     With no ``plan`` every BN layer normalizes by population statistics,
     ``stats`` ({layer index: ChannelStats}) where given, else its EMA's.
@@ -420,6 +421,10 @@ def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
     n = x.shape[0]
     if n == 0:
         raise EmptyBatch("cannot measure the error of an empty batch")
+    if type(labels) is not np.ndarray:
+        labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ShapeMismatch(f"{n} rows of x but labels of shape {labels.shape}")
     mode, cohort = BnMode.EVAL_POPULATION, None
     if plan is not None:
         mode, cohort = BnMode.EVAL_MINIBATCH, plan.sub_batch

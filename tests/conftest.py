@@ -2,9 +2,11 @@
 all run under."""
 
 import csv
+import tempfile
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from bnlab import io
 
@@ -12,6 +14,12 @@ from bnlab import io
 # example database; each test sets its own max_examples
 settings.register_profile("bnlab", derandomize=True, database=None, deadline=None)
 settings.load_profile("bnlab")
+
+# hypothesis caches the literal constants of the source files it draws
+# from, from collection on; the cache goes to a directory that lives as
+# long as the session, not to .hypothesis/ in the checkout
+_hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_hypothesis_home.name)
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """Oracles that only the tests use: the Monte Carlo variance-of-variance
-oracle behind c01-c03, the frozen-affine fusion toy behind c05, and
-``LoopNet``, the reference network that every cohort-equivalence test
-compares against.
+oracle behind c01-c03, the frozen-affine fusion toy behind c05, the random
+network of c04 and the precise-BN tests, and ``LoopNet``, the reference
+network that every cohort-equivalence test compares against.
 
 They exercise the package's estimators (``aggregate_naive``,
 ``aggregate_moment_matching``) and layers but are no part of a run, so they
@@ -14,7 +14,7 @@ import numpy as np
 
 from bnlab.errors import InvalidParams
 from bnlab.layer import BnLayer
-from bnlab.net import Affine, Linear, softmax_cross_entropy
+from bnlab.net import Affine, Linear, Network, Relu, softmax_cross_entropy
 from bnlab.stats import aggregate_moment_matching, aggregate_naive
 from bnlab.tensor import ChannelStats
 
@@ -126,6 +126,21 @@ def fusion_finetune_demo(lambda_: float, x0: float, step: float, iters: int):
         z = z - step * 2.0 * z
         fused.append(z)
     return unfused, fused
+
+
+def random_net(rng, dims):
+    """Linear -> BnLayer -> Affine -> Relu per hidden width of ``dims``, then
+    a Linear: a network whose affines (scale uniform in 0.5-1.5, shift
+    normal) look trained, drawn from ``rng`` layer by layer."""
+    layers = []
+    for i in range(len(dims) - 2):
+        layers.append(Linear.init(rng, dims[i], dims[i + 1]))
+        layers.append(BnLayer(dims[i + 1]))
+        layers.append(Affine(rng.uniform(0.5, 1.5, dims[i + 1]),
+                             rng.standard_normal(dims[i + 1])))
+        layers.append(Relu())
+    layers.append(Linear.init(rng, dims[-2], dims[-1]))
+    return Network(layers)
 
 
 def _rows(n, size):

@@ -2,11 +2,12 @@
 own pass/fail line by ``pytest -v``.
 
 The experiment-direction criteria (c09-c12) are evaluated as a majority vote
-over three seeds, since individual synthetic runs carry sampling noise.
-``scenarios.fan_out`` runs each seed in its own process, where the runner's
-arms run serially.  Each seed's
-margins and verdict come from ``tools/margins.py``, which reports the same
-criteria on any directory of run artifacts.
+over three seeds, since individual synthetic runs carry sampling noise.  They
+read one session run of ``tools/artifacts.py``'s ``write_all``: all six
+scenarios at their defaults and seeds 0-2, through ``bnlab run``, into a
+temporary directory.  ``tools/margins.py``'s ``ledger`` judges each seed's
+``summary.json`` there, and the manifest test checks the same 72 files
+against ``tools/artifacts.sha256``.
 """
 
 import importlib.util
@@ -20,71 +21,47 @@ from bnlab.errors import EmptyBatch
 from bnlab.gradcheck import TOLERANCE, run_full_suite
 from bnlab.layer import BnLayer, BnMode
 from bnlab.precise import precise_bn, precise_bn_layerwise
-from bnlab.scenarios import (
-    DOMAIN_ADAPT_DEFAULTS,
-    LEAKAGE_DEFAULTS,
-    NBS_SWEEP_DEFAULTS,
-    SHARED_HEAD_DEFAULTS,
-    fan_out,
-    run_domain_adapt,
-    run_leakage,
-    run_nbs_sweep,
-    run_shared_head,
-)
+from bnlab.scenarios import DOMAIN_ADAPT_DEFAULTS, run_domain_adapt
 from bnlab.stats import aggregate_moment_matching
 from bnlab.tensor import channel_moments, normalize
-from oracles import fusion_finetune_demo, simulate_variance_estimates, var_of_var_oracle
+from oracles import (fusion_finetune_demo, random_net, simulate_variance_estimates,
+                     var_of_var_oracle)
 
 SEEDS = (0, 1, 2)
-
-_spec = importlib.util.spec_from_file_location(
-    "margins_tool", os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                 os.pardir, "tools", "margins.py"))
-margins_tool = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(margins_tool)
+TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools")
+MANIFEST = os.path.join(TOOLS, "artifacts.sha256")
 
 
-def majority(results):
-    return sum(bool(r) for r in results) >= (len(results) // 2 + 1)
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        f"{name}_tool", os.path.join(TOOLS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def report_margins(record_property, votes, margins):
-    """Attach each seed's margins ({seed: {name: value}}) to the test's
-    report; returns verdicts and margins as the assertion message."""
-    for seed, values in margins.items():
-        record_property(f"margins_seed{seed}", values)
-    return f"per-seed verdicts: {votes}; per-seed margins: {margins}"
+artifacts_tool, margins_tool = _tool("artifacts"), _tool("margins")
 
 
-def seed_summaries(runner, defaults):
-    """(summary, seconds) of ``runner`` at its defaults for each seed, each
-    timed in the process that ran it; ``fan_out`` runs the first seed in
-    this process and each other in a forked worker.  Forking this process
-    is safe: importing bnlab capped OpenBLAS at one thread, so BLAS runs in
-    the calling thread, and OpenBLAS shuts its idle thread pool down before
-    a fork."""
-
-    def timed_summary(seed):
-        start = time.monotonic()
-        summary = runner(dict(defaults), seed).summary
-        return summary, time.monotonic() - start
-
-    return fan_out(timed_summary, SEEDS)
+@pytest.fixture(scope="session")
+def default_runs(tmp_path_factory):
+    """(the directory, write_all's {(scenario, seed): (exit code, seconds)})
+    of one run of every scenario at its defaults and each of SEEDS."""
+    out = str(tmp_path_factory.mktemp("artifacts"))
+    runs = artifacts_tool.write_all(out, SEEDS)
+    failed = sorted(job for job, (code, _) in runs.items() if code != 0)
+    assert not failed, f"runs that exited non-zero: {failed}"
+    return out, runs
 
 
-def _rand_net(rng, dims):
-    """A 3-BN random network in a non-trivial (trained-looking) state."""
-    from bnlab.net import Affine, Linear, Network, Relu
-
-    layers = []
-    for i in range(len(dims) - 2):
-        layers.append(Linear.init(rng, dims[i], dims[i + 1]))
-        layers.append(BnLayer(dims[i + 1]))
-        layers.append(Affine(rng.uniform(0.5, 1.5, dims[i + 1]),
-                             rng.standard_normal(dims[i + 1])))
-        layers.append(Relu())
-    layers.append(Linear.init(rng, dims[-2], dims[-1]))
-    return Network(layers)
+def judged(record_property, default_runs, criterion):
+    """The ledger's entry for ``criterion``; each seed's margins go to the
+    test's report as ``margins_seed<N>``."""
+    out, _ = default_runs
+    entry = margins_tool.ledger(out)[criterion]
+    for seed, row in entry["seeds"].items():
+        record_property(f"margins_seed{seed}", row["margins"])
+    return entry
 
 
 def test_c01_variance_formula_monte_carlo():
@@ -122,7 +99,7 @@ def test_c03_moment_matching_dominates_naive():
 
 def test_c04_layerwise_oracle():
     rng = np.random.default_rng(42)
-    net = _rand_net(rng, [6, 8, 8, 8, 4])
+    net = random_net(rng, [6, 8, 8, 8, 4])
     pop = rng.standard_normal((32, 6, 1, 1))
     oracle = precise_bn(net, pop, 32)  # B = N: one cohort covers everything
     for b in (4, 8, 32):
@@ -195,48 +172,44 @@ def test_c08_split_concat_moment_property():
     assert split_vs_concat(b1, b2_eq) <= 1e-12
 
 
-def test_c09_leakage_and_fixes(record_property):
-    votes, margins = [], {}
-    runs = seed_summaries(run_leakage, LEAKAGE_DEFAULTS)
-    for seed, (summary, elapsed) in zip(SEEDS, runs):
-        # gap >= 0.20, largest fix-vs-control difference <= 0.02
-        margins[seed], ok = margins_tool.c09_leakage(summary)
-        votes.append(ok and elapsed < 60.0)
-    message = report_margins(record_property, votes, margins)
-    assert majority(votes), message
+def test_c09_leakage_and_fixes(record_property, default_runs):
+    # gap >= 0.20, largest fix-vs-control difference <= 0.02, each seed's
+    # run under 60 s
+    entry = judged(record_property, default_runs, "c09")
+    _, runs = default_runs
+    votes = [entry["seeds"][str(seed)]["pass"] and runs["leakage", seed][1] < 60.0
+             for seed in SEEDS]
+    assert sum(votes) >= len(SEEDS) // 2 + 1, (votes, entry["seeds"])
 
 
-def test_c10_shared_head_consistency(record_property):
-    votes, margins = [], {}
-    runs = seed_summaries(run_shared_head, SHARED_HEAD_DEFAULTS)
-    for seed, (summary, _) in zip(SEEDS, runs):
-        # ratio >= 2, spread <= 0.03
-        margins[seed], ok = margins_tool.c10_shared_head(summary)
-        votes.append(ok)
-    message = report_margins(record_property, votes, margins)
-    assert majority(votes), message
+def test_c10_shared_head_consistency(record_property, default_runs):
+    # ratio >= 2, spread <= 0.03
+    entry = judged(record_property, default_runs, "c10")
+    assert entry["votes"]["0-2"]["majority"], entry["seeds"]
 
 
-def test_c11_nbs_sweep_directions(record_property):
-    votes, margins = [], {}
-    runs = seed_summaries(run_nbs_sweep, NBS_SWEEP_DEFAULTS)
-    for seed, (summary, _) in zip(SEEDS, runs):
-        # train errors non-increasing in nbs, flip > 0
-        margins[seed], ok = margins_tool.c11_nbs_sweep(summary)
-        votes.append(ok)
-    message = report_margins(record_property, votes, margins)
-    assert majority(votes), message
+def test_c11_nbs_sweep_directions(record_property, default_runs):
+    # train errors non-increasing in nbs, flip > 0
+    entry = judged(record_property, default_runs, "c11")
+    assert entry["votes"]["0-2"]["majority"], entry["seeds"]
 
 
-def test_c12_domain_adaptation_direction(record_property):
-    votes, margins = [], {}
-    for seed in SEEDS:
-        run = run_domain_adapt(dict(DOMAIN_ADAPT_DEFAULTS), seed)
-        # helps > 0, coincide <= 0.02
-        margins[seed], ok = margins_tool.c12_domain_adapt(run.summary)
-        votes.append(ok)
-    message = report_margins(record_property, votes, margins)
-    assert majority(votes), message
+def test_c12_domain_adaptation_direction(record_property, default_runs):
+    # helps > 0, coincide <= 0.02
+    entry = judged(record_property, default_runs, "c12")
+    assert entry["votes"]["0-2"]["majority"], entry["seeds"]
+
+
+def test_default_artifacts_match_the_manifest(default_runs, capsys):
+    """The 72 files of the session's default runs are the bits that
+    ``tools/artifacts.sha256`` records; on another stack the tool's report
+    of the difference is the skip reason."""
+    out, _ = default_runs
+    moved = artifacts_tool.check_manifest(out, MANIFEST)
+    report = capsys.readouterr().out.strip()
+    if artifacts_tool.read_manifest(MANIFEST)[0] != artifacts_tool.stack():
+        pytest.skip(report)
+    assert moved == 0, report
 
 
 def test_c13_metrics_byte_determinism(tmp_path):

@@ -1,6 +1,7 @@
 """``tools/artifacts.py``'s manifest: ``--manifest`` records each
 artifact's sha256 under the stack's versions, ``--check`` names what moved.
-Run on hand-made files, with the scenario runs stubbed out."""
+Run on hand-made files, with the scenario runs stubbed out; and its run
+count, with ``bnlab run`` stubbed."""
 
 import hashlib
 import importlib.util
@@ -12,13 +13,18 @@ _PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                      "tools", "artifacts.py")
 
 
-@pytest.fixture()
-def tool(monkeypatch):
+def _load():
     spec = importlib.util.spec_from_file_location("artifacts_tool", _PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture()
+def tool(monkeypatch):
+    module = _load()
     # the artifacts are the hand-made files already in OUT_DIR
-    monkeypatch.setattr(module, "write_all", lambda out_dir, seeds: 0)
+    monkeypatch.setattr(module, "write_all", lambda out_dir, seeds: {})
     return module
 
 
@@ -80,3 +86,16 @@ def test_check_on_another_stack_says_so_instead_of_failing(tool, out,
     report = capsys.readouterr().out
     assert "stack differs" in report and "numpy 0.0-" in report
     assert "1 of 2 files differ" in report and "moved" not in report
+
+
+def test_a_failed_run_is_counted_and_timed(monkeypatch, tmp_path, capsys):
+    tool = _load()
+    # two jobs, b's run fails
+    monkeypatch.setattr(tool, "SCENARIOS", ("a", "b"))
+    monkeypatch.setattr(tool, "main", lambda argv: 1 if argv[1] == "b" else 0)
+    runs = tool.write_all(str(tmp_path), [0])
+    assert sorted(runs) == [("a", 0), ("b", 0)]
+    assert [runs[job][0] for job in sorted(runs)] == [0, 1]
+    assert all(seconds >= 0 for _, seconds in runs.values())
+    assert tool.run([str(tmp_path), "--seeds", "0"]) == 1
+    assert capsys.readouterr().out == "1 of 2 runs failed\n"

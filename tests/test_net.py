@@ -282,6 +282,27 @@ def test_classification_error_plan_counts_its_ragged_tail():
         classification_error(net, x, y, plan=NormBatchPlan("shuffle", 4))
 
 
+@pytest.mark.parametrize("rows, count, to_list, plan", [
+    (300, 256, False, None),
+    (256, 300, False, None),  # 256 rows are one whole chunk
+    (24, 23, True, NormBatchPlan("shuffle", 8)),
+], ids=["too_few", "too_many_at_a_chunk", "list_under_shuffle"])
+def test_classification_error_needs_one_label_per_row(rows, count, to_list, plan):
+    rng = np.random.default_rng(11)
+    net = _net(rng)
+    x = rng.standard_normal((rows, 4, 1, 1))
+    y = rng.integers(0, 3, max(rows, count))
+    convert = list if to_list else np.asarray
+    with pytest.raises(ShapeMismatch, match=rf"^{rows} rows .* \({count},\)$"):
+        classification_error(net, x, convert(y[:count]), plan=plan,
+                             rng=np.random.default_rng(0))
+    # one label per row, in either form, is measured alike
+    errors = [classification_error(net, x, form(y[:rows]), plan=plan,
+                                   rng=np.random.default_rng(0))
+              for form in (convert, np.asarray)]
+    assert errors[0] == errors[1]
+
+
 @pytest.mark.parametrize("plan", [None, NormBatchPlan("ghost", 4)],
                          ids=["plain", "ghost4"])
 def test_a_row_block_affine_trains_with_exact_gradients(plan):

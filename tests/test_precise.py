@@ -4,28 +4,14 @@ import numpy as np
 import pytest
 
 from bnlab.errors import EmptyPopulation, InvalidParams
-from bnlab.layer import BnLayer
-from bnlab.net import Affine, Linear, Network, Relu
 from bnlab.precise import precise_bn, precise_bn_layerwise
 from bnlab.tensor import channel_moments
-
-
-def _net(rng, n_bn=2):
-    dims = [4] + [6] * n_bn + [3]
-    layers = []
-    for i in range(n_bn):
-        layers.append(Linear.init(rng, dims[i], dims[i + 1]))
-        layers.append(BnLayer(dims[i + 1]))
-        layers.append(Affine(rng.uniform(0.5, 1.5, dims[i + 1]),
-                             rng.standard_normal(dims[i + 1])))
-        layers.append(Relu())
-    layers.append(Linear.init(rng, dims[-2], dims[-1]))
-    return Network(layers)
+from oracles import random_net
 
 
 def test_precise_bn_full_batch_matches_direct_moments():
     rng = np.random.default_rng(0)
-    net = _net(rng, n_bn=1)
+    net = random_net(rng, [4, 6, 3])
     pop = rng.standard_normal((32, 4, 1, 1))
     stats = precise_bn(net, pop, 32)
     h, _ = net.layers[0].forward(pop)
@@ -37,7 +23,7 @@ def test_precise_bn_full_batch_matches_direct_moments():
 @pytest.mark.parametrize("estimate", [precise_bn, precise_bn_layerwise])
 def test_precise_bn_is_read_only(estimate):
     rng = np.random.default_rng(1)
-    net = _net(rng)
+    net = random_net(rng, [4, 6, 6, 3])
 
     def state():
         # the EMA is all the state a BN layer holds
@@ -52,7 +38,7 @@ def test_precise_bn_is_read_only(estimate):
 
 def test_precise_bn_handles_ragged_final_batch():
     rng = np.random.default_rng(2)
-    net = _net(rng, n_bn=1)
+    net = random_net(rng, [4, 6, 3])
     pop = rng.standard_normal((10, 4, 1, 1))
     stats = precise_bn(net, pop, 4)  # cohorts of 4, 4, 2
     # first layer sees the raw input, so aggregation must equal pop moments
@@ -64,7 +50,7 @@ def test_precise_bn_handles_ragged_final_batch():
 
 def test_layerwise_invariant_to_batch_size():
     rng = np.random.default_rng(3)
-    net = _net(rng, n_bn=2)
+    net = random_net(rng, [4, 6, 6, 3])
     pop = rng.standard_normal((24, 4, 1, 1))
     ref = precise_bn_layerwise(net, pop, 24)
     for b in (3, 8):
@@ -76,7 +62,7 @@ def test_layerwise_invariant_to_batch_size():
 
 def test_plain_pass_drifts_at_small_batch_deeper_layers():
     rng = np.random.default_rng(4)
-    net = _net(rng, n_bn=2)
+    net = random_net(rng, [4, 6, 6, 3])
     pop = rng.standard_normal((32, 4, 1, 1))
     oracle = precise_bn(net, pop, 32)
     plain = precise_bn(net, pop, 4)
@@ -88,7 +74,7 @@ def test_plain_pass_drifts_at_small_batch_deeper_layers():
 
 def test_precise_bn_validation():
     rng = np.random.default_rng(5)
-    net = _net(rng, n_bn=1)
+    net = random_net(rng, [4, 6, 3])
     pop = rng.standard_normal((8, 4, 1, 1))
     with pytest.raises(EmptyPopulation):
         precise_bn(net, np.zeros((0, 4, 1, 1)), 4)

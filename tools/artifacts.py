@@ -19,7 +19,9 @@ checkouts give the same results when
 prints nothing.  It exits 1 if any run failed (a run whose training loss
 diverges exits 1 and writes nothing); ``--seeds 0-9`` thus checks that no
 default run at seeds 0-9 trips the divergence bound.  The package is
-imported from this checkout's ``src/``.
+imported from this checkout's ``src/``.  ``tests/test_acceptance.py``
+calls ``write_all`` once per test session at seeds 0-2; c09-c12 judge
+those runs and a test checks them against ``tools/artifacts.sha256``.
 
 A manifest records the bits without a second checkout.  ``--manifest
 FILE`` writes one ``sha256  path`` line per artifact (paths relative to
@@ -36,6 +38,7 @@ import hashlib
 import os
 import platform
 import sys
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
@@ -63,15 +66,18 @@ def parse_seeds(text):
 
 def write_all(out_dir, seeds=(0, 1, 2)):
     """Run every scenario at every seed, the runs spread over processes by
-    ``fan_out``; the number of failed runs."""
+    ``fan_out``; {(scenario, seed): (exit code, seconds)}, each run timed
+    in the process that ran it."""
 
-    def failed(job):
+    def timed(job):
         scenario, seed = job
         out = os.path.join(out_dir, f"{scenario}-s{seed}")
-        return main(["run", scenario, "--seed", str(seed), "--out", out]) != 0
+        start = time.monotonic()
+        code = main(["run", scenario, "--seed", str(seed), "--out", out])
+        return code, time.monotonic() - start
 
-    return sum(fan_out(failed, [(scenario, seed) for scenario in sorted(SCENARIOS)
-                                for seed in seeds]))
+    jobs = [(scenario, seed) for scenario in sorted(SCENARIOS) for seed in seeds]
+    return dict(zip(jobs, fan_out(timed, jobs)))
 
 
 def stack():
@@ -153,8 +159,9 @@ def run(argv=None):
     parser.add_argument("--check", metavar="FILE",
                         help="list the artifacts that moved against FILE")
     args = parser.parse_args(argv)
-    failed = write_all(args.out_dir, args.seeds)
-    print(f"{failed} of {len(SCENARIOS) * len(args.seeds)} runs failed")
+    runs = write_all(args.out_dir, args.seeds)
+    failed = sum(code != 0 for code, _ in runs.values())
+    print(f"{failed} of {len(runs)} runs failed")
     if args.manifest:
         write_manifest(args.out_dir, args.manifest)
     moved = check_manifest(args.out_dir, args.check) if args.check else 0

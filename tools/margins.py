@@ -11,10 +11,12 @@ and of seeds 3-9 (held out) pass.  It writes the same table to
 ``OUT_DIR/margins.json`` with sorted keys, so equal tables are equal
 bytes.  It exits 1 if OUT_DIR holds no summary of these scenarios.
 
-``tests/test_acceptance.py`` computes c09-c12's margins and verdicts with
-this module's functions, so the thresholds live here once.  The seeds, the
-majority vote and c09's 60 s bound on a seed's run stay in that test:
-``summary.json`` records no run time, so the verdicts here leave it out.
+``tests/test_acceptance.py`` runs ``tools/artifacts.py``'s ``write_all``
+once per session at seeds 0-2, and c10-c12 assert this module's
+``ledger`` majority over those seeds, so the thresholds and the vote live
+here once.  c09's vote also needs each seed's leakage run to end under
+60 s, which that test reads from ``write_all``'s timings: ``summary.json``
+records no run time, so the verdicts here leave it out.
 """
 
 import argparse
