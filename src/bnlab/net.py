@@ -114,7 +114,10 @@ class Affine:
     def identity(cls, channels):
         return cls(np.ones(channels), np.zeros(channels))
 
-    def forward(self, x):
+    def forward(self, x, out=None):
+        """(y, cache).  ``out``, an array of x's shape (x itself, say), if
+        given receives y, with the bits of y without it; when it is x, the
+        cache (x's view) holds y too, so no backward can follow."""
         xs = x
         if self.gamma.ndim == 2:  # the batch's row blocks
             blocks = self.gamma.shape[0]
@@ -122,8 +125,9 @@ class Affine:
                 raise ShapeMismatch(f"{x.shape[0]} rows do not split into {blocks} "
                                     f"equal blocks for a {self.gamma.shape} Affine")
             xs = x.reshape(blocks, -1, *x.shape[1:])
-        y = (xs * self.gamma[..., None, :, None, None]
-             + self.beta[..., None, :, None, None])
+        y = np.multiply(xs, self.gamma[..., None, :, None, None],
+                        out=out if out is None else out.reshape(xs.shape))
+        y += self.beta[..., None, :, None, None]
         return (y if xs is x else y.reshape(x.shape)), xs
 
     def backward(self, cache, dy):
@@ -140,9 +144,10 @@ class Affine:
 class Relu:
     param_names = ()
 
-    def forward(self, x):
+    def forward(self, x, out=None):
+        """(y, mask); ``out`` (x itself, say), if given, receives y."""
         mask = x > 0
-        return x * mask, mask
+        return np.multiply(x, mask, out=out), mask
 
     def backward(self, cache, dy):
         return dy * cache, None

@@ -568,18 +568,22 @@ class SharedHeadNet:
         self.optimizer = None
 
     def forward_train(self, x, stats=None):
-        """(N, K) logits of an (N, C, 1, 1) float64 batch, normalized by the
-        moments of each ``cohort`` rows, or by fixed (C,) or (G, C) ``stats``
-        for G row blocks; the caches serve ``backward_train`` after a
-        forward by batch statistics."""
+        """(N, K) logits of an (N, C, 1, 1) float64 batch and the caches
+        ``backward_train`` reads, normalized by the moments of each
+        ``cohort`` rows.  With fixed (C,) or (G, C) ``stats`` for G row
+        blocks the pass is forward only: it keeps no caches (None), and
+        the normalization, affine and relu overwrite the first layer's
+        output in place."""
         h, c1 = self.l1.forward(x)
         if stats is not None:
             view = _cohorts(h, None if stats.mean.ndim == 1
                             else h.shape[0] // stats.mean.shape[0])
-            xhat, inv = normalize(view, stats, self.eps), None
-        else:
-            view = _cohorts(h, self.cohort)
-            xhat, _, inv = batch_stats_forward(view, self.eps)
+            normalize(view, stats, self.eps, out=view)
+            self.affine.forward(h, out=h)
+            self.relu.forward(h, out=h)
+            return self.l2.forward(h)[0][:, :, 0, 0], None
+        view = _cohorts(h, self.cohort)
+        xhat, _, inv = batch_stats_forward(view, self.eps)
         a, ca = self.affine.forward(xhat if view is h else xhat.reshape(h.shape))
         r, cr = self.relu.forward(a)
         logits, cl = self.l2.forward(r)
@@ -826,13 +830,15 @@ def check_ranges(cfg):
     # a repeated sweep entry reruns an arm and repeats its metrics.csv keys;
     # ema_vs_precise runs each precise_b_sweep entry capped at precise_n
     for key in ("nbs_list", "subset_sizes", "precise_b_sweep"):
-        runs = cfg[key] if key in cfg else ()
+        given = runs = cfg[key] if key in cfg else ()
         if runs and key == "precise_b_sweep":
             runs = [min(b, cfg["precise_n"]) for b in runs]
         for i, v in enumerate(runs):
             if v in runs[:i]:
+                j = runs.index(v)
+                capped = " once capped at precise_n" if given[i] != given[j] else ""
                 raise ConfigError(f"{key}[{i}] must be distinct from {key}"
-                                  f"[{runs.index(v)}] (both run as {v})")
+                                  f"[{j}] (both run as {v}{capped})")
     # every cut of the training rows must fit in them: train_eval_size and
     # precise_n rows from the front, and two disjoint subsets of each
     # subset_sizes entry; leakage's rows are its clusters' copies, and it

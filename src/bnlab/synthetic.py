@@ -136,9 +136,9 @@ class MixingCorruption:
         return y
 
 
-# training steps drawn as one slab by MultiScaleDomains.batches (~1.2 MB of
+# training steps drawn as one slab by MultiScaleDomains.batches (~0.6 MB of
 # inputs at shared_head's defaults)
-SLAB_STEPS = 100
+SLAB_STEPS = 50
 
 
 @dataclass

@@ -83,7 +83,8 @@ def channel_moments(x: np.ndarray, out: np.ndarray | None = None) -> ChannelStat
     (G, C) moments, one row per cohort, for a (G, n, C, H, W) stack.
 
     ``out``, an array of x's shape and layout (``np.empty_like(x)``), if
-    given receives the centred batch x - mean that the variance is taken of.
+    given receives the centred batch x - mean that the variance is taken of;
+    without it the centred temporary is squared in place.
     """
     if not (type(x) is np.ndarray and x.dtype == np.float64 and x.ndim in (4, 5)):
         x = as_batch(x)
@@ -94,13 +95,19 @@ def channel_moments(x: np.ndarray, out: np.ndarray | None = None) -> ChannelStat
     # add.reduce and / count give mean's result without its wrapper calls
     mean = np.add.reduce(x, axis=SAMPLE_AXES) / count
     centred = np.subtract(x, mean[..., None, :, None, None], out=out)
-    var = np.add.reduce(np.square(centred), axis=SAMPLE_AXES) / count
+    squares = np.square(centred, out=centred if out is None else None)
+    var = np.add.reduce(squares, axis=SAMPLE_AXES) / count
     return ChannelStats(mean=mean, var=var, count=count)
 
 
-def normalize(x: np.ndarray, stats: ChannelStats, eps: float) -> np.ndarray:
+def normalize(x: np.ndarray, stats: ChannelStats, eps: float,
+              out: np.ndarray | None = None) -> np.ndarray:
     """(x - mean) / sqrt(var + eps), broadcast per channel (and per cohort
-    when both are stacked)."""
+    when both are stacked).
+
+    ``out``, an array of x's shape (x itself, say), if given receives the
+    result, with the bits of the result without it.
+    """
     if not (type(x) is np.ndarray and x.dtype == np.float64 and x.ndim in (4, 5)):
         x = as_batch(x)
     mean = stats.mean
@@ -117,5 +124,7 @@ def normalize(x: np.ndarray, stats: ChannelStats, eps: float) -> np.ndarray:
         if eps < 0 or np.any(stats.var <= 0):
             raise InvalidParams("eps must be positive")
     inv = 1.0 / np.sqrt(stats.var + eps)
-    return (x - mean[..., None, :, None, None]) * inv[..., None, :, None, None]
+    y = np.subtract(x, mean[..., None, :, None, None], out=out)
+    y *= inv[..., None, :, None, None]
+    return y
 

@@ -196,6 +196,9 @@ BAD_NUMBERS = [
     ("ema_vs_precise", '{"precise_b_sweep": [8, 8]}', "precise_b_sweep[1]"),
     ("ema_vs_precise", '{"precise_b_sweep": [1024, 4096]}',
      "precise_b_sweep[1]"),
+    # the default sweep [2, 8, 32, 1024] under a small precise_n: its
+    # message names the cap, since the config gives no sweep
+    ("ema_vs_precise", '{"precise_n": 16}', "precise_b_sweep[3]"),
 ]
 
 

@@ -182,11 +182,16 @@ def test_batch_forward_has_the_bits_of_normalize_by_channel_moments(mode, layout
     x = _in_layout(1.0 + 3.0 * rng.standard_normal(shape), layout)
     layer = BnLayer(3)
     y, cache = layer.forward(x, mode=mode)
-    moments = channel_moments(x)
+    moments = channel_moments(x)  # (C,), or (G, C) for the stack
     ref = normalize(x, moments, layer.eps)
     np.testing.assert_array_equal(y, ref)
     # the layout too: every reduction downstream follows it
     assert y.strides == ref.strides
+    # normalize in place over its input: the same bits, in the same layout
+    x_in = x.copy(order="K")
+    assert normalize(x_in, moments, layer.eps, out=x_in) is x_in
+    np.testing.assert_array_equal(x_in, ref)
+    assert x_in.strides == ref.strides
     np.testing.assert_array_equal(cache.inv_std, 1.0 / np.sqrt(moments.var + layer.eps))
     np.testing.assert_array_equal(cache.moments.mean, moments.mean)
     np.testing.assert_array_equal(cache.moments.var, moments.var)

@@ -9,11 +9,15 @@ pass, and here at the default config under every default policy row.
 The runner trains one net per distinct (sgd_stats, affine) pair, each arm
 on its own draw of row 1's stream; its rows must equal those of a loop that
 trains every row's net on its own copy of that stream.
+
+The population pass and the evaluation are forward only, and a memory
+guard bounds what they hold.
 """
 
 import json
 import multiprocessing
 import os
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -68,6 +72,47 @@ def test_eps_must_be_positive(tmp_path):
     # the config's range check refuses it before any work
     assert main(["run", "shared_head", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("row", [0, len(CFG["policies"]) - 1],
+                         ids=["shared", "per_domain"])
+def test_population_and_evaluation_passes_hold_two_and_one_activations(
+        monkeypatch, row):
+    """Peak numpy allocation of ``train_population_stats`` and
+    ``eval_error`` on ``shared_head_data``'s 3 x 512 rows, from the first
+    layer's output on.  One (1,536, 128) float64 activation is 1.5 MiB.
+    The population pass holds the first layer's output and its centred
+    copy, squared in place.  The evaluation holds the first layer's
+    output, which each later layer overwrites, plus the relu's bool mask
+    and the (1,536, 16) logits, an eighth of an activation each.  These
+    passes peaked at 3.0 and 4.4 activations when they ran the training
+    forward and kept its caches; now at 2.0 and 1.3.  ``Linear.forward``
+    itself holds two for a moment (the GEMM's result and its bias sum),
+    which the bounds leave out.  The port of ``shared_head`` onto
+    ``Network`` keeps this guard, on the passes that replace these two."""
+    policy = Policy(*CFG["policies"][row])
+    domains, val_x, val_y, pop_x = shared_head_data(CFG, 0)
+    net = _flat_net(np.random.default_rng(3), CFG, policy, domains.n_domains)
+    activation = pop_x.shape[0] * CFG["hidden"] * 8
+    first_layer = net.l1.forward
+
+    def counted_from_its_output(x):
+        out = first_layer(x)
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(net.l1, "forward", counted_from_its_output)
+    tracemalloc.start()
+    try:
+        stats = net.train_population_stats(
+            pop_x, CFG["val_per_domain"] if policy.pop_stats == PER_DOMAIN else None)
+        population = tracemalloc.get_traced_memory()[1]
+        net.eval_error(val_x, val_y, stats)
+        evaluation = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert population < 2.25 * activation, population / activation
+    assert evaluation < 1.5 * activation, evaluation / activation
 
 
 # ---------------------------------------------------------------------------

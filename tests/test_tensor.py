@@ -6,17 +6,35 @@ import numpy as np
 import pytest
 
 from bnlab.errors import EmptyBatch, InvalidParams, ShapeMismatch
-from bnlab.tensor import ChannelStats, as_tensor4, channel_moments, normalize
+from bnlab.tensor import (
+    SAMPLE_AXES,
+    ChannelStats,
+    as_tensor4,
+    channel_moments,
+    normalize,
+)
+from test_layer import _in_layout
 
 
 def test_channel_moments_match_numpy():
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((7, 3, 2, 5))
-    s = channel_moments(x)
-    np.testing.assert_allclose(s.mean, x.mean(axis=(0, 2, 3)), atol=1e-14)
-    np.testing.assert_allclose(s.var, x.var(axis=(0, 2, 3)), atol=1e-14)
-    assert s.count == 7 * 2 * 5
-    assert s.channels == 3
+    # a batch and a cohort stack, each in C order and channels-last
+    for x in [_in_layout(a, layout)
+              for a in (rng.standard_normal((7, 3, 2, 5)),
+                        rng.standard_normal((4, 7, 3, 2, 5)))
+              for layout in ("c_order", "channels_last")]:
+        s = channel_moments(x)
+        np.testing.assert_allclose(s.mean, x.mean(axis=SAMPLE_AXES), atol=1e-14)
+        np.testing.assert_allclose(s.var, x.var(axis=SAMPLE_AXES), atol=1e-14)
+        assert s.count == 7 * 2 * 5
+        assert s.channels == 3
+        # the bits of the form with two temporaries, the centred batch and
+        # its squares; channel_moments squares its centred batch in place
+        mean = np.add.reduce(x, axis=SAMPLE_AXES) / s.count
+        centred = x - mean[..., None, :, None, None]
+        np.testing.assert_array_equal(s.mean, mean)
+        np.testing.assert_array_equal(
+            s.var, np.add.reduce(np.square(centred), axis=SAMPLE_AXES) / s.count)
 
 
 def test_channel_moments_rejects_empty_and_bad_rank():
