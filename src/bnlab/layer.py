@@ -67,19 +67,22 @@ class BnLayer:
     param_names = ()
 
     def forward(self, x, mode: BnMode = BnMode.TRAIN_MINIBATCH,
-                stats: ChannelStats | None = None, cohort: int | None = None):
+                stats: ChannelStats | None = None, cohort: int | None = None,
+                out: np.ndarray | None = None):
         """Returns (y, cache).  ``stats`` are the fixed statistics of an
         EVAL_POPULATION forward (default: the EMA's), which ignores
         ``cohort``.  ``x`` is an array of float64, as ``Network.forward``
-        passes it.  Raises EmptyBatch on n == 0 before any side effect, so
-        the EMA is left bit-identical.  The EMA steps once per cohort, in
-        order."""
+        passes it.  ``out``, an array of x's shape (x itself, say), if
+        given receives an EVAL_POPULATION forward's y, with the bits of y
+        without it; the batch modes write y into a new array.  Raises
+        EmptyBatch on n == 0 before any side effect, so the EMA is left
+        bit-identical.  The EMA steps once per cohort, in order."""
         if x.shape[-3] != self.channels:
             raise ShapeMismatch(f"expected {self.channels} channels, got {x.shape[-3]}")
         if mode is BnMode.EVAL_POPULATION:
             stats = self.ema.as_channel_stats() if stats is None else stats
             # a backward derives the inverse std from the stats
-            return normalize(x, stats, self.eps), BnCache(
+            return normalize(x, stats, self.eps, out=out), BnCache(
                 x_hat=None, inv_std=None, moments=None, stats=stats)
         if mode not in (BnMode.TRAIN_MINIBATCH, BnMode.EVAL_MINIBATCH):
             raise InvalidParams(f"unknown mode {mode}")

@@ -19,6 +19,8 @@ rounding) follows the layout.
 
 ``Network.forward`` and ``Network.backward`` check their inputs once; the
 layers take the float64 arrays those pass along and check them no further.
+Evaluation runs ``Network.evaluate``, a forward-only pass that keeps no
+caches and holds only what its next layer reads.
 """
 
 from dataclasses import dataclass
@@ -125,8 +127,9 @@ class Affine:
                 raise ShapeMismatch(f"{x.shape[0]} rows do not split into {blocks} "
                                     f"equal blocks for a {self.gamma.shape} Affine")
             xs = x.reshape(blocks, -1, *x.shape[1:])
-        y = np.multiply(xs, self.gamma[..., None, :, None, None],
-                        out=out if out is None else out.reshape(xs.shape))
+            if out is not None:
+                out = out.reshape(xs.shape)
+        y = np.multiply(xs, self.gamma[..., None, :, None, None], out=out)
         y += self.beta[..., None, :, None, None]
         return (y if xs is x else y.reshape(x.shape)), xs
 
@@ -182,14 +185,17 @@ class Network:
     """An ordered stack of Linear / BnLayer / Affine / Relu layers.
 
     Each layer's role is fixed when the network is built: ``bn_indices``
-    lists the BN layers' positions, and the passes read these roles instead
-    of testing each layer's type.
+    lists the BN layers' positions, ``_overwrites`` the Affine and Relu
+    layers', which can write their output over their input, and the passes
+    read these roles instead of testing each layer's type.
     """
 
     def __init__(self, layers):
         self.layers = list(layers)
         self.bn_indices = [i for i, l in enumerate(self.layers)
                            if isinstance(l, BnLayer)]
+        self._overwrites = [i for i, l in enumerate(self.layers)
+                            if isinstance(l, (Affine, Relu))]
         self._first_linear = bool(self.layers) and isinstance(self.layers[0],
                                                                Linear)
         # sizes each pass's cache list, so a pass makes no append
@@ -206,16 +212,13 @@ class Network:
         return names
 
     def forward(self, x, *, mode=BnMode.TRAIN_MINIBATCH, stats=None,
-                moment_sinks=None, cohort=None):
-        """Run an (N, C, H, W) batch to its (N, K) logits.  Each BN layer
-        runs in ``mode``, except the layers in ``stats``, a dict
-        {layer index: ChannelStats}: those normalize by the given
-        statistics as EVAL_POPULATION, without touching layer state.  In
-        the batch-statistics modes each ``cohort`` rows (the last cohort
-        ragged) share their moments, in the BN layers' view.
-        ``moment_sinks`` maps layer index -> a list; the pass appends the
-        layer's batch moments to it, (G, C) for the whole cohorts and then
-        (C,) for a ragged last one.
+                cohort=None):
+        """Run an (N, C, H, W) batch to its (N, K) logits and the caches of
+        a ``backward``.  Each BN layer runs in ``mode``, except the layers
+        in ``stats``, a dict {layer index: ChannelStats}: those normalize
+        by the given statistics as EVAL_POPULATION, without touching layer
+        state.  In the batch-statistics modes each ``cohort`` rows (the
+        last cohort ragged) share their moments, in the BN layers' view.
         """
         if not (type(x) is np.ndarray and x.dtype == np.float64
                 and x.ndim == 4):
@@ -228,17 +231,55 @@ class Network:
                 x, cache = layer.forward(
                     x, mode=mode if fixed is None else BnMode.EVAL_POPULATION,
                     stats=fixed, cohort=cohort)
-                if moment_sinks is not None and i in moment_sinks \
-                        and cache.moments is not None:
-                    moment_sinks[i].append(cache.moments)
-                    if cache.tail is not None:
-                        moment_sinks[i].append(cache.tail.moments)
             else:
                 x, cache = layer.forward(x)
             caches[i] = cache
         if x.shape[2] != 1 or x.shape[3] != 1:
             raise ShapeMismatch("dense layers expect h = w = 1 activations")
         return x[:, :, 0, 0], caches
+
+    def evaluate(self, x, *, mode=BnMode.EVAL_POPULATION, stats=None,
+                 moment_sinks=None, cohort=None):
+        """A forward-only pass: ``forward``'s logits in an evaluation mode
+        (EVAL_POPULATION or EVAL_MINIBATCH), without caches.  The BN,
+        Affine and Relu layers write their output over their input where
+        the pass allocated it, never over ``x``.
+
+        ``moment_sinks`` maps BN layer index -> a list (or a
+        ``stats.MomentFold``); the pass appends the layer's batch moments
+        to it, (G, C) for the whole cohorts and then (C,) for a ragged last
+        one, and ends after the deepest of those layers, returning its
+        (N, C, H, W) output.
+        """
+        if mode not in (BnMode.EVAL_POPULATION, BnMode.EVAL_MINIBATCH):
+            raise InvalidParams(f"evaluate runs an evaluation mode, not {mode}")
+        if not (type(x) is np.ndarray and x.dtype == np.float64
+                and x.ndim == 4):
+            x = as_tensor4(x)
+        given, bn, overwrites = x, self.bn_indices, self._overwrites
+        stop = (self._depth if moment_sinks is None
+                else max(moment_sinks, default=-1) + 1)
+        for i in range(stop):
+            layer = self.layers[i]
+            if i in bn:
+                fixed = None if stats is None else stats.get(i)
+                x, cache = layer.forward(
+                    x, mode=mode if fixed is None else BnMode.EVAL_POPULATION,
+                    stats=fixed, cohort=cohort, out=None if x is given else x)
+                if moment_sinks is not None and i in moment_sinks \
+                        and cache.moments is not None:
+                    moment_sinks[i].append(cache.moments)
+                    if cache.tail is not None:
+                        moment_sinks[i].append(cache.tail.moments)
+            elif i in overwrites:
+                x = layer.forward(x, out=None if x is given else x)[0]
+            else:
+                x = layer.forward(x)[0]
+        if stop < self._depth:
+            return x
+        if x.shape[2] != 1 or x.shape[3] != 1:
+            raise ShapeMismatch("dense layers expect h = w = 1 activations")
+        return x[:, :, 0, 0]
 
     def backward(self, caches, dlogits, input_grad=True):
         """Exact gradients of the scalar loss the caller differentiated into
@@ -420,7 +461,8 @@ def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
     ``stats`` ({layer index: ChannelStats}) where given, else its EMA's.
     With a plan each cohort (a shuffle's drawn from ``rng``) normalizes by
     its own moments (EVAL_MINIBATCH).  The rows run in
-    ``chunk_rows`` chunks of whole cohorts.
+    ``chunk_rows`` chunks of whole cohorts, each a ``Network.evaluate``
+    pass.
     """
     x = as_tensor4(x)
     n = x.shape[0]
@@ -439,8 +481,8 @@ def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
     step = chunk_rows(cohort, x.shape[2] * x.shape[3])
     wrong = 0
     for start in range(0, n, step):
-        logits, _ = net.forward(x[start : start + step], mode=mode,
-                                stats=stats, cohort=cohort)
+        logits = net.evaluate(x[start : start + step], mode=mode, stats=stats,
+                              cohort=cohort)
         wrong += int((logits.argmax(axis=-1)
                       != labels[start : start + step]).sum())
     return wrong / n

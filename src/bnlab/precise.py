@@ -6,7 +6,7 @@ was; a caller passes them on (``stats=``), nothing installs them."""
 from .errors import EmptyPopulation, InvalidParams
 from .layer import BnMode
 from .net import chunk_rows
-from .stats import aggregate_moment_matching
+from .stats import MomentFold, aggregate_moment_matching
 from .tensor import as_tensor4
 
 __all__ = ["precise_bn", "precise_bn_layerwise"]
@@ -18,19 +18,22 @@ def _pooled_moments(net, population, batch_size, indices, stats=None):
     parameter or EMA update), the layers in ``stats`` normalizing by those
     statistics, and pool the batch moments of each BN layer in ``indices``
     by moment matching: {layer index: ChannelStats}.  The population runs
-    in ``chunk_rows`` chunks of whole mini-batches."""
+    in ``chunk_rows`` chunks of whole mini-batches, each a
+    ``Network.evaluate`` pass that ends at the deepest layer in
+    ``indices``.  Each layer's moments of a chunk go into a ``MomentFold``
+    as they come, so the pass holds no more for a larger population."""
     population = as_tensor4(population)
     if population.shape[0] == 0:
         raise EmptyPopulation("population has no samples")
     if batch_size < 1:
         raise InvalidParams("batch_size must be >= 1")
-    sinks = {i: [] for i in indices}
+    folds = {i: MomentFold() for i in indices}
     step = chunk_rows(batch_size, population.shape[2] * population.shape[3])
     for start in range(0, population.shape[0], step):
-        net.forward(population[start : start + step],
-                    mode=BnMode.EVAL_MINIBATCH, stats=stats,
-                    moment_sinks=sinks, cohort=batch_size)
-    return {i: aggregate_moment_matching(entries) for i, entries in sinks.items()}
+        net.evaluate(population[start : start + step],
+                     mode=BnMode.EVAL_MINIBATCH, stats=stats,
+                     moment_sinks=folds, cohort=batch_size)
+    return {i: aggregate_moment_matching(fold) for i, fold in folds.items()}
 
 
 def precise_bn(net, population, batch_size):

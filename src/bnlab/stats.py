@@ -1,7 +1,9 @@
 """Population-statistics estimators: EMA and the two batch-moment
 aggregators, as runs and ``bnlab estimate`` use them.  Batch moments are a
 plain list of ChannelStats, as a pass or a moments CSV
-(``read_moments_csv``) gives them; ``stack_moments`` stacks the list.  The
+(``read_moments_csv``) gives them; ``stack_moments`` stacks the list.  A
+``MomentFold`` takes the same entries one at a time into the running sums
+of moment matching, so a pass keeps no list.  The
 Monte Carlo oracle for the variance of the variance estimator, which only
 the tests use, lives in ``tests/oracles.py``."""
 
@@ -26,6 +28,7 @@ __all__ = [
     "ema_update",
     "stack_moments",
     "read_moments_csv",
+    "MomentFold",
     "aggregate_moment_matching",
     "aggregate_naive",
 ]
@@ -168,21 +171,76 @@ def read_moments_csv(text):
     return entries
 
 
+class MomentFold:
+    """Batch moments folded into count-weighted running sums as they come,
+    so a pass holds no log of them: ``total`` elements, ``first`` = sum of
+    count * mean and ``second`` = sum of count * (mean^2 + var), (C,) each.
+    ``append`` takes one entry of a moment log, so a fold is a moment sink
+    of ``Network.evaluate``; ``aggregate_moment_matching`` pools the sums.
+
+    Each ``add`` sums a C-order (1 + K, C) array, the running sums' row and
+    then the K new rows, over axis 0.  For C > 1 numpy adds those rows in
+    order, so a log folded in any split has the bits of one sum over all
+    its rows; a first block is summed alone, as the log in one piece would
+    be.  For C = 1 numpy sums the column pairwise, so there a split changes
+    the rounding.
+    """
+
+    def __init__(self):
+        self.total = 0
+        self.first = self.second = None
+
+    def append(self, moments):
+        """Fold in one entry of a moment log: (C,) moments, or the (G, C)
+        moments of G mini-batches."""
+        c = moments.mean.shape[-1]
+        means = moments.mean.reshape(-1, c)
+        self.add(means, moments.var.reshape(-1, c), moments.count,
+                 moments.count * means.shape[0])
+
+    def add(self, means, variances, weights, total):
+        """Fold in K mini-batches in order: (K, C) means and variances, each
+        row weighted by its element count (``weights``, an int or a (K, 1)
+        column), ``total`` elements in all."""
+        start = 0 if self.first is None else 1  # a row for the running sums
+        if start and means.shape[1] != self.first.shape[0]:
+            raise ShapeMismatch("batch moments disagree on channel count")
+        first = np.empty((start + means.shape[0], means.shape[1]))
+        second = np.empty_like(first)
+        # in place, the bits of weights * means and weights * (means**2 +
+        # variances) (* commutes)
+        np.multiply(means, weights, out=first[start:])
+        rows = np.square(means, out=second[start:])
+        rows += variances
+        rows *= weights
+        if start:
+            first[0], second[0] = self.first, self.second
+        self.first = np.add.reduce(first, axis=0)
+        self.second = np.add.reduce(second, axis=0)
+        self.total += total
+
+
 def aggregate_moment_matching(entries, bessel: bool = False) -> ChannelStats:
-    """Pool a list of batch moments through per-batch E[mu], E[mu^2 + var].
+    """Pool batch moments through per-batch E[mu], E[mu^2 + var]: a list of
+    them, or a ``MomentFold`` of them.
 
     Mini-batches with unequal element counts are weighted by count, which
     makes the result identical (to rounding) to the moments of the
     concatenated population.  With ``bessel`` the pooled variance is
-    rescaled by N / (N - 1) where N is the total element count.  The
-    moments are pooled as ``stack_moments``' (K, C) arrays; the sums over
-    axis 0 add the K rows in order.
+    rescaled by N / (N - 1) where N is the total element count.  A list is
+    folded as one block of ``stack_moments``' rows: one sum over its
+    mini-batches in order for the mean and one for the second moment.
     """
-    means, variances, counts = stack_moments(entries)
-    total = int(np.add.reduce(counts))
-    weights = counts[:, None]
-    mean = np.add.reduce(weights * means, axis=0) / total
-    second = np.add.reduce(weights * (means**2 + variances), axis=0) / total
+    fold = entries
+    if not isinstance(fold, MomentFold):
+        means, variances, counts = stack_moments(entries)
+        fold = MomentFold()
+        fold.add(means, variances, counts[:, None], int(np.add.reduce(counts)))
+    elif fold.first is None:
+        raise EmptyLog("no batch moments to pool")
+    total = fold.total
+    mean = fold.first / total
+    second = fold.second / total
     var = second - mean**2
     if bessel:
         if total < 2:

@@ -20,6 +20,18 @@ __all__ = [
 ]
 
 
+# rows per block in which a draw adds its class means: the means[labels]
+# temporary is this many rows, not the whole draw
+DRAW_BLOCK_ROWS = 256
+
+
+def _add_class_means(x, means, labels):
+    """x += means[labels], in blocks of DRAW_BLOCK_ROWS rows."""
+    for start in range(0, len(x), DRAW_BLOCK_ROWS):
+        stop = start + DRAW_BLOCK_ROWS
+        x[start:stop] += means[labels[start:stop]]
+
+
 @dataclass
 class GaussianClasses:
     """Isotropic Gaussian blobs around class means of fixed norm.
@@ -41,9 +53,13 @@ class GaussianClasses:
         self.means = self.separation * raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
     def sample(self, rng, n):
-        """(X of shape (n, dim, 1, 1), labels)."""
+        """(X of shape (n, dim, 1, 1), labels).  The normals are drawn into
+        X and the arithmetic runs in place, with the bits of
+        means[labels] + noise * z (+ and * commute)."""
         labels = rng.integers(0, self.classes, size=n)
-        x = self.means[labels] + self.noise * rng.standard_normal((n, self.dim))
+        x = rng.standard_normal(out=np.empty((n, self.dim)))
+        x *= self.noise
+        _add_class_means(x, self.means, labels)
         return x[:, :, None, None], labels
 
 
@@ -70,15 +86,17 @@ class SpatialGaussianClasses:
         self.means = self.separation * raw / norms[:, None, None]
 
     def sample(self, rng, n):
-        """(X of shape (n, channels, sites, 1), labels)."""
+        """(X of shape (n, channels, sites, 1), labels).  As in
+        ``GaussianClasses.sample``, the normals are drawn into X and the
+        class means, gain and offset applied in place."""
         labels = rng.integers(0, self.classes, size=n)
-        x = self.means[labels] + self.noise * rng.standard_normal(
-            (n, self.channels, self.sites)
-        )
+        x = rng.standard_normal(out=np.empty((n, self.channels, self.sites)))
+        x *= self.noise
+        _add_class_means(x, self.means, labels)
         if self.gain > 0:
-            x = x * np.exp(self.gain * rng.standard_normal(n))[:, None, None]
+            x *= np.exp(self.gain * rng.standard_normal(n))[:, None, None]
         if self.offset > 0:
-            x = x + (self.offset * rng.standard_normal(n))[:, None, None]
+            x += (self.offset * rng.standard_normal(n))[:, None, None]
         return x[:, :, :, None], labels
 
 

@@ -1,7 +1,8 @@
 """Oracles that only the tests use: the Monte Carlo variance-of-variance
 oracle behind c01-c03, the frozen-affine fusion toy behind c05, the random
-network of c04 and the precise-BN tests, and ``LoopNet``, the reference
-network that every cohort-equivalence test compares against.
+network of c04 and the precise-BN tests, ``moment_matching``, the stacked
+formula that ``stats.MomentFold`` folds in pieces, and ``LoopNet``, the
+reference network that every cohort-equivalence test compares against.
 
 They exercise the package's estimators (``aggregate_naive``,
 ``aggregate_moment_matching``) and layers but are no part of a run, so they
@@ -12,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bnlab.errors import InvalidParams
+from bnlab.errors import DegenerateBatch, InvalidParams
 from bnlab.layer import BnLayer
 from bnlab.net import Affine, Linear, Network, Relu, softmax_cross_entropy
-from bnlab.stats import aggregate_moment_matching, aggregate_naive
+from bnlab.stats import aggregate_moment_matching, aggregate_naive, stack_moments
 from bnlab.tensor import ChannelStats
 
 
@@ -126,6 +127,23 @@ def fusion_finetune_demo(lambda_: float, x0: float, step: float, iters: int):
         z = z - step * 2.0 * z
         fused.append(z)
     return unfused, fused
+
+
+def moment_matching(entries, bessel=False):
+    """Moment matching of a list of batch moments in one piece: each sum
+    one axis-0 reduction over ``stack_moments``' (K, C) rows, as
+    ``aggregate_moment_matching`` pooled every list before it folded."""
+    means, variances, counts = stack_moments(entries)
+    total = int(np.add.reduce(counts))
+    weights = counts[:, None]
+    mean = np.add.reduce(weights * means, axis=0) / total
+    second = np.add.reduce(weights * (means**2 + variances), axis=0) / total
+    var = second - mean**2
+    if bessel:
+        if total < 2:
+            raise DegenerateBatch("bessel correction needs at least 2 elements")
+        var = var * total / (total - 1)
+    return ChannelStats(mean=mean, var=np.maximum(var, 0.0), count=total)
 
 
 def random_net(rng, dims):
@@ -321,11 +339,6 @@ class LoopNet:
 
 
 def _pool(moments):
-    """Moment matching: the count-weighted means of the batch means and of
-    mean^2 + var, in batch order."""
-    counts = np.array([c for _, _, c in moments])[:, None]
-    total = int(counts.sum())
-    mean = np.add.reduce(counts * np.stack([m for m, _, _ in moments]), axis=0) / total
-    second = np.stack([m**2 + v for m, v, _ in moments])
-    var = np.add.reduce(counts * second, axis=0) / total - mean**2
-    return mean, np.maximum(var, 0.0), total
+    """Moment matching of (mean, var, count) per batch, in batch order."""
+    pooled = moment_matching([ChannelStats(*m) for m in moments])
+    return pooled.mean, pooled.var, pooled.count

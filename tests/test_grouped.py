@@ -506,20 +506,21 @@ def _scenario_net(name):
 
 
 def _chunked(net, run):
-    """``run()``'s result, and the logits of every forward it made,
-    concatenated in order."""
-    logits, forward = [], net.forward
+    """``run()``'s result, and the output of every forward-only pass it
+    made (logits, or a precise pass's deepest BN output), concatenated in
+    order."""
+    logits, evaluate = [], net.evaluate
 
     def spy(x, **kwargs):
-        out = forward(x, **kwargs)
-        logits.append(out[0])
+        out = evaluate(x, **kwargs)
+        logits.append(out)
         return out
 
-    net.forward = spy
+    net.evaluate = spy
     try:
         result = run()
     finally:
-        del net.forward
+        del net.evaluate
     return result, np.concatenate(logits)
 
 

@@ -155,10 +155,22 @@ def test_moment_sinks_log_batch_stats():
     net = Network([BnLayer(3), MeanPool()])
     sinks = {0: []}
     x = _x(rng)
-    net.forward(x, mode=BnMode.EVAL_MINIBATCH, moment_sinks=sinks)
+    net.evaluate(x, mode=BnMode.EVAL_MINIBATCH, moment_sinks=sinks)
     assert len(sinks[0]) == 1
     np.testing.assert_allclose(sinks[0][0].mean,
                                channel_moments(x).mean)
+
+
+def test_evaluate_stops_at_its_deepest_sink_and_never_trains():
+    rng = np.random.default_rng(8)
+    net = Network([BnLayer(3), MeanPool(), Linear.init(rng, 3, 2)])
+    x = _x(rng)
+    y = net.evaluate(x, mode=BnMode.EVAL_MINIBATCH, moment_sinks={0: []})
+    # the BN layer's output: the pool and the Linear did not run
+    np.testing.assert_array_equal(y, net.layers[0].forward(x, BnMode.EVAL_MINIBATCH)[0])
+    with pytest.raises(InvalidParams, match="evaluation mode"):
+        net.evaluate(x, mode=BnMode.TRAIN_MINIBATCH)
+    assert net.layers[0].ema.update_count == 0
 
 
 def _in_layout(x, layout):

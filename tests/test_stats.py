@@ -18,6 +18,7 @@ from bnlab.errors import (
 from bnlab.stats import (
     _decay,
     EmaState,
+    MomentFold,
     aggregate_moment_matching,
     aggregate_naive,
     ema_update,
@@ -25,7 +26,7 @@ from bnlab.stats import (
     stack_moments,
 )
 from bnlab.tensor import ChannelStats, channel_moments
-from oracles import simulate_variance_estimates, var_of_var_oracle
+from oracles import moment_matching, simulate_variance_estimates, var_of_var_oracle
 
 
 def _stats(mean, var, count):
@@ -230,6 +231,52 @@ def test_moment_log_channel_consistency():
         stack_moments(log)
     with pytest.raises(ShapeMismatch):
         aggregate_moment_matching(log)
+    fold = MomentFold()
+    fold.append(log[0])
+    with pytest.raises(ShapeMismatch):
+        fold.append(log[1])
+
+
+def _bits(stats):
+    return stats.mean.tobytes(), stats.var.tobytes(), stats.count
+
+
+@settings(max_examples=200)
+@given(data=st.data(), c=st.integers(1, 4), bessel=st.booleans())
+def test_a_fold_in_any_split_has_the_bits_of_the_stacked_formula(data, c, bessel):
+    # a log of (C,) and (G, C) entries of unequal counts (2 or more, so
+    # bessel applies), as precise passes and moments CSVs give them, folded
+    # in drawn pieces and one entry at a time (a pass's sink)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    log = []
+    for _ in range(data.draw(st.integers(1, 10))):
+        shape = (c,) if data.draw(st.booleans()) else (data.draw(st.integers(1, 9)), c)
+        log.append(ChannelStats(rng.normal(2.0, 3.0, shape),
+                                rng.uniform(0.0, 4.0, shape),
+                                data.draw(st.integers(2, 40))))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(log)), max_size=3)))
+    want = _bits(moment_matching(log, bessel))
+    # in one piece, as ``bnlab estimate`` pools a file: the bits at any C
+    assert _bits(aggregate_moment_matching(log, bessel)) == want
+    pieces, appended = MomentFold(), MomentFold()
+    for start, stop in zip([0, *cuts], [*cuts, len(log)]):
+        if start < stop:
+            means, variances, counts = stack_moments(log[start:stop])
+            pieces.add(means, variances, counts[:, None], int(counts.sum()))
+    for entry in log:
+        appended.append(entry)
+    rows = len(stack_moments(log)[0])
+    for fold in (pieces, appended):
+        got = aggregate_moment_matching(fold, bessel)
+        if c > 1 or rows < 8:
+            assert _bits(got) == want
+        else:
+            # numpy sums one column of 8 or more rows pairwise, so its
+            # rounding depends on the split (see MomentFold)
+            ref = moment_matching(log, bessel)
+            np.testing.assert_allclose(got.mean, ref.mean, rtol=1e-13)
+            np.testing.assert_allclose(got.var, ref.var, rtol=1e-10)
+            assert got.count == ref.count
 
 
 @settings(max_examples=40)
@@ -266,6 +313,8 @@ def test_naive_aggregation_validation():
         aggregate_naive([])
     with pytest.raises(EmptyLog):
         aggregate_moment_matching([])
+    with pytest.raises(EmptyLog):
+        aggregate_moment_matching(MomentFold())
     with pytest.raises(EmptyLog):
         stack_moments([])
     mixed = [_stats([0.0], [1.0], 4), _stats([0.0], [1.0], 8)]

@@ -6,8 +6,8 @@ cohorts, with one cohort of a plan, with shuffled cohorts and with every BN
 layer frozen, and ``SharedHeadNet.train_step``; and ``sgd_step`` on the
 ``Network`` that is to replace ``SharedHeadNet``, in each of its arms.
 Forward-only passes have their own cases: population-mode
-``classification_error`` and ``precise_bn``.  A last case guards the
-calls of encoding a run's parameter checkpoint."""
+``classification_error``, ``precise_bn`` and ``precise_bn_layerwise``.  A
+last case guards the calls of encoding a run's parameter checkpoint."""
 
 import cProfile
 import functools
@@ -19,7 +19,7 @@ import pytest
 from bnlab import io
 from bnlab.batching import NormBatchPlan
 from bnlab.net import Affine, Momentum, SgdConfig, classification_error, sgd_step
-from bnlab.precise import precise_bn
+from bnlab.precise import precise_bn, precise_bn_layerwise
 from bnlab.scenarios import (
     EMA_VS_PRECISE_DEFAULTS,
     NBS_SWEEP_DEFAULTS,
@@ -199,10 +199,14 @@ def test_python_calls_per_sgd_step(name, setup):
 
 # Calls per forward-only pass of the ema_vs_precise net over 1,024 rows
 # (four chunks), on MEASURED_ON.  At 94f9be7 they read 241, 209 and 303.
+# At 1aaf211, before the precise passes ended at their deepest BN layer and
+# folded each chunk's moments as they came, precise_bn32 read 249 and
+# precise_bn_layerwise32 407.
 CALLS_PER_PASS = {
     "error_by_ema": 157,
     "error_given_stats": 133,
-    "precise_bn32": 249,
+    "precise_bn32": 217,
+    "precise_bn_layerwise32": 279,
 }
 
 
@@ -215,6 +219,8 @@ def _ema_vs_precise_pass(name):
     labels = rng.integers(0, d["classes"], 1024)
     if name == "precise_bn32":
         return precise_bn, (net, x, 32)
+    if name == "precise_bn_layerwise32":
+        return precise_bn_layerwise, (net, x, 32)
     stats = precise_bn(net, x, 32) if name == "error_given_stats" else None
     return functools.partial(classification_error, stats=stats), (net, x, labels)
 

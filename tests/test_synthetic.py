@@ -5,6 +5,7 @@ import pytest
 
 from bnlab.errors import InvalidParams
 from bnlab.synthetic import (
+    DRAW_BLOCK_ROWS,
     SLAB_STEPS,
     ClusteredData,
     Corruption,
@@ -40,6 +41,41 @@ def test_spatial_gaussian_classes_shape_and_nuisance():
                                    seed=1)
     xn, _ = noisy.sample(np.random.default_rng(2), 200)
     assert xn.std() > x.std()
+
+
+def _old_gaussian_sample(task, rng, n):
+    """``GaussianClasses.sample`` as it was before it drew in place."""
+    labels = rng.integers(0, task.classes, size=n)
+    x = task.means[labels] + task.noise * rng.standard_normal((n, task.dim))
+    return x[:, :, None, None], labels
+
+
+def _old_spatial_sample(task, rng, n):
+    """``SpatialGaussianClasses.sample`` as it was before it drew in place."""
+    labels = rng.integers(0, task.classes, size=n)
+    x = task.means[labels] + task.noise * rng.standard_normal(
+        (n, task.channels, task.sites))
+    if task.gain > 0:
+        x = x * np.exp(task.gain * rng.standard_normal(n))[:, None, None]
+    if task.offset > 0:
+        x = x + (task.offset * rng.standard_normal(n))[:, None, None]
+    return x[:, :, :, None], labels
+
+
+@pytest.mark.parametrize("n", [1, DRAW_BLOCK_ROWS, 2 * DRAW_BLOCK_ROWS + 3])
+@pytest.mark.parametrize("gain, offset", [(0.0, 0.0), (1.2, 0.0), (0.0, 3.0),
+                                          (1.2, 3.0)])
+def test_in_place_draws_have_the_bits_of_the_old_expressions(n, gain, offset):
+    tasks = [(GaussianClasses(noise=0.7, seed=4), _old_gaussian_sample),
+             (SpatialGaussianClasses(noise=0.5, gain=gain, offset=offset, seed=5),
+              _old_spatial_sample)]
+    for task, old in tasks:
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        (x, labels), (want_x, want_labels) = task.sample(rng, n), old(task, ref_rng, n)
+        assert x.shape == want_x.shape and x.tobytes() == want_x.tobytes()
+        np.testing.assert_array_equal(labels, want_labels)
+        # the stream is left where the old draw left it
+        assert rng.random() == ref_rng.random()
 
 
 def test_corruption_is_affine():
