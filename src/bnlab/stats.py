@@ -182,30 +182,36 @@ class MomentFold:
     then the K new rows, over axis 0.  For C > 1 numpy adds those rows in
     order, so a log folded in any split has the bits of one sum over all
     its rows; a first block is summed alone, as the log in one piece would
-    be.  For C = 1 numpy sums the column pairwise, so there a split changes
-    the rounding.
+    be.  For C = 1 numpy sums the column pairwise, and a split would change
+    the rounding, so there the fold keeps its (K, 1) blocks of weighted rows
+    in ``columns`` (16 bytes a mini-batch) and ``aggregate_moment_matching``
+    sums them in one piece.
     """
 
     def __init__(self):
         self.total = 0
-        self.first = self.second = None
+        self.channels = None
+        self.first = self.second = None  # C > 1
+        self.columns = []  # C = 1: (first, second) blocks
 
     def append(self, moments):
         """Fold in one entry of a moment log: (C,) moments, or the (G, C)
         moments of G mini-batches."""
         c = moments.mean.shape[-1]
-        means = moments.mean.reshape(-1, c)
-        self.add(means, moments.var.reshape(-1, c), moments.count,
-                 moments.count * means.shape[0])
+        self.add(moments.mean.reshape(-1, c), moments.var.reshape(-1, c),
+                 moments.count)
 
-    def add(self, means, variances, weights, total):
+    def add(self, means, variances, weights):
         """Fold in K mini-batches in order: (K, C) means and variances, each
         row weighted by its element count (``weights``, an int or a (K, 1)
-        column), ``total`` elements in all."""
-        start = 0 if self.first is None else 1  # a row for the running sums
-        if start and means.shape[1] != self.first.shape[0]:
+        column of ints)."""
+        k, c = means.shape
+        if self.channels is None:
+            self.channels = c
+        elif c != self.channels:
             raise ShapeMismatch("batch moments disagree on channel count")
-        first = np.empty((start + means.shape[0], means.shape[1]))
+        start = 0 if self.first is None else 1  # the running sums' row
+        first = np.empty((start + k, c))
         second = np.empty_like(first)
         # in place, the bits of weights * means and weights * (means**2 +
         # variances) (* commutes)
@@ -213,11 +219,16 @@ class MomentFold:
         rows = np.square(means, out=second[start:])
         rows += variances
         rows *= weights
+        # a type test makes no Python call
+        self.total += (int(np.add.reduce(weights[:, 0]))
+                       if type(weights) is np.ndarray else weights * k)
+        if c == 1:
+            self.columns.append((first, second))
+            return
         if start:
             first[0], second[0] = self.first, self.second
         self.first = np.add.reduce(first, axis=0)
         self.second = np.add.reduce(second, axis=0)
-        self.total += total
 
 
 def aggregate_moment_matching(entries, bessel: bool = False) -> ChannelStats:
@@ -235,12 +246,16 @@ def aggregate_moment_matching(entries, bessel: bool = False) -> ChannelStats:
     if not isinstance(fold, MomentFold):
         means, variances, counts = stack_moments(entries)
         fold = MomentFold()
-        fold.add(means, variances, counts[:, None], int(np.add.reduce(counts)))
-    elif fold.first is None:
+        fold.add(means, variances, counts[:, None])
+    elif fold.channels is None:
         raise EmptyLog("no batch moments to pool")
+    first, second = fold.first, fold.second
+    if fold.columns:
+        first, second = (np.add.reduce(np.concatenate(blocks), axis=0)
+                         for blocks in zip(*fold.columns))
     total = fold.total
-    mean = fold.first / total
-    second = fold.second / total
+    mean = first / total
+    second = second / total
     var = second - mean**2
     if bessel:
         if total < 2:

@@ -16,7 +16,7 @@ import numpy as np
 from bnlab.errors import DegenerateBatch, InvalidParams
 from bnlab.layer import BnLayer
 from bnlab.net import Affine, Linear, Network, Relu, softmax_cross_entropy
-from bnlab.stats import aggregate_moment_matching, aggregate_naive, stack_moments
+from bnlab.stats import aggregate_moment_matching, aggregate_naive
 from bnlab.tensor import ChannelStats
 
 
@@ -131,10 +131,14 @@ def fusion_finetune_demo(lambda_: float, x0: float, step: float, iters: int):
 
 def moment_matching(entries, bessel=False):
     """Moment matching of a list of batch moments in one piece: each sum
-    one axis-0 reduction over ``stack_moments``' (K, C) rows, as
-    ``aggregate_moment_matching`` pooled every list before it folded."""
-    means, variances, counts = stack_moments(entries)
-    total = int(np.add.reduce(counts))
+    one axis-0 reduction over the (K, C) rows of the log's K mini-batches
+    in order, as ``aggregate_moment_matching`` pools a list.  An entry is
+    (C,) moments or the (G, C) moments of G mini-batches."""
+    c = entries[0].mean.shape[-1]
+    means = np.concatenate([e.mean.reshape(-1, c) for e in entries])
+    variances = np.concatenate([e.var.reshape(-1, c) for e in entries])
+    counts = np.concatenate([np.full(e.mean.size // c, e.count) for e in entries])
+    total = int(counts.sum())
     weights = counts[:, None]
     mean = np.add.reduce(weights * means, axis=0) / total
     second = np.add.reduce(weights * (means**2 + variances), axis=0) / total
@@ -339,6 +343,11 @@ class LoopNet:
 
 
 def _pool(moments):
-    """Moment matching of (mean, var, count) per batch, in batch order."""
-    pooled = moment_matching([ChannelStats(*m) for m in moments])
-    return pooled.mean, pooled.var, pooled.count
+    """Moment matching: the count-weighted means of the batch means and of
+    mean^2 + var, in batch order."""
+    counts = np.array([c for _, _, c in moments])[:, None]
+    total = int(counts.sum())
+    mean = np.add.reduce(counts * np.stack([m for m, _, _ in moments]), axis=0) / total
+    second = np.stack([m**2 + v for m, v, _ in moments])
+    var = np.add.reduce(counts * second, axis=0) / total - mean**2
+    return mean, np.maximum(var, 0.0), total

@@ -5,13 +5,13 @@ every layer; only ``BnLayer`` views it per cohort (and ``SharedHeadNet``'s
 normalization, whose per-domain cohorts are its domain row blocks).  The
 invariant is that this view equals normalizing each cohort alone.  One
 drawn test checks it for every pass: training (``train``, ``sgd_step``),
-``classification_error``, ``precise_bn``, ``precise_bn_layerwise`` and
-``SharedHeadNet``.  Parameters, losses, logits, precise statistics and
-error rates must be equal bit for bit; only the EMA, which the view folds
+``forward`` and ``evaluate``, ``classification_error``, ``precise_bn``,
+``precise_bn_layerwise`` and ``SharedHeadNet``.  Parameters, losses,
+logits, precise statistics and error rates must be equal bit for bit; only the EMA, which the view folds
 in closed form when a step holds several cohorts, may differ by rounding.
 Named cases then run the same comparison at the kept tests' sizes: 60-step
-trainings under each plan, frozen layers, and populations of several
-evaluation chunks.
+trainings under each plan, frozen layers, populations of several
+evaluation chunks, and precise BN of 1-wide layers.
 
 The other tests pin what no loop states: one cohort of a plan is the plain
 step, the optimizer's flat buffer, and evaluation chunks.
@@ -213,16 +213,18 @@ def test_every_cohort_pass_matches_the_loop_reference(data):
     plan = _plan(draw, n, plain=False)
     rows = (np.random.default_rng(seed).permutation(n) if plan.strategy == "shuffle"
             else np.arange(n))
-    for logits, ref_logits, kwargs in (
-        (net.forward(x, mode=BnMode.EVAL_POPULATION)[0],
-         ref.forward(x, fixed=_fixed(ema))[0], {}),
-        (net.forward(x, mode=BnMode.EVAL_POPULATION, stats=precise)[0],
-         ref.forward(x, fixed=_fixed(precise))[0], {"stats": precise}),
-        (net.forward(x[rows], mode=BnMode.EVAL_MINIBATCH, cohort=plan.sub_batch)[0],
+    for inputs, pass_kwargs, ref_logits, kwargs in (
+        (x, {}, ref.forward(x, fixed=_fixed(ema))[0], {}),
+        (x, {"stats": precise}, ref.forward(x, fixed=_fixed(precise))[0],
+         {"stats": precise}),
+        (x[rows], {"mode": BnMode.EVAL_MINIBATCH, "cohort": plan.sub_batch},
          ref.forward(x[rows], plan.sub_batch)[0],
          {"plan": plan, "rng": np.random.default_rng(seed)}),
     ):
-        np.testing.assert_array_equal(logits, ref_logits)
+        pass_kwargs = {"mode": BnMode.EVAL_POPULATION, **pass_kwargs}
+        # the training pass and the forward-only pass alike
+        np.testing.assert_array_equal(net.forward(inputs, **pass_kwargs)[0], ref_logits)
+        np.testing.assert_array_equal(net.evaluate(inputs, **pass_kwargs), ref_logits)
         labels = y[rows] if "plan" in kwargs else y
         assert classification_error(net, x, y, **kwargs) == _error(ref_logits, labels)
 
@@ -331,6 +333,21 @@ def test_grouped_precise_bn_layerwise_matches_per_batch_loop(n, batch_size):
     want = LoopNet(net.layers).precise_bn(pop, batch_size, layerwise=True)
     for i in want:
         _assert_stats(got[i], [want[i]])
+
+
+@pytest.mark.parametrize("n,batch_size", [(15, 2), (601, 2), (601, 8)])
+def test_one_channel_precise_bn_matches_per_batch_loop(n, batch_size):
+    # numpy sums a 1-wide layer's column of batch moments pairwise, not in
+    # order: 15 rows at 2 pass as 7 whole cohorts and a 1-row tail, 601 rows
+    # as several chunks
+    net = build_net(np.random.default_rng(3), [CHANNELS, 1, 1, CLASSES], pool=True)
+    pop, _ = _data(n, seed=6)
+    ref = LoopNet(net.layers)
+    for layerwise, estimate in ((False, precise_bn), (True, precise_bn_layerwise)):
+        got, want = estimate(net, pop, batch_size), ref.precise_bn(pop, batch_size,
+                                                                   layerwise)
+        for i in want:
+            _assert_stats(got[i], [want[i]])
 
 
 # (plan, rows); a shuffle's cohorts are consecutive rows of one permutation
