@@ -20,7 +20,7 @@ from .batching import NormBatchPlan
 from .layer import BnLayer, BnMode
 from .net import Network, SgdConfig, train
 from .precise import precise_bn, precise_bn_layerwise
-from .stats import EmaState, ema_update
+from .stats import ema_update
 from .tensor import ChannelStats, channel_moments, normalize
 
 
@@ -70,7 +70,6 @@ __all__ = [
     "BnLayer",
     "BnMode",
     "ChannelStats",
-    "EmaState",
     "Network",
     "NormBatchPlan",
     "SgdConfig",

@@ -13,12 +13,12 @@ from .errors import BnLabError, ConfigError, MalformedCsv, UnknownScenario
 from .gradcheck import TOLERANCE, run_full_suite
 from .scenarios import SCENARIOS, check_ranges
 from .stats import (
-    EmaState,
     aggregate_moment_matching,
     aggregate_naive,
     ema_update,
     read_moments_csv,
 )
+from .tensor import ChannelStats
 
 __all__ = ["main", "build_parser"]
 
@@ -126,10 +126,10 @@ def cmd_estimate(args):
         # the encoder below refuses; numpy's warnings about it stay unprinted
         with np.errstate(over="ignore", invalid="ignore"):
             if args.method == "ema":
-                state = EmaState.initial(entries[0].channels, args.momentum)
+                c = entries[0].channels
+                stats = ChannelStats(np.zeros(c), np.ones(c), 1)
                 for entry in entries:
-                    state = ema_update(state, entry)
-                stats = state.as_channel_stats()
+                    stats = ema_update(stats, entry, args.momentum)
                 note = {"momentum": args.momentum}
             elif args.method == "precise":
                 stats = aggregate_moment_matching(entries, bessel=args.bessel)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBatch, InvalidParams, ShapeMismatch, StaleCache
-from .stats import EmaState, ema_update
+from .stats import ema_update
 from .tensor import SAMPLE_AXES, ChannelStats, channel_moments, normalize
 
 __all__ = [
@@ -47,8 +47,9 @@ class BnLayer:
     EMA; EVAL_MINIBATCH does the same without touching the EMA (a precise
     re-estimation pass).  EVAL_POPULATION normalizes by fixed statistics:
     the ``stats`` given to the forward, else the EMA.  The layer holds only
-    its shape, ``eps`` and EMA: FrozenBN is EVAL_POPULATION by statistics
-    the caller passes in training too (``train(..., stats=)``).
+    its shape, ``eps``, ``momentum`` and EMA, which each step replaces:
+    FrozenBN is EVAL_POPULATION by statistics the caller passes in training
+    too (``train(..., stats=)``).
 
     A normalization cohort is a view that only this layer takes: the batch
     modes view the whole cohorts of an (N, C, H, W) batch as
@@ -60,9 +61,13 @@ class BnLayer:
     def __init__(self, channels, eps=1e-5, momentum=0.9):
         if eps <= 0:
             raise InvalidParams("eps must be positive")
+        if not 0.0 <= momentum <= 1.0:
+            raise InvalidParams(f"momentum must be in [0, 1], got {momentum}")
         self.channels = channels
         self.eps = eps
-        self.ema = EmaState.initial(channels, momentum)
+        self.momentum = momentum
+        # mean 0 / var 1 start, the common library convention
+        self.ema = ChannelStats(np.zeros(channels), np.ones(channels), 1)
 
     param_names = ()
 
@@ -80,7 +85,7 @@ class BnLayer:
         if x.shape[-3] != self.channels:
             raise ShapeMismatch(f"expected {self.channels} channels, got {x.shape[-3]}")
         if mode is BnMode.EVAL_POPULATION:
-            stats = self.ema.as_channel_stats() if stats is None else stats
+            stats = self.ema if stats is None else stats
             # a backward derives the inverse std from the stats
             return normalize(x, stats, self.eps, out=out), BnCache(
                 x_hat=None, inv_std=None, moments=None, stats=stats)
@@ -97,7 +102,7 @@ class BnLayer:
         x_hat, moments, inv_std = batch_stats_forward(view, self.eps)
         y = x_hat if view is x else x_hat.reshape(whole, *x.shape[1:])
         if mode is BnMode.TRAIN_MINIBATCH:
-            self.ema = ema_update(self.ema, moments)
+            self.ema = ema_update(self.ema, moments, self.momentum)
         cache = BnCache(x_hat=x_hat, inv_std=inv_std, moments=moments)
         if whole < n:  # a ragged last cohort, after the rest
             y_tail, cache.tail = self.forward(x[whole:], mode)

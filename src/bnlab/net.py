@@ -211,14 +211,13 @@ class Network:
             names.append(f"{kind}{k}")
         return names
 
-    def forward(self, x, *, mode=BnMode.TRAIN_MINIBATCH, stats=None,
-                cohort=None):
-        """Run an (N, C, H, W) batch to its (N, K) logits and the caches of
-        a ``backward``.  Each BN layer runs in ``mode``, except the layers
-        in ``stats``, a dict {layer index: ChannelStats}: those normalize
-        by the given statistics as EVAL_POPULATION, without touching layer
-        state.  In the batch-statistics modes each ``cohort`` rows (the
-        last cohort ragged) share their moments, in the BN layers' view.
+    def forward(self, x, *, stats=None, cohort=None):
+        """The training pass: an (N, C, H, W) batch to its (N, K) logits and
+        the caches of a ``backward``.  Each BN layer normalizes by the
+        moments of each ``cohort`` rows (the last cohort ragged; default
+        all), in its own view, and steps its EMA (TRAIN_MINIBATCH), except
+        the layers in ``stats``, a dict {layer index: ChannelStats}: those
+        normalize by the given statistics (EVAL_POPULATION).
         """
         if not (type(x) is np.ndarray and x.dtype == np.float64
                 and x.ndim == 4):
@@ -229,8 +228,8 @@ class Network:
             if i in bn:
                 fixed = None if stats is None else stats.get(i)
                 x, cache = layer.forward(
-                    x, mode=mode if fixed is None else BnMode.EVAL_POPULATION,
-                    stats=fixed, cohort=cohort)
+                    x, mode=BnMode.TRAIN_MINIBATCH if fixed is None
+                    else BnMode.EVAL_POPULATION, stats=fixed, cohort=cohort)
             else:
                 x, cache = layer.forward(x)
             caches[i] = cache
@@ -240,10 +239,11 @@ class Network:
 
     def evaluate(self, x, *, mode=BnMode.EVAL_POPULATION, stats=None,
                  moment_sinks=None, cohort=None):
-        """A forward-only pass: ``forward``'s logits in an evaluation mode
-        (EVAL_POPULATION or EVAL_MINIBATCH), without caches.  The BN,
-        Affine and Relu layers write their output over their input where
-        the pass allocated it, never over ``x``.
+        """The evaluation pass: (N, K) logits, without caches or EMA steps.
+        Each BN layer runs ``mode`` (EVAL_POPULATION or EVAL_MINIBATCH), or
+        normalizes by ``stats``, as in ``forward``.  The BN, Affine and Relu
+        layers write their output over their input where the pass
+        allocated it, never over ``x``.
 
         ``moment_sinks`` maps BN layer index -> a list (or a
         ``stats.MomentFold``); the pass appends the layer's batch moments
@@ -460,9 +460,9 @@ def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
     With no ``plan`` every BN layer normalizes by population statistics,
     ``stats`` ({layer index: ChannelStats}) where given, else its EMA's.
     With a plan each cohort (a shuffle's drawn from ``rng``) normalizes by
-    its own moments (EVAL_MINIBATCH).  The rows run in
-    ``chunk_rows`` chunks of whole cohorts, each a ``Network.evaluate``
-    pass.
+    its own moments (EVAL_MINIBATCH).  The rows run in ``chunk_rows``
+    chunks of whole cohorts, each a ``Network.evaluate`` pass, a shuffle's
+    gathered chunk by chunk.
     """
     x = as_tensor4(x)
     n = x.shape[0]
@@ -472,17 +472,18 @@ def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
         labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ShapeMismatch(f"{n} rows of x but labels of shape {labels.shape}")
-    mode, cohort = BnMode.EVAL_POPULATION, None
+    mode, cohort, order = BnMode.EVAL_POPULATION, None, None
     if plan is not None:
         mode, cohort = BnMode.EVAL_MINIBATCH, plan.sub_batch
         if plan.strategy == "shuffle":
-            rows = np.concatenate(cohort_indices(plan, n, rng))
-            x, labels = x[rows], labels[rows]
+            order = np.concatenate(cohort_indices(plan, n, rng))
+            labels = labels[order]
     step = chunk_rows(cohort, x.shape[2] * x.shape[3])
     wrong = 0
     for start in range(0, n, step):
-        logits = net.evaluate(x[start : start + step], mode=mode, stats=stats,
-                              cohort=cohort)
+        chunk = (x[start : start + step] if order is None
+                 else x[order[start : start + step]])
+        logits = net.evaluate(chunk, mode=mode, stats=stats, cohort=cohort)
         wrong += int((logits.argmax(axis=-1)
                       != labels[start : start + step]).sum())
     return wrong / n

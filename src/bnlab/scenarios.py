@@ -83,7 +83,7 @@ class ScenarioRun:
         for i, (name, layer) in enumerate(zip(net.layer_names(), net.layers)):
             if isinstance(layer, BnLayer):
                 src, s = ((source, stats[i]) if i in (stats or {})
-                          else ("ema", layer.ema.as_channel_stats()))
+                          else ("ema", layer.ema))
                 self.stats_checkpoint[name] = {
                     "mean": list(s.mean),
                     "var": list(s.var),

@@ -1,16 +1,16 @@
 """Population-statistics estimators: EMA and the two batch-moment
-aggregators, as runs and ``bnlab estimate`` use them.  Batch moments are a
-plain list of ChannelStats, as a pass or a moments CSV
-(``read_moments_csv``) gives them; ``stack_moments`` stacks the list.  A
-``MomentFold`` takes the same entries one at a time into the running sums
-of moment matching, so a pass keeps no list.  The
+aggregators, as runs and ``bnlab estimate`` use them.  Each estimate is a
+ChannelStats; an EMA is one of count 1, which ``ema_update`` replaces with
+a new one per step.  Batch moments are a plain list of ChannelStats, as a
+pass or a moments CSV (``read_moments_csv``) gives them; ``stack_moments``
+stacks the list.  A ``MomentFold`` takes the same entries one at a time
+into the running sums of moment matching, so a pass keeps no list.  The
 Monte Carlo oracle for the variance of the variance estimator, which only
 the tests use, lives in ``tests/oracles.py``."""
 
 import csv
 import functools
 import io
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import (
 from .tensor import ChannelStats
 
 __all__ = [
-    "EmaState",
     "ema_update",
     "stack_moments",
     "read_moments_csv",
@@ -32,38 +31,6 @@ __all__ = [
     "aggregate_moment_matching",
     "aggregate_naive",
 ]
-
-
-@dataclass(frozen=True, init=False)
-class EmaState:
-    """Exponentially averaged channel statistics with momentum in [0, 1]."""
-
-    mean: np.ndarray
-    var: np.ndarray
-    momentum: float
-    update_count: int = 0
-
-    def __init__(self, mean, var, momentum, update_count=0):
-        # one frame per object, as ChannelStats
-        if not 0.0 <= momentum <= 1.0:
-            raise InvalidParams(f"momentum must be in [0, 1], got {momentum}")
-        # ema_update passes float64 arrays already
-        if type(mean) is not np.ndarray or mean.dtype != np.float64:
-            mean = np.asarray(mean, dtype=np.float64)
-        if type(var) is not np.ndarray or var.dtype != np.float64:
-            var = np.asarray(var, dtype=np.float64)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "momentum", momentum)
-        object.__setattr__(self, "update_count", update_count)
-
-    @classmethod
-    def initial(cls, channels: int, momentum: float) -> "EmaState":
-        # mean 0 / var 1 start, the common library convention
-        return cls(np.zeros(channels), np.ones(channels), momentum, 0)
-
-    def as_channel_stats(self, count: int = 1) -> ChannelStats:
-        return ChannelStats(mean=self.mean.copy(), var=self.var.copy(), count=count)
 
 
 @functools.lru_cache(maxsize=64)
@@ -76,29 +43,32 @@ def _decay(lam: float, g: int) -> np.ndarray:
     return decay
 
 
-def ema_update(state: EmaState, batch: ChannelStats) -> EmaState:
-    """One EMA step per cohort: new = momentum * old + (1 - momentum) * batch.
+def ema_update(ema: ChannelStats, batch: ChannelStats,
+               momentum: float) -> ChannelStats:
+    """One EMA step per cohort: new = momentum * old + (1 - momentum) * batch,
+    as new (C,) statistics of count 1; ``ema`` is left as it was.
 
     (G, C) moments of a cohort stack fold in closed form as G sequential
     steps in cohort order, lam^G * old + (1 - lam) * sum_g lam^(G-1-g) * s_g,
     which equals the sequential steps to rounding.  A single cohort takes
     exactly the one-step formula.
     """
+    # a chained comparison makes no Python call
+    if not 0.0 <= momentum <= 1.0:
+        raise InvalidParams(f"momentum must be in [0, 1], got {momentum}")
     c = batch.mean.shape[-1]
-    if c != state.mean.shape[0]:
-        raise ShapeMismatch(f"EMA has {state.mean.shape[0]} channels, batch has {c}")
-    lam = state.momentum
+    if c != ema.mean.shape[0]:
+        raise ShapeMismatch(f"EMA has {ema.mean.shape[0]} channels, batch has {c}")
+    lam = momentum
     if batch.mean.ndim == 1:
-        return EmaState(lam * state.mean + (1.0 - lam) * batch.mean,
-                        lam * state.var + (1.0 - lam) * batch.var,
-                        lam, state.update_count + 1)
+        return ChannelStats(lam * ema.mean + (1.0 - lam) * batch.mean,
+                            lam * ema.var + (1.0 - lam) * batch.var, 1)
     g = batch.mean.shape[0]
     decay = _decay(lam, g)
-    return EmaState(
-        lam**g * state.mean + (1.0 - lam) * np.add.reduce(decay * batch.mean, axis=0),
-        lam**g * state.var + (1.0 - lam) * np.add.reduce(decay * batch.var, axis=0),
-        lam,
-        state.update_count + g,
+    return ChannelStats(
+        lam**g * ema.mean + (1.0 - lam) * np.add.reduce(decay * batch.mean, axis=0),
+        lam**g * ema.var + (1.0 - lam) * np.add.reduce(decay * batch.var, axis=0),
+        1,
     )
 
 

@@ -186,7 +186,7 @@ class LoopNet:
     ``train`` call starts afresh, and precise BN's count-weighted pooling.
 
     Parameters are ``params[layer index, name]``; BN layer i's EMA is
-    ``ema[i]``, a (mean, var, update count) tuple.
+    ``ema[i]``, a (mean, var) tuple.
     """
 
     def __init__(self, layers):
@@ -195,9 +195,8 @@ class LoopNet:
             for k in layer.param_names:
                 self.params[i, k] = getattr(layer, k).copy()
             if isinstance(layer, BnLayer):
-                self.spec[i] = (layer.eps, layer.ema.momentum)
-                self.ema[i] = (layer.ema.mean.copy(), layer.ema.var.copy(),
-                               layer.ema.update_count)
+                self.spec[i] = (layer.eps, layer.momentum)
+                self.ema[i] = (layer.ema.mean.copy(), layer.ema.var.copy())
 
     def forward(self, x, cohort=None, fixed=None, train=False, sinks=None):
         """(N, K) logits and the caches of a backward.  BN layer i
@@ -245,9 +244,9 @@ class LoopNet:
             y[rows] = centred * inv[:, None, None]
             cache.append((rows, y[rows], inv))
             if train:
-                ema_mean, ema_var, steps = self.ema[i]
+                ema_mean, ema_var = self.ema[i]
                 self.ema[i] = (lam * ema_mean + (1.0 - lam) * mean,
-                               lam * ema_var + (1.0 - lam) * var, steps + 1)
+                               lam * ema_var + (1.0 - lam) * var)
             if sink is not None:
                 sink.append((mean, var, count))
         return y, cache

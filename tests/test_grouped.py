@@ -145,9 +145,9 @@ def _assert_trains_as_the_loop(net, batch_fn, plan, runs):
     # a step of one cohort takes the EMA's one-step formula; several fold
     # in closed form, equal to the loop's steps to rounding
     one_cohort = plan is None or runs[0][0].batch_size < 2 * plan.sub_batch
-    for i, (mean, var, count) in ref.ema.items():
+    for i, (mean, var) in ref.ema.items():
         ema = net.layers[i].ema
-        assert ema.update_count == count
+        assert ema.count == 1
         tol = 0.0 if one_cohort else 1e-12
         np.testing.assert_allclose(ema.mean, mean, rtol=tol, atol=tol)
         np.testing.assert_allclose(ema.var, var, rtol=tol, atol=tol)
@@ -209,22 +209,24 @@ def test_every_cohort_pass_matches_the_loop_reference(data):
         assert precise.keys() == want.keys()
         for i in want:
             _assert_stats(precise[i], [want[i]])
-    ema = {i: net.layers[i].ema.as_channel_stats() for i in net.bn_indices}
+    ema = {i: net.layers[i].ema for i in net.bn_indices}
     plan = _plan(draw, n, plain=False)
     rows = (np.random.default_rng(seed).permutation(n) if plan.strategy == "shuffle"
             else np.arange(n))
-    for inputs, pass_kwargs, ref_logits, kwargs in (
-        (x, {}, ref.forward(x, fixed=_fixed(ema))[0], {}),
-        (x, {"stats": precise}, ref.forward(x, fixed=_fixed(precise))[0],
-         {"stats": precise}),
-        (x[rows], {"mode": BnMode.EVAL_MINIBATCH, "cohort": plan.sub_batch},
+    cohort = {"cohort": plan.sub_batch}
+    for inputs, train_kwargs, eval_kwargs, ref_logits, kwargs in (
+        (x, {"stats": ema}, {}, ref.forward(x, fixed=_fixed(ema))[0], {}),
+        (x, {"stats": precise}, {"stats": precise},
+         ref.forward(x, fixed=_fixed(precise))[0], {"stats": precise}),
+        (x[rows], cohort, {"mode": BnMode.EVAL_MINIBATCH, **cohort},
          ref.forward(x[rows], plan.sub_batch)[0],
          {"plan": plan, "rng": np.random.default_rng(seed)}),
     ):
-        pass_kwargs = {"mode": BnMode.EVAL_POPULATION, **pass_kwargs}
-        # the training pass and the forward-only pass alike
-        np.testing.assert_array_equal(net.forward(inputs, **pass_kwargs)[0], ref_logits)
-        np.testing.assert_array_equal(net.evaluate(inputs, **pass_kwargs), ref_logits)
+        # the training pass (frozen by the same statistics, or on a copy
+        # whose EMA it steps) and the evaluation pass alike
+        np.testing.assert_array_equal(
+            copy.deepcopy(net).forward(inputs, **train_kwargs)[0], ref_logits)
+        np.testing.assert_array_equal(net.evaluate(inputs, **eval_kwargs), ref_logits)
         labels = y[rows] if "plan" in kwargs else y
         assert classification_error(net, x, y, **kwargs) == _error(ref_logits, labels)
 
@@ -301,9 +303,10 @@ FROZEN = {1: ChannelStats(np.full(HIDDEN, 0.5), np.full(HIDDEN, 2.0), 64)}
 
 def test_grouped_training_with_a_frozen_layer_matches_per_cohort_loop():
     net = _net()
+    ema = net.layers[1].ema
     _assert_trains_as_the_loop(net, _batch_fn, NormBatchPlan("ghost", 8), [
         (SgdConfig(lr=0.05, steps=60, batch_size=32, seed=4), FROZEN)])
-    assert net.layers[1].ema.update_count == 0
+    assert net.layers[1].ema is ema  # a frozen layer never steps its EMA
 
 
 def test_train_freeze_train_matches_per_cohort_loop():
@@ -377,7 +380,7 @@ def test_grouped_forward_logits_match_per_cohort_forwards(cohort, sizes):
     net = _trained_net()
     ref = LoopNet(net.layers)
     x, _ = _data(12, seed=9)
-    logits, _ = net.forward(x, mode=BnMode.EVAL_MINIBATCH, cohort=cohort)
+    logits = net.evaluate(x, mode=BnMode.EVAL_MINIBATCH, cohort=cohort)
     assert logits.shape == (12, CLASSES)
     np.testing.assert_array_equal(logits, ref.forward(x, cohort)[0])
     assert [c for _, _, c in ref.moments(x, cohort)[1]] == [s * SITES for s in sizes]
@@ -393,7 +396,6 @@ def _assert_same_network(a, b):
         for name in la.param_names:
             np.testing.assert_array_equal(getattr(la, name), getattr(lb, name))
         if isinstance(la, BnLayer):
-            assert la.ema.update_count == lb.ema.update_count
             np.testing.assert_array_equal(la.ema.mean, lb.ema.mean)
             np.testing.assert_array_equal(la.ema.var, lb.ema.var)
 
@@ -423,7 +425,8 @@ def test_one_cohort_step_is_the_plain_step(make_net, plan):
         assert losses[0] == losses[1]
         np.testing.assert_array_equal(x, before)
     _assert_same_network(nets[0], nets[1])
-    assert nets[0].layers[1].ema.update_count == cfg.steps
+    # the EMA stepped, as the parameters did
+    assert not np.array_equal(nets[0].layers[1].ema.var, np.ones(HIDDEN))
     assert not np.array_equal(nets[0].layers[0].weight,
                               make_net().layers[0].weight)
 
@@ -481,7 +484,7 @@ def _trained_net():
 def test_cohort_view_backward_keeps_the_batch_shape():
     net = _trained_net()
     x, labels = _data(12, seed=10)
-    logits, caches = net.forward(x, mode=BnMode.TRAIN_MINIBATCH, cohort=4)
+    logits, caches = net.forward(x, cohort=4)
     _, dlogits = softmax_cross_entropy(logits, labels)
     dx, grads = net.backward(caches, dlogits)
     assert dx.shape == x.shape

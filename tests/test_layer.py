@@ -18,6 +18,7 @@ from bnlab.layer import (
     batch_stats_forward,
 )
 from bnlab.net import Linear, MeanPool, Network, SgdConfig, train
+from bnlab.stats import ema_update
 from bnlab.tensor import SAMPLE_AXES, ChannelStats, channel_moments, normalize
 from oracles import fusion_finetune_demo
 
@@ -29,6 +30,9 @@ def _x(rng, n=8, c=3, h=2, w=2):
 def test_train_mode_standardizes_and_updates_ema():
     rng = np.random.default_rng(0)
     layer = BnLayer(3, eps=1e-12, momentum=0.5)
+    # mean 0 / var 1 start, as statistics of count 1
+    np.testing.assert_array_equal(layer.ema.mean, np.zeros(3))
+    np.testing.assert_array_equal(layer.ema.var, np.ones(3))
     x = _x(rng)
     y, _ = layer.forward(x, mode=BnMode.TRAIN_MINIBATCH)
     s = channel_moments(y)
@@ -37,7 +41,7 @@ def test_train_mode_standardizes_and_updates_ema():
     batch = channel_moments(x)
     np.testing.assert_allclose(layer.ema.mean, 0.5 * batch.mean)
     np.testing.assert_allclose(layer.ema.var, 0.5 + 0.5 * batch.var)
-    assert layer.ema.update_count == 1
+    assert layer.ema.count == 1
 
 
 def test_eval_modes_leave_ema_alone():
@@ -77,16 +81,18 @@ def test_population_forward_defaults_to_the_ema():
     layer = BnLayer(3, momentum=0.5)
     layer.forward(_x(rng))  # moves the EMA off its initial state
     x = _x(rng)
-    y, _ = layer.forward(x, mode=BnMode.EVAL_POPULATION)
-    ema = layer.ema.as_channel_stats()
-    np.testing.assert_array_equal(y, normalize(x, ema, layer.eps))
+    y, cache = layer.forward(x, mode=BnMode.EVAL_POPULATION)
+    # the EMA itself, not a copy of it
+    assert cache.stats is layer.ema
+    np.testing.assert_array_equal(y, normalize(x, layer.ema, layer.eps))
 
 
 def test_the_layer_holds_only_its_shape_eps_and_ema():
     # no policy: a frozen layer is one whose statistics training is given
     rng = np.random.default_rng(16)
-    keys = {"channels", "eps", "ema"}
+    keys = {"channels", "eps", "momentum", "ema"}
     layer = BnLayer(3)
+    ema = layer.ema
     assert vars(layer).keys() == keys
     snap = ChannelStats(np.zeros(3), np.full(3, 2.0), 16)
     layer.forward(_x(rng), mode=BnMode.EVAL_POPULATION, stats=snap)
@@ -98,7 +104,7 @@ def test_the_layer_holds_only_its_shape_eps_and_ema():
 
     train(net, batch_fn, SgdConfig(lr=0.05, steps=3, batch_size=8), stats={1: snap})
     assert vars(layer).keys() == keys
-    assert layer.ema.update_count == 0
+    assert layer.ema is ema
 
 
 @pytest.mark.parametrize("mode, cohort", [
@@ -164,13 +170,14 @@ def test_moment_sinks_log_batch_stats():
 def test_evaluate_stops_at_its_deepest_sink_and_never_trains():
     rng = np.random.default_rng(8)
     net = Network([BnLayer(3), MeanPool(), Linear.init(rng, 3, 2)])
+    ema = net.layers[0].ema
     x = _x(rng)
     y = net.evaluate(x, mode=BnMode.EVAL_MINIBATCH, moment_sinks={0: []})
     # the BN layer's output: the pool and the Linear did not run
     np.testing.assert_array_equal(y, net.layers[0].forward(x, BnMode.EVAL_MINIBATCH)[0])
     with pytest.raises(InvalidParams, match="evaluation mode"):
         net.evaluate(x, mode=BnMode.TRAIN_MINIBATCH)
-    assert net.layers[0].ema.update_count == 0
+    assert net.layers[0].ema is ema
 
 
 def _in_layout(x, layout):
@@ -239,12 +246,33 @@ def test_cohort_view_keeps_the_input_layout(n, cohort, layout):
     dx, _ = layer.backward(cache, dy)
     assert y.shape == dx.shape == x.shape
     assert y.strides == x.strides and dx.strides == dy.strides
-    assert layer.ema.update_count == -(-n // min(cohort, n))
+
+
+@pytest.mark.parametrize("n, cohort", [(12, 4), (10, 4), (10, 10), (10, 20)])
+def test_the_ema_steps_once_per_cohort(n, cohort):
+    # whole cohorts, a ragged last one, and a cohort that covers the batch:
+    # ceil(n / cohort) steps, each by one cohort's own moments, in order
+    rng = np.random.default_rng(17)
+    x = 1.0 + 2.0 * rng.standard_normal((n, 3, 2, 2))
+    layer = BnLayer(3, momentum=0.7)
+    want = layer.ema
+    for start in range(0, n, cohort):
+        want = ema_update(want, channel_moments(x[start : start + cohort]), 0.7)
+    layer.forward(x, mode=BnMode.TRAIN_MINIBATCH, cohort=cohort)
+    # one cohort takes the one-step formula; several fold in closed form
+    tol = 0.0 if cohort >= n else 1e-12
+    np.testing.assert_allclose(layer.ema.mean, want.mean, rtol=tol, atol=tol)
+    np.testing.assert_allclose(layer.ema.var, want.var, rtol=tol, atol=tol)
+    assert layer.ema.count == 1
 
 
 def test_layer_validation():
     with pytest.raises(InvalidParams):
         BnLayer(3, eps=0.0)
+    for momentum in (1.5, -0.1):
+        with pytest.raises(InvalidParams,
+                           match=rf"^momentum must be in \[0, 1\], got {momentum}$"):
+            BnLayer(3, momentum=momentum)
     layer = BnLayer(3)
     with pytest.raises(ShapeMismatch):
         layer.forward(np.zeros((2, 4, 1, 1)))

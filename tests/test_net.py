@@ -109,16 +109,19 @@ def test_softmax_cross_entropy_matches_manual():
     np.testing.assert_allclose(dlogits, (p - onehot) / 5, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode, cohort", [
-    (BnMode.EVAL_MINIBATCH, None),
-    (BnMode.TRAIN_MINIBATCH, 4),  # a whole cohort and a ragged tail of 2
-    (BnMode.EVAL_POPULATION, None),
-], ids=["batch", "ragged_tail", "population"])
-def test_network_cache_single_use(mode, cohort):
+@pytest.mark.parametrize("kind", [
+    "batch",
+    "ragged_tail",  # cohorts of 4: a whole cohort and a ragged tail of 2
+    "population",  # every BN layer frozen by its EMA
+])
+def test_network_cache_single_use(kind):
     rng = np.random.default_rng(3)
     net = _net(rng)
     x = rng.standard_normal((6, 4, 1, 1))
-    logits, caches = net.forward(x, mode=mode, cohort=cohort)
+    kwargs = {"batch": {}, "ragged_tail": {"cohort": 4},
+              "population": {"stats": {i: net.layers[i].ema
+                                       for i in net.bn_indices}}}[kind]
+    logits, caches = net.forward(x, **kwargs)
     net.backward(caches, np.ones_like(logits))
     with pytest.raises(StaleCache,
                        match="^network caches already consumed by backward$"):
@@ -139,12 +142,12 @@ def test_forward_needs_h_w_1_logits_and_backward_takes_any_logits_gradient():
     dlogits = rng.standard_normal((6, 3))
     results = []
     for given in (dlogits, dlogits.tolist(), dlogits.astype(np.float32)):
-        _, caches = net.forward(x, mode=BnMode.EVAL_MINIBATCH)
+        _, caches = net.forward(x)
         results.append(net.backward(caches, given))
     # a list converts to the same float64 gradient; float32 rounds it
     assert results[0][0].tobytes() == results[1][0].tobytes()
     np.testing.assert_allclose(results[2][0], results[0][0], rtol=1e-6)
-    _, caches = net.forward(x, mode=BnMode.EVAL_MINIBATCH)
+    _, caches = net.forward(x)
     with pytest.raises(ShapeMismatch):
         net.backward(caches, dlogits[None])
 
@@ -156,8 +159,7 @@ def test_backward_without_input_grad_keeps_parameter_gradient_bits(n, cohort):
     x = rng.standard_normal((n, 4, 1, 1))
     results = []
     for input_grad in (True, False):
-        logits, caches = net.forward(x, mode=BnMode.EVAL_MINIBATCH,
-                                     cohort=cohort)
+        logits, caches = net.forward(x, cohort=cohort)
         dlogits = np.random.default_rng(12).standard_normal(logits.shape)
         results.append(net.backward(caches, dlogits, input_grad=input_grad))
     (dx, grads), (skipped, grads_skipped) = results
@@ -244,8 +246,7 @@ def test_train_respects_frozen_layers():
 
     cfg = SgdConfig(lr=0.05, steps=5, batch_size=8, seed=1)
     train(net, batch_fn, cfg, stats={1: snap})
-    assert net.layers[1].ema is ema
-    assert net.layers[1].ema.update_count == 0  # frozen mode never updates EMA
+    assert net.layers[1].ema is ema  # frozen mode never updates EMA
 
 
 def test_train_with_ghost_plan_matches_cohort_semantics():
@@ -274,7 +275,7 @@ def test_classification_error_plan_counts_its_ragged_tail():
     assert 0.0 <= err <= 1.0
     wrong = 0
     for start in (0, 4, 8):
-        logits, _ = net.forward(x[start : start + 4], mode=BnMode.EVAL_MINIBATCH)
+        logits = net.evaluate(x[start : start + 4], mode=BnMode.EVAL_MINIBATCH)
         wrong += int((logits.argmax(axis=1) != y[start : start + 4]).sum())
     assert classification_error(net, x, y,
                                 plan=NormBatchPlan("ghost", 4)) == wrong / 10

@@ -93,7 +93,7 @@ def test_checkpoint_snapshots_statistics_without_installing_them():
     net = build_net(rng, [4, 6, 6, 6, 3])
     net.forward(rng.standard_normal((16, 4, 1, 1)))  # moves the EMAs
     bn = net.bn_indices
-    frozen = {bn[0]: net.layers[bn[0]].ema.as_channel_stats()}
+    frozen = {bn[0]: net.layers[bn[0]].ema}
     stats = precise_bn(net, rng.standard_normal((32, 4, 1, 1)), 8)
     layers = [net.layers[i] for i in bn]
     before = [dict(vars(layer)) for layer in layers]
@@ -164,4 +164,4 @@ def test_build_net_with_one_bn_block_is_the_leakage_net():
         for k in a.param_names:
             np.testing.assert_array_equal(getattr(a, k), getattr(b, k))
         if isinstance(a, BnLayer):
-            assert (a.eps, a.ema.momentum) == (b.eps, b.ema.momentum)
+            assert (a.eps, a.momentum) == (b.eps, b.momentum)

@@ -17,7 +17,6 @@ from bnlab.errors import (
 )
 from bnlab.stats import (
     _decay,
-    EmaState,
     MomentFold,
     aggregate_moment_matching,
     aggregate_naive,
@@ -33,14 +32,17 @@ def _stats(mean, var, count):
     return ChannelStats(np.asarray(mean, float), np.asarray(var, float), count)
 
 
+def _ema(mean, var):
+    # an EMA is statistics of count 1
+    return ChannelStats(mean, var, 1)
+
+
 def test_ema_update_closed_form():
-    state = EmaState.initial(2, momentum=0.9)
-    np.testing.assert_array_equal(state.mean, [0.0, 0.0])
-    np.testing.assert_array_equal(state.var, [1.0, 1.0])
-    state = ema_update(state, _stats([1.0, 2.0], [4.0, 9.0], 8))
+    state = _ema(np.zeros(2), np.ones(2))
+    state = ema_update(state, _stats([1.0, 2.0], [4.0, 9.0], 8), 0.9)
     np.testing.assert_allclose(state.mean, [0.1, 0.2])
     np.testing.assert_allclose(state.var, [0.9 + 0.4, 0.9 + 0.9])
-    assert state.update_count == 1
+    assert state.count == 1
 
 
 @settings(max_examples=60)
@@ -53,17 +55,16 @@ def test_ema_update_closed_form():
 def test_ema_fold_of_cohort_stack_equals_sequential_updates(groups, channels,
                                                             momentum, seed):
     rng = np.random.default_rng(seed)
-    start = EmaState(rng.standard_normal(channels),
-                     rng.uniform(0.1, 3.0, channels), momentum, 5)
+    start = _ema(rng.standard_normal(channels), rng.uniform(0.1, 3.0, channels))
     stacked = ChannelStats(rng.standard_normal((groups, channels)),
                            rng.uniform(0.1, 3.0, (groups, channels)), 8)
-    folded = ema_update(start, stacked)
+    folded = ema_update(start, stacked, momentum)
     cohorts = [ChannelStats(m, v, stacked.count)
                for m, v in zip(stacked.mean, stacked.var)]
     seq = start
     for cohort in cohorts:
-        seq = ema_update(seq, cohort)
-    assert folded.update_count == seq.update_count == 5 + groups
+        seq = ema_update(seq, cohort, momentum)
+    assert folded.count == seq.count == 1
     np.testing.assert_allclose(folded.mean, seq.mean, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(folded.var, seq.var, rtol=1e-12, atol=1e-12)
     if groups == 1:
@@ -79,21 +80,22 @@ def test_ema_fold_of_cohort_stack_equals_sequential_updates(groups, channels,
 @pytest.mark.parametrize("lam", [0.0, 0.1, 0.9, 0.999, 1.0])
 def test_ema_single_cohort_is_the_one_step_formula_bit_for_bit(lam):
     rng = np.random.default_rng(11)
-    old = EmaState(rng.standard_normal(5), rng.uniform(0.1, 3.0, 5), lam, 2)
+    old = _ema(rng.standard_normal(5), rng.uniform(0.1, 3.0, 5))
+    before = (old.mean.tobytes(), old.var.tobytes())
     m = _stats(rng.standard_normal(5), rng.uniform(0.1, 3.0, 5), 8)
-    new = ema_update(old, m)
+    new = ema_update(old, m, lam)
     np.testing.assert_array_equal(new.mean, lam * old.mean + (1 - lam) * m.mean)
     np.testing.assert_array_equal(new.var, lam * old.var + (1 - lam) * m.var)
-    assert (new.momentum, new.update_count) == (lam, 3)
+    assert new.count == 1
     # the old state is left as it was
-    assert old.update_count == 2
+    assert (old.mean.tobytes(), old.var.tobytes()) == before
 
 
 @pytest.mark.parametrize("lam", [0.9, 0.999])
 @pytest.mark.parametrize("groups", [1, 2, 16])
 def test_ema_update_has_the_bits_of_the_closed_form(groups, lam):
     rng = np.random.default_rng(groups)
-    old = EmaState(rng.standard_normal(5), rng.uniform(0.1, 3.0, 5), lam, 4)
+    old = _ema(rng.standard_normal(5), rng.uniform(0.1, 3.0, 5))
     m = _stats(rng.standard_normal((groups, 5)),
                rng.uniform(0.1, 3.0, (groups, 5)), 8)
     # the closed form with its decay column built afresh, as every update
@@ -102,10 +104,10 @@ def test_ema_update_has_the_bits_of_the_closed_form(groups, lam):
     mean = lam**groups * old.mean + (1.0 - lam) * np.add.reduce(decay * m.mean, axis=0)
     var = lam**groups * old.var + (1.0 - lam) * np.add.reduce(decay * m.var, axis=0)
     for _ in range(2):
-        new = ema_update(old, m)
+        new = ema_update(old, m, lam)
         np.testing.assert_array_equal(new.mean, mean)
         np.testing.assert_array_equal(new.var, var)
-        assert new.update_count == 4 + groups
+        assert new.count == 1
     if groups == 1:
         np.testing.assert_array_equal(new.mean, lam * old.mean + (1 - lam) * m.mean[0])
         np.testing.assert_array_equal(new.var, lam * old.var + (1 - lam) * m.var[0])
@@ -115,23 +117,25 @@ def test_ema_update_has_the_bits_of_the_closed_form(groups, lam):
 
 
 def test_ema_momentum_validation_and_shape():
-    with pytest.raises(InvalidParams, match=r"^momentum must be in \[0, 1\], got 1.5$"):
-        EmaState(np.zeros(1), np.ones(1), momentum=1.5)
-    state = EmaState([0], [1], 0.9)
+    batch = _stats([0.0], [1.0], 4)
+    for momentum in (1.5, -0.1, float("nan")):
+        with pytest.raises(InvalidParams,
+                           match=rf"^momentum must be in \[0, 1\], got {momentum}$"):
+            ema_update(_ema(np.zeros(1), np.ones(1)), batch, momentum)
+    state = _ema([0], [1])
     assert state.mean.dtype == state.var.dtype == np.float64
-    assert state.update_count == 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         state.mean = np.ones(1)
-    state = EmaState.initial(2, 0.9)
+    state = _ema(np.zeros(2), np.ones(2))
     with pytest.raises(ShapeMismatch):
-        ema_update(state, _stats([0.0], [1.0], 4))
+        ema_update(state, batch, 0.9)
 
 
 def test_ema_converges_to_stationary_batch():
-    state = EmaState.initial(1, momentum=0.5)
+    state = _ema(np.zeros(1), np.ones(1))
     target = _stats([3.0], [7.0], 4)
     for _ in range(60):
-        state = ema_update(state, target)
+        state = ema_update(state, target, 0.5)
     np.testing.assert_allclose(state.mean, [3.0], atol=1e-12)
     np.testing.assert_allclose(state.var, [7.0], atol=1e-12)
 

@@ -201,9 +201,10 @@ def test_python_calls_per_sgd_step(name, setup):
 # (four chunks), on MEASURED_ON.  At 94f9be7 they read 241, 209 and 303.
 # At 1aaf211, before the precise passes ended at their deepest BN layer and
 # folded each chunk's moments as they came, precise_bn32 read 249 and
-# precise_bn_layerwise32 407.
+# precise_bn_layerwise32 407.  At dfdfb86, before a population forward read
+# the EMA as it is instead of copying it out per pass, error_by_ema read 157.
 CALLS_PER_PASS = {
-    "error_by_ema": 157,
+    "error_by_ema": 125,
     "error_given_stats": 133,
     "precise_bn32": 217,
     "precise_bn_layerwise32": 279,
