@@ -4,9 +4,10 @@ ChannelStats; an EMA is one of count 1, which ``ema_update`` replaces with
 a new one per step.  Batch moments are a plain list of ChannelStats, as a
 pass or a moments CSV (``read_moments_csv``) gives them; ``stack_moments``
 stacks the list.  A ``MomentFold`` takes the same entries one at a time
-into the running sums of moment matching, so a pass keeps no list.  The
-Monte Carlo oracle for the variance of the variance estimator, which only
-the tests use, lives in ``tests/oracles.py``."""
+into the running sums of moment matching, each added in log order, so a
+pass keeps no list.  The Monte Carlo oracle for the variance of the
+variance estimator, which only the tests use, lives in
+``tests/oracles.py``."""
 
 import csv
 import functools
@@ -148,84 +149,59 @@ class MomentFold:
     ``append`` takes one entry of a moment log, so a fold is a moment sink
     of ``Network.evaluate``; ``aggregate_moment_matching`` pools the sums.
 
-    Each ``add`` sums a C-order (1 + K, C) array, the running sums' row and
-    then the K new rows, over axis 0.  For C > 1 numpy adds those rows in
-    order, so a log folded in any split has the bits of one sum over all
-    its rows; a first block is summed alone, as the log in one piece would
-    be.  For C = 1 numpy sums the column pairwise, and a split would change
-    the rounding, so there the fold keeps its (K, 1) blocks of weighted rows
-    in ``columns`` (16 bytes a mini-batch) and ``aggregate_moment_matching``
-    sums them in one piece.
+    Each sum adds its mini-batch rows one after another in log order, from
+    zero, at every channel count, so a log folded in any split has the bits
+    of one in-order sum over all its rows.
     """
 
     def __init__(self):
         self.total = 0
-        self.channels = None
-        self.first = self.second = None  # C > 1
-        self.columns = []  # C = 1: (first, second) blocks
+        self.first = self.second = None
 
     def append(self, moments):
         """Fold in one entry of a moment log: (C,) moments, or the (G, C)
-        moments of G mini-batches."""
+        moments of G mini-batches, in order."""
         c = moments.mean.shape[-1]
-        self.add(moments.mean.reshape(-1, c), moments.var.reshape(-1, c),
-                 moments.count)
-
-    def add(self, means, variances, weights):
-        """Fold in K mini-batches in order: (K, C) means and variances, each
-        row weighted by its element count (``weights``, an int or a (K, 1)
-        column of ints)."""
-        k, c = means.shape
-        if self.channels is None:
-            self.channels = c
-        elif c != self.channels:
+        means = moments.mean.reshape(-1, c)
+        k = means.shape[0]
+        if self.first is None:
+            self.first, self.second = np.zeros(c), np.zeros(c)
+        elif c != self.first.shape[0]:
             raise ShapeMismatch("batch moments disagree on channel count")
-        start = 0 if self.first is None else 1  # the running sums' row
-        first = np.empty((start + k, c))
+        # the running sums' row, then the K new count-weighted rows, each
+        # summed by an accumulate, which adds rows in order at any C; the
+        # sums are copied out so that they pin no block
+        first = np.empty((1 + k, c))
         second = np.empty_like(first)
-        # in place, the bits of weights * means and weights * (means**2 +
-        # variances) (* commutes)
-        np.multiply(means, weights, out=first[start:])
-        rows = np.square(means, out=second[start:])
-        rows += variances
-        rows *= weights
-        # a type test makes no Python call
-        self.total += (int(np.add.reduce(weights[:, 0]))
-                       if type(weights) is np.ndarray else weights * k)
-        if c == 1:
-            self.columns.append((first, second))
-            return
-        if start:
-            first[0], second[0] = self.first, self.second
-        self.first = np.add.reduce(first, axis=0)
-        self.second = np.add.reduce(second, axis=0)
+        first[0], second[0] = self.first, self.second
+        np.multiply(means, moments.count, out=first[1:])
+        rows = np.square(means, out=second[1:])
+        rows += moments.var.reshape(-1, c)
+        rows *= moments.count
+        self.total += moments.count * k
+        self.first[:] = np.add.accumulate(first, axis=0, out=first)[-1]
+        self.second[:] = np.add.accumulate(second, axis=0, out=second)[-1]
 
 
 def aggregate_moment_matching(entries, bessel: bool = False) -> ChannelStats:
     """Pool batch moments through per-batch E[mu], E[mu^2 + var]: a list of
-    them, or a ``MomentFold`` of them.
+    them, folded one entry at a time, or a ``MomentFold`` of them.
 
     Mini-batches with unequal element counts are weighted by count, which
     makes the result identical (to rounding) to the moments of the
     concatenated population.  With ``bessel`` the pooled variance is
-    rescaled by N / (N - 1) where N is the total element count.  A list is
-    folded as one block of ``stack_moments``' rows: one sum over its
-    mini-batches in order for the mean and one for the second moment.
+    rescaled by N / (N - 1) where N is the total element count.
     """
     fold = entries
     if not isinstance(fold, MomentFold):
-        means, variances, counts = stack_moments(entries)
         fold = MomentFold()
-        fold.add(means, variances, counts[:, None])
-    elif fold.channels is None:
+        for entry in entries:
+            fold.append(entry)
+    if fold.first is None:
         raise EmptyLog("no batch moments to pool")
-    first, second = fold.first, fold.second
-    if fold.columns:
-        first, second = (np.add.reduce(np.concatenate(blocks), axis=0)
-                         for blocks in zip(*fold.columns))
     total = fold.total
-    mean = first / total
-    second = second / total
+    mean = fold.first / total
+    second = fold.second / total
     var = second - mean**2
     if bessel:
         if total < 2:

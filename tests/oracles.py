@@ -1,7 +1,7 @@
 """Oracles that only the tests use: the Monte Carlo variance-of-variance
 oracle behind c01-c03, the frozen-affine fusion toy behind c05, the random
-network of c04 and the precise-BN tests, ``moment_matching``, the stacked
-formula that ``stats.MomentFold`` folds in pieces, and ``LoopNet``, the
+network of c04 and the precise-BN tests, ``moment_matching``, the in-order
+sums that ``stats.MomentFold`` folds in pieces, and ``LoopNet``, the
 reference network that every cohort-equivalence test compares against.
 
 They exercise the package's estimators (``aggregate_naive``,
@@ -130,18 +130,16 @@ def fusion_finetune_demo(lambda_: float, x0: float, step: float, iters: int):
 
 
 def moment_matching(entries, bessel=False):
-    """Moment matching of a list of batch moments in one piece: each sum
-    one axis-0 reduction over the (K, C) rows of the log's K mini-batches
-    in order, as ``aggregate_moment_matching`` pools a list.  An entry is
-    (C,) moments or the (G, C) moments of G mini-batches."""
+    """Moment matching of a list of batch moments: each sum a Python ``sum``
+    over the log's mini-batches, one (C,) row at a time in order, as
+    ``stats.MomentFold`` adds them at every C.  An entry is (C,) moments or
+    the (G, C) moments of G mini-batches."""
     c = entries[0].mean.shape[-1]
-    means = np.concatenate([e.mean.reshape(-1, c) for e in entries])
-    variances = np.concatenate([e.var.reshape(-1, c) for e in entries])
-    counts = np.concatenate([np.full(e.mean.size // c, e.count) for e in entries])
-    total = int(counts.sum())
-    weights = counts[:, None]
-    mean = np.add.reduce(weights * means, axis=0) / total
-    second = np.add.reduce(weights * (means**2 + variances), axis=0) / total
+    batches = [(m, v, e.count) for e in entries
+               for m, v in zip(e.mean.reshape(-1, c), e.var.reshape(-1, c))]
+    total = sum(count for _, _, count in batches)
+    mean = sum(count * m for m, _, count in batches) / total
+    second = sum(count * (m**2 + v) for m, v, count in batches) / total
     var = second - mean**2
     if bessel:
         if total < 2:
@@ -342,11 +340,9 @@ class LoopNet:
 
 
 def _pool(moments):
-    """Moment matching: the count-weighted means of the batch means and of
-    mean^2 + var, in batch order."""
-    counts = np.array([c for _, _, c in moments])[:, None]
-    total = int(counts.sum())
-    mean = np.add.reduce(counts * np.stack([m for m, _, _ in moments]), axis=0) / total
-    second = np.stack([m**2 + v for m, v, _ in moments])
-    var = np.add.reduce(counts * second, axis=0) / total - mean**2
+    """Moment matching: the count-weighted sums of the batch means and of
+    mean^2 + var, one batch at a time in order."""
+    total = sum(c for _, _, c in moments)
+    mean = sum(c * m for m, _, c in moments) / total
+    var = sum(c * (m**2 + v) for m, v, c in moments) / total - mean**2
     return mean, np.maximum(var, 0.0), total

@@ -340,9 +340,9 @@ def test_grouped_precise_bn_layerwise_matches_per_batch_loop(n, batch_size):
 
 @pytest.mark.parametrize("n,batch_size", [(15, 2), (601, 2), (601, 8)])
 def test_one_channel_precise_bn_matches_per_batch_loop(n, batch_size):
-    # numpy sums a 1-wide layer's column of batch moments pairwise, not in
-    # order: 15 rows at 2 pass as 7 whole cohorts and a 1-row tail, 601 rows
-    # as several chunks
+    # a 1-wide layer's batch moments sum in order, as LoopNet sums them,
+    # however the pass splits them: 15 rows at 2 pass as 7 whole cohorts and
+    # a 1-row tail, 601 rows as several chunks
     net = build_net(np.random.default_rng(3), [CHANNELS, 1, 1, CLASSES], pool=True)
     pop, _ = _data(n, seed=6)
     ref = LoopNet(net.layers)

@@ -46,6 +46,12 @@ def test_a_traced_workload_enters_exactly_its_boundaries(monkeypatch, tmp_path,
         tracer.uninstall()
     assert code == 0
     assert tracer.coverage_errors(workload.expected, workload.bypassed) == []
+    if "precise.precise_bn" in workload.expected:
+        # a precise pass pools each BN layer (one per hidden width) through
+        # one boundary call
+        bn_layers = len(TINY[workload.scenario]["hidden"])
+        assert (tracer.edges["precise.precise_bn", "stats.aggregate_moment_matching"]
+                == bn_layers * tracer.calls["precise.precise_bn"])
     after = worker.bindings(modules)
     assert [k for k in before.keys() | after.keys()
             if before.get(k) is not after.get(k)] == []

@@ -1,0 +1,43 @@
+"""README's quoted outputs against the code: the ``bnlab estimate``
+example's JSON, byte for byte, and the ``bnlab check-grad`` listing's
+component names and statuses (its error figures are not checked)."""
+
+import re
+from pathlib import Path
+
+from bnlab import cli
+from bnlab.gradcheck import TOLERANCE, run_full_suite
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _section(title):
+    """The fenced blocks of README's ``### title`` section: [(language,
+    body)], in order."""
+    text = README.read_text(encoding="utf-8")
+    body = re.search(rf"^### {re.escape(title)}\n(.*?)(?=^##)", text,
+                     re.MULTILINE | re.DOTALL).group(1)
+    return re.findall(r"^```(\w*)\n(.*?)^```", body, re.MULTILINE | re.DOTALL)
+
+
+def test_the_estimate_example_prints_the_quoted_json(tmp_path, capsys):
+    blocks = _section("`bnlab estimate`")
+    (csv_text,) = [body for lang, body in blocks if lang == "csv"]
+    (example,) = [body for lang, body in blocks if body.startswith("$ bnlab estimate")]
+    command, quoted = example.split("\n", 1)
+    path = tmp_path / "moments.csv"
+    path.write_text(csv_text, encoding="utf-8")
+    argv = [str(path) if arg == "moments.csv" else arg
+            for arg in command.split()[2:]]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == quoted
+
+
+def test_the_check_grad_listing_names_each_component_and_its_status():
+    (listing,) = [body for lang, body in _section("`bnlab check-grad`")
+                  if "max rel err" in body]
+    quoted = re.findall(r"^(\w+) +max rel err \S+ +(\w+)$", listing, re.MULTILINE)
+    assert len(quoted) == len(listing.splitlines())
+    report = run_full_suite(seed=0)
+    assert quoted == [(name, "ok" if err < TOLERANCE else "FAIL")
+                      for name, err in report.items()]

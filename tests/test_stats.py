@@ -247,36 +247,37 @@ def _bits(stats):
 
 @settings(max_examples=200)
 @given(data=st.data(), c=st.integers(1, 4), bessel=st.booleans())
-def test_a_fold_in_any_split_has_the_bits_of_the_stacked_formula(data, c, bessel):
-    # a log of (C,) and (G, C) entries of unequal counts (2 or more, so
-    # bessel applies), as precise passes and moments CSVs give them, folded
-    # in drawn pieces and one entry at a time (a pass's sink)
+def test_a_fold_in_any_split_has_the_bits_of_the_in_order_sums(data, c, bessel):
+    # drawn mini-batch rows in runs of equal counts (2 or more, so bessel
+    # applies), each run logged as one (G, C) entry, as a precise pass gives
+    # it, or as (C,) entries, as a moments CSV gives them; and the same
+    # rows as one (C,) entry each
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    log = []
-    for _ in range(data.draw(st.integers(1, 10))):
-        shape = (c,) if data.draw(st.booleans()) else (data.draw(st.integers(1, 9)), c)
-        log.append(ChannelStats(rng.normal(2.0, 3.0, shape),
-                                rng.uniform(0.0, 4.0, shape),
-                                data.draw(st.integers(2, 40))))
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(log)), max_size=3)))
-    want = _bits(moment_matching(log, bessel))
-    # in one piece, as ``bnlab estimate`` pools a file: the bits at any C
-    assert _bits(aggregate_moment_matching(log, bessel)) == want
-    pieces, appended = MomentFold(), MomentFold()
-    for start, stop in zip([0, *cuts], [*cuts, len(log)]):
+    k = data.draw(st.integers(1, 30))
+    means, variances = rng.normal(2.0, 3.0, (k, c)), rng.uniform(0.0, 4.0, (k, c))
+    cuts = sorted(data.draw(st.lists(st.integers(0, k), max_size=6)))
+    grouped, single = [], []
+    for start, stop in zip([0, *cuts], [*cuts, k]):
         if start < stop:
-            means, variances, counts = stack_moments(log[start:stop])
-            pieces.add(means, variances, counts[:, None])
-    for entry in log:
-        appended.append(entry)
-    for fold in (pieces, appended):
+            count = data.draw(st.integers(2, 40))
+            single += [ChannelStats(means[j], variances[j], count)
+                       for j in range(start, stop)]
+            grouped += ([ChannelStats(means[start:stop], variances[start:stop], count)]
+                        if data.draw(st.booleans()) else single[start - stop:])
+    want = _bits(moment_matching(single, bessel))
+    for log in (grouped, single):
+        # as a list, as ``bnlab estimate`` pools a file
+        assert _bits(aggregate_moment_matching(log, bessel)) == want
+        fold = MomentFold()  # one entry at a time, as a pass's sink
+        for entry in log:
+            fold.append(entry)
         assert _bits(aggregate_moment_matching(fold, bessel)) == want
 
 
 @pytest.mark.parametrize("c", [1, 3])
-def test_a_fold_of_whole_cohorts_and_a_tail_has_the_one_piece_bits(c):
+def test_a_fold_of_whole_cohorts_and_a_tail_sums_in_order(c):
     # a precise pass at cohort 2 over 15 rows: 7 whole cohorts, then a
-    # 1-row tail.  numpy sums one column of 8 rows pairwise, not in order
+    # 1-row tail, folded as the (7, C) and (C,) entries the pass gives
     rng = np.random.default_rng(5)
     log = [ChannelStats(rng.normal(2.0, 3.0, (7, c)), rng.uniform(0.0, 4.0, (7, c)), 2),
            ChannelStats(rng.normal(2.0, 3.0, c), rng.uniform(0.0, 4.0, c), 1)]
@@ -284,6 +285,26 @@ def test_a_fold_of_whole_cohorts_and_a_tail_has_the_one_piece_bits(c):
     for entry in log:
         fold.append(entry)
     assert _bits(aggregate_moment_matching(fold)) == _bits(moment_matching(log))
+
+
+def test_a_one_channel_log_sums_in_order_not_pairwise():
+    # numpy reduces one column of 100 rows pairwise, which rounds both
+    # pooled moments of this 1-channel log unlike the in-order sums
+    rng = np.random.default_rng(3)
+    means, variances = rng.normal(2.0, 3.0, (100, 1)), rng.uniform(0.0, 4.0, (100, 1))
+    mean = np.add.reduce(8 * means, axis=0) / 800
+    var = np.add.reduce(8 * (means**2 + variances), axis=0) / 800 - mean**2
+    want = _bits(moment_matching([ChannelStats(means, variances, 8)]))
+    assert mean.tobytes() != want[0] and var.tobytes() != want[1]
+    # a (100, 1) pass entry, a CSV's (1,) entries, and a fold of both kinds
+    csv = [ChannelStats(m, v, 8) for m, v in zip(means, variances)]
+    assert _bits(aggregate_moment_matching([ChannelStats(means, variances, 8)])) == want
+    assert _bits(aggregate_moment_matching(csv)) == want
+    fold = MomentFold()
+    fold.append(ChannelStats(means[:64], variances[:64], 8))
+    for entry in csv[64:]:
+        fold.append(entry)
+    assert _bits(aggregate_moment_matching(fold)) == want
 
 
 @settings(max_examples=40)

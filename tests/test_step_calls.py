@@ -203,11 +203,14 @@ def test_python_calls_per_sgd_step(name, setup):
 # folded each chunk's moments as they came, precise_bn32 read 249 and
 # precise_bn_layerwise32 407.  At dfdfb86, before a population forward read
 # the EMA as it is instead of copying it out per pass, error_by_ema read 157.
+# At 7f222d3, before a moment fold took one input method and kept no
+# channel count or 1-wide log, precise_bn32 read 217 and
+# precise_bn_layerwise32 279.
 CALLS_PER_PASS = {
     "error_by_ema": 125,
     "error_given_stats": 133,
-    "precise_bn32": 217,
-    "precise_bn_layerwise32": 279,
+    "precise_bn32": 213,
+    "precise_bn_layerwise32": 275,
 }
 
 
