@@ -28,9 +28,8 @@ class BnMode(enum.Enum):
 
 @dataclass
 class BnCache:
-    # in the batch modes: the normalized batch, 1/sqrt(var + eps) and the
-    # batch's own moments, for a cohort view (G, n, C, H, W) and (G, C) over
-    # the whole cohorts, ``tail`` a ragged last one's cache; in
+    # in the batch modes: batch_stats_forward's x_hat, inv_std and moments
+    # of the whole cohorts, ``tail`` a ragged last one's cache; in
     # EVAL_POPULATION: the fixed statistics
     x_hat: np.ndarray | None
     inv_std: np.ndarray | None
@@ -51,11 +50,10 @@ class BnLayer:
     FrozenBN is EVAL_POPULATION by statistics the caller passes in training
     too (``train(..., stats=)``).
 
-    A normalization cohort is a view that only this layer takes: the batch
-    modes view the whole cohorts of an (N, C, H, W) batch as
-    (N // cohort, cohort, C, H, W) and a ragged last cohort on its own, so
-    each cohort is normalized by its own moments exactly as if it were
-    forwarded alone.
+    The batch modes pass the whole cohorts of an (N, C, H, W) batch to
+    ``batch_stats_forward``, the one place a cohort is viewed, and a
+    ragged last cohort on its own, so each cohort is normalized by its own
+    moments exactly as if it were forwarded alone.
     """
 
     def __init__(self, channels, eps=1e-5, momentum=0.9):
@@ -81,7 +79,8 @@ class BnLayer:
         given receives an EVAL_POPULATION forward's y, with the bits of y
         without it; the batch modes write y into a new array.  Raises
         EmptyBatch on n == 0 before any side effect, so the EMA is left
-        bit-identical.  The EMA steps once per cohort, in order."""
+        bit-identical, and InvalidParams on a ``cohort`` below 1.  The EMA
+        steps once per cohort, in order."""
         if x.shape[-3] != self.channels:
             raise ShapeMismatch(f"expected {self.channels} channels, got {x.shape[-3]}")
         if mode is BnMode.EVAL_POPULATION:
@@ -94,13 +93,14 @@ class BnLayer:
         n = x.shape[-4]
         if n == 0:
             raise EmptyBatch("BN forward on a batch with 0 samples")
-        whole, view = n, x
+        whole = n
         if cohort is not None and cohort < n:
-            # the whole cohorts as a (G, cohort, C, H, W) view of their rows
+            if cohort < 1:
+                raise InvalidParams(f"cohort must be at least 1, got {cohort}")
             whole = n - n % cohort
-            view = x[:whole].reshape(whole // cohort, cohort, *x.shape[1:])
-        x_hat, moments, inv_std = batch_stats_forward(view, self.eps)
-        y = x_hat if view is x else x_hat.reshape(whole, *x.shape[1:])
+        # x itself when there is no tail: a stack's first axis is not rows
+        y, x_hat, moments, inv_std = batch_stats_forward(
+            x if whole == n else x[:whole], self.eps, cohort)
         if mode is BnMode.TRAIN_MINIBATCH:
             self.ema = ema_update(self.ema, moments, self.momentum)
         cache = BnCache(x_hat=x_hat, inv_std=inv_std, moments=moments)
@@ -122,48 +122,44 @@ class BnLayer:
         if cache.moments is None:
             inv_std = 1.0 / np.sqrt(cache.stats.var + self.eps)
             return dy * inv_std[..., None, :, None, None], None
-        x_hat = cache.x_hat
-        if x_hat.ndim == dy.ndim:
-            return batch_stats_backward(x_hat, cache.inv_std, dy), None
-        whole = x_hat.shape[0] * x_hat.shape[1]
-        dx = batch_stats_backward(x_hat, cache.inv_std, dy[:whole].reshape(
-            x_hat.shape)).reshape(whole, *dy.shape[1:])
-        if cache.tail is not None:
-            dx = np.concatenate([dx, self.backward(cache.tail, dy[whole:])[0]])
-        return dx, None
+        if cache.tail is None:
+            return batch_stats_backward(cache.x_hat, cache.inv_std, dy), None
+        # the whole cohorts, then the ragged last one by its own row count
+        whole = dy.shape[0] - cache.tail.x_hat.shape[0]
+        dx = batch_stats_backward(cache.x_hat, cache.inv_std, dy[:whole])
+        return np.concatenate([dx, self.backward(cache.tail, dy[whole:])[0]]), None
 
 
-def batch_stats_forward(x, eps):
-    """Normalization of ``x`` by its own moments: (x_hat, moments, inv_std)
-    with inv_std = 1/sqrt(var + eps), bit-identical to
-    ``normalize(x, channel_moments(x), eps)``.  The batch is centred once,
-    into the array that becomes x_hat, and inv_std is computed once.
-
-    ``x`` is an (N, C, H, W) batch or a (G, n, C, H, W) cohort stack of
-    float64 with n > 0; moments and inv_std are (C,) or (G, C).
-    """
-    x_hat = np.empty_like(x)
-    moments = channel_moments(x, out=x_hat)
+def batch_stats_forward(x, eps, cohort=None):
+    """Normalization of ``x`` by the moments of each ``cohort`` rows, the
+    one place a cohort is viewed: (y, x_hat, moments, inv_std), y of x's
+    shape, inv_std = 1/sqrt(var + eps).  A cohort of None, or of N rows or
+    more, is the plain batch: x_hat is y, and moments and inv_std are (C,).
+    Else x_hat is y's (N // cohort, cohort, C, H, W) view and they are
+    (N // cohort, C), each cohort with the bits of
+    ``normalize(x, channel_moments(x), eps)`` on its rows alone.  ``x``, of
+    float64 and N > 0, is centred once, into x_hat."""
+    view = (x if cohort is None or cohort >= x.shape[0]
+            else x.reshape(-1, cohort, *x.shape[1:]))
+    x_hat = np.empty_like(view)
+    moments = channel_moments(view, out=x_hat)
     inv_std = 1.0 / np.sqrt(moments.var + eps)
     x_hat *= inv_std[..., None, :, None, None]
-    return x_hat, moments, inv_std
+    return (x_hat if view is x else x_hat.reshape(x.shape)), x_hat, moments, inv_std
 
 
 def batch_stats_backward(x_hat, inv_std, dy):
-    """Input gradient of normalization by the batch's own moments, with the
-    mean and variance differentiated as functions of the input.
-
-    ``x_hat`` and ``dy`` are an (N, C, H, W) batch or a (G, n, C, H, W)
-    cohort stack; ``inv_std`` is 1/sqrt(var + eps), (C,) or (G, C).  The
-    result is (inv_std / m) * (m * dy - sum(dy) - x_hat * sum(dy * x_hat)),
-    built in place in that order.
-    """
+    """Input gradient, of dy's shape, of ``batch_stats_forward``'s
+    normalization, with the mean and variance differentiated as functions
+    of the input: (inv_std / m) * (m * dy - sum(dy) - x_hat * sum(dy * x_hat))
+    per cohort of x_hat's view, built in place in that order."""
+    dys = dy if x_hat.ndim == dy.ndim else dy.reshape(x_hat.shape)
     inv = inv_std[..., None, :, None, None]
-    m = dy.shape[-4] * dy.shape[-2] * dy.shape[-1]
-    sum_dy = np.add.reduce(dy, axis=SAMPLE_AXES, keepdims=True)
-    sum_dy_xhat = np.add.reduce(dy * x_hat, axis=SAMPLE_AXES, keepdims=True)
-    dx = m * dy
+    m = dys.shape[-4] * dys.shape[-2] * dys.shape[-1]
+    sum_dy = np.add.reduce(dys, axis=SAMPLE_AXES, keepdims=True)
+    sum_dy_xhat = np.add.reduce(dys * x_hat, axis=SAMPLE_AXES, keepdims=True)
+    dx = m * dys
     dx -= sum_dy
     dx -= x_hat * sum_dy_xhat
     dx *= inv / m
-    return dx
+    return dx if dys is dy else dx.reshape(dy.shape)

@@ -4,11 +4,12 @@ cross-entropy) with exact manual backpropagation and momentum SGD.
 Activations are carried as (N, C, H, W) tensors so the normalization layer
 sees the same per-channel layout as the rest of the package, and every
 layer takes only that shape.  A pass whose rows share statistics in
-cohorts still runs the whole batch through every layer: only the
-normalization views it per cohort (``BnLayer``, and shared_head's
-``SharedHeadNet``, whose per-domain cohorts are its domain row blocks), so
-each cohort is normalized as if forwarded alone while every GEMM and
-parameter-gradient sum runs over all N rows at once.
+cohorts still runs the whole batch through every layer: only
+``layer.batch_stats_forward`` and its backward view it per cohort (for
+``BnLayer``, and for shared_head's ``SharedHeadNet``, whose per-domain
+cohorts are its domain row blocks), so each cohort is normalized as if
+forwarded alone while every GEMM and parameter-gradient sum runs over all
+N rows at once.
 
 In memory the activations are channels-last, the layout Linear's GEMM
 writes, and every backward returns its input gradient in its forward
@@ -237,13 +238,14 @@ class Network:
             raise ShapeMismatch("dense layers expect h = w = 1 activations")
         return x[:, :, 0, 0], caches
 
-    def evaluate(self, x, *, mode=BnMode.EVAL_POPULATION, stats=None,
-                 moment_sinks=None, cohort=None):
+    def evaluate(self, x, *, stats=None, moment_sinks=None, cohort=None):
         """The evaluation pass: (N, K) logits, without caches or EMA steps.
-        Each BN layer runs ``mode`` (EVAL_POPULATION or EVAL_MINIBATCH), or
-        normalizes by ``stats``, as in ``forward``.  The BN, Affine and Relu
-        layers write their output over their input where the pass
-        allocated it, never over ``x``.
+        With no ``cohort`` each BN layer normalizes by population statistics
+        (EVAL_POPULATION): ``stats`` where given, as in ``forward``, else
+        its EMA.  With one, each normalizes by the moments of each
+        ``cohort`` rows (EVAL_MINIBATCH), except the layers in ``stats``.
+        The BN, Affine and Relu layers write their output over their input
+        where the pass allocated it, never over ``x``.
 
         ``moment_sinks`` maps BN layer index -> a list (or a
         ``stats.MomentFold``); the pass appends the layer's batch moments
@@ -251,8 +253,7 @@ class Network:
         one, and ends after the deepest of those layers, returning its
         (N, C, H, W) output.
         """
-        if mode not in (BnMode.EVAL_POPULATION, BnMode.EVAL_MINIBATCH):
-            raise InvalidParams(f"evaluate runs an evaluation mode, not {mode}")
+        mode = BnMode.EVAL_POPULATION if cohort is None else BnMode.EVAL_MINIBATCH
         if not (type(x) is np.ndarray and x.dtype == np.float64
                 and x.ndim == 4):
             x = as_tensor4(x)
@@ -472,9 +473,9 @@ def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
         labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ShapeMismatch(f"{n} rows of x but labels of shape {labels.shape}")
-    mode, cohort, order = BnMode.EVAL_POPULATION, None, None
+    cohort, order = None, None
     if plan is not None:
-        mode, cohort = BnMode.EVAL_MINIBATCH, plan.sub_batch
+        cohort = plan.sub_batch
         if plan.strategy == "shuffle":
             order = np.concatenate(cohort_indices(plan, n, rng))
             labels = labels[order]
@@ -483,7 +484,7 @@ def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
     for start in range(0, n, step):
         chunk = (x[start : start + step] if order is None
                  else x[order[start : start + step]])
-        logits = net.evaluate(chunk, mode=mode, stats=stats, cohort=cohort)
+        logits = net.evaluate(chunk, stats=stats, cohort=cohort)
         wrong += int((logits.argmax(axis=-1)
                       != labels[start : start + step]).sum())
     return wrong / n

@@ -4,7 +4,6 @@ statistics as {bn layer index: ChannelStats} and leave the model as it
 was; a caller passes them on (``stats=``), nothing installs them."""
 
 from .errors import EmptyPopulation, InvalidParams
-from .layer import BnMode
 from .net import chunk_rows
 from .stats import MomentFold, aggregate_moment_matching
 from .tensor import as_tensor4
@@ -30,8 +29,7 @@ def _pooled_moments(net, population, batch_size, indices, stats=None):
     folds = {i: MomentFold() for i in indices}
     step = chunk_rows(batch_size, population.shape[2] * population.shape[3])
     for start in range(0, population.shape[0], step):
-        net.evaluate(population[start : start + step],
-                     mode=BnMode.EVAL_MINIBATCH, stats=stats,
+        net.evaluate(population[start : start + step], stats=stats,
                      moment_sinks=folds, cohort=batch_size)
     return {i: aggregate_moment_matching(fold) for i, fold in folds.items()}
 

@@ -535,17 +535,12 @@ RANGES.update(domains=_LIST, domain_batch=_COUNT, val_per_domain=_COUNT,
 SHARED, PER_DOMAIN = "shared", "per_domain"  # a policy row's choices
 
 
-def _cohorts(h, cohort):
-    # the normalization's view: the whole batch, or its cohorts of rows
-    return h if cohort is None else h.reshape(-1, cohort, *h.shape[1:])
-
-
 class SharedHeadNet:
     """One hidden head applied to every domain.  Every pass takes an
     (N, C, 1, 1) batch whose domains are equal, consecutive row blocks, and
     runs it through each layer at once.  As in ``Network``, each ``cohort``
-    rows (None: all N) share SGD statistics, in a (G, cohort, C, 1, 1) view
-    that only the normalization takes, with (G, C) moments.  An affine of
+    rows (None: all N) share SGD statistics, which
+    ``layer.batch_stats_forward`` takes per cohort.  An affine of
     ``affine_blocks`` has (blocks, C) parameters, one row per row block;
     else (C,).  The first ``train_step`` puts the parameters into one
     ``Momentum`` buffer.
@@ -558,6 +553,8 @@ class SharedHeadNet:
                  affine_blocks=None, eps=1e-5):
         if eps <= 0:
             raise InvalidParams("eps must be positive")
+        if cohort is not None and cohort < 1:
+            raise InvalidParams(f"cohort must be at least 1, got {cohort}")
         self.cohort = cohort
         self.eps = eps
         self.l1 = Linear.init(rng, dim, hidden)
@@ -567,24 +564,13 @@ class SharedHeadNet:
         self.relu = Relu()
         self.optimizer = None
 
-    def forward_train(self, x, stats=None):
+    def forward_train(self, x):
         """(N, K) logits of an (N, C, 1, 1) float64 batch and the caches
         ``backward_train`` reads, normalized by the moments of each
-        ``cohort`` rows.  With fixed (C,) or (G, C) ``stats`` for G row
-        blocks the pass is forward only: it keeps no caches (None), and
-        the normalization, affine and relu overwrite the first layer's
-        output in place."""
+        ``cohort`` rows."""
         h, c1 = self.l1.forward(x)
-        if stats is not None:
-            view = _cohorts(h, None if stats.mean.ndim == 1
-                            else h.shape[0] // stats.mean.shape[0])
-            normalize(view, stats, self.eps, out=view)
-            self.affine.forward(h, out=h)
-            self.relu.forward(h, out=h)
-            return self.l2.forward(h)[0][:, :, 0, 0], None
-        view = _cohorts(h, self.cohort)
-        xhat, _, inv = batch_stats_forward(view, self.eps)
-        a, ca = self.affine.forward(xhat if view is h else xhat.reshape(h.shape))
+        y, xhat, _, inv = batch_stats_forward(h, self.eps, self.cohort)
+        a, ca = self.affine.forward(y)
         r, cr = self.relu.forward(a)
         logits, cl = self.l2.forward(r)
         return logits[:, :, 0, 0], {
@@ -598,12 +584,7 @@ class SharedHeadNet:
         dr, gl2 = self.l2.backward(caches["l2"], dlogits[:, :, None, None])
         da = self.relu.backward(caches["relu"], dr)[0]
         dxhat, gaff = self.affine.backward(caches["affine"], da)
-        xhat = caches["xhat"]
-        if xhat.ndim == dxhat.ndim:
-            dh = batch_stats_backward(xhat, caches["inv"], dxhat)
-        else:  # per cohort, in the forward's view
-            dh = batch_stats_backward(xhat, caches["inv"], dxhat.reshape(
-                xhat.shape)).reshape(dxhat.shape)
+        dh = batch_stats_backward(caches["xhat"], caches["inv"], dxhat)
         _, gl1 = self.l1.backward(caches["l1"], dh, input_grad=False)
         return {"l1": gl1, "affine": gaff, "l2": gl2}
 
@@ -626,13 +607,22 @@ class SharedHeadNet:
         rows.  Training never reads this choice, so one trained net serves
         both."""
         h, _ = self.l1.forward(x)
-        return channel_moments(_cohorts(h, cohort))
+        return channel_moments(h if cohort is None
+                               else h.reshape(-1, cohort, *h.shape[1:]))
 
     def eval_error(self, x, y, stats):
         """Top-1 error on an (N, C, 1, 1) batch of domain row blocks with
         (N,) labels, normalized by ``stats`` as ``train_population_stats``
-        returns them: the number of blocks is read from their shape."""
-        logits, _ = self.forward_train(x, stats=stats)
+        returns them: the number of blocks is read from their shape.  The
+        pass keeps no caches: the normalization, affine and relu overwrite
+        the first layer's output in place."""
+        h = self.l1.forward(x)[0]
+        view = (h if stats.mean.ndim == 1
+                else h.reshape(stats.mean.shape[0], -1, *h.shape[1:]))
+        normalize(view, stats, self.eps, out=view)
+        self.affine.forward(h, out=h)
+        self.relu.forward(h, out=h)
+        logits = self.l2.forward(h)[0][:, :, 0, 0]
         return int((logits.argmax(axis=-1) != y).sum()) / y.size
 
 

@@ -2,6 +2,7 @@
 all run under."""
 
 import csv
+import os
 import tempfile
 
 import pytest
@@ -11,9 +12,20 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from bnlab import io
 
 # every drawn test sees the same examples on every run and writes no
-# example database; each test sets its own max_examples
+# example database; each test sets its own example count with ``drawn``.
+# BNLAB_DEEP=<factor> draws that many times the examples, at random (seeded
+# by pytest's --hypothesis-seed), for a deep run outside tier-1
+DEEP = int(os.environ.get("BNLAB_DEEP", "0"))
 settings.register_profile("bnlab", derandomize=True, database=None, deadline=None)
-settings.load_profile("bnlab")
+settings.register_profile("bnlab-deep", derandomize=False, database=None,
+                          deadline=None)
+settings.load_profile("bnlab-deep" if DEEP else "bnlab")
+
+
+def drawn(n):
+    """The settings of a drawn test of ``n`` examples: n in tier-1, n times
+    the BNLAB_DEEP factor in a deep run."""
+    return settings(max_examples=n * (DEEP or 1))
 
 # hypothesis caches the literal constants of the source files it draws
 # from, from collection on; the cache goes to a directory that lives as

@@ -3,12 +3,13 @@ cohort view."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from bnlab.batching import STRATEGIES, NormBatchPlan, cohort_indices
 from bnlab.errors import EmptyBatch, InvalidPlan
 from bnlab.layer import BnLayer, BnMode
+from conftest import drawn
 
 
 def test_plan_validation():
@@ -63,7 +64,7 @@ plans = st.tuples(st.sampled_from(STRATEGIES), st.integers(1, 300),
                   st.integers(1, 64), st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=100)
+@drawn(100)
 @given(plans)
 def test_cohort_indices_partitions_the_rows_into_sub_batches(case):
     strategy, n, sub_batch, seed = case
@@ -83,7 +84,7 @@ def test_cohort_indices_partitions_the_rows_into_sub_batches(case):
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
-@settings(max_examples=100)
+@drawn(100)
 @given(plans)
 def test_bn_cohort_view_normalizes_each_cohort_alone(case):
     # the rows in cohort_indices' order, as a step or an evaluation gathers

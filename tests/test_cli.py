@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bnlab.cli import main
@@ -21,6 +21,7 @@ from bnlab.layer import BnLayer
 from bnlab.net import Affine, Linear, MeanPool, Relu
 from bnlab.scenarios import SCENARIOS, ScenarioRun
 from bnlab.tensor import channel_moments
+from conftest import drawn
 
 # the README's smoke-size example
 QUICK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "domain_adapt_quick.json"
@@ -484,7 +485,7 @@ def _assert_pooled_means(data, means):
 
 # each method fuzzed on its own, so that each sees the whole range of files
 @pytest.mark.parametrize("method", ["ema", "precise", "naive"])
-@settings(max_examples=50)
+@drawn(50)
 @given(data=_moment_files())
 # two counts of 2**62, whose int64 sum wrapped: precise printed mean -1.5
 @example(data=b"batch_index,channel,mean,var,count\n0,0,1.0,0.5,4611686018427387904\n"

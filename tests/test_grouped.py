@@ -1,8 +1,9 @@
 """Cohort passes against ``LoopNet``, the loop reference in ``oracles.py``.
 
 A pass whose rows share statistics in cohorts runs the whole batch through
-every layer; only ``BnLayer`` views it per cohort (and ``SharedHeadNet``'s
-normalization, whose per-domain cohorts are its domain row blocks).  The
+every layer; only ``layer.batch_stats_forward`` and its backward view it
+per cohort, for ``BnLayer`` and for ``SharedHeadNet``, whose per-domain
+cohorts are its domain row blocks.  The
 invariant is that this view equals normalizing each cohort alone.  One
 drawn test checks it for every pass: training (``train``, ``sgd_step``),
 ``forward`` and ``evaluate``, ``classification_error``, ``precise_bn``,
@@ -22,13 +23,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from bnlab import net as net_module
 from bnlab.batching import NormBatchPlan, cohort_indices
 from bnlab.errors import ShapeMismatch
-from bnlab.layer import BnLayer, BnMode
+from bnlab.layer import BnLayer
 from bnlab.net import (
     Affine,
     Momentum,
@@ -48,6 +49,7 @@ from bnlab.scenarios import (
     shared_head_data,
 )
 from bnlab.tensor import ChannelStats
+from conftest import drawn
 from oracles import LoopNet
 
 CHANNELS, SITES, HIDDEN, CLASSES = 8, 4, 16, 5
@@ -172,7 +174,7 @@ def _draw_net(draw, rng, batch):
     return net, (dims[0], *hw)
 
 
-@settings(max_examples=100)
+@drawn(100)
 @given(st.data())
 def test_every_cohort_pass_matches_the_loop_reference(data):
     draw = data.draw
@@ -218,7 +220,7 @@ def test_every_cohort_pass_matches_the_loop_reference(data):
         (x, {"stats": ema}, {}, ref.forward(x, fixed=_fixed(ema))[0], {}),
         (x, {"stats": precise}, {"stats": precise},
          ref.forward(x, fixed=_fixed(precise))[0], {"stats": precise}),
-        (x[rows], cohort, {"mode": BnMode.EVAL_MINIBATCH, **cohort},
+        (x[rows], cohort, cohort,
          ref.forward(x[rows], plan.sub_batch)[0],
          {"plan": plan, "rng": np.random.default_rng(seed)}),
     ):
@@ -232,8 +234,9 @@ def test_every_cohort_pass_matches_the_loop_reference(data):
 
     # shared_head's net: a per-domain choice is a cohort of domain_batch SGD
     # rows, an affine block per domain, or a cohort of each domain's
-    # val_per_domain population rows
+    # val_per_domain population rows; one domain's cohort covers the batch
     spec = {**SHARED_HEAD_DEFAULTS, "dim": draw(st.integers(1, 6)),
+            "domains": SHARED_HEAD_DEFAULTS["domains"][: draw(st.integers(1, 3))],
             "classes": draw(st.integers(2, 4)), "domain_batch": draw(st.integers(1, 4)),
             "val_per_domain": draw(st.integers(1, 6))}
     data = shared_head_data(spec, seed)
@@ -281,6 +284,8 @@ PLANS = {
     "ghost_ragged": (20, NormBatchPlan(strategy="ghost", sub_batch=6)),
     # unequal cohorts 3, 3, 2, as per-worker sizes [3, 5] gave unequal ones
     "ghost_unequal": (8, NormBatchPlan(strategy="ghost", sub_batch=3)),
+    # one whole cohort, the plain batch of its 2 rows, and a ragged last one
+    "ghost_one_and_tail": (3, NormBatchPlan("ghost", 2)),
     "shuffle": (32, NormBatchPlan(strategy="shuffle", sub_batch=16)),
     # the whole batch as one cohort
     "plain": (32, None),
@@ -380,7 +385,7 @@ def test_grouped_forward_logits_match_per_cohort_forwards(cohort, sizes):
     net = _trained_net()
     ref = LoopNet(net.layers)
     x, _ = _data(12, seed=9)
-    logits = net.evaluate(x, mode=BnMode.EVAL_MINIBATCH, cohort=cohort)
+    logits = net.evaluate(x, cohort=cohort)
     assert logits.shape == (12, CLASSES)
     np.testing.assert_array_equal(logits, ref.forward(x, cohort)[0])
     assert [c for _, _, c in ref.moments(x, cohort)[1]] == [s * SITES for s in sizes]

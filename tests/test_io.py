@@ -5,11 +5,12 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bnlab import io
 from bnlab.errors import BnLabError, ConfigError
+from conftest import drawn
 
 DEFAULTS = {
     "steps": 100,
@@ -254,7 +255,7 @@ _PAYLOADS = st.recursive(
 )
 
 
-@settings(max_examples=120)
+@drawn(120)
 @given(_PAYLOADS)
 @example({"z": [1.0, "x, y"], "a": (2, [0.5, -0.0], {}), "m": {"k": [[]]}})
 def test_encode_json_bytes_are_json_dumps(payload):

@@ -18,6 +18,7 @@ from bnlab.layer import (
     batch_stats_forward,
 )
 from bnlab.net import Linear, MeanPool, Network, SgdConfig, train
+from bnlab.scenarios import SharedHeadNet
 from bnlab.stats import ema_update
 from bnlab.tensor import SAMPLE_AXES, ChannelStats, channel_moments, normalize
 from oracles import fusion_finetune_demo
@@ -161,7 +162,7 @@ def test_moment_sinks_log_batch_stats():
     net = Network([BnLayer(3), MeanPool()])
     sinks = {0: []}
     x = _x(rng)
-    net.evaluate(x, mode=BnMode.EVAL_MINIBATCH, moment_sinks=sinks)
+    net.evaluate(x, moment_sinks=sinks, cohort=len(x))
     assert len(sinks[0]) == 1
     np.testing.assert_allclose(sinks[0][0].mean,
                                channel_moments(x).mean)
@@ -172,11 +173,9 @@ def test_evaluate_stops_at_its_deepest_sink_and_never_trains():
     net = Network([BnLayer(3), MeanPool(), Linear.init(rng, 3, 2)])
     ema = net.layers[0].ema
     x = _x(rng)
-    y = net.evaluate(x, mode=BnMode.EVAL_MINIBATCH, moment_sinks={0: []})
+    y = net.evaluate(x, moment_sinks={0: []}, cohort=len(x))
     # the BN layer's output: the pool and the Linear did not run
     np.testing.assert_array_equal(y, net.layers[0].forward(x, BnMode.EVAL_MINIBATCH)[0])
-    with pytest.raises(InvalidParams, match="evaluation mode"):
-        net.evaluate(x, mode=BnMode.TRAIN_MINIBATCH)
     assert net.layers[0].ema is ema
 
 
@@ -220,7 +219,7 @@ def test_batch_forward_has_the_bits_of_normalize_by_channel_moments(mode, layout
 @pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
 def test_batch_stats_backward_has_the_bits_of_its_one_expression(layout, shape):
     rng = np.random.default_rng(13)
-    x_hat, _, inv_std = batch_stats_forward(
+    _, x_hat, _, inv_std = batch_stats_forward(
         _in_layout(rng.standard_normal(shape), layout), 1e-5)
     dy = _in_layout(rng.standard_normal(shape), layout)
     # the expression the in-place version replaced
@@ -278,6 +277,22 @@ def test_layer_validation():
         layer.forward(np.zeros((2, 4, 1, 1)))
     with pytest.raises(EmptyBatch):
         layer.forward(np.zeros((0, 3, 1, 1)), mode=BnMode.EVAL_MINIBATCH)
+
+
+@pytest.mark.parametrize("cohort", [0, -3])
+@pytest.mark.parametrize("call", ["forward", "evaluate", "shared_head"])
+def test_a_cohort_below_one_is_refused(call, cohort):
+    rng = np.random.default_rng(18)
+    net = Network([BnLayer(3), MeanPool()])
+    ema = net.layers[0].ema
+    with pytest.raises(InvalidParams, match=rf"^cohort must be at least 1, got {cohort}$"):
+        if call == "forward":
+            net.forward(_x(rng), cohort=cohort)
+        elif call == "evaluate":
+            net.evaluate(_x(rng), cohort=cohort)
+        else:
+            SharedHeadNet(rng, 3, 4, 2, cohort=cohort)
+    assert net.layers[0].ema is ema  # refused before any EMA step
 
 
 def test_fusion_demo_validation():

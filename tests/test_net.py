@@ -275,7 +275,7 @@ def test_classification_error_plan_counts_its_ragged_tail():
     assert 0.0 <= err <= 1.0
     wrong = 0
     for start in (0, 4, 8):
-        logits = net.evaluate(x[start : start + 4], mode=BnMode.EVAL_MINIBATCH)
+        logits = net.evaluate(x[start : start + 4], cohort=4)
         wrong += int((logits.argmax(axis=1) != y[start : start + 4]).sum())
     assert classification_error(net, x, y,
                                 plan=NormBatchPlan("ghost", 4)) == wrong / 10

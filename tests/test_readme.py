@@ -1,12 +1,14 @@
 """README's quoted outputs against the code: the ``bnlab estimate``
-example's JSON, byte for byte, and the ``bnlab check-grad`` listing's
-component names and statuses (its error figures are not checked)."""
+example's JSON, byte for byte, the ``bnlab check-grad`` listing's
+component names and statuses (its error figures are not checked), and the
+table of pinned Python calls in "How cohorts run"."""
 
 import re
 from pathlib import Path
 
 from bnlab import cli
 from bnlab.gradcheck import TOLERANCE, run_full_suite
+from test_step_calls import CALLS_PER_PASS, CALLS_PER_STEP
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,3 +43,13 @@ def test_the_check_grad_listing_names_each_component_and_its_status():
     report = run_full_suite(seed=0)
     assert quoted == [(name, "ok" if err < TOLERANCE else "FAIL")
                       for name, err in report.items()]
+
+
+def test_the_calls_table_quotes_every_pin():
+    text = README.read_text(encoding="utf-8")
+    body = re.search(r"^## How cohorts run\n(.*?)(?=^## )", text,
+                     re.MULTILINE | re.DOTALL).group(1)
+    quoted = re.findall(r"^\| `(\w+)` \|.*\| (\d+) \|$", body, re.MULTILINE)
+    assert len(quoted) == len(dict(quoted))  # each case quoted once
+    assert {name: int(calls) for name, calls in quoted} == \
+        {**CALLS_PER_STEP, **CALLS_PER_PASS}

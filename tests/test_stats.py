@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from bnlab.errors import (
@@ -25,6 +25,7 @@ from bnlab.stats import (
     stack_moments,
 )
 from bnlab.tensor import ChannelStats, channel_moments
+from conftest import drawn
 from oracles import moment_matching, simulate_variance_estimates, var_of_var_oracle
 
 
@@ -45,7 +46,7 @@ def test_ema_update_closed_form():
     assert state.count == 1
 
 
-@settings(max_examples=60)
+@drawn(60)
 @given(
     groups=st.integers(1, 40),
     channels=st.integers(1, 4),
@@ -245,7 +246,7 @@ def _bits(stats):
     return stats.mean.tobytes(), stats.var.tobytes(), stats.count
 
 
-@settings(max_examples=200)
+@drawn(200)
 @given(data=st.data(), c=st.integers(1, 4), bessel=st.booleans())
 def test_a_fold_in_any_split_has_the_bits_of_the_in_order_sums(data, c, bessel):
     # drawn mini-batch rows in runs of equal counts (2 or more, so bessel
@@ -307,7 +308,7 @@ def test_a_one_channel_log_sums_in_order_not_pairwise():
     assert _bits(aggregate_moment_matching(fold)) == want
 
 
-@settings(max_examples=40)
+@drawn(40)
 @given(
     counts=st.lists(st.integers(1, 9), min_size=1, max_size=5),
     c=st.integers(1, 3),

@@ -57,7 +57,8 @@ MEASURED_ON = "Python 3.11.7, numpy 2.4.6"
 # its caches' single use inline and stopped re-wrapping float64 arrays,
 # and ChannelStats and EmaState were built in one frame, the cases read
 # 104, 121, 121, 109, 126, 95, 49 and 57, and the three Network arms 66,
-# 72 and 76.
+# 72 and 76.  At 0d6b61b, before the cohort view moved into
+# batch_stats_forward, the two shared head cases read 46 and 54.
 CALLS_PER_STEP = {
     "ema_vs_precise": 81,
     "nbs_sweep_ghost2": 97,
@@ -65,8 +66,8 @@ CALLS_PER_STEP = {
     "nbs_sweep_ghost32": 85,
     "nbs_sweep_shuffle16": 102,
     "nbs_sweep_frozen_ghost2": 67,
-    "shared_head_shared": 46,
-    "shared_head_per_domain": 54,
+    "shared_head_shared": 45,
+    "shared_head_per_domain": 53,
     "shared_head_network_shared": 50,
     "shared_head_network_domain_stats": 56,
     "shared_head_network_domain_stats_affine": 60,
