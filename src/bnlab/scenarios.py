@@ -23,7 +23,7 @@ import numpy as np
 
 from . import blas_threads
 from .batching import NormBatchPlan
-from .errors import BnLabError, ConfigError, InvalidParams
+from .errors import BnLabError, ConfigError, InvalidParams, ShapeMismatch
 from .io import Range
 from .layer import BnLayer, batch_stats_backward, batch_stats_forward
 from .net import (
@@ -605,7 +605,14 @@ class SharedHeadNet:
         """The population statistics of an (N, C, 1, 1) batch of domain row
         blocks: (C,) over all N rows, or (G, C) with one row per ``cohort``
         rows.  Training never reads this choice, so one trained net serves
-        both."""
+        both.  Raises InvalidParams on a cohort below 1 and ShapeMismatch
+        on one that does not divide N."""
+        if cohort is not None:
+            if cohort < 1:
+                raise InvalidParams(f"cohort must be at least 1, got {cohort}")
+            if len(x) % cohort:
+                raise ShapeMismatch(f"{len(x)} rows do not split into "
+                                    f"cohorts of {cohort}")
         h, _ = self.l1.forward(x)
         return channel_moments(h if cohort is None
                                else h.reshape(-1, cohort, *h.shape[1:]))
@@ -615,10 +622,14 @@ class SharedHeadNet:
         (N,) labels, normalized by ``stats`` as ``train_population_stats``
         returns them: the number of blocks is read from their shape.  The
         pass keeps no caches: the normalization, affine and relu overwrite
-        the first layer's output in place."""
+        the first layer's output in place.  Raises ShapeMismatch when the
+        statistics' blocks do not divide N."""
+        blocks = stats.mean.shape[0] if stats.mean.ndim > 1 else 1
+        if not blocks or len(x) % blocks:
+            raise ShapeMismatch(f"{len(x)} rows do not split into {blocks} equal "
+                                f"blocks for {stats.mean.shape} statistics")
         h = self.l1.forward(x)[0]
-        view = (h if stats.mean.ndim == 1
-                else h.reshape(stats.mean.shape[0], -1, *h.shape[1:]))
+        view = h if stats.mean.ndim == 1 else h.reshape(blocks, -1, *h.shape[1:])
         normalize(view, stats, self.eps, out=view)
         self.affine.forward(h, out=h)
         self.relu.forward(h, out=h)

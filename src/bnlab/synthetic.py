@@ -173,36 +173,25 @@ class MultiScaleDomains:
     def batches(self, rng, steps, n):
         """Yield ``steps`` training batches of n rows per domain, each a
         (D * n, dim, 1, 1) batch of D consecutive domain row blocks with
-        (D * n,) labels, drawn SLAB_STEPS steps at a time.  The draws are
-        those of steps x D ``sample_domain`` calls in the same order, so
-        each block is bit-identical to its call's rows."""
+        (D * n,) labels, drawn SLAB_STEPS steps at a time.  The labels, the
+        features' normals and each domain's noise come from their own
+        child of ``rng`` (``rng.spawn``), one call per slab and purpose, so
+        the stream does not depend on SLAB_STEPS.  It is not that of
+        per-step ``sample_domain`` calls, but each slab runs their
+        arithmetic."""
+        base, d_count = self.base, self.n_domains
+        label_rng, x_rng, *noise_rngs = rng.spawn(2 + d_count)
         for start in range(0, steps, SLAB_STEPS):
             k = min(SLAB_STEPS, steps - start)
-            xs, ys = self._slab(rng, k, n)
-            yield from zip(xs.reshape(k, -1, *xs.shape[3:]), ys.reshape(k, -1))
-
-    def _slab(self, rng, steps, n):
-        """(steps, D, n, dim, 1, 1) inputs and (steps, D, n) labels.  Per
-        step, per domain: the labels, the features' normal draws, then the
-        domain's noise; the arithmetic then runs once on the whole slab,
-        with the same per-element operations as ``sample_domain``."""
-        base, d_count = self.base, self.n_domains
-        labels = np.empty((steps, d_count, n), dtype=np.int64)
-        x = np.empty((steps, d_count, n, base.dim))
-        noise = {d: np.empty((steps, n, base.dim))
-                 for d, t in enumerate(self.transforms) if t.noise > 0}
-        for s in range(steps):
-            for d in range(d_count):
-                labels[s, d] = rng.integers(0, base.classes, size=n)
-                rng.standard_normal(out=x[s, d])
-                if d in noise:
-                    rng.standard_normal(out=noise[d][s])
-        # in place, the bits of means[labels] + noise * z (+ commutes)
-        x *= base.noise
-        x += base.means[labels]
-        for d, t in enumerate(self.transforms):
-            x[:, d] = t.transform(x[:, d], noise.get(d))
-        return x[..., None, None], labels
+            labels = label_rng.integers(0, base.classes, size=(k, d_count, n))
+            x = x_rng.standard_normal(out=np.empty((k, d_count, n, base.dim)))
+            # in place, the bits of means[labels] + noise * z (+ commutes)
+            x *= base.noise
+            x += base.means[labels]
+            for d, (t, r) in enumerate(zip(self.transforms, noise_rngs)):
+                z = r.standard_normal((k, n, base.dim)) if t.noise > 0 else None
+                x[:, d] = t.transform(x[:, d], z)
+            yield from zip(x.reshape(k, -1, base.dim, 1, 1), labels.reshape(k, -1))
 
     @property
     def n_domains(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from bnlab import cli
 from bnlab.gradcheck import TOLERANCE, run_full_suite
-from test_step_calls import CALLS_PER_PASS, CALLS_PER_STEP
+from test_step_calls import CALLS_PER_PASS, CALLS_PER_SLAB, CALLS_PER_STEP
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -52,4 +52,4 @@ def test_the_calls_table_quotes_every_pin():
     quoted = re.findall(r"^\| `(\w+)` \|.*\| (\d+) \|$", body, re.MULTILINE)
     assert len(quoted) == len(dict(quoted))  # each case quoted once
     assert {name: int(calls) for name, calls in quoted} == \
-        {**CALLS_PER_STEP, **CALLS_PER_PASS}
+        {**CALLS_PER_STEP, **CALLS_PER_PASS, **CALLS_PER_SLAB}

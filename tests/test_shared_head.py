@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from bnlab.cli import main
-from bnlab.errors import Diverged, InvalidParams
+from bnlab.errors import Diverged, InvalidParams, ShapeMismatch
 from bnlab.scenarios import (
     PER_DOMAIN,
     SHARED_HEAD_DEFAULTS,
@@ -33,6 +33,7 @@ from bnlab.scenarios import (
     run_shared_head,
     shared_head_data,
 )
+from bnlab.tensor import ChannelStats
 from test_grouped import assert_shared_head_as_the_loop
 from test_scenarios import tiny_config
 
@@ -72,6 +73,23 @@ def test_eps_must_be_positive(tmp_path):
     # the config's range check refuses it before any work
     assert main(["run", "shared_head", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_population_and_evaluation_passes_check_their_blocks():
+    # 10 rows split into no cohort of 3 and into no 3 blocks of statistics
+    net = SharedHeadNet(np.random.default_rng(0), 4, 5, 3)
+    x, y = np.random.default_rng(1).standard_normal((10, 4, 1, 1)), np.zeros(10)
+    with pytest.raises(ShapeMismatch, match="10 rows do not split into cohorts of 3"):
+        net.train_population_stats(x, cohort=3)
+    with pytest.raises(InvalidParams, match="cohort must be at least 1, got 0"):
+        net.train_population_stats(x, cohort=0)
+    stats = ChannelStats(np.zeros((3, 5)), np.ones((3, 5)), 3)
+    with pytest.raises(ShapeMismatch, match=r"10 rows do not split into 3 equal "
+                                            r"blocks for \(3, 5\) statistics"):
+        net.eval_error(x, y, stats)
+    # the rows that split still run
+    assert net.train_population_stats(x, cohort=5).mean.shape == (2, 5)
+    net.eval_error(x[:9], y[:9], stats)
 
 
 @pytest.mark.parametrize("row", [0, len(CFG["policies"]) - 1],
@@ -167,10 +185,10 @@ def test_runner_trains_once_per_sgd_side_pair(monkeypatch):
 @pytest.mark.parametrize("lr, policies, named", [
     (1e3, [["per_domain", "shared", "per_domain"]],
      r"\d+: .*\(sgd_stats=per_domain, affine=per_domain\)"),
-    # alone, the first pair diverges at step 12 and the second at step 8:
+    # alone, the first pair diverges at step 10 and the second at step 7:
     # the first pair's divergence is reported, at its own step
     (30, [["per_domain", "shared", "shared"], ["per_domain", "shared", "per_domain"]],
-     r"12: .*\(sgd_stats=per_domain, affine=shared\)"),
+     r"10: .*\(sgd_stats=per_domain, affine=shared\)"),
 ])
 @pytest.mark.parametrize("cores", [{0}, {0, 1}])
 def test_divergence_names_the_pair(monkeypatch, lr, policies, named, cores):

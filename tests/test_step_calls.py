@@ -6,8 +6,9 @@ cohorts, with one cohort of a plan, with shuffled cohorts and with every BN
 layer frozen, and ``SharedHeadNet.train_step``; and ``sgd_step`` on the
 ``Network`` that is to replace ``SharedHeadNet``, in each of its arms.
 Forward-only passes have their own cases: population-mode
-``classification_error``, ``precise_bn`` and ``precise_bn_layerwise``.  A
-last case guards the calls of encoding a run's parameter checkpoint."""
+``classification_error``, ``precise_bn`` and ``precise_bn_layerwise``.  One
+case guards the draw of a slab of ``shared_head``'s training stream, and a
+last one the calls of encoding a run's parameter checkpoint."""
 
 import cProfile
 import functools
@@ -27,7 +28,9 @@ from bnlab.scenarios import (
     ScenarioRun,
     SharedHeadNet,
     build_net,
+    shared_head_data,
 )
+from bnlab.synthetic import SLAB_STEPS
 
 STEPS = 20
 
@@ -235,6 +238,26 @@ def test_python_calls_per_forward_only_pass(name):
     run, args = _ema_vs_precise_pass(name)
     _check(f"{name}: Python calls per pass", _calls_per_call(run, args),
            CALLS_PER_PASS[name] + SLACK)
+
+
+# Calls to draw one SLAB_STEPS = 50-step slab of shared_head's training
+# stream at its defaults, from a fresh generator (one MultiScaleDomains.batches
+# call, its 51 generator frames included), on MEASURED_ON.  At 382a32d, with
+# two rng calls per step and domain from one generator, it read 1,125.
+CALLS_PER_SLAB = {"shared_head_slab": 130}
+
+
+def test_python_calls_per_training_slab():
+    d = SHARED_HEAD_DEFAULTS
+    domains = shared_head_data(d, 0)[0]
+
+    def draw():
+        rng = np.random.default_rng(10)
+        return list(domains.batches(rng, SLAB_STEPS, d["domain_batch"]))
+
+    assert len(draw()) == SLAB_STEPS == 50
+    _check("shared_head_slab: Python calls per slab", _calls_per_call(draw, ()),
+           CALLS_PER_SLAB["shared_head_slab"] + SLACK)
 
 
 def _calls_per_call(fn, args):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from bnlab import synthetic
 from bnlab.errors import InvalidParams
 from bnlab.synthetic import (
     DRAW_BLOCK_ROWS,
-    SLAB_STEPS,
     ClusteredData,
     Corruption,
     GaussianClasses,
@@ -111,8 +111,17 @@ def test_multi_scale_domains_dispatch():
     assert x1.std() > 5 * x0.std()
 
 
-def test_slab_batches_match_sequential_domain_draws():
-    # noisy channel-wise and mixing domains pin where each noise draw falls
+class _KeepsChildren(np.random.Generator):
+    """A generator whose ``spawn`` keeps the children it hands out."""
+
+    def spawn(self, n_children):
+        self.children = super().spawn(n_children)
+        return self.children
+
+
+def test_batches_do_not_depend_on_the_slab_size(monkeypatch):
+    # a noisy channel-wise and a noisy mixing domain each draw their noise
+    # from their own child; 107 steps end in a partial slab at 7 and at 50
     base = GaussianClasses(5, 6, 3.0, 0.7, seed=11)
     domains = MultiScaleDomains(base, [
         Corruption(scale=2.0, shift=-1.0, noise=0.3),
@@ -120,18 +129,31 @@ def test_slab_batches_match_sequential_domain_draws():
                                          scale=0.5, shift=1.0, noise=0.2),
         Corruption(scale=0.5),
     ])
-    steps, n = 2 * SLAB_STEPS + 7, 4  # a partial last slab
-    slab_rng, seq_rng = np.random.default_rng(13), np.random.default_rng(13)
-    batches = list(domains.batches(slab_rng, steps, n))
-    assert len(batches) == steps
-    for x, y in batches:
-        # the domains are consecutive row blocks of one batch
+    steps, n = 107, 4
+    streams, ends = [], []
+    for slab in (7, 50):
+        monkeypatch.setattr(synthetic, "SLAB_STEPS", slab)
+        rng = _KeepsChildren(np.random.PCG64(13))
+        streams.append(list(domains.batches(rng, steps, n)))
+        ends.append([child.bit_generator.state for child in rng.children])
+    assert len(streams[0]) == steps and ends[0] == ends[1]
+    # two fresh generators of one seed give one stream
+    streams.append(list(domains.batches(np.random.default_rng(13), steps, n)))
+    # each step is sample_domain's arithmetic on one draw per purpose from
+    # the children: labels, features, then each noisy domain's noise
+    label_rng, x_rng, *noise_rngs = np.random.default_rng(13).spawn(5)
+    for step, batches in enumerate(zip(*streams, strict=True)):
+        (x, y), *others = batches
         assert x.shape == (3 * n, 6, 1, 1) and y.shape == (3 * n,)
-        for d in range(3):
-            xd, yd = domains.sample_domain(seq_rng, d, n)
-            assert np.array_equal(x[d * n : (d + 1) * n], xd)
-            assert np.array_equal(y[d * n : (d + 1) * n], yd)
-    assert slab_rng.bit_generator.state == seq_rng.bit_generator.state
+        for xo, yo in others:
+            assert np.array_equal(x, xo) and np.array_equal(y, yo), step
+        labels = label_rng.integers(0, 5, size=(3, n))
+        z = x_rng.standard_normal((3, n, 6))
+        assert np.array_equal(y, labels.reshape(-1))
+        for d, t in enumerate(domains.transforms):
+            noise = noise_rngs[d].standard_normal((n, 6)) if t.noise > 0 else None
+            want = t.transform(base.means[labels[d]] + base.noise * z[d], noise)
+            assert np.array_equal(x[d * n : (d + 1) * n, :, 0, 0], want), step
 
 
 def test_make_clustered_data_shares_latent_within_cluster():
