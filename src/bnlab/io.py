@@ -5,8 +5,9 @@ format, one metric observation per row), ``summary.json``, and the
 ``stats.json`` / ``params.json`` checkpoints.  All writes are atomic
 (temp file + rename) and byte-deterministic for a fixed seed: floats are
 serialized with ``repr`` so the shortest round-trippable decimal is used.
-Each JSON payload is encoded once, by ``encode_json``; JSON has no NaN or
-infinity, so a payload holding one is refused.
+Each JSON payload is encoded once, by ``encode_json``, one value per line so
+that a line diff of two runs names each value that moved; JSON has no NaN
+or infinity, so a payload holding one is refused.
 """
 
 import csv
@@ -167,20 +168,14 @@ def _atomic_write(path, writer):
         raise
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_metrics_csv(path, rows):
-    """Rows are (run_id, scenario, step, split, stats_mode, metric, value)."""
+    """Rows are (run_id, scenario, step, split, stats_mode, metric, value);
+    the csv module writes a float as its ``repr``."""
 
     def writer(fh):
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(METRICS_HEADER)
-        for row in rows:
-            out.writerow([_fmt(v) for v in row])
+        out.writerows(rows)
 
     _atomic_write(path, writer)
 
@@ -198,49 +193,15 @@ def _nonfinite_key(obj, key=""):
     return next(filter(None, (_nonfinite_key(v, k) for k, v in items)), None)
 
 
-# the C one-shot encoder: a scalar, or a list with ", " between its items
-_encode = json.JSONEncoder(allow_nan=False).encode
-
-
-def _indented(obj, indent):
-    """The text of ``obj`` at nesting ``indent`` as ``json.dumps(indent=2,
-    sort_keys=True, allow_nan=False)`` writes it.  Python visits only the
-    containers: a list of numbers is one C call, whose ``", "``
-    separators become line breaks."""
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if set(map(type, obj)) != {str}:
-            # json.dumps sorts and writes other keys its own way; no string
-            # it writes holds a raw newline
-            return json.dumps(obj, indent=2, sort_keys=True,
-                              allow_nan=False).replace("\n", "\n" + indent)
-        brackets = "{}"
-        items = [f"{_encode(k)}: {_indented(v, inner)}"
-                 for k, v in sorted(obj.items())]
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        brackets, text = "[]", _encode(obj)
-        if '"' in text or "[" in text[1:] or "{" in text[1:]:
-            items = [_indented(v, inner) for v in obj]  # strings or containers
-        else:
-            items = text[1:-1].split(", ")
-    else:
-        return _encode(obj)
-    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
-            + f"\n{indent}{brackets[1]}")
-
-
 def encode_json(path, payload):
-    """The JSON text of ``payload`` for ``path``: the bytes of
-    ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)`` and a
-    newline, so every float (np.float64 too) is ``float.__repr__``.  The
-    tests check those bytes against ``json.dumps``.  Raises BnLabError
-    naming ``path`` and the key path of the first NaN or infinity."""
+    """The JSON text of ``payload`` for ``path``, from one call of json's C
+    encoder: keys sorted, each dict or list item after a container's first
+    on a line of its own, unindented, and a final newline; every float
+    (np.float64 too) is ``float.__repr__``.  Raises BnLabError naming
+    ``path`` and the key path of the first NaN or infinity."""
     try:
-        return _indented(payload, "") + "\n"
+        return json.dumps(payload, sort_keys=True, allow_nan=False,
+                          separators=(",\n", ": ")) + "\n"
     except ValueError:
         key = _nonfinite_key(payload).lstrip(".")
         raise BnLabError(f"{path}: non-finite value at {key}; not written") from None

@@ -108,10 +108,11 @@ def read_moments_csv(text):
     for line in reader:
         if not line:
             continue
-        try:
-            idx, chan, count = int(line[0]), int(line[1]), int(line[4])
-            mean, var = float(line[2]), float(line[3])
-        except (ValueError, IndexError) as exc:
+        try:  # a row of other than 5 fields fails to unpack: ValueError
+            idx, chan, mean, var, count = line
+            idx, chan, count = int(idx), int(chan), int(count)
+            mean, var = float(mean), float(var)
+        except ValueError as exc:
             raise MalformedCsv(f"bad row {line!r}") from exc
         if not (np.isfinite(mean) and np.isfinite(var)) or var < 0 or count < 1:
             raise MalformedCsv(f"bad row {line!r}: mean and var must be finite, "

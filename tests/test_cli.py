@@ -404,6 +404,16 @@ def test_estimate_rejects_non_finite_and_empty_rows(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: estimate is not finite\n")
 
 
+def test_estimate_rejects_rows_of_the_wrong_width(tmp_path, capsys):
+    p = tmp_path / "moments.csv"
+    for row in ("0,0,1.0,2.0", "0,0,1.0,2.0,4,junk"):
+        p.write_text(f"batch_index,channel,mean,var,count\n{row}\n")
+        assert main(["estimate", "--input", str(p), "--method", "precise"]) == 2
+        out, err = capsys.readouterr()
+        fields = row.split(",")
+        assert (out, err) == ("", f"error: bad row {fields!r}\n")
+
+
 def test_estimate_rejects_repeated_and_inconsistent_rows(tmp_path, capsys):
     p = tmp_path / "moments.csv"
     for rows, message in (("0,0,1.0,1.0,4\n0,1,2.0,1.0,4\n0,0,5.0,1.0,4",

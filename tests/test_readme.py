@@ -1,12 +1,14 @@
 """README's quoted outputs against the code: the ``bnlab estimate``
 example's JSON, byte for byte, the ``bnlab check-grad`` listing's
-component names and statuses (its error figures are not checked), and the
-table of pinned Python calls in "How cohorts run"."""
+component names and statuses (its error figures are not checked), the
+table of pinned Python calls in "How cohorts run", and the JSON artifact
+examples of "File formats" in ``io.encode_json``'s layout."""
 
+import json
 import re
 from pathlib import Path
 
-from bnlab import cli
+from bnlab import cli, io
 from bnlab.gradcheck import TOLERANCE, run_full_suite
 from test_step_calls import CALLS_PER_PASS, CALLS_PER_SLAB, CALLS_PER_STEP
 
@@ -14,10 +16,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _section(title):
-    """The fenced blocks of README's ``### title`` section: [(language,
-    body)], in order."""
+    """The fenced blocks of README's ``## title`` or ``### title`` section:
+    [(language, body)], in order."""
     text = README.read_text(encoding="utf-8")
-    body = re.search(rf"^### {re.escape(title)}\n(.*?)(?=^##)", text,
+    body = re.search(rf"^###? {re.escape(title)}\n(.*?)(?=^##|\Z)", text,
                      re.MULTILINE | re.DOTALL).group(1)
     return re.findall(r"^```(\w*)\n(.*?)^```", body, re.MULTILINE | re.DOTALL)
 
@@ -53,3 +55,10 @@ def test_the_calls_table_quotes_every_pin():
     assert len(quoted) == len(dict(quoted))  # each case quoted once
     assert {name: int(calls) for name, calls in quoted} == \
         {**CALLS_PER_STEP, **CALLS_PER_PASS, **CALLS_PER_SLAB}
+
+
+def test_the_file_formats_json_examples_are_encode_json_bytes():
+    blocks = [body for lang, body in _section("File formats") if lang == "json"]
+    assert len(blocks) == 3  # summary.json, stats.json, params.json
+    for body in blocks:
+        assert body == io.encode_json("example.json", json.loads(body))

@@ -7,8 +7,9 @@ layer frozen, and ``SharedHeadNet.train_step``; and ``sgd_step`` on the
 ``Network`` that is to replace ``SharedHeadNet``, in each of its arms.
 Forward-only passes have their own cases: population-mode
 ``classification_error``, ``precise_bn`` and ``precise_bn_layerwise``.  One
-case guards the draw of a slab of ``shared_head``'s training stream, and a
-last one the calls of encoding a run's parameter checkpoint."""
+case guards the draw of a slab of ``shared_head``'s training stream, and
+the last two the calls of encoding a run's parameter checkpoint and of
+writing its ``metrics.csv``."""
 
 import cProfile
 import functools
@@ -288,10 +289,12 @@ def _check(what, count, bound):
                       "without a regression"))
 
 
-# Calls to encode ema_vs_precise's params.json payload (7,568 floats): 183
-# on MEASURED_ON.  Until the encoder ran each list of numbers as one C call
-# it made 60,951, a Python call per number and more.
-PARAMS_ENCODE_CALLS = 300
+# Calls to encode ema_vs_precise's params.json payload (7,568 floats): 9 on
+# MEASURED_ON, one json.dumps call in the C encoder.  At 7244e77, which
+# walked the containers in Python for an indented layout and ran each list
+# of numbers as one C call, it made 183; before that, 60,951, a Python call
+# per number and more.
+PARAMS_ENCODE_CALLS = 9
 
 
 def test_python_calls_to_encode_a_params_checkpoint():
@@ -306,4 +309,27 @@ def test_python_calls_to_encode_a_params_checkpoint():
     io.encode_json("params.json", payload)
     profile.disable()
     _check("params.json: Python calls to encode it", _calls(profile),
-           PARAMS_ENCODE_CALLS)
+           PARAMS_ENCODE_CALLS + SLACK)
+
+
+# Calls to write a metrics.csv of 20 or of 200 rows, the temp file and its
+# rename included: 112 on MEASURED_ON for either, since csv.writer takes the
+# rows as they are.  At 7244e77, which formatted each value in Python, 20
+# rows made 451 calls and 200 rows 3,511.
+METRICS_WRITE_CALLS = 112
+
+
+def test_python_calls_to_write_metrics_do_not_grow_with_rows(tmp_path):
+    path = str(tmp_path / "metrics.csv")
+    io.write_metrics_csv(path, [])  # the first write imports and caches
+    counts = []
+    for n in (20, 200):
+        rows = [("r", "s", i, "val", "ema", "error", i / 7) for i in range(n)]
+        profile = cProfile.Profile()
+        profile.enable()
+        io.write_metrics_csv(path, rows)
+        profile.disable()
+        counts.append(_calls(profile))
+        _check(f"metrics.csv of {n} rows: Python calls to write it",
+               counts[-1], METRICS_WRITE_CALLS + SLACK)
+    assert abs(counts[1] - counts[0]) <= SLACK, counts
