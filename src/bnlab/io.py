@@ -198,13 +198,14 @@ def encode_json(path, payload):
     encoder: keys sorted, each dict or list item after a container's first
     on a line of its own, unindented, and a final newline; every float
     (np.float64 too) is ``float.__repr__``.  Raises BnLabError naming
-    ``path`` and the key path of the first NaN or infinity."""
+    ``path`` and the first NaN's or infinity's key path, or a cycle."""
     try:
         return json.dumps(payload, sort_keys=True, allow_nan=False,
                           separators=(",\n", ": ")) + "\n"
-    except ValueError:
-        key = _nonfinite_key(payload).lstrip(".")
-        raise BnLabError(f"{path}: non-finite value at {key}; not written") from None
+    except ValueError as exc:  # a NaN or infinity, or a payload that holds itself
+        what = ("a circular reference" if "Circular" in str(exc) else
+                f"non-finite value at {_nonfinite_key(payload).lstrip('.')}")
+        raise BnLabError(f"{path}: {what}; not written") from None
 
 
 def write_json(path, text):

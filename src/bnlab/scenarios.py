@@ -17,6 +17,8 @@ value), a summary dict, and checkpoint payloads.
 
 import copy
 import os
+import pickle
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,25 +115,20 @@ _in_fan_out = False  # set while this process, or the one it forked from, runs i
 
 def fan_out(fn, items):
     """``[fn(item) for item in items]`` over k processes: this one runs
-    ``items[0::k]`` and a forked worker each ``items[j::k]``; only results
-    are pickled.  At one BLAS thread per process (``blas_threads``) and two
-    or more usable cores, k = min(len(items), 4 x cores): one process per
-    item, time-sliced by the kernel, so n equal items end after about
+    ``items[0::k]`` and a bare ``os.fork`` worker each ``items[j::k]``,
+    sending one pickle down its own pipe.  At one BLAS thread per process
+    (``blas_threads``) and two or more usable cores, k = min(len(items),
+    4 x cores), time-sliced by the kernel: n equal items end after about
     n / cores item times; at t >= 2 threads, k = min(len(items), cores // t).
-    A call made inside an item, here or in a worker, runs serially, as does
-    k < 2.  The first failing item's exception is raised, as serially; a
-    worker that ends without a result is a BnLabError naming its first
-    item."""
+    A call made inside an item runs serially, as does k < 2.  The first
+    failing item's exception is raised, as serially; a worker that sends no
+    result is a BnLabError naming its first item and its exit code."""
     global _in_fan_out
     items, workers = list(items), []
-    try:
-        cores, threads = len(os.sched_getaffinity(0)), blas_threads()
-        k = 4 * cores if threads == 1 and cores >= 2 else cores // threads
-        k = 1 if _in_fan_out else max(1, min(len(items), k))
-        import multiprocessing  # not at bnlab import, where it costs ~17 ms
-        context = multiprocessing.get_context("fork")
-    except (AttributeError, ValueError):  # no affinity call or no fork
-        k = 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    threads = blas_threads()
+    k = 4 * cores if threads == 1 and cores >= 2 else cores // threads
+    k = 1 if _in_fan_out or not hasattr(os, "fork") else max(1, min(len(items), k))
 
     def share(j):  # (result, None) per item, up to the first that raises
         out = []
@@ -143,30 +140,41 @@ def fan_out(fn, items):
         return out
 
     nested, _in_fan_out = _in_fan_out, True  # a worker inherits the flag
+    print(end="", flush=True)  # else each worker prints this one's buffer again
     try:
         for j in range(1, k):
-            receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=lambda j=j, send=send: send.send(share(j)))
-            worker.start()
-            workers.append((worker, receive))
-            send.close()
-        shares = [share(0)]
-        for j, (worker, receive) in enumerate(workers, 1):
-            try:
-                shares.append(receive.recv())
-            except EOFError:
-                worker.join()
-                shares.append([(None, BnLabError(
-                    f"fan_out item {j} ({items[j]!r}) ended without a result: "
-                    f"its worker exited with code {worker.exitcode}"))])
+            receive, send = os.pipe()
+            if (pid := os.fork()) == 0:  # the worker, which never returns
+                try:  # pickled whole first, so a failed pickle writes nothing
+                    with open(send, "wb") as pipe:
+                        pipe.write(pickle.dumps(share(j), pickle.HIGHEST_PROTOCOL))
+                    print(end="", flush=True)
+                    os._exit(0)
+                except Exception:
+                    sys.excepthook(*sys.exc_info())
+                    print(end="", flush=True)
+                finally:
+                    os._exit(1)
+            os.close(send)
+            workers.append((pid, open(receive, "rb")))
+        shares = [share(0)] + [pipe.read() for _, pipe in workers]
     except BaseException:
-        for worker, _ in workers:
-            worker.terminate()
+        import signal  # only here, where the workers are ended early
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:  # every worker has ended before this returns or raises
         _in_fan_out = nested
-        for worker, _ in workers:
-            worker.join()
+        for _, pipe in workers:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(p, 0)[1]) for p, _ in workers]
+    for j in range(1, k):
+        try:
+            shares[j] = pickle.loads(shares[j])
+        except (EOFError, pickle.UnpicklingError):  # empty, or cut short
+            shares[j] = [(None, BnLabError(
+                f"fan_out item {j} ({items[j]!r}) ended without a result: "
+                f"its worker exited with code {codes[j - 1]}"))]
     # in item order, a share's failure comes before the items it left out
     for i in range(len(items)):
         items[i], error = shares[i % k][i // k]

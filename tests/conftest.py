@@ -34,6 +34,13 @@ _hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_hypothesis_home.name)
 
 
+def assert_no_child_left():
+    """This process has no child left, running or ended and unreaped: a
+    check that every ``fan_out`` worker was waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def read_metrics():
     """A reader of ``metrics.csv`` files: checks the header and returns the

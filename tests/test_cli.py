@@ -4,7 +4,6 @@ import contextlib
 import csv
 import io
 import json
-import multiprocessing
 import os
 import tempfile
 import warnings
@@ -21,7 +20,7 @@ from bnlab.layer import BnLayer
 from bnlab.net import Affine, Linear, MeanPool, Relu
 from bnlab.scenarios import SCENARIOS, ScenarioRun
 from bnlab.tensor import channel_moments
-from conftest import drawn
+from conftest import assert_no_child_left, drawn
 
 # the README's smoke-size example
 QUICK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "domain_adapt_quick.json"
@@ -277,7 +276,7 @@ def test_run_finite_divergence_exits_1_naming_the_step(tmp_path, capsys,
         assert "error: training diverged at step 2: loss " in err
         assert "is not <= 1000" in err
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         lines.append(err.splitlines()[0])
     assert lines[0] == lines[1]
 

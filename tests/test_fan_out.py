@@ -3,10 +3,12 @@ workers or serially, with the serial loop's first exception; and the three
 runners that use it write the same bytes either way."""
 
 import json
-import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from bnlab.cli import main
 from bnlab.errors import BnLabError, Diverged
 from bnlab.scenarios import fan_out
 
+from conftest import assert_no_child_left
 from test_scenarios import TINY, tiny_config
 from test_shared_head import _row_by_row
 
@@ -34,7 +37,7 @@ def cores(monkeypatch):
 @pytest.fixture(autouse=True)
 def no_child_left():
     yield
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -131,6 +134,39 @@ def test_a_worker_killed_mid_item_is_a_bnlab_error(cores):
                                          r"a result: its worker exited with "
                                          r"code -9$"):
         fan_out(fn, ["a", "b", "c"])
+
+
+@pytest.mark.parametrize("fn", [
+    lambda i: lambda: i,  # a lambda does not pickle
+    lambda i: sys.exit(1) if i == "b" else i,
+], ids=["unpicklable_result", "system_exit"])
+def test_a_worker_that_sends_nothing_is_a_bnlab_error(cores, fn):
+    cores(2)
+    with pytest.raises(BnLabError, match=r"^fan_out item 1 \('b'\) ended without "
+                                         r"a result: its worker exited with "
+                                         r"code 1$"):
+        fan_out(fn, ["a", "b"])
+
+
+def test_forking_imports_no_multiprocessing():
+    # three items on two cores, in a fresh interpreter whose stdout is a
+    # buffered pipe: three processes, and each line printed once, the
+    # workers' too
+    code = ("import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from bnlab.scenarios import fan_out\n"
+            "print('before')\n"
+            "pids = fan_out(lambda i: print(f'item {i}') or os.getpid(), range(3))\n"
+            "assert len(set(pids)) == 3\n"
+            "print('multiprocessing' in sys.modules)\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = str(Path(scenarios.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert sorted(lines[:-1]) == ["before", "item 0", "item 1", "item 2"]
+    assert lines[-1] == "False"
 
 
 def test_an_earlier_failure_wins_over_a_killed_worker(cores):

@@ -271,3 +271,26 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
     assert leftovers == []
 
+    # nor does a writer that fails midway, which leaves the old file as it was
+    def writer(fh):
+        fh.write("half a ro")
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        io._atomic_write(str(p), writer)
+    assert os.listdir(tmp_path) == ["metrics.csv"]
+    assert p.read_text() == ",".join(io.METRICS_HEADER) + "\n"
+
+
+def test_encode_json_names_a_payload_that_holds_itself():
+    payload = {"curve": [1.0]}
+    payload["curve"].append(payload)
+    with pytest.raises(BnLabError, match=r"^out/s.json: a circular reference; "
+                                         r"not written$"):
+        io.encode_json("out/s.json", payload)
+    # a NaN before the cycle in file order is still the one named
+    payload["a"] = float("nan")
+    with pytest.raises(BnLabError, match=r"^out/s.json: non-finite value at a; "
+                                         r"not written$"):
+        io.encode_json("out/s.json", payload)
+

@@ -15,7 +15,6 @@ guard bounds what they hold.
 """
 
 import json
-import multiprocessing
 import os
 import tracemalloc
 from collections import namedtuple
@@ -34,6 +33,7 @@ from bnlab.scenarios import (
     shared_head_data,
 )
 from bnlab.tensor import ChannelStats
+from conftest import assert_no_child_left
 from test_grouped import assert_shared_head_as_the_loop
 from test_scenarios import tiny_config
 
@@ -198,4 +198,4 @@ def test_divergence_names_the_pair(monkeypatch, lr, policies, named, cores):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(Diverged, match=rf"training diverged at step {named}$"):
         run_shared_head(cfg, 0)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()

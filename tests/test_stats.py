@@ -152,6 +152,15 @@ def test_moment_log_csv_roundtrip(moments_csv):
         assert a.count == b.count
 
 
+def test_moment_log_skips_blank_rows():
+    text = ("batch_index,channel,mean,var,count\n0,0,1.0,2.0,4\n\n"
+            "0,1,3.0,4.0,4\n\n")
+    (entry,) = read_moments_csv(text)
+    np.testing.assert_array_equal(entry.mean, [1.0, 3.0])
+    np.testing.assert_array_equal(entry.var, [2.0, 4.0])
+    assert entry.count == 4
+
+
 def _mixed_log(rng, channels=3):
     """A log of (C,) entries and (G, C) cohort stacks: mini-batches of 4,
     3 x 4 (one stack), 2, 2 x 4 (one stack) and a ragged 1 rows, each row
