@@ -11,7 +11,7 @@ import numpy as np
 from . import io
 from .errors import BnLabError, ConfigError, MalformedCsv, UnknownScenario
 from .gradcheck import TOLERANCE, run_full_suite
-from .scenarios import SCENARIOS, check_ranges
+from .scenarios import SCENARIOS
 from .stats import (
     aggregate_moment_matching,
     aggregate_naive,
@@ -63,13 +63,10 @@ def _load_scenario_config(name, path):
             f"unknown scenario {name!r}; valid scenarios: "
             f"{', '.join(sorted(SCENARIOS))}"
         )
-    _, defaults = SCENARIOS[name]
+    _, table = SCENARIOS[name]
     if path is None:
-        cfg = io.validate_config(defaults, {})
-    else:
-        cfg = io.load_config(path, defaults)
-    check_ranges(cfg)
-    return cfg
+        return io.validate_config(table, {})
+    return io.load_config(path, table)
 
 
 def cmd_run(args):

@@ -22,7 +22,7 @@ from .errors import BnLabError, ConfigError
 __all__ = [
     "load_config",
     "validate_config",
-    "Range",
+    "ConfigTable",
     "write_metrics_csv",
     "encode_json",
     "write_json",
@@ -33,114 +33,91 @@ METRICS_HEADER = ["run_id", "scenario", "step", "split", "stats_mode",
                   "metric", "value"]
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _entries(key, value):
+    """(key path, entry) of each entry of a list or of a mapping of names;
+    of anything else, the value itself."""
+    if isinstance(value, dict):
+        return [(f"{key}.{name}", v) for name, v in value.items()]
+    if isinstance(value, list):
+        return [(f"{key}[{i}]", v) for i, v in enumerate(value)]
+    return [(key, value)]
 
 
-def _check_number(default, value, key):
-    """A number key takes a finite number (json.load accepts NaN and
-    Infinity), and an int default's key an int >= 0."""
-    if not _is_number(value):
-        raise ConfigError(f"{key} must be a number")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite")
-    if isinstance(default, int) and not (isinstance(value, int) and value >= 0):
-        raise ConfigError(f"{key} must be an integer >= 0")
+class ConfigTable(dict):
+    """A scenario's config defaults, from ``keys``: each key's default and
+    range, ``(default, *bounds)``, or a bare default.  Of ``rules``, the
+    cross-key rows of ``validate_config``, it keeps those whose keys it has."""
+
+    def __init__(self, keys, rules):
+        keys = {k: e if isinstance(e, tuple) else (e,) for k, e in keys.items()}
+        super().__init__((k, e[0]) for k, e in keys.items())
+        self.bounds = {k: e[1:] for k, e in keys.items()}
+        self.rules = [rule for rule in rules if set(rule[0]) <= set(keys)]
 
 
-class Range:
-    """A config key's values: a number, or each number of a list, meets
-    every bound (``">= 1"``, ``"< 1"``), and a list or mapping holds at least
-    ``min_len`` entries; ``check(key, value)`` raises ConfigError if not."""
-
-    OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
-
-    def __init__(self, *bounds, min_len=0):
-        self.bounds, self.min_len = bounds, min_len
-
-    def check(self, key, value):
-        if isinstance(value, (list, dict)):
-            if len(value) < self.min_len:
-                raise ConfigError(f"{key} must be of length >= {self.min_len}")
-            if isinstance(value, list):  # a mapping's keys are names
-                for i, v in enumerate(value):
-                    self.check(f"{key}[{i}]", v)
-        elif _is_number(value) and not all(
-                self.OPS[op](value, float(bound))
-                for op, bound in map(str.split, self.bounds)):
-            raise ConfigError(f"{key} must be {' and '.join(self.bounds)}")
+_OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 
-def _holds_specs(default):
-    """Whether ``default`` is a list of specs (mappings) or a mapping of
-    user-chosen names to specs, as ``domains`` and ``corruptions`` are."""
-    entries = default.values() if isinstance(default, dict) else default
-    return isinstance(default, (dict, list)) and bool(default) and all(
-        isinstance(entry, dict) for entry in entries)
+def _check(default, value, key, bounds=()):
+    """Raise ConfigError naming ``key`` unless ``value`` takes the type of
+    ``default`` and meets ``bounds``: a finite number (json.load reads NaN),
+    an int >= 0 for an int default; a non-empty list or mapping of names
+    whose entries each take the first default entry's type and the bounds
+    (``"distinct"``: no entry twice); or a spec, a mapping of other values,
+    with each key of the default (any further key is the user's own)."""
+    if isinstance(default, bool) and not isinstance(value, bool):
+        raise ConfigError(f"{key} must be a boolean")
+    if type(default) in (int, float):
+        if type(value) not in (int, float):
+            raise ConfigError(f"{key} must be a number")
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite")
+        if type(default) is int and not (type(value) is int and value >= 0):
+            raise ConfigError(f"{key} must be an integer >= 0")
+        if not all(_OPS[op](value, float(b)) for op, b in map(str.split, bounds)):
+            raise ConfigError(f"{key} must be {' and '.join(bounds)}")
+    if not isinstance(default, (list, dict)):
+        return
+    if not isinstance(value, type(default)):
+        kind = "list" if isinstance(default, list) else "mapping"
+        raise ConfigError(f"{key} must be a {kind}")
+    if isinstance(default, dict) and not all(
+            isinstance(v, dict) for v in default.values()):  # a spec
+        for k, d in default.items():  # a key it leaves out is None: refused
+            _check(d, value.get(k), f"{key}.{k}")
+        return
+    if not value:
+        raise ConfigError(f"{key} must be of length >= 1")
+    first = _entries(key, default)[0][1]
+    for i, (at, v) in enumerate(_entries(key, value)):
+        _check(first, v, at, [b for b in bounds if b != "distinct"])
+        if "distinct" in bounds and v in value[:i]:
+            raise ConfigError(f"{at} must be distinct from {key}[{value.index(v)}] "
+                              f"(both run as {v})")
 
 
-def _check_specs(default, value, key):
-    """Each spec of ``value`` gives every key of the default's first spec,
-    each of that spec's type (``corruptions.x.shift must be a number``).
-    Like a spec's name, any further key is the user's own."""
-    if isinstance(default, dict):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{key} must be a mapping")
-        template = next(iter(default.values()))
-        specs = ((f"{key}.{name}", spec) for name, spec in value.items())
-    else:
-        if not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list")
-        template = default[0]
-        specs = ((f"{key}[{i}]", spec) for i, spec in enumerate(value))
-    for where, spec in specs:
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{where} must be a mapping")
-        # a key the spec leaves out is checked as None, so it is refused
-        _merge_validate(template, {k: spec.get(k) for k in template}, f"{where}.")
-
-
-def _merge_validate(defaults, overrides, path=""):
+def validate_config(table, overrides):
+    """Merge user overrides onto a scenario's ConfigTable in one walk: each
+    value's type and range, then each rule ``(keys, broken, message)`` on
+    every entry ``v`` of its first key.  The first value that fails raises
+    ConfigError, with ``message`` given its key path ``at``, ``v`` and cfg."""
     if not isinstance(overrides, dict):
-        raise ConfigError(f"expected a mapping at {path or 'top level'}")
-    merged = {}
-    for key, default in defaults.items():
-        if key in overrides:
-            value = overrides[key]
-            if _holds_specs(default):
-                _check_specs(default, value, f"{path}{key}")
-            elif isinstance(default, dict):
-                value = _merge_validate(default, value, f"{path}{key}.")
-            elif isinstance(default, bool):
-                if not isinstance(value, bool):
-                    raise ConfigError(f"{path}{key} must be a boolean")
-            elif _is_number(default):
-                _check_number(default, value, f"{path}{key}")
-            elif isinstance(default, list):
-                if not isinstance(value, list):
-                    raise ConfigError(f"{path}{key} must be a list")
-                # elements follow the rule of the default's first element
-                if default and all(map(_is_number, default)):
-                    for i, v in enumerate(value):
-                        _check_number(default[0], v, f"{path}{key}[{i}]")
-            merged[key] = value
-        else:
-            merged[key] = default
-    unknown = sorted(set(overrides) - set(defaults))
+        raise ConfigError("expected a mapping at top level")
+    unknown = sorted(set(overrides) - set(table))
     if unknown:
-        raise ConfigError(
-            f"unknown config key(s) {unknown} at {path or 'top level'}; "
-            f"valid keys: {sorted(defaults)}"
-        )
-    return merged
+        raise ConfigError(f"unknown config key(s) {unknown} at top level; "
+                          f"valid keys: {sorted(table)}")
+    for key, value in overrides.items():
+        _check(table[key], value, key, table.bounds[key])
+    cfg = {**table, **overrides}
+    for keys, broken, message in table.rules:
+        for at, v in _entries(keys[0], cfg[keys[0]]):
+            if broken(v, cfg):
+                raise ConfigError(message.format_map({**cfg, "at": at, "v": v}))
+    return cfg
 
 
-def validate_config(defaults, overrides):
-    """Merge user overrides onto scenario defaults, rejecting unknown keys."""
-    return _merge_validate(defaults, overrides or {})
-
-
-def load_config(path, defaults):
+def load_config(path, table):
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -148,7 +125,7 @@ def load_config(path, defaults):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return validate_config(defaults, raw)
+    return validate_config(table, raw)
 
 
 def _atomic_write(path, writer):

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import blas_threads
 from .batching import NormBatchPlan
-from .errors import BnLabError, ConfigError, InvalidParams, ShapeMismatch
-from .io import Range
+from .errors import BnLabError, DegenerateBatch, InvalidParams, ShapeMismatch
+from .io import ConfigTable
 from .layer import BnLayer, batch_stats_backward, batch_stats_forward
 from .net import (
     LOSS_BOUND,
@@ -54,7 +54,7 @@ from .synthetic import (
 )
 from .tensor import channel_moments, normalize
 
-__all__ = ["ScenarioRun", "SCENARIOS", "RANGES", "check_ranges"]
+__all__ = ["ScenarioRun", "SCENARIOS", "RULES"]
 
 
 @dataclass
@@ -247,59 +247,94 @@ def uniform_batches(x, y):
     return sample
 
 
-# each config key's Range, declared beside the defaults that introduce it
-_COUNT, _SCALE, _LIST = Range(">= 1"), Range(">= 0"), Range(">= 1", min_len=1)
-_POSITIVE, _MOMENTUM = Range("> 0"), Range(">= 0", "< 1")
+SHARED, PER_DOMAIN = "shared", "per_domain"  # a shared_head policy row's choices
 
-# training defaults shared by the Gaussian-task and spatial-task scenarios
+# The cross-key config rules (see io.validate_config); a rule holds in each
+# scenario whose table has all of the keys it reads.
+RULES = [
+    (("policies",), lambda policy, cfg: len(policy) != 3 or not all(
+        p in (SHARED, PER_DOMAIN) for p in policy),
+     "{at} must be three of 'shared', 'per_domain'"),
+    # a spec's noise is a standard deviation, as the top-level noise is
+    (("corruptions",), lambda spec, cfg: spec["noise"] < 0, "{at}.noise must be >= 0"),
+    (("domains",), lambda spec, cfg: spec["noise"] < 0, "{at}.noise must be >= 0"),
+    # frozen_finetune trains in ghost cohorts of nbs rows, all of one size
+    (("nbs", "batch_size"), lambda nbs, cfg: cfg["batch_size"] % nbs,
+     "nbs must be a divisor of batch_size ({batch_size}), got {v}"),
+    # nbs_sweep trains, and evaluates its train and val rows, in nbs cohorts
+    (("nbs_list", "batch_size", "train_eval_size", "val_size"), lambda nbs, cfg: any(
+        cfg[k] % nbs for k in ("batch_size", "train_eval_size", "val_size")),
+     "{at} must be a divisor of batch_size, train_eval_size and val_size"),
+    # ema_vs_precise runs each (distinct) entry capped at precise_n: two at
+    # or above it would rerun one pass and repeat its metrics.csv keys
+    (("precise_b_sweep", "precise_n"), lambda b, cfg: b >= cfg["precise_n"]
+     and b != next(e for e in cfg["precise_b_sweep"] if e >= cfg["precise_n"]),
+     "{at} must be distinct from each entry before it once capped at precise_n "
+     "({precise_n})"),
+    # every cut of the training rows fits in them: train_eval_size and
+    # precise_n rows from the front, and two disjoint subsets of each
+    # subset_sizes entry.  leakage draws groups_per_batch distinct clusters
+    # per batch, and its rows are its clusters' copies
+    (("groups_per_batch", "train_clusters"), lambda g, cfg: g > cfg["train_clusters"],
+     "groups_per_batch must be <= train_clusters ({train_clusters}), got {v}"),
+    (("train_eval_size", "train_size"), lambda n, cfg: n > cfg["train_size"],
+     "train_eval_size must be <= train_size ({train_size}), got {v}"),
+    (("precise_n", "train_size"), lambda n, cfg: n > cfg["train_size"],
+     "precise_n must be <= train_size ({train_size}), got {v}"),
+    (("subset_sizes", "train_size"), lambda n, cfg: 2 * n > cfg["train_size"],
+     "{at} must be at most half of train_size ({train_size}), got {v}"),
+    (("precise_n", "train_clusters", "copies_per_group"),
+     lambda n, cfg: n > cfg["train_clusters"] * cfg["copies_per_group"],
+     "precise_n must be <= train_clusters * copies_per_group ({train_clusters} "
+     "* {copies_per_group}), got {v}"),
+]
+
+# Each config key's default and range (see io.ConfigTable), in blocks that
+# the scenarios' tables share, first the training keys of the Gaussian-task
+# and spatial-task scenarios.  A sweep's entries are "distinct": a repeated
+# one reruns an arm and repeats its metrics.csv keys.
 _TRAINING = {
-    "train_size": 4096,
-    "val_size": 1024,
-    "hidden": [64, 64],
-    "lr": 0.05,
-    "sgd_momentum": 0.9,
-    "batch_size": 32,
-    "precise_n": 1024,
+    "train_size": (4096, ">= 1"),
+    "val_size": (1024, ">= 1"),
+    "hidden": ([64, 64], ">= 1"),
+    "lr": (0.05, "> 0"),
+    "sgd_momentum": (0.9, ">= 0", "< 1"),
+    "batch_size": (32, ">= 1"),
+    "precise_n": (1024, ">= 1"),
 }
-RANGES = dict(train_size=_COUNT, val_size=_COUNT, hidden=_LIST, lr=_POSITIVE,
-              sgd_momentum=_MOMENTUM, batch_size=_COUNT, precise_n=_COUNT)
 _GAUSSIAN_TASK = {
-    "classes": 16,
-    "dim": 32,
-    "separation": 3.0,
-    "noise": 1.0,
+    "classes": (16, ">= 1"),
+    "dim": (32, ">= 1"),
+    "separation": (3.0, ">= 0"),
+    "noise": (1.0, ">= 0"),
     **_TRAINING,
 }
-RANGES.update(classes=_COUNT, dim=_COUNT, separation=_SCALE, noise=_SCALE)
 _SPATIAL_TASK = {
-    "classes": 16,
-    "channels": 32,
-    "sites": 4,
-    "separation": 8.0,
-    "noise": 0.5,
-    "gain": 1.2,
-    "offset": 3.0,
+    "classes": (16, ">= 1"),
+    "channels": (32, ">= 1"),
+    "sites": (4, ">= 1"),
+    "separation": (8.0, ">= 0"),
+    "noise": (0.5, ">= 0"),
+    "gain": (1.2, ">= 0"),
+    "offset": (3.0, ">= 0"),
     **_TRAINING,
-    "steps": 800,
+    "steps": (800, ">= 1"),
 }
-RANGES.update(channels=_COUNT, sites=_COUNT, gain=_SCALE, offset=_SCALE, steps=_COUNT)
 
 
 # ---------------------------------------------------------------------------
 # EMA vs precise statistics
 # ---------------------------------------------------------------------------
 
-EMA_VS_PRECISE_DEFAULTS = {
+EMA_VS_PRECISE_DEFAULTS = ConfigTable({
     **_GAUSSIAN_TASK,
-    "ema_momentum": 0.999,
-    "steps": 300,
-    "eval_every": 50,
-    "precise_b_sweep": [2, 8, 32, 1024],
-    "subset_sizes": [32, 256, 2048],
-}
-# a one-row subset has zero variance: the stats gap of two would be 0/0
-RANGES.update(ema_momentum=_MOMENTUM, eval_every=_COUNT, precise_b_sweep=_LIST,
-              subset_sizes=Range(">= 2", min_len=1))
+    "ema_momentum": (0.999, ">= 0", "< 1"),
+    "steps": (300, ">= 1"),
+    "eval_every": (50, ">= 1"),
+    "precise_b_sweep": ([2, 8, 32, 1024], ">= 1", "distinct"),
+    # a one-row subset has zero variance: the stats gap of two would be 0/0
+    "subset_sizes": ([32, 256, 2048], ">= 2", "distinct"),
+}, RULES)
 
 
 def run_ema_vs_precise(cfg, seed):
@@ -353,9 +388,14 @@ def run_ema_vs_precise(cfg, seed):
         dists = []
         for i in s1:
             a, b = s1[i], s2[i]
-            dists.append(np.mean(np.abs(a.var - b.var) / (a.var + b.var)))
-            dists.append(np.mean(np.abs(a.mean - b.mean)
-                                 / np.sqrt((a.var + b.var) / 2)))
+            pooled = a.var + b.var
+            if not pooled.all():  # zero-variance data: each distance is 0/0
+                raise DegenerateBatch(
+                    f"subset_stats_gap at subset size {n_sub}: both estimates "
+                    f"of {net.layer_names()[i]} have zero variance in channel "
+                    f"{int(np.argmin(pooled))}; their relative distance is 0/0")
+            dists.append(np.mean(np.abs(a.var - b.var) / pooled))
+            dists.append(np.mean(np.abs(a.mean - b.mean) / np.sqrt(pooled / 2)))
         for metric, value in (("subset_error_gap", gap),
                               ("subset_stats_gap", float(np.mean(dists)))):
             run.log(run_id, cfg["steps"], "val", f"precise_n{n_sub}", metric,
@@ -369,12 +409,11 @@ def run_ema_vs_precise(cfg, seed):
 # Normalization-batch-size sweep
 # ---------------------------------------------------------------------------
 
-NBS_SWEEP_DEFAULTS = {
+NBS_SWEEP_DEFAULTS = ConfigTable({
     **_SPATIAL_TASK,
-    "nbs_list": [2, 8, 32],
-    "train_eval_size": 1024,
-}
-RANGES.update(nbs_list=_LIST, train_eval_size=_COUNT)
+    "nbs_list": ([2, 8, 32], ">= 1", "distinct"),
+    "train_eval_size": (1024, ">= 1"),
+}, RULES)
 
 
 def run_nbs_sweep(cfg, seed):
@@ -418,13 +457,12 @@ def run_nbs_sweep(cfg, seed):
 # FrozenBN fine-tuning
 # ---------------------------------------------------------------------------
 
-FROZEN_FINETUNE_DEFAULTS = {
+FROZEN_FINETUNE_DEFAULTS = ConfigTable({
     **_SPATIAL_TASK,
-    "nbs": 2,
-    "freeze_fraction": 0.8,
-    "warmup_steps": 40,
-}
-RANGES.update(nbs=_COUNT, freeze_fraction=Range(">= 0", "<= 1"), warmup_steps=_SCALE)
+    "nbs": (2, ">= 1"),
+    "freeze_fraction": (0.8, ">= 0", "<= 1"),
+    "warmup_steps": (40, ">= 0"),
+}, RULES)
 
 
 def run_frozen_finetune(cfg, seed):
@@ -471,16 +509,15 @@ def run_frozen_finetune(cfg, seed):
 # Domain adaptation of population statistics
 # ---------------------------------------------------------------------------
 
-DOMAIN_ADAPT_DEFAULTS = {
+DOMAIN_ADAPT_DEFAULTS = ConfigTable({
     **_GAUSSIAN_TASK,
-    "adapt_size": 1024,
-    "steps": 400,
+    "adapt_size": (1024, ">= 1"),
+    "steps": (400, ">= 1"),
     "corruptions": {
         "none": {"scale": 1.0, "shift": 0.0, "noise": 0.0},
         "strong": {"scale": 0.2, "shift": 3.0, "noise": 0.5},
     },
-}
-RANGES.update(adapt_size=_COUNT, corruptions=_LIST)
+}, RULES)
 
 
 def run_domain_adapt(cfg, seed):
@@ -512,23 +549,23 @@ def run_domain_adapt(cfg, seed):
 # Shared head across multi-scale domains
 # ---------------------------------------------------------------------------
 
-SHARED_HEAD_DEFAULTS = {
-    "classes": 16,
-    "dim": 32,
-    "separation": 6.0,
-    "noise": 0.8,
-    "hidden": 128,
+SHARED_HEAD_DEFAULTS = ConfigTable({
+    "classes": (16, ">= 1"),
+    "dim": (32, ">= 1"),
+    "separation": (6.0, ">= 0"),
+    "noise": (0.8, ">= 0"),
+    "hidden": (128, ">= 1"),
     "domains": [
         {"scale": 1.0, "shift": 0.0, "noise": 0.0, "mix": False},
         {"scale": 2.0, "shift": 1.0, "noise": 0.0, "mix": True},
         {"scale": 0.5, "shift": -1.0, "noise": 0.0, "mix": True},
     ],
-    "lr": 0.05,
-    "sgd_momentum": 0.9,
-    "steps": 1200,
-    "domain_batch": 16,
-    "val_per_domain": 512,
-    "eps": 1e-5,
+    "lr": (0.05, "> 0"),
+    "sgd_momentum": (0.9, ">= 0", "< 1"),
+    "steps": (1200, ">= 1"),
+    "domain_batch": (16, ">= 1"),
+    "val_per_domain": (512, ">= 1"),
+    "eps": (1e-5, "> 0"),
     "policies": [
         ["shared", "shared", "shared"],
         ["shared", "per_domain", "shared"],
@@ -537,10 +574,7 @@ SHARED_HEAD_DEFAULTS = {
         ["per_domain", "shared", "per_domain"],
         ["per_domain", "per_domain", "per_domain"],
     ],
-}
-RANGES.update(domains=_LIST, domain_batch=_COUNT, val_per_domain=_COUNT,
-              eps=_POSITIVE, policies=_LIST)
-SHARED, PER_DOMAIN = "shared", "per_domain"  # a policy row's choices
+}, RULES)
 
 
 class SharedHeadNet:
@@ -713,26 +747,24 @@ def run_shared_head(cfg, seed):
 # Information leakage with crafted batches
 # ---------------------------------------------------------------------------
 
-LEAKAGE_DEFAULTS = {
-    "classes": 16,
-    "dim": 32,
-    "separation": 4.0,
-    "noise": 0.8,
-    "latent_scale": 4.0,
-    "groups_per_batch": 16,
-    "copies_per_group": 2,
-    "train_clusters": 2048,
-    "val_clusters": 1024,
-    "hidden": [128, 128],
-    "lr": 0.1,
-    "sgd_momentum": 0.9,
-    "steps": 600,
-    "eval_window": 50,
-    "precise_n": 1024,
-}
-# shuffle_fix normalizes each half of a crafted batch: two rows at least
-RANGES.update(latent_scale=_SCALE, groups_per_batch=Range(">= 2"), eval_window=_COUNT,
-              copies_per_group=_COUNT, train_clusters=_COUNT, val_clusters=_COUNT)
+LEAKAGE_DEFAULTS = ConfigTable({
+    "classes": (16, ">= 1"),
+    "dim": (32, ">= 1"),
+    "separation": (4.0, ">= 0"),
+    "noise": (0.8, ">= 0"),
+    "latent_scale": (4.0, ">= 0"),
+    # shuffle_fix normalizes each half of a crafted batch: two rows at least
+    "groups_per_batch": (16, ">= 2"),
+    "copies_per_group": (2, ">= 1"),
+    "train_clusters": (2048, ">= 1"),
+    "val_clusters": (1024, ">= 1"),
+    "hidden": ([128, 128], ">= 1"),
+    "lr": (0.1, "> 0"),
+    "sgd_momentum": (0.9, ">= 0", "< 1"),
+    "steps": (600, ">= 1"),
+    "eval_window": (50, ">= 1"),
+    "precise_n": (1024, ">= 1"),
+}, RULES)
 
 
 def run_leakage(cfg, seed):
@@ -813,61 +845,6 @@ def run_leakage(cfg, seed):
 
 
 # ---------------------------------------------------------------------------
-
-def check_ranges(cfg):
-    """Raise ConfigError naming the first config value out of range."""
-    for key, value in cfg.items():
-        RANGES[key].check(key, value)
-    for i, policy in enumerate(cfg.get("policies", ())):
-        if not isinstance(policy, list) or len(policy) != 3 or not all(
-                p in (SHARED, PER_DOMAIN) for p in policy):
-            raise ConfigError(f"policies[{i}] must be three of 'shared', 'per_domain'")
-    # a spec's noise is a standard deviation, as the top-level noise is
-    specs = [(f"corruptions.{k}", s) for k, s in cfg.get("corruptions", {}).items()]
-    specs += [(f"domains[{i}]", s) for i, s in enumerate(cfg.get("domains", ()))]
-    for where, spec in specs:
-        _SCALE.check(f"{where}.noise", spec["noise"])
-    # frozen_finetune trains in ghost cohorts of nbs rows, all of one size
-    if "nbs" in cfg and cfg["batch_size"] % cfg["nbs"]:
-        raise ConfigError(f"nbs must be a divisor of batch_size "
-                          f"({cfg['batch_size']}), got {cfg['nbs']}")
-    # nbs_sweep trains, and evaluates its train and val rows, in nbs cohorts
-    for i, nbs in enumerate(cfg.get("nbs_list", ())):
-        if any(cfg[k] % nbs for k in ("batch_size", "train_eval_size", "val_size")):
-            raise ConfigError(f"nbs_list[{i}] must be a divisor of batch_size, "
-                              "train_eval_size and val_size")
-    # a repeated sweep entry reruns an arm and repeats its metrics.csv keys;
-    # ema_vs_precise runs each precise_b_sweep entry capped at precise_n
-    for key in ("nbs_list", "subset_sizes", "precise_b_sweep"):
-        given = runs = cfg[key] if key in cfg else ()
-        if runs and key == "precise_b_sweep":
-            runs = [min(b, cfg["precise_n"]) for b in runs]
-        for i, v in enumerate(runs):
-            if v in runs[:i]:
-                j = runs.index(v)
-                capped = " once capped at precise_n" if given[i] != given[j] else ""
-                raise ConfigError(f"{key}[{i}] must be distinct from {key}"
-                                  f"[{j}] (both run as {v}{capped})")
-    # every cut of the training rows must fit in them: train_eval_size and
-    # precise_n rows from the front, and two disjoint subsets of each
-    # subset_sizes entry; leakage's rows are its clusters' copies, and it
-    # draws groups_per_batch distinct clusters per batch
-    limits = []
-    if "train_clusters" in cfg:
-        limits.append(("groups_per_batch", cfg["groups_per_batch"],
-                       cfg["train_clusters"], "train_clusters"))
-        rows = cfg["train_clusters"] * cfg["copies_per_group"]
-        of = "train_clusters * copies_per_group"
-    else:
-        rows, of = cfg.get("train_size"), "train_size"
-    limits += [(key, cfg[key], rows, of)
-               for key in ("train_eval_size", "precise_n") if key in cfg]
-    limits += [(f"subset_sizes[{i}]", n, rows // 2, f"{of} / 2")
-               for i, n in enumerate(cfg.get("subset_sizes", ()))]
-    for key, value, bound, bound_name in limits:
-        if value > bound:
-            raise ConfigError(f"{key} must be <= {bound_name} ({bound}), got {value}")
-
 
 SCENARIOS = {
     "ema_vs_precise": (run_ema_vs_precise, EMA_VS_PRECISE_DEFAULTS),

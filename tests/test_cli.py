@@ -90,6 +90,9 @@ def test_shared_head_rejects_the_removed_pop_batches_key(tmp_path, capsys):
     (b"{oops", "is not valid JSON"),
     # not UTF-8 text
     (b"\xff\xfe", "cannot read config"),
+    # JSON that is not an object: a list, null or 0 ran the defaults
+    (b"[]", "expected a mapping at top level"),
+    (b"null", "expected a mapping at top level"),
 ])
 def test_run_rejects_unreadable_config(tmp_path, capsys, data, message):
     cfg = tmp_path / "bad.json"
@@ -115,8 +118,8 @@ BAD_NUMBERS = [
     ("nbs_sweep", '{"nbs_list": [3]}', "nbs_list[0]"),
     ("nbs_sweep", '{"nbs_list": [2, 0]}', "nbs_list[1]"),
     ("shared_head", '{"eps": 0}', "eps"),
-    # one declared range per key (scenarios.RANGES): values that crashed,
-    # failed mid-run or measured nothing
+    # each key's range, beside its default in its scenario's table: values
+    # that crashed, failed mid-run or measured nothing
     ("ema_vs_precise", '{"val_size": 0}', "val_size"),
     ("ema_vs_precise", '{"train_size": 0}', "train_size"),
     ("ema_vs_precise", '{"classes": 0}', "classes"),
@@ -293,6 +296,38 @@ def test_run_artifacts_take_the_mode_of_the_umask(tmp_path, tiny_config):
             os.umask(old)
         for name in ("metrics.csv", "summary.json", "stats.json", "params.json"):
             assert (out / name).stat().st_mode & 0o777 == mode, name
+
+
+ZERO_VARIANCE = [
+    {"noise": 0, "separation": 0},
+    {"noise": 0, "classes": 1},
+    # passes any config rule: moment matching cancels a 1e-18 variance to 0
+    {"noise": 1e-9, "separation": 0},
+]
+
+
+@pytest.mark.parametrize("overrides", ZERO_VARIANCE,
+                         ids=["-".join(f"{k}{v}" for k, v in o.items())
+                              for o in ZERO_VARIANCE])
+def test_zero_variance_data_is_a_runtime_error(tmp_path, capsys, overrides):
+    # the two subsets' estimates both had zero variance: the subset stats
+    # gap divided 0 by 0 with numpy's warnings, then summary.json held NaN
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps({"train_size": 256, "val_size": 128, "hidden": [16],
+                               "steps": 3, "precise_n": 128,
+                               "subset_sizes": [32, 128], **overrides}))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "ema_vs_precise", "--config", str(cfg),
+                     "--out", str(out)])
+    assert code == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        "error: subset_stats_gap at subset size 32: both estimates of bn0 have "
+        "zero variance in channel 0; their relative distance is 0/0"]
+    assert not out.exists()
 
 
 def test_run_with_non_finite_json_writes_nothing(monkeypatch, tmp_path, capsys):

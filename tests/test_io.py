@@ -12,18 +12,19 @@ from bnlab import io
 from bnlab.errors import BnLabError, ConfigError
 from bnlab.scenarios import EMA_VS_PRECISE_DEFAULTS, ScenarioRun, build_net
 
-DEFAULTS = {
+TABLE = io.ConfigTable({
     "steps": 100,
     "lr": 0.05,
     "hidden": [64, 64],
     "bessel": False,
     "corruptions": {"none": {"scale": 1.0}},
     "sgd": {"momentum": 0.9, "batch_size": 32},
-}
+}, [])
 
 
 def test_validate_config_merges_defaults():
-    cfg = io.validate_config(DEFAULTS, {"steps": 5, "sgd": {"momentum": 0.5}})
+    cfg = io.validate_config(TABLE, {"steps": 5, "sgd": {"momentum": 0.5,
+                                                         "batch_size": 32}})
     assert cfg["steps"] == 5
     assert cfg["lr"] == 0.05
     assert cfg["sgd"] == {"momentum": 0.5, "batch_size": 32}
@@ -31,20 +32,22 @@ def test_validate_config_merges_defaults():
 
 def test_validate_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config key"):
-        io.validate_config(DEFAULTS, {"stepz": 5})
-    with pytest.raises(ConfigError, match="sgd"):
-        io.validate_config(DEFAULTS, {"sgd": {"beta": 0.1}})
+        io.validate_config(TABLE, {"stepz": 5})
+    # a config that is not a mapping: a JSON list ran the defaults
+    for overrides in ([], None, 0):
+        with pytest.raises(ConfigError, match="^expected a mapping at top level$"):
+            io.validate_config(TABLE, overrides)
 
 
 def test_validate_config_type_checks():
     with pytest.raises(ConfigError, match="must be a number"):
-        io.validate_config(DEFAULTS, {"steps": "many"})
+        io.validate_config(TABLE, {"steps": "many"})
     with pytest.raises(ConfigError, match="must be a boolean"):
-        io.validate_config(DEFAULTS, {"bessel": 1})
+        io.validate_config(TABLE, {"bessel": 1})
     with pytest.raises(ConfigError, match="must be a list"):
-        io.validate_config(DEFAULTS, {"hidden": 64})
+        io.validate_config(TABLE, {"hidden": 64})
     with pytest.raises(ConfigError, match="mapping"):
-        io.validate_config(DEFAULTS, {"sgd": 3})
+        io.validate_config(TABLE, {"sgd": 3})
     # an int default takes an int >= 0; every number is finite (json.load
     # reads NaN and Infinity); a number list's elements follow its rule
     for overrides, match in (
@@ -58,28 +61,29 @@ def test_validate_config_type_checks():
         ({"hidden": [64, -2]}, r"hidden\[1\] must be an integer >= 0"),
         ({"hidden": [64.0]}, r"hidden\[0\] must be an integer >= 0"),
         ({"sgd": {"momentum": float("-inf")}}, "sgd.momentum must be finite"),
-        ({"sgd": {"batch_size": 1.5}}, "sgd.batch_size must be an integer"),
+        ({"sgd": {"momentum": 0.5, "batch_size": 1.5}},
+         "sgd.batch_size must be an integer"),
     ):
         with pytest.raises(ConfigError, match=match):
-            io.validate_config(DEFAULTS, overrides)
-    cfg = io.validate_config(DEFAULTS, {"steps": 0, "lr": 1, "hidden": []})
-    assert (cfg["steps"], cfg["lr"], cfg["hidden"]) == (0, 1, [])
+            io.validate_config(TABLE, overrides)
+    cfg = io.validate_config(TABLE, {"steps": 0, "lr": 1, "hidden": [0]})
+    assert (cfg["steps"], cfg["lr"], cfg["hidden"]) == (0, 1, [0])
 
 
 def test_validate_config_corruptions_are_free_form_maps():
     cfg = io.validate_config(
-        DEFAULTS, {"corruptions": {"fog": {"scale": 0.2, "shift": 1.0}}})
+        TABLE, {"corruptions": {"fog": {"scale": 0.2, "shift": 1.0}}})
     assert cfg["corruptions"] == {"fog": {"scale": 0.2, "shift": 1.0}}
 
 
 def test_validate_config_specs_give_every_key_of_the_first_default():
-    defaults = {
+    table = io.ConfigTable({
         "corruptions": {"none": {"scale": 1.0, "shift": 0.0}},
         "domains": [{"scale": 1.0, "mix": False}, {"scale": 2.0, "mix": True}],
-    }
+    }, [])
     spec = {"shift": -1, "scale": 0.5}
-    cfg = io.validate_config(defaults, {"corruptions": {"fog": spec},
-                                        "domains": [{"mix": True, "scale": 3}]})
+    cfg = io.validate_config(table, {"corruptions": {"fog": spec},
+                                     "domains": [{"mix": True, "scale": 3}]})
     assert cfg["corruptions"] == {"fog": spec}
     assert cfg["domains"] == [{"mix": True, "scale": 3}]
     for overrides, match in (
@@ -97,49 +101,76 @@ def test_validate_config_specs_give_every_key_of_the_first_default():
         ({"domains": {"a": {"scale": 1.0, "mix": True}}}, "domains must be a list"),
     ):
         with pytest.raises(ConfigError, match=match):
-            io.validate_config(defaults, overrides)
+            io.validate_config(table, overrides)
 
 
 def test_range_bounds_ends_and_lengths():
-    momentum = io.Range(">= 0", "< 1")
+    table = io.ConfigTable({
+        "m": (0.5, ">= 0", "< 1"),
+        "eps": (1.0, "> 0"),
+        "hidden": ([64], ">= 1"),
+        "width": (128, ">= 1"),
+        "specs": ([{"scale": 1.0}], ">= 1"),
+        "named": {"a": {"scale": 1.0}},
+    }, [])
+
+    def check(key, value):
+        io.validate_config(table, {key: value})
+
     for value in (0, 0.5, 0.999):
-        momentum.check("m", value)
+        check("m", value)
     for value in (-0.1, 1, 1.5):
         with pytest.raises(ConfigError, match="^m must be >= 0 and < 1$"):
-            momentum.check("m", value)
+            check("m", value)
     with pytest.raises(ConfigError, match="^eps must be > 0$"):
-        io.Range("> 0").check("eps", 0.0)
-    io.Range("> 0").check("eps", 1e-300)
-    # a list's numbers each meet the bounds; lists and mappings their length
-    hidden = io.Range(">= 1", min_len=1)
-    hidden.check("hidden", [1, 64])
-    hidden.check("hidden", 128)
+        check("eps", 0.0)
+    check("eps", 1e-300)
+    # a list's numbers each meet the bounds; every list and mapping holds
+    # at least one entry
+    check("hidden", [1, 64])
+    check("width", 128)
     with pytest.raises(ConfigError, match=r"^hidden\[1\] must be >= 1$"):
-        hidden.check("hidden", [64, 0])
-    for empty in ([], {}):
-        with pytest.raises(ConfigError, match="^hidden must be of length >= 1$"):
-            hidden.check("hidden", empty)
-    # non-numbers (names, nested specs) are not range-checked
-    hidden.check("hidden", [{"scale": -1.0}, ["shared"]])
+        check("hidden", [64, 0])
+    for key, empty in (("hidden", []), ("specs", []), ("named", {})):
+        with pytest.raises(ConfigError, match=f"^{key} must be of length >= 1$"):
+            check(key, empty)
+    # a spec's numbers are not range-checked
+    check("specs", [{"scale": -1.0}])
+
+
+def test_rules_apply_to_tables_that_have_their_keys_and_name_the_breach():
+    # a rule tests each entry of its first key, or that key's value
+    rules = [(("lo", "hi"), lambda v, cfg: v > cfg["hi"], "{at} must be <= hi ({hi}), got {v}"),
+             (("sweep", "hi"), lambda v, cfg: v == cfg["hi"], "{at} must not be {hi}"),
+             (("lo", "absent"), lambda v, cfg: True, "never")]
+    table = io.ConfigTable({"lo": 1, "hi": 2, "sweep": ([1, 3], "distinct")}, rules)
+    assert table.rules == rules[:2]
+    assert io.validate_config(table, {"lo": 2}) == {"lo": 2, "hi": 2, "sweep": [1, 3]}
+    for overrides, message in (
+            ({"lo": 3}, "lo must be <= hi (2), got 3"),
+            ({"sweep": [1, 3, 2]}, "sweep[2] must not be 2"),
+            ({"sweep": [1, 3, 1]}, "sweep[2] must be distinct from sweep[0] (both run as 1)")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            io.validate_config(table, overrides)
 
 
 def test_config_round_trip_fixed_point(tmp_path):
-    cfg = io.validate_config(DEFAULTS, {"steps": 7})
+    cfg = io.validate_config(TABLE, {"steps": 7})
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
-    again = io.load_config(str(p), DEFAULTS)
+    again = io.load_config(str(p), TABLE)
     assert again == cfg
     p.write_text(json.dumps(again))
-    assert io.load_config(str(p), DEFAULTS) == again
+    assert io.load_config(str(p), TABLE) == again
 
 
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
-        io.load_config(str(tmp_path / "missing.json"), DEFAULTS)
+        io.load_config(str(tmp_path / "missing.json"), TABLE)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
-        io.load_config(str(bad), DEFAULTS)
+        io.load_config(str(bad), TABLE)
 
 
 def test_metrics_csv_roundtrip(tmp_path, read_metrics):

@@ -1,7 +1,8 @@
 """README's quoted outputs against the code: the ``bnlab estimate``
 example's JSON, byte for byte, the ``bnlab check-grad`` listing's
 component names and statuses (its error figures are not checked), the
-table of pinned Python calls in "How cohorts run", and the JSON artifact
+table of pinned Python calls in "How cohorts run", the config table of
+``bnlab run`` against the scenarios' tables and rules, and the JSON artifact
 examples of "File formats" in ``io.encode_json``'s layout."""
 
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 
 from bnlab import cli, io
 from bnlab.gradcheck import TOLERANCE, run_full_suite
+from bnlab.scenarios import RULES, SCENARIOS
 from test_step_calls import CALLS_PER_PASS, CALLS_PER_SLAB, CALLS_PER_STEP
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -55,6 +57,28 @@ def test_the_calls_table_quotes_every_pin():
     assert len(quoted) == len(dict(quoted))  # each case quoted once
     assert {name: int(calls) for name, calls in quoted} == \
         {**CALLS_PER_STEP, **CALLS_PER_PASS, **CALLS_PER_SLAB}
+
+
+def test_the_config_table_quotes_every_range_and_rule_once():
+    text = README.read_text(encoding="utf-8")
+    table = re.search(r"^\| keys \| range, or the rule's message \|\n\| --- \| --- \|\n"
+                      r"((?:\|.*\n)+)", text, re.MULTILINE).group(1)
+    ranges, rules = {}, []
+    for keys, right in re.findall(r"^\| (.+) \| (.+) \|$", table, re.MULTILINE):
+        keys = tuple(re.findall(r"`(\w+)`", keys))
+        if re.fullmatch(r"`([<>]=? \d+|distinct)`( and `([<>]=? \d+|distinct)`)*", right):
+            for key in keys:
+                assert key not in ranges, f"{key} quoted twice"
+                ranges[key] = tuple(re.findall(r"`(.+?)`", right))
+        else:
+            rules.append((keys, re.fullmatch(r"`(.+)`", right).group(1)))
+    declared = {}
+    for _, defaults in SCENARIOS.values():
+        for key, bounds in defaults.bounds.items():
+            if bounds:  # a key has the same range in every scenario
+                assert declared.setdefault(key, bounds) == bounds, key
+    assert ranges == declared
+    assert rules == [(keys, message) for keys, _, message in RULES]
 
 
 def test_the_file_formats_json_examples_are_encode_json_bytes():

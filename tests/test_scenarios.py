@@ -9,7 +9,7 @@ from bnlab import io, scenarios
 from bnlab.layer import BnLayer
 from bnlab.net import Affine, Linear, Network, Relu
 from bnlab.precise import precise_bn
-from bnlab.scenarios import RANGES, SCENARIOS, ScenarioRun, build_net, check_ranges
+from bnlab.scenarios import RULES, SCENARIOS, ScenarioRun, build_net
 
 TINY = {
     "ema_vs_precise": {
@@ -121,20 +121,32 @@ def test_different_seeds_differ():
     assert a.rows != b.rows
 
 
+DEFAULTS = {name: table for name, table in vars(scenarios).items()
+            if name.endswith("_DEFAULTS")}
+
+
 def test_every_config_key_has_a_range_that_its_default_meets():
-    defaults = {name: value for name, value in vars(scenarios).items()
-                if name.endswith("_DEFAULTS")}
-    assert len(defaults) == len(SCENARIOS)
-    declared = set()
-    for name, cfg in defaults.items():
-        for key, default in cfg.items():
-            if isinstance(default, (int, float, list, dict)) \
-                    and not isinstance(default, bool):
-                assert key in RANGES, f"{name}: {key} has no declared range"
-                RANGES[key].check(key, default)
-                declared.add(key)
-        check_ranges(cfg)
-    assert set(RANGES) == declared, "ranges of keys no defaults dict has"
+    # a list of specs or of policies has none but its length (every list or
+    # mapping holds at least one entry)
+    assert len(DEFAULTS) == len(SCENARIOS)
+    for name, table in DEFAULTS.items():
+        for key, default in table.items():
+            numbers = default if isinstance(default, list) else [default]
+            if all(isinstance(n, (int, float)) for n in numbers):
+                assert table.bounds[key], f"{name}: {key} has no declared range"
+        # each default has its own type and range, and they meet every rule
+        assert io.validate_config(table, table) == table
+    for rule in RULES:
+        assert any(rule in table.rules for table in DEFAULTS.values()), rule[2]
+
+
+def test_the_config_fuzzer_draws_each_bound_and_its_neighbours():
+    from test_config_fuzz import EDGES
+    for table in DEFAULTS.values():
+        for key, bounds in table.bounds.items():
+            for bound in set(bounds) - {"distinct"}:
+                b = float(bound.split()[1])
+                assert {b - 1, b, b + 1} <= set(EDGES), f"{key} {bound}"
 
 
 def _old_leakage_net(cfg, seed):
