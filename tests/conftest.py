@@ -12,14 +12,14 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from bnlab import io
 
 # every drawn test sees the same examples on every run and writes no
-# example database; each test sets its own example count with ``drawn``.
-# BNLAB_DEEP=<factor> draws that many times the examples, at random (seeded
-# by pytest's --hypothesis-seed), for a deep run outside tier-1
+# example database: each test fixes its own seed with ``@seed(k)`` (so an
+# edit to its body does not change its examples, as a seed derived from the
+# test's source would) and its own example count with ``drawn``.
+# BNLAB_DEEP=<factor> draws that many times the examples from the same
+# seed, for a deep run outside tier-1
 DEEP = int(os.environ.get("BNLAB_DEEP", "0"))
-settings.register_profile("bnlab", derandomize=True, database=None, deadline=None)
-settings.register_profile("bnlab-deep", derandomize=False, database=None,
-                          deadline=None)
-settings.load_profile("bnlab-deep" if DEEP else "bnlab")
+settings.register_profile("bnlab", derandomize=False, database=None, deadline=None)
+settings.load_profile("bnlab")
 
 
 def drawn(n):

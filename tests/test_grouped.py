@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, seed
 from hypothesis import strategies as st
 
 from bnlab import net as net_module
@@ -174,6 +174,7 @@ def _draw_net(draw, rng, batch):
     return net, (dims[0], *hw)
 
 
+@seed(5)
 @drawn(100)
 @given(st.data())
 def test_every_cohort_pass_matches_the_loop_reference(data):
