@@ -3,6 +3,7 @@ and the finite-difference gradient check."""
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -76,30 +77,31 @@ def cmd_run(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     fn, _ = SCENARIOS[args.scenario]
+    out = os.path.join(args.out, "")  # "out" and "out/" name "out/..." alike
     try:
         result = fn(cfg, args.seed)
         checkpoints = {
-            f"{args.out}/summary.json": {
+            f"{out}summary.json": {
                 "scenario": result.scenario,
                 "seed": args.seed,
                 "config": cfg,
                 "summary": result.summary,
             },
-            f"{args.out}/stats.json": result.stats_checkpoint,
-            f"{args.out}/params.json": result.params_checkpoint,
+            f"{out}stats.json": result.stats_checkpoint,
+            f"{out}params.json": result.params_checkpoint,
         }
         # every payload is encoded before any file is written, so a run
         # whose JSON would hold NaN writes none of its artifacts
         texts = {path: io.encode_json(path, payload)
                  for path, payload in checkpoints.items()}
-        io.write_metrics_csv(f"{args.out}/metrics.csv", result.rows)
+        io.write_metrics_csv(f"{out}metrics.csv", result.rows)
         for path, text in texts.items():
             io.write_json(path, text)
     except (BnLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         traceback.print_exc(limit=2, file=sys.stderr)
         return EXIT_RUNTIME
-    print(f"wrote {args.out}/metrics.csv ({len(result.rows)} rows)")
+    print(f"wrote {out}metrics.csv ({len(result.rows)} rows)")
     return EXIT_OK
 
 

@@ -65,17 +65,17 @@ def _affine(rng):
 
 # component -> (layer factory, input shape[, forward keywords])
 LAYER_CASES = {
-    "linear": (lambda rng: Linear.init(rng, 4, 5), (6, 4, 1, 1)),
-    "affine": (_affine, (4, 3, 2, 2)),
-    "relu": (lambda rng: Relu(), (5, 3, 2, 2)),
-    "bn_train": (lambda rng: BnLayer(3), (4, 3, 2, 2)),
+    "linear": (lambda rng: Linear.init(rng, 4, 5), (6, 1, 1, 4)),
+    "affine": (_affine, (4, 2, 2, 3)),
+    "relu": (lambda rng: Relu(), (5, 2, 2, 3)),
+    "bn_train": (lambda rng: BnLayer(3), (4, 2, 2, 3)),
     # FrozenBN: normalization by fixed statistics, constants to the backward
-    "bn_frozen": (lambda rng: BnLayer(3), (4, 3, 2, 2), {
+    "bn_frozen": (lambda rng: BnLayer(3), (4, 2, 2, 3), {
         "mode": BnMode.EVAL_POPULATION,
         "stats": ChannelStats([0.3, -1.2, 0.8], [0.7, 1.9, 1.3], 8)}),
     # BN's view of cohorts of 4 rows, the last one ragged
-    "bn_train_grouped": (lambda rng: BnLayer(3), (10, 3, 2, 2), {"cohort": 4}),
-    "meanpool": (lambda rng: MeanPool(), (4, 3, 2, 3)),
+    "bn_train_grouped": (lambda rng: BnLayer(3), (10, 2, 2, 3), {"cohort": 4}),
+    "meanpool": (lambda rng: MeanPool(), (4, 2, 3, 3)),
 }
 
 
@@ -95,7 +95,7 @@ def check_network(rng, frozen=False, n=6, cohort=None, affine_rows=None):
     ])
     stats = ({1: ChannelStats(rng.standard_normal(5), rng.uniform(0.5, 2.0, 5), 8)}
              if frozen else None)
-    x = rng.standard_normal((n, 4, 1, 1))
+    x = rng.standard_normal((n, 1, 1, 4))
     labels = rng.integers(0, 3, size=n)
 
     def loss_of(xv):
@@ -139,7 +139,7 @@ def check_shared_head(rng, cohort, domains=3):
     net = SharedHeadNet(rng, 4, 5, 3, cohort=cohort, affine_blocks=domains)
     net.affine = Affine(rng.uniform(0.5, 1.5, (domains, 5)),
                         rng.standard_normal((domains, 5)))
-    x = rng.standard_normal((domains * 4, 4, 1, 1))
+    x = rng.standard_normal((domains * 4, 1, 1, 4))
     w = rng.standard_normal((domains * 4, 3))
 
     def loss_of():

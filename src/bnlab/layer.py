@@ -50,7 +50,7 @@ class BnLayer:
     FrozenBN is EVAL_POPULATION by statistics the caller passes in training
     too (``train(..., stats=)``).
 
-    The batch modes pass the whole cohorts of an (N, C, H, W) batch to
+    The batch modes pass the whole cohorts of an (N, H, W, C) batch to
     ``batch_stats_forward``, the one place a cohort is viewed, and a
     ragged last cohort on its own, so each cohort is normalized by its own
     moments exactly as if it were forwarded alone.
@@ -81,8 +81,8 @@ class BnLayer:
         EmptyBatch on n == 0 before any side effect, so the EMA is left
         bit-identical, and InvalidParams on a ``cohort`` below 1.  The EMA
         steps once per cohort, in order."""
-        if x.shape[-3] != self.channels:
-            raise ShapeMismatch(f"expected {self.channels} channels, got {x.shape[-3]}")
+        if x.shape[-1] != self.channels:
+            raise ShapeMismatch(f"expected {self.channels} channels, got {x.shape[-1]}")
         if mode is BnMode.EVAL_POPULATION:
             stats = self.ema if stats is None else stats
             # a backward derives the inverse std from the stats
@@ -106,7 +106,7 @@ class BnLayer:
         cache = BnCache(x_hat=x_hat, inv_std=inv_std, moments=moments)
         if whole < n:  # a ragged last cohort, after the rest
             y_tail, cache.tail = self.forward(x[whole:], mode)
-            y = np.concatenate([y, y_tail])  # in x's layout
+            y = np.concatenate([y, y_tail])
         return y, cache
 
     def backward(self, cache: BnCache, dy):
@@ -121,7 +121,7 @@ class BnLayer:
         cache.consumed = True
         if cache.moments is None:
             inv_std = 1.0 / np.sqrt(cache.stats.var + self.eps)
-            return dy * inv_std[..., None, :, None, None], None
+            return dy * inv_std, None
         if cache.tail is None:
             return batch_stats_backward(cache.x_hat, cache.inv_std, dy), None
         # the whole cohorts, then the ragged last one by its own row count
@@ -135,7 +135,7 @@ def batch_stats_forward(x, eps, cohort=None):
     one place a cohort is viewed: (y, x_hat, moments, inv_std), y of x's
     shape, inv_std = 1/sqrt(var + eps).  A cohort of None, or of N rows or
     more, is the plain batch: x_hat is y, and moments and inv_std are (C,).
-    Else x_hat is y's (N // cohort, cohort, C, H, W) view and they are
+    Else x_hat is y's (N // cohort, cohort, H, W, C) view and they are
     (N // cohort, C), each cohort with the bits of
     ``normalize(x, channel_moments(x), eps)`` on its rows alone.  ``x``, of
     float64 and N > 0, is centred once, into x_hat."""
@@ -144,7 +144,7 @@ def batch_stats_forward(x, eps, cohort=None):
     x_hat = np.empty_like(view)
     moments = channel_moments(view, out=x_hat)
     inv_std = 1.0 / np.sqrt(moments.var + eps)
-    x_hat *= inv_std[..., None, :, None, None]
+    x_hat *= inv_std[..., None, None, None, :]
     return (x_hat if view is x else x_hat.reshape(x.shape)), x_hat, moments, inv_std
 
 
@@ -154,8 +154,8 @@ def batch_stats_backward(x_hat, inv_std, dy):
     of the input: (inv_std / m) * (m * dy - sum(dy) - x_hat * sum(dy * x_hat))
     per cohort of x_hat's view, built in place in that order."""
     dys = dy if x_hat.ndim == dy.ndim else dy.reshape(x_hat.shape)
-    inv = inv_std[..., None, :, None, None]
-    m = dys.shape[-4] * dys.shape[-2] * dys.shape[-1]
+    inv = inv_std[..., None, None, None, :]
+    m = dys.shape[-4] * dys.shape[-3] * dys.shape[-2]
     sum_dy = np.add.reduce(dys, axis=SAMPLE_AXES, keepdims=True)
     sum_dy_xhat = np.add.reduce(dys * x_hat, axis=SAMPLE_AXES, keepdims=True)
     dx = m * dys

@@ -1,7 +1,7 @@
 """A small feedforward network (linear + BN + affine + relu, softmax
 cross-entropy) with exact manual backpropagation and momentum SGD.
 
-Activations are carried as (N, C, H, W) tensors so the normalization layer
+Activations are carried as (N, H, W, C) tensors so the normalization layer
 sees the same per-channel layout as the rest of the package, and every
 layer takes only that shape.  A pass whose rows share statistics in
 cohorts still runs the whole batch through every layer: only
@@ -11,12 +11,9 @@ cohorts are its domain row blocks), so each cohort is normalized as if
 forwarded alone while every GEMM and parameter-gradient sum runs over all
 N rows at once.
 
-In memory the activations are channels-last, the layout Linear's GEMM
-writes, and every backward returns its input gradient in its forward
-input's layout (Linear's is channels-last even for a channels-first network
-input, whose gradient training never reads): an op over arrays of two
-layouts runs several times slower, and numpy's reduction order (hence the
-rounding) follows the layout.
+Channels are the last axis, so an activation's (N * H * W, C) rows are the
+operand and the result of Linear's GEMM as they are, and every backward
+returns its input gradient as a C-contiguous array.
 
 ``Network.forward`` and ``Network.backward`` check their inputs once; the
 layers take the float64 arrays those pass along and check them no further.
@@ -57,12 +54,6 @@ EVAL_CHUNK_ROWS = 256
 # the run: chance level on K classes is ln K, 2.8 for the scenarios' 16
 LOSS_BOUND = 1e3
 
-# axis orders that move an (N, C, H, W) batch's channels last (one row per
-# spatial site) and back
-_CHANNELS_LAST = (0, 2, 3, 1)
-_CHANNELS_BACK = (0, 3, 1, 2)
-
-
 class Linear:
     def __init__(self, weight, bias):
         self.weight = np.asarray(weight, dtype=np.float64)
@@ -79,31 +70,30 @@ class Linear:
                    rng.uniform(-a, a, size=fan_out))
 
     def forward(self, x):
-        # applied per spatial site (1x1-convolution semantics)
-        n, c, h, w = x.shape
-        x2 = x.transpose(_CHANNELS_LAST).reshape(-1, c)
+        # applied per spatial site (1x1-convolution semantics): one GEMM
+        # over the batch's (N * H * W, C) rows
+        x2 = x.reshape(-1, x.shape[-1])
         y2 = x2 @ self.weight.T + self.bias
-        return y2.reshape(n, h, w, -1).transpose(_CHANNELS_BACK), (x2, x.shape)
+        return y2.reshape(*x.shape[:-1], -1), (x2, x.shape)
 
     def backward(self, cache, dy, input_grad=True):
         """Input gradient and parameter gradients.  Without ``input_grad``
         the input gradient's GEMM is skipped and None is returned in its
         place."""
-        x2, (n, c, h, w) = cache
-        dy2 = dy.transpose(_CHANNELS_LAST).reshape(-1, dy.shape[1])
+        x2, shape = cache
+        dy2 = dy.reshape(-1, dy.shape[-1])
         grads = {"weight": dy2.T @ x2, "bias": np.add.reduce(dy2, axis=0)}
         if not input_grad:
             return None, grads
-        dx = (dy2 @ self.weight).reshape(n, h, w, c).transpose(_CHANNELS_BACK)
-        return dx, grads
+        return (dy2 @ self.weight).reshape(shape), grads
 
 
 class Affine:
     """Trainable channel-wise scale and shift (the layer after each BN).
 
     Parameters are (C,), or (G, C) to give each of the G equal, consecutive
-    row blocks of an (N, C, H, W) batch, which is viewed as
-    (G, N // G, C, H, W), its own scale and shift.  Their gradients have the
+    row blocks of an (N, H, W, C) batch, which is viewed as
+    (G, N // G, H, W, C), its own scale and shift.  Their gradients have the
     parameters' shape.
     """
 
@@ -130,8 +120,8 @@ class Affine:
             xs = x.reshape(blocks, -1, *x.shape[1:])
             if out is not None:
                 out = out.reshape(xs.shape)
-        y = np.multiply(xs, self.gamma[..., None, :, None, None], out=out)
-        y += self.beta[..., None, :, None, None]
+        y = np.multiply(xs, self.gamma[..., None, None, None, :], out=out)
+        y += self.beta[..., None, None, None, :]
         return (y if xs is x else y.reshape(x.shape)), xs
 
     def backward(self, cache, dy):
@@ -141,7 +131,7 @@ class Affine:
             "gamma": np.add.reduce(dys * x, axis=SAMPLE_AXES),
             "beta": np.add.reduce(dys, axis=SAMPLE_AXES),
         }
-        dx = dys * self.gamma[..., None, :, None, None]
+        dx = dys * self.gamma[..., None, None, None, :]
         return (dx if dys is dy else dx.reshape(dy.shape)), grads
 
 
@@ -158,19 +148,17 @@ class Relu:
 
 
 class MeanPool:
-    """Global average over the spatial axes, (N, C, H, W) -> (N, C, 1, 1)."""
+    """Global average over the spatial axes, (N, H, W, C) -> (N, 1, 1, C)."""
 
     param_names = ()
 
     def forward(self, x):
-        h, w = x.shape[-2:]
-        return np.add.reduce(x, axis=(-2, -1), keepdims=True) / (h * w), x
+        h, w = x.shape[1:3]
+        return np.add.reduce(x, axis=(1, 2), keepdims=True) / (h * w), x
 
     def backward(self, cache, dy):
-        # in the input's (channels-last) layout, so the backward passes of
-        # the layers before the pool combine arrays of one layout
-        h, w = cache.shape[-2:]
-        dx = np.empty_like(cache)
+        h, w = cache.shape[1:3]
+        dx = np.empty(cache.shape)
         dx[...] = dy / (h * w)
         return dx, None
 
@@ -213,7 +201,7 @@ class Network:
         return names
 
     def forward(self, x, *, stats=None, cohort=None):
-        """The training pass: an (N, C, H, W) batch to its (N, K) logits and
+        """The training pass: an (N, H, W, C) batch to its (N, K) logits and
         the caches of a ``backward``.  Each BN layer normalizes by the
         moments of each ``cohort`` rows (the last cohort ragged; default
         all), in its own view, and steps its EMA (TRAIN_MINIBATCH), except
@@ -234,9 +222,9 @@ class Network:
             else:
                 x, cache = layer.forward(x)
             caches[i] = cache
-        if x.shape[2] != 1 or x.shape[3] != 1:
+        if x.shape[1] != 1 or x.shape[2] != 1:
             raise ShapeMismatch("dense layers expect h = w = 1 activations")
-        return x[:, :, 0, 0], caches
+        return x[:, 0, 0], caches
 
     def evaluate(self, x, *, stats=None, moment_sinks=None, cohort=None):
         """The evaluation pass: (N, K) logits, without caches or EMA steps.
@@ -251,7 +239,7 @@ class Network:
         ``stats.MomentFold``); the pass appends the layer's batch moments
         to it, (G, C) for the whole cohorts and then (C,) for a ragged last
         one, and ends after the deepest of those layers, returning its
-        (N, C, H, W) output.
+        (N, H, W, C) output.
         """
         mode = BnMode.EVAL_POPULATION if cohort is None else BnMode.EVAL_MINIBATCH
         if not (type(x) is np.ndarray and x.dtype == np.float64
@@ -278,9 +266,9 @@ class Network:
                 x = layer.forward(x)[0]
         if stop < self._depth:
             return x
-        if x.shape[2] != 1 or x.shape[3] != 1:
+        if x.shape[1] != 1 or x.shape[2] != 1:
             raise ShapeMismatch("dense layers expect h = w = 1 activations")
-        return x[:, :, 0, 0]
+        return x[:, 0, 0]
 
     def backward(self, caches, dlogits, input_grad=True):
         """Exact gradients of the scalar loss the caller differentiated into
@@ -296,9 +284,9 @@ class Network:
         # they are; the type and dtype tests make no Python call
         if type(dlogits) is np.ndarray and dlogits.dtype == np.float64 \
                 and dlogits.ndim == 2:
-            dy = dlogits[:, :, None, None]
+            dy = dlogits[:, None, None]
         else:
-            dy = as_tensor4(np.asarray(dlogits)[..., None, None])
+            dy = np.moveaxis(as_tensor4(np.asarray(dlogits)[..., None, None]), 1, -1)
         grads = [None] * self._depth
         for i in range(self._depth - 1, 0, -1):
             dy, grads[i] = self.layers[i].backward(caches[i], dy)
@@ -427,20 +415,21 @@ def diverged(step, loss, what=None):
 
 
 def train(net, batch_fn, cfg: SgdConfig, plan: NormBatchPlan | None = None,
-          callback=None, stats=None):
+          callback=None, stats=None, what=None):
     """Run momentum SGD.  ``batch_fn(rng, batch_size)`` yields each logical
     batch; ``callback(step, net)`` (if given) is invoked after every step.
     The BN layers in ``stats`` are frozen in every step (see ``sgd_step``).
     The parameters are views into a new ``Momentum`` buffer from here on.
     Returns the trained network (mutated in place).  Raises ``Diverged``
-    at the first step whose loss is NaN or above LOSS_BOUND."""
+    at the first step whose loss is NaN or above LOSS_BOUND, naming the
+    training by ``what`` where a run trains several."""
     rng = np.random.default_rng(cfg.seed)
     optimizer = Momentum(net.layers)
     for step in range(cfg.steps):
         x, labels = batch_fn(rng, cfg.batch_size)
         loss = sgd_step(net, x, labels, cfg, step, plan, rng, optimizer, stats)
         if not loss <= LOSS_BOUND:
-            raise diverged(step, loss)
+            raise diverged(step, loss, what)
         if callback is not None:
             callback(step, net)
     return net
@@ -479,7 +468,7 @@ def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
         if plan.strategy == "shuffle":
             order = np.concatenate(cohort_indices(plan, n, rng))
             labels = labels[order]
-    step = chunk_rows(cohort, x.shape[2] * x.shape[3])
+    step = chunk_rows(cohort, x.shape[1] * x.shape[2])
     wrong = 0
     for start in range(0, n, step):
         chunk = (x[start : start + step] if order is None

@@ -27,7 +27,7 @@ def _pooled_moments(net, population, batch_size, indices, stats=None):
     if batch_size < 1:
         raise InvalidParams("batch_size must be >= 1")
     folds = {i: MomentFold() for i in indices}
-    step = chunk_rows(batch_size, population.shape[2] * population.shape[3])
+    step = chunk_rows(batch_size, population.shape[1] * population.shape[2])
     for start in range(0, population.shape[0], step):
         net.evaluate(population[start : start + step], stats=stats,
                      moment_sinks=folds, cohort=batch_size)

@@ -429,7 +429,7 @@ def run_nbs_sweep(cfg, seed):
                         [cfg["channels"], *cfg["hidden"], cfg["classes"]],
                         pool=True)
         train(net, batches, sgd_config(cfg, seed, 4),
-              plan=NormBatchPlan(strategy="ghost", sub_batch=nbs))
+              plan=NormBatchPlan(strategy="ghost", sub_batch=nbs), what=f"nbs={nbs}")
 
         # each split normalized in shuffled mini-batches of nbs rows
         eval_plan = NormBatchPlan("shuffle", nbs)
@@ -478,10 +478,12 @@ def run_frozen_finetune(cfg, seed):
     net = build_net(np.random.default_rng(_seed(seed, 3)),
                     [cfg["channels"], *cfg["hidden"], cfg["classes"]],
                     pool=True)
-    train(net, batches, sgd_config(cfg, seed, 4, steps=split_step), plan=plan)
+    train(net, batches, sgd_config(cfg, seed, 4, steps=split_step), plan=plan,
+          what="before the freeze")
 
     control = copy.deepcopy(net)
-    train(control, batches, sgd_config(cfg, seed, 5, steps=rest), plan=plan)
+    train(control, batches, sgd_config(cfg, seed, 5, steps=rest), plan=plan,
+          what="unfrozen control")
     # both arms estimate statistics at the training cohort size; the frozen
     # arm wins by adapting its weights to the frozen stats, not by getting a
     # better estimate
@@ -493,7 +495,7 @@ def run_frozen_finetune(cfg, seed):
     snap = precise_bn(net, x_pop, cfg["nbs"])
     train(net, batches, sgd_config(cfg, seed, 5, steps=rest,
                                    warmup_steps=cfg["warmup_steps"]),
-          plan=plan, stats=snap)
+          plan=plan, stats=snap, what="frozen fine-tuning")
     # evaluated with the frozen statistics as its population statistics
     err_frozen = classification_error(net, x_val, y_val, stats=snap)
 
@@ -579,7 +581,7 @@ SHARED_HEAD_DEFAULTS = ConfigTable({
 
 class SharedHeadNet:
     """One hidden head applied to every domain.  Every pass takes an
-    (N, C, 1, 1) batch whose domains are equal, consecutive row blocks, and
+    (N, 1, 1, C) batch whose domains are equal, consecutive row blocks, and
     runs it through each layer at once.  As in ``Network``, each ``cohort``
     rows (None: all N) share SGD statistics, which
     ``layer.batch_stats_forward`` takes per cohort.  An affine of
@@ -607,7 +609,7 @@ class SharedHeadNet:
         self.optimizer = None
 
     def forward_train(self, x):
-        """(N, K) logits of an (N, C, 1, 1) float64 batch and the caches
+        """(N, K) logits of an (N, 1, 1, C) float64 batch and the caches
         ``backward_train`` reads, normalized by the moments of each
         ``cohort`` rows."""
         h, c1 = self.l1.forward(x)
@@ -615,7 +617,7 @@ class SharedHeadNet:
         a, ca = self.affine.forward(y)
         r, cr = self.relu.forward(a)
         logits, cl = self.l2.forward(r)
-        return logits[:, :, 0, 0], {
+        return logits[:, 0, 0], {
             "l1": c1, "xhat": xhat, "inv": inv,
             "affine": ca, "relu": cr, "l2": cl,
         }
@@ -623,7 +625,7 @@ class SharedHeadNet:
     def backward_train(self, caches, dlogits):
         """Parameter gradients, keyed by layer attribute in ``param_layers``
         order, of the loss whose (N, K) logits gradient is ``dlogits``."""
-        dr, gl2 = self.l2.backward(caches["l2"], dlogits[:, :, None, None])
+        dr, gl2 = self.l2.backward(caches["l2"], dlogits[:, None, None])
         da = self.relu.backward(caches["relu"], dr)[0]
         dxhat, gaff = self.affine.backward(caches["affine"], da)
         dh = batch_stats_backward(caches["xhat"], caches["inv"], dxhat)
@@ -631,7 +633,7 @@ class SharedHeadNet:
         return {"l1": gl1, "affine": gaff, "l2": gl2}
 
     def train_step(self, x, y, lr, momentum):
-        """One momentum-SGD step on an (N, C, 1, 1) batch of domain row
+        """One momentum-SGD step on an (N, 1, 1, C) batch of domain row
         blocks with (N,) labels; the loss is the mean cross-entropy over
         its N rows.  Returns that loss, as it was before the step."""
         if self.optimizer is None:
@@ -644,7 +646,7 @@ class SharedHeadNet:
         return loss
 
     def train_population_stats(self, x, cohort=None):
-        """The population statistics of an (N, C, 1, 1) batch of domain row
+        """The population statistics of an (N, 1, 1, C) batch of domain row
         blocks: (C,) over all N rows, or (G, C) with one row per ``cohort``
         rows.  Training never reads this choice, so one trained net serves
         both.  Raises InvalidParams on a cohort below 1 and ShapeMismatch
@@ -660,7 +662,7 @@ class SharedHeadNet:
                                else h.reshape(-1, cohort, *h.shape[1:]))
 
     def eval_error(self, x, y, stats):
-        """Top-1 error on an (N, C, 1, 1) batch of domain row blocks with
+        """Top-1 error on an (N, 1, 1, C) batch of domain row blocks with
         (N,) labels, normalized by ``stats`` as ``train_population_stats``
         returns them: the number of blocks is read from their shape.  The
         pass keeps no caches: the normalization, affine and relu overwrite
@@ -675,7 +677,7 @@ class SharedHeadNet:
         normalize(view, stats, self.eps, out=view)
         self.affine.forward(h, out=h)
         self.relu.forward(h, out=h)
-        logits = self.l2.forward(h)[0][:, :, 0, 0]
+        logits = self.l2.forward(h)[0][:, 0, 0]
         return int((logits.argmax(axis=-1) != y).sum()) / y.size
 
 
@@ -825,7 +827,7 @@ def run_leakage(cfg, seed):
             snaps.append((step + 1, e, s))
 
         train(net, batch_fn, sgd_config(cfg, seed, 4, batch_size=batch),
-              plan=plan, callback=snapshot)
+              plan=plan, callback=snapshot, what=f"variant={name}")
         for step, e, _ in snaps:
             run.log(run_id, step, "val", "population", "error", e)
         run.summary[name] = {"population": float(np.mean([e for _, e, _ in snaps]))}

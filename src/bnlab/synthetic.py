@@ -53,14 +53,14 @@ class GaussianClasses:
         self.means = self.separation * raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
     def sample(self, rng, n):
-        """(X of shape (n, dim, 1, 1), labels).  The normals are drawn into
+        """(X of shape (n, 1, 1, dim), labels).  The normals are drawn into
         X and the arithmetic runs in place, with the bits of
         means[labels] + noise * z (+ and * commute)."""
         labels = rng.integers(0, self.classes, size=n)
         x = rng.standard_normal(out=np.empty((n, self.dim)))
         x *= self.noise
         _add_class_means(x, self.means, labels)
-        return x[:, :, None, None], labels
+        return x[:, None, None], labels
 
 
 @dataclass
@@ -86,9 +86,11 @@ class SpatialGaussianClasses:
         self.means = self.separation * raw / norms[:, None, None]
 
     def sample(self, rng, n):
-        """(X of shape (n, channels, sites, 1), labels).  As in
+        """(X of shape (n, sites, 1, channels), labels).  As in
         ``GaussianClasses.sample``, the normals are drawn into X and the
-        class means, gain and offset applied in place."""
+        class means, gain and offset applied in place; they are drawn
+        channel by channel, so X is a view of an (n, channels, sites)
+        array."""
         labels = rng.integers(0, self.classes, size=n)
         x = rng.standard_normal(out=np.empty((n, self.channels, self.sites)))
         x *= self.noise
@@ -97,7 +99,7 @@ class SpatialGaussianClasses:
             x *= np.exp(self.gain * rng.standard_normal(n))[:, None, None]
         if self.offset > 0:
             x += (self.offset * rng.standard_normal(n))[:, None, None]
-        return x[:, :, :, None], labels
+        return x.transpose(0, 2, 1)[:, :, None], labels
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,8 @@ class MixingCorruption:
         return cls(matrix=q, scale=scale, shift=shift, noise=noise)
 
     def apply(self, x, rng):
-        z = rng.standard_normal(x.shape[:2]) if self.noise > 0 else None
-        return self.transform(x[:, :, 0, 0], z)[:, :, None, None]
+        z = rng.standard_normal((len(x), x.shape[-1])) if self.noise > 0 else None
+        return self.transform(x[:, 0, 0], z)[:, None, None]
 
     def transform(self, x, z):
         """The shift of (..., dim) features ``x`` with the standard-normal
@@ -172,7 +174,7 @@ class MultiScaleDomains:
 
     def batches(self, rng, steps, n):
         """Yield ``steps`` training batches of n rows per domain, each a
-        (D * n, dim, 1, 1) batch of D consecutive domain row blocks with
+        (D * n, 1, 1, dim) batch of D consecutive domain row blocks with
         (D * n,) labels, drawn SLAB_STEPS steps at a time.  The labels, the
         features' normals and each domain's noise come from their own
         child of ``rng`` (``rng.spawn``), one call per slab and purpose, so
@@ -191,7 +193,7 @@ class MultiScaleDomains:
             for d, (t, r) in enumerate(zip(self.transforms, noise_rngs)):
                 z = r.standard_normal((k, n, base.dim)) if t.noise > 0 else None
                 x[:, d] = t.transform(x[:, d], z)
-            yield from zip(x.reshape(k, -1, base.dim, 1, 1), labels.reshape(k, -1))
+            yield from zip(x.reshape(k, -1, 1, 1, base.dim), labels.reshape(k, -1))
 
     @property
     def n_domains(self):
@@ -217,7 +219,7 @@ def make_clustered_data(task: GaussianClasses, rng, n_clusters, cluster_size,
     latents = latent_scale * rng.standard_normal((n_clusters, task.dim))
     x += np.repeat(latents, cluster_size, axis=0)
     clusters = np.arange(n).reshape(n_clusters, cluster_size)
-    return ClusteredData(x=x[:, :, None, None], labels=labels, clusters=clusters)
+    return ClusteredData(x=x[:, None, None], labels=labels, clusters=clusters)
 
 
 @dataclass

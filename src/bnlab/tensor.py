@@ -1,12 +1,13 @@
-"""Dense (N, C, H, W) float64 tensors and per-channel moment machinery.
+"""Dense (N, H, W, C) float64 tensors and per-channel moment machinery.
 
-A "tensor" here is just a contiguous numpy array of shape (N, C, H, W) in
-float64.  A stack of G equal-size cohorts is a (G, n, C, H, W) view of the
-same rows; the moment and normalization functions reduce over its (n, H, W)
-axes, so every cohort gets its own statistics in one call.  All reductions
-use a fixed (n, h, w) order so repeated calls are bit-identical, and a
-cohort's row of a stacked result is bit-identical to the result on that
-cohort alone.
+A "tensor" here is just a numpy array of shape (N, H, W, C) in float64,
+channels last, as a GEMM over its (N * H * W, C) rows writes it.  A stack
+of G equal-size cohorts is a (G, n, H, W, C) view of the same rows; the
+moment and normalization functions reduce over its (n, H, W) axes, so
+every cohort gets its own statistics in one call, and a per-channel
+vector broadcasts against the last axis.  All reductions use a fixed
+(n, h, w) order so repeated calls are bit-identical, and a cohort's row of
+a stacked result is bit-identical to the result on that cohort alone.
 """
 
 from dataclasses import dataclass
@@ -25,8 +26,8 @@ __all__ = [
 ]
 
 
-# the (n, H, W) axes of an (N, C, H, W) batch or a (G, n, C, H, W) stack
-SAMPLE_AXES = (-4, -2, -1)
+# the (n, H, W) axes of an (N, H, W, C) batch or a (G, n, H, W, C) stack
+SAMPLE_AXES = (-4, -3, -2)
 
 
 @dataclass(frozen=True, init=False)
@@ -64,23 +65,23 @@ class ChannelStats:
 def as_tensor4(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
-        raise ShapeMismatch(f"expected a 4-d (N, C, H, W) array, got ndim={x.ndim}")
+        raise ShapeMismatch(f"expected a 4-d (N, H, W, C) array, got ndim={x.ndim}")
     return x
 
 
 def as_batch(x) -> np.ndarray:
-    """An (N, C, H, W) batch or a (G, n, C, H, W) stack of G cohorts."""
+    """An (N, H, W, C) batch or a (G, n, H, W, C) stack of G cohorts."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (4, 5):
         raise ShapeMismatch(
-            f"expected (N, C, H, W) or (G, n, C, H, W), got ndim={x.ndim}"
+            f"expected (N, H, W, C) or (G, n, H, W, C), got ndim={x.ndim}"
         )
     return x
 
 
 def channel_moments(x: np.ndarray, out: np.ndarray | None = None) -> ChannelStats:
     """Mean and biased variance over the (N, H, W) axes of each channel;
-    (G, C) moments, one row per cohort, for a (G, n, C, H, W) stack.
+    (G, C) moments, one row per cohort, for a (G, n, H, W, C) stack.
 
     ``out``, an array of x's shape and layout (``np.empty_like(x)``), if
     given receives the centred batch x - mean that the variance is taken of;
@@ -88,13 +89,13 @@ def channel_moments(x: np.ndarray, out: np.ndarray | None = None) -> ChannelStat
     """
     if not (type(x) is np.ndarray and x.dtype == np.float64 and x.ndim in (4, 5)):
         x = as_batch(x)
-    n, c, h, w = x.shape[-4:]
+    n, h, w = x.shape[-4:-1]
     if n == 0:
         raise EmptyBatch("cannot compute channel moments of a batch with 0 samples")
     count = n * h * w
     # add.reduce and / count give mean's result without its wrapper calls
     mean = np.add.reduce(x, axis=SAMPLE_AXES) / count
-    centred = np.subtract(x, mean[..., None, :, None, None], out=out)
+    centred = np.subtract(x, mean[..., None, None, None, :], out=out)
     squares = np.square(centred, out=centred if out is None else None)
     var = np.add.reduce(squares, axis=SAMPLE_AXES) / count
     return ChannelStats(mean=mean, var=var, count=count)
@@ -111,9 +112,9 @@ def normalize(x: np.ndarray, stats: ChannelStats, eps: float,
     if not (type(x) is np.ndarray and x.dtype == np.float64 and x.ndim in (4, 5)):
         x = as_batch(x)
     mean = stats.mean
-    if mean.shape[-1] != x.shape[-3]:
+    if mean.shape[-1] != x.shape[-1]:
         raise ShapeMismatch(
-            f"stats have {mean.shape[-1]} channels, tensor has {x.shape[-3]}"
+            f"stats have {mean.shape[-1]} channels, tensor has {x.shape[-1]}"
         )
     if mean.ndim == 2 and (x.ndim != 5 or mean.shape[0] != x.shape[0]):
         raise ShapeMismatch(
@@ -124,7 +125,7 @@ def normalize(x: np.ndarray, stats: ChannelStats, eps: float,
         if eps < 0 or np.any(stats.var <= 0):
             raise InvalidParams("eps must be positive")
     inv = 1.0 / np.sqrt(stats.var + eps)
-    y = np.subtract(x, mean[..., None, :, None, None], out=out)
-    y *= inv[..., None, :, None, None]
+    y = np.subtract(x, mean[..., None, None, None, :], out=out)
+    y *= inv[..., None, None, None, :]
     return y
 

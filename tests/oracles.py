@@ -212,16 +212,16 @@ class LoopNet:
                 x, cache = self._bn(i, x, cohort, (fixed or {}).get(i), train,
                                     (sinks or {}).get(i))
             elif isinstance(layer, Affine):
-                gamma, beta = (self.params[i, k].reshape(-1, x.shape[1])
+                gamma, beta = (self.params[i, k].reshape(-1, x.shape[-1])
                                for k in layer.param_names)
                 y = np.empty_like(x)
                 for rows, g, b in zip(_rows(len(x), len(x) // len(gamma)), gamma, beta):
-                    y[rows] = x[rows] * g[:, None, None] + b[:, None, None]
+                    y[rows] = x[rows] * g + b
                 x, cache = y, x
             else:
                 x, cache = layer.forward(x)
             caches.append(cache)
-        return x[:, :, 0, 0], caches
+        return x[:, 0, 0], caches
 
     def _bn(self, i, x, cohort, fixed, train, sink):
         eps, lam = self.spec[i]
@@ -229,17 +229,17 @@ class LoopNet:
         if fixed is not None:
             for rows, (mean, var) in zip(_rows(len(x), len(x) // len(fixed)), fixed):
                 inv = 1.0 / np.sqrt(var + eps)
-                y[rows] = (x[rows] - mean[:, None, None]) * inv[:, None, None]
+                y[rows] = (x[rows] - mean) * inv
                 cache.append((rows, None, inv))
             return y, cache
         for rows in _rows(len(x), cohort):
             xc = x[rows]
-            count = xc.shape[0] * xc.shape[2] * xc.shape[3]
-            mean = np.add.reduce(xc, axis=(0, 2, 3)) / count
-            centred = xc - mean[:, None, None]
-            var = np.add.reduce(np.square(centred), axis=(0, 2, 3)) / count
+            count = xc.shape[0] * xc.shape[1] * xc.shape[2]
+            mean = np.add.reduce(xc, axis=(0, 1, 2)) / count
+            centred = xc - mean
+            var = np.add.reduce(np.square(centred), axis=(0, 1, 2)) / count
             inv = 1.0 / np.sqrt(var + eps)
-            y[rows] = centred * inv[:, None, None]
+            y[rows] = centred * inv
             cache.append((rows, y[rows], inv))
             if train:
                 ema_mean, ema_var = self.ema[i]
@@ -252,7 +252,7 @@ class LoopNet:
     def backward(self, caches, dlogits):
         """{(layer index, name): gradient} of the loss whose logits
         gradient is ``dlogits``."""
-        dy, grads = dlogits[:, :, None, None], {}
+        dy, grads = dlogits[:, None, None], {}
         for i in range(len(self.layers) - 1, -1, -1):
             layer, cache = self.layers[i], caches[i]
             if isinstance(layer, Linear):
@@ -268,22 +268,22 @@ class LoopNet:
                 for rows, x_hat, inv in cache:
                     d = dy[rows]
                     if x_hat is None:  # fixed statistics are constants
-                        dx[rows] = d * inv[:, None, None]
+                        dx[rows] = d * inv
                         continue
-                    m = d.shape[0] * d.shape[2] * d.shape[3]
-                    sum_dy = np.add.reduce(d, axis=(0, 2, 3), keepdims=True)
-                    sum_dy_xhat = np.add.reduce(d * x_hat, axis=(0, 2, 3),
+                    m = d.shape[0] * d.shape[1] * d.shape[2]
+                    sum_dy = np.add.reduce(d, axis=(0, 1, 2), keepdims=True)
+                    sum_dy_xhat = np.add.reduce(d * x_hat, axis=(0, 1, 2),
                                                 keepdims=True)
-                    dx[rows] = (inv[:, None, None] / m) * (
+                    dx[rows] = (inv / m) * (
                         m * d - sum_dy - x_hat * sum_dy_xhat)
             else:
                 shape = self.params[i, "gamma"].shape
                 gamma = self.params[i, "gamma"].reshape(-1, shape[-1])
                 dgamma, dbeta = np.empty_like(gamma), np.empty_like(gamma)
                 for b, rows in enumerate(_rows(len(dy), len(dy) // len(gamma))):
-                    dgamma[b] = np.add.reduce(dy[rows] * cache[rows], axis=(0, 2, 3))
-                    dbeta[b] = np.add.reduce(dy[rows], axis=(0, 2, 3))
-                    dx[rows] = dy[rows] * gamma[b][:, None, None]
+                    dgamma[b] = np.add.reduce(dy[rows] * cache[rows], axis=(0, 1, 2))
+                    dbeta[b] = np.add.reduce(dy[rows], axis=(0, 1, 2))
+                    dx[rows] = dy[rows] * gamma[b]
                 grads[i, "gamma"], grads[i, "beta"] = (dgamma.reshape(shape),
                                                        dbeta.reshape(shape))
             dy = dx

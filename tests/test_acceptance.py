@@ -100,7 +100,7 @@ def test_c03_moment_matching_dominates_naive():
 def test_c04_layerwise_oracle():
     rng = np.random.default_rng(42)
     net = random_net(rng, [6, 8, 8, 8, 4])
-    pop = rng.standard_normal((32, 6, 1, 1))
+    pop = rng.standard_normal((32, 1, 1, 6))
     oracle = precise_bn(net, pop, 32)  # B = N: one cohort covers everything
     for b in (4, 8, 32):
         layerwise = precise_bn_layerwise(net, pop, b)
@@ -162,12 +162,12 @@ def test_c08_split_concat_moment_property():
         return np.abs(concat - split).max()
 
     # unequal moments: independently drawn batches violate the equality
-    b1 = rng.standard_normal((8, 3, 2, 2))
-    b2 = 2.0 + 1.5 * rng.standard_normal((8, 3, 2, 2))
+    b1 = rng.standard_normal((8, 2, 2, 3))
+    b2 = 2.0 + 1.5 * rng.standard_normal((8, 2, 2, 3))
     assert split_vs_concat(b1, b2) > 1e-3
 
     # equal moments: the mirrored batch shares mean and variance exactly
-    mu = b1.mean(axis=(0, 2, 3), keepdims=True)
+    mu = b1.mean(axis=(0, 1, 2), keepdims=True)
     b2_eq = 2.0 * mu - b1
     assert split_vs_concat(b1, b2_eq) <= 1e-12
 
@@ -229,7 +229,7 @@ def test_c14_empty_batch_semantics():
     ema = layer.ema
     before = (layer.ema.mean.tobytes(), layer.ema.var.tobytes())
     with pytest.raises(EmptyBatch):
-        layer.forward(np.zeros((0, 3, 1, 1)), mode=BnMode.TRAIN_MINIBATCH)
+        layer.forward(np.zeros((0, 1, 1, 3)), mode=BnMode.TRAIN_MINIBATCH)
     after = (layer.ema.mean.tobytes(), layer.ema.var.tobytes())
     assert before == after
     assert layer.ema is ema

@@ -93,7 +93,7 @@ def test_bn_cohort_view_normalizes_each_cohort_alone(case):
     # them, viewed per cohort by BN: each cohort's rows, moments and EMA
     # step are those of a forward over that cohort alone
     strategy, n, sub_batch, seed = case
-    x = np.random.default_rng(seed).standard_normal((n, 3, 2, 1))
+    x = np.random.default_rng(seed).standard_normal((n, 2, 1, 3))
     cohorts = cohort_indices(NormBatchPlan(strategy, sub_batch), n,
                              np.random.default_rng(seed))
     rows = np.concatenate(cohorts)

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import tempfile
 import warnings
 from fractions import Fraction
@@ -282,6 +283,28 @@ def test_run_finite_divergence_exits_1_naming_the_step(tmp_path, capsys,
         assert_no_child_left()
         lines.append(err.splitlines()[0])
     assert lines[0] == lines[1]
+
+
+@pytest.mark.parametrize("scenario, overrides, named", [
+    # the first arm in item order, which fan_out reports
+    ("nbs_sweep", {"nbs_list": [8, 2]}, "nbs=8"),
+    ("leakage", {}, "variant=crafted"),
+    ("frozen_finetune", {}, "before the freeze"),
+    # no steps before the freeze: the unfrozen control diverges first
+    ("frozen_finetune", {"freeze_fraction": 0}, "unfrozen control"),
+])
+def test_run_divergence_names_the_training(tmp_path, capsys, scenario, overrides,
+                                           named):
+    # the scenarios that train several nets say which one diverged
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps({"lr": 1e6, "steps": 20, **overrides}))
+    out = tmp_path / "o"
+    assert main(["run", scenario, "--config", str(cfg), "--out", str(out)]) == 1
+    line = capsys.readouterr().err.splitlines()[0]
+    assert re.fullmatch(r"error: training diverged at step 2: loss \S+ is not "
+                        rf"<= 1000 \({named}\)", line), line
+    assert not out.exists()
+    assert_no_child_left()
 
 
 def test_run_artifacts_take_the_mode_of_the_umask(tmp_path, tiny_config):

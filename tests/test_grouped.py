@@ -69,7 +69,8 @@ def _data(n, seed=1):
     centers = 3.0 * rng.standard_normal((CLASSES, CHANNELS, SITES, 1))
     labels = rng.integers(0, CLASSES, n)
     x = centers[labels] + rng.standard_normal((n, CHANNELS, SITES, 1))
-    return x, labels
+    # (n, SITES, 1, CHANNELS), drawn channel by channel as the spatial task is
+    return x.transpose(0, 2, 3, 1), labels
 
 
 X_POOL, Y_POOL = _data(512)
@@ -157,8 +158,8 @@ def _assert_trains_as_the_loop(net, batch_fn, plan, runs):
 
 
 def _draw_net(draw, rng, batch):
-    """A ``build_net`` net of drawn widths for (C, H, W) inputs, and its
-    inputs' (C, H, W); each affine (G, C) over G row blocks, for G a
+    """A ``build_net`` net of drawn widths for (H, W, C) inputs, and its
+    inputs' (H, W, C); each affine (G, C) over G row blocks, for G a
     divisor of ``batch``, or (C,), its parameters drawn."""
     hw = draw(st.sampled_from([(1, 1), (2, 1), (2, 2)]))
     dims = [draw(st.integers(1, 6)) for _ in range(draw(st.integers(2, 3)))]
@@ -171,7 +172,7 @@ def _draw_net(draw, rng, batch):
         shape = (c,) if g is None else (g, c)
         net.layers[i + 1] = Affine(rng.uniform(0.5, 1.5, shape),
                                    rng.normal(0, 0.5, shape))
-    return net, (dims[0], *hw)
+    return net, (*hw, dims[0])
 
 
 @seed(5)
@@ -421,7 +422,7 @@ def test_one_cohort_step_is_the_plain_step(make_net, plan):
         x, labels = _batch_fn(data_rng, cfg.batch_size)
         if make_net is _dense_net:
             # one spatial site, a strided view of the batch
-            x = x[:, :, :1]
+            x = x[:, :1]
         before = x.copy()
         rows = np.concatenate(cohort_indices(plan, len(x), twin))
         losses = [sgd_step(nets[0], x, labels, cfg, step, plan, plan_rng,
@@ -523,8 +524,9 @@ def _scenario_net(name):
     net = build_net(np.random.default_rng(0), dims, pool=pool)
     rng = np.random.default_rng(1)
 
-    def batch_fn(rng, size):
-        return rng.standard_normal((size, *shape)), rng.integers(0, dims[-1], size)
+    def batch_fn(rng, size):  # drawn (C, H, W), as the spatial task draws
+        x = rng.standard_normal((size, *shape)).transpose(0, 2, 3, 1)
+        return x, rng.integers(0, dims[-1], size)
 
     train(net, batch_fn, SgdConfig(lr=0.05, steps=3, batch_size=32),
           plan=NormBatchPlan("ghost", 8))
@@ -571,7 +573,7 @@ def test_evaluation_chunks_change_results_by_rounding_only(name, monkeypatch):
         "precise32": lambda: precise_bn(net, x, 32),
     }
     runs = []
-    for chunk in (1, x.shape[0] * x.shape[2] * x.shape[3]):
+    for chunk in (1, x.shape[0] * x.shape[1] * x.shape[2]):
         monkeypatch.setattr(net_module, "EVAL_CHUNK_ROWS", chunk)
         runs.append({k: _chunked(net, run) for k, run in passes.items()})
     one, whole = runs

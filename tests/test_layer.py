@@ -24,8 +24,8 @@ from bnlab.tensor import SAMPLE_AXES, ChannelStats, channel_moments, normalize
 from oracles import fusion_finetune_demo
 
 
-def _x(rng, n=8, c=3, h=2, w=2):
-    return 1.0 + rng.standard_normal((n, c, h, w))
+def _x(rng, n=8, h=2, w=2, c=3):
+    return 1.0 + rng.standard_normal((n, h, w, c))
 
 
 def test_train_mode_standardizes_and_updates_ema():
@@ -136,11 +136,11 @@ def test_frozen_backward_is_constant_scale():
     dy = rng.standard_normal(x.shape)
     dx, _ = layer.backward(cache, dy)
     inv = 1.0 / np.sqrt(np.array([1.0, 4.0, 9.0]) + layer.eps)
-    np.testing.assert_allclose(dx, dy * inv[None, :, None, None])
+    np.testing.assert_allclose(dx, dy * inv)
 
 
-@pytest.mark.parametrize("layout", ["c_order", "channels_last"])
-@pytest.mark.parametrize("shape", [(8, 3, 2, 2), (4, 5, 3, 2, 2)],
+@pytest.mark.parametrize("layout", ["c_order", "channels_first"])
+@pytest.mark.parametrize("shape", [(8, 2, 2, 3), (4, 5, 2, 2, 3)],
                          ids=["batch", "stack"])
 def test_population_forward_and_frozen_backward_have_the_bits_of_their_expressions(
         layout, shape):
@@ -152,8 +152,8 @@ def test_population_forward_and_frozen_backward_have_the_bits_of_their_expressio
     y, cache = layer.forward(x, mode=BnMode.EVAL_POPULATION, stats=stats)
     dx, _ = layer.backward(cache, dy)
     # the expressions the inverse std is computed by, once in each pass
-    inv = (1.0 / np.sqrt(stats.var + layer.eps))[:, None, None]
-    np.testing.assert_array_equal(y, (x - stats.mean[:, None, None]) * inv)
+    inv = 1.0 / np.sqrt(stats.var + layer.eps)
+    np.testing.assert_array_equal(y, (x - stats.mean) * inv)
     np.testing.assert_array_equal(dx, dy * inv)
 
 
@@ -180,19 +180,18 @@ def test_evaluate_stops_at_its_deepest_sink_and_never_trains():
 
 
 def _in_layout(x, layout):
-    """``x`` in C order, or channels-last as Linear's GEMM writes it."""
+    """``x`` in C order, as Linear's GEMM writes it, or a view of it whose
+    channels are outermost in each sample, as the spatial task draws it."""
     if layout == "c_order":
         return x
-    last, back = {4: ((0, 2, 3, 1), (0, 3, 1, 2)),
-                  5: ((0, 1, 3, 4, 2), (0, 1, 4, 2, 3))}[x.ndim]
-    return np.ascontiguousarray(x.transpose(last)).transpose(back)
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, -3)), -3, -1)
 
 
-SHAPES = {"batch": (8, 3, 2, 2), "stack": (4, 5, 3, 2, 2)}
+SHAPES = {"batch": (8, 2, 2, 3), "stack": (4, 5, 2, 2, 3)}
 
 
 @pytest.mark.parametrize("mode", [BnMode.TRAIN_MINIBATCH, BnMode.EVAL_MINIBATCH])
-@pytest.mark.parametrize("layout", ["c_order", "channels_last"])
+@pytest.mark.parametrize("layout", ["c_order", "channels_first"])
 @pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
 def test_batch_forward_has_the_bits_of_normalize_by_channel_moments(mode, layout,
                                                                     shape):
@@ -215,7 +214,7 @@ def test_batch_forward_has_the_bits_of_normalize_by_channel_moments(mode, layout
     np.testing.assert_array_equal(cache.moments.var, moments.var)
 
 
-@pytest.mark.parametrize("layout", ["c_order", "channels_last"])
+@pytest.mark.parametrize("layout", ["c_order", "channels_first"])
 @pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
 def test_batch_stats_backward_has_the_bits_of_its_one_expression(layout, shape):
     rng = np.random.default_rng(13)
@@ -223,8 +222,8 @@ def test_batch_stats_backward_has_the_bits_of_its_one_expression(layout, shape):
         _in_layout(rng.standard_normal(shape), layout), 1e-5)
     dy = _in_layout(rng.standard_normal(shape), layout)
     # the expression the in-place version replaced
-    inv = inv_std[..., None, :, None, None]
-    m = dy.shape[-4] * dy.shape[-2] * dy.shape[-1]
+    inv = inv_std[..., None, None, None, :]
+    m = dy.shape[-4] * dy.shape[-3] * dy.shape[-2]
     sum_dy = dy.sum(axis=SAMPLE_AXES, keepdims=True)
     sum_dy_xhat = (dy * x_hat).sum(axis=SAMPLE_AXES, keepdims=True)
     ref = (inv / m) * (m * dy - sum_dy - x_hat * sum_dy_xhat)
@@ -234,12 +233,12 @@ def test_batch_stats_backward_has_the_bits_of_its_one_expression(layout, shape):
 
 
 @pytest.mark.parametrize("n, cohort", [(12, 4), (10, 4), (10, 10), (10, 20)])
-@pytest.mark.parametrize("layout", ["c_order", "channels_last"])
+@pytest.mark.parametrize("layout", ["c_order", "channels_first"])
 def test_cohort_view_keeps_the_input_layout(n, cohort, layout):
     # whole cohorts, a ragged last one, and a cohort that covers the batch
     rng = np.random.default_rng(15)
-    x = _in_layout(rng.standard_normal((n, 3, 2, 2)), layout)
-    dy = _in_layout(rng.standard_normal((n, 3, 2, 2)), layout)
+    x = _in_layout(rng.standard_normal((n, 2, 2, 3)), layout)
+    dy = _in_layout(rng.standard_normal((n, 2, 2, 3)), layout)
     layer = BnLayer(3)
     y, cache = layer.forward(x, mode=BnMode.TRAIN_MINIBATCH, cohort=cohort)
     dx, _ = layer.backward(cache, dy)
@@ -252,7 +251,7 @@ def test_the_ema_steps_once_per_cohort(n, cohort):
     # whole cohorts, a ragged last one, and a cohort that covers the batch:
     # ceil(n / cohort) steps, each by one cohort's own moments, in order
     rng = np.random.default_rng(17)
-    x = 1.0 + 2.0 * rng.standard_normal((n, 3, 2, 2))
+    x = 1.0 + 2.0 * rng.standard_normal((n, 2, 2, 3))
     layer = BnLayer(3, momentum=0.7)
     want = layer.ema
     for start in range(0, n, cohort):
@@ -274,9 +273,9 @@ def test_layer_validation():
             BnLayer(3, momentum=momentum)
     layer = BnLayer(3)
     with pytest.raises(ShapeMismatch):
-        layer.forward(np.zeros((2, 4, 1, 1)))
+        layer.forward(np.zeros((2, 1, 1, 4)))
     with pytest.raises(EmptyBatch):
-        layer.forward(np.zeros((0, 3, 1, 1)), mode=BnMode.EVAL_MINIBATCH)
+        layer.forward(np.zeros((0, 1, 1, 3)), mode=BnMode.EVAL_MINIBATCH)
 
 
 @pytest.mark.parametrize("cohort", [0, -3])

@@ -38,13 +38,13 @@ def _net(rng, dims=(4, 6, 3)):
 def test_linear_acts_per_spatial_site():
     rng = np.random.default_rng(0)
     layer = Linear.init(rng, 3, 5)
-    x = rng.standard_normal((2, 3, 2, 2))
+    x = rng.standard_normal((2, 2, 2, 3))
     y, _ = layer.forward(x)
-    assert y.shape == (2, 5, 2, 2)
+    assert y.shape == (2, 2, 2, 5)
     for i in range(2):
         for j in range(2):
-            ref = x[:, :, i, j] @ layer.weight.T + layer.bias
-            np.testing.assert_allclose(y[:, :, i, j], ref, atol=1e-12)
+            ref = x[:, i, j] @ layer.weight.T + layer.bias
+            np.testing.assert_allclose(y[:, i, j], ref, atol=1e-12)
 
 
 def test_linear_shape_validation():
@@ -57,28 +57,24 @@ def test_meanpool_forward_backward():
     x = rng.standard_normal((3, 2, 2, 2))
     pool = MeanPool()
     y, cache = pool.forward(x)
-    np.testing.assert_allclose(y[:, :, 0, 0], x.mean(axis=(2, 3)))
+    np.testing.assert_allclose(y[:, 0, 0], x.mean(axis=(1, 2)))
     dy = rng.standard_normal(y.shape)
     dx, _ = pool.backward(cache, dy)
     np.testing.assert_array_equal(dx, np.broadcast_to(dy / 4.0, x.shape))
 
 
-def _stride_order(a):
-    # axes from outermost to innermost in memory; length-1 axes have no place
-    return sorted((i for i in range(a.ndim) if a.shape[i] > 1),
-                  key=lambda i: -a.strides[i])
-
-
 @pytest.mark.parametrize("mode", [BnMode.TRAIN_MINIBATCH, BnMode.EVAL_POPULATION])
-def test_backward_returns_gradients_in_the_forward_input_layout(mode):
+def test_backward_returns_c_contiguous_gradients(mode):
     rng = np.random.default_rng(11)
     layers = [
         BnLayer(6), Affine.identity(6), Relu(), Linear.init(rng, 6, 5),
         BnLayer(5), Affine.identity(5), Relu(), MeanPool(), Linear.init(rng, 5, 3),
     ]
-    # an (N, C, H, W) batch as a Linear writes it: channels last
-    x, _ = Linear.init(rng, 4, 6).forward(rng.standard_normal((6, 4, 2, 3)))
-    assert _stride_order(x) == [0, 2, 3, 1]
+    # an (N, H, W, C) batch as a Linear writes it, from an input drawn
+    # channel by channel, as the spatial task draws it: in C order
+    x, _ = Linear.init(rng, 4, 6).forward(
+        rng.standard_normal((6, 4, 2, 3)).transpose(0, 2, 3, 1))
+    assert x.flags.c_contiguous
     inputs, caches = [], []
     for layer in layers:
         inputs.append(x)
@@ -93,7 +89,7 @@ def test_backward_returns_gradients_in_the_forward_input_layout(mode):
         # None for a parameter-free layer, else keyed by its parameters
         assert set(grads or ()) == set(layer.param_names)
         assert dy.shape == x_in.shape
-        assert _stride_order(dy) == _stride_order(x_in), type(layer).__name__
+        assert dy.flags.c_contiguous, type(layer).__name__
 
 
 def test_softmax_cross_entropy_matches_manual():
@@ -117,7 +113,7 @@ def test_softmax_cross_entropy_matches_manual():
 def test_network_cache_single_use(kind):
     rng = np.random.default_rng(3)
     net = _net(rng)
-    x = rng.standard_normal((6, 4, 1, 1))
+    x = rng.standard_normal((6, 1, 1, 4))
     kwargs = {"batch": {}, "ragged_tail": {"cohort": 4},
               "population": {"stats": {i: net.layers[i].ema
                                        for i in net.bn_indices}}}[kind]
@@ -129,7 +125,7 @@ def test_network_cache_single_use(kind):
     # each of its BN layers' caches is spent too, a ragged tail's with it
     bn = net.bn_indices[0]
     with pytest.raises(StaleCache, match="^backward already consumed this cache$"):
-        net.layers[bn].backward(caches[bn], np.ones((6, 6, 1, 1)))
+        net.layers[bn].backward(caches[bn], np.ones((6, 1, 1, 6)))
 
 
 def test_forward_needs_h_w_1_logits_and_backward_takes_any_logits_gradient():
@@ -137,8 +133,8 @@ def test_forward_needs_h_w_1_logits_and_backward_takes_any_logits_gradient():
     net = _net(rng)
     with pytest.raises(ShapeMismatch,
                        match="^dense layers expect h = w = 1 activations$"):
-        net.forward(rng.standard_normal((6, 4, 2, 2)))
-    x = rng.standard_normal((6, 4, 1, 1))
+        net.forward(rng.standard_normal((6, 2, 2, 4)))
+    x = rng.standard_normal((6, 1, 1, 4))
     dlogits = rng.standard_normal((6, 3))
     results = []
     for given in (dlogits, dlogits.tolist(), dlogits.astype(np.float32)):
@@ -156,7 +152,7 @@ def test_forward_needs_h_w_1_logits_and_backward_takes_any_logits_gradient():
 def test_backward_without_input_grad_keeps_parameter_gradient_bits(n, cohort):
     rng = np.random.default_rng(11)
     net = _net(rng)
-    x = rng.standard_normal((n, 4, 1, 1))
+    x = rng.standard_normal((n, 1, 1, 4))
     results = []
     for input_grad in (True, False):
         logits, caches = net.forward(x, cohort=cohort)
@@ -175,7 +171,7 @@ def test_train_stops_at_the_first_nan_or_out_of_bound_loss():
 
     def batch_fn(r, size):
         steps_drawn.append(len(steps_drawn))
-        x = r.standard_normal((size, 4, 1, 1))
+        x = r.standard_normal((size, 1, 1, 4))
         if len(steps_drawn) == 3:
             x[0, 0] = np.nan
         return x, r.integers(0, 3, size)
@@ -189,7 +185,7 @@ def test_train_stops_at_the_first_nan_or_out_of_bound_loss():
     net = _net(np.random.default_rng(13))
     net.layers[-1].weight *= 1e6
     with pytest.raises(Diverged, match="at step 1: loss"):
-        train(net, lambda r, size: (r.standard_normal((size, 4, 1, 1)),
+        train(net, lambda r, size: (r.standard_normal((size, 1, 1, 4)),
                                     r.integers(0, 3, size)), cfg)
     assert LOSS_BOUND == 1e3
 
@@ -221,14 +217,14 @@ def test_train_is_deterministic_and_learns():
 
     def batch_fn(rng, size):
         idx = rng.integers(0, x.shape[0], size=size)
-        return x[idx][:, :, None, None], y[idx]
+        return x[idx][:, None, None], y[idx]
 
     results = []
     for _ in range(2):
         net = _net(np.random.default_rng(6))
         cfg = SgdConfig(lr=0.1, steps=60, batch_size=16, seed=7)
         train(net, batch_fn, cfg)
-        err = classification_error(net, x[:, :, None, None], y)
+        err = classification_error(net, x[:, None, None], y)
         results.append((err, net.layers[0].weight.copy()))
     assert results[0][0] == results[1][0]
     np.testing.assert_array_equal(results[0][1], results[1][1])
@@ -242,7 +238,7 @@ def test_train_respects_frozen_layers():
     ema = net.layers[1].ema
 
     def batch_fn(r, size):
-        return r.standard_normal((size, 4, 1, 1)), r.integers(0, 3, size)
+        return r.standard_normal((size, 1, 1, 4)), r.integers(0, 3, size)
 
     cfg = SgdConfig(lr=0.05, steps=5, batch_size=8, seed=1)
     train(net, batch_fn, cfg, stats={1: snap})
@@ -252,7 +248,7 @@ def test_train_respects_frozen_layers():
 def test_train_with_ghost_plan_matches_cohort_semantics():
     # a ghost plan with sub_batch == batch_size degenerates to plain training
     def batch_fn(r, size):
-        return r.standard_normal((size, 4, 1, 1)), r.integers(0, 3, size)
+        return r.standard_normal((size, 1, 1, 4)), r.integers(0, 3, size)
 
     nets = []
     for plan in (None, NormBatchPlan(strategy="ghost", sub_batch=8)):
@@ -269,7 +265,7 @@ def test_classification_error_plan_counts_its_ragged_tail():
     # leave a last cohort of 2, normalized by its own moments and counted
     rng = np.random.default_rng(10)
     net = _net(rng)
-    x = rng.standard_normal((10, 4, 1, 1))
+    x = rng.standard_normal((10, 1, 1, 4))
     y = rng.integers(0, 3, 10)
     err = classification_error(net, x, y, plan=NormBatchPlan("ghost", 5))
     assert 0.0 <= err <= 1.0
@@ -291,7 +287,7 @@ def test_classification_error_plan_counts_its_ragged_tail():
 def test_classification_error_needs_one_label_per_row(rows, count, to_list, plan):
     rng = np.random.default_rng(11)
     net = _net(rng)
-    x = rng.standard_normal((rows, 4, 1, 1))
+    x = rng.standard_normal((rows, 1, 1, 4))
     y = rng.integers(0, 3, max(rows, count))
     convert = list if to_list else np.asarray
     with pytest.raises(ShapeMismatch, match=rf"^{rows} rows .* \({count},\)$"):
@@ -315,7 +311,7 @@ def test_a_row_block_affine_trains_with_exact_gradients(plan):
                           rng.standard_normal(shape)),
                    Relu(), Linear.init(rng, 6, 3)])
     affine = net.layers[2]
-    x, y = rng.standard_normal((12, 4, 1, 1)), rng.integers(0, 3, 12)
+    x, y = rng.standard_normal((12, 1, 1, 4)), rng.integers(0, 3, 12)
     cohort = None if plan is None else plan.sub_batch
 
     def loss_of():
@@ -349,11 +345,11 @@ def test_a_row_block_affine_scales_consecutive_row_blocks():
     rng = np.random.default_rng(22)
     gamma, beta = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
     affine = Affine(gamma, beta)
-    x = rng.standard_normal((12, 2, 1, 1))
+    x = rng.standard_normal((12, 1, 1, 2))
     y, _ = affine.forward(x)
     # rows 0-3 take parameter row 0, rows 4-7 row 1, rows 8-11 row 2
     rows = np.repeat(np.arange(3), 4)
     np.testing.assert_array_equal(
-        y, x * gamma[rows, :, None, None] + beta[rows, :, None, None])
+        y, x * gamma[rows, None, None] + beta[rows, None, None])
     with pytest.raises(ShapeMismatch, match=r"10 rows .* 3 equal blocks"):
-        affine.forward(np.zeros((10, 2, 1, 1)))
+        affine.forward(np.zeros((10, 1, 1, 2)))

@@ -22,7 +22,7 @@ from oracles import random_net
 def test_precise_bn_full_batch_matches_direct_moments():
     rng = np.random.default_rng(0)
     net = random_net(rng, [4, 6, 3])
-    pop = rng.standard_normal((32, 4, 1, 1))
+    pop = rng.standard_normal((32, 1, 1, 4))
     stats = precise_bn(net, pop, 32)
     h, _ = net.layers[0].forward(pop)
     ref = channel_moments(h)
@@ -41,7 +41,7 @@ def test_precise_bn_is_read_only(estimate):
                 for layer in (net.layers[i] for i in net.bn_indices)]
 
     before = state()
-    estimate(net, rng.standard_normal((16, 4, 1, 1)), 4)
+    estimate(net, rng.standard_normal((16, 1, 1, 4)), 4)
     # the same EMA objects, with the same bits
     assert all(a[0] is b[0] and a[1:] == b[1:] for a, b in zip(state(), before))
 
@@ -49,7 +49,7 @@ def test_precise_bn_is_read_only(estimate):
 def test_precise_bn_handles_ragged_final_batch():
     rng = np.random.default_rng(2)
     net = random_net(rng, [4, 6, 3])
-    pop = rng.standard_normal((10, 4, 1, 1))
+    pop = rng.standard_normal((10, 1, 1, 4))
     stats = precise_bn(net, pop, 4)  # cohorts of 4, 4, 2
     # first layer sees the raw input, so aggregation must equal pop moments
     h, _ = net.layers[0].forward(pop)
@@ -61,7 +61,7 @@ def test_precise_bn_handles_ragged_final_batch():
 def test_layerwise_invariant_to_batch_size():
     rng = np.random.default_rng(3)
     net = random_net(rng, [4, 6, 6, 3])
-    pop = rng.standard_normal((24, 4, 1, 1))
+    pop = rng.standard_normal((24, 1, 1, 4))
     ref = precise_bn_layerwise(net, pop, 24)
     for b in (3, 8):
         got = precise_bn_layerwise(net, pop, b)
@@ -73,7 +73,7 @@ def test_layerwise_invariant_to_batch_size():
 def test_plain_pass_drifts_at_small_batch_deeper_layers():
     rng = np.random.default_rng(4)
     net = random_net(rng, [4, 6, 6, 3])
-    pop = rng.standard_normal((32, 4, 1, 1))
+    pop = rng.standard_normal((32, 1, 1, 4))
     oracle = precise_bn(net, pop, 32)
     plain = precise_bn(net, pop, 4)
     deep = net.bn_indices[-1]
@@ -85,11 +85,11 @@ def test_plain_pass_drifts_at_small_batch_deeper_layers():
 def test_precise_bn_validation():
     rng = np.random.default_rng(5)
     net = random_net(rng, [4, 6, 3])
-    pop = rng.standard_normal((8, 4, 1, 1))
+    pop = rng.standard_normal((8, 1, 1, 4))
     with pytest.raises(EmptyPopulation):
-        precise_bn(net, np.zeros((0, 4, 1, 1)), 4)
+        precise_bn(net, np.zeros((0, 1, 1, 4)), 4)
     with pytest.raises(EmptyPopulation):
-        precise_bn_layerwise(net, np.zeros((0, 4, 1, 1)), 4)
+        precise_bn_layerwise(net, np.zeros((0, 1, 1, 4)), 4)
     with pytest.raises(InvalidParams):
         precise_bn(net, pop, 0)
 
@@ -110,7 +110,7 @@ def test_evaluation_passes_hold_a_few_activations_at_any_population(monkeypatch)
     d = EMA_VS_PRECISE_DEFAULTS
     net = build_net(np.random.default_rng(3), [d["dim"], *d["hidden"], d["classes"]])
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((8192, d["dim"], 1, 1))
+    x = rng.standard_normal((8192, 1, 1, d["dim"]))
     y = rng.integers(0, d["classes"], 1024)
     activation = 1024 * d["hidden"][0] * 8
     first_layer = net.layers[0].forward
@@ -154,7 +154,7 @@ def _first_layer_net(rng, first, c=3, hidden=5, classes=4):
 def test_evaluation_passes_leave_the_callers_input_as_it_was(first):
     rng = np.random.default_rng(6)
     net = _first_layer_net(rng, first)
-    x = rng.standard_normal((40, 3, 2, 1))
+    x = rng.standard_normal((40, 2, 1, 3))
     y = rng.integers(0, 4, 40)
     before = x.tobytes()
     runs = {

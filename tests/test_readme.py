@@ -1,5 +1,6 @@
-"""README's quoted outputs against the code: the ``bnlab estimate``
-example's JSON, byte for byte, the ``bnlab check-grad`` listing's
+"""README's quoted outputs against the code: the ``bnlab run`` smoke
+example's output line, the ``bnlab estimate`` example's JSON, byte for
+byte, the ``bnlab check-grad`` listing's
 component names and statuses (its error figures are not checked), the
 table of pinned Python calls in "How cohorts run", the config table of
 ``bnlab run`` against the scenarios' tables and rules, and the JSON artifact
@@ -14,7 +15,8 @@ from bnlab.gradcheck import TOLERANCE, run_full_suite
 from bnlab.scenarios import RULES, SCENARIOS
 from test_step_calls import CALLS_PER_PASS, CALLS_PER_SLAB, CALLS_PER_STEP
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _section(title):
@@ -24,6 +26,19 @@ def _section(title):
     body = re.search(rf"^###? {re.escape(title)}\n(.*?)(?=^##|\Z)", text,
                      re.MULTILINE | re.DOTALL).group(1)
     return re.findall(r"^```(\w*)\n(.*?)^```", body, re.MULTILINE | re.DOTALL)
+
+
+def test_the_run_smoke_example_prints_the_quoted_line(tmp_path, capsys,
+                                                      monkeypatch):
+    (example,) = [body for lang, body in _section("`bnlab run`")
+                  if body.startswith("bnlab run ") and "\n# " in body]
+    command, quoted = example.splitlines()
+    argv = command.split()[1:]
+    config = argv.index("--config") + 1
+    argv[config] = str(ROOT / argv[config])
+    monkeypatch.chdir(tmp_path)  # the quoted --out is relative
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == quoted.removeprefix("# ") + "\n"
 
 
 def test_the_estimate_example_prints_the_quoted_json(tmp_path, capsys):

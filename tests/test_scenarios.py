@@ -91,10 +91,10 @@ def test_checkpoint_snapshots_statistics_without_installing_them():
     # layer's state (its EMA) is left as it was
     rng = np.random.default_rng(3)
     net = build_net(rng, [4, 6, 6, 6, 3])
-    net.forward(rng.standard_normal((16, 4, 1, 1)))  # moves the EMAs
+    net.forward(rng.standard_normal((16, 1, 1, 4)))  # moves the EMAs
     bn = net.bn_indices
     frozen = {bn[0]: net.layers[bn[0]].ema}
-    stats = precise_bn(net, rng.standard_normal((32, 4, 1, 1)), 8)
+    stats = precise_bn(net, rng.standard_normal((32, 1, 1, 4)), 8)
     layers = [net.layers[i] for i in bn]
     before = [dict(vars(layer)) for layer in layers]
     run = ScenarioRun("checkpoint")

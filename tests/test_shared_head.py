@@ -78,7 +78,7 @@ def test_eps_must_be_positive(tmp_path):
 def test_population_and_evaluation_passes_check_their_blocks():
     # 10 rows split into no cohort of 3 and into no 3 blocks of statistics
     net = SharedHeadNet(np.random.default_rng(0), 4, 5, 3)
-    x, y = np.random.default_rng(1).standard_normal((10, 4, 1, 1)), np.zeros(10)
+    x, y = np.random.default_rng(1).standard_normal((10, 1, 1, 4)), np.zeros(10)
     with pytest.raises(ShapeMismatch, match="10 rows do not split into cohorts of 3"):
         net.train_population_stats(x, cohort=3)
     with pytest.raises(InvalidParams, match="cohort must be at least 1, got 0"):

@@ -144,7 +144,7 @@ def test_ema_converges_to_stationary_batch():
 
 def test_moment_log_csv_roundtrip(moments_csv):
     rng = np.random.default_rng(0)
-    log = [channel_moments(rng.standard_normal((4, 2, 1, 1))) for _ in range(3)]
+    log = [channel_moments(rng.standard_normal((4, 1, 1, 2))) for _ in range(3)]
     back = read_moments_csv(moments_csv(log))
     assert len(back) == 3
     for a, b in zip(log, back):
@@ -169,7 +169,7 @@ def _mixed_log(rng, channels=3):
     log = []
     for shape in ((4,), (3, 4), (2,), (2, 4), (1,)):
         n = shape[-1]
-        x = 5.0 + rng.standard_normal((*shape[:-1], n, channels, 2, 1))
+        x = 5.0 + rng.standard_normal((*shape[:-1], n, 2, 1, channels))
         log.append(channel_moments(x))
     return log
 
@@ -329,7 +329,7 @@ def test_a_one_channel_log_sums_in_order_not_pairwise():
 def test_moment_matching_equals_concat_oracle(counts, c, seed):
     rng = np.random.default_rng(seed)
     # two spatial rows per sample: at least 2 elements, so bessel applies
-    parts = [1.0 + rng.standard_normal((n, c, 2, 1)) for n in counts]
+    parts = [1.0 + rng.standard_normal((n, 2, 1, c)) for n in counts]
     log = [channel_moments(p) for p in parts]
     agg = aggregate_moment_matching(log)
     ref = channel_moments(np.concatenate(parts, axis=0))

@@ -62,19 +62,22 @@ MEASURED_ON = "Python 3.11.7, numpy 2.4.6"
 # and ChannelStats and EmaState were built in one frame, the cases read
 # 104, 121, 121, 109, 126, 95, 49 and 57, and the three Network arms 66,
 # 72 and 76.  At 0d6b61b, before the cohort view moved into
-# batch_stats_forward, the two shared head cases read 46 and 54.
+# batch_stats_forward, the two shared head cases read 46 and 54.  At
+# e6a13b8, before activations became (N, H, W, C) and Linear's GEMM lost
+# its four transposes, the cases read 81, 97, 97, 85, 102, 67, 45, 53, 50,
+# 56 and 60.
 CALLS_PER_STEP = {
-    "ema_vs_precise": 81,
-    "nbs_sweep_ghost2": 97,
-    "nbs_sweep_ghost8": 97,
-    "nbs_sweep_ghost32": 85,
-    "nbs_sweep_shuffle16": 102,
-    "nbs_sweep_frozen_ghost2": 67,
-    "shared_head_shared": 45,
-    "shared_head_per_domain": 53,
-    "shared_head_network_shared": 50,
-    "shared_head_network_domain_stats": 56,
-    "shared_head_network_domain_stats_affine": 60,
+    "ema_vs_precise": 70,
+    "nbs_sweep_ghost2": 86,
+    "nbs_sweep_ghost8": 86,
+    "nbs_sweep_ghost32": 74,
+    "nbs_sweep_shuffle16": 91,
+    "nbs_sweep_frozen_ghost2": 56,
+    "shared_head_shared": 38,
+    "shared_head_per_domain": 46,
+    "shared_head_network_shared": 43,
+    "shared_head_network_domain_stats": 49,
+    "shared_head_network_domain_stats_affine": 53,
 }
 SLACK = 2
 
@@ -93,14 +96,14 @@ def _ema_vs_precise():
     d = EMA_VS_PRECISE_DEFAULTS
     net = build_net(np.random.default_rng(3), [d["dim"], *d["hidden"], d["classes"]],
                     ema_momentum=d["ema_momentum"])
-    return _sgd(net, (32, d["dim"], 1, 1), d["classes"], None)
+    return _sgd(net, (32, 1, 1, d["dim"]), d["classes"], None)
 
 
 def _nbs_sweep(sub_batch, strategy="ghost"):
     d = NBS_SWEEP_DEFAULTS
     net = build_net(np.random.default_rng(3),
                     [d["channels"], *d["hidden"], d["classes"]], pool=True)
-    return _sgd(net, (32, d["channels"], 2, 2), d["classes"],
+    return _sgd(net, (32, 2, 2, d["channels"]), d["classes"],
                 NormBatchPlan(strategy, sub_batch))
 
 
@@ -141,7 +144,7 @@ def _shared_head(per_domain):
                         eps=d["eps"])
     rng = np.random.default_rng(1)
     rows = domains * d["domain_batch"]  # the domains' row blocks
-    x = rng.standard_normal((rows, d["dim"], 1, 1))
+    x = rng.standard_normal((rows, 1, 1, d["dim"]))
     y = rng.integers(0, d["classes"], rows)
     return net.train_step, (x, y, d["lr"], d["sgd_momentum"])
 
@@ -166,7 +169,7 @@ def _shared_head_network(sgd_stats, affine):
                                np.zeros((domains, hidden)))
     plan = (NormBatchPlan("ghost", d["domain_batch"])
             if sgd_stats == "per_domain" else None)
-    return _sgd(net, (domains * d["domain_batch"], d["dim"], 1, 1),
+    return _sgd(net, (domains * d["domain_batch"], 1, 1, d["dim"]),
                 d["classes"], plan)
 
 
@@ -210,12 +213,13 @@ def test_python_calls_per_sgd_step(name, setup):
 # the EMA as it is instead of copying it out per pass, error_by_ema read 157.
 # At 7f222d3, before a moment fold took one input method and kept no
 # channel count or 1-wide log, precise_bn32 read 217 and
-# precise_bn_layerwise32 279.
+# precise_bn_layerwise32 279.  At e6a13b8, with Linear's transposes, the
+# four read 125, 133, 213 and 275.
 CALLS_PER_PASS = {
-    "error_by_ema": 125,
-    "error_given_stats": 133,
-    "precise_bn32": 213,
-    "precise_bn_layerwise32": 275,
+    "error_by_ema": 101,
+    "error_given_stats": 109,
+    "precise_bn32": 197,
+    "precise_bn_layerwise32": 251,
 }
 
 
@@ -224,7 +228,7 @@ def _ema_vs_precise_pass(name):
     net = build_net(np.random.default_rng(3), [d["dim"], *d["hidden"], d["classes"]],
                     ema_momentum=d["ema_momentum"])
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((1024, d["dim"], 1, 1))
+    x = rng.standard_normal((1024, 1, 1, d["dim"]))
     labels = rng.integers(0, d["classes"], 1024)
     if name == "precise_bn32":
         return precise_bn, (net, x, 32)

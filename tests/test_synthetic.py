@@ -23,7 +23,7 @@ def test_gaussian_classes_mean_layout():
     norms = np.linalg.norm(task.means, axis=1)
     np.testing.assert_allclose(norms, 3.0, atol=1e-12)
     x, y = task.sample(np.random.default_rng(1), 20)
-    assert x.shape == (20, 8, 1, 1)
+    assert x.shape == (20, 1, 1, 8)
     assert y.shape == (20,) and y.min() >= 0 and y.max() < 5
     # the mean layout is tied to the task seed, not the sampling rng
     assert np.array_equal(task.means, GaussianClasses(5, 8, 3.0, seed=0).means)
@@ -35,7 +35,7 @@ def test_spatial_gaussian_classes_shape_and_nuisance():
     flat_norms = np.linalg.norm(task.means.reshape(4, -1), axis=1)
     np.testing.assert_allclose(flat_norms, 2.0, atol=1e-12)
     x, y = task.sample(np.random.default_rng(2), 10)
-    assert x.shape == (10, 6, 3, 1)
+    assert x.shape == (10, 3, 1, 6)
     # gain/offset widen the per-sample spread without changing shapes
     noisy = SpatialGaussianClasses(4, 6, 3, 2.0, 0.1, gain=1.0, offset=2.0,
                                    seed=1)
@@ -47,7 +47,7 @@ def _old_gaussian_sample(task, rng, n):
     """``GaussianClasses.sample`` as it was before it drew in place."""
     labels = rng.integers(0, task.classes, size=n)
     x = task.means[labels] + task.noise * rng.standard_normal((n, task.dim))
-    return x[:, :, None, None], labels
+    return x[:, None, None], labels
 
 
 def _old_spatial_sample(task, rng, n):
@@ -59,7 +59,7 @@ def _old_spatial_sample(task, rng, n):
         x = x * np.exp(task.gain * rng.standard_normal(n))[:, None, None]
     if task.offset > 0:
         x = x + (task.offset * rng.standard_normal(n))[:, None, None]
-    return x[:, :, :, None], labels
+    return x.transpose(0, 2, 1)[:, :, None], labels
 
 
 @pytest.mark.parametrize("n", [1, DRAW_BLOCK_ROWS, 2 * DRAW_BLOCK_ROWS + 3])
@@ -80,7 +80,7 @@ def test_in_place_draws_have_the_bits_of_the_old_expressions(n, gain, offset):
 
 def test_corruption_is_affine():
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((5, 4, 1, 1))
+    x = rng.standard_normal((5, 1, 1, 4))
     y = Corruption(scale=2.0, shift=-1.0).apply(x, rng)
     np.testing.assert_allclose(y, 2.0 * x - 1.0, atol=1e-12)
 
@@ -92,12 +92,12 @@ def test_mixing_corruption_rotation_is_orthogonal_and_deterministic():
                                atol=1e-12)
     again = MixingCorruption.random_rotation(6, np.random.default_rng(5))
     np.testing.assert_array_equal(corr.matrix, again.matrix)
-    x = rng.standard_normal((5, 6, 1, 1))
+    x = rng.standard_normal((5, 1, 1, 6))
     y = corr.apply(x, rng)
     assert y.shape == x.shape
     # a rotation preserves per-sample norms
-    np.testing.assert_allclose(np.linalg.norm(y[:, :, 0, 0], axis=1),
-                               np.linalg.norm(x[:, :, 0, 0], axis=1),
+    np.testing.assert_allclose(np.linalg.norm(y[:, 0, 0], axis=1),
+                               np.linalg.norm(x[:, 0, 0], axis=1),
                                atol=1e-12)
 
 
@@ -144,7 +144,7 @@ def test_batches_do_not_depend_on_the_slab_size(monkeypatch):
     label_rng, x_rng, *noise_rngs = np.random.default_rng(13).spawn(5)
     for step, batches in enumerate(zip(*streams, strict=True)):
         (x, y), *others = batches
-        assert x.shape == (3 * n, 6, 1, 1) and y.shape == (3 * n,)
+        assert x.shape == (3 * n, 1, 1, 6) and y.shape == (3 * n,)
         for xo, yo in others:
             assert np.array_equal(x, xo) and np.array_equal(y, yo), step
         labels = label_rng.integers(0, 5, size=(3, n))
@@ -153,7 +153,7 @@ def test_batches_do_not_depend_on_the_slab_size(monkeypatch):
         for d, t in enumerate(domains.transforms):
             noise = noise_rngs[d].standard_normal((n, 6)) if t.noise > 0 else None
             want = t.transform(base.means[labels[d]] + base.noise * z[d], noise)
-            assert np.array_equal(x[d * n : (d + 1) * n, :, 0, 0], want), step
+            assert np.array_equal(x[d * n : (d + 1) * n, 0, 0], want), step
 
 
 def test_make_clustered_data_shares_latent_within_cluster():
@@ -162,10 +162,10 @@ def test_make_clustered_data_shares_latent_within_cluster():
     data = make_clustered_data(task, rng, n_clusters=50, cluster_size=2,
                                latent_scale=20.0)
     assert isinstance(data, ClusteredData)
-    assert data.x.shape == (100, 8, 1, 1)
+    assert data.x.shape == (100, 1, 1, 8)
     assert data.clusters.shape == (50, 2)
-    a = data.x[data.clusters[:, 0], :, 0, 0]
-    b = data.x[data.clusters[:, 1], :, 0, 0]
+    a = data.x[data.clusters[:, 0], 0, 0]
+    b = data.x[data.clusters[:, 1], 0, 0]
     # the dominant latent cancels in the within-cluster difference
     assert np.abs(a - b).max() < np.abs(a).mean()
 

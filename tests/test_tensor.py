@@ -18,11 +18,11 @@ from test_layer import _in_layout
 
 def test_channel_moments_match_numpy():
     rng = np.random.default_rng(0)
-    # a batch and a cohort stack, each in C order and channels-last
+    # a batch and a cohort stack, each in C order and channels-first
     for x in [_in_layout(a, layout)
-              for a in (rng.standard_normal((7, 3, 2, 5)),
-                        rng.standard_normal((4, 7, 3, 2, 5)))
-              for layout in ("c_order", "channels_last")]:
+              for a in (rng.standard_normal((7, 2, 5, 3)),
+                        rng.standard_normal((4, 7, 2, 5, 3)))
+              for layout in ("c_order", "channels_first")]:
         s = channel_moments(x)
         np.testing.assert_allclose(s.mean, x.mean(axis=SAMPLE_AXES), atol=1e-14)
         np.testing.assert_allclose(s.var, x.var(axis=SAMPLE_AXES), atol=1e-14)
@@ -31,7 +31,7 @@ def test_channel_moments_match_numpy():
         # the bits of the form with two temporaries, the centred batch and
         # its squares; channel_moments squares its centred batch in place
         mean = np.add.reduce(x, axis=SAMPLE_AXES) / s.count
-        centred = x - mean[..., None, :, None, None]
+        centred = x - mean[..., None, None, None, :]
         np.testing.assert_array_equal(s.mean, mean)
         np.testing.assert_array_equal(
             s.var, np.add.reduce(np.square(centred), axis=SAMPLE_AXES) / s.count)
@@ -39,7 +39,7 @@ def test_channel_moments_match_numpy():
 
 def test_channel_moments_rejects_empty_and_bad_rank():
     with pytest.raises(EmptyBatch):
-        channel_moments(np.zeros((0, 3, 1, 1)))
+        channel_moments(np.zeros((0, 1, 1, 3)))
     with pytest.raises(ShapeMismatch):
         channel_moments(np.zeros((3, 3)))
 
@@ -61,7 +61,7 @@ def test_channel_stats_is_frozen_and_holds_float64_arrays():
 
 def test_normalize_standardizes():
     rng = np.random.default_rng(1)
-    x = 5.0 + 2.0 * rng.standard_normal((64, 4, 1, 1))
+    x = 5.0 + 2.0 * rng.standard_normal((64, 1, 1, 4))
     y = normalize(x, channel_moments(x), eps=0.0)
     s = channel_moments(y)
     np.testing.assert_allclose(s.mean, 0.0, atol=1e-12)
@@ -69,7 +69,7 @@ def test_normalize_standardizes():
 
 
 def test_normalize_validates_eps_and_channels():
-    x = np.ones((2, 3, 1, 1))
+    x = np.ones((2, 1, 1, 3))
     stats = ChannelStats(np.zeros(3), np.zeros(3), 2)
     with pytest.raises(InvalidParams):
         normalize(x, stats, eps=0.0)  # zero variance needs positive eps
