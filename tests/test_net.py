@@ -70,11 +70,11 @@ def test_backward_returns_c_contiguous_gradients(mode):
         BnLayer(6), Affine.identity(6), Relu(), Linear.init(rng, 6, 5),
         BnLayer(5), Affine.identity(5), Relu(), MeanPool(), Linear.init(rng, 5, 3),
     ]
-    # an (N, H, W, C) batch as a Linear writes it, from an input drawn
-    # channel by channel, as the spatial task draws it: in C order
-    x, _ = Linear.init(rng, 4, 6).forward(
-        rng.standard_normal((6, 4, 2, 3)).transpose(0, 2, 3, 1))
-    assert x.flags.c_contiguous
+    # an (N, H, W, C) input drawn channel by channel, as the spatial task
+    # draws it: a view that is not C-contiguous, whose gradient is
+    layers.insert(0, Linear.init(rng, 4, 6))
+    x = rng.standard_normal((6, 4, 2, 3)).transpose(0, 2, 3, 1)
+    assert not x.flags.c_contiguous
     inputs, caches = [], []
     for layer in layers:
         inputs.append(x)
