@@ -30,6 +30,7 @@ out: on a shared machine they do not repeat.
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import platform
@@ -55,11 +56,8 @@ def export(rev, into):
     commit = commit.stdout.strip()
     archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
                              capture_output=True, check=True)
-    with tempfile.TemporaryFile() as fh:
-        fh.write(archive.stdout)
-        fh.seek(0)
-        with tarfile.open(fileobj=fh) as tar:
-            tar.extractall(into, filter="data")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into, filter="data")
     return commit
 
 
