@@ -79,7 +79,9 @@ def cmd_run(args):
     fn, _ = SCENARIOS[args.scenario]
     out = os.path.join(args.out, "")  # "out" and "out/" name "out/..." alike
     try:
-        result = fn(cfg, args.seed)
+        # a numeric fault raises where it happens, in forked arms too
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            result = fn(cfg, args.seed)
         checkpoints = {
             f"{out}summary.json": {
                 "scenario": result.scenario,
@@ -97,7 +99,7 @@ def cmd_run(args):
         io.write_metrics_csv(f"{out}metrics.csv", result.rows)
         for path, text in texts.items():
             io.write_json(path, text)
-    except (BnLabError, OSError) as exc:
+    except (BnLabError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         traceback.print_exc(limit=2, file=sys.stderr)
         return EXIT_RUNTIME

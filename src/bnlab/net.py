@@ -407,9 +407,12 @@ def sgd_step(net, x, labels, cfg, step, plan, rng, optimizer, stats=None):
 
 def diverged(step, loss, what=None):
     """The error for a training loss that is NaN or above LOSS_BOUND after
-    the 0-based ``step``; ``what`` names the model, where a loop trains
-    several."""
+    the 0-based ``step``, or for a FloatingPointError ``loss`` raised in it
+    (under ``np.errstate(...="raise")``); ``what`` names the model, where a
+    loop trains several."""
     where = "" if what is None else f" ({what})"
+    if isinstance(loss, FloatingPointError):
+        return Diverged(f"training failed at step {step + 1}: {loss}{where}")
     return Diverged(f"training diverged at step {step + 1}: loss "
                     f"{float(loss):.6g} is not <= {LOSS_BOUND:g}{where}")
 
@@ -421,13 +424,17 @@ def train(net, batch_fn, cfg: SgdConfig, plan: NormBatchPlan | None = None,
     The BN layers in ``stats`` are frozen in every step (see ``sgd_step``).
     The parameters are views into a new ``Momentum`` buffer from here on.
     Returns the trained network (mutated in place).  Raises ``Diverged``
-    at the first step whose loss is NaN or above LOSS_BOUND, naming the
-    training by ``what`` where a run trains several."""
+    at the first step whose loss is NaN or above LOSS_BOUND, or which
+    raises FloatingPointError, naming the training by ``what`` where a run
+    trains several."""
     rng = np.random.default_rng(cfg.seed)
     optimizer = Momentum(net.layers)
     for step in range(cfg.steps):
         x, labels = batch_fn(rng, cfg.batch_size)
-        loss = sgd_step(net, x, labels, cfg, step, plan, rng, optimizer, stats)
+        try:
+            loss = sgd_step(net, x, labels, cfg, step, plan, rng, optimizer, stats)
+        except FloatingPointError as exc:
+            raise diverged(step, exc, what) from None
         if not loss <= LOSS_BOUND:
             raise diverged(step, loss, what)
         if callback is not None:

@@ -265,6 +265,18 @@ RULES = [
     (("nbs_list", "batch_size", "train_eval_size", "val_size"), lambda nbs, cfg: any(
         cfg[k] % nbs for k in ("batch_size", "train_eval_size", "val_size")),
      "{at} must be a divisor of batch_size, train_eval_size and val_size"),
+    # a cohort of nbs samples holds nbs * sites activation rows; one row has
+    # zero variance, so BN would put out 0 for it
+    (("nbs", "sites"), lambda nbs, cfg: nbs * cfg["sites"] < 2,
+     "nbs * sites must be >= 2 activation rows per cohort, got {v} * {sites}"),
+    (("nbs_list", "sites"), lambda nbs, cfg: nbs * cfg["sites"] < 2,
+     "{at} * sites must be >= 2 activation rows per cohort, got {v} * {sites}"),
+    # leakage's shuffle_fix normalizes each half of a crafted batch, which an
+    # odd batch would cut into two halves and a one-row rest
+    (("groups_per_batch", "copies_per_group"), lambda g, cfg:
+     g * cfg["copies_per_group"] % 2,
+     "groups_per_batch * copies_per_group must be even, got {v} * "
+     "{copies_per_group}"),
     # ema_vs_precise runs each (distinct) entry capped at precise_n: two at
     # or above it would rerun one pass and repeat its metrics.csv keys
     (("precise_b_sweep", "precise_n"), lambda b, cfg: b >= cfg["precise_n"]
@@ -299,7 +311,8 @@ _TRAINING = {
     "hidden": ([64, 64], ">= 1"),
     "lr": (0.05, "> 0"),
     "sgd_momentum": (0.9, ">= 0", "< 1"),
-    "batch_size": (32, ">= 1"),
+    # a batch, or one cohort of it, of one row has zero variance
+    "batch_size": (32, ">= 2"),
     "precise_n": (1024, ">= 1"),
 }
 _GAUSSIAN_TASK = {
@@ -565,7 +578,7 @@ SHARED_HEAD_DEFAULTS = ConfigTable({
     "lr": (0.05, "> 0"),
     "sgd_momentum": (0.9, ">= 0", "< 1"),
     "steps": (1200, ">= 1"),
-    "domain_batch": (16, ">= 1"),
+    "domain_batch": (16, ">= 2"),  # a per_domain cohort's rows
     "val_per_domain": (512, ">= 1"),
     "eps": (1e-5, "> 0"),
     "policies": [
@@ -730,8 +743,12 @@ def run_shared_head(cfg, seed):
         rng = np.random.default_rng(_seed(seed, 10))
         for step, (x, y) in enumerate(domains.batches(rng, cfg["steps"],
                                                       cfg["domain_batch"])):
-            loss = net.train_step(x, y, cfg["lr"], cfg["sgd_momentum"])
-            if not loss <= LOSS_BOUND:
+            try:
+                loss = net.train_step(x, y, cfg["lr"], cfg["sgd_momentum"])
+                ok = loss <= LOSS_BOUND
+            except FloatingPointError as exc:  # as train reports it
+                loss, ok = exc, False
+            if not ok:
                 raise diverged(step, loss, "sgd_stats={}, affine={}".format(*pair))
         return {r: net.eval_error(val_x, val_y, net.train_population_stats(
             pop_x, per_domain(policies[r][1], cfg["val_per_domain"]))) for r in rows}
@@ -755,9 +772,10 @@ LEAKAGE_DEFAULTS = ConfigTable({
     "separation": (4.0, ">= 0"),
     "noise": (0.8, ">= 0"),
     "latent_scale": (4.0, ">= 0"),
-    # shuffle_fix normalizes each half of a crafted batch: two rows at least
+    # a crafted cohort is a group's copies and a ghost_fix cohort one copy
+    # of each group: two rows at least
     "groups_per_batch": (16, ">= 2"),
-    "copies_per_group": (2, ">= 1"),
+    "copies_per_group": (2, ">= 2"),
     "train_clusters": (2048, ">= 1"),
     "val_clusters": (1024, ">= 1"),
     "hidden": ([128, 128], ">= 1"),

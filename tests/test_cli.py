@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
+from bnlab import gradcheck, layer, scenarios
 from bnlab.cli import main
 from bnlab.layer import BnLayer
 from bnlab.net import Affine, Linear, MeanPool, Relu
@@ -244,9 +245,8 @@ def test_run_diverged_is_runtime_error_and_writes_nothing(tmp_path, capsys):
     cfg = tmp_path / "diverge.json"
     cfg.write_text(json.dumps({"lr": 1e6, "steps": 50}))
     out = tmp_path / "o"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["run", "domain_adapt", "--config", str(cfg),
-                     "--seed", "0", "--out", str(out)])
+    code = main(["run", "domain_adapt", "--config", str(cfg),
+                 "--seed", "0", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert "training diverged at step 2: loss" in err
@@ -305,6 +305,80 @@ def test_run_divergence_names_the_training(tmp_path, capsys, scenario, overrides
                         rf"<= 1000 \({named}\)", line), line
     assert not out.exists()
     assert_no_child_left()
+
+
+ONE_ROW_COHORTS = [
+    ("ema_vs_precise", {"batch_size": 1}, "batch_size must be >= 2"),
+    ("domain_adapt", {"batch_size": 1}, "batch_size must be >= 2"),
+    ("nbs_sweep", {"sites": 1, "nbs_list": [1]},
+     "nbs_list[0] * sites must be >= 2 activation rows per cohort, got 1 * 1"),
+    ("frozen_finetune", {"sites": 1, "nbs": 1},
+     "nbs * sites must be >= 2 activation rows per cohort, got 1 * 1"),
+    # a per_domain cohort is one domain's rows of the batch
+    ("shared_head", {"domain_batch": 1}, "domain_batch must be >= 2"),
+    # crafted cohorts of one copy
+    ("leakage", {"copies_per_group": 1}, "copies_per_group must be >= 2"),
+    # shuffle_fix cut the 9-row batch 4, 4, 1
+    ("leakage", {"groups_per_batch": 3, "copies_per_group": 3},
+     "groups_per_batch * copies_per_group must be even, got 3 * 3"),
+]
+
+
+@pytest.mark.parametrize("scenario, overrides, message", ONE_ROW_COHORTS,
+                         ids=[f"{s}-" + "-".join(f"{k}{v}" for k, v in o.items())
+                              for s, o, _ in ONE_ROW_COHORTS])
+def test_run_refuses_a_one_row_cohort(tmp_path, capsys, scenario, overrides,
+                                      message):
+    # one activation row has zero variance, so BN put out 0 for it and the
+    # row carried no input; each of these ran and exited 0
+    cfg = tmp_path / "one_row.json"
+    cfg.write_text(json.dumps({"steps": 2, **overrides}))
+    out = tmp_path / "o"
+    assert main(["run", scenario, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, named", [
+    ("ema_vs_precise", ""),
+    # nbs=2, the first arm, runs here while the other two fork
+    ("nbs_sweep", " (nbs=2)"),
+    ("shared_head", " (sgd_stats=shared, affine=shared)"),
+])
+def test_run_numeric_fault_names_the_step(tmp_path, capsys, monkeypatch,
+                                          scenario, named):
+    # the first BN forward squares values near 1e300; ema_vs_precise
+    # printed numpy's warnings, then blamed zero variance in its subset gap
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"separation": 1e300, "steps": 2}))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", scenario, "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        f"error: training failed at step 1: overflow encountered in square{named}"]
+    assert not out.exists()
+    assert_no_child_left()
+
+
+def test_run_numeric_fault_outside_training_is_one_error_line(monkeypatch,
+                                                               tmp_path, capsys):
+    def log_of_zero(cfg, seed):
+        return np.log(np.zeros(1))
+
+    monkeypatch.setitem(SCENARIOS, "domain_adapt",
+                        (log_of_zero, SCENARIOS["domain_adapt"][1]))
+    out = tmp_path / "o"
+    assert main(["run", "domain_adapt", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        "error: divide by zero encountered in log"]
+    assert not out.exists()
 
 
 def test_run_artifacts_take_the_mode_of_the_umask(tmp_path, tiny_config):
@@ -609,3 +683,27 @@ def test_check_grad_catches_sign_flip(monkeypatch, capsys, layer_type):
     monkeypatch.setattr(layer_type, "backward", flipped)
     assert main(["check-grad"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def _negated(fn, at):
+    """``fn`` with its result, or its result's entry ``at``, negated."""
+    def flipped(*args):
+        out = fn(*args)
+        return -out if at is None else (*out[:at], -out[at], *out[at + 1:])
+    return flipped
+
+
+@pytest.mark.parametrize("module, name, at, failing", [
+    # the BN backward of a BnLayer (whose method the flip above wraps) ...
+    (layer, "batch_stats_backward", None, "bn_train"),
+    # ... and the one SharedHeadNet calls, by its own name for it
+    (scenarios, "batch_stats_backward", None, "shared_head_shared"),
+    # the logits gradient, not the loss, of every network case
+    (gradcheck, "softmax_cross_entropy", 1, "network_train"),
+], ids=["layer", "shared_head", "softmax_cross_entropy"])
+def test_check_grad_catches_a_flipped_backward_function(monkeypatch, capsys, module,
+                                                        name, at, failing):
+    monkeypatch.setattr(module, name, _negated(getattr(module, name), at))
+    assert main(["check-grad"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(rf"^{failing} .* FAIL$", out, re.MULTILINE), out

@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bnlab import io, scenarios
@@ -53,6 +54,16 @@ def test_items_run_in_workers(cores):
     pids = fan_out(lambda _: os.getpid(), range(4))
     assert pids[0] == os.getpid()
     assert len(set(pids)) == 4
+
+
+def test_workers_inherit_the_floating_point_error_state(cores):
+    # bnlab run raises on a numeric fault in every arm, forked or not
+    cores(2)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        states = fan_out(lambda _: (os.getpid(), np.geterr()), range(3))
+    assert len({pid for pid, _ in states}) == 3
+    assert [err for _, err in states] == [
+        {"divide": "raise", "over": "raise", "under": "ignore", "invalid": "raise"}] * 3
 
 
 def test_processes_are_capped_at_four_per_core(cores):

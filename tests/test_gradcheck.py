@@ -32,3 +32,22 @@ def test_relative_error_scale_awareness():
     # deviations are scaled by the larger magnitude (floored at 1)
     assert relative_error(np.array([1000.0]), np.array([1001.0])) < 2e-3
     assert relative_error(np.array([0.0]), np.array([1e-3])) == 1e-3
+
+
+def test_numerical_gradient_restores_its_array_bit_for_bit():
+    # check-grad perturbs live inputs and parameters in place; values whose
+    # +-h perturbation rounds, a negative zero and a strided view
+    base = np.random.default_rng(0).standard_normal((4, 6)) * 1e3
+    base[0, 0] = -0.0
+    before = base.copy()
+    view = base[:, ::2].T
+    grad = numerical_gradient(lambda v: float((v ** 3).sum()), view)
+    assert base.tobytes() == before.tobytes()
+    np.testing.assert_allclose(grad, 3 * view ** 2, rtol=1e-4)
+
+
+def test_numerical_gradient_reaches_an_array_the_function_reads():
+    # a parameter's loss closes over the array instead of taking it
+    a = np.array([[1.0, -2.0], [0.5, 3.0]])
+    grad = numerical_gradient(lambda _: float((a * a).sum()), a)
+    np.testing.assert_allclose(grad, 2 * a, atol=1e-8)
