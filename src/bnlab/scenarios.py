@@ -311,9 +311,10 @@ _TRAINING = {
     "hidden": ([64, 64], ">= 1"),
     "lr": (0.05, "> 0"),
     "sgd_momentum": (0.9, ">= 0", "< 1"),
-    # a batch, or one cohort of it, of one row has zero variance
+    # a batch, or one cohort of it, of one row has zero variance; so has
+    # every precise mini-batch of a one-row population
     "batch_size": (32, ">= 2"),
-    "precise_n": (1024, ">= 1"),
+    "precise_n": (1024, ">= 2"),
 }
 _GAUSSIAN_TASK = {
     "classes": (16, ">= 1"),
@@ -344,7 +345,8 @@ EMA_VS_PRECISE_DEFAULTS = ConfigTable({
     "ema_momentum": (0.999, ">= 0", "< 1"),
     "steps": (300, ">= 1"),
     "eval_every": (50, ">= 1"),
-    "precise_b_sweep": ([2, 8, 32, 1024], ">= 1", "distinct"),
+    # a one-row precise mini-batch normalizes its row to 0
+    "precise_b_sweep": ([2, 8, 32, 1024], ">= 2", "distinct"),
     # a one-row subset has zero variance: the stats gap of two would be 0/0
     "subset_sizes": ([32, 256, 2048], ">= 2", "distinct"),
 }, RULES)
@@ -526,7 +528,7 @@ def run_frozen_finetune(cfg, seed):
 
 DOMAIN_ADAPT_DEFAULTS = ConfigTable({
     **_GAUSSIAN_TASK,
-    "adapt_size": (1024, ">= 1"),
+    "adapt_size": (1024, ">= 2"),  # the target statistics' population, as precise_n
     "steps": (400, ">= 1"),
     "corruptions": {
         "none": {"scale": 1.0, "shift": 0.0, "noise": 0.0},
@@ -783,7 +785,7 @@ LEAKAGE_DEFAULTS = ConfigTable({
     "sgd_momentum": (0.9, ">= 0", "< 1"),
     "steps": (600, ">= 1"),
     "eval_window": (50, ">= 1"),
-    "precise_n": (1024, ">= 1"),
+    "precise_n": (1024, ">= 2"),  # as in _TRAINING
 }, RULES)
 
 

@@ -204,6 +204,17 @@ BAD_NUMBERS = [
     # the default sweep [2, 8, 32, 1024] under a small precise_n: its
     # message names the cap, since the config gives no sweep
     ("ema_vs_precise", '{"precise_n": 16}', "precise_b_sweep[3]"),
+    # a one-row precise mini-batch normalizes its row to 0: each of these
+    # estimated statistics from such mini-batches and exited 0, or (the
+    # frozen_finetune one) exited 1 as "training diverged"
+    ("ema_vs_precise", '{"steps": 20, "precise_b_sweep": [1, 32]}',
+     "precise_b_sweep[0]"),
+    ("ema_vs_precise", '{"precise_n": 1, "precise_b_sweep": [2]}', "precise_n"),
+    ("domain_adapt", '{"adapt_size": 1}', "adapt_size"),
+    ("domain_adapt", '{"precise_n": 1}', "precise_n"),
+    ("leakage", '{"precise_n": 1}', "precise_n"),
+    ("nbs_sweep", '{"sites": 1, "precise_n": 1, "nbs_list": [2]}', "precise_n"),
+    ("frozen_finetune", '{"sites": 1, "precise_n": 1}', "precise_n"),
 ]
 
 
