@@ -44,9 +44,9 @@ class BnLayer:
 
     TRAIN_MINIBATCH normalizes by the batch's own moments and advances the
     EMA; EVAL_MINIBATCH does the same without touching the EMA (a precise
-    re-estimation pass).  EVAL_POPULATION normalizes by fixed statistics:
-    the ``stats`` given to the forward, else the EMA.  The layer holds only
-    its shape, ``eps``, ``momentum`` and EMA, which each step replaces:
+    re-estimation pass).  EVAL_POPULATION normalizes by the ``stats`` the
+    caller names (the EMA among them).  The layer holds only its shape,
+    ``eps``, ``momentum`` and EMA, which each step replaces:
     FrozenBN is EVAL_POPULATION by statistics the caller passes in training
     too (``train(..., stats=)``).
 
@@ -73,18 +73,19 @@ class BnLayer:
                 stats: ChannelStats | None = None, cohort: int | None = None,
                 out: np.ndarray | None = None):
         """Returns (y, cache).  ``stats`` are the fixed statistics of an
-        EVAL_POPULATION forward (default: the EMA's), which ignores
-        ``cohort``.  ``x`` is an array of float64, as ``Network.forward``
-        passes it.  ``out``, an array of x's shape (x itself, say), if
-        given receives an EVAL_POPULATION forward's y, with the bits of y
-        without it; the batch modes write y into a new array.  Raises
-        EmptyBatch on n == 0 before any side effect, so the EMA is left
-        bit-identical, and InvalidParams on a ``cohort`` below 1.  The EMA
-        steps once per cohort, in order."""
+        EVAL_POPULATION forward, which needs them (InvalidParams without)
+        and ignores ``cohort``.  ``x`` is an array of float64, as
+        ``Network.forward`` passes it.  ``out``, an array of x's shape (x
+        itself, say), if given receives an EVAL_POPULATION forward's y,
+        with the bits of y without it; the batch modes write y into a new
+        array.  Raises EmptyBatch on n == 0 before any side effect, so the
+        EMA is left bit-identical, and InvalidParams on a ``cohort`` below
+        1.  The EMA steps once per cohort, in order."""
         if x.shape[-1] != self.channels:
             raise ShapeMismatch(f"expected {self.channels} channels, got {x.shape[-1]}")
         if mode is BnMode.EVAL_POPULATION:
-            stats = self.ema if stats is None else stats
+            if stats is None:
+                raise InvalidParams("a population-mode BN forward needs stats")
             # a backward derives the inverse std from the stats
             return normalize(x, stats, self.eps, out=out), BnCache(
                 x_hat=None, inv_std=None, moments=None, stats=stats)

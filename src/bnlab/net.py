@@ -228,10 +228,10 @@ class Network:
 
     def evaluate(self, x, *, stats=None, moment_sinks=None, cohort=None):
         """The evaluation pass: (N, K) logits, without caches or EMA steps.
-        With no ``cohort`` each BN layer normalizes by population statistics
-        (EVAL_POPULATION): ``stats`` where given, as in ``forward``, else
-        its EMA.  With one, each normalizes by the moments of each
-        ``cohort`` rows (EVAL_MINIBATCH), except the layers in ``stats``.
+        With no ``cohort`` each BN layer normalizes by its ``stats``, which
+        every one needs (EVAL_POPULATION).  With one, each normalizes by the
+        moments of each ``cohort`` rows (EVAL_MINIBATCH), except the layers
+        in ``stats``.
         The BN, Affine and Relu layers write their output over their input
         where the pass allocated it, never over ``x``.
 
@@ -454,12 +454,12 @@ def classification_error(net, x, labels, *, stats=None, plan=None, rng=None):
     """Top-1 error of the network on (x, labels), one label per row of x
     (any other shape of labels raises ShapeMismatch).
 
-    With no ``plan`` every BN layer normalizes by population statistics,
-    ``stats`` ({layer index: ChannelStats}) where given, else its EMA's.
-    With a plan each cohort (a shuffle's drawn from ``rng``) normalizes by
-    its own moments (EVAL_MINIBATCH).  The rows run in ``chunk_rows``
-    chunks of whole cohorts, each a ``Network.evaluate`` pass, a shuffle's
-    gathered chunk by chunk.
+    With no ``plan`` every BN layer normalizes by its ``stats`` ({layer
+    index: ChannelStats}), which every one needs.  With a plan each cohort
+    (a shuffle's drawn from ``rng``) normalizes by its own moments
+    (EVAL_MINIBATCH).  The rows run in ``chunk_rows`` chunks of whole
+    cohorts, each a ``Network.evaluate`` pass, a shuffle's gathered chunk
+    by chunk.
     """
     x = as_tensor4(x)
     n = x.shape[0]

@@ -77,21 +77,19 @@ class ScenarioRun:
                 node = node.setdefault(k, {})
             node[key[-1]] = value
 
-    def checkpoint(self, net, stats=None, source="precise"):
-        """Snapshot every parameter and every BN layer's statistics: the
-        ``stats[i]`` given for layer ``i``, labelled ``source``, else its
-        EMA.  The net is left as it was."""
+    def checkpoint(self, net, stats, source="precise"):
+        """Snapshot every parameter and every BN layer's statistics, the
+        ``stats[i]`` given for layer ``i`` (InvalidParams on a missing one),
+        labelled ``source``.  The net is left as it was."""
         self.stats_checkpoint, self.params_checkpoint = {}, {}
         for i, (name, layer) in enumerate(zip(net.layer_names(), net.layers)):
             if isinstance(layer, BnLayer):
-                src, s = ((source, stats[i]) if i in (stats or {})
-                          else ("ema", layer.ema))
+                if i not in stats:
+                    raise InvalidParams(f"checkpoint: no {source} stats for {name}")
+                s = stats[i]
                 self.stats_checkpoint[name] = {
-                    "mean": list(s.mean),
-                    "var": list(s.var),
-                    "count": int(s.count),
-                    "source": src,
-                }
+                    "mean": list(s.mean), "var": list(s.var),
+                    "count": int(s.count), "source": source}
             elif isinstance(layer, (Linear, Affine)):
                 self.params_checkpoint[name] = {
                     k: np.asarray(getattr(layer, k)).reshape(-1).tolist()
@@ -374,7 +372,8 @@ def run_ema_vs_precise(cfg, seed):
     def eval_point(step, net):
         if (step + 1) % cfg["eval_every"] and step + 1 != cfg["steps"]:
             return
-        err_ema = classification_error(net, x_val, y_val)
+        err_ema = classification_error(net, x_val, y_val, stats={
+            i: net.layers[i].ema for i in net.bn_indices})
         _, err_precise = precise_error(PRECISE_BATCH)
         run.log(run_id, step + 1, "val", "ema", "error", err_ema)
         run.log(run_id, step + 1, "val", "precise", "error", err_precise)

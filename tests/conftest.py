@@ -34,6 +34,12 @@ _hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_hypothesis_home.name)
 
 
+def ema_stats(net):
+    """Each BN layer's EMA, as the ``stats`` of a population-mode pass,
+    which names its statistics."""
+    return {i: net.layers[i].ema for i in net.bn_indices}
+
+
 def assert_no_child_left():
     """This process has no child left, running or ended and unreaped: a
     check that every ``fan_out`` worker was waited for."""

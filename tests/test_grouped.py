@@ -49,7 +49,7 @@ from bnlab.scenarios import (
     shared_head_data,
 )
 from bnlab.tensor import ChannelStats
-from conftest import drawn
+from conftest import drawn, ema_stats
 from oracles import LoopNet
 
 CHANNELS, SITES, HIDDEN, CLASSES = 8, 4, 16, 5
@@ -213,13 +213,14 @@ def test_every_cohort_pass_matches_the_loop_reference(data):
         assert precise.keys() == want.keys()
         for i in want:
             _assert_stats(precise[i], [want[i]])
-    ema = {i: net.layers[i].ema for i in net.bn_indices}
+    ema = ema_stats(net)
     plan = _plan(draw, n, plain=False)
     rows = (np.random.default_rng(seed).permutation(n) if plan.strategy == "shuffle"
             else np.arange(n))
     cohort = {"cohort": plan.sub_batch}
     for inputs, train_kwargs, eval_kwargs, ref_logits, kwargs in (
-        (x, {"stats": ema}, {}, ref.forward(x, fixed=_fixed(ema))[0], {}),
+        (x, {"stats": ema}, {"stats": ema}, ref.forward(x, fixed=_fixed(ema))[0],
+         {"stats": ema}),
         (x, {"stats": precise}, {"stats": precise},
          ref.forward(x, fixed=_fixed(precise))[0], {"stats": precise}),
         (x[rows], cohort, cohort,
@@ -560,9 +561,9 @@ def test_evaluation_chunks_change_results_by_rounding_only(name, monkeypatch):
     # matrix-product kernel by the row count, so a row's logits can move in
     # their last bits with its chunk's size.
     net, x, y = _scenario_net(name)
-    given = precise_bn(net, x, 16)
+    given, ema = precise_bn(net, x, 16), ema_stats(net)
     passes = {
-        "population_ema": lambda: classification_error(net, x, y),
+        "population_ema": lambda: classification_error(net, x, y, stats=ema),
         "population_given": lambda: classification_error(net, x, y, stats=given),
         "ghost8_ragged": lambda: classification_error(
             net, x, y, plan=NormBatchPlan("ghost", 8)),

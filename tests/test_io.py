@@ -11,6 +11,7 @@ import pytest
 from bnlab import io
 from bnlab.errors import BnLabError, ConfigError
 from bnlab.scenarios import EMA_VS_PRECISE_DEFAULTS, ScenarioRun, build_net
+from conftest import ema_stats
 
 TABLE = io.ConfigTable({
     "steps": 100,
@@ -264,7 +265,7 @@ def test_one_changed_weight_changes_one_line_of_params_json():
     net = build_net(np.random.default_rng(3), [d["dim"], *d["hidden"], d["classes"]],
                     ema_momentum=d["ema_momentum"])
     run = ScenarioRun("ema_vs_precise")
-    run.checkpoint(net)
+    run.checkpoint(net, ema_stats(net), source="ema")
     payload = run.params_checkpoint
     changed = copy.deepcopy(payload)
     changed["linear1"]["weight"][100] += 1.0

@@ -17,8 +17,9 @@ from bnlab.layer import (
     batch_stats_backward,
     batch_stats_forward,
 )
-from bnlab.net import Linear, MeanPool, Network, SgdConfig, train
-from bnlab.scenarios import SharedHeadNet
+from bnlab.net import (Linear, MeanPool, Network, SgdConfig, classification_error,
+                       train)
+from bnlab.scenarios import ScenarioRun, SharedHeadNet, build_net
 from bnlab.stats import ema_update
 from bnlab.tensor import SAMPLE_AXES, ChannelStats, channel_moments, normalize
 from oracles import fusion_finetune_demo
@@ -50,7 +51,7 @@ def test_eval_modes_leave_ema_alone():
     layer = BnLayer(3)
     before = layer.ema
     layer.forward(_x(rng), mode=BnMode.EVAL_MINIBATCH)
-    layer.forward(_x(rng), mode=BnMode.EVAL_POPULATION)
+    layer.forward(_x(rng), mode=BnMode.EVAL_POPULATION, stats=layer.ema)
     assert layer.ema is before
 
 
@@ -77,15 +78,36 @@ def test_frozen_uses_its_snapshot():
     np.testing.assert_allclose(y, x / np.sqrt(2.0 + layer.eps))
 
 
-def test_population_forward_defaults_to_the_ema():
+@pytest.mark.parametrize("call, message", [
+    ("layer_forward", "^a population-mode BN forward needs stats$"),
+    ("evaluate", "^a population-mode BN forward needs stats$"),
+    ("classification_error", "^a population-mode BN forward needs stats$"),
+    ("checkpoint", "^checkpoint: no precise stats for bn(0|1)$"),
+])
+def test_population_mode_refuses_missing_stats(call, message):
+    # the EMA is one estimator of the population statistics, not a default:
+    # a population-mode pass and a checkpoint refuse to run without every BN
+    # layer's statistics, and leave the EMAs as they were
     rng = np.random.default_rng(2)
-    layer = BnLayer(3, momentum=0.5)
-    layer.forward(_x(rng))  # moves the EMA off its initial state
-    x = _x(rng)
-    y, cache = layer.forward(x, mode=BnMode.EVAL_POPULATION)
-    # the EMA itself, not a copy of it
-    assert cache.stats is layer.ema
-    np.testing.assert_array_equal(y, normalize(x, layer.ema, layer.eps))
+    net = build_net(rng, [4, 6, 6, 3])
+    net.forward(rng.standard_normal((16, 1, 1, 4)))  # moves the EMAs
+    first, last = net.bn_indices
+    x, labels = rng.standard_normal((8, 1, 1, 4)), rng.integers(0, 3, 8)
+    run = {
+        "layer_forward": lambda stats: net.layers[last].forward(
+            rng.standard_normal((8, 1, 1, 6)), mode=BnMode.EVAL_POPULATION,
+            stats=stats.get(last)),
+        "evaluate": lambda stats: net.evaluate(x, stats=stats or None),
+        "classification_error": lambda stats: classification_error(
+            net, x, labels, stats=stats or None),
+        "checkpoint": lambda stats: ScenarioRun("checkpoint").checkpoint(net, stats),
+    }[call]
+    ema = [net.layers[i].ema for i in net.bn_indices]
+    for stats in ({}, {first: ema[0]}):
+        with pytest.raises(InvalidParams, match=message):
+            run(stats)
+    assert all(net.layers[i].ema is s for i, s in zip(net.bn_indices, ema))
+    run({first: ema[0], last: ema[1]})  # each layer's EMA, named
 
 
 def test_the_layer_holds_only_its_shape_eps_and_ema():
@@ -117,7 +139,8 @@ def test_cache_single_use(mode, cohort):
     rng = np.random.default_rng(5)
     layer = BnLayer(3)
     x = _x(rng)
-    _, cache = layer.forward(x, mode=mode, cohort=cohort)
+    _, cache = layer.forward(x, mode=mode, cohort=cohort, stats=layer.ema
+                             if mode is BnMode.EVAL_POPULATION else None)
     layer.backward(cache, np.ones_like(x))
     with pytest.raises(StaleCache, match="^backward already consumed this cache$"):
         layer.backward(cache, np.ones_like(x))

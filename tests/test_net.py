@@ -23,6 +23,7 @@ from bnlab.net import (
     train,
 )
 from bnlab.tensor import ChannelStats
+from conftest import ema_stats
 
 
 def _net(rng, dims=(4, 6, 3)):
@@ -79,7 +80,8 @@ def test_backward_returns_c_contiguous_gradients(mode):
     for layer in layers:
         inputs.append(x)
         if isinstance(layer, BnLayer):
-            x, cache = layer.forward(x, mode=mode)
+            x, cache = layer.forward(x, mode=mode, stats=layer.ema
+                                     if mode is BnMode.EVAL_POPULATION else None)
         else:
             x, cache = layer.forward(x)
         caches.append(cache)
@@ -224,7 +226,8 @@ def test_train_is_deterministic_and_learns():
         net = _net(np.random.default_rng(6))
         cfg = SgdConfig(lr=0.1, steps=60, batch_size=16, seed=7)
         train(net, batch_fn, cfg)
-        err = classification_error(net, x[:, None, None], y)
+        err = classification_error(net, x[:, None, None], y,
+                                   stats=ema_stats(net))
         results.append((err, net.layers[0].weight.copy()))
     assert results[0][0] == results[1][0]
     np.testing.assert_array_equal(results[0][1], results[1][1])
@@ -290,12 +293,13 @@ def test_classification_error_needs_one_label_per_row(rows, count, to_list, plan
     x = rng.standard_normal((rows, 1, 1, 4))
     y = rng.integers(0, 3, max(rows, count))
     convert = list if to_list else np.asarray
+    stats = None if plan else ema_stats(net)
     with pytest.raises(ShapeMismatch, match=rf"^{rows} rows .* \({count},\)$"):
         classification_error(net, x, convert(y[:count]), plan=plan,
-                             rng=np.random.default_rng(0))
+                             rng=np.random.default_rng(0), stats=stats)
     # one label per row, in either form, is measured alike
     errors = [classification_error(net, x, form(y[:rows]), plan=plan,
-                                   rng=np.random.default_rng(0))
+                                   rng=np.random.default_rng(0), stats=stats)
               for form in (convert, np.asarray)]
     assert errors[0] == errors[1]
 

@@ -16,6 +16,7 @@ from bnlab.net import Affine, Linear, MeanPool, Network, Relu, classification_er
 from bnlab.precise import precise_bn, precise_bn_layerwise
 from bnlab.scenarios import EMA_VS_PRECISE_DEFAULTS, build_net
 from bnlab.tensor import channel_moments
+from conftest import ema_stats
 from oracles import random_net
 
 
@@ -130,7 +131,8 @@ def test_evaluation_passes_hold_a_few_activations_at_any_population(monkeypatch)
         finally:
             tracemalloc.stop()
 
-    error = peak(lambda: classification_error(net, x[:1024], y))
+    ema = ema_stats(net)
+    error = peak(lambda: classification_error(net, x[:1024], y, stats=ema))
     whole = peak(lambda: precise_bn(net, x[:1024], 1024))
     small, large = (peak(lambda rows=rows: precise_bn(net, x[:rows], 2))
                     for rows in (1024, 8192))
@@ -158,7 +160,7 @@ def test_evaluation_passes_leave_the_callers_input_as_it_was(first):
     y = rng.integers(0, 4, 40)
     before = x.tobytes()
     runs = {
-        "population": lambda: classification_error(net, x, y),
+        "population": lambda: classification_error(net, x, y, stats=ema_stats(net)),
         "ghost": lambda: classification_error(net, x, y, plan=NormBatchPlan("ghost", 8)),
         "shuffle": lambda: classification_error(
             net, x, y, plan=NormBatchPlan("shuffle", 8), rng=np.random.default_rng(0)),

@@ -10,6 +10,7 @@ from bnlab.layer import BnLayer
 from bnlab.net import Affine, Linear, Network, Relu
 from bnlab.precise import precise_bn
 from bnlab.scenarios import RULES, SCENARIOS, ScenarioRun, build_net
+from conftest import ema_stats
 
 TINY = {
     "ema_vs_precise": {
@@ -87,31 +88,35 @@ def test_scenarios_with_checkpoints_fill_them():
 
 
 def test_checkpoint_snapshots_statistics_without_installing_them():
-    # the given statistics under the given source, else the EMA; every BN
-    # layer's state (its EMA) is left as it was
+    # the given statistics under the given source; every BN layer's state
+    # (its EMA) is left as it was
     rng = np.random.default_rng(3)
     net = build_net(rng, [4, 6, 6, 6, 3])
     net.forward(rng.standard_normal((16, 1, 1, 4)))  # moves the EMAs
     bn = net.bn_indices
-    frozen = {bn[0]: net.layers[bn[0]].ema}
+    ema = ema_stats(net)
     stats = precise_bn(net, rng.standard_normal((32, 1, 1, 4)), 8)
     layers = [net.layers[i] for i in bn]
     before = [dict(vars(layer)) for layer in layers]
     run = ScenarioRun("checkpoint")
-    run.checkpoint(net, frozen, source="frozen")
-    first = run.stats_checkpoint
-    assert [e["source"] for e in first.values()] == ["frozen", "ema", "ema"]
-    run.checkpoint(net, {bn[1]: stats[bn[1]]})  # the default source
+    checkpoints = []
+    # FrozenBN by the EMAs, precise statistics under the default source, and
+    # the EMAs
+    for given, kwargs in ((ema, {"source": "frozen"}), (stats, {}),
+                          (ema, {"source": "ema"})):
+        run.checkpoint(net, given, **kwargs)
+        checkpoints.append(run.stats_checkpoint)
     for layer, state in zip(layers, before):
         assert vars(layer).keys() == state.keys()
         assert all(vars(layer)[k] is v for k, v in state.items())
-    names = list(first)
-    entries = [first[names[0]], *(run.stats_checkpoint[n] for n in names[1:])]
-    assert [e["source"] for e in entries] == ["frozen", "precise", "ema"]
-    for entry, expected in zip(entries, (frozen[bn[0]], stats[bn[1]],
-                                         before[2]["ema"])):
-        assert entry["mean"] == list(expected.mean)
-        assert entry["var"] == list(expected.var)
+    for entries, source, expected in zip(checkpoints, ("frozen", "precise", "ema"),
+                                         (ema, stats, ema)):
+        assert list(entries) == ["bn0", "bn1", "bn2"]
+        for entry, i in zip(entries.values(), bn):
+            assert entry["source"] == source
+            assert entry["mean"] == list(expected[i].mean)
+            assert entry["var"] == list(expected[i].var)
+            assert entry["count"] == expected[i].count
 
 
 def test_different_seeds_differ():

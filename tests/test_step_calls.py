@@ -32,6 +32,7 @@ from bnlab.scenarios import (
     shared_head_data,
 )
 from bnlab.synthetic import SLAB_STEPS
+from conftest import ema_stats
 
 STEPS = 20
 
@@ -214,9 +215,10 @@ def test_python_calls_per_sgd_step(name, setup):
 # At 7f222d3, before a moment fold took one input method and kept no
 # channel count or 1-wide log, precise_bn32 read 217 and
 # precise_bn_layerwise32 279.  At e6a13b8, with Linear's transposes, the
-# four read 125, 133, 213 and 275.
+# four read 125, 133, 213 and 275.  At 63c7708 error_by_ema, a population
+# pass by each layer's EMA without its naming them, read 101; a population
+# pass now names its statistics, the path error_given_stats pins.
 CALLS_PER_PASS = {
-    "error_by_ema": 101,
     "error_given_stats": 109,
     "precise_bn32": 197,
     "precise_bn_layerwise32": 251,
@@ -234,7 +236,7 @@ def _ema_vs_precise_pass(name):
         return precise_bn, (net, x, 32)
     if name == "precise_bn_layerwise32":
         return precise_bn_layerwise, (net, x, 32)
-    stats = precise_bn(net, x, 32) if name == "error_given_stats" else None
+    stats = precise_bn(net, x, 32)
     return functools.partial(classification_error, stats=stats), (net, x, labels)
 
 
@@ -304,7 +306,7 @@ PARAMS_ENCODE_CALLS = 9
 def test_python_calls_to_encode_a_params_checkpoint():
     _, (net, *_) = _ema_vs_precise()
     run = ScenarioRun("ema_vs_precise")
-    run.checkpoint(net)
+    run.checkpoint(net, ema_stats(net), source="ema")
     payload = run.params_checkpoint
     assert sum(map(len, (v for p in payload.values() for v in p.values()))) >= 7000
     io.encode_json("params.json", payload)
