@@ -13,9 +13,11 @@ __all__ = ["precise_bn", "precise_bn_layerwise"]
 
 def _pooled_moments(net, population, batch_size, indices, stats=None):
     """Forward the population in ghost mini-batches of ``batch_size`` (a
-    ragged last one counts with its own size) in EVAL_MINIBATCH (no
-    parameter or EMA update), the layers in ``stats`` normalizing by those
-    statistics, and pool the batch moments of each BN layer in ``indices``
+    ragged last one counts with its own size, but one of a single activation
+    row, which BN would put out as 0, joins the one before it) in
+    EVAL_MINIBATCH (no parameter or EMA update), the layers in ``stats``
+    normalizing by those statistics, and pool the batch moments of each
+    BN layer in ``indices``
     by moment matching: {layer index: ChannelStats}.  The population runs
     in ``chunk_rows`` chunks of whole mini-batches, each a
     ``Network.evaluate`` pass that ends at the deepest layer in
@@ -27,10 +29,16 @@ def _pooled_moments(net, population, batch_size, indices, stats=None):
     if batch_size < 1:
         raise InvalidParams("batch_size must be >= 1")
     folds = {i: MomentFold() for i in indices}
-    step = chunk_rows(batch_size, population.shape[1] * population.shape[2])
-    for start in range(0, population.shape[0], step):
-        net.evaluate(population[start : start + step], stats=stats,
+    n, sites = population.shape[0], population.shape[1] * population.shape[2]
+    cut = (n - batch_size - 1 if sites == 1 and n > batch_size
+           and n % batch_size == 1 else n)
+    head, step = population[:cut], chunk_rows(batch_size, sites)
+    for start in range(0, cut, step):
+        net.evaluate(head[start : start + step], stats=stats,
                      moment_sinks=folds, cohort=batch_size)
+    if cut < n:
+        net.evaluate(population[cut:], stats=stats, moment_sinks=folds,
+                     cohort=batch_size + 1)
     return {i: aggregate_moment_matching(fold) for i, fold in folds.items()}
 
 

@@ -328,14 +328,23 @@ class LoopNet:
 
     def precise_bn(self, x, batch_size, layerwise=False):
         """{BN layer index: (mean, var, count)} pooled over mini-batches of
-        ``batch_size`` rows; ``layerwise``, each layer with the layers
-        before it normalizing by their pooled statistics."""
+        ``batch_size`` rows, a last one of a single activation row joined to
+        the one before it; ``layerwise``, each layer with the layers before
+        it normalizing by their pooled statistics."""
+        n = len(x)
+        cut = (n - batch_size - 1 if x.shape[1] * x.shape[2] == 1
+               and n > batch_size and n % batch_size == 1 else n)
+
+        def pooled(fixed=None, layers=None):
+            logs = [self.moments(part, size, fixed, layers) for part, size in
+                    ((x[:cut], batch_size), (x[cut:], None)) if len(part)]
+            return {i: _pool([m for log in logs for m in log[i]]) for i in logs[0]}
+
         if not layerwise:
-            return {i: _pool(m) for i, m in self.moments(x, batch_size).items()}
+            return pooled()
         result = {}
         for j in self.spec:
-            fixed = {i: [s[:2]] for i, s in result.items()}
-            result[j] = _pool(self.moments(x, batch_size, fixed, [j])[j])
+            result[j] = pooled({i: [s[:2]] for i, s in result.items()}, [j])[j]
         return result
 
 

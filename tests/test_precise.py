@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from bnlab import net as net_module
+from bnlab import precise as precise_module
 from bnlab.batching import NormBatchPlan
 from bnlab.errors import EmptyPopulation, InvalidParams
 from bnlab.layer import BnLayer
 from bnlab.net import Affine, Linear, MeanPool, Network, Relu, classification_error
 from bnlab.precise import precise_bn, precise_bn_layerwise
 from bnlab.scenarios import EMA_VS_PRECISE_DEFAULTS, build_net
+from bnlab.stats import MomentFold
 from bnlab.tensor import channel_moments
 from conftest import ema_stats
 from oracles import random_net
@@ -93,6 +95,38 @@ def test_precise_bn_validation():
         precise_bn_layerwise(net, np.zeros((0, 1, 1, 4)), 4)
     with pytest.raises(InvalidParams):
         precise_bn(net, pop, 0)
+
+
+@pytest.mark.parametrize("n, batch_size, sites, rows", [
+    (1025, 32, 1, [32] * 31 + [33]),
+    (9, 8, 1, [9]),
+    (17, 8, 1, [8, 9]),
+    (18, 8, 1, [8, 8, 2]),
+    (17, 8, 2, [16, 16, 2]),  # one sample of two sites is two rows
+    (16, 8, 1, [8, 8]),
+])
+@pytest.mark.parametrize("estimate", [precise_bn, precise_bn_layerwise])
+def test_no_precise_pass_pools_a_one_row_batch(estimate, n, batch_size, sites, rows,
+                                               monkeypatch):
+    # a one-row mini-batch normalizes its row to 0, so each deeper layer
+    # would pool it as if it sat at the mean: it joins the one before it
+    logs = []
+
+    class Logged(MomentFold):  # each fold's mini-batch row counts, in order
+        def __init__(self):
+            super().__init__()
+            self.rows = []
+            logs.append(self.rows)
+
+        def append(self, moments):
+            self.rows += [moments.count] * moments.mean.reshape(-1, 6).shape[0]
+            super().append(moments)
+
+    monkeypatch.setattr(precise_module, "MomentFold", Logged)
+    rng = np.random.default_rng(9)
+    net = random_net(rng, [4, 6, 6, 3])
+    estimate(net, rng.standard_normal((n, sites, 1, 4)), batch_size)
+    assert logs == [rows] * len(net.bn_indices)
 
 
 def test_evaluation_passes_hold_a_few_activations_at_any_population(monkeypatch):
