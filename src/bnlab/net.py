@@ -231,9 +231,8 @@ class Network:
         With no ``cohort`` each BN layer normalizes by its ``stats``, which
         every one needs (EVAL_POPULATION).  With one, each normalizes by the
         moments of each ``cohort`` rows (EVAL_MINIBATCH), except the layers
-        in ``stats``.
-        The BN, Affine and Relu layers write their output over their input
-        where the pass allocated it, never over ``x``.
+        in ``stats``.  The BN, Affine and Relu layers write their output over
+        their input where the pass allocated it, never over ``x``.
 
         ``moment_sinks`` maps BN layer index -> a list (or a
         ``stats.MomentFold``); the pass appends the layer's batch moments

@@ -16,11 +16,10 @@ def _pooled_moments(net, population, batch_size, indices, stats=None):
     ragged last one counts with its own size, but one of a single activation
     row, which BN would put out as 0, joins the one before it) in
     EVAL_MINIBATCH (no parameter or EMA update), the layers in ``stats``
-    normalizing by those statistics, and pool the batch moments of each
-    BN layer in ``indices``
-    by moment matching: {layer index: ChannelStats}.  The population runs
-    in ``chunk_rows`` chunks of whole mini-batches, each a
-    ``Network.evaluate`` pass that ends at the deepest layer in
+    normalizing by those statistics, and pool the batch moments of each BN
+    layer in ``indices`` by moment matching: {layer index: ChannelStats}.
+    The population runs in ``chunk_rows`` chunks of whole mini-batches,
+    each a ``Network.evaluate`` pass that ends at the deepest layer in
     ``indices``.  Each layer's moments of a chunk go into a ``MomentFold``
     as they come, so the pass holds no more for a larger population."""
     population = as_tensor4(population)
