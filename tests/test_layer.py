@@ -22,6 +22,7 @@ from bnlab.net import (Linear, MeanPool, Network, SgdConfig, classification_erro
 from bnlab.scenarios import ScenarioRun, SharedHeadNet, build_net
 from bnlab.stats import ema_update
 from bnlab.tensor import SAMPLE_AXES, ChannelStats, channel_moments, normalize
+from conftest import ema_stats
 from oracles import fusion_finetune_demo
 
 
@@ -107,7 +108,7 @@ def test_population_mode_refuses_missing_stats(call, message):
         with pytest.raises(InvalidParams, match=message):
             run(stats)
     assert all(net.layers[i].ema is s for i, s in zip(net.bn_indices, ema))
-    run({first: ema[0], last: ema[1]})  # each layer's EMA, named
+    run(ema_stats(net))  # each layer's EMA, named
 
 
 def test_the_layer_holds_only_its_shape_eps_and_ema():
