@@ -245,6 +245,11 @@ class Network:
                 and x.ndim == 4):
             x = as_tensor4(x)
         given, bn, overwrites = x, self.bn_indices, self._overwrites
+        if cohort is None:  # refused before any layer runs
+            for i in bn:
+                if stats is None or i not in stats:
+                    raise InvalidParams(
+                        f"evaluate: no population stats for {self.layer_names()[i]}")
         stop = (self._depth if moment_sinks is None
                 else max(moment_sinks, default=-1) + 1)
         for i in range(stop):

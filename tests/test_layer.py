@@ -81,14 +81,15 @@ def test_frozen_uses_its_snapshot():
 
 @pytest.mark.parametrize("call, message", [
     ("layer_forward", "^a population-mode BN forward needs stats$"),
-    ("evaluate", "^a population-mode BN forward needs stats$"),
-    ("classification_error", "^a population-mode BN forward needs stats$"),
-    ("checkpoint", "^checkpoint: no precise stats for bn(0|1)$"),
+    ("evaluate", "^evaluate: no population stats for {}$"),
+    ("classification_error", "^evaluate: no population stats for {}$"),
+    ("checkpoint", "^checkpoint: no precise stats for {}$"),
 ])
 def test_population_mode_refuses_missing_stats(call, message):
     # the EMA is one estimator of the population statistics, not a default:
     # a population-mode pass and a checkpoint refuse to run without every BN
-    # layer's statistics, and leave the EMAs as they were
+    # layer's statistics, name the first layer missing (the layer itself
+    # knows no name), and leave the EMAs as they were
     rng = np.random.default_rng(2)
     net = build_net(rng, [4, 6, 6, 3])
     net.forward(rng.standard_normal((16, 1, 1, 4)))  # moves the EMAs
@@ -104,8 +105,9 @@ def test_population_mode_refuses_missing_stats(call, message):
         "checkpoint": lambda stats: ScenarioRun("checkpoint").checkpoint(net, stats),
     }[call]
     ema = [net.layers[i].ema for i in net.bn_indices]
-    for stats in ({}, {first: ema[0]}):
-        with pytest.raises(InvalidParams, match=message):
+    names = net.layer_names()
+    for stats, missing in (({}, first), ({first: ema[0]}, last)):
+        with pytest.raises(InvalidParams, match=message.format(names[missing])):
             run(stats)
     assert all(net.layers[i].ema is s for i, s in zip(net.bn_indices, ema))
     run(ema_stats(net))  # each layer's EMA, named
