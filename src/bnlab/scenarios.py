@@ -88,8 +88,11 @@ class ScenarioRun:
                     raise InvalidParams(f"checkpoint: no {source} stats for {name}")
                 s = stats[i]
                 self.stats_checkpoint[name] = {
-                    "mean": list(s.mean), "var": list(s.var),
-                    "count": int(s.count), "source": source}
+                    "mean": list(s.mean),
+                    "var": list(s.var),
+                    "count": int(s.count),
+                    "source": source,
+                }
             elif isinstance(layer, (Linear, Affine)):
                 self.params_checkpoint[name] = {
                     k: np.asarray(getattr(layer, k)).reshape(-1).tolist()
