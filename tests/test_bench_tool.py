@@ -42,22 +42,20 @@ def test_every_committed_bench_file_holds_integer_counts():
             _assert_entry(tool, entry, f"{path.name}: {name}")
 
 
-@pytest.mark.parametrize("argv", [[], ["--name", "exported-tree"]],
-                         ids=["worktree", "named"])
-def test_an_entry_merges_into_the_file_with_sorted_keys(argv, tmp_path, monkeypatch):
+def test_an_entry_merges_into_the_file_with_sorted_keys(tmp_path, monkeypatch):
     tool = _load()
     pinned = []
     # the worker runs are stubbed, and this process keeps its cores; the
-    # working tree is a commit's, as in a checkout, or named, as outside one
+    # working tree is named as a checkout's, so the test holds outside git
     monkeypatch.setattr(tool, "py_calls", lambda tree, workload, scratch: 7)
     monkeypatch.setattr(tool, "describe_worktree", lambda: "0" * 40 + "+changes")
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cores: pinned.append(cores),
                         raising=False)
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"~other": {}}))  # an entry it keeps
-    assert tool.main([str(out), *argv]) == 0
+    assert tool.main([str(out)]) == 0
     entries = json.loads(out.read_text())
-    name = argv[1] if argv else "0" * 40 + "+changes"
+    name = "0" * 40 + "+changes"
     assert list(entries) == [name, "~other"] and entries["~other"] == {}
     assert out.read_text() == json.dumps(entries, indent=2, sort_keys=True) + "\n"
     entry = entries[name]
@@ -70,11 +68,16 @@ def test_an_entry_merges_into_the_file_with_sorted_keys(argv, tmp_path, monkeypa
         assert [len(cores) for cores in pinned] == [1]
 
 
-def test_a_working_tree_is_named_by_its_commit_or_refused_outside_git(tmp_path,
-                                                                     monkeypatch):
-    # a temporary repository, so the check holds in an exported tree too
+def test_a_working_tree_is_named_by_its_commit(tmp_path, monkeypatch):
+    # a temporary repository, so the check holds in an exported tree too;
+    # no inherited GIT_* variable (a hook's GIT_DIR, say) points git at
+    # another repository, and git looks for none above tmp_path
+    for var in [v for v in os.environ if v.startswith("GIT_")]:
+        monkeypatch.delenv(var)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
     tool = _load()
-    assert tool.describe_worktree(tmp_path) is None
+    with pytest.raises(subprocess.CalledProcessError):
+        tool.describe_worktree(tmp_path)
     git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org",
            "-c", "commit.gpgsign=false"]
     (tmp_path / "f").write_text("a")
@@ -84,9 +87,3 @@ def test_a_working_tree_is_named_by_its_commit_or_refused_outside_git(tmp_path,
     assert re.fullmatch(r"[0-9a-f]{40}", head)
     (tmp_path / "f").write_text("b")
     assert tool.describe_worktree(tmp_path) == head + "+changes"
-    # outside git, without --name, it stops before any run
-    monkeypatch.setattr(tool, "describe_worktree", lambda: None)
-    monkeypatch.setattr(tool, "measure", lambda tree, scratch: pytest.fail("ran"))
-    with pytest.raises(SystemExit, match="not a git checkout: name the tree with --name"):
-        tool.main([str(tmp_path / "bench.json")])
-    assert not (tmp_path / "bench.json").exists()

@@ -1,6 +1,6 @@
 """Deterministic size and call counts of a tree, as one JSON entry.
 
-    python tools/bench.py OUT [--rev REV] [--name NAME]
+    python tools/bench.py OUT [--rev REV]
 
 measures this checkout's working tree or, with ``--rev``, a ``git archive``
 copy of commit REV: for each workload of that tree's ``BENCHMARK.json``,
@@ -18,9 +18,8 @@ counts depend on the Python and numpy versions, which the entry records.
 
 The entry goes into OUT, a JSON object of entries keyed by the tree's
 commit hash (``+changes`` appended for a working tree that differs from
-HEAD), or by ``--name``, which a tree outside a git checkout (a ``git
-archive`` copy, say) needs.  OUT is written with sorted keys; an existing
-OUT keeps its other entries, so two calls make a before/after pair:
+HEAD), written with sorted keys; an existing OUT keeps its other entries,
+so two calls make a before/after pair:
 
     python tools/bench.py BENCH.json --rev HEAD~1
     python tools/bench.py BENCH.json --rev HEAD
@@ -64,14 +63,12 @@ def export(rev, into):
 
 def describe_worktree(root=ROOT):
     """HEAD's hash, with ``+changes`` when the working tree at ``root``
-    differs from it; None outside a git checkout."""
+    differs from it."""
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
-                          capture_output=True, text=True)
-    if head.returncode:
-        return None
+                          capture_output=True, text=True, check=True).stdout.strip()
     status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
                             cwd=root, capture_output=True, text=True, check=True)
-    return head.stdout.strip() + ("+changes" if status.stdout.strip() else "")
+    return head + ("+changes" if status.stdout.strip() else "")
 
 
 def lines(path):
@@ -113,8 +110,6 @@ def main(argv=None):
     parser.add_argument("out", type=Path)
     parser.add_argument("--rev", help="a commit to measure instead of the "
                                       "working tree")
-    parser.add_argument("--name", help="the entry's key instead of the "
-                                       "commit hash")
     args = parser.parse_args(argv)
     if hasattr(os, "sched_setaffinity"):  # the workers inherit the one core
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -125,9 +120,6 @@ def main(argv=None):
         else:
             tree = scratch / "tree"
             name = export(args.rev, tree)
-        name = args.name or name
-        if name is None:
-            sys.exit(f"{ROOT} is not a git checkout: name the tree with --name")
         entry = measure(tree, scratch / "runs")
     entries = json.loads(args.out.read_text()) if args.out.exists() else {}
     entries[name] = entry
